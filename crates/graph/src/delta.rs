@@ -32,7 +32,7 @@
 use crate::failpoint;
 use crate::segment::{CountingReader, StoreLayout};
 use crate::types::{Edge, EdgeList, GraphError, Result, VertexId};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -113,31 +113,151 @@ pub fn compacted_segment_file_name(generation: u64, pid: usize) -> String {
     format!("part-{pid:05}-g{generation:06}.seg")
 }
 
+/// Chain-wide position of the **last** tombstone of every deleted
+/// `(src, dst)` key, positions counted over `chain`'s records in order.
+/// This index is the whole merge rule: a record accumulated before its
+/// key's last tombstone is dead — every base record with a deleted key,
+/// and every insert at an earlier position — and everything else lives.
+fn last_deletes(chain: &[&[DeltaRecord]]) -> HashMap<(VertexId, VertexId), usize> {
+    let mut last = HashMap::new();
+    for (pos, r) in chain.iter().copied().flatten().enumerate() {
+        if !r.is_insert() {
+            last.insert((r.src, r.dst), pos);
+        }
+    }
+    last
+}
+
+/// The chain's inserts no later tombstone kills, in record order.
+fn live_inserts<'a>(
+    chain: &'a [&'a [DeltaRecord]],
+    last_delete: &'a HashMap<(VertexId, VertexId), usize>,
+) -> impl Iterator<Item = Edge> + 'a {
+    chain
+        .iter()
+        .copied()
+        .flatten()
+        .enumerate()
+        .filter(|&(pos, r)| {
+            r.is_insert() && last_delete.get(&(r.src, r.dst)).is_none_or(|&d| d < pos)
+        })
+        .map(|(_, r)| Edge { src: r.src, dst: r.dst, weight: r.weight })
+}
+
 /// Applies `records` to `edges` in record order: inserts append, deletes
 /// remove every `(src, dst)` match accumulated so far. This is the one
-/// definition of the merge semantics — the store's merged-view readers,
-/// the compactor, and the in-memory reference mutation all call it, which
-/// is what makes "merged read == from-scratch conversion of the mutated
-/// graph" hold bit for bit.
+/// definition of the merge semantics — the in-memory reference mutation
+/// calls it, and the store's merged-view readers and the compactor go
+/// through [`Overlay`], which is built on the same last-tombstone index —
+/// which is what makes "merged read == from-scratch conversion of the
+/// mutated graph" hold bit for bit. One pass: `O(edges + records)`.
 pub fn apply_delta(edges: &mut Vec<Edge>, records: &[DeltaRecord]) {
-    // Consecutive tombstones commute, so each *run* of deletes is applied
-    // as one set-driven retain — delete-heavy batches cost O(edges + run)
-    // instead of one full rescan per tombstone. (A chain-wide multiset
-    // index is a recorded ROADMAP follow-up.)
-    let mut i = 0;
-    while i < records.len() {
-        let r = records[i];
-        if r.is_insert() {
-            edges.push(Edge { src: r.src, dst: r.dst, weight: r.weight });
-            i += 1;
-        } else {
-            let mut dead = HashSet::new();
-            while i < records.len() && !records[i].is_insert() {
-                dead.insert((records[i].src, records[i].dst));
-                i += 1;
-            }
-            edges.retain(|e| !dead.contains(&(e.src, e.dst)));
+    let chain = [records];
+    let last_delete = last_deletes(&chain);
+    if !last_delete.is_empty() {
+        edges.retain(|e| !last_delete.contains_key(&(e.src, e.dst)));
+    }
+    edges.extend(live_inserts(&chain, &last_delete));
+}
+
+/// Whether `edges` is in non-decreasing source order — the order
+/// `Convert()` and compaction write, and the precondition of
+/// [`Overlay`]'s linear merge.
+fn source_ordered(edges: &[Edge]) -> bool {
+    edges.windows(2).all(|w| w[0].src <= w[1].src)
+}
+
+/// One partition's delta chain resolved against its base segment, once,
+/// so that every later read of the merged partition costs a copy instead
+/// of a replay: the base records the chain kills, and the inserts that
+/// survive it. Immutable; at most the chain's own size (4 bytes per dead
+/// base record, 12 per live insert, against 16 per record on disk).
+#[derive(Debug)]
+pub struct Overlay {
+    /// Ascending indices of base records some tombstone kills.
+    dead: Vec<u32>,
+    /// Surviving inserts, stably sorted by source (chain order within one
+    /// source).
+    inserts: Vec<Edge>,
+    base_len: usize,
+    /// `base` was in source order, so [`Overlay::merge`] can merge
+    /// linearly instead of sorting.
+    base_ordered: bool,
+}
+
+impl Overlay {
+    /// Resolves `chain` (delta segments, oldest first) against `base`.
+    pub fn resolve(base: &[Edge], chain: &[&[DeltaRecord]]) -> Result<Overlay> {
+        if u32::try_from(base.len()).is_err() {
+            return Err(GraphError::Format(format!(
+                "a partition of {} edges is too large to overlay a delta chain on",
+                base.len()
+            )));
         }
+        let last_delete = last_deletes(chain);
+        let dead = if last_delete.is_empty() {
+            Vec::new()
+        } else {
+            (0u32..)
+                .zip(base)
+                .filter(|(_, e)| last_delete.contains_key(&(e.src, e.dst)))
+                .map(|(i, _)| i)
+                .collect()
+        };
+        let mut inserts: Vec<Edge> = live_inserts(chain, &last_delete).collect();
+        inserts.sort_by_key(|e| e.src);
+        Ok(Overlay { dead, inserts, base_len: base.len(), base_ordered: source_ordered(base) })
+    }
+
+    /// Edge count of the merged partition.
+    pub fn merged_len(&self) -> usize {
+        self.base_len - self.dead.len() + self.inserts.len()
+    }
+
+    /// Source vertex of every merged record (surviving base records, then
+    /// surviving inserts), without materialising the merge.
+    pub fn sources<'a>(&'a self, base: &'a [Edge]) -> impl Iterator<Item = VertexId> + 'a {
+        assert_eq!(base.len(), self.base_len, "overlay applied to a different base");
+        let mut dead = self.dead.iter().peekable();
+        let live_base = (0u32..).zip(base).filter(move |(i, _)| dead.next_if_eq(&i).is_none());
+        live_base.map(|(_, e)| e.src).chain(self.inserts.iter().map(|e| e.src))
+    }
+
+    /// Materialises the merged partition: `base` minus the dead records
+    /// plus the surviving inserts, in `Convert()`'s stable source order —
+    /// bit-identical to applying the chain with [`apply_delta`] and
+    /// stable-sorting by source. Over a source-ordered base that is one
+    /// linear two-run merge (base first on equal sources: a conversion of
+    /// the mutated edge list sees base edges before appended ones); an
+    /// unordered base — only a foreign writer produces one — is
+    /// concatenated and stable-sorted instead.
+    pub fn merge(&self, base: &[Edge]) -> Vec<Edge> {
+        assert_eq!(base.len(), self.base_len, "overlay applied to a different base");
+        let mut out = Vec::with_capacity(self.merged_len());
+        let mut dead = self.dead.iter().map(|&i| i as usize).peekable();
+        // Appends the live records of `base[from..to]`.
+        let mut copy_live = |out: &mut Vec<Edge>, mut from: usize, to: usize| {
+            while let Some(d) = dead.next_if(|&d| d < to) {
+                out.extend_from_slice(&base[from..d]);
+                from = d + 1;
+            }
+            out.extend_from_slice(&base[from..to]);
+        };
+        if !self.base_ordered {
+            copy_live(&mut out, 0, base.len());
+            out.extend_from_slice(&self.inserts);
+            out.sort_by_key(|e| e.src);
+            return out;
+        }
+        let mut from = 0;
+        for ins in &self.inserts {
+            let to = from + base[from..].partition_point(|e| e.src <= ins.src);
+            copy_live(&mut out, from, to);
+            out.push(*ins);
+            from = to;
+        }
+        copy_live(&mut out, from, base.len());
+        out
     }
 }
 
@@ -675,5 +795,173 @@ mod tests {
         g.edges = base;
         apply_delta_to_edge_list(&mut g, &[DeltaRecord::delete(1, 2)]);
         assert_eq!(g.edges.len(), 2);
+    }
+
+    /// The merge as it was before [`Overlay`]: one `HashSet` + `retain`
+    /// rescan per run of tombstones. Kept as the oracle the single-pass
+    /// [`apply_delta`] and the overlay are compared against.
+    pub(super) fn oracle_apply_delta(edges: &mut Vec<Edge>, records: &[DeltaRecord]) {
+        let mut i = 0;
+        while i < records.len() {
+            let r = records[i];
+            if r.is_insert() {
+                edges.push(Edge { src: r.src, dst: r.dst, weight: r.weight });
+                i += 1;
+            } else {
+                let mut dead = std::collections::HashSet::new();
+                while i < records.len() && !records[i].is_insert() {
+                    dead.insert((records[i].src, records[i].dst));
+                    i += 1;
+                }
+                edges.retain(|e| !dead.contains(&(e.src, e.dst)));
+            }
+        }
+    }
+
+    /// What a merged read returned before [`Overlay`]: the chain applied
+    /// segment by segment, then a stable sort by source.
+    pub(super) fn oracle_merged(base: &[Edge], chain: &[&[DeltaRecord]]) -> Vec<Edge> {
+        let mut out = base.to_vec();
+        for seg in chain {
+            oracle_apply_delta(&mut out, seg);
+        }
+        out.sort_by_key(|e| e.src);
+        out
+    }
+
+    fn assert_overlay_matches_oracle(base: &[Edge], chain: &[&[DeltaRecord]]) {
+        let overlay = Overlay::resolve(base, chain).unwrap();
+        let expect = oracle_merged(base, chain);
+        assert_eq!(overlay.merge(base), expect);
+        assert_eq!(overlay.merged_len(), expect.len());
+        let mut sources: Vec<VertexId> = overlay.sources(base).collect();
+        sources.sort_unstable();
+        assert_eq!(sources, expect.iter().map(|e| e.src).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn overlay_resolves_the_named_chain_shapes() {
+        // Duplicate (src, dst) edges and equal sources with different
+        // weights, in source order.
+        let base = vec![
+            Edge::weighted(0, 1, 1.0),
+            Edge::weighted(0, 1, 2.0),
+            Edge::weighted(0, 2, 3.0),
+            Edge::weighted(2, 0, 4.0),
+            Edge::weighted(2, 3, 5.0),
+            Edge::weighted(5, 5, 6.0),
+        ];
+        let chain: [&[DeltaRecord]; 5] = [
+            // Delete of an absent key, then back-to-back deletes.
+            &[DeltaRecord::delete(4, 4), DeltaRecord::delete(0, 1), DeltaRecord::delete(0, 1)],
+            // Empty segment.
+            &[],
+            // Re-insert after delete; an insert before the first base source.
+            &[DeltaRecord::insert(0, 1, 7.0), DeltaRecord::insert(0, 0, 8.0)],
+            // Delete–insert–delete of one key across segments.
+            &[DeltaRecord::delete(2, 3), DeltaRecord::insert(2, 3, 9.0)],
+            &[
+                DeltaRecord::delete(2, 3),
+                // Past the last base source; between two base sources.
+                DeltaRecord::insert(6, 0, 10.0),
+                DeltaRecord::insert(3, 3, 11.0),
+                DeltaRecord::insert(2, 9, 12.0),
+            ],
+        ];
+        assert_overlay_matches_oracle(&base, &chain);
+        assert_overlay_matches_oracle(&base, &[]);
+        assert_overlay_matches_oracle(&[], &chain);
+        // An unordered base takes the concatenate-and-sort fallback.
+        let reversed: Vec<Edge> = base.iter().rev().copied().collect();
+        assert!(!source_ordered(&reversed));
+        assert_overlay_matches_oracle(&reversed, &chain);
+        let merged = Overlay::resolve(&base, &chain).unwrap().merge(&base);
+        assert_eq!(
+            merged,
+            vec![
+                Edge::weighted(0, 2, 3.0),
+                Edge::weighted(0, 1, 7.0),
+                Edge::weighted(0, 0, 8.0),
+                Edge::weighted(2, 0, 4.0),
+                Edge::weighted(2, 9, 12.0),
+                Edge::weighted(3, 3, 11.0),
+                Edge::weighted(5, 5, 6.0),
+                Edge::weighted(6, 0, 10.0),
+            ]
+        );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::tests::{oracle_apply_delta, oracle_merged};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A 5×5 key universe: bases repeat `(src, dst)` keys and sources,
+    /// chains hit absent keys, re-insert after deletes, and delete one key
+    /// repeatedly, all by collision.
+    fn edges(raw: &[(u32, u32, u32)]) -> Vec<Edge> {
+        raw.iter().map(|&(src, dst, w)| Edge::weighted(src, dst, w as f32)).collect()
+    }
+
+    fn segments(raw: &[Vec<(u32, u32, u32, bool)>]) -> Vec<Vec<DeltaRecord>> {
+        raw.iter()
+            .map(|seg| {
+                seg.iter()
+                    .map(|&(src, dst, w, insert)| {
+                        if insert {
+                            DeltaRecord::insert(src, dst, w as f32)
+                        } else {
+                            DeltaRecord::delete(src, dst)
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Overlay merge == the old per-load algorithm, on a source-ordered
+        /// base (linear merge) and on the same records unordered (fallback).
+        #[test]
+        fn overlay_merge_equals_replay_and_sort(
+            raw_base in proptest::collection::vec((0u32..5, 0u32..5, 0u32..100), 0..40),
+            raw_chain in proptest::collection::vec(
+                proptest::collection::vec((0u32..5, 0u32..5, 100u32..200, any::<bool>()), 0..12),
+                0..6,
+            ),
+        ) {
+            let unordered = edges(&raw_base);
+            let mut ordered = unordered.clone();
+            ordered.sort_by_key(|e| e.src);
+            let chain = segments(&raw_chain);
+            let chain: Vec<&[DeltaRecord]> = chain.iter().map(Vec::as_slice).collect();
+            for base in [&ordered, &unordered] {
+                let overlay = Overlay::resolve(base, &chain).unwrap();
+                let expect = oracle_merged(base, &chain);
+                prop_assert_eq!(overlay.merged_len(), expect.len());
+                prop_assert_eq!(overlay.merge(base), expect);
+            }
+        }
+
+        /// Single-pass `apply_delta` == the per-run `retain` loop, order
+        /// included (no sort on either side).
+        #[test]
+        fn apply_delta_equals_per_run_retain(
+            raw_base in proptest::collection::vec((0u32..5, 0u32..5, 0u32..100), 0..40),
+            raw_chain in proptest::collection::vec(
+                proptest::collection::vec((0u32..5, 0u32..5, 100u32..200, any::<bool>()), 0..12),
+                0..6,
+            ),
+        ) {
+            let mut got = edges(&raw_base);
+            let mut expect = got.clone();
+            for seg in segments(&raw_chain) {
+                apply_delta(&mut got, &seg);
+                oracle_apply_delta(&mut expect, &seg);
+                prop_assert_eq!(&got, &expect);
+            }
+        }
     }
 }

@@ -147,7 +147,9 @@ pub struct ServerConfig {
     /// holds an `O(num_vertices)` values vector, so unbounded retention
     /// would grow a long-lived daemon without limit). Oldest finished
     /// jobs are evicted past this cap; waiting on an evicted id reports
-    /// an unknown job.
+    /// an unknown job. Reports a `wait` already delivered are kept for a
+    /// repeated query only while together they fit the store's structure
+    /// size, so they may be evicted sooner.
     pub max_done_reports: usize,
     /// How the runtime thread executes jobs (see [`ExecutionMode`]).
     pub mode: ExecutionMode,
@@ -276,7 +278,11 @@ impl ServerConfig {
 enum JobEntry {
     Queued,
     Running,
-    Done(Arc<JobReport>),
+    Done {
+        report: Arc<JobReport>,
+        /// A `wait` response carrying the report reached its socket.
+        delivered: bool,
+    },
 }
 
 /// One admitted-but-not-yet-running submission.
@@ -342,25 +348,80 @@ fn drain_admissible(q: &mut Queue, batch_budget: &mut usize) -> Vec<Pending> {
     admitted
 }
 
-/// Job lifecycle table with bounded retention of finished reports.
+/// Job lifecycle table with bounded retention of finished reports: by
+/// count until a report has been delivered, by bytes afterwards — so what
+/// the daemon keeps does not grow with how many jobs it completes.
 struct JobsTable {
     entries: HashMap<JobId, JobEntry>,
-    /// Finished ids, oldest first, for eviction past `retain`.
+    /// Retained finished ids, oldest first.
     done_order: VecDeque<JobId>,
+    /// Count cap on retained finished reports, delivered or not.
     retain: usize,
+    /// [`retained_bytes`] summed over the retained *delivered* reports.
+    delivered_bytes: u64,
+    /// Cap on `delivered_bytes`: the served store's structure size at
+    /// start. Reports nobody may ask for again never outweigh the one
+    /// shared copy of the graph they were computed from.
+    delivered_budget: u64,
+}
+
+/// What retaining `report` costs: its `O(num_vertices)` values vector,
+/// plus the fixed part so reports without values are bounded too.
+fn retained_bytes(report: &JobReport) -> u64 {
+    (std::mem::size_of::<JobReport>() + std::mem::size_of_val(report.values.as_slice())) as u64
 }
 
 impl JobsTable {
+    fn new(retain: usize, delivered_budget: u64) -> JobsTable {
+        JobsTable {
+            entries: HashMap::new(),
+            done_order: VecDeque::new(),
+            retain,
+            delivered_bytes: 0,
+            delivered_budget,
+        }
+    }
+
     /// Marks `id` done and evicts the oldest finished entries past the
     /// retention cap (in-flight responders keep their `Arc` alive).
     fn finish(&mut self, report: JobReport) {
         let id = report.id;
-        self.entries.insert(id, JobEntry::Done(Arc::new(report)));
+        self.entries.insert(id, JobEntry::Done { report: Arc::new(report), delivered: false });
         self.done_order.push_back(id);
         while self.done_order.len() > self.retain.max(1) {
             if let Some(old) = self.done_order.pop_front() {
-                self.entries.remove(&old);
+                self.evict(old);
             }
+        }
+    }
+
+    /// Forgets a finished job (already off `done_order`); later queries
+    /// for it answer `unknown job`.
+    fn evict(&mut self, id: JobId) {
+        if let Some(JobEntry::Done { report, delivered: true }) = self.entries.remove(&id) {
+            self.delivered_bytes -= retained_bytes(&report);
+        }
+    }
+
+    /// Records that a `wait` response carrying `id`'s report was written
+    /// to its socket. From here on the report is only a courtesy copy for
+    /// a repeated `wait`/`status`: the oldest delivered reports go once
+    /// together they exceed the byte budget. Undelivered reports — nobody
+    /// has their results yet — are left to the count cap alone.
+    fn mark_delivered(&mut self, id: JobId) {
+        match self.entries.get_mut(&id) {
+            Some(JobEntry::Done { report, delivered }) if !*delivered => {
+                *delivered = true;
+                self.delivered_bytes += retained_bytes(report);
+            }
+            _ => return,
+        }
+        while self.delivered_bytes > self.delivered_budget {
+            let oldest = self.done_order.iter().position(|id| {
+                matches!(self.entries.get(id), Some(JobEntry::Done { delivered: true, .. }))
+            });
+            let Some(old) = oldest.and_then(|at| self.done_order.remove(at)) else { break };
+            self.evict(old);
         }
     }
 }
@@ -623,11 +684,10 @@ impl Server {
                 inflight_by_tenant: HashMap::new(),
             }),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(JobsTable {
-                entries: HashMap::new(),
-                done_order: VecDeque::new(),
-                retain: config.max_done_reports,
-            }),
+            jobs: Mutex::new(JobsTable::new(
+                config.max_done_reports,
+                PartitionSource::graph_bytes(source.as_ref()) as u64,
+            )),
             done_cv: Condvar::new(),
             stats: Mutex::new(ServerStats {
                 num_partitions,
@@ -1534,8 +1594,15 @@ fn serve_requests(
                     continue;
                 }
                 let is_shutdown = matches!(req, Request::Shutdown);
+                let waited = if let Request::Wait(id) = &req { Some(*id) } else { None };
                 let resp = respond(req, shared, conn);
-                let _ = write_line(write.as_mut(), &resp);
+                let written = write_line(write.as_mut(), &resp);
+                if let (Some(id), Ok(()), Some(_)) = (waited, written, resp.get("report")) {
+                    // Only now has the client got its results; a failed
+                    // write leaves the report for a reconnecting `wait`.
+                    let mut jobs = shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
+                    jobs.mark_delivered(id);
+                }
                 if is_shutdown {
                     return;
                 }
@@ -1898,7 +1965,7 @@ fn job_state(shared: &Shared, id: JobId) -> Option<JobState> {
     Some(match jobs.entries.get(&id)? {
         JobEntry::Queued => JobState::Queued,
         JobEntry::Running => JobState::Running,
-        JobEntry::Done(_) => JobState::Done,
+        JobEntry::Done { .. } => JobState::Done,
     })
 }
 
@@ -1907,7 +1974,7 @@ fn wait_for(shared: &Shared, id: JobId) -> Value {
     loop {
         match jobs.entries.get(&id) {
             None => return error_response(&format!("unknown job {id}")),
-            Some(JobEntry::Done(report)) => {
+            Some(JobEntry::Done { report, .. }) => {
                 let report = Arc::clone(report);
                 drop(jobs);
                 return json!({
@@ -2023,5 +2090,76 @@ fn tail_once(
             drop(guard);
             shared.applied_gen.fetch_max(applied, Ordering::SeqCst);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn report(id: JobId, values: usize) -> JobReport {
+        JobReport {
+            id,
+            name: "test".to_string(),
+            iterations: 1,
+            clock: Default::default(),
+            instructions: 0,
+            edges_processed: 0,
+            submit_ns: 0.0,
+            finish_ns: 0.0,
+            values: vec![0.0; values],
+            error: None,
+        }
+    }
+
+    fn is_known(table: &JobsTable, id: JobId) -> bool {
+        table.entries.contains_key(&id)
+    }
+
+    /// Delivered reports go oldest-first once together they exceed the
+    /// byte budget; undelivered ones are untouched by any number of
+    /// deliveries and still obey the count cap.
+    #[test]
+    fn delivered_reports_are_evicted_by_bytes_undelivered_by_count() {
+        let one = retained_bytes(&report(0, 100));
+        let mut table = JobsTable::new(1024, 3 * one);
+        // Two reports nobody collects, then thirty that are collected at
+        // once — ten times what the budget holds.
+        table.finish(report(0, 100));
+        table.finish(report(1, 100));
+        for id in 2..32 {
+            table.finish(report(id, 100));
+            table.mark_delivered(id);
+            table.mark_delivered(id); // a repeated `wait` is charged once
+            assert!(table.delivered_bytes <= 3 * one);
+        }
+        assert!(is_known(&table, 0) && is_known(&table, 1), "undelivered reports survive");
+        for id in 2..29 {
+            assert!(!is_known(&table, id), "delivered report {id} should be gone");
+        }
+        for id in 29..32 {
+            assert!(is_known(&table, id), "the newest deliveries fit the budget");
+        }
+        assert_eq!(table.done_order, [0, 1, 29, 30, 31], "no stale ids linger");
+        assert_eq!(table.delivered_bytes, 3 * one);
+
+        // The count cap still applies to everything, and un-charges a
+        // delivered report it evicts.
+        let mut table = JobsTable::new(2, 10 * one);
+        for id in 0..3 {
+            table.finish(report(id, 100));
+            table.mark_delivered(id);
+        }
+        assert!(!is_known(&table, 0));
+        assert_eq!(table.done_order, [1, 2]);
+        assert_eq!(table.delivered_bytes, 2 * one);
+
+        // Reports without values (failed jobs) are bounded too.
+        let mut table = JobsTable::new(1024, one);
+        for id in 0..100 {
+            table.finish(report(id, 0));
+            table.mark_delivered(id);
+        }
+        assert!(table.done_order.len() as u64 <= one / retained_bytes(&report(0, 0)));
     }
 }

@@ -45,12 +45,12 @@
 use crate::lease::{LeaseConfig, WriterLease};
 use crate::wal::{Wal, WalStats};
 use graphm_graph::delta::{
-    apply_delta, compacted_segment_file_name, delta_file_name, read_current_generation,
-    read_delta_segment, write_current_generation, write_delta_segment, DeltaFileRef, DeltaRecord,
-    GenManifest, GenPartition,
+    compacted_segment_file_name, delta_file_name, read_current_generation, read_delta_segment,
+    write_current_generation, write_delta_segment, DeltaFileRef, DeltaRecord, GenManifest,
+    GenPartition, Overlay,
 };
 use graphm_graph::segment::{read_segment, write_segment, Manifest, StoreLayout};
-use graphm_graph::{Edge, GraphError, Result, VertexId, VertexRanges, EDGE_BYTES};
+use graphm_graph::{GraphError, Result, VertexId, VertexRanges, EDGE_BYTES};
 use std::path::{Path, PathBuf};
 
 /// When the writer folds its delta chains back into base segments.
@@ -349,10 +349,9 @@ impl DeltaWriter {
     /// Folds every partition's delta chain into a fresh base segment
     /// (skipping partitions with empty chains, whose base files carry
     /// over) and publishes the result as a new generation with zero delta
-    /// bytes. Merged content is unchanged — the fold applies the chain
-    /// and restores `Convert()`'s stable source order, exactly what the
-    /// readers' merged view does. No-op (returns the current generation)
-    /// when there is nothing to fold.
+    /// bytes. Merged content is unchanged — the fold is the same
+    /// [`Overlay`] merge the readers' merged view is. No-op (returns the
+    /// current generation) when there is nothing to fold.
     pub fn compact(&mut self) -> Result<u64> {
         if self.pending_records > 0 {
             // Fold everything the caller has asked for so far, not a
@@ -369,12 +368,14 @@ impl DeltaWriter {
                 partitions.push(part.clone());
                 continue;
             }
-            let mut edges = read_segment(&self.dir.join(&part.base_file))?;
-            for dref in &part.deltas {
-                let records = read_delta_segment(&self.dir.join(&dref.file))?;
-                apply_delta(&mut edges, &records);
-            }
-            edges.sort_by_key(|e: &Edge| e.src);
+            let base = read_segment(&self.dir.join(&part.base_file))?;
+            let chain = part
+                .deltas
+                .iter()
+                .map(|dref| read_delta_segment(&self.dir.join(&dref.file)))
+                .collect::<Result<Vec<Vec<DeltaRecord>>>>()?;
+            let chain: Vec<&[DeltaRecord]> = chain.iter().map(Vec::as_slice).collect();
+            let edges = Overlay::resolve(&base, &chain)?.merge(&base);
             let file = compacted_segment_file_name(next, pid);
             let path = self.dir.join(&file);
             write_segment(&edges, &path)?;

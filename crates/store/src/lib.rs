@@ -532,6 +532,97 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Shard activity over a multi-generation chain is exact: a source
+    /// activates a shard iff the *merged* shard still holds one of its
+    /// edges — including a source whose only edge a later generation
+    /// deleted and one that exists only as a re-inserted edge.
+    #[test]
+    fn shard_activity_over_a_chain_matches_the_mutated_graph() {
+        use graphm_graph::delta::DeltaRecord;
+        let g = generators::rmat(96, 500, generators::RmatParams::SOCIAL, 43);
+        let dir = tmpdir("delta-shard-activity");
+        Convert::shards(3).write(&g, &dir).unwrap();
+        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
+        let mut mutated = g.clone();
+        let generations: Vec<Vec<DeltaRecord>> = vec![
+            g.edges.iter().step_by(7).map(|e| DeltaRecord::delete(e.src, e.dst)).collect(),
+            vec![DeltaRecord::insert(95, 1, 1.0), DeltaRecord::insert(94, 40, 2.0)],
+            vec![
+                DeltaRecord::delete(95, 1),
+                DeltaRecord::insert(g.edges[0].src, g.edges[0].dst, 3.0),
+            ],
+        ];
+        for records in &generations {
+            for r in records {
+                if r.is_insert() {
+                    writer.insert(r.src, r.dst, r.weight).unwrap();
+                } else {
+                    writer.delete(r.src, r.dst).unwrap();
+                }
+            }
+            writer.publish().unwrap();
+            graphm_graph::delta::apply_delta_to_edge_list(&mut mutated, records);
+        }
+        let reference = Shards::convert(&mutated, 3);
+        let src = DiskShardSource::open(&dir).unwrap();
+        assert_eq!(src.generation(), 3);
+        for s in 0..3 {
+            assert_eq!(src.load(s).as_slice(), reference.shard(s), "shard {s}");
+            for v in 0..96u32 {
+                let active = AtomicBitmap::new(96);
+                active.set(v as usize);
+                assert_eq!(
+                    src.partition_active(s, &active),
+                    reference.shard(s).iter().any(|e| e.src == v),
+                    "vertex {v} in shard {s}"
+                );
+            }
+        }
+        assert_eq!(src.out_degrees(), mutated.out_degrees());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A base segment some foreign writer left out of source order still
+    /// merges to what "apply the chain, stable-sort by source" gives.
+    #[test]
+    fn unordered_base_segment_merges_through_the_sort_fallback() {
+        let g = generators::rmat(80, 600, generators::RmatParams::GRAPH500, 47);
+        let dir = tmpdir("delta-unordered-base");
+        Convert::grid(1).write(&g, &dir).unwrap();
+        let ordered = DiskGridSource::open(&dir).unwrap().load(0);
+        let reversed: Vec<_> = ordered.iter().rev().copied().collect();
+        graphm_graph::segment::write_segment(&reversed, &dir.join("part-00000.seg")).unwrap();
+
+        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
+        let mut records = Vec::new();
+        for e in g.edges.iter().step_by(11) {
+            writer.delete(e.src, e.dst).unwrap();
+            records.push(graphm_graph::delta::DeltaRecord::delete(e.src, e.dst));
+        }
+        for i in 0..30u32 {
+            writer.insert(i * 5 % 80, i * 3 % 80, i as f32).unwrap();
+            records.push(graphm_graph::delta::DeltaRecord::insert(
+                i * 5 % 80,
+                i * 3 % 80,
+                i as f32,
+            ));
+        }
+        writer.publish().unwrap();
+
+        let mut expect = reversed;
+        graphm_graph::delta::apply_delta(&mut expect, &records);
+        expect.sort_by_key(|e| e.src);
+        let src = DiskGridSource::open(&dir).unwrap();
+        assert_eq!(*src.load(0), expect);
+        assert_eq!(src.graph_bytes(), expect.len() * EDGE_BYTES);
+        // The compactor folds through the same fallback and leaves an
+        // ordered base behind.
+        writer.compact().unwrap();
+        assert!(src.refresh_generation().unwrap());
+        assert_eq!(*src.load(0), expect);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Delta bounds are validated at write time and at open time: a
     /// record pointing past the vertex set is a typed error.
     #[test]

@@ -18,14 +18,16 @@
 //!
 //! A source serves one **generation** at a time: the base segments plus
 //! the ordered per-partition delta chains the generation manifest names
-//! (see `graphm_graph::delta` and `docs/ARCHITECTURE.md`). `load()`
-//! overlays the chain on the base — inserts appended, tombstones applied,
-//! the result re-sorted into `Convert()`'s stable source order — so a
-//! merged read is bit-identical to a from-scratch conversion of the
-//! mutated graph. [`DiskGridSource::refresh_generation`] polls the
-//! store's `CURRENT` pointer and rotates the in-process view; while any
-//! sweep holds a pin ([`PartitionSource::sweep_begin`]) the rotation is
-//! deferred, so readers never observe a mid-sweep flip, and the previous
+//! (see `graphm_graph::delta` and `docs/ARCHITECTURE.md`). Each chain is
+//! resolved against its base once, when the generation view is built,
+//! into an [`Overlay`] (dead base records + surviving inserts); `load()`
+//! merges base and overlay in one linear pass into `Convert()`'s stable
+//! source order — so a merged read is bit-identical to a from-scratch
+//! conversion of the mutated graph and costs what a base load costs.
+//! [`DiskGridSource::refresh_generation`] polls the store's `CURRENT`
+//! pointer and rotates the in-process view; while any sweep holds a pin
+//! ([`PartitionSource::sweep_begin`]) the rotation is deferred, so
+//! readers never observe a mid-sweep flip, and the previous
 //! generation's mappings are retired (dropped/unmapped) once the last
 //! reference to them goes away.
 
@@ -33,7 +35,8 @@ use crate::mmap::FileView;
 use crate::prefetch::{AdaptiveWindow, DEFAULT_MAX_PREFETCH_LOOKAHEAD};
 use graphm_core::PartitionSource;
 use graphm_graph::delta::{
-    self, DeltaRecord, GenManifest, DELTA_HEADER_BYTES, DELTA_OP_DELETE, DELTA_RECORD_BYTES,
+    self, DeltaRecord, GenManifest, Overlay, DELTA_HEADER_BYTES, DELTA_OP_DELETE,
+    DELTA_RECORD_BYTES,
 };
 use graphm_graph::failpoint;
 use graphm_graph::segment::{validate_segment, Manifest, StoreLayout, SEGMENT_HEADER_BYTES};
@@ -305,6 +308,9 @@ struct GenView {
     base_files: Vec<String>,
     deltas: Vec<Vec<Arc<DeltaSeg>>>,
     delta_files: Vec<Vec<String>>,
+    /// Each non-empty chain resolved against its base (`None` = no chain:
+    /// the merged view is the base itself).
+    overlays: Vec<Option<Arc<Overlay>>>,
     /// Edge count of the merged (base + deltas) view per partition.
     merged_edges: Vec<u64>,
     /// Bytes charged per load of the merged view (grid: the merged
@@ -363,6 +369,7 @@ impl GenView {
         let mut base_files = Vec::with_capacity(parts);
         let mut deltas: Vec<Vec<Arc<DeltaSeg>>> = Vec::with_capacity(parts);
         let mut delta_files: Vec<Vec<String>> = Vec::with_capacity(parts);
+        let mut overlays: Vec<Option<Arc<Overlay>>> = Vec::with_capacity(parts);
         let mut merged_edges = Vec::with_capacity(parts);
         let mut load_bytes = Vec::with_capacity(parts);
         let mut srcs: Vec<Arc<Vec<VertexId>>> = Vec::with_capacity(parts);
@@ -412,9 +419,18 @@ impl GenView {
                 prev.map(|p| (&p.delta_files[pid], &p.deltas[pid]));
             let mut chain_segs = Vec::with_capacity(chain.len());
             let mut chain_names = Vec::with_capacity(chain.len());
-            for dref in chain {
+            for (at, dref) in chain.iter().enumerate() {
+                // Chains are append-only and prefix-stable between
+                // compactions: the file sits at the same index in the
+                // previous view unless something rewrote the chain.
                 let reused = prev_chain.and_then(|(names, segs)| {
-                    names.iter().position(|n| n == &dref.file).map(|i| Arc::clone(&segs[i]))
+                    let same_index = names.get(at).is_some_and(|n| n == &dref.file);
+                    let found = if same_index {
+                        Some(at)
+                    } else {
+                        names.iter().position(|n| n == &dref.file)
+                    };
+                    found.map(|i| Arc::clone(&segs[i]))
                 });
                 let seg = match reused {
                     Some(seg) => seg,
@@ -454,34 +470,21 @@ impl GenView {
             // not O(every chained partition).
             let unchanged: Option<&GenView> = prev
                 .filter(|p| p.base_files[pid] == base_file && p.delta_files[pid] == chain_names);
-            // Merged accounting. With a non-empty chain, replay the
-            // chain over a `(src, dst) -> count` multiset — exact
-            // surviving-edge counts (a tombstone zeroes its key) without
-            // materializing the merge; the first `load()` does the only
-            // real merge.
-            let survivors: Option<HashMap<(VertexId, VertexId), u64>> =
-                if chain_segs.is_empty() || unchanged.is_some() {
-                    None
-                } else {
-                    let mut counts: HashMap<(VertexId, VertexId), u64> = HashMap::new();
-                    for e in segment.edges() {
-                        *counts.entry((e.src, e.dst)).or_insert(0) += 1;
-                    }
-                    for seg in &chain_segs {
-                        for r in seg.records() {
-                            if r.is_insert() {
-                                *counts.entry((r.src, r.dst)).or_insert(0) += 1;
-                            } else {
-                                counts.remove(&(r.src, r.dst));
-                            }
-                        }
-                    }
-                    Some(counts)
-                };
-            let count = match (&unchanged, &survivors) {
-                (Some(p), _) => p.merged_edges[pid],
-                (None, Some(c)) => c.values().sum::<u64>(),
-                (None, None) => segment.num_edges as u64,
+            // Resolve the chain against the base once; every load of this
+            // generation merges through the overlay, and the merged
+            // accounting below reads it instead of replaying the chain.
+            let overlay: Option<Arc<Overlay>> = match unchanged {
+                Some(p) => p.overlays[pid].clone(),
+                None if chain_segs.is_empty() => None,
+                None => {
+                    let records: Vec<&[DeltaRecord]> =
+                        chain_segs.iter().map(|seg| seg.records()).collect();
+                    Some(Arc::new(Overlay::resolve(segment.edges(), &records)?))
+                }
+            };
+            let count = match &overlay {
+                Some(o) => o.merged_len() as u64,
+                None => segment.num_edges as u64,
             };
             let chain_payload: u64 = chain_segs.iter().map(|s| s.payload_bytes()).sum();
             let load = if let Some(p) = unchanged {
@@ -502,18 +505,12 @@ impl GenView {
                 // Exact per-vertex activity, as `ChiSource` computes it —
                 // over the merged view. Reuse the previous generation's
                 // set when neither the base nor the chain changed.
-                let reusable = prev
-                    .filter(|p| p.base_files[pid] == base_file && p.delta_files[pid] == chain_names)
-                    .and_then(|p| p.srcs.as_ref().map(|s| Arc::clone(&s[pid])));
+                let reusable = unchanged.and_then(|p| p.srcs.as_ref().map(|s| Arc::clone(&s[pid])));
                 let set = match reusable {
                     Some(set) => set,
                     None => {
-                        let mut sv: Vec<VertexId> = match &survivors {
-                            Some(c) => c
-                                .iter()
-                                .filter(|&(_, &n)| n > 0)
-                                .map(|(&(src, _), _)| src)
-                                .collect(),
+                        let mut sv: Vec<VertexId> = match &overlay {
+                            Some(o) => o.sources(segment.edges()).collect(),
                             None => segment.edges().iter().map(|e| e.src).collect(),
                         };
                         sv.sort_unstable();
@@ -527,6 +524,7 @@ impl GenView {
             base_files.push(base_file);
             deltas.push(chain_segs);
             delta_files.push(chain_names);
+            overlays.push(overlay);
             merged_edges.push(count);
             load_bytes.push(load);
         }
@@ -538,6 +536,7 @@ impl GenView {
             base_files,
             deltas,
             delta_files,
+            overlays,
             merged_edges,
             load_bytes,
             graph_bytes,
@@ -547,23 +546,17 @@ impl GenView {
         })
     }
 
-    /// Materializes partition `pid`'s merged view: base records, the
-    /// delta chain applied in order, restored to `Convert()`'s stable
-    /// source order — bit-identical to a from-scratch conversion of the
-    /// mutated graph.
+    /// Materializes partition `pid`'s merged view: the base records its
+    /// chain leaves alive plus the chain's surviving inserts, in
+    /// `Convert()`'s stable source order (per source: base order, then
+    /// inserts in publish order) — bit-identical to a from-scratch
+    /// conversion of the mutated graph.
     fn merged(&self, pid: usize) -> Vec<Edge> {
         let base = self.segments[pid].edges();
-        if self.deltas[pid].is_empty() {
-            return base.to_vec();
+        match &self.overlays[pid] {
+            Some(overlay) => overlay.merge(base),
+            None => base.to_vec(),
         }
-        let mut out = base.to_vec();
-        for seg in &self.deltas[pid] {
-            delta::apply_delta(&mut out, seg.records());
-        }
-        // Stable, so the per-source order (base order, then inserts in
-        // publish order) matches what Grid/Shards::convert produces.
-        out.sort_by_key(|e| e.src);
-        out
     }
 
     /// Bytes the residency model charges for partition `pid`'s files
@@ -991,14 +984,10 @@ impl DiskStore {
         let view = self.view();
         let mut deg = vec![0u32; self.manifest.num_vertices as usize];
         for pid in 0..self.num_partitions() {
-            if view.deltas[pid].is_empty() {
-                for e in view.segments[pid].edges() {
-                    deg[e.src as usize] += 1;
-                }
-            } else {
-                for e in view.merged(pid) {
-                    deg[e.src as usize] += 1;
-                }
+            let base = view.segments[pid].edges();
+            match &view.overlays[pid] {
+                Some(overlay) => overlay.sources(base).for_each(|src| deg[src as usize] += 1),
+                None => base.iter().for_each(|e| deg[e.src as usize] += 1),
             }
         }
         deg
@@ -1354,5 +1343,51 @@ impl PartitionSource for DiskShardSource {
 
     fn sweep_end(&self) {
         self.store.sweep_end();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CompactionPolicy, Convert, DeltaWriter};
+    use graphm_graph::generators;
+
+    /// A rotation re-resolves only the partitions whose chain changed:
+    /// every other partition's overlay is the previous view's `Arc`.
+    #[test]
+    fn rotation_reuses_untouched_overlays() {
+        let g = generators::rmat(64, 400, generators::RmatParams::GRAPH500, 53);
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("graphm-source-test-overlay-reuse-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        Convert::grid(2).write(&g, &dir).unwrap();
+        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
+        // One insert into each of the four blocks (32 vertices a range).
+        for (src, dst) in [(1, 2), (3, 40), (50, 4), (60, 61)] {
+            writer.insert(src, dst, 1.0).unwrap();
+        }
+        writer.publish().unwrap();
+        let store = DiskStore::open(&dir).unwrap();
+        let before = store.view();
+        assert!(before.overlays.iter().all(Option::is_some));
+
+        let touched = writer.partition_of(5, 6);
+        writer.delete(1, 2).unwrap();
+        writer.publish().unwrap();
+        assert!(store.refresh().unwrap());
+        let after = store.view();
+        assert_eq!(after.generation, 2);
+        for pid in 0..4 {
+            let (old, new) = (before.overlays[pid].as_ref(), after.overlays[pid].as_ref());
+            let reused = Arc::ptr_eq(old.unwrap(), new.unwrap());
+            assert_eq!(reused, pid != touched, "partition {pid}");
+        }
+        assert!(after.merged_edges[touched] < before.merged_edges[touched]);
+
+        // Compaction empties the chains: no overlay, the base is the view.
+        writer.compact().unwrap();
+        assert!(store.refresh().unwrap());
+        assert!(store.view().overlays.iter().all(Option::is_none));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

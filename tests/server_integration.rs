@@ -346,3 +346,61 @@ fn done_report_retention_is_bounded() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A report counts as *delivered* only once a `wait` response carrying it
+/// was written to its socket: a waiter that hung up leaves it for the
+/// next `wait`, and a delivered report is kept only while delivered
+/// reports together fit the store's structure size.
+#[test]
+fn a_failed_wait_response_is_not_a_delivery() {
+    use std::io::Write;
+    // 3,000 vertices over 100 edges: one report's values (24 kB) outweigh
+    // the structure (1.2 kB), so a delivered report is evicted at once and
+    // "still there" can only mean "not delivered yet".
+    let g = generators::rmat(3000, 100, generators::RmatParams::GRAPH500, 5);
+    let dir = store_dir("delivery");
+    Convert::grid(2).write(&g, &dir).unwrap();
+    let mut config = ServerConfig::new(&dir);
+    config.socket_path =
+        Some(std::env::temp_dir().join(format!("graphm-delivery-{}.sock", std::process::id())));
+    config.profile = MemoryProfile::TEST;
+    config.batch_window = Duration::from_millis(300);
+    config.max_connections = 2;
+    let server = Server::start(config).unwrap();
+    let socket = server.socket_path().unwrap().to_path_buf();
+    let mut client = Client::connect_unix(&socket).unwrap();
+    let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 3 };
+
+    // A second connection asks for the report and hangs up while the job
+    // is still inside its batch window: the response write must fail.
+    let lost = client.submit(&spec).unwrap();
+    let mut waiter = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+    writeln!(waiter, "{{\"cmd\":\"wait\",\"job_id\":{lost}}}").unwrap();
+    drop(waiter);
+    while client.status(lost).unwrap() != JobState::Done {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // The waiter's handler holds one of the two connection slots until it
+    // has tried (and failed) to answer: once a third connection is let
+    // in, that write is behind us.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while Client::connect_unix(&socket).unwrap().ping().is_err() {
+        assert!(std::time::Instant::now() < deadline, "the waiter's handler never exited");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Nobody got the report, so it is still served ...
+    assert_eq!(client.status(lost).unwrap(), JobState::Done);
+    assert_eq!(client.wait(lost).unwrap().id, lost);
+    // ... and now that it was, it is over budget and gone.
+    for again in [client.status(lost).map(|_| ()), client.wait(lost).map(|_| ())] {
+        assert!(
+            matches!(again, Err(graphm::server::ClientError::Server(ref m))
+                if m.contains("unknown job")),
+            "a delivered report past the byte budget answers unknown job, got {again:?}"
+        );
+    }
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
