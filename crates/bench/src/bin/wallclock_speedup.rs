@@ -9,16 +9,15 @@
 //! * `single_thread` — the same shared sweep loop executing *real* jobs
 //!   on one thread (identical results to the threaded path; the fair
 //!   single-core baseline);
-//! * `threaded` — one OS thread per job over the `SharingRuntime`, with
-//!   the partition prefetcher fed by the §4 loading order (the daemon's
+//! * `threaded` — the sweep driver on the worker pool's lanes, with the
+//!   partition prefetcher fed by the §4 loading order (the daemon's
 //!   `wallclock` mode);
 //! * `exclusive` — one thread per job with private loads (the `-C`
 //!   baseline: `jobs x partitions x sweeps` loads instead of shared).
 //!
-//! Also sweeps the threaded path over growing batch sizes (job scaling ≈
-//! core scaling for one-thread-per-job execution), measures the
-//! **single-heavy-job** regime (1 job × N cores: intra-job chunk fan-out
-//! vs the strict one-thread-per-job loop, gated ≥ 1.5x on ≥ 4 cores),
+//! Also sweeps the threaded path over growing batch sizes, measures the
+//! **single-heavy-job** regime (1 job × N cores: idle lanes helping ahead
+//! vs the job streaming every chunk serially, gated ≥ 1.5x on ≥ 4 cores),
 //! records the disk store's resident/evicted byte accounting under an
 //! out-of-core memory budget, and emits `BENCH_wallclock.json`.
 //!
@@ -70,7 +69,7 @@ fn main() {
 
     // Mode 2: real jobs, one thread (same shared loop, same answers).
     let single = exec.run_batch_single_thread(mk(&specs));
-    // Mode 3: real jobs, one thread per job through the sharing runtime.
+    // Mode 3: real jobs, the sweep driver on every lane of the pool.
     let threaded = exec.run_batch(mk(&specs));
     // Mode 4: real jobs, one thread per job, private loads.
     let exclusive = exec.run_batch_exclusive(mk(&specs));
@@ -140,7 +139,7 @@ fn main() {
         exclusive.partition_loads
     );
 
-    // Job scaling: with one thread per job, batch size is the parallelism.
+    // Job scaling: the lanes fill up as the batch grows.
     let mut scaling = Vec::new();
     let mut n = 1usize;
     while n <= jobs_n {
@@ -156,9 +155,9 @@ fn main() {
     }
 
     // Single-heavy-job series (Figure 20's low-concurrency regime): one
-    // PageRank streaming the whole graph for many iterations. With one
-    // thread per job this leaves every other core idle; intra-job chunk
-    // fan-out must reclaim them without changing a single bit.
+    // PageRank streaming the whole graph for many iterations. Streamed
+    // serially this leaves every other lane idle; helping ahead must
+    // reclaim them without changing a single bit.
     let heavy = [JobSpec { kind: AlgoKind::PageRank, damping: 0.85, root: 0, max_iters: 40 }];
     let mut no_fan_cfg = wb.wallclock_config();
     no_fan_cfg.chunk_fanout = false;
@@ -168,7 +167,7 @@ fn main() {
         Some(prefetcher.hook()),
     );
     let heavy_serial = exec_no_fan.run_batch(mk(&heavy));
-    let heavy_fan = exec.run_batch(mk(&heavy)); // chunk_fanout on by default
+    let heavy_fan = exec.run_batch(mk(&heavy)); // help-ahead on by default
     for (a, b) in heavy_serial.jobs.iter().zip(&heavy_fan.jobs) {
         assert_eq!(a.iterations, b.iterations, "fan-out changed iteration count");
         assert_eq!(a.edges_processed, b.edges_processed, "fan-out changed edge count");
@@ -182,17 +181,17 @@ fn main() {
     );
     let speedup_intra = heavy_serial.total_ms / heavy_fan.total_ms.max(1e-9);
     println!(
-        "\nsingle heavy job (PageRank x 40 iters): {:.1} ms one-thread vs {:.1} ms \
-         with chunk fan-out = {speedup_intra:.2}x on {cores} cores",
+        "\nsingle heavy job (PageRank x 40 iters): {:.1} ms serial vs {:.1} ms \
+         with help-ahead = {speedup_intra:.2}x on {cores} cores",
         heavy_serial.total_ms, heavy_fan.total_ms
     );
     // Acceptance gate: a single heavy job must run >= 1.5x faster with
-    // intra-job fan-out when cores are plentiful (1 job on >= 4 cores).
+    // help-ahead when cores are plentiful (1 job on >= 4 cores).
     if cores >= 4 {
         assert!(
             speedup_intra >= 1.5,
-            "on {cores} cores intra-job chunk fan-out must be >= 1.5x the \
-             one-thread-per-job path (got {speedup_intra:.2}x)"
+            "on {cores} cores help-ahead must be >= 1.5x the serial \
+             chunk loop (got {speedup_intra:.2}x)"
         );
     }
 

@@ -15,8 +15,6 @@
 //! * [`global_table`] — partition → active-job tracking (§3.3.1);
 //! * [`source`] — how GraphM reads a host engine's partitions (§3.1);
 //! * [`graphm`] — `Init()` and the preprocessed instance (§3.1, Table 1);
-//! * [`sharing`] — the threaded `Sharing()` runtime: one load, many
-//!   consumers, suspend/resume (Algorithm 2, §3.3.1);
 //! * [`snapshot`] — copy-on-write mutations/updates (§3.3.2);
 //! * [`profile`] — the profiling/syncing phases, Formulas 2–4 (§3.4.2);
 //! * [`scheduler`] — the loading-order strategy, Formula 5 (§4);
@@ -24,9 +22,11 @@
 //!   schemes through the simulated memory hierarchy (§5);
 //! * [`service`] — the Shared scheme as a long-lived, incremental-arrival
 //!   runtime loop (what the `graphm-server` daemon drives);
-//! * [`exec_parallel`] — the wall-clock path: real jobs on one OS thread
-//!   each over the threaded [`sharing`] runtime, with optional partition
-//!   readahead (what the daemon's `wallclock` mode drives).
+//! * [`exec_parallel`] — the wall-clock path: `Sharing()` on real cores
+//!   (Algorithm 2, §3.3.1) as one sweep driver whose workers stream
+//!   chunks of one shared load through the jobs that need it, with
+//!   optional partition readahead (what the daemon's `wallclock` mode
+//!   drives).
 
 pub mod chunk;
 pub mod exec;
@@ -38,14 +38,14 @@ pub mod profile;
 pub mod runner;
 pub mod scheduler;
 pub mod service;
-pub mod sharing;
 pub mod snapshot;
 pub mod source;
 
 pub use chunk::{chunk_size_bytes, label_partition, Chunk, ChunkEntry, ChunkTable};
 pub use exec::{StreamContext, StreamRun};
 pub use exec_parallel::{
-    run_shared_wallclock, WallClockConfig, WallClockExecutor, WallJobReport, WallRunReport,
+    run_shared_wallclock, PrefetchHook, WallClockConfig, WallClockExecutor, WallJobReport,
+    WallRunReport,
 };
 pub use global_table::GlobalTable;
 pub use graphm::{GraphM, GraphMConfig};
@@ -54,6 +54,5 @@ pub use profile::{ProfileSample, Profiler};
 pub use runner::{run_scheme, JobReport, RunReport, RunnerConfig, Scheme, Submission};
 pub use scheduler::{loading_order, priority, SchedulingPolicy};
 pub use service::{JobPhase, SharingService};
-pub use sharing::{PrefetchHook, SharedPartition, SharingRuntime};
 pub use snapshot::{SnapshotStore, Version};
 pub use source::{PartitionSource, VecSource};

@@ -7,8 +7,9 @@
 //!   figures of §5.
 //! * **Wall-clock** ([`wall`]) — real OS threads, real caches: `-S` runs
 //!   jobs back-to-back, `-C` gives each thread a *private clone* of every
-//!   block it streams, `-M` routes loads through the threaded
-//!   [`graphm_core::SharingRuntime`] with chunk pacing. Used by the Criterion benches.
+//!   block it streams, `-M` shares each block load among the jobs through
+//!   [`graphm_core::WallClockExecutor`]'s sweep driver with chunk pacing.
+//!   Used by the Criterion benches.
 
 use crate::engine::GridGraphEngine;
 use crate::source::GridSource;
@@ -146,9 +147,9 @@ pub mod wall {
         WallReport { total_ms: start.elapsed().as_secs_f64() * 1e3, results, iterations, loads }
     }
 
-    /// GridGraph-M: one OS thread per job, loads routed through the
-    /// threaded [`graphm_core::SharingRuntime`]; jobs pace each other chunk-by-chunk
-    /// through one shared buffer. Delegates to the engine-agnostic
+    /// GridGraph-M: one shared load per block, its chunks streamed through
+    /// the interested jobs by the worker pool's lanes, jobs paced chunk by
+    /// chunk. Delegates to the engine-agnostic
     /// [`graphm_core::WallClockExecutor`], which also powers the daemon's
     /// `wallclock` mode and the disk-resident speedup bench.
     pub fn run_shared(

@@ -9,7 +9,7 @@
 //!               [--batch-window-ms N] [--profile default|test]
 //!               [--mode deterministic|wallclock]
 //!               [--memory-budget BYTES] [--prefetch-lookahead N]
-//!               [--fixed-prefetch] [--no-chunk-fanout] [--no-rotate]
+//!               [--fixed-prefetch] [--no-rotate]
 //!               [--ingest]
 //!               [--max-pending N] [--max-connections N]
 //!               [--read-timeout-ms N] [--max-line-bytes N]
@@ -47,8 +47,6 @@ fn usage() -> ! {
          --prefetch-lookahead N  max announced readahead depth (default 16)\n\
          --fixed-prefetch     disable the adaptive prefetch window (advise the\n\
                               full announced lookahead)\n\
-         --no-chunk-fanout    disable intra-job chunk fan-out across the\n\
-                              worker pool (wallclock mode)\n\
          --no-rotate          do not adopt delta generations published by\n\
                               graphm-delta; serve the open-time generation\n\
                               forever (default: rotate between rounds)\n\
@@ -106,7 +104,6 @@ fn main() {
     let mut memory_budget: u64 = 0;
     let mut prefetch_lookahead: usize = graphm_store::DEFAULT_MAX_PREFETCH_LOOKAHEAD;
     let mut adaptive_prefetch = true;
-    let mut chunk_fanout = true;
     let mut auto_rotate = true;
     let mut enable_ingest = false;
     let mut max_pending: usize = 0;
@@ -161,7 +158,6 @@ fn main() {
                     value("--prefetch-lookahead").parse().unwrap_or_else(|_| usage())
             }
             "--fixed-prefetch" => adaptive_prefetch = false,
-            "--no-chunk-fanout" => chunk_fanout = false,
             "--no-rotate" => auto_rotate = false,
             "--ingest" => enable_ingest = true,
             "--max-pending" => {
@@ -222,7 +218,6 @@ fn main() {
     config.memory_budget_bytes = memory_budget;
     config.max_prefetch_lookahead = prefetch_lookahead.max(1);
     config.adaptive_prefetch = adaptive_prefetch;
-    config.chunk_fanout = chunk_fanout;
     config.auto_rotate = auto_rotate;
     config.enable_ingest = enable_ingest;
     config.max_pending = max_pending;

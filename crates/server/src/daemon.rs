@@ -92,9 +92,9 @@ pub enum ExecutionMode {
     /// figure harnesses compare against.
     #[default]
     Deterministic,
-    /// Real parallel serving: one OS thread per job over the threaded
-    /// `SharingRuntime` (`WallClockExecutor`), with a partition
-    /// [`Prefetcher`] reading the §4 loading order ahead. Report timing
+    /// Real parallel serving: the `WallClockExecutor`'s sweep driver on
+    /// the worker pool's lanes, with a partition [`Prefetcher`] reading
+    /// the §4 loading order ahead. Report timing
     /// fields carry wall-clock nanoseconds; `instructions` and the
     /// simulated clock breakdown are zero.
     Wallclock,
@@ -165,9 +165,6 @@ pub struct ServerConfig {
     pub adaptive_prefetch: bool,
     /// Maximum announced prefetch lookahead (wallclock mode).
     pub max_prefetch_lookahead: usize,
-    /// Intra-job chunk fan-out across the worker pool (wallclock mode):
-    /// on (default) lets a single heavy job use idle cores.
-    pub chunk_fanout: bool,
     /// Check the store's `CURRENT` pointer between rounds and rotate to
     /// newly published delta generations (on by default; `--no-rotate`
     /// pins the daemon to its open-time generation). Jobs always run
@@ -255,7 +252,6 @@ impl ServerConfig {
             memory_budget_bytes: 0,
             adaptive_prefetch: true,
             max_prefetch_lookahead: graphm_store::DEFAULT_MAX_PREFETCH_LOOKAHEAD,
-            chunk_fanout: true,
             auto_rotate: true,
             enable_ingest: false,
             max_pending: 0,
@@ -770,7 +766,6 @@ impl Server {
             let wall_cfg = WallClockConfig {
                 state_bytes_per_vertex: sbpv,
                 max_prefetch_lookahead: config.max_prefetch_lookahead.max(1),
-                chunk_fanout: config.chunk_fanout,
                 ..WallClockConfig::new(config.profile)
             };
             let spawned = std::thread::Builder::new()
@@ -1058,16 +1053,19 @@ fn publish_runtime_exit(shared: &Shared) {
 }
 
 /// The wall-clock runtime: drains submission batches into a
-/// [`WallClockExecutor`] — one OS thread per job over the threaded
-/// sharing runtime, partition readahead fed by the §4 loading order.
-/// Jobs arriving while a batch is running join the next batch (the next
-/// "round" here is a whole executor batch rather than a sweep).
+/// [`WallClockExecutor`] — its sweep driver on the worker pool's lanes,
+/// partition readahead fed by the §4 loading order. Jobs arriving while a
+/// batch is running join the next batch (the next "round" here is a whole
+/// executor batch rather than a sweep).
 ///
 /// Report mapping: vertex values, iterations, and edges processed are the
 /// real algorithm outcome (identical to deterministic mode); `submit_ns`/
-/// `finish_ns` are wall nanoseconds since the runtime started;
-/// `clock.compute_ns` carries the job thread's wall time; `instructions`
-/// and the remaining simulated-clock fields are zero.
+/// `finish_ns` are wall nanoseconds since the runtime started, batch
+/// start and the job's retirement; `clock.compute_ns` carries
+/// `WallJobReport::busy_ms`, the summed wall time of the job's own tasks
+/// (so `finish_ns − submit_ns − compute_ns` is what the job spent queued
+/// behind, or paced by, its co-batched peers); `instructions` and the
+/// remaining simulated-clock fields are zero.
 fn runtime_loop_wallclock(
     shared: &Shared,
     source: Arc<DiskGridSource>,

@@ -11,7 +11,7 @@
 //!   source-vertex bounds, byte counts) under one directory;
 //! * [`DiskGridSource`] / [`DiskShardSource`] — `mmap`-backed readers
 //!   implementing `graphm_core::PartitionSource`, so `run_scheme`, the
-//!   `SharingRuntime`, and the scheduler run unchanged on disk-resident
+//!   wall-clock sweep driver, and the scheduler run unchanged on disk-resident
 //!   graphs with *real* per-partition byte counts from the manifest;
 //! * [`mmap::FileView`] — the no-dependency mapping primitive underneath.
 //!

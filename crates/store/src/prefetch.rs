@@ -33,10 +33,9 @@
 //! let source = DiskGridSource::open_shared(&dir).unwrap();
 //!
 //! let prefetcher = Prefetcher::spawn(Arc::clone(&source) as Arc<dyn PrefetchTarget>);
-//! let rt = graphm_core::SharingRuntime::new(
-//!     source.clone(), graphm_core::SchedulingPolicy::Prioritized, 2);
-//! rt.set_prefetch(prefetcher.hook(), 4);
-//! # drop(rt);
+//! let exec = graphm_core::WallClockExecutor::new(
+//!     source.clone(), graphm_core::WallClockConfig::default(), Some(prefetcher.hook()));
+//! # drop(exec);
 //! # drop(prefetcher);
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
@@ -215,7 +214,7 @@ impl Prefetcher {
         self.shared.replace_window(pids);
     }
 
-    /// A hook suitable for `SharingRuntime::set_prefetch`: each call
+    /// A hook suitable for `WallClockExecutor::new`: each call
     /// replaces the pending window. The hook only enqueues — it never
     /// touches the store on the caller's thread.
     pub fn hook(&self) -> PrefetchHook {

@@ -3,7 +3,7 @@
 //! [`DiskGridSource`] and [`DiskShardSource`] mirror the in-memory
 //! `GridSource` / `ChiSource` adapters exactly — same partition order,
 //! same activity semantics, same byte accounting (taken from the manifest
-//! instead of recomputed) — so `run_scheme`, the `SharingRuntime`, and the
+//! instead of recomputed) — so `run_scheme`, the wall-clock sweep driver, and the
 //! §4 scheduler produce bit-identical reports on disk-resident graphs.
 //!
 //! Segments stay mapped, not loaded: [`edges`](DiskGridSource::edges) is a

@@ -224,9 +224,9 @@ impl Workbench {
         WallClockConfig::new(self.profile)
     }
 
-    /// Runs `specs` on the **wall-clock** shared path — one OS thread per
-    /// job over the threaded `SharingRuntime` — alongside the
-    /// deterministic [`Workbench::run`]. Disk-backed workbenches get a
+    /// Runs `specs` on the **wall-clock** shared path — the sweep driver
+    /// on the worker pool's lanes — alongside the deterministic
+    /// [`Workbench::run`]. Disk-backed workbenches get a
     /// partition [`Prefetcher`] wired to the runtime's loading order
     /// (read its counters from
     /// [`disk_source()`](Workbench::disk_source)`.prefetch_stats()`);

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use graphm_cachesim::{keys, Metrics};
     pub use graphm_core::{
         GraphJob, GraphM, GraphMConfig, PartitionSource, RunReport, RunnerConfig, SchedulingPolicy,
-        Scheme, SharingRuntime, SharingService, Submission,
+        Scheme, SharingService, Submission, WallClockConfig, WallClockExecutor,
     };
     pub use graphm_graph::{DatasetId, EdgeList, MemoryProfile};
     pub use graphm_gridgraph::GridGraphEngine;

@@ -265,10 +265,22 @@ fn delta_refresh_fault_pins_generation_then_recovers() {
     assert!(!failpoint::global_armed(), "the refresh must cross (and consume) the failpoint");
     assert_eq!(client.health().unwrap().generation, gen0, "generation pinned under the fault");
 
-    // Fault consumed: the next round adopts the published generation.
-    let id = client.submit(&pagerank(2)).unwrap();
-    assert!(client.wait(id).unwrap().error.is_none());
-    let gen_after = client.health().unwrap().generation;
+    // Fault consumed: the next *round start* adopts the published
+    // generation. One more job need not reach one: `wait` returns as soon
+    // as the job's report is in, which can be before the runtime has
+    // drained the queue for the last time in that round — a job submitted
+    // right then joins the round that just finished serving and never
+    // crosses the between-rounds refresh. So submit until the generation
+    // moves: every job that does open a round refreshes first.
+    let mut gen_after = gen0;
+    for _ in 0..5 {
+        let id = client.submit(&pagerank(2)).unwrap();
+        assert!(client.wait(id).unwrap().error.is_none());
+        gen_after = client.health().unwrap().generation;
+        if gen_after > gen0 {
+            break;
+        }
+    }
     assert!(gen_after > gen0, "refresh recovers after the fault ({gen_after} vs {gen0})");
     assert_eq!(server.stats().jobs_failed, 0);
 
