@@ -124,11 +124,10 @@ pub struct WallClockConfig {
     /// Chunk-size override for ablations.
     pub chunk_bytes_override: Option<usize>,
     /// Upper bound on the prefetch window: how many upcoming partitions
-    /// to announce to the prefetch hook on every advance. Adaptive disk
-    /// sources advise only their current feedback-controlled window of
-    /// these (grow on misses, shrink when hits saturate or residency
-    /// approaches the memory budget); the fixed-depth behaviour of old
-    /// configs is the degenerate case of adaptivity disabled.
+    /// to announce to the prefetch hook on every advance. Disk sources
+    /// advise only their current feedback-controlled window of these
+    /// (grow on misses, shrink when hits saturate or residency
+    /// approaches the memory budget).
     pub max_prefetch_lookahead: usize,
     /// Idle workers may help ahead (see the module docs). Off = every
     /// chunk streams serially on the worker that holds the job — the

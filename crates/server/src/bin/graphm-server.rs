@@ -4,20 +4,8 @@
 //! unix-domain socket and/or TCP until a client sends `shutdown` (or the
 //! process is killed).
 //!
-//! ```text
-//! graphm-server --store DIR [--socket PATH] [--tcp ADDR]
-//!               [--batch-window-ms N] [--profile default|test]
-//!               [--mode deterministic|wallclock]
-//!               [--memory-budget BYTES] [--prefetch-lookahead N]
-//!               [--fixed-prefetch] [--no-rotate]
-//!               [--ingest]
-//!               [--max-pending N] [--max-connections N]
-//!               [--read-timeout-ms N] [--max-line-bytes N]
-//!               [--tenant-max-pending N] [--tenant-max-inflight N]
-//!               [--max-batch-per-round N] [--shed-eviction-rate R]
-//!               [--auth-token TOKEN] [--follow ADDR]
-//!               [--max-replica-lag N] [--repl-backoff-ms N]
-//! ```
+//! Every flag is listed by `graphm-server --help` and explained in
+//! `docs/OPERATIONS.md`.
 //!
 //! Setting `GRAPHM_FAILPOINT=point[@skip]` (e.g. `read:load@3`) arms a
 //! process-global fault-injection point in the store read path — for
@@ -44,9 +32,6 @@ fn usage() -> ! {
          --memory-budget B    page-cache budget in bytes; past it the store\n\
                               releases segments behind the sweep frontier with\n\
                               madvise(MADV_DONTNEED) (default 0 = unlimited)\n\
-         --prefetch-lookahead N  max announced readahead depth (default 16)\n\
-         --fixed-prefetch     disable the adaptive prefetch window (advise the\n\
-                              full announced lookahead)\n\
          --no-rotate          do not adopt delta generations published by\n\
                               graphm-delta; serve the open-time generation\n\
                               forever (default: rotate between rounds)\n\
@@ -94,48 +79,30 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn main() {
-    let mut store: Option<PathBuf> = None;
-    let mut socket: Option<PathBuf> = None;
-    let mut tcp: Option<String> = None;
-    let mut window_ms: u64 = 20;
-    let mut profile = graphm_graph::MemoryProfile::DEFAULT;
-    let mut mode = ExecutionMode::Deterministic;
-    let mut memory_budget: u64 = 0;
-    let mut prefetch_lookahead: usize = graphm_store::DEFAULT_MAX_PREFETCH_LOOKAHEAD;
-    let mut adaptive_prefetch = true;
-    let mut auto_rotate = true;
-    let mut enable_ingest = false;
-    let mut max_pending: usize = 0;
-    let mut max_connections: usize = 0;
-    let mut read_timeout_ms: u64 = 0;
-    let mut max_line_bytes: usize = 1 << 20;
-    let mut tenant_max_pending: usize = 0;
-    let mut tenant_max_inflight: usize = 0;
-    let mut max_batch_per_round: usize = 0;
-    let mut shed_eviction_rate: f64 = 0.0;
-    let mut auth_token: Option<String> = None;
-    let mut follow: Option<String> = None;
-    let mut max_replica_lag: u64 = 0;
-    let mut repl_backoff_ms: u64 = 200;
+/// Parses a flag's numeric value; anything else is a usage error.
+fn number<T: std::str::FromStr>(text: String) -> T {
+    text.parse().unwrap_or_else(|_| usage())
+}
 
+fn main() {
+    // Flags write straight into the config, so `ServerConfig::new` is the
+    // one place the defaults live.
+    let mut config = ServerConfig::new(PathBuf::new());
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
+        let mut value = || {
             args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
+                eprintln!("{arg} needs a value");
                 usage()
             })
         };
         match arg.as_str() {
-            "--store" => store = Some(PathBuf::from(value("--store"))),
-            "--socket" => socket = Some(PathBuf::from(value("--socket"))),
-            "--tcp" => tcp = Some(value("--tcp")),
-            "--batch-window-ms" => {
-                window_ms = value("--batch-window-ms").parse().unwrap_or_else(|_| usage())
-            }
+            "--store" => config.store_dir = PathBuf::from(value()),
+            "--socket" => config.socket_path = Some(PathBuf::from(value())),
+            "--tcp" => config.tcp_addr = Some(value()),
+            "--batch-window-ms" => config.batch_window = Duration::from_millis(number(value())),
             "--profile" => {
-                profile = match value("--profile").as_str() {
+                config.profile = match value().as_str() {
                     "default" => graphm_graph::MemoryProfile::DEFAULT,
                     "test" => graphm_graph::MemoryProfile::TEST,
                     other => {
@@ -145,57 +112,26 @@ fn main() {
                 }
             }
             "--mode" => {
-                mode = ExecutionMode::from_name(&value("--mode")).unwrap_or_else(|| {
+                config.mode = ExecutionMode::from_name(&value()).unwrap_or_else(|| {
                     eprintln!("unknown mode (expected deterministic or wallclock)");
                     usage();
                 })
             }
-            "--memory-budget" => {
-                memory_budget = value("--memory-budget").parse().unwrap_or_else(|_| usage())
-            }
-            "--prefetch-lookahead" => {
-                prefetch_lookahead =
-                    value("--prefetch-lookahead").parse().unwrap_or_else(|_| usage())
-            }
-            "--fixed-prefetch" => adaptive_prefetch = false,
-            "--no-rotate" => auto_rotate = false,
-            "--ingest" => enable_ingest = true,
-            "--max-pending" => {
-                max_pending = value("--max-pending").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-connections" => {
-                max_connections = value("--max-connections").parse().unwrap_or_else(|_| usage())
-            }
-            "--read-timeout-ms" => {
-                read_timeout_ms = value("--read-timeout-ms").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-line-bytes" => {
-                max_line_bytes = value("--max-line-bytes").parse().unwrap_or_else(|_| usage())
-            }
-            "--tenant-max-pending" => {
-                tenant_max_pending =
-                    value("--tenant-max-pending").parse().unwrap_or_else(|_| usage())
-            }
-            "--tenant-max-inflight" => {
-                tenant_max_inflight =
-                    value("--tenant-max-inflight").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-batch-per-round" => {
-                max_batch_per_round =
-                    value("--max-batch-per-round").parse().unwrap_or_else(|_| usage())
-            }
-            "--shed-eviction-rate" => {
-                shed_eviction_rate =
-                    value("--shed-eviction-rate").parse().unwrap_or_else(|_| usage())
-            }
-            "--auth-token" => auth_token = Some(value("--auth-token")),
-            "--follow" => follow = Some(value("--follow")),
-            "--max-replica-lag" => {
-                max_replica_lag = value("--max-replica-lag").parse().unwrap_or_else(|_| usage())
-            }
-            "--repl-backoff-ms" => {
-                repl_backoff_ms = value("--repl-backoff-ms").parse().unwrap_or_else(|_| usage())
-            }
+            "--memory-budget" => config.memory_budget_bytes = number(value()),
+            "--no-rotate" => config.auto_rotate = false,
+            "--ingest" => config.enable_ingest = true,
+            "--max-pending" => config.max_pending = number(value()),
+            "--max-connections" => config.max_connections = number(value()),
+            "--read-timeout-ms" => config.read_timeout = Duration::from_millis(number(value())),
+            "--max-line-bytes" => config.max_line_bytes = number(value()),
+            "--tenant-max-pending" => config.tenant_max_pending = number(value()),
+            "--tenant-max-inflight" => config.tenant_max_inflight = number(value()),
+            "--max-batch-per-round" => config.max_batch_per_round = number(value()),
+            "--shed-eviction-rate" => config.shed_eviction_rate = number(value()),
+            "--auth-token" => config.auth_token = Some(value()),
+            "--follow" => config.follow = Some(value()),
+            "--max-replica-lag" => config.max_replica_lag = number(value()),
+            "--repl-backoff-ms" => config.repl_backoff = Duration::from_millis(number(value())),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");
@@ -203,35 +139,11 @@ fn main() {
             }
         }
     }
-
-    let Some(store) = store else { usage() };
-    if socket.is_none() && tcp.is_none() {
+    let no_listener = config.socket_path.is_none() && config.tcp_addr.is_none();
+    if config.store_dir.as_os_str().is_empty() || no_listener {
         usage();
     }
-
-    let mut config = ServerConfig::new(store);
-    config.socket_path = socket;
-    config.tcp_addr = tcp;
-    config.batch_window = Duration::from_millis(window_ms);
-    config.profile = profile;
-    config.mode = mode;
-    config.memory_budget_bytes = memory_budget;
-    config.max_prefetch_lookahead = prefetch_lookahead.max(1);
-    config.adaptive_prefetch = adaptive_prefetch;
-    config.auto_rotate = auto_rotate;
-    config.enable_ingest = enable_ingest;
-    config.max_pending = max_pending;
-    config.max_connections = max_connections;
-    config.read_timeout = Duration::from_millis(read_timeout_ms);
-    config.max_line_bytes = max_line_bytes;
-    config.tenant_max_pending = tenant_max_pending;
-    config.tenant_max_inflight = tenant_max_inflight;
-    config.max_batch_per_round = max_batch_per_round;
-    config.shed_eviction_rate = shed_eviction_rate;
-    config.auth_token = auth_token;
-    config.follow = follow.clone();
-    config.max_replica_lag = max_replica_lag;
-    config.repl_backoff = Duration::from_millis(repl_backoff_ms);
+    let (mode, follow) = (config.mode, config.follow.clone());
 
     // Chaos harness: arm one process-global store read-path failpoint
     // from the environment, so CI can inject I/O faults into a stock

@@ -11,8 +11,11 @@
 //!
 //! * [`protocol`] — the newline-delimited JSON wire format (requests,
 //!   reports with bit-exact `f64` round-trips, stats);
-//! * [`daemon`] — [`Server`]: listeners, the submission queue, and the
-//!   batched-round runtime thread;
+//! * [`config`] — [`ServerConfig`] and [`ExecutionMode`];
+//! * [`daemon`] — [`Server`], which assembles the daemon's private parts
+//!   (admission queue → shared state → the one runtime loop over an
+//!   engine → verbs → replication → listeners; imports only run that
+//!   way, see `docs/ARCHITECTURE.md`);
 //! * [`client`] — [`Client`]: a blocking connection wrapper;
 //! * [`ingest`] — [`IngestCoordinator`]: group-commit mutation sessions
 //!   through the store's single leased writer (opt-in via
@@ -55,14 +58,22 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+mod admission;
 pub mod client;
+pub mod config;
 pub mod daemon;
 pub mod ingest;
+mod listener;
 pub mod protocol;
 pub mod repl;
+mod replication;
+mod runtime;
+mod state;
+mod verbs;
 
 pub use client::{retry_delay, splitmix, Client, ClientError};
-pub use daemon::{ExecutionMode, Server, ServerConfig};
+pub use config::{ExecutionMode, ServerConfig};
+pub use daemon::Server;
 pub use ingest::{CommitOutcome, IngestCoordinator, IngestStats};
 pub use protocol::{
     HealthReport, JobState, Priority, Request, ServerStats, ERR_LINE_TOO_LONG, ERR_NOT_PRIMARY,

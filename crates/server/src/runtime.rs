@@ -1,0 +1,595 @@
+//! The runtime thread: one serving loop over an execution engine.
+//!
+//! GraphM is a storage runtime an engine plugs into (Table 1: `Init()` /
+//! `Sharing()` / `Start()` / `Barrier()`), so the daemon has one
+//! [`runtime_loop`] whatever executes the jobs:
+//!
+//! ```text
+//!  submission queue ──drain (round budget)──┐
+//!                                           v
+//!  idle → wait for an arrival → adopt generation → batch window
+//!       → round: drain → engine.advance → publish reports + wake waiters
+//!                 ^──── while jobs are in flight or the queue refills
+//! ```
+//!
+//! An [`Engine`] only decides *how jobs execute* — its unit of work, what
+//! pins a generation, what survives a rotation, what its clock means;
+//! everything a client can observe about rounds (admission order, the
+//! round budget, rotation between rounds, publish and tenant release, the
+//! counters) is written once, in the loop. `docs/ARCHITECTURE.md` ("The
+//! server") tabulates the split.
+//!
+//! The two engines are [`Stepper`] (deterministic mode: a `SharingService`
+//! advanced one sweep at a time, so mid-round submitters join at the next
+//! sweep boundary) and [`Batcher`] (wallclock mode: a `WallClockExecutor`
+//! plus its `Prefetcher`, one whole batch per advance, so arrivals during
+//! a batch join the next one). A reader runs entirely inside one published
+//! generation in both: the loop rotates only between rounds, with nothing
+//! in flight, and instantiates specs at drain time so a job's out-degrees
+//! match the generation it streams.
+
+use crate::admission::{drain_admissible, JobEntry, Queue};
+use crate::config::ExecutionMode;
+use crate::state::{lock, Shared};
+use graphm_cachesim::VirtualClock;
+use graphm_core::{
+    GraphJob, JobId, JobReport, PartitionSource, RunnerConfig, SharingService, WallClockConfig,
+    WallClockExecutor,
+};
+use graphm_graph::MemoryProfile;
+use graphm_store::{DiskGridSource, PrefetchTarget, Prefetcher};
+use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// What [`runtime_loop`] needs from whatever executes jobs (see the module
+/// docs for the split). Job ids crossing this interface are daemon ids.
+pub(crate) trait Engine {
+    /// The Formula-1 chunk size of the current `Init()`.
+    fn chunk_bytes(&self) -> usize;
+
+    /// Nothing is in flight and a generation refresh may follow: drop
+    /// whatever pins the served generation (an engine that pins only
+    /// while it runs keeps the default).
+    fn idle(&mut self) {}
+
+    /// The served generation changed between rounds: re-run `Init()` over
+    /// it (chunk tables are per generation), keeping [`Engine::progress`]
+    /// cumulative.
+    fn rebuild(&mut self);
+
+    /// Admits `admitted` and advances by the engine's unit of work,
+    /// returning the jobs that finished in it.
+    fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport>;
+
+    /// Whether any admitted job is still unfinished.
+    fn in_flight(&self) -> bool;
+
+    /// Partition loads and clock nanoseconds since the runtime started.
+    fn progress(&self) -> (u64, f64);
+}
+
+/// Deterministic mode: bit-exact virtual-time replay, one sweep per
+/// advance.
+struct Stepper<'s> {
+    store: &'s DiskGridSource,
+    profile: MemoryProfile,
+    state_bytes_per_vertex: usize,
+    svc: SharingService<'s>,
+    /// Service id → daemon id: service ids restart at 0 with every
+    /// rebuild, and the round budget may admit out of id order.
+    ids: HashMap<JobId, JobId>,
+    /// Loads and virtual time of the services retired by rebuilds. (Report
+    /// *timings* stay on the per-generation virtual timeline — each
+    /// generation is a fresh deterministic replay.)
+    loads_base: u64,
+    clock_base: f64,
+}
+
+impl<'s> Stepper<'s> {
+    fn new(
+        store: &'s DiskGridSource,
+        profile: MemoryProfile,
+        state_bytes_per_vertex: usize,
+    ) -> Self {
+        Stepper {
+            store,
+            profile,
+            state_bytes_per_vertex,
+            svc: Self::init(store, profile, state_bytes_per_vertex),
+            ids: HashMap::new(),
+            loads_base: 0,
+            clock_base: 0.0,
+        }
+    }
+
+    /// `Init()` over the store's *current* generation, with the same
+    /// runner config `Workbench::runner_config` derives — so
+    /// socket-submitted jobs replay identically to in-process runs over
+    /// the same (possibly mutated) store.
+    fn init(
+        store: &'s DiskGridSource,
+        profile: MemoryProfile,
+        state_bytes_per_vertex: usize,
+    ) -> SharingService<'s> {
+        let mut cfg = RunnerConfig::new(profile);
+        cfg.out_of_core = PartitionSource::graph_bytes(store) > profile.memory_bytes;
+        SharingService::new(store, cfg, state_bytes_per_vertex)
+    }
+}
+
+impl Engine for Stepper<'_> {
+    fn chunk_bytes(&self) -> usize {
+        self.svc.chunk_bytes()
+    }
+
+    fn idle(&mut self) {
+        // A service that has not stepped since `Init()` still holds its
+        // preprocessing-time pin, behind which a refresh would stage a new
+        // generation instead of adopting it.
+        self.svc.release_idle_pin();
+    }
+
+    fn rebuild(&mut self) {
+        debug_assert!(self.ids.is_empty(), "rotation only between rounds");
+        self.loads_base += self.svc.partition_loads();
+        self.clock_base += self.svc.now_ns();
+        self.svc = Self::init(self.store, self.profile, self.state_bytes_per_vertex);
+    }
+
+    fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
+        for (id, job) in admitted {
+            self.ids.insert(self.svc.submit(job), id);
+        }
+        self.svc.step();
+        let mut finished = self.svc.take_finished();
+        for report in &mut finished {
+            report.id = self.ids.remove(&report.id).expect("finished service id must be mapped");
+        }
+        finished
+    }
+
+    fn in_flight(&self) -> bool {
+        self.svc.jobs_unfinished() > 0
+    }
+
+    fn progress(&self) -> (u64, f64) {
+        (self.loads_base + self.svc.partition_loads(), self.clock_base + self.svc.now_ns())
+    }
+}
+
+/// Wallclock mode: the sweep driver on the worker pool's lanes with
+/// partition readahead fed by the §4 loading order, one whole batch per
+/// advance.
+///
+/// Report mapping: vertex values, iterations, and edges processed are the
+/// real algorithm outcome (identical to deterministic mode); `submit_ns`/
+/// `finish_ns` are wall nanoseconds since the runtime started, batch
+/// start and the job's retirement; `clock.compute_ns` carries
+/// `WallJobReport::busy_ms`, the summed wall time of the job's own tasks
+/// (so `finish_ns − submit_ns − compute_ns` is what the job spent queued
+/// behind, or paced by, its co-batched peers); `instructions` and the
+/// remaining simulated-clock fields are zero.
+struct Batcher {
+    store: Arc<DiskGridSource>,
+    cfg: WallClockConfig,
+    exec: WallClockExecutor,
+    /// Outlives rebuilds: it keeps feeding the same store handle.
+    prefetcher: Prefetcher,
+    /// Runtime start; report timestamps and the stats clock count from it
+    /// across rebuilds, so every batch has a distinct `submit_ns`.
+    epoch: Instant,
+    loads: u64,
+}
+
+impl Batcher {
+    fn new(store: Arc<DiskGridSource>, cfg: WallClockConfig) -> Batcher {
+        let prefetcher = Prefetcher::spawn(Arc::clone(&store) as Arc<dyn PrefetchTarget>);
+        let exec = Self::init(&store, &cfg, &prefetcher);
+        Batcher { store, cfg, exec, prefetcher, epoch: Instant::now(), loads: 0 }
+    }
+
+    fn init(
+        store: &Arc<DiskGridSource>,
+        cfg: &WallClockConfig,
+        prefetcher: &Prefetcher,
+    ) -> WallClockExecutor {
+        WallClockExecutor::new(
+            Arc::clone(store) as Arc<dyn PartitionSource>,
+            cfg.clone(),
+            Some(prefetcher.hook()),
+        )
+    }
+}
+
+impl Engine for Batcher {
+    fn chunk_bytes(&self) -> usize {
+        self.exec.chunk_bytes()
+    }
+
+    fn rebuild(&mut self) {
+        self.exec = Self::init(&self.store, &self.cfg, &self.prefetcher);
+    }
+
+    fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
+        let (ids, batch): (Vec<JobId>, Vec<Box<dyn GraphJob>>) = admitted.into_iter().unzip();
+        let batch_start_ns = self.epoch.elapsed().as_nanos() as f64;
+        let round = self.exec.run_batch(batch);
+        self.loads += round.partition_loads;
+        let reports = round.jobs.into_iter().zip(ids).map(|(wj, id)| JobReport {
+            id,
+            name: wj.name,
+            iterations: wj.iterations,
+            clock: VirtualClock {
+                compute_ns: wj.busy_ms * 1e6,
+                mem_access_ns: 0.0,
+                disk_ns: 0.0,
+                sync_ns: 0.0,
+            },
+            instructions: 0,
+            edges_processed: wj.edges_processed,
+            submit_ns: batch_start_ns,
+            finish_ns: batch_start_ns + wj.finish_ms * 1e6,
+            values: wj.values,
+            error: wj.error,
+        });
+        reports.collect()
+    }
+
+    fn in_flight(&self) -> bool {
+        false
+    }
+
+    fn progress(&self) -> (u64, f64) {
+        (self.loads, self.epoch.elapsed().as_nanos() as f64)
+    }
+}
+
+/// Body of the `graphm-runtime` thread: serves rounds with the engine
+/// `config.mode` names until shutdown drains the queue.
+pub(crate) fn run(shared: &Shared) {
+    let config = &shared.config;
+    let state_bytes_per_vertex = config.state_bytes_per_vertex.max(1);
+    match config.mode {
+        ExecutionMode::Deterministic => run_engine(shared, || {
+            Stepper::new(&shared.store, config.profile, state_bytes_per_vertex)
+        }),
+        ExecutionMode::Wallclock => run_engine(shared, || {
+            let cfg =
+                WallClockConfig { state_bytes_per_vertex, ..WallClockConfig::new(config.profile) };
+            Batcher::new(Arc::clone(&shared.store), cfg)
+        }),
+    }
+}
+
+/// Builds the engine on this thread — `Init()` must not hold up
+/// `Server::start` — and serves with it; the runtime's exit is published
+/// whether the loop returns or unwinds.
+fn run_engine<E: Engine>(shared: &Shared, build: impl FnOnce() -> E) {
+    let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        runtime_loop(shared, &mut build())
+    }));
+    if served.is_err() {
+        // A runtime panic (e.g. thread-spawn exhaustion in a wallclock
+        // batch) must not strand clients: stop admissions and fail every
+        // waiter cleanly instead of leaving them parked on done_cv.
+        shared.request_shutdown();
+    }
+    shared.publish_runtime_exit();
+}
+
+fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
+    let (store, config) = (&shared.store, &shared.config);
+    let mut served_gen = store.generation();
+    let mut last_evictions = store.residency_stats().evictions;
+    let mut eviction_ewma = 0.0f64;
+    // Whose in-flight quota each admitted job counts against.
+    let mut tenants: HashMap<JobId, String> = HashMap::new();
+    lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
+    loop {
+        engine.idle();
+        // Idle: wait for the first arrival of the next round (or shutdown).
+        {
+            let mut q = lock(&shared.queue);
+            while q.pending.is_empty() && !shared.is_shutting_down() {
+                q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
+            }
+            if q.pending.is_empty() {
+                break; // Shutdown with an empty queue.
+            }
+        }
+        // Between rounds — no job in flight — adopt any newly published
+        // delta generation: rotate the store's view, re-run Init() and
+        // recompute the merged out-degrees. Jobs queued for this round
+        // run entirely against the rotated graph.
+        if config.auto_rotate {
+            if let Err(e) = store.refresh_generation() {
+                // A corrupt CURRENT / generation manifest must not look
+                // like "no publish happened": keep serving the pinned
+                // generation, but say so.
+                eprintln!(
+                    "[graphm-server] generation refresh failed, serving gen {served_gen}: {e}"
+                );
+            }
+            // Rebuild on the *observed* generation, not refresh's return
+            // value: with several runtimes sharing one store handle, a
+            // peer may have adopted the rotation first.
+            if store.generation() != served_gen {
+                debug_assert!(tenants.is_empty(), "finished jobs published before rotation");
+                served_gen = store.generation();
+                engine.rebuild();
+                *lock(&shared.out_degrees) = Arc::new(store.out_degrees());
+                lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
+            }
+        }
+        // Let the concurrent burst land in one admission.
+        if !config.batch_window.is_zero() {
+            std::thread::sleep(config.batch_window);
+        }
+        // Counted at round start so it is stable by the time any job of
+        // this round reports done.
+        lock(&shared.stats).rounds += 1;
+        // The batch budget is per *round*: every drain of the round shares
+        // it, so a deep Batch backlog cannot trickle past the cap one
+        // advance at a time while Interactive submissions always join.
+        let mut batch_budget =
+            if config.max_batch_per_round == 0 { usize::MAX } else { config.max_batch_per_round };
+        loop {
+            let drained = drain_admissible(&mut lock(&shared.queue), &mut batch_budget);
+            if drained.is_empty() && !engine.in_flight() {
+                break;
+            }
+            let mut admitted = Vec::with_capacity(drained.len());
+            if !drained.is_empty() {
+                let mut jobs = lock(&shared.jobs);
+                for p in drained {
+                    jobs.entries.insert(p.id, JobEntry::Running);
+                    // Instantiated here — not at submit — so the job's
+                    // out-degrees match this round's generation.
+                    admitted.push((p.id, shared.instantiate(&p.spec)));
+                    tenants.insert(p.id, p.tenant);
+                }
+            }
+            let finished = engine.advance(admitted);
+            publish(shared, engine.progress(), &mut tenants, finished);
+        }
+        // Per-round eviction-rate EWMA: the admission signal for Batch
+        // shedding under out-of-core thrash (see `shed_eviction_rate`).
+        let evictions = store.residency_stats().evictions;
+        eviction_ewma = 0.5 * eviction_ewma + 0.5 * evictions.saturating_sub(last_evictions) as f64;
+        last_evictions = evictions;
+        lock(&shared.stats).eviction_rate = eviction_ewma;
+    }
+}
+
+/// Publishes one advance: releases the finished jobs' tenant quotas,
+/// moves the daemon-wide counters, then hands the reports to the jobs
+/// table and wakes every `wait`er — in that order, so a client holding
+/// its report can resubmit at once without tripping its own quota.
+fn publish(
+    shared: &Shared,
+    (loads, clock_ns): (u64, f64),
+    tenants: &mut HashMap<JobId, String>,
+    finished: Vec<JobReport>,
+) {
+    let failed = finished.iter().filter(|r| r.error.is_some()).count() as u64;
+    if !finished.is_empty() {
+        let mut q = lock(&shared.queue);
+        for report in &finished {
+            let tenant = tenants.remove(&report.id).expect("finished job was admitted here");
+            Queue::dec(&mut q.inflight_by_tenant, &tenant);
+        }
+    }
+    {
+        let mut stats = lock(&shared.stats);
+        stats.partition_loads = loads;
+        stats.virtual_ns = clock_ns;
+        stats.jobs_completed += finished.len() as u64 - failed;
+        stats.jobs_failed += failed;
+    }
+    if finished.is_empty() {
+        return;
+    }
+    let mut jobs = lock(&shared.jobs);
+    for report in finished {
+        jobs.finish(report);
+    }
+    drop(jobs);
+    shared.done_cv.notify_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ServerConfig;
+    use crate::protocol::Priority;
+    use graphm_store::{Convert, DeltaWriter};
+    use graphm_workloads::{AlgoKind, JobSpec};
+    use std::sync::atomic::Ordering;
+    use std::sync::Mutex;
+    use std::time::Duration;
+
+    /// A scripted engine: every admitted job stays in flight for `hold`
+    /// advances, and each call is logged with the jobs it was handed.
+    struct Scripted {
+        log: Arc<Mutex<Vec<String>>>,
+        hold: usize,
+        running: Vec<(JobId, usize)>,
+        advances: u64,
+        panic_on_advance: bool,
+    }
+
+    impl Engine for Scripted {
+        fn chunk_bytes(&self) -> usize {
+            4096
+        }
+
+        fn idle(&mut self) {
+            self.log.lock().unwrap().push("idle".to_string());
+        }
+
+        fn rebuild(&mut self) {
+            self.log.lock().unwrap().push("rebuild".to_string());
+        }
+
+        fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
+            assert!(!self.panic_on_advance, "scripted engine failure");
+            let ids: Vec<JobId> = admitted.iter().map(|(id, _)| *id).collect();
+            self.log.lock().unwrap().push(format!("advance{ids:?}"));
+            self.advances += 1;
+            self.running.extend(ids.into_iter().map(|id| (id, self.hold)));
+            self.running.iter_mut().for_each(|(_, left)| *left -= 1);
+            let (done, running) = self.running.iter().partition(|(_, left)| *left == 0);
+            self.running = running;
+            done.into_iter()
+                .map(|(id, _): (JobId, usize)| JobReport {
+                    id,
+                    name: "scripted".to_string(),
+                    iterations: 1,
+                    clock: Default::default(),
+                    instructions: 0,
+                    edges_processed: 0,
+                    submit_ns: 0.0,
+                    finish_ns: 0.0,
+                    values: Vec::new(),
+                    error: None,
+                })
+                .collect()
+        }
+
+        fn in_flight(&self) -> bool {
+            !self.running.is_empty()
+        }
+
+        fn progress(&self) -> (u64, f64) {
+            (self.advances, self.advances as f64)
+        }
+    }
+
+    fn fixture(name: &str, configure: impl FnOnce(&mut ServerConfig)) -> Shared {
+        let dir =
+            std::env::temp_dir().join(format!("graphm-runtime-test-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let g = graphm_graph::generators::rmat(
+            64,
+            400,
+            graphm_graph::generators::RmatParams::GRAPH500,
+            5,
+        );
+        Convert::grid(2).write(&g, &dir).unwrap();
+        let mut config = ServerConfig::new(&dir);
+        configure(&mut config);
+        let store = DiskGridSource::open_shared(&dir).unwrap();
+        Shared::new(config, store, None, None)
+    }
+
+    fn enqueue(shared: &Shared, priority: Priority) -> JobId {
+        let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 1 };
+        let mut q = lock(&shared.queue);
+        let id = q.push(spec, "tenant".to_string(), priority);
+        lock(&shared.jobs).entries.insert(id, JobEntry::Queued);
+        drop(q);
+        shared.queue_cv.notify_all();
+        id
+    }
+
+    fn wait_done(shared: &Shared, id: JobId) {
+        let mut jobs = lock(&shared.jobs);
+        while !matches!(jobs.entries.get(&id), Some(JobEntry::Done { .. })) {
+            assert!(!shared.runtime_exited.load(Ordering::SeqCst), "runtime exited early");
+            jobs = shared.done_cv.wait(jobs).unwrap();
+        }
+    }
+
+    /// The loop's order of business with a scripted engine in place of a
+    /// real one: adopt a published generation (idle → rebuild, out-degrees
+    /// swapped) → batch window → drain in id order under one budget per
+    /// round → advance → publish (reports, counters, tenant release).
+    #[test]
+    fn loop_adopts_then_windows_then_drains_advances_and_publishes() {
+        let window = Duration::from_millis(40);
+        let shared = fixture("order", |c| {
+            c.batch_window = window;
+            c.max_batch_per_round = 1;
+        });
+        // A generation published before the first round must be adopted
+        // by it.
+        let mut writer = DeltaWriter::open(&shared.config.store_dir).unwrap();
+        writer.insert(1, 2, 1.0).unwrap();
+        writer.publish().unwrap();
+        drop(writer);
+        let degrees_before = Arc::clone(&lock(&shared.out_degrees));
+
+        // Two batch jobs and an interactive one, all pending at the first
+        // drain; the cap of one batch job per round defers job 1.
+        let submitted = Instant::now();
+        let ids = [
+            enqueue(&shared, Priority::Batch),
+            enqueue(&shared, Priority::Batch),
+            enqueue(&shared, Priority::Interactive),
+        ];
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut first_done_after = Duration::ZERO;
+        std::thread::scope(|scope| {
+            let engine = Scripted {
+                log: Arc::clone(&log),
+                hold: 2,
+                running: Vec::new(),
+                advances: 0,
+                panic_on_advance: false,
+            };
+            scope.spawn(|| run_engine(&shared, || engine));
+            wait_done(&shared, ids[0]);
+            first_done_after = submitted.elapsed();
+            ids.iter().for_each(|&id| wait_done(&shared, id));
+            shared.request_shutdown();
+        });
+
+        let log = log.lock().unwrap().clone();
+        let expected = [
+            "idle",
+            "rebuild",
+            // Round 1: the budget admits job 0 and the interactive job 2;
+            // the re-drain while they are in flight shares that budget.
+            "advance[0, 2]",
+            "advance[]",
+            "idle",
+            // Round 2: a fresh budget admits job 1.
+            "advance[1]",
+            "advance[]",
+            "idle",
+        ];
+        assert_eq!(log, expected);
+        assert!(first_done_after >= window, "the round waited out the batch window");
+        assert_ne!(*degrees_before, **lock(&shared.out_degrees), "out-degrees follow the rotation");
+        let stats = shared.stats_snapshot();
+        assert_eq!(stats.generation, 1);
+        assert_eq!(stats.rounds, 2);
+        assert_eq!(stats.chunk_bytes, 4096);
+        assert_eq!(stats.jobs_completed, 3);
+        assert_eq!(stats.partition_loads, 4, "the engine's progress is published as is");
+        assert!(lock(&shared.queue).inflight_by_tenant.is_empty(), "tenant quota released");
+        assert!(shared.runtime_exited.load(Ordering::SeqCst));
+        std::fs::remove_dir_all(&shared.config.store_dir).ok();
+    }
+
+    /// An engine panic stops admissions and publishes the runtime's exit,
+    /// so waiters fail cleanly instead of parking forever.
+    #[test]
+    fn engine_panic_publishes_runtime_exit() {
+        let shared = fixture("panic", |c| c.batch_window = Duration::ZERO);
+        let id = enqueue(&shared, Priority::Batch);
+        let engine = Scripted {
+            log: Arc::default(),
+            hold: 1,
+            running: Vec::new(),
+            advances: 0,
+            panic_on_advance: true,
+        };
+        run_engine(&shared, || engine);
+        assert!(shared.is_shutting_down());
+        assert!(shared.runtime_exited.load(Ordering::SeqCst));
+        assert!(matches!(lock(&shared.jobs).entries.get(&id), Some(JobEntry::Running)));
+        std::fs::remove_dir_all(&shared.config.store_dir).ok();
+    }
+}

@@ -1,0 +1,265 @@
+//! The state every daemon thread shares: [`Shared`] — the admission
+//! structures under their locks, the served store, the ingest writer and
+//! the replication role — plus the `stats` / `health` snapshots read from
+//! it. Nothing here knows a socket or an engine; listeners, verbs and the
+//! runtime loop all meet through this one struct.
+//!
+//! Roles: a daemon started with [`ServerConfig::follow`] runs as a
+//! **follower** — it serves read-only jobs on replicated generations
+//! (behind [`ServerConfig::max_replica_lag`]) until a `promote` request
+//! takes it through the store's epoch fence to primary; `role_follower`,
+//! `applier` and the generation high-waters below carry that role.
+
+use crate::admission::{JobEntry, JobsTable, Queue};
+use crate::config::ServerConfig;
+use crate::ingest::IngestCoordinator;
+use crate::protocol::{HealthReport, ServerStats};
+use crate::repl::ReplicationHub;
+use graphm_core::{GraphJob, PartitionSource};
+use graphm_store::{DiskGridSource, PrefetchTarget, ReplicaApplier};
+use graphm_workloads::JobSpec;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
+
+/// Locks `m`, recovering the guard from a poisoned mutex: every update
+/// made under the daemon's locks leaves the data valid at each step, and
+/// a panicking handler must not take the other threads down with it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// State shared between listeners, connection handlers, and the runtime.
+///
+/// Lock order: `queue` before `jobs` before `stats`; never the reverse.
+pub(crate) struct Shared {
+    pub(crate) queue: Mutex<Queue>,
+    pub(crate) queue_cv: Condvar,
+    pub(crate) jobs: Mutex<JobsTable>,
+    pub(crate) done_cv: Condvar,
+    pub(crate) stats: Mutex<ServerStats>,
+    /// What the daemon was started with; limits, quotas and the follower's
+    /// peer are read from here (`max_line_bytes` clamped to ≥ 64).
+    pub(crate) config: ServerConfig,
+    /// Live connection-handler count, for the connection limit.
+    pub(crate) connections: AtomicUsize,
+    /// Daemon start time, for `health` uptime.
+    pub(crate) started: Instant,
+    pub(crate) shutdown: AtomicBool,
+    /// Set (under the `jobs` lock) when the runtime thread exits, so
+    /// `wait`ers can fail cleanly instead of blocking on a job that will
+    /// never be drained.
+    pub(crate) runtime_exited: AtomicBool,
+    pub(crate) num_vertices: u32,
+    /// Out-degrees of the served generation's merged view; replaced by
+    /// the runtime thread on every rotation (PageRank-family jobs divide
+    /// by them, so they must match the graph the job streams).
+    pub(crate) out_degrees: Mutex<Arc<Vec<u32>>>,
+    /// The served store, for live residency/prefetch/generation readings
+    /// in `stats` responses (counters accumulate in both execution
+    /// modes).
+    pub(crate) store: Arc<DiskGridSource>,
+    /// Group-commit ingest over the store's leased writer; `None` unless
+    /// [`ServerConfig::enable_ingest`] was set or a `promote` installed
+    /// one. Behind a mutex so graceful shutdown can *take* it (see
+    /// [`Shared::publish_runtime_exit`]).
+    pub(crate) ingest: Mutex<Option<Arc<IngestCoordinator>>>,
+    /// Replication ledger and publish-notify signal (both roles).
+    pub(crate) hub: ReplicationHub,
+    /// `true` while this daemon is a follower replica; flipped to
+    /// `false` (primary) by a successful `promote`.
+    pub(crate) role_follower: AtomicBool,
+    /// Highest primary generation the tailer has observed — minus
+    /// `applied_gen`, the replica lag.
+    pub(crate) primary_gen_seen: AtomicU64,
+    /// Highest generation durably applied by this follower's applier.
+    pub(crate) applied_gen: AtomicU64,
+    /// The follower's frame applier; `promote` *takes* it to reopen the
+    /// store's writer through the epoch fence. `None` on primaries.
+    pub(crate) applier: Mutex<Option<ReplicaApplier>>,
+}
+
+impl Shared {
+    /// Wraps what [`Server::start`](crate::Server::start) opened: the
+    /// served store plus the writer this daemon's role holds (`ingest` on
+    /// an ingesting primary, `applier` on a follower, neither on a pure
+    /// reader).
+    pub(crate) fn new(
+        mut config: ServerConfig,
+        store: Arc<DiskGridSource>,
+        ingest: Option<Arc<IngestCoordinator>>,
+        applier: Option<ReplicaApplier>,
+    ) -> Shared {
+        let num_vertices = PartitionSource::num_vertices(store.as_ref());
+        let current_gen = store.delta_stats().generation;
+        config.max_line_bytes = config.max_line_bytes.max(64);
+        let epoch = match (&ingest, &applier) {
+            (Some(ingest), _) => ingest.writer_stats().1,
+            (_, Some(applier)) => applier.lease_epoch(),
+            _ => 0,
+        };
+        Shared {
+            queue: Mutex::new(Queue::default()),
+            queue_cv: Condvar::new(),
+            jobs: Mutex::new(JobsTable::new(
+                config.max_done_reports,
+                PartitionSource::graph_bytes(store.as_ref()) as u64,
+            )),
+            done_cv: Condvar::new(),
+            stats: Mutex::new(ServerStats {
+                num_partitions: store.num_partitions() as u64,
+                num_vertices: num_vertices as u64,
+                ..ServerStats::default()
+            }),
+            connections: AtomicUsize::new(0),
+            started: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            runtime_exited: AtomicBool::new(false),
+            num_vertices,
+            out_degrees: Mutex::new(Arc::new(store.out_degrees())),
+            store,
+            ingest: Mutex::new(ingest),
+            hub: ReplicationHub::new(current_gen, epoch),
+            role_follower: AtomicBool::new(config.follow.is_some()),
+            primary_gen_seen: AtomicU64::new(current_gen),
+            applied_gen: AtomicU64::new(current_gen),
+            applier: Mutex::new(applier),
+            config,
+        }
+    }
+
+    /// The primary this follower tails (empty on a daemon started as one).
+    pub(crate) fn peer(&self) -> &str {
+        self.config.follow.as_deref().unwrap_or("")
+    }
+
+    pub(crate) fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn request_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+        self.done_cv.notify_all();
+    }
+
+    /// Runtime counters merged with the store's *live* residency and
+    /// prefetch state (the latter accumulate outside the stats lock, in
+    /// whichever execution mode is driving loads).
+    pub(crate) fn stats_snapshot(&self) -> ServerStats {
+        let mut stats = *lock(&self.stats);
+        let rs = self.store.residency_stats();
+        stats.resident_bytes = rs.resident_bytes;
+        stats.evicted_bytes = rs.evicted_bytes;
+        stats.evictions = rs.evictions;
+        stats.memory_budget_bytes = rs.budget_bytes;
+        stats.prefetch_window = rs.prefetch_window;
+        let pf = self.store.prefetch_stats();
+        stats.prefetch_issued = pf.issued;
+        stats.prefetch_hits = pf.hits;
+        let ds = self.store.delta_stats();
+        stats.generation = ds.generation;
+        stats.generation_rotations = ds.rotations;
+        stats.delta_bytes = ds.delta_bytes;
+        stats.delta_records = ds.delta_records;
+        stats.compactions = ds.compactions;
+        if let Some(ingest) = self.ingest_handle() {
+            let (wal, epoch) = ingest.writer_stats();
+            stats.delta_wal_records = wal.records;
+            stats.delta_wal_batches = wal.batches;
+            stats.delta_wal_syncs = wal.syncs;
+            stats.delta_wal_bytes = wal.bytes;
+            stats.lease_epoch = epoch;
+            stats.lease_held = 1;
+            let is = ingest.stats();
+            stats.ingest_commits = is.commits;
+            stats.ingest_groups = is.groups;
+        }
+        let hub = self.hub.snapshot();
+        stats.repl_frames_shipped = hub.frames_shipped;
+        stats.repl_frames_acked = hub.frames_acked;
+        stats.repl_followers = hub.followers;
+        stats.repl_reconnects = hub.reconnects;
+        stats.queue_depth = lock(&self.queue).pending.len() as u64;
+        stats
+    }
+
+    /// Whether this daemon currently serves as a follower replica.
+    pub(crate) fn is_follower(&self) -> bool {
+        self.role_follower.load(Ordering::SeqCst)
+    }
+
+    /// How many generations this follower trails the primary's observed
+    /// high-water (0 on primaries by construction).
+    pub(crate) fn replica_lag(&self) -> u64 {
+        self.primary_gen_seen
+            .load(Ordering::SeqCst)
+            .saturating_sub(self.applied_gen.load(Ordering::SeqCst))
+    }
+
+    /// The epoch of the writer lease this daemon holds, if any: through
+    /// the ingest writer on a primary, through the applier on a follower.
+    fn held_lease_epoch(&self) -> Option<u64> {
+        match self.ingest_handle() {
+            Some(ingest) => Some(ingest.writer_stats().1),
+            None => lock(&self.applier).as_ref().map(|applier| applier.lease_epoch()),
+        }
+    }
+
+    /// The lease epoch frames from this daemon carry.
+    pub(crate) fn current_epoch(&self) -> u64 {
+        self.held_lease_epoch().unwrap_or_else(|| self.hub.snapshot().epoch)
+    }
+
+    /// Clones the ingest coordinator handle, if still held (graceful
+    /// shutdown takes it to release the writer lease early).
+    pub(crate) fn ingest_handle(&self) -> Option<Arc<IngestCoordinator>> {
+        lock(&self.ingest).clone()
+    }
+
+    /// Point-in-time liveness/readiness snapshot for the `health` verb.
+    pub(crate) fn health_snapshot(&self) -> HealthReport {
+        let queue_depth = lock(&self.queue).pending.len() as u64;
+        let running = {
+            let jobs = lock(&self.jobs);
+            jobs.entries.values().filter(|e| matches!(e, JobEntry::Running)).count() as u64
+        };
+        let lease = self.held_lease_epoch();
+        let follower = self.is_follower();
+        HealthReport {
+            lease_held: lease.is_some(),
+            lease_epoch: lease.unwrap_or(0),
+            generation: self.store.delta_stats().generation,
+            queue_depth,
+            running,
+            resident_bytes: self.store.residency_stats().resident_bytes,
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            shutting_down: self.is_shutting_down(),
+            role: if follower { "follower".to_string() } else { "primary".to_string() },
+            replica_lag_generations: if follower { self.replica_lag() } else { 0 },
+            peer: if follower { self.peer().to_string() } else { String::new() },
+        }
+    }
+
+    /// Publishes the runtime thread's exit under the jobs lock so a
+    /// waiter's check-then-wait cannot race past it, then wakes every
+    /// waiter for its final check.
+    pub(crate) fn publish_runtime_exit(&self) {
+        // Graceful shutdown releases the store's writer lease here, once
+        // no more rounds will run: dropping the coordinator closes the
+        // leased `DeltaWriter` as soon as in-flight commits (holding `Arc`
+        // clones) drain, so an external writer can take over without
+        // waiting for the daemon process to exit.
+        drop(lock(&self.ingest).take());
+        let jobs = lock(&self.jobs);
+        self.runtime_exited.store(true, Ordering::SeqCst);
+        drop(jobs);
+        self.done_cv.notify_all();
+    }
+
+    /// Instantiates a spec against the currently served generation.
+    pub(crate) fn instantiate(&self, spec: &JobSpec) -> Box<dyn GraphJob> {
+        let degrees = Arc::clone(&lock(&self.out_degrees));
+        spec.instantiate(self.num_vertices, &degrees)
+    }
+}

@@ -56,7 +56,8 @@ pub use replica::{
     ReplicaApplier,
 };
 pub use source::{
-    DeltaStats, DiskGridSource, DiskShardSource, PrefetchStats, PrefetchTarget, ResidencyStats,
+    DeltaStats, DiskGridSource, DiskShardSource, DiskSource, GridLayout, Layout, PrefetchStats,
+    PrefetchTarget, ResidencyStats, ShardLayout,
 };
 pub use wal::{replay_wal_bytes, Wal, WalBatch, WalStats};
 

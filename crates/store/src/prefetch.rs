@@ -73,7 +73,7 @@ pub const HIT_SATURATION: usize = 8;
 /// window equal or larger (pinned by a property test). State is one
 /// packed atomic, so observers on the load path never contend on a lock.
 pub struct AdaptiveWindow {
-    max: AtomicU64,
+    max: usize,
     /// Low 32 bits: current window; high 32 bits: consecutive-hit run.
     state: AtomicU64,
 }
@@ -83,26 +83,15 @@ impl AdaptiveWindow {
     /// [`MIN_PREFETCH_WINDOW`]), starting shallow at the minimum — cold
     /// misses grow it within one sweep.
     pub fn new(max: usize) -> AdaptiveWindow {
-        let max = max.max(MIN_PREFETCH_WINDOW);
         AdaptiveWindow {
-            max: AtomicU64::new(max as u64),
+            max: max.max(MIN_PREFETCH_WINDOW),
             state: AtomicU64::new(MIN_PREFETCH_WINDOW as u64),
         }
     }
 
     /// The configured upper bound.
     pub fn max(&self) -> usize {
-        self.max.load(Ordering::Relaxed) as usize
-    }
-
-    /// Reconfigures the upper bound (clamped to at least
-    /// [`MIN_PREFETCH_WINDOW`]); a current window above the new bound is
-    /// clamped down on the next update.
-    pub fn set_max(&self, max: usize) {
-        self.max.store(max.max(MIN_PREFETCH_WINDOW) as u64, Ordering::Relaxed);
-        // Clamp the live window immediately so `current()` never exceeds
-        // the configured bound.
-        self.update(|win, run| (win.min(self.max()), run));
+        self.max
     }
 
     /// Current window depth.
@@ -126,7 +115,7 @@ impl AdaptiveWindow {
 
     /// A load missed its hint: grow one step, reset the hit run.
     pub fn on_miss(&self) {
-        self.update(|win, _| ((win + 1).min(self.max()), 0));
+        self.update(|win, _| ((win + 1).min(self.max), 0));
     }
 
     /// A load found its partition pre-advised: after
@@ -225,7 +214,13 @@ impl Prefetcher {
 
 impl Drop for Prefetcher {
     fn drop(&mut self) {
-        self.shared.stop.store(true, Ordering::Release);
+        // Set under the queue lock: the thread checks `stop` and parks on
+        // the condvar under that lock, so the wake-up below cannot slip in
+        // between its check and its wait (and be lost, hanging the join).
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.stop.store(true, Ordering::Release);
+        }
         self.shared.cv.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
@@ -328,15 +323,18 @@ mod tests {
         let source = DiskGridSource::open(&dir).map(Arc::new).unwrap();
         let n = source.num_partitions();
 
-        // Fixed-depth behaviour: adaptivity off advises the whole window.
-        source.set_adaptive_prefetch(false);
+        // No load has moved the adaptive window off its floor, so announce
+        // the partitions in window-sized requests: each is advised whole.
         let prefetcher = Prefetcher::spawn(Arc::clone(&source) as Arc<dyn PrefetchTarget>);
         let pids: Vec<usize> = (0..n).collect();
-        prefetcher.request(&pids);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while source.prefetch_stats().issued < n as u64 {
-            assert!(Instant::now() < deadline, "prefetch thread stalled");
-            std::thread::sleep(Duration::from_millis(2));
+        for (i, window) in pids.chunks(MIN_PREFETCH_WINDOW).enumerate() {
+            prefetcher.request(window);
+            let want = (pids.len().min((i + 1) * MIN_PREFETCH_WINDOW)) as u64;
+            while source.prefetch_stats().issued < want {
+                assert!(Instant::now() < deadline, "prefetch thread stalled");
+                std::thread::sleep(Duration::from_millis(2));
+            }
         }
         // Every subsequent load finds its partition advised.
         for pid in 0..n {

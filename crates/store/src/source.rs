@@ -1,12 +1,13 @@
 //! Disk-resident `PartitionSource` implementations.
 //!
-//! [`DiskGridSource`] and [`DiskShardSource`] mirror the in-memory
-//! `GridSource` / `ChiSource` adapters exactly — same partition order,
+//! One generic [`DiskSource`] serves both on-disk layouts; its two
+//! instantiations [`DiskGridSource`] and [`DiskShardSource`] mirror the
+//! in-memory `GridSource` / `ChiSource` adapters exactly — same partition order,
 //! same activity semantics, same byte accounting (taken from the manifest
 //! instead of recomputed) — so `run_scheme`, the wall-clock sweep driver, and the
 //! §4 scheduler produce bit-identical reports on disk-resident graphs.
 //!
-//! Segments stay mapped, not loaded: [`edges`](DiskGridSource::edges) is a
+//! Segments stay mapped, not loaded: [`edges`](DiskSource::edges) is a
 //! zero-copy `&[Edge]` view into the mapping (the 12-byte `#[repr(C)]`
 //! record layout matches the file format on little-endian hosts), and
 //! `load` materializes an `Arc<Vec<Edge>>` only on demand, memoized
@@ -24,7 +25,7 @@
 //! merges base and overlay in one linear pass into `Convert()`'s stable
 //! source order — so a merged read is bit-identical to a from-scratch
 //! conversion of the mutated graph and costs what a base load costs.
-//! [`DiskGridSource::refresh_generation`] polls the store's `CURRENT`
+//! [`DiskSource::refresh_generation`] polls the store's `CURRENT`
 //! pointer and rotates the in-process view; while any sweep holds a pin
 //! ([`PartitionSource::sweep_begin`]) the rotation is deferred, so
 //! readers never observe a mid-sweep flip, and the previous
@@ -43,6 +44,7 @@ use graphm_graph::segment::{validate_segment, Manifest, StoreLayout, SEGMENT_HEA
 use graphm_graph::{AtomicBitmap, Edge, GraphError, Result, VertexId, EDGE_BYTES};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
@@ -611,7 +613,7 @@ struct CacheSlot {
     weak: Weak<Vec<Edge>>,
 }
 
-/// Shared machinery of the two disk sources.
+/// Everything a [`DiskSource`] does that does not depend on its layout.
 struct DiskStore {
     dir: PathBuf,
     manifest: Manifest,
@@ -629,10 +631,9 @@ struct DiskStore {
     pf_hits: AtomicU64,
     pf_advise_ns: AtomicU64,
     /// Feedback-controlled prefetch depth (see
-    /// [`crate::AdaptiveWindow`]); consulted through
-    /// [`PrefetchTarget::prefetch_window`] unless adaptivity is off.
+    /// [`crate::AdaptiveWindow`]), reported through
+    /// [`PrefetchTarget::prefetch_window`].
     window: AdaptiveWindow,
-    adaptive: AtomicBool,
     /// Memory budget in bytes; 0 = unlimited (no eviction, counters only).
     budget: AtomicU64,
     /// Per-partition residency model: a partition is resident from the
@@ -680,7 +681,6 @@ impl DiskStore {
             pf_hits: AtomicU64::new(0),
             pf_advise_ns: AtomicU64::new(0),
             window: AdaptiveWindow::new(DEFAULT_MAX_PREFETCH_LOOKAHEAD),
-            adaptive: AtomicBool::new(true),
             budget: AtomicU64::new(0),
             resident,
             resident_charged,
@@ -859,10 +859,7 @@ impl DiskStore {
     /// checked on the fallible path. Kept for direct callers (figure
     /// harnesses, out-degree scans) that run outside a serving runtime.
     fn load(&self, pid: usize) -> Arc<Vec<Edge>> {
-        match self.load_impl(pid, false) {
-            Ok(edges) => edges,
-            Err(_) => unreachable!("infallible load path returned an error"),
-        }
+        self.load_impl(pid, false).expect("only the fallible path checks failpoints")
     }
 
     /// Fallible load for the serving runtimes: `read:load` guards the
@@ -885,13 +882,11 @@ impl DiskStore {
             self.pf_hits.fetch_add(1, Ordering::Relaxed);
         }
         // The feedback controller observes a load only when it actually
-        // steers readahead: adaptivity on, a prefetcher has issued at
-        // least one hint (deterministic mode never spawns one — the
-        // reported window must not drift to max meaninglessly), and the
-        // load really reads the mapping (live-cache serves do no I/O).
-        let adaptive = self.adaptive.load(Ordering::Relaxed)
-            && self.pf_issued.load(Ordering::Relaxed) > 0
-            && cached.is_none();
+        // steers readahead: a prefetcher has issued at least one hint
+        // (deterministic mode never spawns one — the reported window
+        // must not drift to max meaninglessly), and the load really
+        // reads the mapping (live-cache serves do no I/O).
+        let adaptive = self.pf_issued.load(Ordering::Relaxed) > 0 && cached.is_none();
         if adaptive {
             if advised {
                 self.window.on_hit();
@@ -950,26 +945,6 @@ impl DiskStore {
         }
     }
 
-    fn prefetch_window(&self) -> usize {
-        if self.adaptive.load(Ordering::Relaxed) {
-            self.window.current()
-        } else {
-            usize::MAX
-        }
-    }
-
-    fn set_memory_budget(&self, bytes: u64) {
-        self.budget.store(bytes, Ordering::Relaxed);
-    }
-
-    fn set_adaptive_prefetch(&self, enabled: bool) {
-        self.adaptive.store(enabled, Ordering::Relaxed);
-    }
-
-    fn set_prefetch_max(&self, max: usize) {
-        self.window.set_max(max);
-    }
-
     fn residency_stats(&self) -> ResidencyStats {
         ResidencyStats {
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
@@ -978,6 +953,24 @@ impl DiskStore {
             budget_bytes: self.budget.load(Ordering::Relaxed),
             prefetch_window: self.window.current() as u64,
         }
+    }
+
+    /// The engine's `should_access_shard` over the merged view: shard
+    /// stores check their exact per-shard source sets (as `ChiSource`
+    /// does), grid blocks their manifest source range (as `GridSource`).
+    fn partition_active(&self, pid: usize, active: &AtomicBitmap) -> bool {
+        if matches!(self.manifest.layout, StoreLayout::Shards { .. }) {
+            // Clone the shard's Arc'd source set under the guard, scan outside.
+            let srcs = self.with_view(|v| {
+                Arc::clone(&v.srcs.as_ref().expect("shard stores always carry source sets")[pid])
+            });
+            return srcs.iter().any(|&v| active.get(v as usize));
+        }
+        if self.with_view(|v| v.merged_edges[pid] == 0) {
+            return false;
+        }
+        let e = &self.manifest.partitions[pid];
+        e.src_lo < e.src_hi && active.any_in_range(e.src_lo as usize, e.src_hi as usize)
     }
 
     fn out_degrees(&self) -> Vec<u32> {
@@ -994,32 +987,32 @@ impl DiskStore {
     }
 }
 
-impl std::fmt::Debug for DiskGridSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskGridSource")
-            .field("dir", &self.store.dir)
-            .field("p", &self.p)
-            .field("generation", &self.store.generation())
-            .field("partitions", &self.store.num_partitions())
-            .finish()
-    }
+/// Layout marker of a [`DiskSource`]: which manifests `open` accepts and
+/// which process-wide share registry the handles live in. Implemented by
+/// [`GridLayout`] and [`ShardLayout`]; everything else about a layout is
+/// read from the store's manifest.
+pub trait Layout: Sized + Send + Sync + 'static {
+    /// Typed `GraphError::Format` unless `manifest` is this layout.
+    #[doc(hidden)]
+    fn check(manifest: &Manifest, dir: &Path) -> Result<()>;
+
+    /// [`DiskSource::open_shared`] through this layout's own registry, so
+    /// a grid and a shard handle never alias.
+    #[doc(hidden)]
+    fn open_shared(dir: &Path) -> Result<Arc<DiskSource<Self>>>;
 }
 
-/// A grid-layout store on disk, exposed to GraphM. Drop-in replacement for
-/// the in-memory `GridSource`.
-pub struct DiskGridSource {
-    store: DiskStore,
-    p: usize,
-    order: Vec<usize>,
-}
+/// Marker: a store written by [`Convert::grid`](crate::Convert::grid).
+#[derive(Debug)]
+pub struct GridLayout;
 
-impl DiskGridSource {
-    /// Opens a store directory written by [`Convert::grid`](crate::Convert::grid),
-    /// resolved at the generation its `CURRENT` pointer names (0 — the
-    /// bare base store — when none exists).
-    pub fn open(dir: &Path) -> Result<DiskGridSource> {
-        let store = DiskStore::open(dir)?;
-        let p = match store.manifest.layout {
+/// Marker: a store written by [`Convert::shards`](crate::Convert::shards).
+#[derive(Debug)]
+pub struct ShardLayout;
+
+impl Layout for GridLayout {
+    fn check(manifest: &Manifest, dir: &Path) -> Result<()> {
+        let p = match manifest.layout {
             StoreLayout::Grid { p } => p as usize,
             other => {
                 return Err(GraphError::Format(format!(
@@ -1028,16 +1021,78 @@ impl DiskGridSource {
                 )))
             }
         };
-        if store.num_partitions() != p * p {
+        if manifest.partitions.len() != p * p {
             return Err(GraphError::Format(format!(
                 "{}: grid p = {p} implies {} partitions, manifest has {}",
                 dir.display(),
                 p * p,
-                store.num_partitions()
+                manifest.partitions.len()
             )));
         }
+        Ok(())
+    }
+
+    fn open_shared(dir: &Path) -> Result<Arc<DiskGridSource>> {
+        static REGISTRY: OnceLock<ShareRegistry<DiskGridSource>> = OnceLock::new();
+        REGISTRY.get_or_init(ShareRegistry::new).open_shared(dir, || DiskSource::open(dir))
+    }
+}
+
+impl Layout for ShardLayout {
+    fn check(manifest: &Manifest, dir: &Path) -> Result<()> {
+        match manifest.layout {
+            StoreLayout::Shards { .. } => Ok(()),
+            other => Err(GraphError::Format(format!(
+                "{}: expected a shard store, found {other:?}",
+                dir.display()
+            ))),
+        }
+    }
+
+    fn open_shared(dir: &Path) -> Result<Arc<DiskShardSource>> {
+        static REGISTRY: OnceLock<ShareRegistry<DiskShardSource>> = OnceLock::new();
+        REGISTRY.get_or_init(ShareRegistry::new).open_shared(dir, || DiskSource::open(dir))
+    }
+}
+
+/// A store directory on disk, exposed to GraphM as a `PartitionSource`:
+/// the drop-in replacement for the in-memory `GridSource`
+/// ([`DiskGridSource`]) or `ChiSource` ([`DiskShardSource`]).
+pub struct DiskSource<L> {
+    store: DiskStore,
+    /// The manifest's traversal order (column-major for grids, interval
+    /// order for shards).
+    order: Vec<usize>,
+    _layout: PhantomData<L>,
+}
+
+/// A grid-layout store on disk.
+pub type DiskGridSource = DiskSource<GridLayout>;
+
+/// A shard-layout store on disk.
+pub type DiskShardSource = DiskSource<ShardLayout>;
+
+impl<L: Layout> std::fmt::Debug for DiskSource<L> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiskSource")
+            .field("dir", &self.store.dir)
+            .field("layout", &self.store.manifest.layout)
+            .field("generation", &self.store.generation())
+            .field("partitions", &self.store.num_partitions())
+            .finish()
+    }
+}
+
+impl<L: Layout> DiskSource<L> {
+    /// Opens a store directory written by [`Convert`](crate::Convert) for
+    /// this layout, resolved at the generation its `CURRENT` pointer
+    /// names (0 — the bare base store — when none exists). A directory
+    /// holding the other layout is a typed `GraphError::Format`.
+    pub fn open(dir: &Path) -> Result<DiskSource<L>> {
+        let store = DiskStore::open(dir)?;
+        L::check(&store.manifest, dir)?;
         let order = store.manifest.order.iter().map(|&v| v as usize).collect();
-        Ok(DiskGridSource { store, p, order })
+        Ok(DiskSource { store, order, _layout: PhantomData })
     }
 
     /// Opens `dir` through the process-wide share registry: while any
@@ -1049,14 +1104,8 @@ impl DiskGridSource {
     /// base once and a `DeltaWriter` only ever *adds* files before
     /// flipping `CURRENT` (see `docs/ARCHITECTURE.md`), which is what
     /// makes the shared handle sound.
-    pub fn open_shared(dir: &Path) -> Result<Arc<DiskGridSource>> {
-        static REGISTRY: OnceLock<ShareRegistry<DiskGridSource>> = OnceLock::new();
-        REGISTRY.get_or_init(ShareRegistry::new).open_shared(dir, || DiskGridSource::open(dir))
-    }
-
-    /// Grid dimension `P`.
-    pub fn p(&self) -> usize {
-        self.p
+    pub fn open_shared(dir: &Path) -> Result<Arc<DiskSource<L>>> {
+        L::open_shared(dir)
     }
 
     /// The store's base manifest.
@@ -1110,22 +1159,7 @@ impl DiskGridSource {
     /// residency exceeds it, loads release segments behind the sweep
     /// frontier with `madvise(MADV_DONTNEED)`.
     pub fn set_memory_budget(&self, bytes: u64) {
-        self.store.set_memory_budget(bytes);
-    }
-
-    /// Enables/disables the adaptive prefetch window (on by default;
-    /// disabled = advise the full announced lookahead, the pre-adaptive
-    /// behaviour).
-    pub fn set_adaptive_prefetch(&self, enabled: bool) {
-        self.store.set_adaptive_prefetch(enabled);
-    }
-
-    /// Raises/lowers the adaptive window's upper bound (default
-    /// [`crate::DEFAULT_MAX_PREFETCH_LOOKAHEAD`]) — keep it in sync with
-    /// the runtime's announced lookahead so a deeper announcement can
-    /// actually be used.
-    pub fn set_prefetch_max_lookahead(&self, max: usize) {
-        self.store.set_prefetch_max(max);
+        self.store.budget.store(bytes, Ordering::Relaxed);
     }
 
     /// Residency/eviction counters (see [`ResidencyStats`]).
@@ -1134,7 +1168,14 @@ impl DiskGridSource {
     }
 }
 
-impl PrefetchTarget for DiskGridSource {
+impl DiskSource<GridLayout> {
+    /// Grid dimension `P`.
+    pub fn p(&self) -> usize {
+        self.store.manifest.layout.p() as usize
+    }
+}
+
+impl<L: Layout> PrefetchTarget for DiskSource<L> {
     fn advise(&self, pid: usize) {
         self.store.advise(pid);
     }
@@ -1144,11 +1185,11 @@ impl PrefetchTarget for DiskGridSource {
     }
 
     fn prefetch_window(&self) -> usize {
-        self.store.prefetch_window()
+        self.store.window.current()
     }
 }
 
-impl PartitionSource for DiskGridSource {
+impl<L: Layout> PartitionSource for DiskSource<L> {
     fn num_partitions(&self) -> usize {
         self.store.num_partitions()
     }
@@ -1178,163 +1219,7 @@ impl PartitionSource for DiskGridSource {
     }
 
     fn partition_active(&self, pid: usize, active: &AtomicBitmap) -> bool {
-        if self.store.with_view(|v| v.merged_edges[pid] == 0) {
-            return false;
-        }
-        let e = &self.store.manifest.partitions[pid];
-        e.src_lo < e.src_hi && active.any_in_range(e.src_lo as usize, e.src_hi as usize)
-    }
-
-    fn sweep_begin(&self) {
-        self.store.sweep_begin();
-    }
-
-    fn sweep_end(&self) {
-        self.store.sweep_end();
-    }
-}
-
-impl std::fmt::Debug for DiskShardSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskShardSource")
-            .field("dir", &self.store.dir)
-            .field("generation", &self.store.generation())
-            .field("partitions", &self.store.num_partitions())
-            .finish()
-    }
-}
-
-/// A shard-layout store on disk, exposed to GraphM. Drop-in replacement
-/// for the in-memory `ChiSource`.
-pub struct DiskShardSource {
-    store: DiskStore,
-}
-
-impl DiskShardSource {
-    /// Opens a store directory written by [`Convert::shards`](crate::Convert::shards),
-    /// resolved at the generation its `CURRENT` pointer names.
-    pub fn open(dir: &Path) -> Result<DiskShardSource> {
-        let store = DiskStore::open(dir)?;
-        match store.manifest.layout {
-            StoreLayout::Shards { .. } => {}
-            other => {
-                return Err(GraphError::Format(format!(
-                    "{}: expected a shard store, found {other:?}",
-                    dir.display()
-                )))
-            }
-        }
-        Ok(DiskShardSource { store })
-    }
-
-    /// Opens `dir` through the process-wide share registry (the shard
-    /// counterpart of [`DiskGridSource::open_shared`]).
-    pub fn open_shared(dir: &Path) -> Result<Arc<DiskShardSource>> {
-        static REGISTRY: OnceLock<ShareRegistry<DiskShardSource>> = OnceLock::new();
-        REGISTRY.get_or_init(ShareRegistry::new).open_shared(dir, || DiskShardSource::open(dir))
-    }
-
-    /// The store's base manifest.
-    pub fn manifest(&self) -> &Manifest {
-        &self.store.manifest
-    }
-
-    /// A copy of shard `pid`'s base-segment records for the currently
-    /// served generation (see [`DiskGridSource::edges`]).
-    pub fn edges(&self, pid: usize) -> Vec<Edge> {
-        self.store.view().segments[pid].edges().to_vec()
-    }
-
-    /// Out-degrees of the merged view, streamed from the mapped segments.
-    pub fn out_degrees(&self) -> Vec<u32> {
-        self.store.out_degrees()
-    }
-
-    /// Polls `CURRENT` and rotates; see
-    /// [`DiskGridSource::refresh_generation`].
-    pub fn refresh_generation(&self) -> Result<bool> {
-        self.store.refresh()
-    }
-
-    /// The generation loads currently resolve against.
-    pub fn generation(&self) -> u64 {
-        self.store.generation()
-    }
-
-    /// Delta/rotation counters (see [`DeltaStats`]).
-    pub fn delta_stats(&self) -> DeltaStats {
-        self.store.delta_stats()
-    }
-
-    /// Sets the page-cache budget in bytes (0 = unlimited); see
-    /// [`DiskGridSource::set_memory_budget`].
-    pub fn set_memory_budget(&self, bytes: u64) {
-        self.store.set_memory_budget(bytes);
-    }
-
-    /// Enables/disables the adaptive prefetch window; see
-    /// [`DiskGridSource::set_adaptive_prefetch`].
-    pub fn set_adaptive_prefetch(&self, enabled: bool) {
-        self.store.set_adaptive_prefetch(enabled);
-    }
-
-    /// Raises/lowers the adaptive window's upper bound; see
-    /// [`DiskGridSource::set_prefetch_max_lookahead`].
-    pub fn set_prefetch_max_lookahead(&self, max: usize) {
-        self.store.set_prefetch_max(max);
-    }
-
-    /// Residency/eviction counters (see [`ResidencyStats`]).
-    pub fn residency_stats(&self) -> ResidencyStats {
-        self.store.residency_stats()
-    }
-}
-
-impl PrefetchTarget for DiskShardSource {
-    fn advise(&self, pid: usize) {
-        self.store.advise(pid);
-    }
-
-    fn prefetch_stats(&self) -> PrefetchStats {
-        self.store.prefetch_stats()
-    }
-
-    fn prefetch_window(&self) -> usize {
-        self.store.prefetch_window()
-    }
-}
-
-impl PartitionSource for DiskShardSource {
-    fn num_partitions(&self) -> usize {
-        self.store.num_partitions()
-    }
-
-    fn num_vertices(&self) -> VertexId {
-        self.store.manifest.num_vertices
-    }
-
-    fn load(&self, pid: usize) -> Arc<Vec<Edge>> {
-        self.store.load(pid)
-    }
-
-    fn try_load(&self, pid: usize) -> Result<Arc<Vec<Edge>>> {
-        self.store.try_load(pid)
-    }
-
-    fn partition_bytes(&self, pid: usize) -> usize {
-        self.store.with_view(|v| v.load_bytes[pid] as usize)
-    }
-
-    fn graph_bytes(&self) -> usize {
-        self.store.with_view(|v| v.graph_bytes as usize)
-    }
-
-    fn partition_active(&self, pid: usize, active: &AtomicBitmap) -> bool {
-        // Clone the shard's Arc'd source set under the guard, scan outside.
-        let srcs = self.store.with_view(|v| {
-            Arc::clone(&v.srcs.as_ref().expect("shard stores always carry source sets")[pid])
-        });
-        srcs.iter().any(|&v| active.get(v as usize))
+        self.store.partition_active(pid, active)
     }
 
     fn sweep_begin(&self) {

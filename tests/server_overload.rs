@@ -10,7 +10,9 @@
 
 use graphm::graph::delta::DeltaRecord;
 use graphm::graph::{generators, MemoryProfile};
-use graphm::server::{Client, ClientError, JobState, Priority, Server, ServerConfig};
+use graphm::server::{
+    Client, ClientError, ExecutionMode, JobState, Priority, Server, ServerConfig,
+};
 use graphm::store::{Convert, DeltaWriter};
 use graphm::workloads::{AlgoKind, JobSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -25,11 +27,27 @@ fn store_dir(name: &str) -> std::path::PathBuf {
 }
 
 fn base_config(dir: &std::path::Path, name: &str, batch_ms: u64) -> ServerConfig {
+    mode_config(dir, name, batch_ms, ExecutionMode::Deterministic)
+}
+
+/// `base_config` for the tests that run once per execution mode: the
+/// admission rules live in the one runtime loop, so they must hold
+/// whichever engine it drives.
+fn mode_config(
+    dir: &std::path::Path,
+    name: &str,
+    batch_ms: u64,
+    mode: ExecutionMode,
+) -> ServerConfig {
     let mut config = ServerConfig::new(dir);
-    config.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-ovl-{name}-{}.sock", std::process::id())));
+    config.socket_path = Some(std::env::temp_dir().join(format!(
+        "graphm-ovl-{name}-{}-{}.sock",
+        mode.name(),
+        std::process::id()
+    )));
     config.profile = MemoryProfile::TEST;
     config.batch_window = Duration::from_millis(batch_ms);
+    config.mode = mode;
     config
 }
 
@@ -121,8 +139,17 @@ fn tenant_pending_quota_sheds_one_tenant_without_starving_another() {
 /// eventually shed a well-behaved tenant).
 #[test]
 fn tenant_inflight_quota_caps_concurrency_and_releases_on_finish() {
-    let dir = small_store("inflight");
-    let mut config = base_config(&dir, "inflight", 1000);
+    tenant_inflight_quota(ExecutionMode::Deterministic);
+}
+
+#[test]
+fn tenant_inflight_quota_caps_concurrency_and_releases_on_finish_wallclock() {
+    tenant_inflight_quota(ExecutionMode::Wallclock);
+}
+
+fn tenant_inflight_quota(mode: ExecutionMode) {
+    let dir = small_store(&format!("inflight-{}", mode.name()));
+    let mut config = mode_config(&dir, "inflight", 1000, mode);
     config.tenant_max_inflight = 2;
     let server = Server::start(config).unwrap();
     let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
@@ -159,8 +186,17 @@ fn tenant_inflight_quota_caps_concurrency_and_releases_on_finish() {
 /// batch queue.
 #[test]
 fn interactive_jobs_are_not_stuck_behind_batch_backlog() {
-    let dir = small_store("priority");
-    let mut config = base_config(&dir, "priority", 400);
+    interactive_not_stuck(ExecutionMode::Deterministic);
+}
+
+#[test]
+fn interactive_jobs_are_not_stuck_behind_batch_backlog_wallclock() {
+    interactive_not_stuck(ExecutionMode::Wallclock);
+}
+
+fn interactive_not_stuck(mode: ExecutionMode) {
+    let dir = small_store(&format!("priority-{}", mode.name()));
+    let mut config = mode_config(&dir, "priority", 400, mode);
     config.max_batch_per_round = 1;
     let server = Server::start(config).unwrap();
     let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
@@ -197,8 +233,17 @@ fn interactive_jobs_are_not_stuck_behind_batch_backlog() {
 /// the `Server` handle (and its shared state) is still alive.
 #[test]
 fn graceful_shutdown_drains_rejects_and_releases_lease() {
-    let dir = small_store("shutdown");
-    let mut config = base_config(&dir, "shutdown", 500);
+    graceful_shutdown(ExecutionMode::Deterministic);
+}
+
+#[test]
+fn graceful_shutdown_drains_rejects_and_releases_lease_wallclock() {
+    graceful_shutdown(ExecutionMode::Wallclock);
+}
+
+fn graceful_shutdown(mode: ExecutionMode) {
+    let dir = small_store(&format!("shutdown-{}", mode.name()));
+    let mut config = mode_config(&dir, "shutdown", 500, mode);
     config.enable_ingest = true;
     let server = Server::start(config).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
@@ -244,6 +289,58 @@ fn graceful_shutdown_drains_rejects_and_releases_lease() {
         }
     };
     drop(writer);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Out-of-core pressure: once a round has thrashed the memory budget, the
+/// evictions-per-round EWMA sheds `batch` submissions with `overloaded`
+/// while `interactive` ones are still admitted and run.
+#[test]
+fn eviction_pressure_sheds_batch_and_admits_interactive() {
+    eviction_pressure(ExecutionMode::Deterministic);
+}
+
+#[test]
+fn eviction_pressure_sheds_batch_and_admits_interactive_wallclock() {
+    eviction_pressure(ExecutionMode::Wallclock);
+}
+
+fn eviction_pressure(mode: ExecutionMode) {
+    let dir = small_store(&format!("evict-{}", mode.name()));
+    let mut config = mode_config(&dir, "evict", 5, mode);
+    // Four ~4.5 KB partitions under a one-partition budget: every sweep
+    // evicts what it just left behind.
+    config.memory_budget_bytes = 4096;
+    config.shed_eviction_rate = 0.01;
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+
+    // Before any round the signal is quiet: batch work is admitted.
+    let first = client.submit_as(&wcc(3), "batchy", Priority::Batch).unwrap();
+    assert!(client.wait(first).unwrap().error.is_none());
+    // The rate moves at the end of the round, just after its reports.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.stats().eviction_rate <= 0.0 {
+        assert!(std::time::Instant::now() < deadline, "the thrashing round never registered");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    match client.submit_as(&wcc(3), "batchy", Priority::Batch) {
+        Err(ClientError::Overloaded(msg)) => {
+            assert!(msg.contains("thrashing"), "shed message names the cause: {msg}")
+        }
+        other => panic!("batch work should be shed under eviction pressure, got {other:?}"),
+    }
+    let urgent = client.submit_as(&wcc(3), "dash", Priority::Interactive).unwrap();
+    assert!(client.wait(urgent).unwrap().error.is_none());
+
+    let stats = server.stats();
+    assert!(stats.eviction_rate > 0.0);
+    assert!(stats.evictions > 0);
+    assert_eq!(stats.jobs_shed, 1);
+    assert_eq!(stats.jobs_completed, 2);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
