@@ -55,8 +55,7 @@
 //!
 //! # Help-ahead
 //!
-//! Jobs saturate the lanes only while they outnumber them. With
-//! [`WallClockConfig::chunk_fanout`] on (the default), a worker that
+//! Jobs saturate the lanes only while they outnumber them. A worker that
 //! finds no runnable chunk *helps ahead*: it runs the order-insensitive
 //! slice of an upcoming chunk of a job in the current partition and parks
 //! the output for that job's in-order apply, so a single heavy job uses
@@ -129,10 +128,11 @@ pub struct WallClockConfig {
     /// (grow on misses, shrink when hits saturate or residency
     /// approaches the memory budget).
     pub max_prefetch_lookahead: usize,
-    /// Idle workers may help ahead (see the module docs). Off = every
-    /// chunk streams serially on the worker that holds the job — the
-    /// bench parameter `wallclock_speedup` compares against.
-    pub chunk_fanout: bool,
+    /// Idle workers help ahead (see the module docs). Always on outside
+    /// this crate: off — every chunk streams serially on the worker that
+    /// holds the job — exists only as the serial reference the
+    /// `*_fanout_matches_serial_bit_for_bit` tests compare against.
+    pub(crate) chunk_fanout: bool,
 }
 
 impl WallClockConfig {

@@ -312,10 +312,13 @@ fn active_pids(source: &dyn PartitionSource, job: &dyn GraphJob) -> Vec<usize> {
     source.order().into_iter().filter(|&pid| source.partition_active(pid, job.active())).collect()
 }
 
-fn finish_report(
+/// Assembles a run's report: the fourteen aggregate counters every
+/// scheme reports, from the memory hierarchy's totals and the per-job
+/// reports.
+pub(crate) fn finish_report(
     scheme: Scheme,
     ctx: &StreamContext,
-    jobs: Vec<JobState>,
+    jobs: Vec<JobReport>,
     makespan_ns: f64,
     partition_loads: u64,
     sync_total_ns: f64,
@@ -335,22 +338,17 @@ fn finish_report(
     let mut data_access = 0.0;
     let mut instructions = 0u64;
     let mut iterations = 0usize;
-    let reports: Vec<JobReport> = jobs
-        .into_iter()
-        .map(|j| {
-            let r = j.into_report();
-            compute += r.clock.compute_ns;
-            data_access += r.clock.data_access_ns();
-            instructions += r.instructions;
-            iterations += r.iterations;
-            r
-        })
-        .collect();
+    for r in &jobs {
+        compute += r.clock.compute_ns;
+        data_access += r.clock.data_access_ns();
+        instructions += r.instructions;
+        iterations += r.iterations;
+    }
     metrics.set(keys::COMPUTE_NS, compute);
     metrics.set(keys::DATA_ACCESS_NS, data_access);
     metrics.set(keys::INSTRUCTIONS, instructions as f64);
     metrics.set(keys::ITERATIONS, iterations as f64);
-    RunReport { scheme, metrics, jobs: reports, makespan_ns }
+    RunReport { scheme, metrics, jobs, makespan_ns }
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +401,8 @@ fn run_sequential(
         js.finish_ns = now;
         done.push(js);
     }
-    finish_report(Scheme::Sequential, &ctx, done, now, partition_loads, 0.0)
+    let reports = done.into_iter().map(JobState::into_report).collect();
+    finish_report(Scheme::Sequential, &ctx, reports, now, partition_loads, 0.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -562,7 +561,8 @@ fn run_concurrent(
             vnow = vnow.max(io_acc.max(cpu_acc));
         }
     }
-    finish_report(Scheme::Concurrent, &ctx, jobs, vnow, partition_loads, 0.0)
+    let reports = jobs.into_iter().map(JobState::into_report).collect();
+    finish_report(Scheme::Concurrent, &ctx, reports, vnow, partition_loads, 0.0)
 }
 
 // ---------------------------------------------------------------------------

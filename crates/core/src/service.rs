@@ -35,12 +35,12 @@ use crate::graphm::{GraphM, GraphMConfig};
 use crate::job::{GraphJob, JobId};
 use crate::profile::{ProfileSample, Profiler};
 use crate::runner::{
-    calibrate_te, shared_graph_region, state_region, AddrMap, JobReport, JobState, RunReport,
-    RunnerConfig, Scheme, Submission, KIND_META,
+    calibrate_te, finish_report, shared_graph_region, state_region, AddrMap, JobReport, JobState,
+    RunReport, RunnerConfig, Scheme, Submission, KIND_META,
 };
 use crate::scheduler::loading_order;
 use crate::source::PartitionSource;
-use graphm_cachesim::{keys, Metrics};
+use graphm_cachesim::keys;
 use graphm_graph::EDGE_BYTES;
 use std::collections::HashMap;
 
@@ -487,21 +487,7 @@ impl<'s> SharingService<'s> {
     /// excluded from the per-job list and aggregates; drive the service to
     /// idle first for a complete report (the batch `run_scheme` path does).
     pub fn into_run_report(mut self) -> RunReport {
-        let mut metrics = Metrics::new();
-        metrics.set(keys::TOTAL_NS, self.vnow);
-        metrics.set(keys::JOBS, self.slots.len() as f64);
-        metrics.set(keys::PARTITION_LOADS, self.partition_loads as f64);
-        metrics.set(keys::SYNC_NS, self.sync_total);
-        metrics.set(keys::LLC_ACCESSES, self.ctx.llc.stats.accesses as f64);
-        metrics.set(keys::LLC_MISSES, self.ctx.llc.stats.misses as f64);
-        metrics.set(keys::LLC_FILL_BYTES, self.ctx.llc.stats.fill_bytes as f64);
-        metrics.set(keys::DISK_READ_BYTES, self.ctx.mem.stats.disk_read_bytes as f64);
-        metrics.set(keys::DISK_WRITE_BYTES, self.ctx.mem.stats.disk_write_bytes as f64);
-        metrics.set(keys::PEAK_MEMORY_BYTES, self.ctx.mem.stats.peak_resident_bytes as f64);
-        let mut compute = 0.0;
-        let mut data_access = 0.0;
-        let mut instructions = 0u64;
-        let mut iterations = 0usize;
+        let submitted = self.slots.len();
         let reports: Vec<JobReport> = std::mem::take(&mut self.slots)
             .into_iter()
             .filter_map(|slot| match slot {
@@ -509,25 +495,25 @@ impl<'s> SharingService<'s> {
                 Slot::Claimed => None,
                 Slot::Active(js) => Some(js.into_report()),
             })
-            .inspect(|r| {
-                compute += r.clock.compute_ns;
-                data_access += r.clock.data_access_ns();
-                instructions += r.instructions;
-                iterations += r.iterations;
-            })
             .collect();
-        metrics.set(keys::COMPUTE_NS, compute);
-        metrics.set(keys::DATA_ACCESS_NS, data_access);
-        metrics.set(keys::INSTRUCTIONS, instructions as f64);
-        metrics.set(keys::ITERATIONS, iterations as f64);
+        let mut report = finish_report(
+            Scheme::Shared,
+            &self.ctx,
+            reports,
+            self.vnow,
+            self.partition_loads,
+            self.sync_total,
+        );
+        let metrics = &mut report.metrics;
+        // Claimed reports are gone from the list but their jobs still ran.
+        metrics.set(keys::JOBS, submitted as f64);
         metrics.set("chunk_bytes", self.gm.chunk_bytes as f64);
-        let makespan_ns = self.vnow;
         metrics.set("chunk_table_bytes", self.gm.overhead_bytes() as f64);
         metrics.set("preprocess_ns", self.gm.preprocess_ns);
         if self.pred_samples > 0 {
             metrics.set("profile_mae_ns", self.pred_abs_err / self.pred_samples as f64);
         }
-        RunReport { scheme: Scheme::Shared, metrics, jobs: reports, makespan_ns }
+        report
     }
 }
 

@@ -6,7 +6,7 @@
 //! *simulated* cluster: algorithms execute for real over node-partitioned
 //! edges, and elapsed time comes from a documented cost model (per-node
 //! compute, network bytes + latency, disk streaming with seek
-//! interference). See DESIGN.md §3 for the substitution argument.
+//! interference).
 
 pub mod chaos;
 pub mod cluster;

@@ -10,8 +10,8 @@
 //! * `GridGraph-C`: concurrent jobs with private graph copies;
 //! * `GridGraph-M`: concurrent jobs over GraphM's shared storage.
 //!
-//! [`schemes::wall`] adds real-thread wall-clock counterparts used by the
-//! Criterion benches.
+//! On real threads the same three schemes are a [`GridSource`] handed to
+//! [`graphm_core::WallClockExecutor`] (see [`schemes`]).
 
 pub mod engine;
 pub mod schemes;
@@ -19,5 +19,5 @@ pub mod source;
 
 pub use engine::GridGraphEngine;
 pub use graphm_store::DiskGridSource;
-pub use schemes::{graphm_preprocess_wall, run_gridgraph, run_gridgraph_disk, wall};
+pub use schemes::{graphm_preprocess_wall, run_gridgraph, run_gridgraph_disk};
 pub use source::GridSource;

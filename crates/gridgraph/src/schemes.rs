@@ -1,24 +1,16 @@
 //! GridGraph-S / GridGraph-C / GridGraph-M.
 //!
-//! Two execution paths per scheme:
-//!
-//! * **Deterministic** ([`run_gridgraph`]) — replays through the simulated
-//!   memory hierarchy (`graphm_core::runner`), producing the virtual-time
-//!   figures of §5.
-//! * **Wall-clock** ([`wall`]) — real OS threads, real caches: `-S` runs
-//!   jobs back-to-back, `-C` gives each thread a *private clone* of every
-//!   block it streams, `-M` shares each block load among the jobs through
-//!   [`graphm_core::WallClockExecutor`]'s sweep driver with chunk pacing.
-//!   Used by the Criterion benches.
+//! [`run_gridgraph`] replays a job mix through the simulated memory
+//! hierarchy (`graphm_core::runner`), producing the virtual-time figures
+//! of §5. On real threads and real caches the three schemes need nothing
+//! grid-specific: a [`GridSource`] handed to
+//! [`graphm_core::WallClockExecutor`] gives `-M` (`run_batch`) and `-C`
+//! (`run_batch_exclusive`), and [`GridGraphEngine::run_job`] per job is
+//! `-S`.
 
 use crate::engine::GridGraphEngine;
 use crate::source::GridSource;
-use graphm_core::{
-    run_scheme, GraphJob, GraphM, GraphMConfig, PartitionSource, RunReport, RunnerConfig, Scheme,
-    Submission,
-};
-use graphm_graph::EDGE_BYTES;
-use std::sync::Arc;
+use graphm_core::{run_scheme, GraphM, GraphMConfig, RunReport, RunnerConfig, Scheme, Submission};
 use std::time::Instant;
 
 /// Runs a job mix on GridGraph under the given scheme, deterministically.
@@ -56,134 +48,15 @@ pub fn graphm_preprocess_wall(
     (gm, start.elapsed())
 }
 
-/// Wall-clock runners (real threads, real memory).
-pub mod wall {
-    use super::*;
-
-    /// Per-run wall-clock outcome.
-    pub struct WallReport {
-        /// Total elapsed milliseconds.
-        pub total_ms: f64,
-        /// Per-job results (vertex values).
-        pub results: Vec<Vec<f64>>,
-        /// Per-job iteration counts.
-        pub iterations: Vec<usize>,
-        /// Partition loads performed (shared scheme: actual shared loads).
-        pub loads: u64,
-    }
-
-    /// GridGraph-S: jobs one after another on the calling thread.
-    pub fn run_sequential(
-        jobs: Vec<Box<dyn GraphJob>>,
-        engine: &GridGraphEngine,
-        max_iters: usize,
-    ) -> WallReport {
-        let start = Instant::now();
-        let mut results = Vec::new();
-        let mut iterations = Vec::new();
-        let mut loads = 0u64;
-        let blocks = engine.grid().num_blocks() as u64;
-        for mut job in jobs {
-            let iters = engine.run_job(job.as_mut(), max_iters);
-            loads += blocks * iters as u64; // every iteration re-streams
-            iterations.push(iters);
-            results.push(job.vertex_values());
-        }
-        WallReport { total_ms: start.elapsed().as_secs_f64() * 1e3, results, iterations, loads }
-    }
-
-    /// GridGraph-C: one OS thread per job; each thread clones every block
-    /// it streams (private copies, as independent engine processes would
-    /// hold).
-    pub fn run_concurrent(
-        jobs: Vec<Box<dyn GraphJob>>,
-        engine: &GridGraphEngine,
-        max_iters: usize,
-    ) -> WallReport {
-        let start = Instant::now();
-        let grid = Arc::clone(engine.grid());
-        let mut handles = Vec::new();
-        for mut job in jobs {
-            let grid = Arc::clone(&grid);
-            handles.push(std::thread::spawn(move || {
-                let mut iters = 0usize;
-                let mut loads = 0u64;
-                for _ in 0..max_iters {
-                    for idx in grid.streaming_order() {
-                        let (row, _) = grid.block_coords(idx);
-                        let (lo, hi) = grid.ranges().bounds(row);
-                        if job.skips_inactive()
-                            && !(lo < hi && job.active().any_in_range(lo as usize, hi as usize))
-                        {
-                            continue;
-                        }
-                        // The private copy: this job's own buffer of the
-                        // block, re-materialized like a private read.
-                        let private: Vec<graphm_graph::Edge> = grid.block_by_index(idx).to_vec();
-                        loads += 1;
-                        for e in &private {
-                            if !job.skips_inactive() || job.active().get(e.src as usize) {
-                                job.process_edge(e);
-                            }
-                        }
-                    }
-                    iters += 1;
-                    if job.end_iteration() {
-                        break;
-                    }
-                }
-                (job.vertex_values(), iters, loads)
-            }));
-        }
-        let mut results = Vec::new();
-        let mut iterations = Vec::new();
-        let mut loads = 0u64;
-        for h in handles {
-            let (vals, iters, l) = h.join().expect("job thread panicked");
-            results.push(vals);
-            iterations.push(iters);
-            loads += l;
-        }
-        WallReport { total_ms: start.elapsed().as_secs_f64() * 1e3, results, iterations, loads }
-    }
-
-    /// GridGraph-M: one shared load per block, its chunks streamed through
-    /// the interested jobs by the worker pool's lanes, jobs paced chunk by
-    /// chunk. Delegates to the engine-agnostic
-    /// [`graphm_core::WallClockExecutor`], which also powers the daemon's
-    /// `wallclock` mode and the disk-resident speedup bench.
-    pub fn run_shared(
-        jobs: Vec<Box<dyn GraphJob>>,
-        engine: &GridGraphEngine,
-        max_iters: usize,
-    ) -> WallReport {
-        let source: Arc<dyn PartitionSource> = Arc::new(GridSource::new(engine.grid()));
-        let cfg = graphm_core::WallClockConfig {
-            max_iterations: max_iters,
-            ..graphm_core::WallClockConfig::default()
-        };
-        let report = graphm_core::run_shared_wallclock(source, jobs, &cfg, None);
-        WallReport {
-            total_ms: report.total_ms,
-            iterations: report.jobs.iter().map(|j| j.iterations).collect(),
-            results: report.jobs.into_iter().map(|j| j.values).collect(),
-            loads: report.partition_loads,
-        }
-    }
-
-    /// Bytes one block-load moves, for I/O comparisons in benches.
-    pub fn block_bytes(engine: &GridGraphEngine, idx: usize) -> usize {
-        engine.grid().block_by_index(idx).len() * EDGE_BYTES
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphm_algos::reference;
     use graphm_algos::{Bfs, PageRank, Wcc};
     use graphm_cachesim::keys;
+    use graphm_core::{GraphJob, WallClockConfig, WallClockExecutor};
     use graphm_graph::{generators, MemoryProfile};
+    use std::sync::Arc;
 
     fn engine() -> (graphm_graph::EdgeList, GridGraphEngine) {
         let g = generators::rmat(400, 3000, generators::RmatParams::GRAPH500, 55);
@@ -230,6 +103,14 @@ mod tests {
         assert!(m.makespan_ns < c.makespan_ns);
     }
 
+    /// The wall-clock runtime over the engine's grid (`run_batch` = `-M`,
+    /// `run_batch_exclusive` = `-C`).
+    fn wall(engine: &GridGraphEngine, max_iters: usize) -> WallClockExecutor {
+        let mut cfg = WallClockConfig::default();
+        cfg.max_iterations = max_iters;
+        WallClockExecutor::new(Arc::new(GridSource::new(engine.grid())), cfg, None)
+    }
+
     #[test]
     fn wall_schemes_agree_with_each_other() {
         let (g, engine) = engine();
@@ -248,18 +129,34 @@ mod tests {
                 })
                 .collect()
         };
-        let s = wall::run_sequential(mk(3), &engine, 100);
-        let c = wall::run_concurrent(mk(3), &engine, 100);
-        let m = wall::run_shared(mk(3), &engine, 100);
-        for i in 0..3 {
-            for ((a, b), z) in s.results[i].iter().zip(&c.results[i]).zip(&m.results[i]) {
+        // -S: the engine's own loop, one job after another, re-streaming
+        // every block every iteration.
+        let mut s_loads = 0u64;
+        let s: Vec<Vec<f64>> = mk(3)
+            .into_iter()
+            .map(|mut job| {
+                let iters = engine.run_job(job.as_mut(), 100);
+                s_loads += engine.grid().num_blocks() as u64 * iters as u64;
+                job.vertex_values()
+            })
+            .collect();
+        let c = wall(&engine, 100).run_batch_exclusive(mk(3));
+        let m = wall(&engine, 100).run_batch(mk(3));
+        assert_eq!((s.len(), c.jobs.len(), m.jobs.len()), (3, 3, 3));
+        for ((s, c), m) in s.iter().zip(&c.jobs).zip(&m.jobs) {
+            for ((a, b), z) in s.iter().zip(&c.values).zip(&m.values) {
                 assert!((a - b).abs() < 1e-9, "S vs C");
                 assert!((a - z).abs() < 1e-9, "S vs M");
             }
         }
         // Sharing loads each block once per sweep; sequential streams it
         // once per job per sweep.
-        assert!(m.loads < s.loads, "M loads {} vs S loads {}", m.loads, s.loads);
+        assert!(
+            m.partition_loads < s_loads,
+            "M loads {} vs S loads {}",
+            m.partition_loads,
+            s_loads
+        );
     }
 
     #[test]
@@ -270,13 +167,13 @@ mod tests {
             Box::new(Wcc::new(g.num_vertices)),
             Box::new(Bfs::new(g.num_vertices, 7)),
         ];
-        let m = wall::run_shared(jobs, &engine, 1000);
+        let m = wall(&engine, 1000).run_batch(jobs);
         let bfs_oracle = reference::bfs_ref(&g, 1);
-        for (a, b) in m.results[0].iter().zip(&bfs_oracle) {
+        for (a, b) in m.jobs[0].values.iter().zip(&bfs_oracle) {
             assert_eq!(*a, *b as f64);
         }
         let wcc_oracle = reference::wcc_ref(&g);
-        for (a, b) in m.results[1].iter().zip(&wcc_oracle) {
+        for (a, b) in m.jobs[1].values.iter().zip(&wcc_oracle) {
             assert_eq!(*a, *b as f64);
         }
     }

@@ -255,8 +255,8 @@ pub(crate) fn run(shared: &Shared) {
             Stepper::new(&shared.store, config.profile, state_bytes_per_vertex)
         }),
         ExecutionMode::Wallclock => run_engine(shared, || {
-            let cfg =
-                WallClockConfig { state_bytes_per_vertex, ..WallClockConfig::new(config.profile) };
+            let mut cfg = WallClockConfig::new(config.profile);
+            cfg.state_bytes_per_vertex = state_bytes_per_vertex;
             Batcher::new(Arc::clone(&shared.store), cfg)
         }),
     }

@@ -1,7 +1,7 @@
 //! The experiment workbench: dataset → engine → job mix → scheme run.
 //!
-//! Every figure binary builds a [`Workbench`] once per dataset and then
-//! runs the same submissions under each scheme, so S/C/M comparisons see
+//! Every figure builds a [`Workbench`] once per dataset and then runs
+//! the same submissions under each scheme, so S/C/M comparisons see
 //! identical graphs, identical job parameters, and identical arrival
 //! times.
 
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 /// Scales a memory profile down by `divisor`, used when datasets are
 /// generated at reduced scale so the in-memory/out-of-core regime split is
-/// preserved (see DESIGN.md §3).
+/// preserved.
 pub fn scaled_profile(base: MemoryProfile, divisor: usize) -> MemoryProfile {
     if divisor <= 1 {
         return base;
@@ -218,29 +218,14 @@ impl Workbench {
         }
     }
 
-    /// Default wall-clock execution config for this workbench (the same
-    /// profile sizes the Formula-1 chunks).
-    pub fn wallclock_config(&self) -> WallClockConfig {
-        WallClockConfig::new(self.profile)
-    }
-
     /// Runs `specs` on the **wall-clock** shared path — the sweep driver
-    /// on the worker pool's lanes — alongside the deterministic
-    /// [`Workbench::run`]. Disk-backed workbenches get a
-    /// partition [`Prefetcher`] wired to the runtime's loading order
-    /// (read its counters from
+    /// on the worker pool's lanes, chunks sized by this workbench's
+    /// profile — alongside the deterministic [`Workbench::run`].
+    /// Disk-backed workbenches get a partition [`Prefetcher`] wired to
+    /// the runtime's loading order (read its counters from
     /// [`disk_source()`](Workbench::disk_source)`.prefetch_stats()`);
     /// in-memory workbenches have nothing to read ahead.
     pub fn run_shared_wallclock(&self, specs: &[JobSpec]) -> WallRunReport {
-        self.run_shared_wallclock_with(specs, &self.wallclock_config())
-    }
-
-    /// [`Workbench::run_shared_wallclock`] with an explicit config.
-    pub fn run_shared_wallclock_with(
-        &self,
-        specs: &[JobSpec],
-        cfg: &WallClockConfig,
-    ) -> WallRunReport {
         let jobs: Vec<Box<dyn GraphJob>> =
             specs.iter().map(|s| s.instantiate(self.num_vertices, &self.out_degrees)).collect();
         let (source, prefetcher): (Arc<dyn PartitionSource>, Option<Prefetcher>) = match &self
@@ -253,7 +238,7 @@ impl Workbench {
             ),
         };
         let hook = prefetcher.as_ref().map(Prefetcher::hook);
-        let exec = WallClockExecutor::new(source, cfg.clone(), hook);
+        let exec = WallClockExecutor::new(source, WallClockConfig::new(self.profile), hook);
         exec.run_batch(jobs)
         // `prefetcher` drops here, stopping and joining its thread.
     }

@@ -7,8 +7,9 @@
 //! ```
 
 use graphm::algos::{Bfs, PageRank, Wcc};
-use graphm::core::GraphJob;
-use graphm::gridgraph::{wall, GridGraphEngine};
+use graphm::core::{GraphJob, WallClockConfig, WallClockExecutor};
+use graphm::gridgraph::{GridGraphEngine, GridSource};
+use std::sync::Arc;
 
 fn main() {
     let graph = graphm::graph::generators::rmat(
@@ -30,13 +31,16 @@ fn main() {
         Box::new(Wcc::new(graph.num_vertices)),
         Box::new(Bfs::new(graph.num_vertices, 0)),
     ];
-    let report = wall::run_shared(jobs, &engine, 100);
+    let mut cfg = WallClockConfig::default();
+    cfg.max_iterations = 100;
+    let exec = WallClockExecutor::new(Arc::new(GridSource::new(engine.grid())), cfg, None);
+    let report = exec.run_batch(jobs);
     println!(
         "\n3 jobs finished in {:.1} ms wall-clock with {} shared partition loads",
-        report.total_ms, report.loads
+        report.total_ms, report.partition_loads
     );
-    for (i, iters) in report.iterations.iter().enumerate() {
-        println!("  job {i}: {iters} iterations");
+    for job in &report.jobs {
+        println!("  job {}: {} iterations", job.id, job.iterations);
     }
 
     // Versus: each job streaming privately.
@@ -45,7 +49,10 @@ fn main() {
         Box::new(Wcc::new(graph.num_vertices)),
         Box::new(Bfs::new(graph.num_vertices, 0)),
     ];
-    let solo = wall::run_concurrent(jobs, &engine, 100);
-    println!("private streaming: {:.1} ms with {} per-job block loads", solo.total_ms, solo.loads);
-    assert!(report.loads < solo.loads, "sharing must amortize loads");
+    let solo = exec.run_batch_exclusive(jobs);
+    println!(
+        "private streaming: {:.1} ms with {} per-job block loads",
+        solo.total_ms, solo.partition_loads
+    );
+    assert!(report.partition_loads < solo.partition_loads, "sharing must amortize loads");
 }

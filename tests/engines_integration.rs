@@ -6,7 +6,7 @@ use graphm::algos::{reference, Bfs, PageRank};
 use graphm::core::GraphJob;
 use graphm::distributed::{run_chaos, run_powergraph, ClusterConfig};
 use graphm::graphchi::{run_graphchi, GraphChiEngine};
-use graphm::gridgraph::{run_gridgraph, GridGraphEngine};
+use graphm::gridgraph::{run_gridgraph, GridGraphEngine, GridSource};
 use graphm::prelude::*;
 use std::sync::Arc;
 
@@ -121,15 +121,18 @@ fn wall_and_deterministic_agree() {
             Box::new(Bfs::new(g.num_vertices, 2)),
         ]
     };
-    let wall = graphm::gridgraph::wall::run_shared(mk(), &engine, 1000);
+    let mut cfg = WallClockConfig::default();
+    cfg.max_iterations = 1000;
+    let wall =
+        WallClockExecutor::new(Arc::new(GridSource::new(engine.grid())), cfg, None).run_batch(mk());
     let det = run_gridgraph(
         Scheme::Shared,
         mk().into_iter().map(Submission::immediate).collect(),
         &engine,
         &RunnerConfig::new(MemoryProfile::TEST),
     );
-    for (w, d) in wall.results.iter().zip(&det.jobs) {
-        for (a, b) in w.iter().zip(&d.values) {
+    for (w, d) in wall.jobs.iter().zip(&det.jobs) {
+        for (a, b) in w.values.iter().zip(&d.values) {
             assert!(
                 (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-9,
                 "wall vs deterministic: {a} vs {b}"
