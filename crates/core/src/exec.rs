@@ -22,21 +22,8 @@ pub struct StreamRun {
     pub edges_streamed: u64,
     /// Edges whose source was active (processed by the job).
     pub edges_processed: u64,
-    /// Destination activations reported by the job.
-    pub activations: u64,
     /// Abstract instructions executed.
     pub instructions: u64,
-}
-
-impl StreamRun {
-    /// Accumulates another run.
-    pub fn merge(&mut self, o: &StreamRun) {
-        self.clock.merge(&o.clock);
-        self.edges_streamed += o.edges_streamed;
-        self.edges_processed += o.edges_processed;
-        self.activations += o.activations;
-        self.instructions += o.instructions;
-    }
 }
 
 /// The shared measurement context: one simulated LLC + memory + address
@@ -119,9 +106,8 @@ impl StreamContext {
             // Job-specific state: read source state, write destination state.
             self.llc.access_range(state_addr + e.src as u64 * sb, sb as usize);
             self.llc.access_range(state_addr + e.dst as u64 * sb, sb as usize);
-            let outcome = job.process_edge(e);
+            job.process_edge(e);
             run.edges_processed += 1;
-            run.activations += outcome.activated_dst as u64;
             run.instructions += self.instr.per_edge + self.instr.per_vertex;
             run.clock.compute_ns += self.cost.edge_compute_ns * cost_factor;
         }

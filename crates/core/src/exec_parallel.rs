@@ -108,30 +108,32 @@ pub struct WallClockConfig {
     /// chunk sizing (wall-clock runs use the *real* hierarchy; the
     /// profile only sizes chunks).
     pub profile: MemoryProfile,
-    /// §4 loading-order policy.
-    pub policy: SchedulingPolicy,
-    /// Chunk pacing window: a job is handed chunk `c` only while every
-    /// job co-traversing the partition is at a chunk `> c − window`, so
-    /// traversal positions stay within `window − 1` chunks of each other
-    /// (2 = lock-step; smaller values are clamped to 2).
-    pub window: usize,
     /// Safety bound on iterations per job (matches
     /// `RunnerConfig::max_iterations` so modes converge identically).
     pub max_iterations: usize,
     /// Formula 1's `U_v` (job state bytes per vertex).
     pub state_bytes_per_vertex: usize,
-    /// Chunk-size override for ablations.
-    pub chunk_bytes_override: Option<usize>,
+    // The rest has one value outside this crate's own tests, which vary
+    // it to reach the paths they pin.
+    /// §4 loading-order policy.
+    pub(crate) policy: SchedulingPolicy,
+    /// Chunk pacing window: a job is handed chunk `c` only while every
+    /// job co-traversing the partition is at a chunk `> c − window`, so
+    /// traversal positions stay within `window − 1` chunks of each other
+    /// (2 = lock-step; smaller values are clamped to 2).
+    pub(crate) window: usize,
+    /// Chunk-size override (tests: many chunks a partition).
+    pub(crate) chunk_bytes_override: Option<usize>,
     /// Upper bound on the prefetch window: how many upcoming partitions
     /// to announce to the prefetch hook on every advance. Disk sources
     /// advise only their current feedback-controlled window of these
     /// (grow on misses, shrink when hits saturate or residency
     /// approaches the memory budget).
-    pub max_prefetch_lookahead: usize,
-    /// Idle workers help ahead (see the module docs). Always on outside
-    /// this crate: off — every chunk streams serially on the worker that
-    /// holds the job — exists only as the serial reference the
-    /// `*_fanout_matches_serial_bit_for_bit` tests compare against.
+    pub(crate) max_prefetch_lookahead: usize,
+    /// Idle workers help ahead (see the module docs). Off — every chunk
+    /// streams serially on the worker that holds the job — is the serial
+    /// reference the `*_fanout_matches_serial_bit_for_bit` tests compare
+    /// against.
     pub(crate) chunk_fanout: bool,
 }
 
@@ -984,18 +986,6 @@ fn stream(job: &mut dyn GraphJob, chunk: &Chunk, edges: &[Edge], parked: Option<
     }
 }
 
-/// Convenience one-shot: preprocess `source` and run one threaded shared
-/// batch (see [`WallClockExecutor`]; daemons should hold an executor and
-/// amortize the preprocessing instead).
-pub fn run_shared_wallclock(
-    source: Arc<dyn PartitionSource>,
-    jobs: Vec<Box<dyn GraphJob>>,
-    cfg: &WallClockConfig,
-    prefetch: Option<PrefetchHook>,
-) -> WallRunReport {
-    WallClockExecutor::new(source, cfg.clone(), prefetch).run_batch(jobs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1713,16 +1703,5 @@ mod tests {
         assert_eq!(r.partition_loads, 0);
         assert_eq!(exec.run_batch_single_thread(Vec::new()).jobs.len(), 0);
         assert_eq!(exec.run_batch_exclusive(Vec::new()).jobs.len(), 0);
-    }
-
-    #[test]
-    fn one_shot_wrapper_runs() {
-        let cfg = WallClockConfig::new(MemoryProfile::TEST);
-        let r = run_shared_wallclock(source(3), counting_jobs(2, 2), &cfg, None);
-        assert_eq!(r.jobs.len(), 2);
-        for j in &r.jobs {
-            let total: f64 = j.values.iter().sum();
-            assert_eq!(total as u64, 2 * 4096, "two sweeps count every edge");
-        }
     }
 }

@@ -126,18 +126,6 @@ impl GraphM {
     pub fn partition_active(&self, pid: usize, active: &AtomicBitmap) -> bool {
         self.tables[pid].chunks.iter().any(|c| c.any_active(active))
     }
-
-    /// Indices of chunks of `pid` holding active work (the §3.4.1
-    /// similarity mining: active chunks per job).
-    pub fn active_chunks(&self, pid: usize, active: &AtomicBitmap) -> Vec<usize> {
-        self.tables[pid]
-            .chunks
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.any_active(active))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -195,9 +183,7 @@ mod tests {
         let gm = GraphM::init(&s, 8, GraphMConfig::new(MemoryProfile::TEST));
         let active = AtomicBitmap::new(256);
         assert!(!gm.partition_active(0, &active));
-        assert!(gm.active_chunks(0, &active).is_empty());
         active.set_all();
         assert!(gm.partition_active(0, &active));
-        assert_eq!(gm.active_chunks(0, &active).len(), gm.tables[0].chunks.len());
     }
 }

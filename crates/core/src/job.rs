@@ -145,32 +145,6 @@ pub trait GraphJob: Send {
     fn vertex_values(&self) -> Vec<f64>;
 }
 
-/// A submitted job paired with runtime bookkeeping.
-pub struct JobHandle {
-    /// Runtime-assigned id (also the snapshot version the job reads).
-    pub id: JobId,
-    /// The algorithm state.
-    pub job: Box<dyn GraphJob>,
-    /// Set once the job converges; retired jobs stop participating in
-    /// sharing and synchronization.
-    pub finished: bool,
-    /// Virtual nanoseconds this job has consumed (per-category breakdown
-    /// lives in the runner's clocks; this is the job-facing total).
-    pub virtual_ns: f64,
-    /// Virtual time at which the job was submitted (Poisson arrivals in
-    /// §5.1 stagger these).
-    pub submit_ns: f64,
-    /// Virtual time at which the job finished.
-    pub finish_ns: f64,
-}
-
-impl JobHandle {
-    /// Wraps a job for submission at virtual time `submit_ns`.
-    pub fn new(id: JobId, job: Box<dyn GraphJob>, submit_ns: f64) -> JobHandle {
-        JobHandle { id, job, finished: false, virtual_ns: 0.0, submit_ns, finish_ns: 0.0 }
-    }
-}
-
 /// A trivially simple job used by core unit tests: counts how many times
 /// each vertex appears as a destination, converging after a fixed number
 /// of iterations. All vertices stay active (PageRank-like streaming).
@@ -257,13 +231,5 @@ mod tests {
         assert!(j.end_iteration(), "converged");
         assert_eq!(j.vertex_values(), vec![0.0, 2.0, 0.0, 1.0]);
         assert_eq!(j.iterations(), 2);
-    }
-
-    #[test]
-    fn handle_bookkeeping() {
-        let h = JobHandle::new(3, Box::new(CountingJob::new(2, 1)), 42.0);
-        assert_eq!(h.id, 3);
-        assert!(!h.finished);
-        assert_eq!(h.submit_ns, 42.0);
     }
 }

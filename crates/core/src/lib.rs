@@ -44,12 +44,11 @@ pub mod source;
 pub use chunk::{chunk_size_bytes, label_partition, Chunk, ChunkEntry, ChunkTable};
 pub use exec::{StreamContext, StreamRun};
 pub use exec_parallel::{
-    run_shared_wallclock, PrefetchHook, WallClockConfig, WallClockExecutor, WallJobReport,
-    WallRunReport,
+    PrefetchHook, WallClockConfig, WallClockExecutor, WallJobReport, WallRunReport,
 };
 pub use global_table::GlobalTable;
 pub use graphm::{GraphM, GraphMConfig};
-pub use job::{EdgeOutcome, GatherKernel, GraphJob, JobHandle, JobId};
+pub use job::{EdgeOutcome, GatherKernel, GraphJob, JobId};
 pub use profile::{ProfileSample, Profiler};
 pub use runner::{run_scheme, JobReport, RunReport, RunnerConfig, Scheme, Submission};
 pub use scheduler::{loading_order, priority, SchedulingPolicy};

@@ -69,6 +69,17 @@ impl Submission {
     }
 }
 
+/// Edge quantum of the Concurrent scheme's OS-style interleaving.
+const QUANTUM_EDGES: usize = 512;
+
+/// How many cores one streaming job can use productively. Edge streaming
+/// is memory-bound, so a single job saturates well below the machine's
+/// core count; `k` concurrent jobs fill
+/// `min(cores, k × SINGLE_JOB_PARALLELISM)` cores. This is why the paper's
+/// `-M` and `-C` schemes outperform `-S` even in memory (Figure 20's
+/// core-scaling behaviour).
+const SINGLE_JOB_PARALLELISM: f64 = 4.0;
+
 /// Runner configuration shared by the three schemes.
 #[derive(Clone, Copy, Debug)]
 pub struct RunnerConfig {
@@ -76,8 +87,6 @@ pub struct RunnerConfig {
     pub profile: MemoryProfile,
     /// §4 loading-order policy (Shared scheme only).
     pub policy: SchedulingPolicy,
-    /// Edge quantum for the Concurrent scheme's OS-style interleaving.
-    pub quantum_edges: usize,
     /// Fine-grained chunk synchronization (Shared scheme; ablation toggle).
     pub fine_sync: bool,
     /// Chunk-size override for ablations.
@@ -86,13 +95,6 @@ pub struct RunnerConfig {
     pub out_of_core: bool,
     /// Safety bound on iterations per job.
     pub max_iterations: usize,
-    /// How many cores one streaming job can use productively. Edge
-    /// streaming is memory-bound, so a single job saturates well below the
-    /// machine's core count; `k` concurrent jobs fill
-    /// `min(cores, k × single_job_parallelism)` cores. This is why the
-    /// paper's `-M` and `-C` schemes outperform `-S` even in memory
-    /// (Figure 20's core-scaling behaviour).
-    pub single_job_parallelism: f64,
 }
 
 impl RunnerConfig {
@@ -101,19 +103,17 @@ impl RunnerConfig {
         RunnerConfig {
             profile,
             policy: SchedulingPolicy::Prioritized,
-            quantum_edges: 512,
             fine_sync: true,
             chunk_bytes_override: None,
             out_of_core: false,
             max_iterations: 500,
-            single_job_parallelism: 4.0,
         }
     }
 
     /// Effective parallel speedup available to `k` concurrently running
     /// jobs on this profile.
     pub fn effective_parallelism(&self, k: usize) -> f64 {
-        (self.profile.cores as f64).min(k as f64 * self.single_job_parallelism).max(1.0)
+        (self.profile.cores as f64).min(k as f64 * SINGLE_JOB_PARALLELISM).max(1.0)
     }
 }
 
@@ -443,7 +443,6 @@ fn run_concurrent(
     let mut ctx = StreamContext::new(cfg.profile);
     let mut addrs = AddrMap::new();
     let n = source.num_vertices();
-    let quantum = cfg.quantum_edges.max(1);
     let mut partition_loads = 0u64;
     let mut io_acc = 0.0f64;
     // CPU time already divided by the parallelism in effect when the work
@@ -542,7 +541,7 @@ fn run_concurrent(
                 cur.offset = 0;
             }
             let edges = cur.edges.as_ref().expect("partition loaded").clone();
-            let q = jittered_quantum(quantum, js.id, cur.steps);
+            let q = jittered_quantum(QUANTUM_EDGES, js.id, cur.steps);
             cur.steps += 1;
             let end = (cur.offset + q).min(edges.len());
             let run = ctx.stream_edges_for_job(

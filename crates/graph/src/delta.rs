@@ -23,22 +23,21 @@
 //! The merge semantics ([`apply_delta`]) are chosen so that a merged view
 //! is *bit-identical* to a from-scratch conversion of the mutated edge
 //! list: an insert appends the edge, a delete removes every `(src, dst)`
-//! occurrence accumulated so far (base and earlier deltas alike). Layout
-//! invariants mirror [`crate::segment`]: little-endian fields, 16-byte
-//! headers keeping record arrays 4-byte aligned for in-place
-//! reinterpretation, and every length validated against the real file
-//! length before any allocation.
+//! occurrence accumulated so far (base and earlier deltas alike). A delta
+//! segment is a [`crate::records`] record file of [`DeltaRecord`]s, laid
+//! out and validated by that module like a base segment is.
 
 use crate::failpoint;
-use crate::segment::{CountingReader, StoreLayout};
+use crate::records::{self, Cursor, Record};
+use crate::segment::{read_name, write_name, Manifest, StoreLayout};
 use crate::types::{Edge, EdgeList, GraphError, Result, VertexId};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every delta segment file.
-pub const DELTA_MAGIC: &[u8; 8] = b"GMDEL001";
+pub const DELTA_MAGIC: &[u8; 8] = DeltaRecord::MAGIC;
 
 /// Magic bytes opening every generation manifest.
 pub const GEN_MAGIC: &[u8; 8] = b"GMGEN001";
@@ -50,9 +49,6 @@ pub const CURRENT_MAGIC: &[u8; 8] = b"GMCUR001";
 /// Absent = generation 0 (the base store, no deltas).
 pub const CURRENT_FILE: &str = "CURRENT";
 
-/// Fixed delta segment header size: magic (8) + `num_records` (8).
-pub const DELTA_HEADER_BYTES: usize = 16;
-
 /// Insert operation tag: the record's edge joins the merged view.
 pub const DELTA_OP_INSERT: u32 = 0;
 
@@ -61,7 +57,8 @@ pub const DELTA_OP_INSERT: u32 = 0;
 pub const DELTA_OP_DELETE: u32 = 1;
 
 /// One mutation record. `#[repr(C)]` fixes the 16-byte on-disk layout so
-/// little-endian hosts reinterpret mapped delta segments in place.
+/// little-endian hosts reinterpret mapped delta segments in place (the
+/// argument is beside its [`Record`] impl).
 #[repr(C)]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DeltaRecord {
@@ -100,9 +97,22 @@ pub fn delta_file_name(generation: u64, pid: usize) -> String {
     format!("delta-{generation:06}-{pid:05}.dseg")
 }
 
+/// Inverse of [`delta_file_name`]: `(generation, pid)`. Like the other
+/// parsers here it goes by shape, not width, so names past the padding
+/// (generation 1,000,000) still parse.
+pub fn parse_delta_name(name: &str) -> Option<(u64, usize)> {
+    let (generation, pid) = name.strip_prefix("delta-")?.strip_suffix(".dseg")?.split_once('-')?;
+    Some((generation.parse().ok()?, pid.parse().ok()?))
+}
+
 /// Generation manifest file name.
 pub fn gen_manifest_file_name(generation: u64) -> String {
     format!("gen-{generation:06}.mf")
+}
+
+/// Inverse of [`gen_manifest_file_name`].
+pub fn parse_gen_manifest_name(name: &str) -> Option<u64> {
+    name.strip_prefix("gen-")?.strip_suffix(".mf")?.parse().ok()
 }
 
 /// Segment file name for partition `pid`'s base rewritten by a compaction
@@ -111,6 +121,12 @@ pub fn gen_manifest_file_name(generation: u64) -> String {
 /// apart.
 pub fn compacted_segment_file_name(generation: u64, pid: usize) -> String {
     format!("part-{pid:05}-g{generation:06}.seg")
+}
+
+/// Inverse of [`compacted_segment_file_name`]: `(generation, pid)`.
+pub fn parse_compacted_segment_name(name: &str) -> Option<(u64, usize)> {
+    let (pid, generation) = name.strip_prefix("part-")?.strip_suffix(".seg")?.split_once("-g")?;
+    Some((generation.parse().ok()?, pid.parse().ok()?))
 }
 
 /// Chain-wide position of the **last** tombstone of every deleted
@@ -269,23 +285,14 @@ pub fn apply_delta_to_edge_list(graph: &mut EdgeList, records: &[DeltaRecord]) {
     apply_delta(&mut graph.edges, records);
 }
 
-/// Writes one partition's pending mutations as a delta segment file.
-/// Returns the payload byte count.
+/// Writes one partition's pending mutations as a delta segment file and
+/// syncs it. Returns the payload byte count.
 pub fn write_delta_segment(records: &[DeltaRecord], path: &Path) -> Result<u64> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(DELTA_MAGIC)?;
-    w.write_all(&(records.len() as u64).to_le_bytes())?;
-    for r in records {
-        w.write_all(&r.src.to_le_bytes())?;
-        w.write_all(&r.dst.to_le_bytes())?;
-        w.write_all(&r.weight.to_le_bytes())?;
-        w.write_all(&r.op.to_le_bytes())?;
-    }
-    w.flush()?;
+    let file = records::write(records, path)?;
     failpoint::hit("delta.segment.written")?;
     // Durability before the CURRENT flip references this file: the flip
     // must never durably name a generation whose payload is not.
-    w.get_ref().sync_all()?;
+    file.sync_all()?;
     failpoint::hit("delta.segment.synced")?;
     Ok((records.len() * DELTA_RECORD_BYTES) as u64)
 }
@@ -297,87 +304,13 @@ pub fn validate_delta_segment(
     expect_records: Option<u64>,
     what: &str,
 ) -> Result<u64> {
-    if bytes.len() < DELTA_HEADER_BYTES {
-        return Err(GraphError::Truncated {
-            what: format!("{what}: delta segment header"),
-            needed: DELTA_HEADER_BYTES as u64,
-            available: bytes.len() as u64,
-        });
-    }
-    if &bytes[..8] != DELTA_MAGIC {
-        return Err(GraphError::Format(format!("{what}: bad delta segment magic")));
-    }
-    let num_records = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let payload = (bytes.len() - DELTA_HEADER_BYTES) as u64;
-    let needed = num_records
-        .checked_mul(DELTA_RECORD_BYTES as u64)
-        .ok_or_else(|| GraphError::Format(format!("{what}: record count overflows")))?;
-    if needed > payload {
-        return Err(GraphError::Truncated {
-            what: format!("{what}: {num_records} delta records"),
-            needed,
-            available: payload,
-        });
-    }
-    if let Some(expect) = expect_records {
-        if expect != num_records {
-            return Err(GraphError::Format(format!(
-                "{what}: manifest says {expect} records, segment header says {num_records}"
-            )));
-        }
-    }
-    Ok(num_records)
+    records::validate::<DeltaRecord>(bytes, expect_records, what)
 }
 
 /// Reads a delta segment file eagerly (the non-mmap path; also the
 /// big-endian fallback). Rejects unknown operation tags.
 pub fn read_delta_segment(path: &Path) -> Result<Vec<DeltaRecord>> {
-    let available = std::fs::metadata(path)?.len();
-    let mut r = BufReader::new(File::open(path)?);
-    let mut header = [0u8; DELTA_HEADER_BYTES];
-    if available < DELTA_HEADER_BYTES as u64 {
-        return Err(GraphError::Truncated {
-            what: format!("{}: delta segment header", path.display()),
-            needed: DELTA_HEADER_BYTES as u64,
-            available,
-        });
-    }
-    r.read_exact(&mut header)?;
-    if &header[..8] != DELTA_MAGIC {
-        return Err(GraphError::Format(format!("bad delta magic in {}", path.display())));
-    }
-    let num_records = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let needed = num_records
-        .checked_mul(DELTA_RECORD_BYTES as u64)
-        .ok_or_else(|| GraphError::Format(format!("{}: record count overflows", path.display())))?;
-    let payload = available - DELTA_HEADER_BYTES as u64;
-    if needed > payload {
-        return Err(GraphError::Truncated {
-            what: format!("{}: {num_records} delta records", path.display()),
-            needed,
-            available: payload,
-        });
-    }
-    let mut records = Vec::with_capacity(num_records as usize);
-    let mut rec = [0u8; DELTA_RECORD_BYTES];
-    for i in 0..num_records {
-        r.read_exact(&mut rec)?;
-        let parsed = DeltaRecord {
-            src: VertexId::from_le_bytes(rec[0..4].try_into().unwrap()),
-            dst: VertexId::from_le_bytes(rec[4..8].try_into().unwrap()),
-            weight: f32::from_le_bytes(rec[8..12].try_into().unwrap()),
-            op: u32::from_le_bytes(rec[12..16].try_into().unwrap()),
-        };
-        if parsed.op > DELTA_OP_DELETE {
-            return Err(GraphError::Format(format!(
-                "{}: record {i} has unknown op {}",
-                path.display(),
-                parsed.op
-            )));
-        }
-        records.push(parsed);
-    }
-    Ok(records)
+    records::read(path, None)
 }
 
 /// One delta segment in a partition's chain, as the generation manifest
@@ -447,6 +380,22 @@ impl GenManifest {
         self.partitions.iter().map(GenPartition::delta_records).sum()
     }
 
+    /// The one rule tying a generation to the base store it was published
+    /// over: same layout, same vertex set (growing it requires
+    /// reconversion), one entry per base partition.
+    pub fn check_base(&self, base: &Manifest) -> Result<()> {
+        let ours = (self.layout, self.num_vertices, self.partitions.len());
+        let theirs = (base.layout, base.num_vertices, base.partitions.len());
+        if ours != theirs {
+            return Err(GraphError::Format(format!(
+                "generation {}: (layout, vertices, partitions) = {ours:?}, its base store has \
+                 {theirs:?}",
+                self.generation
+            )));
+        }
+        Ok(())
+    }
+
     /// Writes the manifest into `dir` under its generation-numbered name.
     pub fn write_to_dir(&self, dir: &Path) -> Result<PathBuf> {
         let path = dir.join(gen_manifest_file_name(self.generation));
@@ -458,15 +407,6 @@ impl GenManifest {
         w.write_all(&self.layout.p().to_le_bytes())?;
         w.write_all(&self.num_vertices.to_le_bytes())?;
         w.write_all(&(self.partitions.len() as u32).to_le_bytes())?;
-        let write_name = |w: &mut BufWriter<File>, name: &str| -> Result<()> {
-            let bytes = name.as_bytes();
-            if bytes.len() > u16::MAX as usize {
-                return Err(GraphError::Format(format!("file name too long: {name}")));
-            }
-            w.write_all(&(bytes.len() as u16).to_le_bytes())?;
-            w.write_all(bytes)?;
-            Ok(())
-        };
         for part in &self.partitions {
             write_name(&mut w, &part.base_file)?;
             w.write_all(&part.base_num_edges.to_le_bytes())?;
@@ -488,53 +428,32 @@ impl GenManifest {
     /// [`GenManifest::write_to_dir`].
     pub fn read_from_dir(dir: &Path, generation: u64) -> Result<GenManifest> {
         let path = dir.join(gen_manifest_file_name(generation));
-        let available = std::fs::metadata(&path)?.len();
-        let mut r = CountingReader::new(BufReader::new(File::open(&path)?), available);
-        let mut magic = [0u8; 8];
-        r.read_exact_or_truncated(&mut magic, "generation manifest magic")?;
-        if &magic != GEN_MAGIC {
-            return Err(GraphError::Format(format!(
-                "bad generation manifest magic in {}: {magic:?}",
-                path.display()
-            )));
-        }
-        let file_gen = r.read_u64("generation number")?;
+        let (bytes, what) = (std::fs::read(&path)?, path.display().to_string());
+        let mut r = Cursor::new(&bytes, &what);
+        r.magic(GEN_MAGIC)?;
+        let file_gen = r.u64("generation number")?;
         if file_gen != generation {
-            return Err(GraphError::Format(format!(
-                "{}: header says generation {file_gen}, file name says {generation}",
-                path.display()
+            return Err(r.malformed(format_args!(
+                "header says generation {file_gen}, file name says {generation}"
             )));
         }
-        let compactions = r.read_u64("compaction count")?;
-        let tag = r.read_u32("layout tag")?;
-        let p = r.read_u32("grid dimension")?;
-        let num_vertices = r.read_u32("vertex count")?;
-        let layout = match tag {
-            0 => StoreLayout::Grid { p },
-            1 => StoreLayout::Shards { p },
-            t => return Err(GraphError::Format(format!("unknown store layout tag {t}"))),
-        };
-        let num_partitions = r.read_u32("partition count")? as usize;
+        let compactions = r.u64("compaction count")?;
+        let layout = StoreLayout::from_tag(r.u32("layout tag")?, r.u32("grid dimension")?)?;
+        let num_vertices = r.u32("vertex count")?;
+        let num_partitions = r.u32("partition count")? as usize;
         // Each entry is at least 14 bytes; reject counts the file cannot
         // hold before allocating.
-        r.check_remaining(num_partitions as u64 * 14, "generation partitions")?;
-        let read_name = |r: &mut CountingReader<BufReader<File>>, what: &str| -> Result<String> {
-            let len = r.read_u16(&format!("{what} name length"))? as usize;
-            let mut bytes = vec![0u8; len];
-            r.read_exact_or_truncated(&mut bytes, &format!("{what} name"))?;
-            String::from_utf8(bytes)
-                .map_err(|_| GraphError::Format(format!("{what}: file name is not UTF-8")))
-        };
+        r.need(num_partitions as u64 * 14, "generation partitions")?;
         let mut partitions = Vec::with_capacity(num_partitions);
         for i in 0..num_partitions {
             let base_file = read_name(&mut r, &format!("partition {i} base"))?;
-            let base_num_edges = r.read_u64(&format!("partition {i} base edge count"))?;
-            let num_deltas = r.read_u32(&format!("partition {i} delta count"))? as usize;
-            r.check_remaining(num_deltas as u64 * 10, &format!("partition {i} delta chain"))?;
+            let base_num_edges = r.u64(&format!("partition {i} base edge count"))?;
+            let num_deltas = r.u32(&format!("partition {i} delta count"))? as usize;
+            r.need(num_deltas as u64 * 10, &format!("partition {i} delta chain"))?;
             let mut deltas = Vec::with_capacity(num_deltas);
             for d in 0..num_deltas {
                 let file = read_name(&mut r, &format!("partition {i} delta {d}"))?;
-                let num_records = r.read_u64(&format!("partition {i} delta {d} record count"))?;
+                let num_records = r.u64(&format!("partition {i} delta {d} record count"))?;
                 deltas.push(DeltaFileRef { file, num_records });
             }
             partitions.push(GenPartition { base_file, base_num_edges, deltas });
@@ -552,17 +471,10 @@ pub fn read_current_generation(dir: &Path) -> Result<u64> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
         Err(e) => return Err(e.into()),
     };
-    if bytes.len() < 16 {
-        return Err(GraphError::Truncated {
-            what: format!("{}: generation pointer", path.display()),
-            needed: 16,
-            available: bytes.len() as u64,
-        });
-    }
-    if &bytes[..8] != CURRENT_MAGIC {
-        return Err(GraphError::Format(format!("bad CURRENT magic in {}", path.display())));
-    }
-    Ok(u64::from_le_bytes(bytes[8..16].try_into().unwrap()))
+    let what = path.display().to_string();
+    let mut r = Cursor::new(&bytes, &what);
+    r.magic(CURRENT_MAGIC)?;
+    r.u64("generation pointer")
 }
 
 /// Atomically points the store at `generation`: the pointer is written to

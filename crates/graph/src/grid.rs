@@ -12,10 +12,7 @@
 //! `graphm-core` (Algorithm 1).
 
 use crate::partition::VertexRanges;
-use crate::types::{Edge, EdgeList, GraphError, Result, VertexId};
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use crate::types::{Edge, EdgeList};
 
 /// An in-memory grid-partitioned graph.
 #[derive(Clone, Debug)]
@@ -108,117 +105,6 @@ impl Grid {
     }
 }
 
-const GRID_MAGIC: &[u8; 8] = b"GMGRID01";
-
-/// Writes a grid to a single binary file: header, block offset table,
-/// then edge records block-by-block in row-major block order.
-pub fn write_grid(grid: &Grid, path: &Path) -> Result<()> {
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(GRID_MAGIC)?;
-    w.write_all(&grid.ranges.num_vertices().to_le_bytes())?;
-    w.write_all(&(grid.p as u32).to_le_bytes())?;
-    // Offset table: cumulative edge counts (u64) for p*p + 1 entries.
-    let mut offsets = Vec::with_capacity(grid.num_blocks() + 1);
-    let mut acc = 0u64;
-    offsets.push(acc);
-    for b in &grid.blocks {
-        acc += b.len() as u64;
-        offsets.push(acc);
-    }
-    for off in &offsets {
-        w.write_all(&off.to_le_bytes())?;
-    }
-    for b in &grid.blocks {
-        for e in b {
-            w.write_all(&e.src.to_le_bytes())?;
-            w.write_all(&e.dst.to_le_bytes())?;
-            w.write_all(&e.weight.to_le_bytes())?;
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// A grid stored on disk, readable block-at-a-time — the secondary-storage
-/// side of the out-of-core engines.
-pub struct GridFile {
-    file: BufReader<File>,
-    num_vertices: VertexId,
-    p: usize,
-    /// Cumulative edge counts per block (`p * p + 1` entries).
-    offsets: Vec<u64>,
-    /// Byte position where edge records begin.
-    data_start: u64,
-}
-
-impl GridFile {
-    /// Opens a grid file written by [`write_grid`].
-    pub fn open(path: &Path) -> Result<GridFile> {
-        let file = File::open(path)?;
-        let mut r = BufReader::new(file);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != GRID_MAGIC {
-            return Err(GraphError::Format(format!("bad grid magic in {}", path.display())));
-        }
-        let mut b4 = [0u8; 4];
-        r.read_exact(&mut b4)?;
-        let num_vertices = VertexId::from_le_bytes(b4);
-        r.read_exact(&mut b4)?;
-        let p = u32::from_le_bytes(b4) as usize;
-        if p == 0 {
-            return Err(GraphError::Format("grid p must be >= 1".into()));
-        }
-        let mut offsets = Vec::with_capacity(p * p + 1);
-        let mut b8 = [0u8; 8];
-        for _ in 0..(p * p + 1) {
-            r.read_exact(&mut b8)?;
-            offsets.push(u64::from_le_bytes(b8));
-        }
-        let data_start = (8 + 4 + 4 + 8 * (p * p + 1)) as u64;
-        Ok(GridFile { file: r, num_vertices, p, offsets, data_start })
-    }
-
-    /// Vertex count recorded in the header.
-    pub fn num_vertices(&self) -> VertexId {
-        self.num_vertices
-    }
-
-    /// Grid dimension `P`.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Number of edges in block `idx`.
-    pub fn block_len(&self, idx: usize) -> usize {
-        (self.offsets[idx + 1] - self.offsets[idx]) as usize
-    }
-
-    /// Bytes of block `idx` on disk (what loading it costs in I/O).
-    pub fn block_bytes(&self, idx: usize) -> usize {
-        self.block_len(idx) * crate::types::EDGE_BYTES
-    }
-
-    /// Reads block `idx` from disk.
-    pub fn read_block(&mut self, idx: usize) -> Result<Vec<Edge>> {
-        let count = self.block_len(idx);
-        let pos = self.data_start + self.offsets[idx] * crate::types::EDGE_BYTES as u64;
-        self.file.seek(SeekFrom::Start(pos))?;
-        let mut rec = [0u8; 12];
-        let mut edges = Vec::with_capacity(count);
-        for _ in 0..count {
-            self.file.read_exact(&mut rec)?;
-            edges.push(Edge {
-                src: VertexId::from_le_bytes(rec[0..4].try_into().unwrap()),
-                dst: VertexId::from_le_bytes(rec[4..8].try_into().unwrap()),
-                weight: f32::from_le_bytes(rec[8..12].try_into().unwrap()),
-            });
-        }
-        Ok(edges)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,27 +134,6 @@ mod tests {
         let g = generators::ring(16);
         let grid = Grid::convert(&g, 2);
         assert_eq!(grid.streaming_order(), vec![0, 2, 1, 3]);
-    }
-
-    #[test]
-    fn grid_file_round_trip() {
-        let g = generators::rmat(200, 3000, generators::RmatParams::SOCIAL, 12);
-        let grid = Grid::convert(&g, 3);
-        let mut path = std::env::temp_dir();
-        path.push(format!("graphm-grid-test-{}.bin", std::process::id()));
-        write_grid(&grid, &path).unwrap();
-        let mut gf = GridFile::open(&path).unwrap();
-        assert_eq!(gf.num_vertices(), 200);
-        assert_eq!(gf.p(), 3);
-        for idx in 0..grid.num_blocks() {
-            let from_disk = gf.read_block(idx).unwrap();
-            let in_mem = grid.block_by_index(idx);
-            assert_eq!(from_disk.len(), in_mem.len(), "block {idx}");
-            for (a, b) in from_disk.iter().zip(in_mem) {
-                assert_eq!((a.src, a.dst), (b.src, b.dst));
-            }
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! * [`csr`] — PowerGraph's CSR/CSC adjacency.
 //!
 //! Chaos streams raw edge lists, which [`types::EdgeList`] already is.
-//! [`segment`] adds the disk-resident store format (`graphm-store` maps
-//! it): per-partition segment files plus a manifest of offsets, bounds,
-//! and byte counts.
+//!
+//! The disk-resident store's formats live here too (`graphm-store` maps,
+//! writes and ships them). [`records`] is the one home of every byte
+//! layout: the record codec, the record file that base and delta segments
+//! are, the CRC envelope of WAL and replication frames. [`segment`] (base
+//! manifest), [`delta`] (generation manifest, `CURRENT`, the merge rule)
+//! and [`storage`] (raw edge list) keep only their own headers over it.
 
 pub mod bitmap;
 pub mod csr;
@@ -22,6 +26,7 @@ pub mod failpoint;
 pub mod generators;
 pub mod grid;
 pub mod partition;
+pub mod records;
 pub mod segment;
 pub mod shards;
 pub mod storage;
@@ -31,7 +36,7 @@ pub use bitmap::AtomicBitmap;
 pub use csr::Csr;
 pub use datasets::{DatasetId, DatasetSpec, MemoryProfile};
 pub use delta::{DeltaRecord, GenManifest, DELTA_RECORD_BYTES};
-pub use grid::{Grid, GridFile};
+pub use grid::Grid;
 pub use partition::VertexRanges;
 pub use segment::{Manifest, ManifestEntry, StoreLayout};
 pub use shards::Shards;

@@ -7,30 +7,23 @@
 //! partition, its file, byte count, source-vertex bounds, and charged load
 //! bytes, plus the engine's streaming order.
 //!
-//! Layout invariants the mmap reader relies on:
-//!
-//! * segment headers are [`SEGMENT_HEADER_BYTES`] (16) bytes, so the record
-//!   array starts 4-byte aligned in a page-aligned mapping and can be
-//!   reinterpreted as `&[Edge]` in place on little-endian hosts;
-//! * all multi-byte fields are little-endian;
-//! * every length is validated against the actual file length before any
-//!   allocation, so a corrupt header yields a typed
-//!   [`GraphError::Truncated`] instead of an abort or a bare I/O error.
+//! A segment file is a [`crate::records`] record file of [`Edge`]s —
+//! that module owns its bytes, its validator and the layout invariants the
+//! mmap reader relies on. The manifest is this module's own: little-endian
+//! fields, every count checked against the bytes left in the file before
+//! anything is allocated for it.
 
+use crate::records::{self, Cursor, Record};
 use crate::types::{Edge, GraphError, Result, VertexId, EDGE_BYTES};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"GMSEG001";
+pub const SEGMENT_MAGIC: &[u8; 8] = Edge::MAGIC;
 
 /// Magic bytes opening the manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"GMMAN001";
-
-/// Fixed segment header size: magic (8) + `num_edges` (8). Keeps the record
-/// array 4-byte aligned within the file.
-pub const SEGMENT_HEADER_BYTES: usize = 16;
 
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.bin";
@@ -60,6 +53,16 @@ impl StoreLayout {
     pub fn p(self) -> u32 {
         match self {
             StoreLayout::Grid { p } | StoreLayout::Shards { p } => p,
+        }
+    }
+
+    /// Inverse of [`StoreLayout::tag`] and [`StoreLayout::p`]: the layout
+    /// the `tag u32 | p u32` pair of either manifest names.
+    pub fn from_tag(tag: u32, p: u32) -> Result<StoreLayout> {
+        match tag {
+            0 => Ok(StoreLayout::Grid { p }),
+            1 => Ok(StoreLayout::Shards { p }),
+            t => Err(GraphError::Format(format!("unknown store layout tag {t}"))),
         }
     }
 }
@@ -119,12 +122,7 @@ impl Manifest {
         w.write_all(&self.num_vertices.to_le_bytes())?;
         w.write_all(&(self.partitions.len() as u32).to_le_bytes())?;
         for e in &self.partitions {
-            let name = e.file.as_bytes();
-            if name.len() > u16::MAX as usize {
-                return Err(GraphError::Format(format!("segment file name too long: {}", e.file)));
-            }
-            w.write_all(&(name.len() as u16).to_le_bytes())?;
-            w.write_all(name)?;
+            write_name(&mut w, &e.file)?;
             w.write_all(&e.num_edges.to_le_bytes())?;
             w.write_all(&e.byte_len.to_le_bytes())?;
             w.write_all(&e.src_lo.to_le_bytes())?;
@@ -141,38 +139,20 @@ impl Manifest {
     /// Reads a manifest previously written by [`Manifest::write_to_dir`].
     pub fn read_from_dir(dir: &Path) -> Result<Manifest> {
         let path = dir.join(MANIFEST_FILE);
-        let available = std::fs::metadata(&path)?.len();
-        let mut r = CountingReader::new(BufReader::new(File::open(&path)?), available);
-        let mut magic = [0u8; 8];
-        r.read_exact_or_truncated(&mut magic, "manifest magic")?;
-        if &magic != MANIFEST_MAGIC {
-            return Err(GraphError::Format(format!(
-                "bad manifest magic in {}: {magic:?}",
-                path.display()
-            )));
-        }
-        let tag = r.read_u32("layout tag")?;
-        let p = r.read_u32("grid dimension")?;
-        let num_vertices = r.read_u32("vertex count")?;
-        let layout = match tag {
-            0 => StoreLayout::Grid { p },
-            1 => StoreLayout::Shards { p },
-            t => return Err(GraphError::Format(format!("unknown store layout tag {t}"))),
-        };
-        let num_partitions = r.read_u32("partition count")? as usize;
+        let (bytes, what) = (std::fs::read(&path)?, path.display().to_string());
+        let mut r = Cursor::new(&bytes, &what);
+        r.magic(MANIFEST_MAGIC)?;
+        let layout = StoreLayout::from_tag(r.u32("layout tag")?, r.u32("grid dimension")?)?;
+        let num_vertices = r.u32("vertex count")?;
+        let num_partitions = r.u32("partition count")? as usize;
         // Each entry is at least 34 bytes; reject counts the file cannot hold
         // before allocating.
-        r.check_remaining(num_partitions as u64 * 34, "manifest entries")?;
+        r.need(num_partitions as u64 * 34, "manifest entries")?;
         let mut partitions = Vec::with_capacity(num_partitions);
         for i in 0..num_partitions {
-            let name_len = r.read_u16(&format!("entry {i} name length"))? as usize;
-            let mut name = vec![0u8; name_len];
-            r.read_exact_or_truncated(&mut name, &format!("entry {i} file name"))?;
-            let file = String::from_utf8(name).map_err(|_| {
-                GraphError::Format(format!("entry {i}: segment file name is not UTF-8"))
-            })?;
-            let num_edges = r.read_u64(&format!("entry {i} edge count"))?;
-            let byte_len = r.read_u64(&format!("entry {i} byte length"))?;
+            let file = read_name(&mut r, &format!("entry {i}"))?;
+            let num_edges = r.u64(&format!("entry {i} edge count"))?;
+            let byte_len = r.u64(&format!("entry {i} byte length"))?;
             let expect_len = num_edges.checked_mul(EDGE_BYTES as u64).ok_or_else(|| {
                 GraphError::Format(format!("entry {i}: edge count {num_edges} overflows"))
             })?;
@@ -181,9 +161,9 @@ impl Manifest {
                     "entry {i}: byte length {byte_len} does not match {num_edges} edges"
                 )));
             }
-            let src_lo = r.read_u32(&format!("entry {i} src_lo"))?;
-            let src_hi = r.read_u32(&format!("entry {i} src_hi"))?;
-            let load_bytes = r.read_u64(&format!("entry {i} load bytes"))?;
+            let src_lo = r.u32(&format!("entry {i} src_lo"))?;
+            let src_hi = r.u32(&format!("entry {i} src_hi"))?;
+            let load_bytes = r.u64(&format!("entry {i} load bytes"))?;
             // Loads charge at least the payload (grid: exactly; shards:
             // plus sliding windows); less means a corrupt manifest, and
             // downstream byte accounting subtracts the two.
@@ -201,11 +181,11 @@ impl Manifest {
                 load_bytes,
             });
         }
-        r.check_remaining(num_partitions as u64 * 4, "traversal order")?;
+        r.need(num_partitions as u64 * 4, "traversal order")?;
         let mut order = Vec::with_capacity(num_partitions);
         let mut seen = vec![false; num_partitions];
         for i in 0..num_partitions {
-            let pid = r.read_u32(&format!("order entry {i}"))?;
+            let pid = r.u32(&format!("order entry {i}"))?;
             if pid as usize >= num_partitions {
                 return Err(GraphError::Format(format!(
                     "order entry {i} = {pid} out of range (n = {num_partitions})"
@@ -224,19 +204,10 @@ impl Manifest {
     }
 }
 
-/// Writes one partition's edges as a segment file. Returns the payload
-/// byte count.
+/// Writes one partition's edges as a segment file (written, not synced).
+/// Returns the payload byte count.
 pub fn write_segment(edges: &[Edge], path: &Path) -> Result<u64> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(SEGMENT_MAGIC)?;
-    w.write_all(&(edges.len() as u64).to_le_bytes())?;
-    for e in edges {
-        w.write_all(&e.src.to_le_bytes())?;
-        w.write_all(&e.dst.to_le_bytes())?;
-        w.write_all(&e.weight.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok((edges.len() * EDGE_BYTES) as u64)
+    records::write(edges, path).map(|_| (edges.len() * EDGE_BYTES) as u64)
 }
 
 /// Validates a segment header against the file's real length and the
@@ -244,128 +215,37 @@ pub fn write_segment(edges: &[Edge], path: &Path) -> Result<u64> {
 ///
 /// `bytes` is the full segment file contents (or its mapped view).
 pub fn validate_segment(bytes: &[u8], expect_edges: Option<u64>, what: &str) -> Result<u64> {
-    if bytes.len() < SEGMENT_HEADER_BYTES {
-        return Err(GraphError::Truncated {
-            what: format!("{what}: segment header"),
-            needed: SEGMENT_HEADER_BYTES as u64,
-            available: bytes.len() as u64,
-        });
-    }
-    if &bytes[..8] != SEGMENT_MAGIC {
-        return Err(GraphError::Format(format!("{what}: bad segment magic")));
-    }
-    let num_edges = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let payload = (bytes.len() - SEGMENT_HEADER_BYTES) as u64;
-    let needed = num_edges
-        .checked_mul(EDGE_BYTES as u64)
-        .ok_or_else(|| GraphError::Format(format!("{what}: edge count overflows")))?;
-    if needed > payload {
-        return Err(GraphError::Truncated {
-            what: format!("{what}: {num_edges} edge records"),
-            needed,
-            available: payload,
-        });
-    }
-    if let Some(expect) = expect_edges {
-        if expect != num_edges {
-            return Err(GraphError::Format(format!(
-                "{what}: manifest says {expect} edges, segment header says {num_edges}"
-            )));
-        }
-    }
-    Ok(num_edges)
+    records::validate::<Edge>(bytes, expect_edges, what)
 }
 
 /// Reads a segment file eagerly (the non-mmap path; also the portability
 /// fallback for big-endian hosts).
 pub fn read_segment(path: &Path) -> Result<Vec<Edge>> {
-    let available = std::fs::metadata(path)?.len();
-    let mut r = BufReader::new(File::open(path)?);
-    let mut header = [0u8; SEGMENT_HEADER_BYTES];
-    if available < SEGMENT_HEADER_BYTES as u64 {
-        return Err(GraphError::Truncated {
-            what: format!("{}: segment header", path.display()),
-            needed: SEGMENT_HEADER_BYTES as u64,
-            available,
-        });
-    }
-    r.read_exact(&mut header)?;
-    if &header[..8] != SEGMENT_MAGIC {
-        return Err(GraphError::Format(format!("bad segment magic in {}", path.display())));
-    }
-    let num_edges = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let needed = num_edges
-        .checked_mul(EDGE_BYTES as u64)
-        .ok_or_else(|| GraphError::Format(format!("{}: edge count overflows", path.display())))?;
-    let payload = available - SEGMENT_HEADER_BYTES as u64;
-    if needed > payload {
-        return Err(GraphError::Truncated {
-            what: format!("{}: {num_edges} edge records", path.display()),
-            needed,
-            available: payload,
-        });
-    }
-    let mut edges = Vec::with_capacity(num_edges as usize);
-    let mut rec = [0u8; EDGE_BYTES];
-    for _ in 0..num_edges {
-        r.read_exact(&mut rec)?;
-        edges.push(Edge {
-            src: VertexId::from_le_bytes(rec[0..4].try_into().unwrap()),
-            dst: VertexId::from_le_bytes(rec[4..8].try_into().unwrap()),
-            weight: f32::from_le_bytes(rec[8..12].try_into().unwrap()),
-        });
-    }
-    Ok(edges)
+    records::read(path, None)
 }
 
-/// A reader that tracks remaining bytes so header-driven reads can fail
-/// with typed truncation errors before allocating. Shared with the delta
-/// store's generation-manifest reader ([`crate::delta`]).
-pub(crate) struct CountingReader<R> {
-    inner: R,
-    remaining: u64,
+/// Writes a file name the way both manifests hold one: `len u16 | bytes`.
+pub(crate) fn write_name(w: &mut impl Write, name: &str) -> Result<()> {
+    let len = u16::try_from(name.len())
+        .map_err(|_| GraphError::Format(format!("file name too long: {name}")))?;
+    w.write_all(&len.to_le_bytes())?;
+    w.write_all(name.as_bytes())?;
+    Ok(())
 }
 
-impl<R: Read> CountingReader<R> {
-    pub(crate) fn new(inner: R, total: u64) -> Self {
-        CountingReader { inner, remaining: total }
+/// A file name written by [`write_name`]. Manifests are untrusted and
+/// readers join these names onto the store directory, so anything but a
+/// bare file name — one that could leave the directory — is a
+/// [`GraphError::Format`].
+pub(crate) fn read_name(r: &mut Cursor, what: &str) -> Result<String> {
+    let len = r.u16(&format!("{what} name length"))?;
+    let bytes = r.take(len.into(), &format!("{what} file name"))?;
+    let name = std::str::from_utf8(bytes)
+        .map_err(|_| r.malformed(format_args!("{what}: file name is not UTF-8")))?;
+    if name.is_empty() || name == "." || name == ".." || name.contains(['/', '\\']) {
+        return Err(r.malformed(format_args!("{what}: {name:?} is not a bare file name")));
     }
-
-    pub(crate) fn check_remaining(&self, needed: u64, what: &str) -> Result<()> {
-        if needed > self.remaining {
-            return Err(GraphError::Truncated {
-                what: what.to_string(),
-                needed,
-                available: self.remaining,
-            });
-        }
-        Ok(())
-    }
-
-    pub(crate) fn read_exact_or_truncated(&mut self, buf: &mut [u8], what: &str) -> Result<()> {
-        self.check_remaining(buf.len() as u64, what)?;
-        self.inner.read_exact(buf)?;
-        self.remaining -= buf.len() as u64;
-        Ok(())
-    }
-
-    pub(crate) fn read_u16(&mut self, what: &str) -> Result<u16> {
-        let mut b = [0u8; 2];
-        self.read_exact_or_truncated(&mut b, what)?;
-        Ok(u16::from_le_bytes(b))
-    }
-
-    pub(crate) fn read_u32(&mut self, what: &str) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.read_exact_or_truncated(&mut b, what)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    pub(crate) fn read_u64(&mut self, what: &str) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.read_exact_or_truncated(&mut b, what)?;
-        Ok(u64::from_le_bytes(b))
-    }
+    Ok(name.to_string())
 }
 
 #[cfg(test)]

@@ -3,34 +3,24 @@
 //! This is the "original graph data" box of Figure 5: the raw format GraphM
 //! keeps in secondary storage before `Convert()` produces engine-specific
 //! representations. Records are fixed 12-byte little-endian
-//! `(src: u32, dst: u32, weight: f32)` triples behind a small header, so
+//! `(src: u32, dst: u32, weight: f32)` triples — [`crate::records`]' edge
+//! image — behind `magic (8) | num_vertices u32 | num_edges u64`, so
 //! streaming reads map 1:1 onto the cost model's byte counts.
 
+use crate::records::{self, Cursor};
 use crate::types::{Edge, EdgeList, GraphError, Result, VertexId};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"GRAPHM01";
 
 /// Writes `graph` to `path` in the GraphM binary edge-list format.
 pub fn write_edge_list(graph: &EdgeList, path: &Path) -> Result<()> {
-    let file = File::create(path)?;
-    let mut w = BufWriter::new(file);
-    w.write_all(MAGIC)?;
-    w.write_all(&graph.num_vertices.to_le_bytes())?;
-    w.write_all(&(graph.edges.len() as u64).to_le_bytes())?;
-    for e in &graph.edges {
-        w.write_all(&e.src.to_le_bytes())?;
-        w.write_all(&e.dst.to_le_bytes())?;
-        w.write_all(&e.weight.to_le_bytes())?;
-    }
-    w.flush()?;
-    Ok(())
+    let mut header = MAGIC.to_vec();
+    header.extend_from_slice(&graph.num_vertices.to_le_bytes());
+    header.extend_from_slice(&(graph.edges.len() as u64).to_le_bytes());
+    Ok(records::write_to(&mut File::create(path)?, &header, &graph.edges)?)
 }
-
-/// Header size of the edge-list format: magic + vertex count + edge count.
-const HEADER_BYTES: u64 = 8 + 4 + 8;
 
 /// Reads a graph previously written by [`write_edge_list`].
 ///
@@ -40,57 +30,13 @@ const HEADER_BYTES: u64 = 8 + 4 + 8;
 /// [`GraphError::Format`] on overflow) instead of a giant speculative
 /// `Vec` or a bare I/O error mid-stream.
 pub fn read_edge_list(path: &Path) -> Result<EdgeList> {
-    let file_len = std::fs::metadata(path)?.len();
-    let file = File::open(path)?;
-    let mut r = BufReader::new(file);
-    if file_len < HEADER_BYTES {
-        return Err(GraphError::Truncated {
-            what: format!("{}: header", path.display()),
-            needed: HEADER_BYTES,
-            available: file_len,
-        });
-    }
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(GraphError::Format(format!("bad magic in {}: {:?}", path.display(), magic)));
-    }
-    let mut buf4 = [0u8; 4];
-    let mut buf8 = [0u8; 8];
-    r.read_exact(&mut buf4)?;
-    let num_vertices = VertexId::from_le_bytes(buf4);
-    r.read_exact(&mut buf8)?;
-    let num_edges_u64 = u64::from_le_bytes(buf8);
-    let needed = num_edges_u64.checked_mul(12).ok_or_else(|| {
-        GraphError::Format(format!(
-            "{}: edge count {num_edges_u64} overflows the format",
-            path.display()
-        ))
-    })?;
-    let available = file_len - HEADER_BYTES;
-    if needed > available {
-        return Err(GraphError::Truncated {
-            what: format!("{}: {num_edges_u64} edge records", path.display()),
-            needed,
-            available,
-        });
-    }
-    let num_edges = num_edges_u64 as usize;
-    let mut edges = Vec::with_capacity(num_edges);
-    let mut rec = [0u8; 12];
-    for _ in 0..num_edges {
-        r.read_exact(&mut rec)?;
-        let src = VertexId::from_le_bytes(rec[0..4].try_into().unwrap());
-        let dst = VertexId::from_le_bytes(rec[4..8].try_into().unwrap());
-        let weight = f32::from_le_bytes(rec[8..12].try_into().unwrap());
-        if src >= num_vertices {
-            return Err(GraphError::VertexOutOfRange { vertex: src, num_vertices });
-        }
-        if dst >= num_vertices {
-            return Err(GraphError::VertexOutOfRange { vertex: dst, num_vertices });
-        }
-        edges.push(Edge { src, dst, weight });
-    }
+    let (bytes, what) = (std::fs::read(path)?, path.display().to_string());
+    let mut r = Cursor::new(&bytes, &what);
+    r.magic(MAGIC)?;
+    let num_vertices: VertexId = r.u32("vertex count")?;
+    let num_edges = r.u64("edge count")?;
+    let edges: Vec<Edge> = records::decode(r.images::<Edge>(num_edges)?, &what)?;
+    records::check_all(&edges, num_vertices, &what)?;
     Ok(EdgeList { num_vertices, edges })
 }
 

@@ -27,18 +27,6 @@ pub fn run_graphchi(
     run_scheme(scheme, subs, &source, cfg)
 }
 
-/// Runs a job mix on a *disk-resident* shard store under the given scheme.
-/// Same runtime as [`run_graphchi`]; shards stream from the mmap'd
-/// segments and per-interval load bytes come from the store manifest.
-pub fn run_graphchi_disk(
-    scheme: Scheme,
-    subs: Vec<Submission>,
-    source: &DiskShardSource,
-    cfg: &RunnerConfig,
-) -> RunReport {
-    run_scheme(scheme, subs, source, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

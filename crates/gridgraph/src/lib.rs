@@ -19,5 +19,5 @@ pub mod source;
 
 pub use engine::GridGraphEngine;
 pub use graphm_store::DiskGridSource;
-pub use schemes::{graphm_preprocess_wall, run_gridgraph, run_gridgraph_disk};
+pub use schemes::{graphm_preprocess_wall, run_gridgraph};
 pub use source::GridSource;

@@ -24,18 +24,6 @@ pub fn run_gridgraph(
     run_scheme(scheme, subs, &source, cfg)
 }
 
-/// Runs a job mix on a *disk-resident* grid store under the given scheme.
-/// Same runtime as [`run_gridgraph`]; partitions stream from the mmap'd
-/// segments and per-partition byte counts come from the store manifest.
-pub fn run_gridgraph_disk(
-    scheme: Scheme,
-    subs: Vec<Submission>,
-    source: &graphm_store::DiskGridSource,
-    cfg: &RunnerConfig,
-) -> RunReport {
-    run_scheme(scheme, subs, source, cfg)
-}
-
 /// Table-3 helper: wall-clock time of GraphM's extra preprocessing
 /// (Formula-1 sizing + Algorithm-1 labelling) on top of the grid convert.
 pub fn graphm_preprocess_wall(

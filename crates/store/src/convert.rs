@@ -8,7 +8,7 @@
 //! manifest, producing a directory the `Disk*Source` readers mmap.
 
 use graphm_graph::segment::{write_segment, Manifest, ManifestEntry, StoreLayout};
-use graphm_graph::{EdgeList, GraphError, Grid, Result, Shards};
+use graphm_graph::{Edge, EdgeList, GraphError, Grid, Result, Shards, VertexId, EDGE_BYTES};
 use std::path::Path;
 
 /// Builder for the on-disk conversion.
@@ -50,71 +50,60 @@ impl Convert {
     /// if missing), and returns the manifest.
     pub fn write(&self, graph: &EdgeList, dir: &Path) -> Result<Manifest> {
         std::fs::create_dir_all(dir)?;
-        let manifest = match self.layout {
-            StoreLayout::Grid { p } => self.write_grid(graph, dir, p as usize)?,
-            StoreLayout::Shards { p } => self.write_shards(graph, dir, p as usize)?,
+        let mut partitions = Vec::new();
+        // One segment per partition; `bounds` are the entry's source range,
+        // `load_bytes` what loading it from secondary storage is charged.
+        let mut segment = |edges: &[Edge], bounds: (VertexId, VertexId), load_bytes: usize| {
+            let file = segment_file_name(partitions.len());
+            let byte_len = write_segment(edges, &dir.join(&file))?;
+            let (src_lo, src_hi) = bounds;
+            let (num_edges, load_bytes) = (edges.len() as u64, load_bytes as u64);
+            partitions.push(ManifestEntry {
+                file,
+                num_edges,
+                byte_len,
+                src_lo,
+                src_hi,
+                load_bytes,
+            });
+            Ok::<(), GraphError>(())
+        };
+        let order = match self.layout {
+            StoreLayout::Grid { p } => {
+                let grid = Grid::convert(graph, p as usize);
+                for idx in 0..grid.num_blocks() {
+                    // A block's bounds are its row's range (GridGraph's
+                    // `should_access_shard`); its load is exactly its payload.
+                    let (block, (row, _)) = (grid.block_by_index(idx), grid.block_coords(idx));
+                    segment(block, grid.ranges().bounds(row), block.len() * EDGE_BYTES)?;
+                }
+                grid.streaming_order()
+            }
+            StoreLayout::Shards { p } => {
+                let shards = Shards::convert(graph, p as usize);
+                for s in 0..shards.num_shards() {
+                    // Shards are source-sorted, so observed bounds are a
+                    // tight summary; exact per-vertex activity is rebuilt
+                    // from the mapped records at open time. GraphChi drags
+                    // sliding windows in with the memory shard.
+                    let edges = shards.shard(s);
+                    let bounds = match (edges.first(), edges.last()) {
+                        (Some(first), Some(last)) => (first.src, last.src + 1),
+                        _ => (0, 0),
+                    };
+                    segment(edges, bounds, shards.interval_load_bytes(s))?;
+                }
+                (0..shards.num_shards()).collect()
+            }
+        };
+        let manifest = Manifest {
+            layout: self.layout,
+            num_vertices: graph.num_vertices,
+            partitions,
+            order: order.into_iter().map(to_u32).collect(),
         };
         manifest.write_to_dir(dir)?;
         Ok(manifest)
-    }
-
-    fn write_grid(&self, graph: &EdgeList, dir: &Path, p: usize) -> Result<Manifest> {
-        let grid = Grid::convert(graph, p);
-        let mut partitions = Vec::with_capacity(grid.num_blocks());
-        for idx in 0..grid.num_blocks() {
-            let (row, _) = grid.block_coords(idx);
-            let (src_lo, src_hi) = grid.ranges().bounds(row);
-            let block = grid.block_by_index(idx);
-            let file = segment_file_name(idx);
-            let byte_len = write_segment(block, &dir.join(&file))?;
-            partitions.push(ManifestEntry {
-                file,
-                num_edges: block.len() as u64,
-                byte_len,
-                src_lo,
-                src_hi,
-                // A grid block's load is exactly its payload.
-                load_bytes: byte_len,
-            });
-        }
-        Ok(Manifest {
-            layout: StoreLayout::Grid { p: p as u32 },
-            num_vertices: graph.num_vertices,
-            partitions,
-            order: grid.streaming_order().into_iter().map(to_u32).collect(),
-        })
-    }
-
-    fn write_shards(&self, graph: &EdgeList, dir: &Path, p: usize) -> Result<Manifest> {
-        let shards = Shards::convert(graph, p);
-        let mut partitions = Vec::with_capacity(shards.num_shards());
-        for s in 0..shards.num_shards() {
-            let edges = shards.shard(s);
-            let file = segment_file_name(s);
-            let byte_len = write_segment(edges, &dir.join(&file))?;
-            // Shards are source-sorted, so observed bounds are a tight
-            // summary; exact per-vertex activity is reconstructed from the
-            // mapped records at open time.
-            let (src_lo, src_hi) = match (edges.first(), edges.last()) {
-                (Some(first), Some(last)) => (first.src, last.src + 1),
-                _ => (0, 0),
-            };
-            partitions.push(ManifestEntry {
-                file,
-                num_edges: edges.len() as u64,
-                byte_len,
-                src_lo,
-                src_hi,
-                // GraphChi drags sliding windows in with the memory shard.
-                load_bytes: shards.interval_load_bytes(s) as u64,
-            });
-        }
-        Ok(Manifest {
-            layout: StoreLayout::Shards { p: p as u32 },
-            num_vertices: graph.num_vertices,
-            partitions,
-            order: (0..shards.num_shards()).map(to_u32).collect(),
-        })
     }
 }
 

@@ -38,19 +38,20 @@
 //!   deterministic and the log preserves order).
 //! * A **writer lease** ([`crate::lease`]). `open` acquires the store's
 //!   `EPOCH` file; a second live writer fails with
-//!   [`GraphError::LeaseHeld`], and every flip validates the lease
-//!   first, so a fenced writer gets [`GraphError::EpochFenced`] /
-//!   [`GraphError::LeaseLost`] instead of racing the `CURRENT` pointer.
+//!   `GraphError::LeaseHeld`, and every flip validates the lease
+//!   first, so a fenced writer gets `GraphError::EpochFenced` /
+//!   `GraphError::LeaseLost` instead of racing the `CURRENT` pointer.
 
 use crate::lease::{LeaseConfig, WriterLease};
 use crate::wal::{Wal, WalStats};
 use graphm_graph::delta::{
-    compacted_segment_file_name, delta_file_name, read_current_generation, read_delta_segment,
-    write_current_generation, write_delta_segment, DeltaFileRef, DeltaRecord, GenManifest,
-    GenPartition, Overlay,
+    compacted_segment_file_name, delta_file_name, parse_compacted_segment_name, parse_delta_name,
+    parse_gen_manifest_name, read_current_generation, read_delta_segment, write_current_generation,
+    write_delta_segment, DeltaFileRef, DeltaRecord, GenManifest, GenPartition, Overlay,
 };
+use graphm_graph::records;
 use graphm_graph::segment::{read_segment, write_segment, Manifest, StoreLayout};
-use graphm_graph::{GraphError, Result, VertexId, VertexRanges, EDGE_BYTES};
+use graphm_graph::{Result, VertexId, VertexRanges, EDGE_BYTES};
 use std::path::{Path, PathBuf};
 
 /// When the writer folds its delta chains back into base segments.
@@ -108,7 +109,7 @@ impl DeltaWriter {
     /// config, resuming from whatever generation `CURRENT` names. One
     /// writer per store at a time — enforced by the writer lease: a
     /// second open while a live writer's heartbeat is fresh fails with
-    /// [`GraphError::LeaseHeld`].
+    /// `GraphError::LeaseHeld`.
     pub fn open(dir: &Path) -> Result<DeltaWriter> {
         DeltaWriter::open_with(dir, LeaseConfig::default())
     }
@@ -129,15 +130,7 @@ impl DeltaWriter {
             synthesize_gen0(&manifest)
         } else {
             let gm = GenManifest::read_from_dir(dir, generation)?;
-            if gm.layout != manifest.layout
-                || gm.num_vertices != manifest.num_vertices
-                || gm.partitions.len() != manifest.partitions.len()
-            {
-                return Err(GraphError::Format(format!(
-                    "{}: generation {generation} does not match the base manifest",
-                    dir.display()
-                )));
-            }
+            gm.check_base(&manifest)?;
             gm
         };
         let (wal, replayed) = Wal::open(dir)?;
@@ -162,15 +155,11 @@ impl DeltaWriter {
             replayed.into_iter().filter(|b| b.target_gen > writer.gen.generation).collect();
         if !unpublished.is_empty() {
             writer.wal.note_replayed(unpublished.len() as u64);
-            for batch in &unpublished {
-                for r in &batch.records {
-                    // Deterministic routing + preserved order reconstruct
-                    // the exact per-partition batches of the interrupted
-                    // publish, so the recovered generation is bit-identical.
-                    let pid = writer.partition_of(r.src, r.dst);
-                    writer.pending[pid].push(*r);
-                    writer.pending_records += 1;
-                }
+            // Deterministic routing + preserved order reconstruct the
+            // exact per-partition batches of the interrupted publish, so
+            // the recovered generation is bit-identical.
+            for r in unpublished.iter().flat_map(|batch| &batch.records) {
+                writer.stage(*r)?;
             }
             writer.publish_internal(false)?;
         } else {
@@ -236,33 +225,25 @@ impl DeltaWriter {
         }
     }
 
-    fn check_bounds(&self, src: VertexId, dst: VertexId) -> Result<()> {
-        let nv = self.manifest.num_vertices;
-        for v in [src, dst] {
-            if v >= nv {
-                return Err(GraphError::VertexOutOfRange { vertex: v, num_vertices: nv });
-            }
-        }
+    /// Batches one mutation: checked like any record read back from disk
+    /// (known op, endpoints inside the vertex set), then routed.
+    pub(crate) fn stage(&mut self, record: DeltaRecord) -> Result<()> {
+        records::check_all(&[record], self.manifest.num_vertices, "mutation")?;
+        let pid = self.partition_of(record.src, record.dst);
+        self.pending[pid].push(record);
+        self.pending_records += 1;
         Ok(())
     }
 
     /// Batches an edge insertion.
     pub fn insert(&mut self, src: VertexId, dst: VertexId, weight: f32) -> Result<()> {
-        self.check_bounds(src, dst)?;
-        let pid = self.partition_of(src, dst);
-        self.pending[pid].push(DeltaRecord::insert(src, dst, weight));
-        self.pending_records += 1;
-        Ok(())
+        self.stage(DeltaRecord::insert(src, dst, weight))
     }
 
     /// Batches a deletion tombstone: every `(src, dst)` edge — in the
     /// base or inserted by an earlier delta — leaves the merged view.
     pub fn delete(&mut self, src: VertexId, dst: VertexId) -> Result<()> {
-        self.check_bounds(src, dst)?;
-        let pid = self.partition_of(src, dst);
-        self.pending[pid].push(DeltaRecord::delete(src, dst));
-        self.pending_records += 1;
-        Ok(())
+        self.stage(DeltaRecord::delete(src, dst))
     }
 
     /// Publishes the pending batch as a new generation. The sequence is
@@ -320,10 +301,7 @@ impl DeltaWriter {
         self.lease.validate()?;
         write_current_generation(&self.dir, next)?;
         self.gen = gm;
-        for p in &mut self.pending {
-            p.clear();
-        }
-        self.pending_records = 0;
+        self.discard_pending();
         // The flip is durable; the logged batch is superseded.
         self.wal.reset()?;
         if self.should_compact() {
@@ -476,10 +454,9 @@ impl DeltaWriter {
                 // infrastructure, not generation data.
                 true
             } else {
-                let delta_seg = name.starts_with("delta-") && name.ends_with(".dseg");
-                let compacted_base =
-                    name.starts_with("part-") && name.contains("-g") && name.ends_with(".seg");
-                (delta_seg || compacted_base) && !referenced.contains(name)
+                let generation_data = parse_delta_name(name).is_some()
+                    || parse_compacted_segment_name(name).is_some();
+                generation_data && !referenced.contains(name)
             };
             if stale {
                 std::fs::remove_file(entry.path())?;
@@ -508,13 +485,6 @@ fn synthesize_gen0(manifest: &Manifest) -> GenManifest {
             })
             .collect(),
     }
-}
-
-/// Parses `gen-NNNNNN.mf` into its generation number.
-fn parse_gen_manifest_name(name: &str) -> Option<u64> {
-    // Keep in sync with `gen_manifest_file_name`; parse by shape, not
-    // width, so retirement still recognizes generations past 999999.
-    name.strip_prefix("gen-")?.strip_suffix(".mf")?.parse().ok()
 }
 
 #[cfg(test)]

@@ -15,6 +15,12 @@
 //!   graphs with *real* per-partition byte counts from the manifest;
 //! * [`mmap::FileView`] — the no-dependency mapping primitive underneath.
 //!
+//! The crate owns no record layout: what it writes, maps, logs ([`wal`])
+//! or ships ([`replica`]) is encoded, decoded and validated by
+//! `graphm_graph::records`. The modules here keep their own headers (WAL
+//! and replication payloads, the lease's `EPOCH`) and the one place mapped
+//! bytes are viewed as records ([`source`]).
+//!
 //! ## From edge list to disk-backed run
 //!
 //! ```
@@ -262,6 +268,45 @@ mod tests {
             DiskGridSource::open(&dir).unwrap_err(),
             GraphError::VertexOutOfRange { vertex: u32::MAX, num_vertices: 50 }
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Manifests are untrusted and their file names are joined onto the
+    /// store directory: a name that could leave it is a format error at
+    /// every reader, before anything is opened.
+    #[test]
+    fn open_rejects_manifest_names_outside_the_store() {
+        /// Overwrites the first `from` in `file` with the equally long `to`.
+        fn flip(file: &std::path::Path, from: &str, to: &str) {
+            assert_eq!(from.len(), to.len());
+            let mut bytes = std::fs::read(file).unwrap();
+            let at = bytes.windows(from.len()).position(|w| w == from.as_bytes()).unwrap();
+            bytes[at..at + to.len()].copy_from_slice(to.as_bytes());
+            std::fs::write(file, bytes).unwrap();
+        }
+        use graphm_graph::delta::{gen_manifest_file_name, GenManifest};
+        let g = generators::rmat(40, 200, generators::RmatParams::GRAPH500, 3);
+        let dir = tmpdir("escaping-names");
+        Convert::grid(1).write(&g, &dir).unwrap();
+        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
+        writer.insert(1, 2, 1.0).unwrap();
+        writer.publish().unwrap();
+        drop(writer);
+        assert!(DiskGridSource::open(&dir).is_ok());
+
+        let gen = dir.join(gen_manifest_file_name(1));
+        let good = std::fs::read(&gen).unwrap();
+        for (from, to) in [("part-00000.seg", "../x/00000.seg"), ("delta-", "/tmp/\\")] {
+            flip(&gen, from, to);
+            let err = GenManifest::read_from_dir(&dir, 1).unwrap_err();
+            assert!(matches!(err, GraphError::Format(_)), "{to}: {err}");
+            let err = DiskGridSource::open(&dir).unwrap_err();
+            assert!(matches!(err, GraphError::Format(_)), "{to}: {err}");
+            std::fs::write(&gen, &good).unwrap();
+        }
+        flip(&dir.join("manifest.bin"), "part-00000.seg", "../x/00000.seg");
+        assert!(matches!(Manifest::read_from_dir(&dir).unwrap_err(), GraphError::Format(_)));
+        assert!(matches!(DiskGridSource::open(&dir).unwrap_err(), GraphError::Format(_)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -33,11 +33,8 @@
 
 use crate::delta::{CompactionPolicy, DeltaWriter};
 use crate::lease::LeaseConfig;
-use crate::wal::crc32;
-use graphm_graph::delta::{
-    delta_file_name, read_delta_segment, DeltaRecord, GenManifest, DELTA_OP_DELETE,
-    DELTA_RECORD_BYTES,
-};
+use graphm_graph::delta::{delta_file_name, read_delta_segment, DeltaRecord, GenManifest};
+use graphm_graph::records::{self, Cursor};
 use graphm_graph::{failpoint, GraphError, Result, VertexId};
 use std::path::Path;
 
@@ -82,31 +79,22 @@ pub struct ReplFrame {
     pub records: Vec<DeltaRecord>,
 }
 
-/// Encodes a frame: `magic | len u32 | crc32 u32 | payload`, payload =
-/// `generation u64 | primary_epoch u64 | kind u32 | count u32 | count ×
-/// 16-byte records`, all little-endian. The CRC covers the payload.
+/// Encodes a frame: the magic, then `graphm_graph::records`' CRC envelope
+/// around `generation u64 | primary_epoch u64 | kind u32 | count u32 |
+/// count × DeltaRecord`, all little-endian.
 pub fn encode_frame(frame: &ReplFrame) -> Vec<u8> {
-    let mut payload =
-        Vec::with_capacity(REPL_PAYLOAD_HEADER_BYTES + frame.records.len() * DELTA_RECORD_BYTES);
-    payload.extend_from_slice(&frame.generation.to_le_bytes());
-    payload.extend_from_slice(&frame.primary_epoch.to_le_bytes());
-    let kind = match frame.kind {
-        FrameKind::Delta => REPL_KIND_DELTA,
-        FrameKind::Compact => REPL_KIND_COMPACT,
-    };
-    payload.extend_from_slice(&kind.to_le_bytes());
-    payload.extend_from_slice(&(frame.records.len() as u32).to_le_bytes());
-    for r in &frame.records {
-        payload.extend_from_slice(&r.src.to_le_bytes());
-        payload.extend_from_slice(&r.dst.to_le_bytes());
-        payload.extend_from_slice(&r.weight.to_le_bytes());
-        payload.extend_from_slice(&r.op.to_le_bytes());
-    }
-    let mut out = Vec::with_capacity(REPL_FRAME_HEADER_BYTES + payload.len());
-    out.extend_from_slice(REPL_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = REPL_MAGIC.to_vec();
+    records::seal(&mut out, |payload| {
+        payload.extend_from_slice(&frame.generation.to_le_bytes());
+        payload.extend_from_slice(&frame.primary_epoch.to_le_bytes());
+        let kind = match frame.kind {
+            FrameKind::Delta => REPL_KIND_DELTA,
+            FrameKind::Compact => REPL_KIND_COMPACT,
+        };
+        payload.extend_from_slice(&kind.to_le_bytes());
+        payload.extend_from_slice(&(frame.records.len() as u32).to_le_bytes());
+        records::encode(&frame.records, payload);
+    });
     out
 }
 
@@ -115,80 +103,26 @@ pub fn encode_frame(frame: &ReplFrame) -> Vec<u8> {
 /// an unknown kind, or an unknown record op all yield a typed error —
 /// never a panic, never a partial frame.
 pub fn decode_frame(bytes: &[u8]) -> Result<ReplFrame> {
-    if bytes.len() < REPL_FRAME_HEADER_BYTES {
-        return Err(GraphError::Truncated {
-            what: "replication frame header".to_string(),
-            needed: REPL_FRAME_HEADER_BYTES as u64,
-            available: bytes.len() as u64,
-        });
+    let mut r = Cursor::new(bytes, "replication frame");
+    r.magic(REPL_MAGIC)?;
+    let (payload, trailing) = records::open(r.rest(), "replication frame")?;
+    if !trailing.is_empty() {
+        return Err(r.malformed(format_args!("{} trailing bytes", trailing.len())));
     }
-    if &bytes[..8] != REPL_MAGIC {
-        return Err(GraphError::Format("bad replication frame magic".to_string()));
-    }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let available = bytes.len() - REPL_FRAME_HEADER_BYTES;
-    if len > available {
-        return Err(GraphError::Truncated {
-            what: "replication frame payload".to_string(),
-            needed: len as u64,
-            available: available as u64,
-        });
-    }
-    if len < available {
-        return Err(GraphError::Format(format!(
-            "replication frame has {} trailing bytes",
-            available - len
-        )));
-    }
-    let payload = &bytes[REPL_FRAME_HEADER_BYTES..];
-    if crc32(payload) != crc {
-        return Err(GraphError::Format("replication frame CRC mismatch".to_string()));
-    }
-    if len < REPL_PAYLOAD_HEADER_BYTES {
-        return Err(GraphError::Truncated {
-            what: "replication payload header".to_string(),
-            needed: REPL_PAYLOAD_HEADER_BYTES as u64,
-            available: len as u64,
-        });
-    }
-    let generation = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let primary_epoch = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let kind_tag = u32::from_le_bytes(payload[16..20].try_into().unwrap());
-    let count = u32::from_le_bytes(payload[20..24].try_into().unwrap()) as usize;
-    let kind = match kind_tag {
+    let mut r = Cursor::new(payload, "replication payload");
+    let (generation, primary_epoch) = (r.u64("generation")?, r.u64("primary epoch")?);
+    let kind = match r.u32("kind")? {
         REPL_KIND_DELTA => FrameKind::Delta,
         REPL_KIND_COMPACT => FrameKind::Compact,
-        t => return Err(GraphError::Format(format!("unknown replication frame kind {t}"))),
+        t => return Err(r.malformed(format_args!("unknown frame kind {t}"))),
     };
-    let body = len - REPL_PAYLOAD_HEADER_BYTES;
-    if count.checked_mul(DELTA_RECORD_BYTES) != Some(body) {
-        return Err(GraphError::Format(format!(
-            "replication frame says {count} records but carries {body} payload bytes"
-        )));
+    let count = r.u32("record count")? as usize;
+    let records = records::decode::<DeltaRecord>(r.rest(), "replication frame")?;
+    if records.len() != count {
+        return Err(r.malformed(format_args!("says {count} records, carries {}", records.len())));
     }
     if kind == FrameKind::Compact && count != 0 {
-        return Err(GraphError::Format(format!(
-            "compaction frame must carry no records, has {count}"
-        )));
-    }
-    let mut records = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = REPL_PAYLOAD_HEADER_BYTES + i * DELTA_RECORD_BYTES;
-        let rec = &payload[at..at + DELTA_RECORD_BYTES];
-        let parsed = DeltaRecord {
-            src: VertexId::from_le_bytes(rec[0..4].try_into().unwrap()),
-            dst: VertexId::from_le_bytes(rec[4..8].try_into().unwrap()),
-            weight: f32::from_le_bytes(rec[8..12].try_into().unwrap()),
-            op: u32::from_le_bytes(rec[12..16].try_into().unwrap()),
-        };
-        if parsed.op > DELTA_OP_DELETE {
-            return Err(GraphError::Format(format!(
-                "replication record {i} has unknown op {}",
-                parsed.op
-            )));
-        }
-        records.push(parsed);
+        return Err(r.malformed(format_args!("a compaction frame carries {count} records")));
     }
     Ok(ReplFrame { generation, primary_epoch, kind, records })
 }
@@ -196,12 +130,14 @@ pub fn decode_frame(bytes: &[u8]) -> Result<ReplFrame> {
 /// Rebuilds the frame for a **published** generation straight from the
 /// store directory: the live ship path and anti-entropy catch-up are one
 /// code path, so a frame rebuilt days later is bit-identical to the one
-/// shipped live. Reads the generation's manifest, classifies it (a
-/// compaction increments the cumulative `compactions` counter), and for
-/// delta publishes gathers the generation's delta segments in partition
-/// order — exactly the partition-major order the primary flattened into
-/// its WAL. Fails with a typed error when the generation's files have
-/// been retired (the follower must then re-seed).
+/// shipped live. Reads the generation's own manifest — and nothing older,
+/// so the current generation ships whatever has been retired behind it —
+/// and classifies it from that: a chain naming this generation's delta
+/// file makes it a delta publish, whose segments are gathered in partition
+/// order, exactly the partition-major order the primary flattened into its
+/// WAL; all chains empty after a compaction makes it that compaction.
+/// Anything else has lost its files to a later compaction and retirement:
+/// a typed error, and the follower must re-seed.
 pub fn read_generation_frame(dir: &Path, generation: u64, primary_epoch: u64) -> Result<ReplFrame> {
     failpoint::hit("repl.ship")?;
     if generation == 0 {
@@ -210,35 +146,24 @@ pub fn read_generation_frame(dir: &Path, generation: u64, primary_epoch: u64) ->
         ));
     }
     let gm = GenManifest::read_from_dir(dir, generation)?;
-    let prev_compactions = if generation == 1 {
-        0
-    } else {
-        GenManifest::read_from_dir(dir, generation - 1)?.compactions
-    };
-    if gm.compactions > prev_compactions {
-        return Ok(ReplFrame {
-            generation,
-            primary_epoch,
-            kind: FrameKind::Compact,
-            records: Vec::new(),
-        });
-    }
     let mut records = Vec::new();
     for (pid, part) in gm.partitions.iter().enumerate() {
         let name = delta_file_name(generation, pid);
-        for dref in &part.deltas {
-            if dref.file == name {
-                records.extend(read_delta_segment(&dir.join(&dref.file))?);
-            }
+        for dref in part.deltas.iter().filter(|dref| dref.file == name) {
+            records.extend(read_delta_segment(&dir.join(&dref.file))?);
         }
     }
-    if records.is_empty() {
+    let kind = if !records.is_empty() {
+        FrameKind::Delta
+    } else if gm.compactions > 0 && gm.partitions.iter().all(|part| part.deltas.is_empty()) {
+        FrameKind::Compact
+    } else {
         return Err(GraphError::Format(format!(
             "generation {generation} has no replayable delta segments (retired or compacted); \
              follower must re-seed"
         )));
-    }
-    Ok(ReplFrame { generation, primary_epoch, kind: FrameKind::Delta, records })
+    };
+    Ok(ReplFrame { generation, primary_epoch, kind, records })
 }
 
 /// What applying one frame did.
@@ -349,16 +274,7 @@ impl ReplicaApplier {
     }
 
     fn apply_delta_frame(&mut self, frame: &ReplFrame) -> Result<u64> {
-        let staged = (|| -> Result<()> {
-            for r in &frame.records {
-                if r.op == DELTA_OP_DELETE {
-                    self.writer.delete(r.src, r.dst)?;
-                } else {
-                    self.writer.insert(r.src, r.dst, r.weight)?;
-                }
-            }
-            Ok(())
-        })();
+        let staged = frame.records.iter().try_for_each(|r| self.writer.stage(*r));
         if let Err(e) = staged {
             self.writer.discard_pending();
             return Err(e);
@@ -389,6 +305,7 @@ impl ReplicaApplier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::crc32;
     use proptest::prelude::*;
 
     fn frame_from_seeds(seeds: &[u64], generation: u64, epoch: u64) -> ReplFrame {
@@ -458,6 +375,68 @@ mod tests {
         let crc = crc32(&op_bad[REPL_FRAME_HEADER_BYTES..]);
         op_bad[12..16].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(decode_frame(&op_bad).unwrap_err(), GraphError::Format(_)));
+    }
+
+    /// Every file of `dir` but the lease and the log, by name.
+    fn store_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name() != "EPOCH" && e.file_name() != "wal.log")
+            .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+            .collect()
+    }
+
+    /// Retiring the generations behind `CURRENT` must not stop `CURRENT`
+    /// itself from shipping: a follower one generation behind catches up,
+    /// whether that generation is a publish or a compaction.
+    #[test]
+    fn current_generation_ships_after_retirement() {
+        let mut root = std::env::temp_dir();
+        root.push(format!("graphm-replica-test-retired-ship-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        let (primary, follower) = (root.join("primary"), root.join("follower"));
+        let g = graphm_graph::generators::rmat(
+            64,
+            400,
+            graphm_graph::generators::RmatParams::GRAPH500,
+            61,
+        );
+        for dir in [&primary, &follower] {
+            crate::Convert::grid(2).write(&g, dir).unwrap();
+        }
+        let mut writer =
+            DeltaWriter::open(&primary).unwrap().with_policy(CompactionPolicy::never());
+        let mut applier = ReplicaApplier::open(&follower).unwrap();
+        for generation in 1..=3u32 {
+            writer.insert(generation, 40 + generation, 1.5).unwrap();
+            writer
+                .delete(g.edges[generation as usize].src, g.edges[generation as usize].dst)
+                .unwrap();
+            assert_eq!(writer.publish().unwrap(), u64::from(generation));
+            if generation < 3 {
+                let frame = read_generation_frame(&primary, generation.into(), 1).unwrap();
+                applier.apply(&frame).unwrap();
+            }
+        }
+        assert!(writer.retire_older_generations().unwrap() >= 2, "gen-1 and gen-2 manifests go");
+        let frame = read_generation_frame(&primary, 3, 1).unwrap();
+        assert_eq!((frame.kind, frame.records.len()), (FrameKind::Delta, 2));
+        assert_eq!(applier.apply(&frame).unwrap(), ApplyOutcome::Applied(3));
+        let shipped = store_files(&primary);
+        let applied = store_files(&follower);
+        for (name, bytes) in &shipped {
+            assert!(applied.get(name) == Some(bytes), "{name} differs on the follower");
+        }
+
+        assert_eq!(writer.compact().unwrap(), 4);
+        writer.retire_older_generations().unwrap();
+        let frame = read_generation_frame(&primary, 4, 1).unwrap();
+        assert_eq!((frame.kind, frame.records.len()), (FrameKind::Compact, 0));
+        assert_eq!(applier.apply(&frame).unwrap(), ApplyOutcome::Applied(4));
+        // A generation whose files retirement did remove has no frame.
+        assert!(read_generation_frame(&primary, 3, 1).is_err());
+        std::fs::remove_dir_all(&root).ok();
     }
 
     proptest! {

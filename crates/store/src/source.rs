@@ -35,12 +35,10 @@
 use crate::mmap::FileView;
 use crate::prefetch::{AdaptiveWindow, DEFAULT_MAX_PREFETCH_LOOKAHEAD};
 use graphm_core::PartitionSource;
-use graphm_graph::delta::{
-    self, DeltaRecord, GenManifest, Overlay, DELTA_HEADER_BYTES, DELTA_OP_DELETE,
-    DELTA_RECORD_BYTES,
-};
+use graphm_graph::delta::{self, DeltaRecord, GenManifest, Overlay};
 use graphm_graph::failpoint;
-use graphm_graph::segment::{validate_segment, Manifest, StoreLayout, SEGMENT_HEADER_BYTES};
+use graphm_graph::records::{self, Record};
+use graphm_graph::segment::{Manifest, StoreLayout};
 use graphm_graph::{AtomicBitmap, Edge, GraphError, Result, VertexId, EDGE_BYTES};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -157,145 +155,81 @@ impl<T> ShareRegistry<T> {
     }
 }
 
-/// One mapped (or, on exotic platforms, decoded) segment.
-enum SegmentData {
-    /// Zero-copy: the file mapping itself, records reinterpreted in place.
-    Mapped(FileView),
-    /// Eagerly decoded records (big-endian hosts, or unmapped non-empty
-    /// views whose buffers lack `Edge` alignment).
-    Decoded(Vec<Edge>),
+/// The records of one record file — a base segment (`Records<Edge>`) or a
+/// delta segment (`Records<DeltaRecord>`) — checked once, at open: header
+/// against the manifest, every record against its own validity rule and
+/// the store's vertex range.
+enum Records<R> {
+    /// Zero-copy: the file mapping itself, `len` records viewed in place.
+    Mapped { view: FileView, len: usize },
+    /// Eagerly decoded: the only path on big-endian hosts, and for
+    /// unmapped views whose buffer lacks `R`'s alignment.
+    Decoded(Vec<R>),
 }
 
-struct Segment {
-    data: SegmentData,
-    num_edges: usize,
-}
-
-impl Segment {
-    fn open(path: &Path, expect_edges: u64) -> Result<Segment> {
-        failpoint::hit("read:segment_open")?;
-        if cfg!(target_endian = "little") {
+impl<R: Record> Records<R> {
+    /// Opens `path`, expecting `expect` records naming vertices below
+    /// `num_vertices`. A mapped file crosses `validate_point` between
+    /// mapping and validation.
+    fn open(
+        path: &Path,
+        expect: u64,
+        num_vertices: VertexId,
+        validate_point: Option<&str>,
+    ) -> Result<Records<R>> {
+        let what = path.display().to_string();
+        let mapped = if cfg!(target_endian = "little") {
             let view = FileView::open(&File::open(path)?)?;
-            failpoint::hit("read:segment_validate")?;
-            let num_edges =
-                validate_segment(view.as_slice(), Some(expect_edges), &path.display().to_string())?
-                    as usize;
-            let payload = &view.as_slice()[SEGMENT_HEADER_BYTES..];
-            let aligned = (payload.as_ptr() as usize).is_multiple_of(std::mem::align_of::<Edge>());
-            if view.is_mapped() || num_edges == 0 || aligned {
-                Ok(Segment { data: SegmentData::Mapped(view), num_edges })
-            } else {
-                // Owned fallback buffer without Edge alignment: decode.
-                let edges = graphm_graph::segment::read_segment(path)?;
-                Ok(Segment { data: SegmentData::Decoded(edges), num_edges })
+            if let Some(point) = validate_point {
+                failpoint::hit(point)?;
             }
+            let len = records::validate::<R>(view.as_slice(), Some(expect), &what)? as usize;
+            let at = records::payload::<R>(view.as_slice(), len).as_ptr() as usize;
+            (len == 0 || at.is_multiple_of(std::mem::align_of::<R>()))
+                .then_some(Records::Mapped { view, len })
         } else {
-            let edges = graphm_graph::segment::read_segment(path)?;
-            if edges.len() as u64 != expect_edges {
-                return Err(GraphError::Format(format!(
-                    "{}: manifest says {expect_edges} edges, segment holds {}",
-                    path.display(),
-                    edges.len()
-                )));
+            None
+        };
+        let opened = match mapped {
+            Some(mapped) => mapped,
+            None => Records::Decoded(records::read(path, Some(expect))?),
+        };
+        records::check_all(opened.as_slice(), num_vertices, &what)?;
+        Ok(opened)
+    }
+
+    fn as_slice(&self) -> &[R] {
+        match self {
+            Records::Mapped { len: 0, .. } => &[],
+            Records::Mapped { view, len } => {
+                let bytes = records::payload::<R>(view.as_slice(), *len);
+                // SAFETY: `open` validated that the file holds `len`
+                // records, so `bytes` is exactly `len * size_of::<R>()`
+                // in-bounds bytes of a mapping that lives as long as
+                // `self`; it chose `Mapped` only on a little-endian host
+                // with `bytes` aligned for `R`; and `R: Record` guarantees
+                // such bytes are `len` valid values of `R`.
+                unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const R, *len) }
             }
-            let num_edges = edges.len();
-            Ok(Segment { data: SegmentData::Decoded(edges), num_edges })
+            Records::Decoded(records) => records,
         }
     }
 
-    fn edges(&self) -> &[Edge] {
-        match &self.data {
-            SegmentData::Mapped(view) => {
-                if self.num_edges == 0 {
-                    return &[];
-                }
-                let bytes = &view.as_slice()
-                    [SEGMENT_HEADER_BYTES..SEGMENT_HEADER_BYTES + self.num_edges * EDGE_BYTES];
-                // SAFETY: validated at open — the range is in bounds, the
-                // pointer is 4-byte aligned (page-aligned mapping + 16-byte
-                // header; the unaligned owned case was decoded instead),
-                // `Edge` is `#[repr(C)] { u32, u32, f32 }` with no padding
-                // and no invalid bit patterns, and the file's little-endian
-                // layout matches the host's (big-endian hosts decode).
-                unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const Edge, self.num_edges) }
-            }
-            SegmentData::Decoded(edges) => edges,
-        }
-    }
-}
-
-/// One mapped (or decoded) delta segment in a partition's chain.
-enum DeltaData {
-    Mapped(FileView),
-    Decoded(Vec<DeltaRecord>),
-}
-
-struct DeltaSeg {
-    data: DeltaData,
-    num_records: usize,
-}
-
-impl DeltaSeg {
-    fn open(path: &Path, expect_records: u64) -> Result<DeltaSeg> {
-        failpoint::hit("read:delta_open")?;
-        if cfg!(target_endian = "little") {
-            let view = FileView::open(&File::open(path)?)?;
-            let num_records = delta::validate_delta_segment(
-                view.as_slice(),
-                Some(expect_records),
-                &path.display().to_string(),
-            )? as usize;
-            let payload = &view.as_slice()[DELTA_HEADER_BYTES..];
-            let aligned =
-                (payload.as_ptr() as usize).is_multiple_of(std::mem::align_of::<DeltaRecord>());
-            if view.is_mapped() || num_records == 0 || aligned {
-                Ok(DeltaSeg { data: DeltaData::Mapped(view), num_records })
-            } else {
-                let records = delta::read_delta_segment(path)?;
-                Ok(DeltaSeg { data: DeltaData::Decoded(records), num_records })
-            }
-        } else {
-            let records = delta::read_delta_segment(path)?;
-            if records.len() as u64 != expect_records {
-                return Err(GraphError::Format(format!(
-                    "{}: manifest says {expect_records} records, segment holds {}",
-                    path.display(),
-                    records.len()
-                )));
-            }
-            let num_records = records.len();
-            Ok(DeltaSeg { data: DeltaData::Decoded(records), num_records })
-        }
-    }
-
-    fn records(&self) -> &[DeltaRecord] {
-        match &self.data {
-            DeltaData::Mapped(view) => {
-                if self.num_records == 0 {
-                    return &[];
-                }
-                let bytes = &view.as_slice()[DELTA_HEADER_BYTES
-                    ..DELTA_HEADER_BYTES + self.num_records * DELTA_RECORD_BYTES];
-                // SAFETY: same argument as [`Segment::edges`] —
-                // `DeltaRecord` is `#[repr(C)] { u32, u32, f32, u32 }`
-                // (16 bytes, no padding, every bit pattern inhabited), the
-                // range was validated at open, and the 16-byte header
-                // keeps the array 4-byte aligned in the page-aligned
-                // mapping. Operation tags are validated by the view
-                // builder before any record is applied.
-                unsafe {
-                    std::slice::from_raw_parts(
-                        bytes.as_ptr() as *const DeltaRecord,
-                        self.num_records,
-                    )
-                }
-            }
-            DeltaData::Decoded(records) => records,
-        }
+    fn len(&self) -> usize {
+        self.as_slice().len()
     }
 
     fn payload_bytes(&self) -> u64 {
-        (self.num_records * DELTA_RECORD_BYTES) as u64
+        (self.len() * R::BYTES) as u64
+    }
+
+    /// The mapping behind the records (decoded fallbacks have none to
+    /// advise or release).
+    fn view(&self) -> Option<&FileView> {
+        match self {
+            Records::Mapped { view, .. } => Some(view),
+            Records::Decoded(_) => None,
+        }
     }
 }
 
@@ -306,9 +240,9 @@ impl DeltaSeg {
 struct GenView {
     generation: u64,
     compactions: u64,
-    segments: Vec<Arc<Segment>>,
+    segments: Vec<Arc<Records<Edge>>>,
     base_files: Vec<String>,
-    deltas: Vec<Vec<Arc<DeltaSeg>>>,
+    deltas: Vec<Vec<Arc<Records<DeltaRecord>>>>,
     delta_files: Vec<Vec<String>>,
     /// Each non-empty chain resolved against its base (`None` = no chain:
     /// the merged view is the base itself).
@@ -345,31 +279,13 @@ impl GenView {
             None
         } else {
             let gm = GenManifest::read_from_dir(dir, generation)?;
-            if gm.layout != manifest.layout {
-                return Err(GraphError::Format(format!(
-                    "generation {generation} layout {:?} does not match base {:?}",
-                    gm.layout, manifest.layout
-                )));
-            }
-            if gm.num_vertices != manifest.num_vertices {
-                return Err(GraphError::Format(format!(
-                    "generation {generation} has {} vertices, base store has {} \
-                     (growing the vertex set requires reconversion)",
-                    gm.num_vertices, manifest.num_vertices
-                )));
-            }
-            if gm.partitions.len() != parts {
-                return Err(GraphError::Format(format!(
-                    "generation {generation} has {} partitions, base store has {parts}",
-                    gm.partitions.len()
-                )));
-            }
+            gm.check_base(manifest)?;
             Some(gm)
         };
         let nv = manifest.num_vertices;
         let mut segments = Vec::with_capacity(parts);
         let mut base_files = Vec::with_capacity(parts);
-        let mut deltas: Vec<Vec<Arc<DeltaSeg>>> = Vec::with_capacity(parts);
+        let mut deltas: Vec<Vec<Arc<Records<DeltaRecord>>>> = Vec::with_capacity(parts);
         let mut delta_files: Vec<Vec<String>> = Vec::with_capacity(parts);
         let mut overlays: Vec<Option<Arc<Overlay>>> = Vec::with_capacity(parts);
         let mut merged_edges = Vec::with_capacity(parts);
@@ -388,37 +304,23 @@ impl GenView {
                 None => (entry.file.clone(), entry.num_edges, &[][..]),
             };
             // Reuse the previous view's mapping when it serves the same
-            // file; validate (O(records)) only what was freshly opened.
+            // file; `Records::open` scans (O(records)) only what is
+            // freshly opened — records are untrusted, and every endpoint
+            // must be in range before any job indexes its vertex-state
+            // arrays with them (a typed error, not a panic).
             let reused = prev.and_then(|p| {
                 (p.base_files[pid] == base_file).then(|| Arc::clone(&p.segments[pid]))
             });
             let segment = match reused {
                 Some(seg) => seg,
                 None => {
-                    let seg = Segment::open(&dir.join(&base_file), base_num_edges)?;
-                    // Records are untrusted: every endpoint must be in
-                    // range before any job indexes its vertex-state arrays
-                    // with them (same guarantee `storage::read_edge_list`
-                    // gives, as a typed error, not a panic).
-                    for e in seg.edges() {
-                        if e.src >= nv {
-                            return Err(GraphError::VertexOutOfRange {
-                                vertex: e.src,
-                                num_vertices: nv,
-                            });
-                        }
-                        if e.dst >= nv {
-                            return Err(GraphError::VertexOutOfRange {
-                                vertex: e.dst,
-                                num_vertices: nv,
-                            });
-                        }
-                    }
-                    Arc::new(seg)
+                    failpoint::hit("read:segment_open")?;
+                    let path = dir.join(&base_file);
+                    let point = Some("read:segment_validate");
+                    Arc::new(Records::open(&path, base_num_edges, nv, point)?)
                 }
             };
-            let prev_chain: Option<(&Vec<String>, &Vec<Arc<DeltaSeg>>)> =
-                prev.map(|p| (&p.delta_files[pid], &p.deltas[pid]));
+            let prev_chain = prev.map(|p| (&p.delta_files[pid], &p.deltas[pid]));
             let mut chain_segs = Vec::with_capacity(chain.len());
             let mut chain_names = Vec::with_capacity(chain.len());
             for (at, dref) in chain.iter().enumerate() {
@@ -437,32 +339,13 @@ impl GenView {
                 let seg = match reused {
                     Some(seg) => seg,
                     None => {
-                        let seg = DeltaSeg::open(&dir.join(&dref.file), dref.num_records)?;
-                        for (i, r) in seg.records().iter().enumerate() {
-                            if r.op > DELTA_OP_DELETE {
-                                return Err(GraphError::Format(format!(
-                                    "{}: record {i} has unknown op {}",
-                                    dref.file, r.op
-                                )));
-                            }
-                            if r.src >= nv {
-                                return Err(GraphError::VertexOutOfRange {
-                                    vertex: r.src,
-                                    num_vertices: nv,
-                                });
-                            }
-                            if r.dst >= nv {
-                                return Err(GraphError::VertexOutOfRange {
-                                    vertex: r.dst,
-                                    num_vertices: nv,
-                                });
-                            }
-                        }
-                        Arc::new(seg)
+                        failpoint::hit("read:delta_open")?;
+                        let path = dir.join(&dref.file);
+                        Arc::new(Records::open(&path, dref.num_records, nv, None)?)
                     }
                 };
                 delta_bytes += seg.payload_bytes();
-                delta_records += seg.num_records as u64;
+                delta_records += seg.len() as u64;
                 chain_segs.push(seg);
                 chain_names.push(dref.file.clone());
             }
@@ -480,13 +363,13 @@ impl GenView {
                 None if chain_segs.is_empty() => None,
                 None => {
                     let records: Vec<&[DeltaRecord]> =
-                        chain_segs.iter().map(|seg| seg.records()).collect();
-                    Some(Arc::new(Overlay::resolve(segment.edges(), &records)?))
+                        chain_segs.iter().map(|seg| seg.as_slice()).collect();
+                    Some(Arc::new(Overlay::resolve(segment.as_slice(), &records)?))
                 }
             };
             let count = match &overlay {
                 Some(o) => o.merged_len() as u64,
-                None => segment.num_edges as u64,
+                None => segment.len() as u64,
             };
             let chain_payload: u64 = chain_segs.iter().map(|s| s.payload_bytes()).sum();
             let load = if let Some(p) = unchanged {
@@ -512,8 +395,8 @@ impl GenView {
                     Some(set) => set,
                     None => {
                         let mut sv: Vec<VertexId> = match &overlay {
-                            Some(o) => o.sources(segment.edges()).collect(),
-                            None => segment.edges().iter().map(|e| e.src).collect(),
+                            Some(o) => o.sources(segment.as_slice()).collect(),
+                            None => segment.as_slice().iter().map(|e| e.src).collect(),
                         };
                         sv.sort_unstable();
                         sv.dedup();
@@ -554,7 +437,7 @@ impl GenView {
     /// inserts in publish order) — bit-identical to a from-scratch
     /// conversion of the mutated graph.
     fn merged(&self, pid: usize) -> Vec<Edge> {
-        let base = self.segments[pid].edges();
+        let base = self.segments[pid].as_slice();
         match &self.overlays[pid] {
             Some(overlay) => overlay.merge(base),
             None => base.to_vec(),
@@ -564,36 +447,30 @@ impl GenView {
     /// Bytes the residency model charges for partition `pid`'s files
     /// (base payload + delta chain payload).
     fn resident_charge(&self, pid: usize) -> u64 {
-        (self.segments[pid].num_edges * EDGE_BYTES) as u64
+        self.segments[pid].payload_bytes()
             + self.deltas[pid].iter().map(|s| s.payload_bytes()).sum::<u64>()
+    }
+
+    /// Every mapping behind partition `pid`: its base, then its chain.
+    fn views(&self, pid: usize) -> impl Iterator<Item = &FileView> {
+        self.segments[pid]
+            .view()
+            .into_iter()
+            .chain(self.deltas[pid].iter().filter_map(|s| s.view()))
     }
 
     /// Issues `MADV_WILLNEED` for every mapping behind partition `pid`.
     fn advise_willneed(&self, pid: usize) {
-        if let SegmentData::Mapped(view) = &self.segments[pid].data {
+        self.views(pid).for_each(|view| {
             view.advise_willneed();
-        }
-        for seg in &self.deltas[pid] {
-            if let DeltaData::Mapped(view) = &seg.data {
-                view.advise_willneed();
-            }
-        }
+        });
     }
 
     /// Releases partition `pid`'s mappings with `MADV_DONTNEED`. Returns
     /// whether anything was actually released (decoded fallbacks cannot
     /// be).
     fn release(&self, pid: usize) -> bool {
-        let mut released = match &self.segments[pid].data {
-            SegmentData::Mapped(view) => view.advise_dontneed(),
-            SegmentData::Decoded(_) => false,
-        };
-        for seg in &self.deltas[pid] {
-            if let DeltaData::Mapped(view) = &seg.data {
-                released |= view.advise_dontneed();
-            }
-        }
-        released
+        self.views(pid).fold(false, |released, view| released | view.advise_dontneed())
     }
 }
 
@@ -977,7 +854,7 @@ impl DiskStore {
         let view = self.view();
         let mut deg = vec![0u32; self.manifest.num_vertices as usize];
         for pid in 0..self.num_partitions() {
-            let base = view.segments[pid].edges();
+            let base = view.segments[pid].as_slice();
             match &view.overlays[pid] {
                 Some(overlay) => overlay.sources(base).for_each(|src| deg[src as usize] += 1),
                 None => base.iter().for_each(|e| deg[e.src as usize] += 1),
@@ -1124,7 +1001,7 @@ impl<L: Layout> DiskSource<L> {
     /// Owned rather than borrowed so the handle never has to pin a
     /// retired generation's mappings — and its unlinked files — alive.
     pub fn edges(&self, pid: usize) -> Vec<Edge> {
-        self.store.view().segments[pid].edges().to_vec()
+        self.store.view().segments[pid].as_slice().to_vec()
     }
 
     /// Out-degrees of the currently served generation's merged view,

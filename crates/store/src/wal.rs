@@ -18,8 +18,9 @@
 //!            | count × DeltaRecord (16 bytes each)
 //! ```
 //!
-//! All fields little-endian. `len` is the payload byte length; `crc32`
-//! is IEEE CRC-32 over the payload. A frame is **committed** iff its
+//! All fields little-endian. The frame is `graphm_graph::records`' CRC
+//! envelope and the records are its `DeltaRecord` list; this module owns
+//! the 24-byte payload header. A frame is **committed** iff its
 //! full `len` bytes are present and the checksum matches — replay stops
 //! at the first frame that isn't (torn tail from a crashed append, or a
 //! corrupted record) and truncates the file back to the last committed
@@ -35,7 +36,9 @@
 //! crash window between flip and reset by dropping entries whose
 //! `target_gen` is already ≤ `CURRENT`.
 
-use graphm_graph::delta::{DeltaRecord, DELTA_RECORD_BYTES};
+use graphm_graph::delta::DeltaRecord;
+pub use graphm_graph::records::crc32;
+use graphm_graph::records::{self, Cursor};
 use graphm_graph::{failpoint, GraphError, Result};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -46,13 +49,6 @@ pub const WAL_MAGIC: &[u8; 8] = b"GMWAL001";
 
 /// Name of the write-ahead log inside a store directory.
 pub const WAL_FILE: &str = "wal.log";
-
-/// Fixed frame prefix: `len` (4) + `crc32` (4).
-pub const WAL_FRAME_HEADER_BYTES: usize = 8;
-
-/// Fixed payload prefix: `seq` (8) + `target_gen` (8) + `count` (4) +
-/// `pad` (4).
-pub const WAL_PAYLOAD_HEADER_BYTES: usize = 24;
 
 /// One committed WAL entry: a mutation batch bound for `target_gen`.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,53 +78,29 @@ pub struct WalStats {
     pub truncated_bytes: u64,
 }
 
-/// IEEE CRC-32, table-driven, dependency-free.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xedb88320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
+/// Appends one frame (envelope + payload) for a batch to `out`.
+fn encode_frame(seq: u64, target_gen: u64, batch: &[DeltaRecord], out: &mut Vec<u8>) {
+    records::seal(out, |payload| {
+        payload.extend_from_slice(&seq.to_le_bytes());
+        payload.extend_from_slice(&target_gen.to_le_bytes());
+        payload.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&[0u8; 4]); // pad
+        records::encode(batch, payload);
+    });
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// IEEE CRC-32 of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+/// Decodes one frame payload. Any violation of its layout — short
+/// header, a body that is not whole records, a count that disagrees with
+/// the body, an unknown op — is an error.
+fn decode_payload(payload: &[u8]) -> Result<WalBatch> {
+    let mut r = Cursor::new(payload, "wal frame");
+    let (seq, target_gen, count) = (r.u64("seq")?, r.u64("target_gen")?, r.u32("count")?);
+    r.u32("pad")?;
+    let records = records::decode::<DeltaRecord>(r.rest(), "wal frame")?;
+    if records.len() != count as usize {
+        return Err(r.malformed(format_args!("says {count} records, holds {}", records.len())));
     }
-    c ^ 0xffff_ffff
-}
-
-/// Serializes one frame (header + payload) for `batch`.
-fn encode_frame(seq: u64, target_gen: u64, records: &[DeltaRecord]) -> Vec<u8> {
-    let payload_len = WAL_PAYLOAD_HEADER_BYTES + records.len() * DELTA_RECORD_BYTES;
-    let mut frame = Vec::with_capacity(WAL_FRAME_HEADER_BYTES + payload_len);
-    frame.extend_from_slice(&(payload_len as u32).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]); // crc placeholder
-    frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&target_gen.to_le_bytes());
-    frame.extend_from_slice(&(records.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&[0u8; 4]); // pad
-    for r in records {
-        frame.extend_from_slice(&r.src.to_le_bytes());
-        frame.extend_from_slice(&r.dst.to_le_bytes());
-        frame.extend_from_slice(&r.weight.to_le_bytes());
-        frame.extend_from_slice(&r.op.to_le_bytes());
-    }
-    let crc = crc32(&frame[WAL_FRAME_HEADER_BYTES..]);
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
-    frame
+    Ok(WalBatch { seq, target_gen, records })
 }
 
 /// Decodes the committed prefix of a WAL byte image (everything after
@@ -142,53 +114,13 @@ pub fn replay_wal_bytes(bytes: &[u8]) -> (Vec<WalBatch>, usize) {
         return (Vec::new(), 0);
     }
     let mut batches = Vec::new();
-    let mut pos = WAL_MAGIC.len();
-    loop {
-        let frame_start = pos;
-        if bytes.len() - pos < WAL_FRAME_HEADER_BYTES {
-            return (batches, frame_start);
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        pos += WAL_FRAME_HEADER_BYTES;
-        if len < WAL_PAYLOAD_HEADER_BYTES
-            || !(len - WAL_PAYLOAD_HEADER_BYTES).is_multiple_of(DELTA_RECORD_BYTES)
-            || bytes.len() - pos < len
-        {
-            return (batches, frame_start);
-        }
-        let payload = &bytes[pos..pos + len];
-        if crc32(payload) != crc {
-            return (batches, frame_start);
-        }
-        let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-        let target_gen = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-        let count = u32::from_le_bytes(payload[16..20].try_into().unwrap()) as usize;
-        if count != (len - WAL_PAYLOAD_HEADER_BYTES) / DELTA_RECORD_BYTES {
-            return (batches, frame_start);
-        }
-        let mut records = Vec::with_capacity(count);
-        let mut ok = true;
-        for i in 0..count {
-            let at = WAL_PAYLOAD_HEADER_BYTES + i * DELTA_RECORD_BYTES;
-            let rec = DeltaRecord {
-                src: u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()),
-                dst: u32::from_le_bytes(payload[at + 4..at + 8].try_into().unwrap()),
-                weight: f32::from_le_bytes(payload[at + 8..at + 12].try_into().unwrap()),
-                op: u32::from_le_bytes(payload[at + 12..at + 16].try_into().unwrap()),
-            };
-            if rec.op > graphm_graph::delta::DELTA_OP_DELETE {
-                ok = false;
-                break;
-            }
-            records.push(rec);
-        }
-        if !ok {
-            return (batches, frame_start);
-        }
-        pos += len;
-        batches.push(WalBatch { seq, target_gen, records });
+    let mut rest = &bytes[WAL_MAGIC.len()..];
+    while let Ok((payload, after)) = records::open(rest, "wal frame") {
+        let Ok(batch) = decode_payload(payload) else { break };
+        batches.push(batch);
+        rest = after;
     }
+    (batches, bytes.len() - rest.len())
 }
 
 /// The open write-ahead log of one store directory. One per
@@ -249,7 +181,7 @@ impl Wal {
         let first_seq = self.next_seq;
         let mut buf = Vec::new();
         for records in batches {
-            buf.extend_from_slice(&encode_frame(self.next_seq, target_gen, records));
+            encode_frame(self.next_seq, target_gen, records, &mut buf);
             self.next_seq += 1;
             self.stats.batches += 1;
             self.stats.records += records.len() as u64;

@@ -5,8 +5,8 @@
 
 use graphm::core::{run_scheme, JobReport, PartitionSource, RunnerConfig, Scheme};
 use graphm::graph::{generators, MemoryProfile};
-use graphm::graphchi::{run_graphchi, run_graphchi_disk, GraphChiEngine};
-use graphm::gridgraph::{run_gridgraph_disk, DiskGridSource, GridGraphEngine, GridSource};
+use graphm::graphchi::{run_graphchi, GraphChiEngine};
+use graphm::gridgraph::{DiskGridSource, GridGraphEngine, GridSource};
 use graphm::store::Convert;
 use graphm::workloads::{immediate_arrivals, AlgoKind, Workbench, WorkbenchBackend};
 
@@ -64,7 +64,7 @@ fn disk_grid_source_matches_in_memory_for_paper_mix() {
     let arr = immediate_arrivals(specs.len());
     for scheme in [Scheme::Sequential, Scheme::Concurrent, Scheme::Shared] {
         let r_mem = run_scheme(scheme, wb.submissions(&specs, &arr), &mem, &cfg);
-        let r_disk = run_gridgraph_disk(scheme, wb.submissions(&specs, &arr), &disk, &cfg);
+        let r_disk = run_scheme(scheme, wb.submissions(&specs, &arr), &disk, &cfg);
         let ctx = format!("scheme {:?}", scheme);
         assert_job_reports_identical(&r_mem.jobs, &r_disk.jobs, &ctx);
         assert_eq!(r_mem.makespan_ns.to_bits(), r_disk.makespan_ns.to_bits(), "{ctx}: makespan");
@@ -108,7 +108,7 @@ fn disk_shard_source_matches_in_memory_chi() {
     let arr = immediate_arrivals(specs.len());
     for scheme in [Scheme::Sequential, Scheme::Concurrent, Scheme::Shared] {
         let r_mem = run_graphchi(scheme, wb.submissions(&specs, &arr), &engine, &cfg);
-        let r_disk = run_graphchi_disk(scheme, wb.submissions(&specs, &arr), &disk, &cfg);
+        let r_disk = run_scheme(scheme, wb.submissions(&specs, &arr), &disk, &cfg);
         assert_job_reports_identical(&r_mem.jobs, &r_disk.jobs, &format!("chi {:?}", scheme));
     }
     std::fs::remove_dir_all(&dir).ok();
