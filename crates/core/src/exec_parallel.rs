@@ -1,32 +1,72 @@
-//! Wall-clock parallel execution of real jobs: one sweep driver run by a
-//! fixed set of workers.
+//! Wall-clock parallel execution of real jobs: one sweep driver that runs
+//! concurrent *cohorts* of jobs on a fixed set of lanes.
 //!
 //! The deterministic paths ([`crate::runner`], [`crate::service`]) replay
 //! jobs through the simulated memory hierarchy on one OS thread — the
 //! right tool for bit-exact figures, the wrong one for serving real
 //! traffic. This module is the wall-clock counterpart: a
 //! [`WallClockExecutor`] preprocesses a [`PartitionSource`] once
-//! (Formula-1 chunk sizing + Algorithm-1 labelling) and then runs batches
-//! of [`GraphJob`]s through one *sweep driver*, producing
-//! [`WallJobReport`]s with real elapsed times.
+//! (Formula-1 chunk sizing + Algorithm-1 labelling) and then runs
+//! [`GraphJob`]s through the *sweep driver*, producing [`WallJobReport`]s
+//! with real elapsed times.
 //!
-//! # The sweep driver
+//! # Cohorts
 //!
-//! The work of a batch is cut into block-at-a-time tasks — *load the next
+//! A **cohort** is a group of jobs admitted together. It is the unit the
+//! driver sweeps: a cohort has its own [`GlobalTable`](crate::GlobalTable),
+//! its own §4 [`loading_order`](crate::loading_order) per sweep, its own
+//! loaded partition, ready set, pacing window and help-ahead claims —
+//! everything §3.3–§4 describe, scoped to the jobs that arrived together. One driver runs any number
+//! of cohorts at once under its one lock; a job's report is handed out
+//! **when that job retires** (§3.3.1: a job leaves the global table at
+//! convergence), and a cohort that has retired its last job is dropped.
+//! A three-sweep WCC therefore never waits out a thirty-sweep PageRank
+//! of its own cohort, and a later arrival never waits for an earlier
+//! cohort at all.
+//!
+//! **Within a cohort nothing depends on who else is in flight**: its jobs
+//! see the same loading order, the same chunk order and the same in-order
+//! apply as if the cohort ran alone, so a cohort's reports are
+//! bit-identical to [`WallClockExecutor::run_batch_single_thread`] of its
+//! jobs, whatever the number of lanes and whatever other cohorts run
+//! beside it. What cohorts *do* share is the one copy of the graph: each
+//! loads through the same [`PartitionSource`], and a source that keeps a
+//! loaded partition alive while anyone holds it (the disk store's
+//! per-partition cache) hands the second cohort an `Arc` clone instead of
+//! a second materialisation. They also share the lanes, and the source's
+//! generation pin (counted: held from the first admission until the last
+//! cohort drains).
+//!
+//! Why arrivals do not *join* a running cohort at its next sweep
+//! boundary (the cheaper design on paper): Formula 5 orders a sweep's
+//! loads over all live jobs, so a joiner changes the loading order of the
+//! jobs already running — and with it the last bits of PageRank's `f64`
+//! sums and, through label propagation order, WCC's sweep count. Measured
+//! on a prototype: 1–2 reports per 3-second run differed from their solo
+//! replay ("values equal: false", "iterations 3 vs 2"). A job's answer
+//! must not depend on who else is being served, so admission groups stay
+//! separate and only the store is shared.
+//!
+//! # The pick order
+//!
+//! The work of a cohort is cut into block-at-a-time tasks — *load the next
 //! partition*, *stream chunk `c` through job `j`*, *end job `j`'s
-//! iteration* — handed to the worker pool's `lanes` threads (the calling
-//! thread is one of them). Sweep state sits behind one lock: the
-//! [`GlobalTable`], the §4 [`loading_order`] of the current sweep, the
-//! loaded partition's shared `Arc<Vec<Edge>>`, and a ready set of
-//! `(next chunk, job)` ordered lowest chunk first. A worker takes the
-//! lowest ready entry whose chunk index is `< min(chunks in flight) +
+//! iteration* — handed to whichever lane asks next. A lane looking for
+//! work **rotates over the live cohorts**, starting after the cohort
+//! served last, and takes the first load / end / chunk task it finds;
+//! only when no cohort has one does it *help ahead* (below). A light
+//! cohort therefore gets its turn between every two tasks of a heavy
+//! one, and never queues behind a heavy cohort's help-ahead (serving the
+//! oldest cohort first would starve it until the heavy one converged).
+//! Inside a cohort the order is the old one: a worker takes the lowest
+//! ready `(chunk, job)` whose chunk index is `< min(chunks in flight) +
 //! window`, moves the job out of its slot, streams that one chunk through
 //! it with no lock held, and re-queues it at `chunk + 1`. Table 1's
 //! programming interface maps onto it as:
 //!
-//! * `Sharing()` — the hand-out: one `try_load` per `(sweep, partition)`
-//!   with interested jobs, by the worker that drained the previous
-//!   partition (it also announces the upcoming §4 window to the
+//! * `Sharing()` — the hand-out: one `try_load` per `(cohort, sweep,
+//!   partition)` with interested jobs, by the worker that drained the
+//!   previous partition (it also announces the upcoming §4 window to the
 //!   [`PrefetchHook`]); jobs that do not need the partition simply have
 //!   no entry in the ready set (Algorithm 2's suspend);
 //! * `Start()` — the window check at hand-out: co-traversing jobs stay
@@ -40,28 +80,34 @@
 //! sequence the deterministic service replays — so vertex values and
 //! iteration counts are bit-identical whatever the number of workers.
 //! Nothing blocks per chunk: a worker sleeps only when no task of any
-//! kind is available.
+//! kind is available in any cohort.
 //!
-//! Three batch modes share the preprocessing:
+//! Who drives:
 //!
-//! * [`WallClockExecutor::run_batch`] — the driver on the pool's lanes
-//!   (the paper's `-M` scheme on real cores);
-//! * [`WallClockExecutor::run_batch_single_thread`] — the same driver
-//!   with the calling thread as its only worker: the single-core
-//!   baseline, and the reference served batches are replayed against;
-//! * [`WallClockExecutor::run_batch_exclusive`] — one thread per job with
-//!   *private* loads (the `-C` baseline): every job pays `partitions ×
-//!   sweeps` loads instead of sharing them.
+//! * [`CohortDriver`] — a long-lived driver with `lanes` worker threads
+//!   of its own: [`CohortDriver::admit`] starts a cohort at once beside
+//!   whatever is running, [`CohortDriver::retired`] hands out reports as
+//!   jobs converge. The serving daemon keeps one for its lifetime.
+//! * [`WallClockExecutor::run_batch`] — one cohort through a driver on
+//!   the pool's lanes, returning when it has drained (the paper's `-M`
+//!   scheme on real cores);
+//! * [`WallClockExecutor::run_batch_single_thread`] — the same with the
+//!   calling thread as the only lane: the single-core baseline, and the
+//!   reference served cohorts are replayed against;
+//! * [`WallClockExecutor::run_batch_exclusive`] — not the driver: one
+//!   thread per job with *private* loads (the `-C` baseline), every job
+//!   paying `partitions × sweeps` loads instead of sharing them.
 //!
 //! # Help-ahead
 //!
 //! Jobs saturate the lanes only while they outnumber them. A worker that
-//! finds no runnable chunk *helps ahead*: it runs the order-insensitive
-//! slice of an upcoming chunk of a job in the current partition and parks
-//! the output for that job's in-order apply, so a single heavy job uses
-//! idle lanes too (the paper's Figure-20 regime at low concurrency):
+//! finds no runnable chunk in any cohort *helps ahead*: it runs the
+//! order-insensitive slice of an upcoming chunk of a job in a loaded
+//! partition and parks the output for that job's in-order apply, so a
+//! single heavy job uses idle lanes too (the paper's Figure-20 regime at
+//! low concurrency):
 //!
-//! * jobs with a [`GatherKernel`] (PageRank-family): the helper computes
+//! * jobs with a [`GatherKernel`](crate::GatherKernel) (PageRank-family): the helper computes
 //!   per-edge contributions from iteration-stable state, and the job
 //!   applies them serially in edge order, so every floating-point
 //!   accumulation happens in the sequential order;
@@ -74,31 +120,34 @@
 //! A job whose next chunk a helper is still computing is set aside — not
 //! waited for — and its worker moves on to other tasks.
 //!
-//! Failure isolation: a failed load retires exactly the jobs that needed
-//! the partition; a panic in any task of a job is caught and retires that
-//! job alone. Either way the job's report carries
-//! [`WallJobReport::error`] and its co-batched peers keep sweeping.
+//! Failure isolation: a failed load retires exactly the jobs *of that
+//! cohort* that needed the partition; a panic in any task of a job is
+//! caught and retires that job alone. Either way the job's report carries
+//! [`WallJobReport::error`] and its peers — in its cohort and in every
+//! other — keep sweeping. A lane that dies *outside* a task (a bug in the
+//! driver itself) cannot be isolated: the driver is marked dead, every
+//! lane leaves, and whoever waits on it panics instead of hanging.
 
-use crate::chunk::Chunk;
-use crate::global_table::GlobalTable;
+mod driver;
+
+pub use driver::{CohortDriver, CohortId};
+
 use crate::graphm::{GraphM, GraphMConfig};
-use crate::job::{GatherKernel, GraphJob, JobId};
-use crate::scheduler::{loading_order, SchedulingPolicy};
+use crate::job::{GraphJob, JobId};
+use crate::scheduler::SchedulingPolicy;
 use crate::source::PartitionSource;
-use graphm_graph::{AtomicBitmap, Edge, MemoryProfile};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use driver::Driver;
+use graphm_graph::MemoryProfile;
 use rayon::ThreadPool;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A readahead callback: called by the worker that advances the sweep,
-/// just before it loads a partition, with the ids of the partitions the
-/// §4 order will load after it. Disk-backed sources hand this to a
-/// `Prefetcher` thread that issues `madvise(MADV_WILLNEED)` ahead of the
-/// sweep (hiding cold-store latency under compute, à la GraphD's
-/// pipelined loading).
+/// A readahead callback: called by the worker that advances a cohort's
+/// sweep, just before it loads a partition, with the ids of the
+/// partitions the §4 order will load after it. Disk-backed sources hand
+/// this to a `Prefetcher` thread that issues `madvise(MADV_WILLNEED)`
+/// ahead of the sweep (hiding cold-store latency under compute, à la
+/// GraphD's pipelined loading).
 pub type PrefetchHook = Arc<dyn Fn(&[usize]) + Send + Sync>;
 
 /// Configuration of the wall-clock execution path.
@@ -164,7 +213,8 @@ impl Default for WallClockConfig {
 /// One job's wall-clock outcome.
 #[derive(Clone, Debug)]
 pub struct WallJobReport {
-    /// Batch-order id (the caller maps these to its own ids).
+    /// The job's place in its cohort, in admission order (the caller maps
+    /// these to its own ids).
     pub id: JobId,
     /// Algorithm name.
     pub name: String,
@@ -178,16 +228,17 @@ pub struct WallJobReport {
     /// streamed, help-ahead done for it, iteration ends). Time the job
     /// sat in the ready set, or waited for a partition it did not need,
     /// is not in here — `finish_ms − busy_ms` is what sharing the sweep
-    /// cost it. (The exclusive mode runs each job on a thread of its own
-    /// and reports that thread's lifetime.)
+    /// and the lanes cost it. (The exclusive mode runs each job on a
+    /// thread of its own and reports that thread's lifetime.)
     pub busy_ms: f64,
-    /// Wall milliseconds from batch start to this job's retirement.
+    /// Wall milliseconds from the cohort's admission to this job's
+    /// retirement.
     pub finish_ms: f64,
     /// Set when the job failed instead of converging — a shared load
     /// error (real or injected I/O fault) or a panicking kernel.
     /// `iterations`/`values` reflect whatever state the job reached.
     /// `None` = completed normally. A failed job never poisons its
-    /// batch: co-batched jobs finish with their usual results.
+    /// cohort: its peers finish with their usual results.
     pub error: Option<String>,
 }
 
@@ -214,21 +265,38 @@ impl WallRunReport {
     }
 }
 
-/// Preprocessed wall-clock runtime over one source. See the module docs.
-pub struct WallClockExecutor {
+/// What a cohort runs over: one `Init()`'s source, chunk tables and
+/// configuration. Cohorts hold it by `Arc`, so a cohort admitted through
+/// an executor stays valid whatever happens to the executor meanwhile.
+struct Core {
     source: Arc<dyn PartitionSource>,
     gm: Arc<GraphM>,
     cfg: WallClockConfig,
     prefetch: Option<PrefetchHook>,
-    /// Worker pool the sweep driver runs on; `None` = the process-wide
+}
+
+impl Core {
+    fn active_pids(&self, job: &dyn GraphJob) -> Vec<usize> {
+        self.source
+            .order()
+            .into_iter()
+            .filter(|&pid| self.gm.partition_active(pid, job.active()))
+            .collect()
+    }
+}
+
+/// Preprocessed wall-clock runtime over one source. See the module docs.
+pub struct WallClockExecutor {
+    core: Arc<Core>,
+    /// Worker pool batches run on; `None` = the process-wide
     /// [`ThreadPool::global`] pool.
     pool: Option<Arc<ThreadPool>>,
 }
 
 impl WallClockExecutor {
     /// Runs `Init()` over `source` (one labelling traversal) and returns
-    /// an executor ready to serve batches. `prefetch` is announced the
-    /// upcoming loading order during shared batches.
+    /// an executor ready to serve. `prefetch` is announced the upcoming
+    /// loading order of every shared sweep.
     pub fn new(
         source: Arc<dyn PartitionSource>,
         cfg: WallClockConfig,
@@ -238,7 +306,7 @@ impl WallClockExecutor {
         gm_cfg.policy = cfg.policy;
         gm_cfg.chunk_bytes_override = cfg.chunk_bytes_override;
         let gm = Arc::new(GraphM::init(source.as_ref(), cfg.state_bytes_per_vertex, gm_cfg));
-        WallClockExecutor { source, gm, cfg, prefetch, pool: None }
+        WallClockExecutor { core: Arc::new(Core { source, gm, cfg, prefetch }), pool: None }
     }
 
     /// Overrides the worker pool (the global pool otherwise). Tests use
@@ -251,77 +319,42 @@ impl WallClockExecutor {
 
     /// The Formula-1 chunk size the executor preprocessed with.
     pub fn chunk_bytes(&self) -> usize {
-        self.gm.chunk_bytes
+        self.core.gm.chunk_bytes
     }
 
     /// The preprocessed GraphM instance (chunk tables).
     pub fn graphm(&self) -> &GraphM {
-        &self.gm
+        &self.core.gm
     }
 
-    fn active_pids(&self, job: &dyn GraphJob) -> Vec<usize> {
-        self.source
-            .order()
-            .into_iter()
-            .filter(|&pid| self.gm.partition_active(pid, job.active()))
-            .collect()
-    }
-
-    /// Runs `jobs` to convergence through the sweep driver on the pool's
-    /// lanes, sharing one load per `(sweep, partition)`.
+    /// Runs `jobs` to convergence as one cohort on the pool's lanes,
+    /// sharing one load per `(sweep, partition)`.
     pub fn run_batch(&self, jobs: Vec<Box<dyn GraphJob>>) -> WallRunReport {
         let pool = self.pool.as_deref().unwrap_or_else(|| ThreadPool::global());
         self.drive(jobs, Some(pool))
     }
 
-    /// Runs `jobs` through the same sweep driver with the calling thread
-    /// as its only worker. Identical per-job partition/chunk order to
+    /// Runs `jobs` as one cohort with the calling thread as the driver's
+    /// only lane. Identical per-job partition/chunk order to
     /// [`WallClockExecutor::run_batch`], hence identical results — this
     /// is the single-core baseline the speedup bench compares against.
     pub fn run_batch_single_thread(&self, jobs: Vec<Box<dyn GraphJob>>) -> WallRunReport {
         self.drive(jobs, None)
     }
 
-    /// The sweep driver: the calling thread plus, with `pool`, its other
-    /// lanes work the batch's tasks until every job has retired.
+    /// One cohort through a driver of its own: the calling thread plus,
+    /// with `pool`, its other lanes work until every job has retired.
     fn drive(&self, jobs: Vec<Box<dyn GraphJob>>, pool: Option<&ThreadPool>) -> WallRunReport {
         let start = Instant::now();
         if jobs.is_empty() {
             return WallRunReport::default();
         }
         let lanes = pool.map_or(1, ThreadPool::num_threads);
-        let help = self.cfg.chunk_fanout && lanes > 1;
+        let driver = Driver::new(lanes);
         // Without help-ahead a worker is only ever of use to a job of its own.
-        let workers = if help { lanes } else { lanes.min(jobs.len()) };
-        let driver = Driver {
-            exec: self,
-            start,
-            window: self.cfg.window.max(2),
-            // Two chunks of lead per worker keeps every helper busy while
-            // the parked outputs still fit the cache the apply reads from.
-            help_ahead: if help { 2 * workers } else { 0 },
-            global: GlobalTable::new(self.source.num_partitions()),
-            sweep: Mutex::default(),
-            wake: Condvar::new(),
-        };
-        {
-            let mut st = driver.sweep.lock();
-            for (id, job) in jobs.into_iter().enumerate() {
-                driver.global.set_active_partitions(id, &self.active_pids(job.as_ref()));
-                st.slots.push(Slot {
-                    name: job.name().to_string(),
-                    lens: driver.lens(job.as_ref()),
-                    job: Some(job),
-                    ..Slot::default()
-                });
-            }
-            st.live = st.slots.len();
-            driver.begin_sweep(&mut st);
-        }
-        // One generation pin for the whole batch, released when it ends
-        // or unwinds: rotating sources never flip under an in-flight job.
-        self.source.sweep_begin();
-        let _pin = PinGuard(self.source.as_ref());
+        let workers = if driver.helps(&self.core) { lanes } else { lanes.min(jobs.len()) };
+        driver.admit(&self.core, jobs);
+        driver.close();
         match pool {
             Some(pool) if workers > 1 => pool.scope(|s| {
                 for _ in 1..workers {
@@ -331,17 +364,10 @@ impl WallClockExecutor {
             }),
             _ => driver.work(),
         }
-        let mut st = driver.sweep.lock();
-        let jobs = st
-            .slots
-            .iter_mut()
-            .map(|slot| slot.report.take().expect("workers return once every job has retired"))
-            .collect();
-        WallRunReport {
-            jobs,
-            total_ms: start.elapsed().as_secs_f64() * 1e3,
-            partition_loads: st.loads,
-        }
+        let (retired, partition_loads) = driver.retired(Duration::ZERO);
+        let mut jobs: Vec<WallJobReport> = retired.into_iter().map(|(_, report)| report).collect();
+        jobs.sort_by_key(|report| report.id);
+        WallRunReport { jobs, total_ms: start.elapsed().as_secs_f64() * 1e3, partition_loads }
     }
 
     /// Runs `jobs` on one thread each with *private* loading — every job
@@ -356,9 +382,9 @@ impl WallClockExecutor {
         let names: Vec<String> = jobs.iter().map(|j| j.name().to_string()).collect();
         let mut handles = Vec::with_capacity(jobs.len());
         for (id, mut job) in jobs.into_iter().enumerate() {
-            let source = Arc::clone(&self.source);
-            let gm = Arc::clone(&self.gm);
-            let max_iterations = self.cfg.max_iterations;
+            let source = Arc::clone(&self.core.source);
+            let gm = Arc::clone(&self.core.gm);
+            let max_iterations = self.core.cfg.max_iterations;
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("graphm-excl-{id}"))
@@ -449,550 +475,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Releases the batch's generation pin, also when the batch unwinds.
-struct PinGuard<'a>(&'a dyn PartitionSource);
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        self.0.sweep_end();
-    }
-}
-
-/// The iteration-stable half of a job's edge function — what helping
-/// ahead for the job takes. Re-extracted every iteration and dropped
-/// before `end_iteration` mutates the state it shares.
-#[derive(Clone)]
-enum Lens {
-    Kernel(Arc<dyn GatherKernel>),
-    /// A copy of [`GraphJob::active`], stable for the iteration by the
-    /// trait contract.
-    Frontier(Arc<AtomicBitmap>),
-}
-
-/// One chunk ahead of its job's position.
-enum Ahead {
-    /// A helper is computing it.
-    Claimed,
-    /// The chunk's per-edge contributions, in edge order.
-    Gathered(Vec<f64>),
-    /// Chunk-relative indices of the active-source edges, ascending.
-    Filtered(Vec<u32>),
-}
-
-/// One job's seat in the driver.
-#[derive(Default)]
-struct Slot {
-    /// The job, home between its tasks; `None` while a worker runs one.
-    job: Option<Box<dyn GraphJob>>,
-    name: String,
-    /// Iterations ended (the `max_iterations` guard).
-    iters: usize,
-    edges_processed: u64,
-    /// Summed wall time of the job's tasks.
-    busy: Duration,
-    /// The first failure — a load error or a caught panic. A failed job
-    /// is pulled out of the sweep and retires at its next task.
-    error: Option<String>,
-    /// Set at retirement.
-    report: Option<WallJobReport>,
-    lens: Option<Lens>,
-    /// Partitions of the current sweep this job has yet to finish.
-    parts_left: usize,
-    /// Whether the job is still streaming the loaded partition.
-    in_part: bool,
-    /// The chunk the job is queued at, streaming, or set aside at.
-    pos: usize,
-    /// Set aside: a helper holds chunk `pos` and has not parked it yet.
-    /// `pos` stays in the in-flight set meanwhile, so the window holds.
-    waiting: bool,
-    /// Chunks past `pos` that helpers have claimed or parked.
-    ahead: BTreeMap<usize, Ahead>,
-    /// First chunk no helper has claimed (claims only move forward).
-    help_to: usize,
-}
-
-/// The loaded partition.
-struct Part {
-    pid: usize,
-    /// The one shared copy of its edges.
-    edges: Arc<Vec<Edge>>,
-    /// The jobs it was loaded for.
-    jobs: Vec<JobId>,
-    /// How many of them are still streaming it.
-    pending: usize,
-}
-
-/// Sweep state, behind the driver's one lock.
-#[derive(Default)]
-struct Sweep {
-    slots: Vec<Slot>,
-    /// The rest of the current sweep: `(partition, interested jobs)` in
-    /// §4 order, fixed when the sweep begins.
-    plan: VecDeque<(usize, Vec<JobId>)>,
-    /// Live jobs whose iteration-end task for this sweep is not done.
-    unended: usize,
-    /// Jobs not retired.
-    live: usize,
-    part: Option<Part>,
-    /// A worker is loading the plan's next partition.
-    loading: bool,
-    loads: u64,
-    /// `(next chunk, job)` of the jobs streaming `part`, lowest first.
-    ready: BTreeSet<(usize, JobId)>,
-    /// The chunk indices being streamed (or held by a set-aside job), at
-    /// most two per worker, in no order: the window is measured from the
-    /// lowest.
-    inflight: Vec<usize>,
-    /// Jobs done with this sweep's partitions, awaiting `end_iteration`.
-    ends: VecDeque<JobId>,
-    /// Workers asleep on the driver's condvar.
-    sleepers: usize,
-}
-
-impl Sweep {
-    fn inflight_remove(&mut self, chunk: usize) {
-        let at = self.inflight.iter().position(|&c| c == chunk).expect("chunk is in flight");
-        self.inflight.swap_remove(at);
-    }
-
-    /// `id` is done with the loaded partition; the last one out drops it
-    /// (the next pick loads the plan's next partition).
-    fn leave_part(&mut self, id: JobId) {
-        self.slots[id].in_part = false;
-        let part = self.part.as_mut().expect("a streaming job implies a loaded partition");
-        part.pending -= 1;
-        if part.pending == 0 {
-            self.part = None;
-        }
-    }
-}
-
-/// A task the sweep can hand to a worker, best first.
-enum Pick {
-    Load,
-    End,
-    Chunk(JobId, usize),
-    Help(JobId, usize),
-}
-
-type Locked<'a> = MutexGuard<'a, Sweep>;
-
-/// One batch's sweep driver. Every method taking a [`Locked`] runs one
-/// task: it takes the task's inputs out of the sweep, computes with the
-/// sweep unlocked, and books the outcome back.
-struct Driver<'a> {
-    exec: &'a WallClockExecutor,
-    start: Instant,
-    window: usize,
-    /// How many chunks past its job's position a helper may claim; 0 =
-    /// no helping ahead.
-    help_ahead: usize,
-    /// Partition → interested-jobs table (§3.3.1), rewritten per job at
-    /// its iteration's end — like the sweep, only with the lock held.
-    global: GlobalTable,
-    sweep: Mutex<Sweep>,
-    wake: Condvar,
-}
-
-impl Driver<'_> {
-    /// A worker: runs tasks until every job has retired, sleeping only
-    /// when the sweep has none to give.
-    fn work(&self) {
-        let mut st = self.sweep.lock();
-        loop {
-            st = match self.pick(&st, self.help_ahead) {
-                Some(Pick::Load) => self.load(st),
-                Some(Pick::End) => self.end(st),
-                Some(Pick::Chunk(id, chunk)) => self.chunk(st, id, chunk),
-                Some(Pick::Help(id, chunk)) => self.help(st, id, chunk),
-                None if st.live == 0 => return,
-                None => {
-                    st.sleepers += 1;
-                    self.wake.wait(&mut st);
-                    st.sleepers -= 1;
-                    st
-                }
-            };
-        }
-    }
-
-    /// The best task the sweep has for a worker that would help at most
-    /// `lead` chunks ahead of a job's position.
-    fn pick(&self, st: &Sweep, lead: usize) -> Option<Pick> {
-        if st.part.is_none() && !st.loading && !st.plan.is_empty() {
-            return Some(Pick::Load);
-        }
-        // Before the next chunk: the job that just streamed its last one
-        // is still in this worker's cache.
-        if !st.ends.is_empty() {
-            return Some(Pick::End);
-        }
-        if let Some(&(chunk, id)) = st.ready.first() {
-            // `Start()`: every co-traversing job is queued at `chunk` or
-            // later, so only the chunks in flight can be further behind.
-            if st.inflight.iter().min().is_none_or(|&min| chunk < min + self.window) {
-                return Some(Pick::Chunk(id, chunk));
-            }
-        }
-        // Nothing runnable: help the job furthest behind with its next
-        // unclaimed chunk.
-        let part = st.part.as_ref().filter(|_| lead > 0)?;
-        let chunks = self.exec.gm.tables[part.pid].chunks.len();
-        part.jobs
-            .iter()
-            .filter_map(|&id| {
-                let slot = &st.slots[id];
-                let chunk = slot.help_to.max(slot.pos + 1);
-                let open = slot.in_part && slot.error.is_none() && slot.lens.is_some();
-                (open && chunk < chunks && chunk - slot.pos <= lead).then_some((chunk, id))
-            })
-            .min()
-            .map(|(chunk, id)| Pick::Help(id, chunk))
-    }
-
-    /// Runs `task` with the sweep unlocked — waking a sleeper first when
-    /// the sweep has another task to give — and returns the lock retaken,
-    /// the task's output (or the message of the panic it ended in) and
-    /// the wall time it took. A sleeper is woken to help only once the
-    /// helpers' lead is half used up, not for every chunk the job moves.
-    fn unlocked<'s, T>(
-        &'s self,
-        st: Locked<'s>,
-        task: impl FnOnce() -> T,
-    ) -> (Locked<'s>, Result<T, String>, Duration) {
-        if st.sleepers > 0 && self.pick(&st, self.help_ahead / 2).is_some() {
-            self.wake.notify_one();
-        }
-        drop(st);
-        let begun = Instant::now();
-        let out = catch_unwind(AssertUnwindSafe(task))
-            .map_err(|payload| format!("job panicked: {}", panic_message(payload.as_ref())));
-        let took = begun.elapsed();
-        (self.sweep.lock(), out, took)
-    }
-
-    /// `Sharing()`: loads the plan's next partition — one load serves
-    /// every interested job — and queues those jobs at its first chunk.
-    /// A failed load fails exactly them; the sweep moves on.
-    fn load<'s>(&'s self, mut st: Locked<'s>) -> Locked<'s> {
-        let (pid, jobs) = st.plan.pop_front().expect("picked with a plan");
-        st.loading = true;
-        let lookahead = self.exec.cfg.max_prefetch_lookahead.max(1);
-        let upcoming: Vec<usize> = st.plan.iter().map(|&(pid, _)| pid).take(lookahead).collect();
-        let (mut st, loaded, _) = self.unlocked(st, || {
-            // Feed the readahead thread before paying for the load: the
-            // upcoming window is advised while this partition is loaded
-            // and processed.
-            if let Some(hook) = self.exec.prefetch.as_ref().filter(|_| !upcoming.is_empty()) {
-                hook(&upcoming);
-            }
-            self.exec.source.try_load(pid).map_err(|e| e.to_string())
-        });
-        st.loading = false;
-        st.loads += 1;
-        match loaded.and_then(|loaded| loaded) {
-            Ok(edges) => {
-                debug_assert!(!self.exec.gm.tables[pid].chunks.is_empty(), "active implies chunks");
-                st.part = Some(Part { pid, edges, pending: jobs.len(), jobs: jobs.clone() });
-                for id in jobs {
-                    st.slots[id].in_part = true;
-                    st.slots[id].help_to = 0;
-                    self.queue(&mut st, id, 0);
-                }
-            }
-            Err(msg) => {
-                for id in jobs {
-                    self.fail(&mut st, id, msg.clone());
-                }
-            }
-        }
-        st
-    }
-
-    /// Streams `chunk` of the loaded partition through job `id`.
-    fn chunk<'s>(&'s self, mut st: Locked<'s>, id: JobId, chunk: usize) -> Locked<'s> {
-        st.ready.remove(&(chunk, id));
-        st.inflight.push(chunk);
-        let part = st.part.as_ref().expect("a queued chunk implies a loaded partition");
-        let (pid, edges) = (part.pid, Arc::clone(&part.edges));
-        let slot = &mut st.slots[id];
-        let mut job = slot.job.take().expect("a queued job is home");
-        let parked = slot.ahead.remove(&chunk);
-        let (mut st, streamed, took) = self.unlocked(st, || {
-            stream(job.as_mut(), &self.exec.gm.tables[pid].chunks[chunk], &edges, parked)
-        });
-        st.inflight_remove(chunk);
-        let slot = &mut st.slots[id];
-        slot.job = Some(job);
-        slot.busy += took;
-        // A helper of this job may have failed it while it was away.
-        let failed = slot.error.is_some();
-        match streamed {
-            Ok(streamed) => {
-                slot.edges_processed += streamed;
-                if failed {
-                    self.pull(&mut st, id);
-                } else {
-                    self.queue(&mut st, id, chunk + 1);
-                }
-            }
-            Err(msg) => self.fail(&mut st, id, msg),
-        }
-        st
-    }
-
-    /// Help-ahead: runs job `id`'s lens over `chunk` and parks the output
-    /// for the job's in-order apply.
-    fn help<'s>(&'s self, mut st: Locked<'s>, id: JobId, chunk: usize) -> Locked<'s> {
-        let part = st.part.as_ref().expect("helping implies a loaded partition");
-        let (pid, edges) = (part.pid, Arc::clone(&part.edges));
-        let slot = &mut st.slots[id];
-        slot.ahead.insert(chunk, Ahead::Claimed);
-        slot.help_to = chunk + 1;
-        let lens = slot.lens.clone().expect("picked for its lens");
-        // `move`: the helper's clone of the lens must be gone before the
-        // outcome is booked — the job may end its iteration right after.
-        let (mut st, parked, took) = self.unlocked(st, move || {
-            let chunk = &self.exec.gm.tables[pid].chunks[chunk];
-            let edges = &edges[chunk.edges.clone()];
-            match lens {
-                Lens::Kernel(kernel) => {
-                    let mut gathered = Vec::with_capacity(edges.len());
-                    kernel.gather(edges, &mut gathered);
-                    Ahead::Gathered(gathered)
-                }
-                Lens::Frontier(frontier) => {
-                    assert!(edges.len() <= u32::MAX as usize, "chunks are cache-sized");
-                    let mut active = Vec::new();
-                    // Same chunk-level skip the serial loop performs.
-                    if chunk.any_active(&frontier) {
-                        for (i, e) in edges.iter().enumerate() {
-                            if frontier.get(e.src as usize) {
-                                active.push(i as u32);
-                            }
-                        }
-                    }
-                    Ahead::Filtered(active)
-                }
-            }
-        });
-        let slot = &mut st.slots[id];
-        slot.busy += took;
-        // A job pulled meanwhile (it failed elsewhere) holds no claims.
-        if !matches!(slot.ahead.get(&chunk), Some(Ahead::Claimed)) {
-            return st;
-        }
-        match parked {
-            Ok(parked) => {
-                slot.ahead.insert(chunk, parked);
-                if slot.waiting && slot.pos == chunk {
-                    slot.waiting = false;
-                    st.inflight_remove(chunk);
-                    st.ready.insert((chunk, id));
-                }
-            }
-            Err(msg) => self.fail(&mut st, id, msg),
-        }
-        st
-    }
-
-    /// Ends job `id`'s iteration: `end_iteration`, then either its active
-    /// partitions for the next sweep or its retirement. A failed job
-    /// retires without ending the iteration. The last job to end begins
-    /// the next sweep.
-    fn end<'s>(&'s self, mut st: Locked<'s>) -> Locked<'s> {
-        let id = st.ends.pop_front().expect("picked with a job to end");
-        let slot = &mut st.slots[id];
-        let mut job = slot.job.take().expect("a job between sweeps is home");
-        slot.lens = None;
-        slot.iters += 1;
-        let (iters, failed) = (slot.iters, slot.error.is_some());
-        let (mut st, ended, took) = self.unlocked(st, move || {
-            let done = failed || job.end_iteration() || iters >= self.exec.cfg.max_iterations;
-            let pids = if done { Vec::new() } else { self.exec.active_pids(job.as_ref()) };
-            if pids.is_empty() {
-                Err(self.report(id, job.name(), job.iterations(), job.vertex_values()))
-            } else {
-                Ok((self.lens(job.as_ref()), pids, job))
-            }
-        });
-        let slot = &mut st.slots[id];
-        slot.busy += took;
-        let retired = match ended {
-            Ok(Ok((lens, pids, job))) => {
-                slot.job = Some(job);
-                slot.lens = lens;
-                self.global.set_active_partitions(id, &pids);
-                None
-            }
-            Ok(Err(report)) => Some(report),
-            // The job went with the panic; report what the driver knows.
-            Err(msg) => {
-                slot.error.get_or_insert(msg);
-                Some(self.report(id, &slot.name, 0, Vec::new()))
-            }
-        };
-        if let Some(mut report) = retired {
-            let slot = &mut st.slots[id];
-            report.edges_processed = slot.edges_processed;
-            report.busy_ms = slot.busy.as_secs_f64() * 1e3;
-            report.error = slot.error.take();
-            slot.report = Some(report);
-            self.global.remove_job(id);
-            st.live -= 1;
-        }
-        st.unended -= 1;
-        if st.unended == 0 {
-            if st.live > 0 {
-                self.begin_sweep(&mut st);
-            } else {
-                self.wake.notify_all();
-            }
-        }
-        st
-    }
-
-    /// A report stamped with the time since batch start; the caller fills
-    /// in what the slot accumulated.
-    fn report(&self, id: JobId, name: &str, iterations: usize, values: Vec<f64>) -> WallJobReport {
-        WallJobReport {
-            id,
-            name: name.to_string(),
-            iterations,
-            edges_processed: 0,
-            values,
-            busy_ms: 0.0,
-            finish_ms: self.start.elapsed().as_secs_f64() * 1e3,
-            error: None,
-        }
-    }
-
-    fn lens(&self, job: &dyn GraphJob) -> Option<Lens> {
-        if self.help_ahead == 0 {
-            None
-        } else if job.skips_inactive() {
-            Some(Lens::Frontier(Arc::new(job.active().clone())))
-        } else {
-            job.gather_kernel().map(Lens::Kernel)
-        }
-    }
-
-    /// Fixes the coming sweep's plan: the §4 loading order over the
-    /// global table as the jobs' iteration ends left it.
-    fn begin_sweep(&self, st: &mut Sweep) {
-        let order = loading_order(&self.global, self.exec.cfg.policy);
-        st.plan = order.into_iter().map(|pid| (pid, self.global.jobs_for(pid))).collect();
-        let Sweep { slots, plan, ends, .. } = st;
-        for slot in slots.iter_mut() {
-            slot.parts_left = 0;
-        }
-        for &id in plan.iter().flat_map(|(_, jobs)| jobs) {
-            slots[id].parts_left += 1;
-        }
-        // A live job with nothing to stream still ends an (empty) iteration.
-        ends.extend(
-            slots
-                .iter()
-                .enumerate()
-                .filter(|(_, slot)| slot.report.is_none() && slot.parts_left == 0)
-                .map(|(id, _)| id),
-        );
-        st.unended = st.live;
-    }
-
-    /// Queues job `id` at `chunk` of the loaded partition — or sets it
-    /// aside while a helper still holds that chunk — or, past the last
-    /// chunk, takes it off the partition (`Barrier()`), and off the sweep
-    /// after its last partition.
-    fn queue(&self, st: &mut Sweep, id: JobId, chunk: usize) {
-        let pid = st.part.as_ref().expect("a streaming job implies a loaded partition").pid;
-        if chunk < self.exec.gm.tables[pid].chunks.len() {
-            st.slots[id].pos = chunk;
-            if matches!(st.slots[id].ahead.get(&chunk), Some(Ahead::Claimed)) {
-                st.slots[id].waiting = true;
-                st.inflight.push(chunk);
-            } else {
-                st.ready.insert((chunk, id));
-            }
-            return;
-        }
-        st.leave_part(id);
-        st.slots[id].parts_left -= 1;
-        if st.slots[id].parts_left == 0 {
-            st.ends.push_back(id);
-        }
-    }
-
-    /// Records job `id`'s failure and drops it from the sweep's plan. A
-    /// job that is home is pulled at once; one away on a worker is pulled
-    /// when that worker brings it back.
-    fn fail(&self, st: &mut Sweep, id: JobId, msg: String) {
-        st.slots[id].error.get_or_insert(msg);
-        for (_, jobs) in st.plan.iter_mut() {
-            jobs.retain(|&job| job != id);
-        }
-        st.plan.retain(|(_, jobs)| !jobs.is_empty());
-        if st.slots[id].job.is_some() {
-            self.pull(st, id);
-        }
-    }
-
-    /// Takes the (failed, home) job `id` off the loaded partition,
-    /// wherever it stood, and queues its retirement.
-    fn pull(&self, st: &mut Sweep, id: JobId) {
-        if st.slots[id].in_part {
-            let pos = st.slots[id].pos;
-            st.ready.remove(&(pos, id));
-            if std::mem::take(&mut st.slots[id].waiting) {
-                st.inflight_remove(pos);
-            }
-            st.slots[id].ahead.clear();
-            st.leave_part(id);
-        }
-        st.ends.push_back(id);
-    }
-}
-
-/// Streams one chunk of `edges` (its partition) through `job`: applies
-/// what a helper parked for it, or runs the serial loop.
-fn stream(job: &mut dyn GraphJob, chunk: &Chunk, edges: &[Edge], parked: Option<Ahead>) -> u64 {
-    let edges = &edges[chunk.edges.clone()];
-    match parked {
-        Some(Ahead::Gathered(gathered)) => {
-            debug_assert_eq!(gathered.len(), edges.len(), "kernel must gather every edge");
-            job.apply_gathered_chunk(edges, &gathered)
-        }
-        Some(Ahead::Filtered(active)) => {
-            for &i in &active {
-                job.process_edge(&edges[i as usize]);
-            }
-            active.len() as u64
-        }
-        Some(Ahead::Claimed) => unreachable!("a job is set aside while a helper holds its chunk"),
-        None => {
-            let skips = job.skips_inactive();
-            if skips && !chunk.any_active(job.active()) {
-                return 0;
-            }
-            let mut streamed = 0;
-            for e in edges {
-                if !skips || job.active().get(e.src as usize) {
-                    job.process_edge(e);
-                    streamed += 1;
-                }
-            }
-            streamed
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{CountingJob, EdgeOutcome};
+    use crate::global_table::GlobalTable;
+    use crate::job::{CountingJob, EdgeOutcome, GatherKernel};
+    use crate::scheduler::loading_order;
     use crate::source::VecSource;
-    use graphm_graph::generators;
+    use graphm_graph::{generators, AtomicBitmap, Edge};
     use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn source(parts: usize) -> Arc<VecSource> {
@@ -1095,9 +587,13 @@ mod tests {
     }
 
     fn assert_same_reports(a: &WallRunReport, b: &WallRunReport) {
-        assert_eq!(a.jobs.len(), b.jobs.len());
         assert_eq!(a.partition_loads, b.partition_loads, "shared load count must not change");
-        for (x, y) in a.jobs.iter().zip(&b.jobs) {
+        assert_same_jobs(&a.jobs, &b.jobs);
+    }
+
+    fn assert_same_jobs(a: &[WallJobReport], b: &[WallJobReport]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.name, y.name);
             assert_eq!(x.iterations, y.iterations, "job {}", x.id);
@@ -1703,5 +1199,286 @@ mod tests {
         assert_eq!(r.partition_loads, 0);
         assert_eq!(exec.run_batch_single_thread(Vec::new()).jobs.len(), 0);
         assert_eq!(exec.run_batch_exclusive(Vec::new()).jobs.len(), 0);
+    }
+
+    /// Every report a long-lived driver owes for `jobs` admitted jobs; a
+    /// driver that stops retiring fails the test instead of hanging it.
+    fn collect(driver: &CohortDriver, jobs: usize) -> Vec<(CohortId, WallJobReport)> {
+        let mut got = Vec::new();
+        while got.len() < jobs {
+            let retired = driver.retired(Duration::from_secs(60));
+            assert!(!retired.is_empty(), "driver stalled with {} of {jobs} reports out", got.len());
+            got.extend(retired);
+        }
+        got
+    }
+
+    /// One cohort's reports out of what a driver retired, in job order.
+    fn of_cohort(retired: &[(CohortId, WallJobReport)], cohort: CohortId) -> Vec<WallJobReport> {
+        let mut jobs: Vec<WallJobReport> =
+            retired.iter().filter(|(c, _)| *c == cohort).map(|(_, r)| r.clone()).collect();
+        jobs.sort_by_key(|r| r.id);
+        jobs
+    }
+
+    /// The jobs a generated cohort names: frontier jobs by root, counting
+    /// jobs by iteration count.
+    fn described(jobs: &[(bool, usize)]) -> Vec<Box<dyn GraphJob>> {
+        jobs.iter()
+            .map(|&(frontier, n)| match frontier {
+                true => Box::new(FrontierJob::new(256, (n * 37) % 256)) as Box<dyn GraphJob>,
+                false => Box::new(CountingJob::new(256, 1 + n % 4)) as Box<dyn GraphJob>,
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Cohorts admitted into one driver after arbitrary numbers of
+        /// each other's tasks, on 1, 2 and 4 lanes: every cohort's
+        /// reports equal its own single-thread run alone, bit for bit.
+        #[test]
+        fn cohorts_admitted_at_any_task_count_equal_their_solo_runs(
+            lanes in 0usize..3,
+            cohorts in proptest::collection::vec(
+                (proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..64), 1..5),
+                 0usize..160),
+                2..5,
+            ),
+        ) {
+            let lanes = [1, 2, 4][lanes];
+            let exec = WallClockExecutor::new(source(4), small_chunks(), None);
+            let driver = Driver::new(lanes);
+            let admitted: Vec<CohortId> = std::thread::scope(|scope| {
+                for _ in 1..lanes {
+                    scope.spawn(|| driver.work());
+                }
+                // This thread is the last lane: it admits each cohort,
+                // then works `gap` tasks of whatever is live.
+                let admit = |(jobs, gap): &(Vec<(bool, usize)>, usize)| {
+                    let cohort = driver.admit(&exec.core, described(jobs));
+                    driver.run_tasks(*gap);
+                    cohort
+                };
+                let admitted = cohorts.iter().map(admit).collect();
+                driver.close();
+                driver.work();
+                admitted
+            });
+            let (retired, loads) = driver.retired(Duration::ZERO);
+            let mut solo_loads = 0;
+            for ((jobs, _), cohort) in cohorts.iter().zip(admitted) {
+                let solo = exec.run_batch_single_thread(described(jobs));
+                assert_same_jobs(&of_cohort(&retired, cohort), &solo.jobs);
+                solo_loads += solo.partition_loads;
+            }
+            proptest::prop_assert_eq!(loads, solo_loads, "a cohort loads for itself alone");
+        }
+    }
+
+    /// A load error and a panicking kernel in cohort A fail exactly A's
+    /// interested jobs; cohort B, in flight beside it on the same lanes,
+    /// reports what it reports alone.
+    #[test]
+    fn failures_stay_inside_their_cohort() {
+        let mut cfg = WallClockConfig::new(MemoryProfile::TEST);
+        cfg.chunk_bytes_override = Some(192);
+        let interests: [&[u32]; 4] = [&[0, 1, 2], &[0], &[1, 2], &[0, 2]];
+        for lanes in [1, 2, 4] {
+            let driver = CohortDriver::spawn(lanes);
+
+            // A's source cannot load partition 1; B streams the same
+            // graph through an intact one.
+            let faulty = PinCounting::over(striped_source(), &[1]);
+            let faulty =
+                WallClockExecutor::new(faulty as Arc<dyn PartitionSource>, cfg.clone(), None);
+            let intact = WallClockExecutor::new(striped_source(), cfg.clone(), None);
+            let trace = Arc::new(Trace::default());
+            let jobs = |exec: &WallClockExecutor| -> Vec<Box<dyn GraphJob>> {
+                let jobs = interests.iter().enumerate();
+                jobs.map(|(id, pids)| trace_job(id, pids, 3, exec, &trace)).collect()
+            };
+            let alone = intact.run_batch_single_thread(jobs(&intact));
+            let (a, b) =
+                (driver.admit(&faulty, jobs(&faulty)), driver.admit(&intact, jobs(&intact)));
+            let retired = collect(&driver, 8);
+            for (id, job) in of_cohort(&retired, a).iter().enumerate() {
+                assert_eq!(job.error.is_some(), interests[id].contains(&1), "{lanes} lanes, {id}");
+            }
+            assert_same_jobs(&of_cohort(&retired, b), &alone.jobs);
+
+            // A carries a job that panics — in its own chunk, in a
+            // helper's gather, at its iteration's end.
+            let exec = WallClockExecutor::new(source(2), small_chunks(), None);
+            let alone = exec.run_batch_single_thread(mixed_jobs(4));
+            for boom in [Boom::ProcessEdge, Boom::Gather, Boom::EndIteration] {
+                if boom == Boom::Gather && lanes == 1 {
+                    continue; // nobody helps ahead on one lane
+                }
+                let mut jobs = counting_jobs(2, 2);
+                jobs.push(Saboteur::boxed(boom));
+                let (a, b) = (driver.admit(&exec, jobs), driver.admit(&exec, mixed_jobs(4)));
+                let retired = collect(&driver, 7);
+                let failed: Vec<bool> =
+                    of_cohort(&retired, a).iter().map(|job| job.error.is_some()).collect();
+                assert_eq!(failed, [false, false, true], "{lanes} lanes, {boom:?}");
+                assert_same_jobs(&of_cohort(&retired, b), &alone.jobs);
+            }
+            assert_eq!(driver.live(), 0);
+        }
+    }
+
+    /// How many rounds a stress test runs: release builds (CI runs these
+    /// under `RAYON_NUM_THREADS=1` and `=4`) take the full count.
+    fn stress_rounds(release: usize) -> usize {
+        if cfg!(debug_assertions) {
+            release / 10
+        } else {
+            release
+        }
+    }
+
+    /// Stress: thousands of tiny cohorts admitted while up to three others
+    /// are in flight, on the pool's lane count — admission, rotation,
+    /// retirement and cohort drop under maximum turnover.
+    #[test]
+    fn stress_cohorts_admitted_and_retired_back_to_back() {
+        let exec = WallClockExecutor::new(source(2), small_chunks(), None);
+        let driver = CohortDriver::spawn_pool_sized();
+        // (reports, edges processed) over everything retired so far.
+        let mut seen = (0usize, 0u64);
+        let mut book = |retired: Vec<(CohortId, WallJobReport)>| {
+            for (_, job) in &retired {
+                assert!(job.error.is_none());
+                seen.1 += job.edges_processed;
+            }
+            seen.0 += retired.len();
+            retired.len()
+        };
+        let rounds = stress_rounds(4000);
+        let shape = |round: usize| (1 + round % 3, 1 + round % 2); // (jobs, iterations)
+        let mut owed = 0;
+        for round in 0..rounds {
+            let (jobs, iters) = shape(round);
+            driver.admit(&exec, counting_jobs(jobs, iters));
+            owed += jobs;
+            while owed > 6 {
+                let retired = driver.retired(Duration::from_secs(60));
+                assert!(!retired.is_empty(), "driver stalled in round {round}");
+                owed -= book(retired);
+            }
+        }
+        book(collect(&driver, owed));
+        assert_eq!(driver.live(), 0);
+        let jobs: usize = (0..rounds).map(|round| shape(round).0).sum();
+        let sweeps: usize = (0..rounds).map(|round| shape(round).0 * shape(round).1).sum();
+        assert_eq!(
+            seen,
+            (jobs, 4096 * sweeps as u64),
+            "every edge of every iteration of every job"
+        );
+    }
+
+    /// Stress: admit → retire → idle → drop, three hundred drivers in a
+    /// row. A wakeup lost between a worker going to sleep and the driver
+    /// being dropped would hang one of the joins; the watchdog turns that
+    /// into a failure.
+    #[test]
+    fn stress_admit_retire_idle_drop() {
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let stress = std::thread::spawn(move || {
+            let exec = WallClockExecutor::new(source(2), small_chunks(), None);
+            for round in 0..stress_rounds(300) {
+                let driver = CohortDriver::spawn_pool_sized();
+                if round % 3 != 0 {
+                    driver.admit(&exec, counting_jobs(1 + round % 2, 1));
+                    collect(&driver, 1 + round % 2);
+                }
+                if round % 2 == 0 {
+                    std::thread::yield_now(); // let the workers reach their sleep
+                }
+                drop(driver);
+            }
+            done.send(()).ok();
+        });
+        let finished = watchdog.recv_timeout(Duration::from_secs(120));
+        assert!(finished.is_ok(), "a driver hung on the way from admit to drop");
+        stress.join().unwrap();
+    }
+
+    /// Panics when dropped. The driver drops a job's lens at its
+    /// iteration's end with its lock held, outside any task's
+    /// `catch_unwind` — the one place a job can kill a worker itself.
+    struct PoisonKernel;
+
+    impl GatherKernel for PoisonKernel {
+        fn gather(&self, edges: &[Edge], out: &mut Vec<f64>) {
+            out.extend(edges.iter().map(|_| 1.0));
+        }
+    }
+
+    impl Drop for PoisonKernel {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                panic!("poisoned kernel dropped");
+            }
+        }
+    }
+
+    /// A counting job that hands out [`PoisonKernel`]s.
+    struct LaneKiller(CountingJob);
+
+    impl LaneKiller {
+        fn boxed(vertices: u32) -> Box<dyn GraphJob> {
+            Box::new(LaneKiller(CountingJob::new(vertices, 2)))
+        }
+    }
+
+    impl GraphJob for LaneKiller {
+        fn name(&self) -> &str {
+            "LaneKiller"
+        }
+        fn state_bytes_per_vertex(&self) -> usize {
+            8
+        }
+        fn skips_inactive(&self) -> bool {
+            false
+        }
+        fn active(&self) -> &AtomicBitmap {
+            self.0.active()
+        }
+        fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+            self.0.process_edge(e)
+        }
+        fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
+            Some(Arc::new(PoisonKernel))
+        }
+        fn end_iteration(&mut self) -> bool {
+            self.0.end_iteration()
+        }
+        fn iterations(&self) -> usize {
+            self.0.iterations()
+        }
+        fn vertex_values(&self) -> Vec<f64> {
+            self.0.vertex_values()
+        }
+    }
+
+    /// A worker that dies outside a task takes the driver down loudly:
+    /// whoever waits for reports panics, the other workers leave, and the
+    /// drop joins — nothing hangs. A batch on a pool resurfaces the panic.
+    #[test]
+    fn a_dying_worker_fails_the_driver_instead_of_hanging_it() {
+        let exec = WallClockExecutor::new(source(2), small_chunks(), None).with_pool(pool(3));
+        let driver = CohortDriver::spawn(2);
+        driver.admit(&exec, vec![LaneKiller::boxed(256)]);
+        driver.admit(&exec, counting_jobs(2, 50));
+        let waited = catch_unwind(AssertUnwindSafe(|| loop {
+            assert!(!driver.retired(Duration::from_secs(60)).is_empty(), "stalled");
+        }));
+        let message = panic_message(waited.unwrap_err().as_ref());
+        assert!(message.contains("worker died"), "{message}");
+        drop(driver);
+        let batch = catch_unwind(AssertUnwindSafe(|| exec.run_batch(vec![LaneKiller::boxed(256)])));
+        assert!(batch.is_err(), "the batch must not return as if it had finished");
     }
 }

@@ -24,9 +24,10 @@
 //!   runtime loop (what the `graphm-server` daemon drives);
 //! * [`exec_parallel`] — the wall-clock path: `Sharing()` on real cores
 //!   (Algorithm 2, §3.3.1) as one sweep driver whose workers stream
-//!   chunks of one shared load through the jobs that need it, with
-//!   optional partition readahead (what the daemon's `wallclock` mode
-//!   drives).
+//!   chunks of one shared load through the jobs that need it — several
+//!   admission groups (*cohorts*) at once, each job leaving when it
+//!   converges — with optional partition readahead (what the daemon's
+//!   `wallclock` mode drives).
 
 pub mod chunk;
 pub mod exec;
@@ -44,7 +45,8 @@ pub mod source;
 pub use chunk::{chunk_size_bytes, label_partition, Chunk, ChunkEntry, ChunkTable};
 pub use exec::{StreamContext, StreamRun};
 pub use exec_parallel::{
-    PrefetchHook, WallClockConfig, WallClockExecutor, WallJobReport, WallRunReport,
+    CohortDriver, CohortId, PrefetchHook, WallClockConfig, WallClockExecutor, WallJobReport,
+    WallRunReport,
 };
 pub use global_table::GlobalTable;
 pub use graphm::{GraphM, GraphMConfig};

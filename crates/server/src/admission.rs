@@ -1,12 +1,13 @@
-//! Admission: the submission queue, the per-round drain policy, and the
-//! job lifecycle table — the daemon's bookkeeping between a `submit` and
-//! its report, as plain data structures under the locks `state::Shared`
-//! holds them in.
+//! Admission: the submission queue, the drain policy, and the job
+//! lifecycle table — the daemon's bookkeeping between a `submit` and its
+//! report, as plain data structures under the locks `state::Shared` holds
+//! them in.
 //!
-//! Batching: when the runtime is idle, the first arrival starts a round
-//! only after `ServerConfig::batch_window` elapses, so a concurrent burst
-//! of submissions lands in one admission and shares from the first sweep;
-//! [`drain_admissible`] then applies the round-size policy.
+//! Batching: when the runtime is idle, the first arrival is drained only
+//! after `ServerConfig::batch_window` elapses, so a concurrent burst of
+//! submissions lands in one admission and shares from the first sweep;
+//! [`drain_admissible`] then applies the in-flight Batch bound. While the
+//! runtime is busy it drains again after every advance.
 
 use crate::protocol::Priority;
 use graphm_core::{JobId, JobReport};
@@ -36,10 +37,10 @@ pub(crate) struct Pending {
 /// Submission queue: ids are assigned here, in push order. Specs, not
 /// instantiated jobs, are queued: instantiation happens at drain time on
 /// the runtime thread, so a job's out-degrees always match the generation
-/// of the round it runs in. `Priority::Batch` entries may be *retained*
-/// across drains by the round-size policy, so drain order need not match
-/// id order — an engine that numbers jobs itself keeps an explicit map
-/// back to these ids.
+/// it is admitted on. `Priority::Batch` entries may be *retained* across
+/// drains by the in-flight bound, so drain order need not match id order
+/// across drains (within one drain it does) — an engine that numbers jobs
+/// itself keeps an explicit map back to these ids.
 ///
 /// The per-tenant gauges back admission quotas: `queued` counts entries
 /// still in `pending`; `inflight` counts queued + running (decremented
@@ -75,12 +76,13 @@ impl Queue {
     }
 }
 
-/// Pops every admissible pending entry, honouring the round-size policy:
-/// `Interactive` jobs always drain; `Batch` jobs drain while the round's
-/// remaining `batch_budget` allows, and the rest stay queued *in order*
-/// for a later round. The budget is shared across all of one round's
-/// drains (the runtime drains before every step), so a deep batch backlog
-/// cannot trickle past the cap mid-round.
+/// Pops every admissible pending entry, honouring
+/// `ServerConfig::max_batch_per_round`: `Interactive` jobs always drain;
+/// `Batch` jobs drain while `batch_budget` — the cap less the Batch jobs
+/// in flight — allows, and the rest stay queued *in order* for a later
+/// drain. The runtime spends the budget here and gives it back as Batch
+/// jobs retire, so a deep batch backlog cannot trickle past the cap one
+/// advance at a time.
 pub(crate) fn drain_admissible(q: &mut Queue, batch_budget: &mut usize) -> Vec<Pending> {
     let mut admitted = Vec::new();
     let mut retained = VecDeque::new();

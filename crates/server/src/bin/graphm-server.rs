@@ -25,7 +25,7 @@ fn usage() -> ! {
          --store DIR          grid store written by graphm-convert (required)\n\
          --socket PATH        unix-domain socket to listen on\n\
          --tcp ADDR           tcp address to listen on, e.g. 127.0.0.1:7421\n\
-         --batch-window-ms N  idle-round batching window (default 20)\n\
+         --batch-window-ms N  how long an idle daemon batches arrivals (default 20)\n\
          --profile NAME       simulated memory profile (default|test)\n\
          --mode NAME          deterministic (virtual-time replay, the default) or\n\
                               wallclock (threaded sweeps + partition prefetch)\n\
@@ -34,7 +34,7 @@ fn usage() -> ! {
                               madvise(MADV_DONTNEED) (default 0 = unlimited)\n\
          --no-rotate          do not adopt delta generations published by\n\
                               graphm-delta; serve the open-time generation\n\
-                              forever (default: rotate between rounds)\n\
+                              forever (default: rotate when nothing is in flight)\n\
          --ingest             serve ingest/ingest_commit sessions: acquire the\n\
                               store's writer lease and group-commit client\n\
                               mutation batches through its WAL (off by default;\n\
@@ -50,10 +50,10 @@ fn usage() -> ! {
                               'line_too_long' error (default 1048576)\n\
          --tenant-max-pending N   per-tenant queued-jobs quota (default 0)\n\
          --tenant-max-inflight N  per-tenant queued+running quota (default 0)\n\
-         --max-batch-per-round N  admit at most N batch-priority jobs per\n\
-                              round; interactive jobs always join (default 0)\n\
+         --max-batch-per-round N  keep at most N batch-priority jobs in flight;\n\
+                              interactive jobs always join (default 0)\n\
          --shed-eviction-rate R   shed batch submissions while the store's\n\
-                              evictions-per-round EWMA exceeds R (default 0 =\n\
+                              evictions-per-admission EWMA exceeds R (default 0 =\n\
                               disabled)\n\
          --auth-token TOKEN   require an 'auth' handshake with this shared\n\
                               secret before any other request on TCP (unix\n\

@@ -19,9 +19,12 @@ pub enum ExecutionMode {
     /// figure harnesses compare against.
     #[default]
     Deterministic,
-    /// Real parallel serving: the `WallClockExecutor`'s sweep driver on
-    /// the worker pool's lanes, with a partition [`Prefetcher`](graphm_store::Prefetcher) reading
-    /// the §4 loading order ahead. Report timing
+    /// Real parallel serving: one long-lived sweep driver
+    /// ([`CohortDriver`](graphm_core::CohortDriver)) with a fixed set of
+    /// worker lanes, with a partition [`Prefetcher`](graphm_store::Prefetcher) reading
+    /// the §4 loading order ahead. Every admission runs as a cohort of
+    /// its own beside whatever is in flight, and a job is answered when
+    /// it converges. Report timing
     /// fields carry wall-clock nanoseconds; `instructions` and the
     /// simulated clock breakdown are zero.
     Wallclock,
@@ -63,9 +66,11 @@ pub struct ServerConfig {
     /// `Workbench` would use; out-of-core is derived from the store size
     /// exactly like `Workbench::runner_config`).
     pub profile: MemoryProfile,
-    /// Idle-round batching window: how long the runtime waits after the
-    /// first arrival of a fresh round before draining, so a concurrent
-    /// burst shares from sweep one.
+    /// Batching window: how long an idle runtime waits after the first
+    /// arrival before draining, so a concurrent burst shares from sweep
+    /// one. (A busy runtime drains again after every advance; in
+    /// wallclock mode an advance lasts until a job retires, at most this
+    /// long.)
     pub batch_window: Duration,
     /// Formula-1 `U_v` used for chunk sizing (8 covers every shipped
     /// algorithm; see `SharingService::new`).
@@ -85,12 +90,13 @@ pub struct ServerConfig {
     /// behind the sweep frontier with `madvise(MADV_DONTNEED)` and the
     /// `stats` response reports resident/evicted bytes.
     pub memory_budget_bytes: u64,
-    /// Check the store's `CURRENT` pointer between rounds and rotate to
-    /// newly published delta generations (on by default; `--no-rotate`
+    /// Check the store's `CURRENT` pointer before every drain and rotate
+    /// to newly published delta generations (on by default; `--no-rotate`
     /// pins the daemon to its open-time generation). Jobs always run
-    /// entirely within one generation — rotation happens only while no
-    /// round is in flight, and mutated graphs re-run `Init()`
-    /// preprocessing before the next round.
+    /// entirely within one generation — once a newer one is seen nothing
+    /// more is admitted, rotation happens when the jobs in flight have
+    /// drained, and mutated graphs re-run `Init()` preprocessing before
+    /// the next admission.
     pub auto_rotate: bool,
     /// Serve `ingest`/`ingest_commit` sessions (off by default). When on,
     /// the daemon acquires the store's **writer lease** at startup —
@@ -121,13 +127,14 @@ pub struct ServerConfig {
     pub tenant_max_pending: usize,
     /// Per-tenant cap on queued + running jobs (0 = unlimited).
     pub tenant_max_inflight: usize,
-    /// Round-size policy: at most this many `Priority::Batch` jobs are
-    /// admitted into one round/batch (0 = unlimited). `Interactive` jobs
-    /// always join the next round, so a latency-sensitive tenant is never
-    /// stuck behind a hundred-job batch backlog.
+    /// In-flight bound: at most this many `Priority::Batch` jobs run at
+    /// any moment (0 = unlimited); a retained backlog is admitted as
+    /// earlier Batch jobs retire. `Interactive` jobs are always admitted
+    /// at the next drain, so a latency-sensitive tenant is never stuck
+    /// behind a hundred-job batch backlog.
     pub max_batch_per_round: usize,
     /// Out-of-core admission signal: when the EWMA of store partition
-    /// evictions per round exceeds this, `Batch` submissions are shed
+    /// evictions per admission exceeds this, `Batch` submissions are shed
     /// with `overloaded` while `Interactive` ones are still admitted
     /// (0.0 = disabled). Sustained eviction churn means the working set
     /// no longer fits the memory budget — adding batch work would only

@@ -15,7 +15,7 @@ use crate::ingest::IngestCoordinator;
 use crate::listener::{accept_loop, listener_tcp, listener_unix};
 use crate::protocol::ServerStats;
 use crate::replication::follower_tail_loop;
-use crate::state::Shared;
+use crate::state::{Listening, Shared};
 use graphm_graph::{GraphError, Result};
 use graphm_store::{DeltaWriter, DiskGridSource, ReplicaApplier};
 use std::net::{SocketAddr, TcpListener};
@@ -82,16 +82,13 @@ impl Server {
                 // bind; a *live* daemon's socket is taken over the same
                 // way, so point two daemons at distinct paths.
                 let _ = std::fs::remove_file(path);
-                let listener = UnixListener::bind(path)?;
-                listener.set_nonblocking(true)?;
-                Some((listener, path.clone()))
+                Some((UnixListener::bind(path)?, path.clone()))
             }
             None => None,
         };
         let tcp = match &config.tcp_addr {
             Some(addr) => {
                 let listener = TcpListener::bind(addr.as_str())?;
-                listener.set_nonblocking(true)?;
                 let local = listener.local_addr()?;
                 Some((listener, local))
             }
@@ -107,6 +104,9 @@ impl Server {
             socket_path: unix.as_ref().map(|(_, path)| path.clone()),
             tcp_addr: tcp.as_ref().map(|(_, local)| *local),
         };
+        // The accept loops block: shutdown reaches them by connecting.
+        let listening = Listening { unix: server.socket_path.clone(), tcp: server.tcp_addr };
+        assert!(shared.listening.set(listening).is_ok(), "a daemon starts once");
         {
             // The engine is built on the runtime thread: `Init()` must not
             // delay the listeners.

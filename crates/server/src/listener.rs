@@ -1,4 +1,5 @@
-//! The listeners: nonblocking accept loops, one handler thread per
+//! The listeners: blocking accept loops (woken at shutdown by a
+//! connection from the daemon itself), one handler thread per
 //! connection, bounded line framing, and the dispatch from a parsed
 //! [`Request`] to the verb that answers it. Everything a socket touches is
 //! here and nothing else is — handlers reach the runtime only through the
@@ -45,9 +46,9 @@ pub(crate) enum ConnInfo {
 /// connected.
 pub(crate) type ConnPair = (Box<dyn Read + Send>, Box<dyn Write + Send>, ConnInfo);
 
-/// A polling accept function: `Ok(Some)` on connection, `Ok(None)` when
-/// none is pending (nonblocking), `Err` on listener failure.
-pub(crate) type Acceptor = Box<dyn FnMut() -> std::io::Result<Option<ConnPair>> + Send>;
+/// A blocking accept function: the next connection, or `Err` on listener
+/// failure.
+pub(crate) type Acceptor = Box<dyn FnMut() -> std::io::Result<ConnPair> + Send>;
 
 /// Reads the unix peer's kernel credentials (`SO_PEERCRED`): the uid,
 /// gid, and pid the kernel recorded at `connect`, unforgeable by the
@@ -97,34 +98,27 @@ fn peer_credentials(_stream: &UnixStream) -> Option<(u32, u32, i32)> {
 }
 
 pub(crate) fn listener_unix(listener: UnixListener, read_timeout: Duration) -> Acceptor {
-    Box::new(move || match listener.accept() {
-        Ok((stream, _)) => {
-            if let Some((uid, gid, pid)) = peer_credentials(&stream) {
-                eprintln!("[graphm-server] unix peer connected: uid={uid} gid={gid} pid={pid}");
-            }
-            let (r, w) = split_unix(stream, read_timeout)?;
-            Ok(Some((r, w, ConnInfo::Unix)))
+    Box::new(move || {
+        let (stream, _) = listener.accept()?;
+        if let Some((uid, gid, pid)) = peer_credentials(&stream) {
+            eprintln!("[graphm-server] unix peer connected: uid={uid} gid={gid} pid={pid}");
         }
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
+        let (r, w) = split_unix(stream, read_timeout)?;
+        Ok((r, w, ConnInfo::Unix))
     })
 }
 
 pub(crate) fn listener_tcp(listener: TcpListener, read_timeout: Duration) -> Acceptor {
-    Box::new(move || match listener.accept() {
-        Ok((stream, _)) => {
-            let (r, w) = split_tcp(stream, read_timeout)?;
-            Ok(Some((r, w, ConnInfo::Tcp)))
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
-        Err(e) => Err(e),
+    Box::new(move || {
+        let (stream, _) = listener.accept()?;
+        let (r, w) = split_tcp(stream, read_timeout)?;
+        Ok((r, w, ConnInfo::Tcp))
     })
 }
 
 type SplitPair = (Box<dyn Read + Send>, Box<dyn Write + Send>);
 
 fn split_unix(s: UnixStream, read_timeout: Duration) -> std::io::Result<SplitPair> {
-    s.set_nonblocking(false)?;
     if !read_timeout.is_zero() {
         s.set_read_timeout(Some(read_timeout))?;
     }
@@ -133,7 +127,6 @@ fn split_unix(s: UnixStream, read_timeout: Duration) -> std::io::Result<SplitPai
 }
 
 fn split_tcp(s: TcpStream, read_timeout: Duration) -> std::io::Result<SplitPair> {
-    s.set_nonblocking(false)?;
     if !read_timeout.is_zero() {
         s.set_read_timeout(Some(read_timeout))?;
     }
@@ -152,38 +145,38 @@ impl Drop for ConnGuard {
 }
 
 pub(crate) fn accept_loop(mut accept: Acceptor, shared: &Arc<Shared>) {
-    while !shared.is_shutting_down() {
-        match accept() {
-            Ok(Some((read, mut write, info))) => {
-                // Connection limit: shed the accept with one typed error
-                // line instead of letting handler threads (each pinning a
-                // queue of blocking reads) grow without bound.
-                if shared.config.max_connections > 0
-                    && shared.connections.load(Ordering::SeqCst) >= shared.config.max_connections
-                {
-                    let _ = write_line(
-                        write.as_mut(),
-                        &error_response_coded(
-                            "connection limit reached; retry with backoff",
-                            ERR_OVERLOADED,
-                        ),
-                    );
-                    lock(&shared.stats).connections_rejected += 1;
-                    continue;
-                }
-                shared.connections.fetch_add(1, Ordering::SeqCst);
-                let guard = ConnGuard(Arc::clone(shared));
-                // Handlers are detached: they exit at client EOF, on
-                // transport errors (including read timeouts), or when
-                // shutdown wakes their waits.
-                let _ =
-                    std::thread::Builder::new().name("graphm-conn".to_string()).spawn(move || {
-                        serve_connection(read, write, &guard.0, info);
-                    });
-            }
-            Ok(None) => std::thread::sleep(Duration::from_millis(20)),
-            Err(_) => break,
+    loop {
+        // Blocks until a client connects — or until `request_shutdown`
+        // does, to get this thread to look at the flag.
+        let accepted = accept();
+        if shared.is_shutting_down() {
+            break;
         }
+        let Ok((read, mut write, info)) = accepted else { break };
+        // Connection limit: shed the accept with one typed error line
+        // instead of letting handler threads (each pinning a queue of
+        // blocking reads) grow without bound.
+        if shared.config.max_connections > 0
+            && shared.connections.load(Ordering::SeqCst) >= shared.config.max_connections
+        {
+            let _ = write_line(
+                write.as_mut(),
+                &error_response_coded(
+                    "connection limit reached; retry with backoff",
+                    ERR_OVERLOADED,
+                ),
+            );
+            lock(&shared.stats).connections_rejected += 1;
+            continue;
+        }
+        shared.connections.fetch_add(1, Ordering::SeqCst);
+        let guard = ConnGuard(Arc::clone(shared));
+        // Handlers are detached: they exit at client EOF, on transport
+        // errors (including read timeouts), or when shutdown wakes their
+        // waits.
+        let _ = std::thread::Builder::new().name("graphm-conn".to_string()).spawn(move || {
+            serve_connection(read, write, &guard.0, info);
+        });
     }
 }
 

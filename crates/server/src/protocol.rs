@@ -94,18 +94,18 @@ pub const ERR_NOT_PRIMARY: &str = "not_primary";
 /// replica lag exceeds the `--max-replica-lag` staleness bound.
 pub const ERR_STALE_REPLICA: &str = "stale_replica";
 
-/// Priority class of a submission, wired into the daemon's round-size
-/// policy: `Interactive` jobs join every round, while the number of
-/// `Batch` jobs admitted per round can be capped
+/// Priority class of a submission, wired into the daemon's admission
+/// policy: `Interactive` jobs join every drain, while the number of
+/// `Batch` jobs in flight can be capped
 /// (`ServerConfig::max_batch_per_round`) so a latency-sensitive tenant is
 /// never stuck behind a hundred-job batch, and `Batch` submissions are
 /// shed first under eviction pressure.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Priority {
-    /// Latency-sensitive: admitted to every round, never shed by the
+    /// Latency-sensitive: admitted at every drain, never shed by the
     /// eviction-pressure signal.
     Interactive,
-    /// Throughput work (the default): round admission may be capped and
+    /// Throughput work (the default): admission may be capped and
     /// overload sheds these first.
     #[default]
     Batch,
@@ -288,7 +288,8 @@ pub struct ServerStats {
     pub jobs_submitted: u64,
     /// Jobs finished (reports published).
     pub jobs_completed: u64,
-    /// Sharing rounds the runtime thread has completed.
+    /// Admissions: non-empty drains of the submission queue. The jobs
+    /// of one admission share a traversal from their first sweep.
     pub rounds: u64,
     /// Shared partition loads performed by the runtime — one per
     /// `(sweep, partition)` with interested jobs, *not* one per job. The
@@ -319,7 +320,7 @@ pub struct ServerStats {
     /// Configured page-cache budget in bytes (0 = unlimited).
     pub memory_budget_bytes: u64,
     /// Data generation the daemon currently serves (0 = the bare base
-    /// store; delta publishes rotate it between rounds).
+    /// store; delta publishes rotate it once nothing is in flight).
     pub generation: u64,
     /// Generation rotations adopted since the daemon opened the store.
     pub generation_rotations: u64,

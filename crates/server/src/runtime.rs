@@ -5,42 +5,47 @@
 //! [`runtime_loop`] whatever executes the jobs:
 //!
 //! ```text
-//!  submission queue ──drain (round budget)──┐
-//!                                           v
+//!  submission queue ──drain (Batch jobs in flight ≤ cap)──┐
+//!                                                         v
 //!  idle → wait for an arrival → adopt generation → batch window
-//!       → round: drain → engine.advance → publish reports + wake waiters
-//!                 ^──── while jobs are in flight or the queue refills
+//!       → busy: poll generation → drain → engine.advance → publish
+//!                 ^──── while jobs are in flight or the queue refills,
+//!                       admitting nothing once a new generation waits
 //! ```
 //!
 //! An [`Engine`] only decides *how jobs execute* — its unit of work, what
 //! pins a generation, what survives a rotation, what its clock means;
-//! everything a client can observe about rounds (admission order, the
-//! round budget, rotation between rounds, publish and tenant release, the
-//! counters) is written once, in the loop. `docs/ARCHITECTURE.md` ("The
-//! server") tabulates the split.
+//! everything a client can observe about admission (its order, the
+//! in-flight Batch bound, the rotation gate, publish and tenant release,
+//! the counters) is written once, in the loop. `docs/ARCHITECTURE.md`
+//! ("The server") tabulates the split.
 //!
 //! The two engines are [`Stepper`] (deterministic mode: a `SharingService`
-//! advanced one sweep at a time, so mid-round submitters join at the next
-//! sweep boundary) and [`Batcher`] (wallclock mode: a `WallClockExecutor`
-//! plus its `Prefetcher`, one whole batch per advance, so arrivals during
-//! a batch join the next one). A reader runs entirely inside one published
-//! generation in both: the loop rotates only between rounds, with nothing
-//! in flight, and instantiates specs at drain time so a job's out-degrees
-//! match the generation it streams.
+//! advanced one sweep at a time, so submitters that find it busy join at
+//! the next sweep boundary) and [`Batcher`] (wallclock mode: a
+//! `CohortDriver` with its worker lanes plus the `Prefetcher`; every
+//! non-empty drain starts at once as a cohort of its own beside whatever
+//! is running, and an advance returns as soon as any job has retired). A
+//! reader runs entirely inside one published generation in both: the loop
+//! rotates only with nothing in flight — and stops admitting as soon as a
+//! newer generation is waiting, so that moment comes — and instantiates
+//! specs at drain time so a job's out-degrees match the generation it
+//! streams.
 
 use crate::admission::{drain_admissible, JobEntry, Queue};
 use crate::config::ExecutionMode;
+use crate::protocol::Priority;
 use crate::state::{lock, Shared};
 use graphm_cachesim::VirtualClock;
 use graphm_core::{
-    GraphJob, JobId, JobReport, PartitionSource, RunnerConfig, SharingService, WallClockConfig,
-    WallClockExecutor,
+    CohortDriver, CohortId, GraphJob, JobId, JobReport, PartitionSource, RunnerConfig,
+    SharingService, WallClockConfig, WallClockExecutor,
 };
 use graphm_graph::MemoryProfile;
 use graphm_store::{DiskGridSource, PrefetchTarget, Prefetcher};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// What [`runtime_loop`] needs from whatever executes jobs (see the module
 /// docs for the split). Job ids crossing this interface are daemon ids.
@@ -53,13 +58,16 @@ pub(crate) trait Engine {
     /// while it runs keeps the default).
     fn idle(&mut self) {}
 
-    /// The served generation changed between rounds: re-run `Init()` over
-    /// it (chunk tables are per generation), keeping [`Engine::progress`]
-    /// cumulative.
+    /// The served generation changed with nothing in flight: re-run
+    /// `Init()` over it (chunk tables are per generation), keeping
+    /// [`Engine::progress`] cumulative.
     fn rebuild(&mut self);
 
-    /// Admits `admitted` and advances by the engine's unit of work,
-    /// returning the jobs that finished in it.
+    /// Admits `admitted` — jobs that share a traversal from their first
+    /// sweep — and advances by the engine's unit of work, returning the
+    /// jobs that finished in it. Must not return empty-handed without
+    /// having let some time or work pass: the loop calls it again at once
+    /// while anything is in flight.
     fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport>;
 
     /// Whether any admitted job is still unfinished.
@@ -158,35 +166,72 @@ impl Engine for Stepper<'_> {
     }
 }
 
-/// Wallclock mode: the sweep driver on the worker pool's lanes with
-/// partition readahead fed by the §4 loading order, one whole batch per
-/// advance.
+/// Wallclock mode: one sweep driver for the runtime's life — `lanes`
+/// long-lived workers, partition readahead fed by the §4 loading order —
+/// running every non-empty drain as a *cohort* of its own.
+///
+/// A cohort starts the moment it is admitted, beside whatever is already
+/// in flight, and never mixes with it: each is bit-identical to
+/// `run_batch_single_thread` of its jobs in id order, whoever else is
+/// being served (see `graphm_core::exec_parallel`). An advance returns as
+/// soon as any job has retired, so a three-sweep WCC is answered while a
+/// thirty-sweep PageRank of the same burst is still running.
 ///
 /// Report mapping: vertex values, iterations, and edges processed are the
 /// real algorithm outcome (identical to deterministic mode); `submit_ns`/
-/// `finish_ns` are wall nanoseconds since the runtime started, batch
-/// start and the job's retirement; `clock.compute_ns` carries
+/// `finish_ns` are wall nanoseconds since the runtime started — the
+/// cohort's admission instant (equal within a cohort, distinct across
+/// cohorts) and the job's own retirement; `clock.compute_ns` carries
 /// `WallJobReport::busy_ms`, the summed wall time of the job's own tasks
 /// (so `finish_ns − submit_ns − compute_ns` is what the job spent queued
-/// behind, or paced by, its co-batched peers); `instructions` and the
-/// remaining simulated-clock fields are zero.
+/// behind, or paced by, everything else on the lanes); `instructions` and
+/// the remaining simulated-clock fields are zero.
 struct Batcher {
     store: Arc<DiskGridSource>,
     cfg: WallClockConfig,
+    /// The current generation's `Init()`. Cohorts keep the one they were
+    /// admitted under alive themselves.
     exec: WallClockExecutor,
-    /// Outlives rebuilds: it keeps feeding the same store handle.
+    /// Outlives rebuilds: the daemon's thread count is fixed at start.
+    driver: CohortDriver,
+    /// Outlives rebuilds too: it keeps feeding the same store handle.
+    /// (After `driver`, so dropped after it: no load of an abandoned
+    /// cohort announces to a stopped readahead thread.)
     prefetcher: Prefetcher,
+    /// Cohorts with a report still to come.
+    cohorts: HashMap<CohortId, Admission>,
+    /// How long an advance waits for a retirement before giving the loop
+    /// its next look at the queue.
+    window: Duration,
     /// Runtime start; report timestamps and the stats clock count from it
-    /// across rebuilds, so every batch has a distinct `submit_ns`.
+    /// across rebuilds, so every cohort has a distinct `submit_ns`.
     epoch: Instant,
-    loads: u64,
+}
+
+/// What the reports of one cohort are mapped back with.
+struct Admission {
+    submit_ns: f64,
+    /// Daemon ids in cohort order (a `WallJobReport::id` indexes it).
+    ids: Vec<JobId>,
+    /// Reports still to come.
+    left: usize,
 }
 
 impl Batcher {
-    fn new(store: Arc<DiskGridSource>, cfg: WallClockConfig) -> Batcher {
+    fn new(store: Arc<DiskGridSource>, cfg: WallClockConfig, window: Duration) -> Batcher {
         let prefetcher = Prefetcher::spawn(Arc::clone(&store) as Arc<dyn PrefetchTarget>);
         let exec = Self::init(&store, &cfg, &prefetcher);
-        Batcher { store, cfg, exec, prefetcher, epoch: Instant::now(), loads: 0 }
+        Batcher {
+            store,
+            cfg,
+            exec,
+            driver: CohortDriver::spawn_pool_sized(),
+            prefetcher,
+            cohorts: HashMap::new(),
+            // A zero window must not turn the wait into a spin.
+            window: window.max(Duration::from_millis(1)),
+            epoch: Instant::now(),
+        }
     }
 
     fn init(
@@ -208,44 +253,58 @@ impl Engine for Batcher {
     }
 
     fn rebuild(&mut self) {
+        debug_assert!(self.cohorts.is_empty(), "rotation only with nothing in flight");
         self.exec = Self::init(&self.store, &self.cfg, &self.prefetcher);
     }
 
     fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
-        let (ids, batch): (Vec<JobId>, Vec<Box<dyn GraphJob>>) = admitted.into_iter().unzip();
-        let batch_start_ns = self.epoch.elapsed().as_nanos() as f64;
-        let round = self.exec.run_batch(batch);
-        self.loads += round.partition_loads;
-        let reports = round.jobs.into_iter().zip(ids).map(|(wj, id)| JobReport {
-            id,
-            name: wj.name,
-            iterations: wj.iterations,
-            clock: VirtualClock {
-                compute_ns: wj.busy_ms * 1e6,
-                mem_access_ns: 0.0,
-                disk_ns: 0.0,
-                sync_ns: 0.0,
-            },
-            instructions: 0,
-            edges_processed: wj.edges_processed,
-            submit_ns: batch_start_ns,
-            finish_ns: batch_start_ns + wj.finish_ms * 1e6,
-            values: wj.values,
-            error: wj.error,
+        if !admitted.is_empty() {
+            let (ids, jobs): (Vec<JobId>, Vec<Box<dyn GraphJob>>) = admitted.into_iter().unzip();
+            let submit_ns = self.epoch.elapsed().as_nanos() as f64;
+            let cohort = self.driver.admit(&self.exec, jobs);
+            self.cohorts.insert(cohort, Admission { submit_ns, left: ids.len(), ids });
+        }
+        let retired = self.driver.retired(self.window);
+        let reports = retired.into_iter().map(|(cohort, wj)| {
+            let admission = self.cohorts.get_mut(&cohort).expect("a report's cohort is known");
+            let (id, submit_ns) = (admission.ids[wj.id], admission.submit_ns);
+            admission.left -= 1;
+            if admission.left == 0 {
+                self.cohorts.remove(&cohort);
+            }
+            JobReport {
+                id,
+                name: wj.name,
+                iterations: wj.iterations,
+                clock: VirtualClock {
+                    compute_ns: wj.busy_ms * 1e6,
+                    mem_access_ns: 0.0,
+                    disk_ns: 0.0,
+                    sync_ns: 0.0,
+                },
+                instructions: 0,
+                edges_processed: wj.edges_processed,
+                submit_ns,
+                finish_ns: submit_ns + wj.finish_ms * 1e6,
+                values: wj.values,
+                error: wj.error,
+            }
         });
         reports.collect()
     }
 
     fn in_flight(&self) -> bool {
-        false
+        // Not `driver.live()`: a job that has retired is in flight until
+        // its report has been handed to the loop.
+        !self.cohorts.is_empty()
     }
 
     fn progress(&self) -> (u64, f64) {
-        (self.loads, self.epoch.elapsed().as_nanos() as f64)
+        (self.driver.partition_loads(), self.epoch.elapsed().as_nanos() as f64)
     }
 }
 
-/// Body of the `graphm-runtime` thread: serves rounds with the engine
+/// Body of the `graphm-runtime` thread: serves with the engine
 /// `config.mode` names until shutdown drains the queue.
 pub(crate) fn run(shared: &Shared) {
     let config = &shared.config;
@@ -257,7 +316,7 @@ pub(crate) fn run(shared: &Shared) {
         ExecutionMode::Wallclock => run_engine(shared, || {
             let mut cfg = WallClockConfig::new(config.profile);
             cfg.state_bytes_per_vertex = state_bytes_per_vertex;
-            Batcher::new(Arc::clone(&shared.store), cfg)
+            Batcher::new(Arc::clone(&shared.store), cfg, config.batch_window)
         }),
     }
 }
@@ -270,12 +329,24 @@ fn run_engine<E: Engine>(shared: &Shared, build: impl FnOnce() -> E) {
         runtime_loop(shared, &mut build())
     }));
     if served.is_err() {
-        // A runtime panic (e.g. thread-spawn exhaustion in a wallclock
-        // batch) must not strand clients: stop admissions and fail every
-        // waiter cleanly instead of leaving them parked on done_cv.
+        // A runtime panic (e.g. a sweep-driver worker that died) must not
+        // strand clients: stop admissions and fail every waiter cleanly
+        // instead of leaving them parked on done_cv.
         shared.request_shutdown();
     }
     shared.publish_runtime_exit();
+}
+
+/// Polls the store for a newer generation (a failure is logged, not
+/// fatal: a corrupt `CURRENT` / generation manifest must not look like "no
+/// publish happened") and says whether one is waiting to be served:
+/// staged behind the pins of what is in flight, or already adopted and
+/// not yet rebuilt for.
+fn generation_waits(store: &DiskGridSource, served_gen: u64) -> bool {
+    if let Err(e) = store.refresh_generation() {
+        eprintln!("[graphm-server] generation refresh failed, serving gen {served_gen}: {e}");
+    }
+    store.staged_generation().is_some() || store.generation() != served_gen
 }
 
 fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
@@ -283,12 +354,28 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
     let mut served_gen = store.generation();
     let mut last_evictions = store.residency_stats().evictions;
     let mut eviction_ewma = 0.0f64;
-    // Whose in-flight quota each admitted job counts against.
-    let mut tenants: HashMap<JobId, String> = HashMap::new();
+    // Evictions-per-admission EWMA: the admission signal for Batch
+    // shedding under out-of-core thrash (see `shed_eviction_rate`).
+    let mut sample_evictions = || {
+        let evictions = store.residency_stats().evictions;
+        eviction_ewma = 0.5 * eviction_ewma + 0.5 * evictions.saturating_sub(last_evictions) as f64;
+        last_evictions = evictions;
+        lock(&shared.stats).eviction_rate = eviction_ewma;
+    };
+    // Whose in-flight quota, and which priority's budget, each admitted
+    // job counts against.
+    let mut admitted_as: HashMap<JobId, (String, Priority)> = HashMap::new();
+    // How many more Batch-priority jobs may be in flight. Every drain
+    // spends it and `publish` gives it back as Batch jobs retire, so a
+    // deep Batch backlog can neither trickle past the cap one advance at
+    // a time nor starve behind a steady Interactive stream.
+    let mut batch_budget =
+        if config.max_batch_per_round == 0 { usize::MAX } else { config.max_batch_per_round };
     lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
     loop {
         engine.idle();
-        // Idle: wait for the first arrival of the next round (or shutdown).
+        // Idle: wait for the first arrival of the next busy period (or
+        // shutdown).
         {
             let mut q = lock(&shared.queue);
             while q.pending.is_empty() && !shared.is_shutting_down() {
@@ -298,24 +385,17 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
                 break; // Shutdown with an empty queue.
             }
         }
-        // Between rounds — no job in flight — adopt any newly published
-        // delta generation: rotate the store's view, re-run Init() and
-        // recompute the merged out-degrees. Jobs queued for this round
+        // Nothing is in flight: adopt any newly published delta
+        // generation — rotate the store's view, re-run Init() and
+        // recompute the merged out-degrees. Jobs admitted from here on
         // run entirely against the rotated graph.
         if config.auto_rotate {
-            if let Err(e) = store.refresh_generation() {
-                // A corrupt CURRENT / generation manifest must not look
-                // like "no publish happened": keep serving the pinned
-                // generation, but say so.
-                eprintln!(
-                    "[graphm-server] generation refresh failed, serving gen {served_gen}: {e}"
-                );
-            }
-            // Rebuild on the *observed* generation, not refresh's return
-            // value: with several runtimes sharing one store handle, a
-            // peer may have adopted the rotation first.
+            generation_waits(store, served_gen);
+            // Rebuild on the *observed* generation, not on what the poll
+            // picked up: with several runtimes sharing one store handle,
+            // a peer may have adopted the rotation first.
             if store.generation() != served_gen {
-                debug_assert!(tenants.is_empty(), "finished jobs published before rotation");
+                debug_assert!(admitted_as.is_empty(), "finished jobs published before rotation");
                 served_gen = store.generation();
                 engine.rebuild();
                 *lock(&shared.out_degrees) = Arc::new(store.out_degrees());
@@ -326,58 +406,74 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
         if !config.batch_window.is_zero() {
             std::thread::sleep(config.batch_window);
         }
-        // Counted at round start so it is stable by the time any job of
-        // this round reports done.
-        lock(&shared.stats).rounds += 1;
-        // The batch budget is per *round*: every drain of the round shares
-        // it, so a deep Batch backlog cannot trickle past the cap one
-        // advance at a time while Interactive submissions always join.
-        let mut batch_budget =
-            if config.max_batch_per_round == 0 { usize::MAX } else { config.max_batch_per_round };
+        let mut admitted_any = false;
+        // A newer generation is waiting to be served (the poll above
+        // covers the first drain).
+        let mut rotating = false;
         loop {
-            let drained = drain_admissible(&mut lock(&shared.queue), &mut batch_budget);
+            let drained = if rotating {
+                Vec::new()
+            } else {
+                drain_admissible(&mut lock(&shared.queue), &mut batch_budget)
+            };
             if drained.is_empty() && !engine.in_flight() {
                 break;
             }
             let mut admitted = Vec::with_capacity(drained.len());
             if !drained.is_empty() {
+                if std::mem::replace(&mut admitted_any, true) {
+                    sample_evictions();
+                }
+                // A round is one admission — jobs that share a traversal
+                // from their first sweep. Counted before they run, so it
+                // is stable by the time any of them reports done.
+                lock(&shared.stats).rounds += 1;
                 let mut jobs = lock(&shared.jobs);
                 for p in drained {
                     jobs.entries.insert(p.id, JobEntry::Running);
                     // Instantiated here — not at submit — so the job's
-                    // out-degrees match this round's generation.
+                    // out-degrees match the generation it is admitted on.
                     admitted.push((p.id, shared.instantiate(&p.spec)));
-                    tenants.insert(p.id, p.tenant);
+                    admitted_as.insert(p.id, (p.tenant, p.priority));
                 }
             }
             let finished = engine.advance(admitted);
-            publish(shared, engine.progress(), &mut tenants, finished);
+            publish(shared, engine.progress(), &mut admitted_as, &mut batch_budget, finished);
+            // Two free-running clients never leave this loop, so the
+            // store is polled inside it too. A newer generation is
+            // adopted only once what is in flight has let go of the old
+            // one: admit nothing more, and how stale a job can run is
+            // bounded by the longest job in flight.
+            rotating = config.auto_rotate && generation_waits(store, served_gen);
         }
-        // Per-round eviction-rate EWMA: the admission signal for Batch
-        // shedding under out-of-core thrash (see `shed_eviction_rate`).
-        let evictions = store.residency_stats().evictions;
-        eviction_ewma = 0.5 * eviction_ewma + 0.5 * evictions.saturating_sub(last_evictions) as f64;
-        last_evictions = evictions;
-        lock(&shared.stats).eviction_rate = eviction_ewma;
+        if admitted_any {
+            sample_evictions();
+        }
     }
 }
 
-/// Publishes one advance: releases the finished jobs' tenant quotas,
-/// moves the daemon-wide counters, then hands the reports to the jobs
-/// table and wakes every `wait`er — in that order, so a client holding
-/// its report can resubmit at once without tripping its own quota.
+/// Publishes one advance: releases the finished jobs' tenant quotas and
+/// Batch budget, moves the daemon-wide counters, then hands the reports
+/// to the jobs table and wakes every `wait`er — in that order, so a
+/// client holding its report can resubmit at once without tripping its
+/// own quota.
 fn publish(
     shared: &Shared,
     (loads, clock_ns): (u64, f64),
-    tenants: &mut HashMap<JobId, String>,
+    admitted_as: &mut HashMap<JobId, (String, Priority)>,
+    batch_budget: &mut usize,
     finished: Vec<JobReport>,
 ) {
     let failed = finished.iter().filter(|r| r.error.is_some()).count() as u64;
     if !finished.is_empty() {
         let mut q = lock(&shared.queue);
         for report in &finished {
-            let tenant = tenants.remove(&report.id).expect("finished job was admitted here");
+            let (tenant, priority) =
+                admitted_as.remove(&report.id).expect("finished job was admitted here");
             Queue::dec(&mut q.inflight_by_tenant, &tenant);
+            if priority == Priority::Batch {
+                *batch_budget += 1;
+            }
         }
     }
     {
@@ -503,8 +599,9 @@ mod tests {
 
     /// The loop's order of business with a scripted engine in place of a
     /// real one: adopt a published generation (idle → rebuild, out-degrees
-    /// swapped) → batch window → drain in id order under one budget per
-    /// round → advance → publish (reports, counters, tenant release).
+    /// swapped) → batch window → drain in id order under the in-flight
+    /// Batch bound → advance → publish (reports, counters, tenant and
+    /// budget release).
     #[test]
     fn loop_adopts_then_windows_then_drains_advances_and_publishes() {
         let window = Duration::from_millis(40);
@@ -521,7 +618,7 @@ mod tests {
         let degrees_before = Arc::clone(&lock(&shared.out_degrees));
 
         // Two batch jobs and an interactive one, all pending at the first
-        // drain; the cap of one batch job per round defers job 1.
+        // drain; the cap of one batch job in flight defers job 1.
         let submitted = Instant::now();
         let ids = [
             enqueue(&shared, Priority::Batch),
@@ -549,12 +646,12 @@ mod tests {
         let expected = [
             "idle",
             "rebuild",
-            // Round 1: the budget admits job 0 and the interactive job 2;
-            // the re-drain while they are in flight shares that budget.
+            // The budget admits job 0 and the interactive job 2; the
+            // re-drain while they are in flight finds it spent.
             "advance[0, 2]",
             "advance[]",
-            "idle",
-            // Round 2: a fresh budget admits job 1.
+            // Job 0's retirement gave the budget back: job 1 is admitted
+            // at the next drain, without going idle first.
             "advance[1]",
             "advance[]",
             "idle",
@@ -570,6 +667,104 @@ mod tests {
         assert_eq!(stats.partition_loads, 4, "the engine's progress is published as is");
         assert!(lock(&shared.queue).inflight_by_tenant.is_empty(), "tenant quota released");
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
+        std::fs::remove_dir_all(&shared.config.store_dir).ok();
+    }
+
+    /// Panics when dropped. The sweep driver drops a job's gather kernel
+    /// at its iteration's end with the driver locked, outside any task's
+    /// `catch_unwind`: the one way a job can kill a lane itself.
+    struct PoisonKernel;
+
+    impl graphm_core::GatherKernel for PoisonKernel {
+        fn gather(&self, edges: &[graphm_graph::Edge], out: &mut Vec<f64>) {
+            out.extend(edges.iter().map(|_| 1.0));
+        }
+    }
+
+    impl Drop for PoisonKernel {
+        fn drop(&mut self) {
+            if !std::thread::panicking() {
+                panic!("poisoned kernel dropped");
+            }
+        }
+    }
+
+    /// A counting job that hands out [`PoisonKernel`]s.
+    struct LaneKiller(graphm_core::job::CountingJob);
+
+    impl GraphJob for LaneKiller {
+        fn name(&self) -> &str {
+            "LaneKiller"
+        }
+        fn state_bytes_per_vertex(&self) -> usize {
+            8
+        }
+        fn skips_inactive(&self) -> bool {
+            false
+        }
+        fn active(&self) -> &graphm_graph::AtomicBitmap {
+            self.0.active()
+        }
+        fn process_edge(&mut self, e: &graphm_graph::Edge) -> graphm_core::EdgeOutcome {
+            self.0.process_edge(e)
+        }
+        fn gather_kernel(&self) -> Option<Arc<dyn graphm_core::GatherKernel>> {
+            Some(Arc::new(PoisonKernel))
+        }
+        fn end_iteration(&mut self) -> bool {
+            self.0.end_iteration()
+        }
+        fn iterations(&self) -> usize {
+            self.0.iterations()
+        }
+        fn vertex_values(&self) -> Vec<f64> {
+            self.0.vertex_values()
+        }
+    }
+
+    /// A batcher whose every admitted job is swapped for a [`LaneKiller`].
+    struct Sabotaged(Batcher);
+
+    impl Engine for Sabotaged {
+        fn chunk_bytes(&self) -> usize {
+            self.0.chunk_bytes()
+        }
+        fn rebuild(&mut self) {
+            self.0.rebuild()
+        }
+        fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
+            let killer = || Box::new(LaneKiller(graphm_core::job::CountingJob::new(64, 2)));
+            let admitted = admitted.into_iter().map(|(id, _)| (id, killer() as Box<dyn GraphJob>));
+            self.0.advance(admitted.collect())
+        }
+        fn in_flight(&self) -> bool {
+            self.0.in_flight()
+        }
+        fn progress(&self) -> (u64, f64) {
+            self.0.progress()
+        }
+    }
+
+    /// A lane that dies outside a task's `catch_unwind` cannot be
+    /// isolated — what it held will never retire. The batcher's next
+    /// advance panics instead of waiting for it, and the runtime goes down
+    /// the way it does for any engine panic: admissions stop, the exit is
+    /// published, waiters fail, nothing hangs.
+    #[test]
+    fn a_dead_lane_takes_the_runtime_down_through_its_published_exit() {
+        let shared = fixture("lane", |c| c.batch_window = Duration::from_millis(1));
+        let id = enqueue(&shared, Priority::Batch);
+        run_engine(&shared, || {
+            let cfg = WallClockConfig::new(shared.config.profile);
+            let mut batcher = Batcher::new(Arc::clone(&shared.store), cfg, Duration::from_secs(60));
+            // Two lanes whatever `RAYON_NUM_THREADS` says: a lone lane
+            // never helps ahead, so it never holds a kernel to drop.
+            batcher.driver = CohortDriver::spawn(2);
+            Sabotaged(batcher)
+        });
+        assert!(shared.is_shutting_down());
+        assert!(shared.runtime_exited.load(Ordering::SeqCst));
+        assert!(matches!(lock(&shared.jobs).entries.get(&id), Some(JobEntry::Running)));
         std::fs::remove_dir_all(&shared.config.store_dir).ok();
     }
 

@@ -1,8 +1,9 @@
 //! The state every daemon thread shares: [`Shared`] — the admission
 //! structures under their locks, the served store, the ingest writer and
 //! the replication role — plus the `stats` / `health` snapshots read from
-//! it. Nothing here knows a socket or an engine; listeners, verbs and the
-//! runtime loop all meet through this one struct.
+//! it. Nothing here knows an engine, and of sockets only where the
+//! daemon's own listeners can be reached (to wake them at shutdown);
+//! listeners, verbs and the runtime loop all meet through this one struct.
 //!
 //! Roles: a daemon started with [`ServerConfig::follow`] runs as a
 //! **follower** — it serves read-only jobs on replicated generations
@@ -18,15 +19,47 @@ use crate::repl::ReplicationHub;
 use graphm_core::{GraphJob, PartitionSource};
 use graphm_store::{DiskGridSource, PrefetchTarget, ReplicaApplier};
 use graphm_workloads::JobSpec;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Locks `m`, recovering the guard from a poisoned mutex: every update
 /// made under the daemon's locks leaves the data valid at each step, and
 /// a panicking handler must not take the other threads down with it.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Where the daemon's listeners are bound. Their accept loops block, so
+/// [`Shared::request_shutdown`] connects here to make each one look at
+/// the shutdown flag.
+pub(crate) struct Listening {
+    pub(crate) unix: Option<PathBuf>,
+    pub(crate) tcp: Option<SocketAddr>,
+}
+
+impl Listening {
+    /// One throw-away connection per listener. Failures are ignored: a
+    /// listener that cannot be reached is not blocked in `accept` on this
+    /// address any more.
+    fn wake(&self) {
+        if let Some(path) = &self.unix {
+            drop(UnixStream::connect(path));
+        }
+        if let Some(mut addr) = self.tcp {
+            // A wildcard bind is reached through loopback.
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            drop(TcpStream::connect_timeout(&addr, Duration::from_secs(1)));
+        }
+    }
 }
 
 /// State shared between listeners, connection handlers, and the runtime.
@@ -46,6 +79,8 @@ pub(crate) struct Shared {
     /// Daemon start time, for `health` uptime.
     pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,
+    /// Set once by `Server::start`, after the binds and before any thread.
+    pub(crate) listening: OnceLock<Listening>,
     /// Set (under the `jobs` lock) when the runtime thread exits, so
     /// `wait`ers can fail cleanly instead of blocking on a job that will
     /// never be drained.
@@ -114,6 +149,7 @@ impl Shared {
             connections: AtomicUsize::new(0),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
+            listening: OnceLock::new(),
             runtime_exited: AtomicBool::new(false),
             num_vertices,
             out_degrees: Mutex::new(Arc::new(store.out_degrees())),
@@ -138,9 +174,12 @@ impl Shared {
     }
 
     pub(crate) fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.shutdown.swap(true, Ordering::SeqCst);
         self.queue_cv.notify_all();
         self.done_cv.notify_all();
+        if let Some(listening) = self.listening.get().filter(|_| first) {
+            listening.wake();
+        }
     }
 
     /// Runtime counters merged with the store's *live* residency and

@@ -653,6 +653,11 @@ impl DiskStore {
         self.views.read().unwrap_or_else(|e| e.into_inner()).current.generation
     }
 
+    fn staged_generation(&self) -> Option<u64> {
+        let views = self.views.read().unwrap_or_else(|e| e.into_inner());
+        views.incoming.as_ref().map(|view| view.generation)
+    }
+
     fn delta_stats(&self) -> DeltaStats {
         let view = self.view();
         DeltaStats {
@@ -1025,6 +1030,15 @@ impl<L: Layout> DiskSource<L> {
     /// The generation loads currently resolve against.
     pub fn generation(&self) -> u64 {
         self.store.generation()
+    }
+
+    /// The generation [`DiskSource::refresh_generation`] picked up while
+    /// sweep pins were held, if any: loads keep resolving against
+    /// [`DiskSource::generation`] until the last pin is released. A
+    /// server that sees one should stop starting work, so that the pins
+    /// can drain and the generation be adopted.
+    pub fn staged_generation(&self) -> Option<u64> {
+        self.store.staged_generation()
     }
 
     /// Delta/rotation counters (see [`DeltaStats`]).

@@ -218,6 +218,102 @@ fn daemon_rotates_between_rounds_wallclock() {
     daemon_rotation_scenario(ExecutionMode::Wallclock);
 }
 
+/// Four clients in closed loops never let the runtime go idle, so a
+/// rotation that waited for "between rounds" would never come. The loop
+/// polls the store while it is busy and stops admitting once a newer
+/// generation is waiting: what is in flight drains, the generation is
+/// adopted — `stats.generation` moves with the loops still running — and
+/// a job submitted afterwards runs on it, bit-identical to a from-scratch
+/// conversion of the mutated graph.
+fn busy_daemon_adopts_a_publish(mode: ExecutionMode) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    // Jobs long enough (milliseconds) that four closed loops overlap all
+    // the time: the runtime is never idle.
+    let g = generators::rmat(2000, 40_000, generators::RmatParams::GRAPH500, 79);
+    let dir = store_dir(&format!("busy-{}", mode.name()));
+    Convert::grid(4).write(&g, &dir).unwrap();
+
+    let mut config = ServerConfig::new(&dir);
+    config.socket_path = Some(std::env::temp_dir().join(format!(
+        "graphm-delta-busy-{}-{}.sock",
+        mode.name(),
+        std::process::id()
+    )));
+    config.profile = MemoryProfile::TEST;
+    config.batch_window = Duration::from_millis(5);
+    config.mode = mode;
+    let server = Server::start(config).expect("server starts");
+    let socket = server.socket_path().unwrap().to_path_buf();
+
+    let (stop, served) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let records = std::thread::scope(|scope| {
+        for client in 0..4 {
+            let (socket, stop, served) = (&socket, &stop, &served);
+            scope.spawn(move || {
+                // Different lengths, so the loops cannot fall into step
+                // and leave a gap when they all finish together.
+                let spec = JobSpec { max_iters: 5 + 3 * client, ..rotation_spec() };
+                let mut client = Client::connect_unix(socket).expect("connect");
+                while !stop.load(Ordering::SeqCst) {
+                    let report = client.run(&spec).expect("closed-loop job");
+                    assert!(report.error.is_none());
+                    served.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let until = |what: &str, reached: &dyn Fn() -> bool| {
+            while !reached() {
+                if std::time::Instant::now() > deadline {
+                    stop.store(true, Ordering::SeqCst); // or the scope never joins
+                    panic!("timed out waiting for {what}");
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        until("the loops to be running", &|| served.load(Ordering::SeqCst) >= 8);
+
+        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
+        let records = mutate(&mut writer, &g);
+        assert_eq!(writer.publish().unwrap(), 1);
+        let at_publish = served.load(Ordering::SeqCst);
+        until("the busy daemon to adopt generation 1", &|| server.stats().generation == 1);
+        let before = served.load(Ordering::SeqCst);
+        // Staleness is bounded by what was in flight: at most four jobs
+        // were, and at most four reports were still on their way to a
+        // counter. Waiting for an idle moment instead serves hundreds.
+        assert!(before - at_publish <= 16, "{} jobs served stale", before - at_publish);
+        until("the loops to be served on generation 1", &|| {
+            served.load(Ordering::SeqCst) >= before + 4
+        });
+        stop.store(true, Ordering::SeqCst);
+        records
+    });
+    // Alone, so that the in-memory reference of one job is its reference
+    // (co-scheduled jobs may legitimately perturb PageRank's last bits).
+    let mut mutated = g.clone();
+    apply_delta_to_edge_list(&mut mutated, &records);
+    let mut client = Client::connect_unix(&socket).expect("connect");
+    let report = client.run(&rotation_spec()).expect("job after the rotation");
+    assert_values_bits(&report.values, &reference_values(&mutated), "generation 1");
+    let stats = server.stats();
+    assert_eq!((stats.generation, stats.generation_rotations), (1, 1));
+    assert_eq!(stats.jobs_failed, 0);
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn busy_daemon_adopts_a_publish_deterministic() {
+    busy_daemon_adopts_a_publish(ExecutionMode::Deterministic);
+}
+
+#[test]
+fn busy_daemon_adopts_a_publish_wallclock() {
+    busy_daemon_adopts_a_publish(ExecutionMode::Wallclock);
+}
+
 /// A generation published *before the daemon's first job round* is
 /// served by that first round. Regression test: the idle service's
 /// construction-time generation pin used to make the round-start

@@ -251,7 +251,8 @@ fn delta_refresh_fault_pins_generation_then_recovers() {
 
     let gen0 = client.health().unwrap().generation;
     let id = client.submit(&pagerank(2)).unwrap();
-    assert!(client.wait(id).unwrap().error.is_none());
+    let on_gen0 = client.wait(id).unwrap();
+    assert!(on_gen0.error.is_none());
 
     // Publish a new generation, then fault the path that opens it.
     client.ingest(&[DeltaRecord::insert(3, 4, 1.0)]).unwrap();
@@ -259,11 +260,17 @@ fn delta_refresh_fault_pins_generation_then_recovers() {
     failpoint::arm_global("read:delta_open", 0);
 
     // The round-start refresh trips, the daemon serves the pinned
-    // generation, and the job still succeeds.
+    // generation — the job's values are those of the job before the
+    // publish, bit for bit — and the job still succeeds. (What `health`
+    // reports by now is not pinned: the poll beside the running job has
+    // crossed the cleared failpoint and the store adopts the staged
+    // generation the moment the job lets go of the old one.)
     let id = client.submit(&pagerank(2)).unwrap();
-    assert!(client.wait(id).unwrap().error.is_none());
+    let under_fault = client.wait(id).unwrap();
+    assert!(under_fault.error.is_none());
     assert!(!failpoint::global_armed(), "the refresh must cross (and consume) the failpoint");
-    assert_eq!(client.health().unwrap().generation, gen0, "generation pinned under the fault");
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&under_fault.values), bits(&on_gen0.values), "served the pinned generation");
 
     // Fault consumed: the next *round start* adopts the published
     // generation. One more job need not reach one: `wait` returns as soon

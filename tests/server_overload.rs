@@ -180,10 +180,10 @@ fn tenant_inflight_quota(mode: ExecutionMode) {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Round-size policy: with `max_batch_per_round = 1`, a backlog of batch
-/// jobs is spread over later rounds while an interactive job joins the
-/// first round — the latency-sensitive tenant is not stuck behind the
-/// batch queue.
+/// In-flight Batch bound: with `max_batch_per_round = 1`, a backlog of
+/// batch jobs is spread over later admissions while an interactive job
+/// joins the first one — the latency-sensitive tenant is not stuck behind
+/// the batch queue.
 #[test]
 fn interactive_jobs_are_not_stuck_behind_batch_backlog() {
     interactive_not_stuck(ExecutionMode::Deterministic);
@@ -206,22 +206,108 @@ fn interactive_not_stuck(mode: ExecutionMode) {
         (0..3).map(|_| client.submit_as(&wcc(4), "batchy", Priority::Batch).unwrap()).collect();
     let interactive = client.submit_as(&wcc(4), "dash", Priority::Interactive).unwrap();
 
-    // The interactive job finishes in the *first* round (alongside one
-    // admitted batch job); the rest of the batch backlog is still
-    // waiting for later rounds — each gated behind its own batching
-    // window — when the interactive report comes back.
+    // The interactive job runs in the *first* admission, alongside the
+    // one batch job the cap lets in; the rest of the backlog follows one
+    // at a time, each admitted only once the one before it has retired
+    // and given the cap's slot back.
     let report = client.wait(interactive).unwrap();
     assert!(report.error.is_none());
-    let last_batch_state = client.status(batch_ids[2]).unwrap();
-    assert!(
-        !matches!(last_batch_state, JobState::Done),
-        "the deferred batch backlog must not have finished before the interactive job"
+    let batch: Vec<_> = batch_ids.iter().map(|&id| client.wait(id).unwrap()).collect();
+    assert!(batch.iter().all(|r| r.error.is_none()));
+    assert_eq!(
+        report.submit_ns.to_bits(),
+        batch[0].submit_ns.to_bits(),
+        "the interactive job joined the first admission"
     );
-
-    for id in batch_ids {
-        assert!(client.wait(id).unwrap().error.is_none());
+    for pair in batch.windows(2) {
+        assert!(
+            pair[0].finish_ns <= pair[1].submit_ns,
+            "batch job {} was admitted at {} with job {} in flight until {}",
+            pair[1].id,
+            pair[1].submit_ns,
+            pair[0].id,
+            pair[0].finish_ns
+        );
     }
-    assert!(server.stats().rounds >= 3, "the batch cap forces the backlog across rounds");
+    assert!(server.stats().rounds >= 3, "the batch cap forces the backlog across admissions");
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The cap bounds Batch jobs *in flight*; it is not a budget per busy
+/// period. Interactive clients in closed loops keep the runtime busy
+/// without a pause, and a Batch backlog deeper than the cap still
+/// completes — its slot comes back each time a Batch job retires.
+#[test]
+fn capped_batch_backlog_completes_under_an_interactive_stream() {
+    capped_backlog_completes(ExecutionMode::Deterministic);
+}
+
+#[test]
+fn capped_batch_backlog_completes_under_an_interactive_stream_wallclock() {
+    capped_backlog_completes(ExecutionMode::Wallclock);
+}
+
+fn capped_backlog_completes(mode: ExecutionMode) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    // Jobs of milliseconds, and loops of different lengths so they cannot
+    // fall into step: some interactive job is always in flight.
+    let g = generators::rmat(2000, 40_000, generators::RmatParams::GRAPH500, 13);
+    let dir = store_dir(&format!("stream-{}", mode.name()));
+    Convert::grid(2).write(&g, &dir).unwrap();
+    let mut config = mode_config(&dir, "stream", 5, mode);
+    config.max_batch_per_round = 1;
+    let server = Server::start(config).unwrap();
+    let socket = server.socket_path().unwrap().to_path_buf();
+
+    let (stop, streamed) = (AtomicBool::new(false), AtomicUsize::new(0));
+    std::thread::scope(|scope| {
+        for stream in 0..3 {
+            let (socket, stop, streamed) = (&socket, &stop, &streamed);
+            scope.spawn(move || {
+                let spec = JobSpec {
+                    kind: AlgoKind::PageRank,
+                    damping: 0.85,
+                    root: 0,
+                    max_iters: 5 + 4 * stream,
+                };
+                let mut client = Client::connect_unix(socket).unwrap();
+                while !stop.load(Ordering::SeqCst) {
+                    let id = client.submit_as(&spec, "dash", Priority::Interactive).unwrap();
+                    assert!(client.wait(id).unwrap().error.is_none());
+                    streamed.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        let until = |what: &str, reached: &mut dyn FnMut() -> bool| {
+            while !reached() {
+                if std::time::Instant::now() > deadline {
+                    stop.store(true, Ordering::SeqCst); // or the scope never joins
+                    panic!("timed out waiting for {what}");
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        until("the interactive streams to be running", &mut || {
+            streamed.load(Ordering::SeqCst) >= 6
+        });
+
+        let mut client = Client::connect_unix(&socket).unwrap();
+        let backlog: Vec<_> =
+            (0..4).map(|_| client.submit_as(&wcc(4), "batchy", Priority::Batch).unwrap()).collect();
+        let last = *backlog.last().unwrap();
+        until("the capped batch backlog to complete", &mut || {
+            client.status(last).unwrap() == JobState::Done
+        });
+        stop.store(true, Ordering::SeqCst);
+        let reports: Vec<_> = backlog.iter().map(|&id| client.wait(id).unwrap()).collect();
+        for pair in reports.windows(2) {
+            assert!(pair[0].finish_ns <= pair[1].submit_ns, "one batch job in flight at a time");
+        }
+    });
+    assert_eq!(server.stats().jobs_failed, 0);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
