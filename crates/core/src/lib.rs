@@ -15,19 +15,18 @@
 //! * [`global_table`] — partition → active-job tracking (§3.3.1);
 //! * [`source`] — how GraphM reads a host engine's partitions (§3.1);
 //! * [`graphm`] — `Init()` and the preprocessed instance (§3.1, Table 1);
-//! * [`snapshot`] — copy-on-write mutations/updates (§3.3.2);
 //! * [`profile`] — the profiling/syncing phases, Formulas 2–4 (§3.4.2);
 //! * [`scheduler`] — the loading-order strategy, Formula 5 (§4);
 //! * [`exec`] / [`runner`] — deterministic replay of the S/C/M execution
 //!   schemes through the simulated memory hierarchy (§5);
-//! * [`service`] — the Shared scheme as a long-lived, incremental-arrival
-//!   runtime loop (what the `graphm-server` daemon drives);
+//! * [`service`] — the Shared scheme's cost-model walk over jobs that
+//!   arrive over virtual time (what `run_scheme(Scheme::Shared)` runs);
 //! * [`exec_parallel`] — the wall-clock path: `Sharing()` on real cores
 //!   (Algorithm 2, §3.3.1) as one sweep driver whose workers stream
 //!   chunks of one shared load through the jobs that need it — several
 //!   admission groups (*cohorts*) at once, each job leaving when it
-//!   converges — with optional partition readahead (what the daemon's
-//!   `wallclock` mode drives).
+//!   converges — with optional partition readahead (what the
+//!   `graphm-server` daemon drives).
 
 pub mod chunk;
 pub mod exec;
@@ -39,7 +38,6 @@ pub mod profile;
 pub mod runner;
 pub mod scheduler;
 pub mod service;
-pub mod snapshot;
 pub mod source;
 
 pub use chunk::{chunk_size_bytes, label_partition, Chunk, ChunkEntry, ChunkTable};
@@ -54,6 +52,5 @@ pub use job::{EdgeOutcome, GatherKernel, GraphJob, JobId};
 pub use profile::{ProfileSample, Profiler};
 pub use runner::{run_scheme, JobReport, RunReport, RunnerConfig, Scheme, Submission};
 pub use scheduler::{loading_order, priority, SchedulingPolicy};
-pub use service::{JobPhase, SharingService};
-pub use snapshot::{SnapshotStore, Version};
+pub use service::SharingService;
 pub use source::{PartitionSource, VecSource};

@@ -1,26 +1,25 @@
-//! The incremental-arrival sharing runtime — the Shared scheme as a
-//! long-lived service instead of a one-shot batch run.
+//! The Shared scheme as an arrival-driven service: the cost-model walk
+//! behind `run_scheme(Scheme::Shared, ...)`.
 //!
-//! [`crate::runner::run_scheme`] takes every submission up front, which is
-//! the right shape for figure harnesses but not for a daemon: a
-//! multi-tenant server (`graphm-server`) receives jobs over sockets while
-//! earlier jobs are still streaming. [`SharingService`] exposes the exact
-//! Shared-scheme loop one *step* at a time:
+//! [`SharingService`] replays the Shared-scheme loop through the
+//! simulated memory hierarchy:
 //!
-//! * [`SharingService::enqueue`]/[`SharingService::submit`] add a job at
-//!   any moment — before the first sweep or while sweeps are running;
-//! * [`SharingService::step`] performs admissions and then either one
-//!   full sweep (one iteration for every live job, partitions loaded in
-//!   the §4 priority order, one shared load per partition) or a virtual
-//!   clock advance to the next pending arrival;
+//! * [`SharingService::enqueue`]/[`SharingService::submit`] add a job with
+//!   its virtual arrival time;
+//! * [`SharingService::run_until_idle`] steps until every job has
+//!   finished — each step performs admissions and then either one full
+//!   sweep (one iteration for every live job, partitions loaded in the §4
+//!   priority order, one shared load per partition) or a virtual clock
+//!   advance to the next pending arrival;
 //! * finished jobs turn into [`JobReport`]s immediately, releasing their
-//!   per-vertex state; the driver collects them with
-//!   [`SharingService::take_finished`] or [`SharingService::take_report`].
+//!   per-vertex state, and [`SharingService::into_run_report`] collects
+//!   them with the run's metrics.
 //!
 //! The `Init()` preprocessing (Formula-1 chunk sizing + Algorithm-1
-//! labelling) and the `T(E)` calibration run **once**, at construction —
-//! a daemon amortizes them over every job it will ever serve, which is
-//! the paper's Table-3 story taken to its logical end.
+//! labelling) and the `T(E)` calibration run **once**, at construction,
+//! and the service pins its source's generation from construction to drop,
+//! so neither they nor any job straddle a rotation published through a
+//! shared delta-store handle.
 //!
 //! Determinism: driving a fresh service with a fixed batch (`enqueue` all,
 //! then [`SharingService::run_until_idle`]) replays exactly what
@@ -40,33 +39,11 @@ use crate::runner::{
 };
 use crate::scheduler::loading_order;
 use crate::source::PartitionSource;
-use graphm_cachesim::keys;
 use graphm_graph::EDGE_BYTES;
 use std::collections::HashMap;
 
-/// Where a submitted job currently lives.
-enum Slot {
-    /// Queued or running; owns the algorithm state.
-    Active(JobState),
-    /// Converged; the report waits for pickup, the state is freed.
-    Finished(JobReport),
-    /// Report handed out through `take_report`/`take_finished`.
-    Claimed,
-}
-
-/// One job's externally visible lifecycle state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobPhase {
-    /// Submitted, waiting for its first sweep.
-    Queued,
-    /// Participating in sweeps.
-    Running,
-    /// Converged; report available (or already claimed).
-    Done,
-}
-
-/// The Shared execution scheme, driveable one step at a time with jobs
-/// arriving between (or during) steps. See the module docs.
+/// The Shared execution scheme over jobs that arrive over virtual time.
+/// See the module docs.
 pub struct SharingService<'s> {
     source: &'s dyn PartitionSource,
     cfg: RunnerConfig,
@@ -75,7 +52,10 @@ pub struct SharingService<'s> {
     gm: GraphM,
     global: GlobalTable,
     profiler: Profiler,
-    slots: Vec<Slot>,
+    /// Submitted jobs by id; `None` once retired into `finished`.
+    jobs: Vec<Option<JobState>>,
+    /// Reports of the retired jobs, in retirement order.
+    finished: Vec<JobReport>,
     vnow: f64,
     io_acc: f64,
     cpu_acc: f64,
@@ -83,25 +63,16 @@ pub struct SharingService<'s> {
     partition_loads: u64,
     pred_abs_err: f64,
     pred_samples: u64,
-    /// Whether the source holds this service's generation pin: taken at
-    /// construction (the chunk tables and `T(E)` calibration read the
-    /// source) and whenever jobs are in flight, released only while
-    /// every submitted job — including future-dated arrivals — has
-    /// finished. No job, and no preprocessing, ever straddles a
-    /// generation rotation published through a shared handle.
-    source_pinned: bool,
 }
 
-fn active_mut(slots: &mut [Slot], id: JobId) -> &mut JobState {
-    match &mut slots[id] {
-        Slot::Active(js) => js,
-        _ => panic!("job {id} is not active"),
-    }
+fn active_mut(jobs: &mut [Option<JobState>], id: JobId) -> &mut JobState {
+    jobs[id].as_mut().unwrap_or_else(|| panic!("job {id} is not active"))
 }
 
 impl<'s> SharingService<'s> {
-    /// Preprocesses `source` (Formula-1 chunk sizing, Algorithm-1
-    /// labelling, `T(E)` calibration) and returns an idle service.
+    /// Pins `source`'s generation (until the service is dropped),
+    /// preprocesses it (Formula-1 chunk sizing, Algorithm-1 labelling,
+    /// `T(E)` calibration) and returns an idle service.
     ///
     /// `state_bytes_per_vertex` is Formula 1's `U_v` — the per-vertex job
     /// state the chunk size budgets for. The batch runner derives it from
@@ -112,9 +83,8 @@ impl<'s> SharingService<'s> {
         cfg: RunnerConfig,
         state_bytes_per_vertex: usize,
     ) -> SharingService<'s> {
-        // Pin the source's generation before preprocessing reads it; the
-        // pin drops at the first fully idle step (or on drop), so the
-        // chunk tables always describe the generation jobs will stream.
+        // Pinned before preprocessing reads the source, so the chunk
+        // tables describe the generation every job will stream.
         source.sweep_begin();
         let mut ctx = StreamContext::new(cfg.profile);
         let mut gm_cfg = GraphMConfig::new(cfg.profile);
@@ -148,7 +118,8 @@ impl<'s> SharingService<'s> {
             gm,
             global,
             profiler,
-            slots: Vec::new(),
+            jobs: Vec::new(),
+            finished: Vec::new(),
             vnow: 0.0,
             io_acc: 0.0,
             cpu_acc: 0.0,
@@ -156,95 +127,53 @@ impl<'s> SharingService<'s> {
             partition_loads: 0,
             pred_abs_err: 0.0,
             pred_samples: 0,
-            source_pinned: true,
         }
     }
 
-    fn unpin_source(&mut self) {
-        if self.source_pinned {
-            self.source_pinned = false;
-            self.source.sweep_end();
-        }
-    }
-
-    /// Releases the generation pin of a fully idle service so a
-    /// caller-side rotation poll can adopt a newly published generation
-    /// *now* instead of staging it behind this pin. Without this, a
-    /// service that has never stepped (a freshly started daemon) keeps
-    /// its construction-time pin, and the first round after a publish
-    /// would silently serve the preprocessing-time generation. No-op
-    /// while any job is unfinished — in-flight work must keep streaming
-    /// the generation its chunk tables describe. The next
-    /// [`SharingService::step`] re-pins whatever generation is then
-    /// current.
-    pub fn release_idle_pin(&mut self) {
-        if self.jobs_unfinished() == 0 {
-            self.unpin_source();
-        }
-    }
-
-    /// Adds a submission (job + virtual arrival time). Jobs whose
-    /// `submit_ns` has passed are admitted at the start of the next
-    /// [`SharingService::step`]; future arrivals wait on the virtual
-    /// clock. Returns the job's id (dense, submission-ordered).
+    /// Adds a submission (job + virtual arrival time). A job whose
+    /// `submit_ns` has passed is admitted at the start of the next step;
+    /// a future arrival waits on the virtual clock. Returns the job's id
+    /// (dense, submission-ordered).
     pub fn enqueue(&mut self, sub: Submission) -> JobId {
-        let id = self.slots.len();
-        self.slots.push(Slot::Active(JobState::new(id, sub, self.source.num_vertices())));
+        let id = self.jobs.len();
+        self.jobs.push(Some(JobState::new(id, sub, self.source.num_vertices())));
         id
     }
 
-    /// Submits `job` *now* (at the current virtual time): the service-side
-    /// equivalent of a client submission arriving over a socket. The job
-    /// joins at the next sweep boundary.
+    /// Submits `job` *now*, at the current virtual time: it joins at the
+    /// next sweep boundary.
     pub fn submit(&mut self, job: Box<dyn GraphJob>) -> JobId {
         self.enqueue(Submission::at(job, self.vnow))
     }
 
-    /// Runs one scheduling step: admissions, then either one sweep over
-    /// the loading order (if any admitted job is unfinished) or a virtual
-    /// clock advance to the earliest pending arrival. Returns `false`
-    /// when there is nothing left to do — every submitted job has
-    /// finished. New submissions make it actionable again.
-    pub fn step(&mut self) -> bool {
+    /// One scheduling step: admissions, then either one sweep over the
+    /// loading order (if any admitted job is unfinished) or a virtual
+    /// clock advance to the earliest pending arrival. Returns `false` when
+    /// every submitted job has finished.
+    fn step(&mut self) -> bool {
         // Admissions.
-        for slot in &mut self.slots {
-            if let Slot::Active(js) = slot {
-                if !js.admitted && js.submit_ns <= self.vnow {
-                    js.admitted = true;
-                    js.state_addr =
-                        self.addrs.addr_of(&self.ctx, state_region(js.id), js.state_bytes);
-                    self.ctx.mem.touch_dirty(state_region(js.id), js.state_bytes, true);
-                    let pids: Vec<usize> = self
-                        .source
-                        .order()
-                        .into_iter()
-                        .filter(|&pid| self.gm.partition_active(pid, js.job.active()))
-                        .collect();
-                    self.global.set_active_partitions(js.id, &pids);
-                }
+        for js in self.jobs.iter_mut().flatten() {
+            if !js.admitted && js.submit_ns <= self.vnow {
+                js.admitted = true;
+                js.state_addr = self.addrs.addr_of(&self.ctx, state_region(js.id), js.state_bytes);
+                self.ctx.mem.touch_dirty(state_region(js.id), js.state_bytes, true);
+                let pids: Vec<usize> = self
+                    .source
+                    .order()
+                    .into_iter()
+                    .filter(|&pid| self.gm.partition_active(pid, js.job.active()))
+                    .collect();
+                self.global.set_active_partitions(js.id, &pids);
             }
         }
-        let alive: Vec<JobId> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Slot::Active(js) if js.admitted))
-            .map(|(i, _)| i)
-            .collect();
+        let alive: Vec<JobId> =
+            self.jobs.iter().flatten().filter(|js| js.admitted).map(|js| js.id).collect();
         if alive.is_empty() {
-            // Release the pin only when *no* submitted job remains —
-            // future-dated arrivals still count: they were instantiated
-            // (out-degrees!) against this generation and must run on it.
-            if self.jobs_unfinished() == 0 {
-                self.unpin_source();
-            }
             return match self
-                .slots
+                .jobs
                 .iter()
-                .filter_map(|s| match s {
-                    Slot::Active(js) if !js.admitted => Some(js.submit_ns),
-                    _ => None,
-                })
+                .flatten()
+                .map(|js| js.submit_ns)
                 .min_by(|a, b| a.partial_cmp(b).unwrap())
             {
                 Some(next) => {
@@ -253,10 +182,6 @@ impl<'s> SharingService<'s> {
                 }
                 None => false,
             };
-        }
-        if !self.source_pinned {
-            self.source.sweep_begin();
-            self.source_pinned = true;
         }
         self.sweep(&alive);
         true
@@ -287,10 +212,10 @@ impl<'s> SharingService<'s> {
                     // A failed shared load fails exactly the jobs that
                     // needed this partition — they retire with the error
                     // on their report — and the sweep continues for
-                    // everyone else. The daemon above stays up.
+                    // everyone else.
                     let msg = e.to_string();
                     for &i in &needing {
-                        active_mut(&mut self.slots, i).error = Some(msg.clone());
+                        active_mut(&mut self.jobs, i).error = Some(msg.clone());
                         self.finish(i);
                     }
                     continue;
@@ -304,13 +229,13 @@ impl<'s> SharingService<'s> {
             // attribution; the makespan already counts it once).
             let share = disk / needing.len() as f64;
             for &i in &needing {
-                active_mut(&mut self.slots, i).clock.disk_ns += share;
+                active_mut(&mut self.jobs, i).clock.disk_ns += share;
             }
             let base = self.addrs.addr_of(&self.ctx, shared_graph_region(pid), bytes);
 
             // Per-(job, partition) Formula-2 accumulators.
             let mut acc: HashMap<JobId, (f64, f64, f64)> = HashMap::new();
-            let Self { gm, ctx, slots, profiler, pred_abs_err, pred_samples, .. } = self;
+            let Self { gm, ctx, jobs, profiler, pred_abs_err, pred_samples, .. } = self;
             if gm.config.fine_sync {
                 for (ci, chunk) in gm.tables[pid].chunks.iter().enumerate() {
                     // Rotate the round-robin start so no job always pays
@@ -318,7 +243,7 @@ impl<'s> SharingService<'s> {
                     // to handle the loaded data in a round-robin way").
                     for k in 0..needing.len() {
                         let i = needing[(k + ci) % needing.len()];
-                        let js = active_mut(slots, i);
+                        let js = active_mut(jobs, i);
                         if js.job.skips_inactive() && !chunk.any_active(js.job.active()) {
                             continue;
                         }
@@ -349,7 +274,7 @@ impl<'s> SharingService<'s> {
                 // Ablation: memory-level sharing only; each job streams the
                 // whole partition independently (no LLC-level regularity).
                 for &i in &needing {
-                    let js = active_mut(slots, i);
+                    let js = active_mut(jobs, i);
                     let run =
                         ctx.stream_edges_for_job(js.job.as_mut(), &edges, base, js.state_addr);
                     sweep_cpu += run.clock.compute_ns + run.clock.mem_access_ns;
@@ -378,22 +303,20 @@ impl<'s> SharingService<'s> {
         self.sync_total += sweep_sync;
         self.vnow = self.vnow.max(self.io_acc.max(self.cpu_acc + self.sync_total));
         for &i in alive {
-            if !matches!(self.slots[i], Slot::Active(_)) {
+            let Some(js) = self.jobs[i].as_mut() else {
                 continue; // Failed mid-sweep and already retired.
-            }
-            let js = active_mut(&mut self.slots, i);
+            };
             js.iterations_guard += 1;
             let converged =
                 js.job.end_iteration() || js.iterations_guard >= self.cfg.max_iterations;
             if converged {
                 self.finish(i);
             } else {
-                let active = active_mut(&mut self.slots, i).job.active();
                 let pids: Vec<usize> = self
                     .source
                     .order()
                     .into_iter()
-                    .filter(|&pid| self.gm.partition_active(pid, active))
+                    .filter(|&pid| self.gm.partition_active(pid, js.job.active()))
                     .collect();
                 if pids.is_empty() {
                     self.finish(i);
@@ -407,54 +330,12 @@ impl<'s> SharingService<'s> {
     /// Retires job `i`: releases its state memory, drops it from the
     /// global table and profiler, and converts it into a report.
     fn finish(&mut self, i: JobId) {
-        {
-            let js = active_mut(&mut self.slots, i);
-            js.finished = true;
-            js.finish_ns = self.vnow;
-        }
+        let mut js = self.jobs[i].take().unwrap_or_else(|| panic!("job {i} is not active"));
+        js.finish_ns = self.vnow;
         self.ctx.mem.release(state_region(i));
         self.global.remove_job(i);
         self.profiler.retire(i);
-        let slot = std::mem::replace(&mut self.slots[i], Slot::Claimed);
-        match slot {
-            Slot::Active(js) => self.slots[i] = Slot::Finished(js.into_report()),
-            _ => unreachable!("finish() is only called on active jobs"),
-        }
-    }
-
-    /// The phase job `id` is in, or `None` for unknown ids.
-    pub fn phase(&self, id: JobId) -> Option<JobPhase> {
-        match self.slots.get(id)? {
-            Slot::Active(js) if !js.admitted => Some(JobPhase::Queued),
-            Slot::Active(_) => Some(JobPhase::Running),
-            Slot::Finished(_) | Slot::Claimed => Some(JobPhase::Done),
-        }
-    }
-
-    /// Takes job `id`'s report, if it has finished and was not collected.
-    pub fn take_report(&mut self, id: JobId) -> Option<JobReport> {
-        match self.slots.get(id)? {
-            Slot::Finished(_) => match std::mem::replace(&mut self.slots[id], Slot::Claimed) {
-                Slot::Finished(r) => Some(r),
-                _ => unreachable!(),
-            },
-            _ => None,
-        }
-    }
-
-    /// Drains every uncollected finished report, id order.
-    pub fn take_finished(&mut self) -> Vec<JobReport> {
-        (0..self.slots.len()).filter_map(|id| self.take_report(id)).collect()
-    }
-
-    /// Jobs submitted over the service's lifetime.
-    pub fn jobs_submitted(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Jobs not yet finished (queued + running).
-    pub fn jobs_unfinished(&self) -> usize {
-        self.slots.iter().filter(|s| matches!(s, Slot::Active(_))).count()
+        self.finished.push(js.into_report());
     }
 
     /// Shared partition loads performed so far (one per `(sweep,
@@ -464,38 +345,14 @@ impl<'s> SharingService<'s> {
         self.partition_loads
     }
 
-    /// Current virtual time in nanoseconds.
-    pub fn now_ns(&self) -> f64 {
-        self.vnow
-    }
-
-    /// The Formula-1 chunk size the service preprocessed with.
-    pub fn chunk_bytes(&self) -> usize {
-        self.gm.chunk_bytes
-    }
-
-    /// Number of partitions in the underlying source.
-    pub fn num_partitions(&self) -> usize {
-        self.source.num_partitions()
-    }
-
-    /// Assembles the whole-service [`RunReport`], consuming the service.
-    ///
-    /// (The generation pin, if still held because jobs were abandoned
-    /// unfinished, is released by `Drop`.)
-    /// Reports already claimed through [`SharingService::take_report`] are
-    /// excluded from the per-job list and aggregates; drive the service to
-    /// idle first for a complete report (the batch `run_scheme` path does).
+    /// Assembles the whole-service [`RunReport`] (jobs in id order),
+    /// consuming the service. Drive it to idle first for a complete report
+    /// (the batch `run_scheme` path does): a job still unfinished reports
+    /// the state it reached.
     pub fn into_run_report(mut self) -> RunReport {
-        let submitted = self.slots.len();
-        let reports: Vec<JobReport> = std::mem::take(&mut self.slots)
-            .into_iter()
-            .filter_map(|slot| match slot {
-                Slot::Finished(r) => Some(r),
-                Slot::Claimed => None,
-                Slot::Active(js) => Some(js.into_report()),
-            })
-            .collect();
+        let mut reports = std::mem::take(&mut self.finished);
+        reports.extend(self.jobs.iter_mut().filter_map(Option::take).map(JobState::into_report));
+        reports.sort_by_key(|r| r.id);
         let mut report = finish_report(
             Scheme::Shared,
             &self.ctx,
@@ -505,8 +362,6 @@ impl<'s> SharingService<'s> {
             self.sync_total,
         );
         let metrics = &mut report.metrics;
-        // Claimed reports are gone from the list but their jobs still ran.
-        metrics.set(keys::JOBS, submitted as f64);
         metrics.set("chunk_bytes", self.gm.chunk_bytes as f64);
         metrics.set("chunk_table_bytes", self.gm.overhead_bytes() as f64);
         metrics.set("preprocess_ns", self.gm.preprocess_ns);
@@ -518,12 +373,11 @@ impl<'s> SharingService<'s> {
 }
 
 impl Drop for SharingService<'_> {
-    /// A service dropped mid-run (or consumed by `into_run_report` with
-    /// jobs abandoned) must not leave its generation pin held — that
-    /// would block a shared delta-store handle from ever adopting a
-    /// published rotation.
+    /// Releases the generation pin taken in [`SharingService::new`] — also
+    /// when a run is abandoned or unwinds, so a shared delta-store handle
+    /// can always adopt a published rotation afterwards.
     fn drop(&mut self) {
-        self.unpin_source();
+        self.source.sweep_end();
     }
 }
 
@@ -589,65 +443,33 @@ mod tests {
         }
     }
 
-    /// Jobs submitted while the service is mid-run join at the next sweep
-    /// and still share loads with the residents.
+    /// A job arriving while another is mid-run joins at the next sweep and
+    /// shares its loads.
     #[test]
     fn late_submissions_join_and_share() {
         let source = make_source(128, 1024, 4);
         let mut svc = SharingService::new(&source, cfg(), 8);
-        let a = svc.submit(Box::new(CountingJob::new(128, 6)));
-        assert_eq!(svc.phase(a), Some(JobPhase::Queued));
-        assert!(svc.step(), "first sweep runs");
-        assert_eq!(svc.phase(a), Some(JobPhase::Running));
-
-        // Arrives mid-run: same virtual timeline, joins next sweep.
-        let b = svc.submit(Box::new(CountingJob::new(128, 2)));
-        let loads_before = svc.partition_loads();
+        let a = svc.enqueue(Submission::immediate(Box::new(CountingJob::new(128, 6))));
+        // Due the moment the first sweep has advanced the clock at all.
+        let b = svc.enqueue(Submission::at(Box::new(CountingJob::new(128, 2)), 1.0));
         svc.run_until_idle();
-        assert_eq!(svc.phase(a), Some(JobPhase::Done));
-        assert_eq!(svc.phase(b), Some(JobPhase::Done));
+        let report = svc.into_run_report();
+        let (ra, rb) = (&report.jobs[a], &report.jobs[b]);
+        assert_eq!((ra.iterations, rb.iterations), (6, 2));
+        // Virtual time is max(io, cpu + sync): b's sweeps may hide under
+        // a's I/O, so <= rather than <.
+        assert!(rb.finish_ns <= ra.finish_ns, "b retired no later than a");
 
         // While both were live, each sweep still loaded each partition
         // once: total loads stay strictly below per-job accounting.
-        let loads = svc.partition_loads() - loads_before;
-        assert!(loads < 2 * 4 * 6, "shared loads {loads}");
+        let loads = report.metrics.get(graphm_cachesim::keys::PARTITION_LOADS);
+        assert!(loads < ((6 + 2) * 4) as f64, "shared loads {loads}");
 
-        let ra = svc.take_report(a).expect("report a");
-        let rb = svc.take_report(b).expect("report b");
-        assert!(svc.take_report(a).is_none(), "reports are take-once");
-        assert_eq!(ra.iterations, 6);
-        assert_eq!(rb.iterations, 2);
         // Results unaffected by co-residency.
         let total: f64 = rb.values.iter().sum();
         assert_eq!(total as u64, 2 * 1024);
-        assert!(rb.submit_ns > 0.0, "late job carries its virtual arrival time");
+        assert_eq!(rb.submit_ns, 1.0, "late job carries its virtual arrival time");
         assert!(rb.finish_ns >= rb.submit_ns);
-        assert!(ra.finish_ns >= rb.submit_ns, "job a was still running when b arrived");
-    }
-
-    /// An idle service wakes up for new work and goes idle again.
-    #[test]
-    fn idle_service_accepts_new_rounds() {
-        let source = make_source(64, 512, 2);
-        let mut svc = SharingService::new(&source, cfg(), 8);
-        assert!(!svc.step(), "nothing to do");
-        let a = svc.submit(Box::new(CountingJob::new(64, 2)));
-        svc.run_until_idle();
-        assert_eq!(svc.take_finished().len(), 1);
-        assert!(!svc.step());
-
-        let t_round1 = svc.now_ns();
-        let b = svc.submit(Box::new(CountingJob::new(64, 2)));
-        assert_ne!(a, b);
-        svc.run_until_idle();
-        let reports = svc.take_finished();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].id, b);
-        // Virtual elapsed time is max(io, cpu + sync): round 2's compute
-        // may hide entirely under round 1's I/O, so >= rather than >.
-        assert!(reports[0].finish_ns >= t_round1, "round 2 stays on the virtual timeline");
-        assert_eq!(svc.jobs_submitted(), 2);
-        assert_eq!(svc.jobs_unfinished(), 0);
     }
 
     /// Future-dated arrivals advance the clock instead of deadlocking.
@@ -657,7 +479,7 @@ mod tests {
         let mut svc = SharingService::new(&source, cfg(), 8);
         svc.enqueue(Submission::at(Box::new(CountingJob::new(64, 1)), 5e9));
         svc.run_until_idle();
-        let r = &svc.take_finished()[0];
+        let r = &svc.into_run_report().jobs[0];
         assert!(r.finish_ns >= 5e9);
     }
 }

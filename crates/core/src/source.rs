@@ -50,12 +50,11 @@ pub trait PartitionSource: Send + Sync {
 
     /// Takes a generation pin: rotating sources (the disk delta store)
     /// keep serving their current data generation until the matching
-    /// [`PartitionSource::sweep_end`]. The runtimes
-    /// ([`crate::WallClockExecutor`] per batch, [`crate::SharingService`]
-    /// per busy period) hold one pin from the first sweep through the
-    /// last job's retirement, so no in-flight job ever observes a
-    /// generation flip,
-    /// even when another runtime sharing the handle triggers a refresh.
+    /// [`PartitionSource::sweep_end`]. The runtimes (the sweep driver per
+    /// cohort, [`crate::SharingService`] from construction to drop) hold
+    /// one pin from the first sweep through the last job's retirement, so
+    /// no in-flight job ever observes a generation flip, even when another
+    /// runtime sharing the handle triggers a refresh.
     /// Static sources need not override (no-op); jobs never call this.
     fn sweep_begin(&self) {}
 

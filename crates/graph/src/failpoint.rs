@@ -202,8 +202,13 @@ mod tests {
         assert!(trace().is_empty());
     }
 
+    /// The process-wide slot is shared by the tests that arm it: they run
+    /// one at a time.
+    static GLOBAL_SLOT: Mutex<()> = Mutex::new(());
+
     #[test]
     fn global_arming_trips_once_across_threads() {
+        let _slot = GLOBAL_SLOT.lock().unwrap_or_else(|e| e.into_inner());
         reset_global();
         arm_global("g:point", 1);
         assert!(hit("g:point").is_ok(), "skip crossing passes");
@@ -218,6 +223,7 @@ mod tests {
 
     #[test]
     fn spec_parsing_arms_point_and_skip() {
+        let _slot = GLOBAL_SLOT.lock().unwrap_or_else(|e| e.into_inner());
         reset_global();
         assert_eq!(arm_global_from_spec("read:load@2"), Some(("read:load".to_string(), 2)));
         assert!(global_armed());

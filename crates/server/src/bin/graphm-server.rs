@@ -12,7 +12,7 @@
 //! chaos testing that injected I/O errors surface as per-job failures
 //! while the daemon keeps serving.
 
-use graphm_server::{ExecutionMode, Server, ServerConfig};
+use graphm_server::{Server, ServerConfig};
 use std::path::PathBuf;
 use std::process::exit;
 use std::time::Duration;
@@ -20,15 +20,13 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: graphm-server --store DIR [--socket PATH] [--tcp ADDR] \
-         [--batch-window-ms N] [--profile default|test] [--mode deterministic|wallclock]\n\
+         [--batch-window-ms N] [--profile default|test]\n\
          \n\
          --store DIR          grid store written by graphm-convert (required)\n\
          --socket PATH        unix-domain socket to listen on\n\
          --tcp ADDR           tcp address to listen on, e.g. 127.0.0.1:7421\n\
          --batch-window-ms N  how long an idle daemon batches arrivals (default 20)\n\
-         --profile NAME       simulated memory profile (default|test)\n\
-         --mode NAME          deterministic (virtual-time replay, the default) or\n\
-                              wallclock (threaded sweeps + partition prefetch)\n\
+         --profile NAME       memory profile chunks are sized for (default|test)\n\
          --memory-budget B    page-cache budget in bytes; past it the store\n\
                               releases segments behind the sweep frontier with\n\
                               madvise(MADV_DONTNEED) (default 0 = unlimited)\n\
@@ -111,12 +109,6 @@ fn main() {
                     }
                 }
             }
-            "--mode" => {
-                config.mode = ExecutionMode::from_name(&value()).unwrap_or_else(|| {
-                    eprintln!("unknown mode (expected deterministic or wallclock)");
-                    usage();
-                })
-            }
             "--memory-budget" => config.memory_budget_bytes = number(value()),
             "--no-rotate" => config.auto_rotate = false,
             "--ingest" => config.enable_ingest = true,
@@ -143,7 +135,7 @@ fn main() {
     if config.store_dir.as_os_str().is_empty() || no_listener {
         usage();
     }
-    let (mode, follow) = (config.mode, config.follow.clone());
+    let follow = config.follow.clone();
 
     // Chaos harness: arm one process-global store read-path failpoint
     // from the environment, so CI can inject I/O faults into a stock
@@ -174,11 +166,8 @@ fn main() {
     }
     let stats = server.stats();
     eprintln!(
-        "[graphm-server] serving {} partitions over {} vertices in {} mode; \
-         submit with graphm-client",
-        stats.num_partitions,
-        stats.num_vertices,
-        mode.name()
+        "[graphm-server] serving {} partitions over {} vertices; submit with graphm-client",
+        stats.num_partitions, stats.num_vertices
     );
     if stats.lease_held != 0 {
         eprintln!(

@@ -1,52 +1,28 @@
-//! What a daemon is told at start: [`ServerConfig`] and the
-//! [`ExecutionMode`] that picks the runtime's engine. Plain data — every
+//! What a daemon is told at start: [`ServerConfig`]. Plain data — every
 //! other module of the daemon reads it, none of them is imported here.
 
 use graphm_graph::MemoryProfile;
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// How the runtime thread executes jobs.
+/// The runtime's engine, of which there is one: real parallel serving by
+/// one long-lived sweep driver ([`CohortDriver`](graphm_core::CohortDriver))
+/// with a fixed set of worker lanes, and a partition
+/// [`Prefetcher`](graphm_store::Prefetcher) reading the §4 loading order
+/// ahead.
 ///
-/// Both modes drain the same submission queue into the same shared-store
-/// sharing runtime and produce **algorithmically identical** reports
-/// (same vertex values, same converged iteration counts) — they differ
-/// only in what the timing fields mean and how fast the wall clock moves.
+/// Nothing reads it. It stays only because gmbench writes
+/// `config.mode = ExecutionMode::Wallclock`; it goes together with
+/// [`ServerConfig::mode`] once gmbench stops naming them (ROADMAP.md,
+/// direction 4).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Bit-exact virtual-time replay through the simulated memory
-    /// hierarchy (`SharingService`) on one OS thread — what tests and
-    /// figure harnesses compare against.
-    #[default]
-    Deterministic,
-    /// Real parallel serving: one long-lived sweep driver
-    /// ([`CohortDriver`](graphm_core::CohortDriver)) with a fixed set of
-    /// worker lanes, with a partition [`Prefetcher`](graphm_store::Prefetcher) reading
-    /// the §4 loading order ahead. Every admission runs as a cohort of
-    /// its own beside whatever is in flight, and a job is answered when
-    /// it converges. Report timing
+    /// Every admission runs as a cohort of its own beside whatever is in
+    /// flight, and a job is answered when it converges. Report timing
     /// fields carry wall-clock nanoseconds; `instructions` and the
     /// simulated clock breakdown are zero.
+    #[default]
     Wallclock,
-}
-
-impl ExecutionMode {
-    /// CLI / wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutionMode::Deterministic => "deterministic",
-            ExecutionMode::Wallclock => "wallclock",
-        }
-    }
-
-    /// Parses a CLI / wire name.
-    pub fn from_name(s: &str) -> Option<ExecutionMode> {
-        match s {
-            "deterministic" => Some(ExecutionMode::Deterministic),
-            "wallclock" => Some(ExecutionMode::Wallclock),
-            _ => None,
-        }
-    }
 }
 
 /// How a daemon is configured.
@@ -62,18 +38,17 @@ pub struct ServerConfig {
     /// TCP address to listen on, e.g. `"127.0.0.1:7421"` (port 0 picks a
     /// free port; read it back with [`Server::tcp_addr`](crate::Server::tcp_addr)).
     pub tcp_addr: Option<String>,
-    /// Simulated memory hierarchy for the runtime (the same profile a
-    /// `Workbench` would use; out-of-core is derived from the store size
-    /// exactly like `Workbench::runner_config`).
+    /// Memory profile whose cache and memory geometry Formula 1 sizes
+    /// chunks for (the same profile a `Workbench` would use). Timings are
+    /// real: the profile only sizes chunks.
     pub profile: MemoryProfile,
     /// Batching window: how long an idle runtime waits after the first
     /// arrival before draining, so a concurrent burst shares from sweep
-    /// one. (A busy runtime drains again after every advance; in
-    /// wallclock mode an advance lasts until a job retires, at most this
-    /// long.)
+    /// one. (A busy runtime drains again after every advance; an advance
+    /// lasts until a job retires, at most this long.)
     pub batch_window: Duration,
     /// Formula-1 `U_v` used for chunk sizing (8 covers every shipped
-    /// algorithm; see `SharingService::new`).
+    /// algorithm; see `WallClockConfig::state_bytes_per_vertex`).
     pub state_bytes_per_vertex: usize,
     /// How many finished reports to retain for `wait`/`status` (each
     /// holds an `O(num_vertices)` values vector, so unbounded retention
@@ -83,7 +58,8 @@ pub struct ServerConfig {
     /// repeated query only while together they fit the store's structure
     /// size, so they may be evicted sooner.
     pub max_done_reports: usize,
-    /// How the runtime thread executes jobs (see [`ExecutionMode`]).
+    /// Read by nothing: the daemon has one engine. Kept only because
+    /// gmbench writes it; deleted together with [`ExecutionMode`].
     pub mode: ExecutionMode,
     /// Page-cache budget for the served store, in bytes (0 = unlimited).
     /// When modeled residency exceeds it, the store releases segments
@@ -175,7 +151,7 @@ impl ServerConfig {
             batch_window: Duration::from_millis(20),
             state_bytes_per_vertex: 8,
             max_done_reports: 1024,
-            mode: ExecutionMode::Deterministic,
+            mode: ExecutionMode::Wallclock,
             memory_budget_bytes: 0,
             auto_rotate: true,
             enable_ingest: false,

@@ -5,16 +5,17 @@
 //! script into a service. A long-lived daemon opens one mmap'd disk store
 //! ([`graphm_store::DiskGridSource`], through the shared-mapping
 //! registry), listens on a unix-domain socket and/or TCP, and feeds
-//! client submissions into one [`graphm_core::SharingService`] — so jobs
-//! submitted by independent clients share partition loads, LLC residency,
-//! and the §4 loading order exactly like the in-process Shared scheme.
+//! client submissions into one [`graphm_core::CohortDriver`] on real
+//! cores — so the jobs of one admission, submitted by independent
+//! clients, share every partition load and the §4 loading order, and each
+//! is answered when it converges.
 //!
 //! * [`protocol`] — the newline-delimited JSON wire format (requests,
 //!   reports with bit-exact `f64` round-trips, stats);
-//! * [`config`] — [`ServerConfig`] and [`ExecutionMode`];
+//! * [`config`] — [`ServerConfig`];
 //! * [`daemon`] — [`Server`], which assembles the daemon's private parts
-//!   (admission queue → shared state → the one runtime loop over an
-//!   engine → verbs → replication → listeners; imports only run that
+//!   (admission queue → shared state → the one runtime loop over the
+//!   sweep driver → verbs → replication → listeners; imports only run that
 //!   way, see `docs/ARCHITECTURE.md`);
 //! * [`client`] — [`Client`]: a blocking connection wrapper;
 //! * [`ingest`] — [`IngestCoordinator`]: group-commit mutation sessions

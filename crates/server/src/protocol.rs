@@ -299,10 +299,9 @@ pub struct ServerStats {
     pub num_partitions: u64,
     /// Vertices in the served store.
     pub num_vertices: u64,
-    /// Formula-1 chunk size the service preprocessed with.
+    /// Formula-1 chunk size the runtime preprocessed with.
     pub chunk_bytes: u64,
-    /// Readahead hints issued by the wallclock-mode prefetcher
-    /// (deterministic mode performs no prefetch and reports 0).
+    /// Readahead hints issued by the runtime's partition prefetcher.
     pub prefetch_issued: u64,
     /// Partition loads that found their segment already advised — the
     /// prefetcher ran ahead of the sweep.
@@ -330,8 +329,9 @@ pub struct ServerStats {
     pub delta_records: u64,
     /// Cumulative compactions folded into the served store's base.
     pub compactions: u64,
-    /// Current virtual time of the runtime's clock (wall nanoseconds
-    /// since runtime start in wallclock mode).
+    /// Wall nanoseconds since the runtime started, as of its last advance
+    /// (the wire name is kept from when the daemon also served a virtual
+    /// clock).
     pub virtual_ns: f64,
     /// Mutation records appended to the ingest writer's write-ahead log
     /// (0 when ingest is disabled).

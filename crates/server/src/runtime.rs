@@ -14,34 +14,30 @@
 //! ```
 //!
 //! An [`Engine`] only decides *how jobs execute* — its unit of work, what
-//! pins a generation, what survives a rotation, what its clock means;
-//! everything a client can observe about admission (its order, the
-//! in-flight Batch bound, the rotation gate, publish and tenant release,
-//! the counters) is written once, in the loop. `docs/ARCHITECTURE.md`
-//! ("The server") tabulates the split.
+//! survives a rotation, what its clock means; everything a client can
+//! observe about admission (its order, the in-flight Batch bound, the
+//! rotation gate, publish and tenant release, the counters) is written
+//! once, in the loop. `docs/ARCHITECTURE.md` ("The server") tabulates the
+//! split.
 //!
-//! The two engines are [`Stepper`] (deterministic mode: a `SharingService`
-//! advanced one sweep at a time, so submitters that find it busy join at
-//! the next sweep boundary) and [`Batcher`] (wallclock mode: a
-//! `CohortDriver` with its worker lanes plus the `Prefetcher`; every
-//! non-empty drain starts at once as a cohort of its own beside whatever
-//! is running, and an advance returns as soon as any job has retired). A
-//! reader runs entirely inside one published generation in both: the loop
-//! rotates only with nothing in flight — and stops admitting as soon as a
-//! newer generation is waiting, so that moment comes — and instantiates
-//! specs at drain time so a job's out-degrees match the generation it
-//! streams.
+//! The daemon's engine is [`Batcher`]: a `CohortDriver` with its worker
+//! lanes plus the `Prefetcher`; every non-empty drain starts at once as a
+//! cohort of its own beside whatever is running, and an advance returns as
+//! soon as any job has retired. (The trait is the seam through which the
+//! tests below substitute scripted and sabotaged engines.) A reader runs
+//! entirely inside one published generation: the loop rotates only with
+//! nothing in flight — and stops admitting as soon as a newer generation
+//! is waiting, so that moment comes — and instantiates specs at drain time
+//! so a job's out-degrees match the generation it streams.
 
 use crate::admission::{drain_admissible, JobEntry, Queue};
-use crate::config::ExecutionMode;
 use crate::protocol::Priority;
 use crate::state::{lock, Shared};
 use graphm_cachesim::VirtualClock;
 use graphm_core::{
-    CohortDriver, CohortId, GraphJob, JobId, JobReport, PartitionSource, RunnerConfig,
-    SharingService, WallClockConfig, WallClockExecutor,
+    CohortDriver, CohortId, GraphJob, JobId, JobReport, PartitionSource, WallClockConfig,
+    WallClockExecutor,
 };
-use graphm_graph::MemoryProfile;
 use graphm_store::{DiskGridSource, PrefetchTarget, Prefetcher};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -52,11 +48,6 @@ use std::time::{Duration, Instant};
 pub(crate) trait Engine {
     /// The Formula-1 chunk size of the current `Init()`.
     fn chunk_bytes(&self) -> usize;
-
-    /// Nothing is in flight and a generation refresh may follow: drop
-    /// whatever pins the served generation (an engine that pins only
-    /// while it runs keeps the default).
-    fn idle(&mut self) {}
 
     /// The served generation changed with nothing in flight: re-run
     /// `Init()` over it (chunk tables are per generation), keeping
@@ -77,96 +68,7 @@ pub(crate) trait Engine {
     fn progress(&self) -> (u64, f64);
 }
 
-/// Deterministic mode: bit-exact virtual-time replay, one sweep per
-/// advance.
-struct Stepper<'s> {
-    store: &'s DiskGridSource,
-    profile: MemoryProfile,
-    state_bytes_per_vertex: usize,
-    svc: SharingService<'s>,
-    /// Service id → daemon id: service ids restart at 0 with every
-    /// rebuild, and the round budget may admit out of id order.
-    ids: HashMap<JobId, JobId>,
-    /// Loads and virtual time of the services retired by rebuilds. (Report
-    /// *timings* stay on the per-generation virtual timeline — each
-    /// generation is a fresh deterministic replay.)
-    loads_base: u64,
-    clock_base: f64,
-}
-
-impl<'s> Stepper<'s> {
-    fn new(
-        store: &'s DiskGridSource,
-        profile: MemoryProfile,
-        state_bytes_per_vertex: usize,
-    ) -> Self {
-        Stepper {
-            store,
-            profile,
-            state_bytes_per_vertex,
-            svc: Self::init(store, profile, state_bytes_per_vertex),
-            ids: HashMap::new(),
-            loads_base: 0,
-            clock_base: 0.0,
-        }
-    }
-
-    /// `Init()` over the store's *current* generation, with the same
-    /// runner config `Workbench::runner_config` derives — so
-    /// socket-submitted jobs replay identically to in-process runs over
-    /// the same (possibly mutated) store.
-    fn init(
-        store: &'s DiskGridSource,
-        profile: MemoryProfile,
-        state_bytes_per_vertex: usize,
-    ) -> SharingService<'s> {
-        let mut cfg = RunnerConfig::new(profile);
-        cfg.out_of_core = PartitionSource::graph_bytes(store) > profile.memory_bytes;
-        SharingService::new(store, cfg, state_bytes_per_vertex)
-    }
-}
-
-impl Engine for Stepper<'_> {
-    fn chunk_bytes(&self) -> usize {
-        self.svc.chunk_bytes()
-    }
-
-    fn idle(&mut self) {
-        // A service that has not stepped since `Init()` still holds its
-        // preprocessing-time pin, behind which a refresh would stage a new
-        // generation instead of adopting it.
-        self.svc.release_idle_pin();
-    }
-
-    fn rebuild(&mut self) {
-        debug_assert!(self.ids.is_empty(), "rotation only between rounds");
-        self.loads_base += self.svc.partition_loads();
-        self.clock_base += self.svc.now_ns();
-        self.svc = Self::init(self.store, self.profile, self.state_bytes_per_vertex);
-    }
-
-    fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
-        for (id, job) in admitted {
-            self.ids.insert(self.svc.submit(job), id);
-        }
-        self.svc.step();
-        let mut finished = self.svc.take_finished();
-        for report in &mut finished {
-            report.id = self.ids.remove(&report.id).expect("finished service id must be mapped");
-        }
-        finished
-    }
-
-    fn in_flight(&self) -> bool {
-        self.svc.jobs_unfinished() > 0
-    }
-
-    fn progress(&self) -> (u64, f64) {
-        (self.loads_base + self.svc.partition_loads(), self.clock_base + self.svc.now_ns())
-    }
-}
-
-/// Wallclock mode: one sweep driver for the runtime's life — `lanes`
+/// The serving engine: one sweep driver for the runtime's life — `lanes`
 /// long-lived workers, partition readahead fed by the §4 loading order —
 /// running every non-empty drain as a *cohort* of its own.
 ///
@@ -178,9 +80,8 @@ impl Engine for Stepper<'_> {
 /// thirty-sweep PageRank of the same burst is still running.
 ///
 /// Report mapping: vertex values, iterations, and edges processed are the
-/// real algorithm outcome (identical to deterministic mode); `submit_ns`/
-/// `finish_ns` are wall nanoseconds since the runtime started — the
-/// cohort's admission instant (equal within a cohort, distinct across
+/// real algorithm outcome; `submit_ns`/`finish_ns` are wall nanoseconds
+/// since the runtime started — the cohort's admission instant (equal within a cohort, distinct across
 /// cohorts) and the job's own retirement; `clock.compute_ns` carries
 /// `WallJobReport::busy_ms`, the summed wall time of the job's own tasks
 /// (so `finish_ns − submit_ns − compute_ns` is what the job spent queued
@@ -304,21 +205,15 @@ impl Engine for Batcher {
     }
 }
 
-/// Body of the `graphm-runtime` thread: serves with the engine
-/// `config.mode` names until shutdown drains the queue.
+/// Body of the `graphm-runtime` thread: serves with a [`Batcher`] until
+/// shutdown drains the queue.
 pub(crate) fn run(shared: &Shared) {
     let config = &shared.config;
-    let state_bytes_per_vertex = config.state_bytes_per_vertex.max(1);
-    match config.mode {
-        ExecutionMode::Deterministic => run_engine(shared, || {
-            Stepper::new(&shared.store, config.profile, state_bytes_per_vertex)
-        }),
-        ExecutionMode::Wallclock => run_engine(shared, || {
-            let mut cfg = WallClockConfig::new(config.profile);
-            cfg.state_bytes_per_vertex = state_bytes_per_vertex;
-            Batcher::new(Arc::clone(&shared.store), cfg, config.batch_window)
-        }),
-    }
+    run_engine(shared, || {
+        let mut cfg = WallClockConfig::new(config.profile);
+        cfg.state_bytes_per_vertex = config.state_bytes_per_vertex.max(1);
+        Batcher::new(Arc::clone(&shared.store), cfg, config.batch_window)
+    })
 }
 
 /// Builds the engine on this thread — `Init()` must not hold up
@@ -373,7 +268,6 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
         if config.max_batch_per_round == 0 { usize::MAX } else { config.max_batch_per_round };
     lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
     loop {
-        engine.idle();
         // Idle: wait for the first arrival of the next busy period (or
         // shutdown).
         {
@@ -520,10 +414,6 @@ mod tests {
             4096
         }
 
-        fn idle(&mut self) {
-            self.log.lock().unwrap().push("idle".to_string());
-        }
-
         fn rebuild(&mut self) {
             self.log.lock().unwrap().push("rebuild".to_string());
         }
@@ -598,7 +488,7 @@ mod tests {
     }
 
     /// The loop's order of business with a scripted engine in place of a
-    /// real one: adopt a published generation (idle → rebuild, out-degrees
+    /// real one: adopt a published generation (rebuild, out-degrees
     /// swapped) → batch window → drain in id order under the in-flight
     /// Batch bound → advance → publish (reports, counters, tenant and
     /// budget release).
@@ -644,7 +534,6 @@ mod tests {
 
         let log = log.lock().unwrap().clone();
         let expected = [
-            "idle",
             "rebuild",
             // The budget admits job 0 and the interactive job 2; the
             // re-drain while they are in flight finds it spent.
@@ -654,7 +543,6 @@ mod tests {
             // at the next drain, without going idle first.
             "advance[1]",
             "advance[]",
-            "idle",
         ];
         assert_eq!(log, expected);
         assert!(first_done_after >= window, "the round waited out the batch window");

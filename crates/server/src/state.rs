@@ -91,8 +91,7 @@ pub(crate) struct Shared {
     /// by them, so they must match the graph the job streams).
     pub(crate) out_degrees: Mutex<Arc<Vec<u32>>>,
     /// The served store, for live residency/prefetch/generation readings
-    /// in `stats` responses (counters accumulate in both execution
-    /// modes).
+    /// in `stats` responses.
     pub(crate) store: Arc<DiskGridSource>,
     /// Group-commit ingest over the store's leased writer; `None` unless
     /// [`ServerConfig::enable_ingest`] was set or a `promote` installed
@@ -183,8 +182,7 @@ impl Shared {
     }
 
     /// Runtime counters merged with the store's *live* residency and
-    /// prefetch state (the latter accumulate outside the stats lock, in
-    /// whichever execution mode is driving loads).
+    /// prefetch state (the latter accumulate outside the stats lock).
     pub(crate) fn stats_snapshot(&self) -> ServerStats {
         let mut stats = *lock(&self.stats);
         let rs = self.store.residency_stats();

@@ -765,7 +765,7 @@ impl DiskStore {
         }
         // The feedback controller observes a load only when it actually
         // steers readahead: a prefetcher has issued at least one hint
-        // (deterministic mode never spawns one — the reported window
+        // (the simulator's runs never spawn one — the reported window
         // must not drift to max meaninglessly), and the load really
         // reads the mapping (live-cache serves do no I/O).
         let adaptive = self.pf_issued.load(Ordering::Relaxed) > 0 && cached.is_none();

@@ -1,71 +1,83 @@
-//! Evolving graphs, in memory and on disk.
+//! Evolving graphs served from disk.
 //!
-//! Part 1 — the paper's §3.3.2 snapshot story (Figure 7): a long-running
-//! job keeps computing on the graph as it was when the job was submitted,
-//! while updates arrive for future jobs and another job tries private
-//! what-if mutations — all against one shared in-memory store.
+//! Part 1 — the paper's §3.3.2 snapshot story (Figure 7) on the mechanism
+//! the system serves it with: a long-running reader pins the generation it
+//! started on, an update published meanwhile is only *staged* for it, and
+//! the next sweep reads the updated graph. (Job-private what-if mutations
+//! are not reproduced on the served path; see `docs/ARCHITECTURE.md`.)
 //!
-//! Part 2 — the same evolution served **disk-resident**: `Convert()` the
-//! graph once, mutate it through a `DeltaWriter` (append-only delta
-//! segments + an atomically published generation manifest), re-open at
-//! the new generation, and get results bit-identical to an in-memory run
-//! over the mutated edge list; then compact the chain away and check
-//! nothing changed.
+//! Part 2 — the same evolution at scale: `Convert()` the graph once,
+//! mutate it through a `DeltaWriter` (append-only delta segments + an
+//! atomically published generation manifest), re-open at the new
+//! generation, and get results bit-identical to an in-memory run over the
+//! mutated edge list; then compact the chain away and check nothing
+//! changed.
 //!
 //! ```sh
 //! cargo run --release --example evolving_graph
 //! ```
 
-use graphm::core::{Scheme, SnapshotStore};
+use graphm::core::{PartitionSource, Scheme};
 use graphm::graph::delta::apply_delta_to_edge_list;
-use graphm::graph::{generators, DeltaRecord, Edge, MemoryProfile};
+use graphm::graph::{generators, DeltaRecord, Edge, EdgeList, MemoryProfile};
 use graphm::store::{CompactionPolicy, Convert, DeltaWriter, DiskGridSource};
 use graphm::workloads::{immediate_arrivals, Workbench};
 
+/// Edges a sweep over every partition of `source` streams.
+fn edges_seen(source: &DiskGridSource) -> usize {
+    (0..source.num_partitions()).map(|pid| source.load(pid).len()).sum()
+}
+
 fn main() {
     // ------------------------------------------------------------------
-    // Part 1: in-memory copy-on-write snapshots (§3.3.2, Figure 7).
+    // Part 1: generation-pinned readers (§3.3.2, Figure 7).
     // ------------------------------------------------------------------
 
-    // A tiny road network: 0-1-2-3 chain with a shortcut under study.
-    let base = vec![
-        Edge::weighted(0, 1, 1.0),
-        Edge::weighted(1, 2, 1.0),
-        Edge::weighted(2, 3, 1.0),
-        Edge::weighted(3, 0, 5.0),
-    ];
-    let mut store = SnapshotStore::from_partitions(&[base], 2);
+    // A tiny road network: 0-1-2-3 chain with a shortcut back to 0.
+    let roads = EdgeList {
+        num_vertices: 4,
+        edges: vec![
+            Edge::weighted(0, 1, 1.0),
+            Edge::weighted(1, 2, 1.0),
+            Edge::weighted(2, 3, 1.0),
+            Edge::weighted(3, 0, 5.0),
+        ],
+    };
+    let dir = std::env::temp_dir().join(format!("graphm-roads-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    Convert::grid(2).write(&roads, &dir).unwrap();
 
-    // Job 1 (long-running route planner) is submitted first.
-    store.register_job(1);
-    println!("job 1 submitted; sees {} edges in chunk 0", store.chunk_view(1, 0, 0).len());
+    // Job 1 (a long-running route planner) starts a sweep: it pins the
+    // generation it reads.
+    let reader = DiskGridSource::open_shared(&dir).unwrap();
+    reader.sweep_begin();
+    println!("job 1 starts on generation 0; sees {} edges", edges_seen(&reader));
 
-    // The city closes a road: a shared *update*, visible only to jobs
-    // submitted afterwards.
-    store.update(0, 0, |edges| edges.retain(|e| !(e.src == 0 && e.dst == 1)));
-    store.register_job(2);
-    println!(
-        "after road closure: job 1 still sees {} edges, job 2 sees {}",
-        store.chunk_view(1, 0, 0).len(),
-        store.chunk_view(2, 0, 0).len()
-    );
-    assert_eq!(store.chunk_view(1, 0, 0).len(), 2, "job 1 reads its submission snapshot");
-    assert_eq!(store.chunk_view(2, 0, 0).len(), 1, "job 2 reads the updated graph");
+    // The city closes a road: a published update, generation 1.
+    let mut writer = DeltaWriter::open(&dir).unwrap();
+    writer.delete(0, 1).unwrap();
+    assert_eq!(writer.publish().unwrap(), 1);
 
-    // Job 2 runs a what-if *mutation*: a proposed new expressway, private
-    // to this job only.
-    store.mutate(2, 0, 1, |edges| edges.push(Edge::weighted(0, 3, 0.5)));
-    assert_eq!(store.chunk_view(2, 0, 1).len(), 3);
-    assert_eq!(store.chunk_view(1, 0, 1).len(), 2);
+    // The reader's handle picks the publish up but only stages it: job 1
+    // keeps reading the graph it started on.
+    reader.refresh_generation().unwrap();
+    assert_eq!(reader.staged_generation(), Some(1));
+    assert_eq!(reader.generation(), 0);
+    assert_eq!(edges_seen(&reader), 4, "job 1 reads its starting snapshot");
+    println!("road closure published: staged, job 1 still sees {} edges", edges_seen(&reader));
 
-    // When the old job finishes, its pre-update copies are released.
-    store.finish_job(1);
-    store.finish_job(2);
-    assert_eq!(store.retained_mutations(), 0);
-    println!("snapshot isolation held for every in-memory reader ✓\n");
+    // Job 1's sweep ends: the last unpin adopts generation 1, and the next
+    // sweep — any later job's — reads the updated graph.
+    reader.sweep_end();
+    assert_eq!(reader.generation(), 1);
+    assert_eq!(edges_seen(&reader), 3, "the next sweep reads the update");
+    println!("job 1's sweep ended: generation 1 adopted, {} edges", edges_seen(&reader));
+    drop((reader, writer));
+    std::fs::remove_dir_all(&dir).ok();
+    println!("snapshot isolation held for the pinned reader ✓\n");
 
     // ------------------------------------------------------------------
-    // Part 2: the same story disk-resident, via the delta store.
+    // Part 2: the same story at scale, checked against memory.
     // ------------------------------------------------------------------
 
     let graph = generators::rmat(2000, 16000, generators::RmatParams::GRAPH500, 7);

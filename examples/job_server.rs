@@ -23,8 +23,9 @@ fn main() {
     Convert::grid(4).write(&graph, &dir).expect("convert");
     println!("store: {}", dir.display());
 
-    // 2. The daemon: one mmap'd store, one SharingService, many tenants.
-    //    The batch window lets a concurrent burst share from sweep one.
+    // 2. The daemon: one mmap'd store, one sweep driver on real cores,
+    //    many tenants. The batch window lets a concurrent burst share from
+    //    sweep one.
     let mut config = ServerConfig::new(&dir);
     config.socket_path = Some(dir.join("graphm.sock"));
     config.profile = MemoryProfile::TEST;
@@ -76,7 +77,7 @@ fn main() {
         total_iterations * stats.num_partitions,
         stats.num_partitions
     );
-    println!("rounds: {}  virtual time: {:.2} ms", stats.rounds, stats.virtual_ns / 1e6);
+    println!("rounds: {}  runtime wall clock: {:.2} ms", stats.rounds, stats.virtual_ns / 1e6);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`core`] — the GraphM storage system itself (chunking, sharing,
-//!   synchronization, snapshots, scheduling);
+//!   synchronization, scheduling);
 //! * [`graph`] — graph formats, generators, and the dataset registry;
 //! * [`store`] — the disk-resident, mmap-backed partition store
 //!   (`Convert()` preprocessing + `DiskGridSource` / `DiskShardSource`);

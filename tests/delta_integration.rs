@@ -4,10 +4,10 @@
 //! generations between rounds so that every job sees exactly one
 //! consistent generation.
 
-use graphm::core::{JobReport, Scheme};
+use graphm::core::{GraphJob, JobReport, Scheme, SharingService, Submission};
 use graphm::graph::delta::apply_delta_to_edge_list;
 use graphm::graph::{generators, DeltaRecord, EdgeList, MemoryProfile};
-use graphm::server::{Client, ExecutionMode, Server, ServerConfig};
+use graphm::server::{Client, Server, ServerConfig};
 use graphm::store::{CompactionPolicy, Convert, DeltaWriter, DiskGridSource};
 use graphm::workloads::{immediate_arrivals, AlgoKind, JobSpec, Workbench};
 use std::time::Duration;
@@ -102,6 +102,47 @@ fn evolving_disk_run_matches_in_memory_mutated_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The simulator's service pins the generation of a shared handle from
+/// construction to drop: a publish adopted by that handle while the
+/// service lives is only staged, the service's jobs stream generation 0
+/// — bit-identical to a from-scratch run of the unmutated graph — and
+/// dropping the service lets the handle adopt generation 1.
+#[test]
+fn sharing_service_pins_its_generation_until_dropped() {
+    let g = generators::rmat(600, 5200, generators::RmatParams::GRAPH500, 53);
+    let dir = store_dir("service-pin");
+    Convert::grid(4).write(&g, &dir).unwrap();
+    let wb_gen0 = Workbench::from_graph(g.clone(), 4, MemoryProfile::TEST);
+    let specs = wb_gen0.paper_mix(4, 23);
+    let arrivals = immediate_arrivals(specs.len());
+    let expected = wb_gen0.run(Scheme::Shared, &specs, &arrivals);
+
+    let source = DiskGridSource::open_shared(&dir).unwrap();
+    let degrees = std::sync::Arc::new(source.out_degrees());
+    let jobs: Vec<Box<dyn GraphJob>> =
+        specs.iter().map(|s| s.instantiate(g.num_vertices, &degrees)).collect();
+    let state_bytes = jobs.iter().map(|j| j.state_bytes_per_vertex()).max().unwrap();
+    let mut service = SharingService::new(source.as_ref(), wb_gen0.runner_config(), state_bytes);
+
+    let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
+    mutate(&mut writer, &g);
+    assert_eq!(writer.publish().unwrap(), 1);
+    assert!(source.refresh_generation().unwrap(), "the handle sees the publish");
+    assert_eq!((source.generation(), source.staged_generation()), (0, Some(1)), "staged only");
+
+    for job in jobs {
+        service.enqueue(Submission::immediate(job));
+    }
+    service.run_until_idle();
+    assert_eq!(source.staged_generation(), Some(1), "still pinned once idle");
+    let served = service.into_run_report();
+    assert_job_reports_identical(&expected.jobs, &served.jobs, "service over generation 0");
+    assert_eq!((source.generation(), source.staged_generation()), (1, None), "adopted at drop");
+
+    drop(source);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Lets the daemon's runtime thread close the current round. Rotation
 /// happens only *between* rounds, and a round stays open as long as
 /// drains keep finding work — a submission racing the round's final
@@ -135,20 +176,17 @@ fn assert_values_bits(a: &[f64], b: &[f64], ctx: &str) {
 /// consistent generation: the pre-publish job answers from the base
 /// graph, the post-publish job from the mutated graph, and the daemon's
 /// stats report the rotation and the later compaction.
-fn daemon_rotation_scenario(mode: ExecutionMode) {
+#[test]
+fn daemon_rotates_between_rounds_wallclock() {
     let g = generators::rmat(500, 4200, generators::RmatParams::GRAPH500, 77);
-    let dir = store_dir(&format!("daemon-{}", mode.name()));
+    let dir = store_dir("daemon");
     Convert::grid(4).write(&g, &dir).unwrap();
 
     let mut config = ServerConfig::new(&dir);
-    config.socket_path = Some(std::env::temp_dir().join(format!(
-        "graphm-delta-{}-{}.sock",
-        mode.name(),
-        std::process::id()
-    )));
+    config.socket_path =
+        Some(std::env::temp_dir().join(format!("graphm-delta-{}.sock", std::process::id())));
     config.profile = MemoryProfile::TEST;
     config.batch_window = Duration::from_millis(5);
-    config.mode = mode;
     let server = Server::start(config).expect("server starts");
     let socket = server.socket_path().unwrap().to_path_buf();
     let mut client = Client::connect_unix(&socket).expect("connect");
@@ -201,21 +239,11 @@ fn daemon_rotation_scenario(mode: ExecutionMode) {
         stats_gen0.partition_loads,
         stats.partition_loads
     );
-    assert!(stats.virtual_ns >= stats_gen0.virtual_ns, "virtual_ns is monotone");
+    assert!(stats.virtual_ns >= stats_gen0.virtual_ns, "the runtime clock is monotone");
 
     client.shutdown_server().expect("shutdown");
     server.join();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn daemon_rotates_between_rounds_deterministic() {
-    daemon_rotation_scenario(ExecutionMode::Deterministic);
-}
-
-#[test]
-fn daemon_rotates_between_rounds_wallclock() {
-    daemon_rotation_scenario(ExecutionMode::Wallclock);
 }
 
 /// Four clients in closed loops never let the runtime go idle, so a
@@ -225,23 +253,20 @@ fn daemon_rotates_between_rounds_wallclock() {
 /// adopted — `stats.generation` moves with the loops still running — and
 /// a job submitted afterwards runs on it, bit-identical to a from-scratch
 /// conversion of the mutated graph.
-fn busy_daemon_adopts_a_publish(mode: ExecutionMode) {
+#[test]
+fn busy_daemon_adopts_a_publish_wallclock() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     // Jobs long enough (milliseconds) that four closed loops overlap all
     // the time: the runtime is never idle.
     let g = generators::rmat(2000, 40_000, generators::RmatParams::GRAPH500, 79);
-    let dir = store_dir(&format!("busy-{}", mode.name()));
+    let dir = store_dir("busy");
     Convert::grid(4).write(&g, &dir).unwrap();
 
     let mut config = ServerConfig::new(&dir);
-    config.socket_path = Some(std::env::temp_dir().join(format!(
-        "graphm-delta-busy-{}-{}.sock",
-        mode.name(),
-        std::process::id()
-    )));
+    config.socket_path =
+        Some(std::env::temp_dir().join(format!("graphm-delta-busy-{}.sock", std::process::id())));
     config.profile = MemoryProfile::TEST;
     config.batch_window = Duration::from_millis(5);
-    config.mode = mode;
     let server = Server::start(config).expect("server starts");
     let socket = server.socket_path().unwrap().to_path_buf();
 
@@ -302,16 +327,6 @@ fn busy_daemon_adopts_a_publish(mode: ExecutionMode) {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn busy_daemon_adopts_a_publish_deterministic() {
-    busy_daemon_adopts_a_publish(ExecutionMode::Deterministic);
-}
-
-#[test]
-fn busy_daemon_adopts_a_publish_wallclock() {
-    busy_daemon_adopts_a_publish(ExecutionMode::Wallclock);
 }
 
 /// A generation published *before the daemon's first job round* is

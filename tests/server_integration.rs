@@ -1,13 +1,14 @@
 //! End-to-end daemon integration: a `graphm-server` over a disk-resident
-//! store must give concurrently connected socket clients *exactly* what an
-//! in-process `Workbench` run of the same job mix gives — bit-identical
-//! `JobReport`s — while actually sharing partition passes across the
-//! socket-submitted jobs (fewer total loads than jobs x partitions).
+//! store must give concurrently connected socket clients *exactly* the
+//! results an in-process run of the same job mix gives — bit-identical
+//! vertex values, iterations and edge counts — while actually sharing
+//! partition passes across the socket-submitted jobs (fewer total loads
+//! than jobs x partitions).
 
-use graphm::core::{JobReport, Scheme};
+use graphm::core::{JobReport, PartitionSource, Scheme, WallClockConfig, WallClockExecutor};
 use graphm::graph::{generators, MemoryProfile};
-use graphm::server::{Client, ExecutionMode, JobState, Server, ServerConfig};
-use graphm::store::Convert;
+use graphm::server::{Client, JobState, Server, ServerConfig};
+use graphm::store::{Convert, DiskGridSource};
 use graphm::workloads::{immediate_arrivals, AlgoKind, JobSpec, MixConfig, Workbench};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -29,9 +30,11 @@ fn test_server(dir: &std::path::Path, name: &str, batch_ms: u64) -> Server {
 }
 
 /// The headline test: 8 concurrent client connections, one job each,
-/// submitted into one batching window; reports must be bit-identical to
-/// the same mix run in-process, and the sharing scheduler must have
-/// merged partition passes across the socket-submitted jobs.
+/// submitted into one batching window, are served as one cohort. Their
+/// results must be bit-identical to the same mix run in-process — by the
+/// simulator's Shared scheme and by `run_batch_single_thread`, gmbench's
+/// per-cohort rule — and the cohort must have merged partition passes
+/// across the socket-submitted jobs exactly as that replay does.
 #[test]
 fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     let g = generators::rmat(600, 5200, generators::RmatParams::GRAPH500, 33);
@@ -53,7 +56,8 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
 
     // A generous batching window: all 8 submissions (sent concurrently,
     // right after startup) land in one admission, exactly like the
-    // in-process run's immediate arrivals.
+    // in-process runs' immediate arrivals. (The rounds == 1 assert below
+    // turns a machine stall that split it into a clear diagnostic.)
     let server = test_server(&dir, "concurrent", 1500);
     let socket = server.socket_path().unwrap().to_path_buf();
 
@@ -78,38 +82,49 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
         by_server_id[id] = Some((spec_idx, report));
     }
 
+    let stats = server.stats();
+    assert_eq!(stats.rounds, 1, "the burst must land in one cohort (a stall split it; rerun)");
+
     // Replay the same mix in-process, ordered the way the daemon admitted
-    // it (ids are assigned in arrival order), with immediate arrivals.
+    // it (ids are assigned in arrival order): through the simulator with
+    // immediate arrivals, and as one single-threaded cohort.
     let ordered_specs: Vec<JobSpec> =
         by_server_id.iter().map(|e| specs[e.as_ref().unwrap().0]).collect();
     let arr = immediate_arrivals(ordered_specs.len());
-    let expected = wb.run(Scheme::Shared, &ordered_specs, &arr);
+    let simulated = wb.run(Scheme::Shared, &ordered_specs, &arr);
+    let source = Arc::new(DiskGridSource::open(&dir).unwrap());
+    let degrees = Arc::new(source.out_degrees());
+    let exec = WallClockExecutor::new(
+        Arc::clone(&source) as Arc<dyn PartitionSource>,
+        WallClockConfig::new(MemoryProfile::TEST),
+        None,
+    );
+    let cohort = exec.run_batch_single_thread(
+        ordered_specs.iter().map(|s| s.instantiate(wb.num_vertices(), &degrees)).collect(),
+    );
 
     for (id, entry) in by_server_id.iter().enumerate() {
         let (_, served) = entry.as_ref().unwrap();
-        let want = &expected.jobs[id];
-        assert_eq!(served.name, want.name, "job {id}");
-        assert_eq!(served.iterations, want.iterations, "job {id}");
-        assert_eq!(served.instructions, want.instructions, "job {id}");
-        assert_eq!(served.edges_processed, want.edges_processed, "job {id}");
-        assert_eq!(served.submit_ns.to_bits(), want.submit_ns.to_bits(), "job {id}");
-        assert_eq!(served.finish_ns.to_bits(), want.finish_ns.to_bits(), "job {id}");
-        assert_eq!(served.clock.compute_ns.to_bits(), want.clock.compute_ns.to_bits(), "job {id}");
-        assert_eq!(served.clock.disk_ns.to_bits(), want.clock.disk_ns.to_bits(), "job {id}");
-        assert_eq!(served.clock.sync_ns.to_bits(), want.clock.sync_ns.to_bits(), "job {id}");
-        assert_eq!(served.values.len(), want.values.len(), "job {id}");
-        for (v, (a, b)) in served.values.iter().zip(&want.values).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "job {id} ({}) vertex {v}", served.name);
+        let (sim, solo) = (&simulated.jobs[id], &cohort.jobs[id]);
+        for (want_name, want_iterations, want_edges, want_values) in [
+            (&sim.name, sim.iterations, sim.edges_processed, &sim.values),
+            (&solo.name, solo.iterations, solo.edges_processed, &solo.values),
+        ] {
+            assert_eq!(&served.name, want_name, "job {id}");
+            assert_eq!(served.iterations, want_iterations, "job {id}");
+            assert_eq!(served.edges_processed, want_edges, "job {id}");
+            assert_eq!(served.values.len(), want_values.len(), "job {id}");
+            for (v, (a, b)) in served.values.iter().zip(want_values).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "job {id} ({}) vertex {v}", served.name);
+            }
         }
     }
 
     // Sharing engaged across socket-submitted jobs: the daemon's loads
-    // match the in-process Shared run exactly and stay below what
+    // match the cohort's in-process replay exactly and stay below what
     // per-job loading (jobs x partitions, even at one pass per job)
     // would cost.
-    let stats = server.stats();
-    let expected_loads = expected.metrics.get(graphm::cachesim::keys::PARTITION_LOADS) as u64;
-    assert_eq!(stats.partition_loads, expected_loads, "daemon loads match in-process run");
+    assert_eq!(stats.partition_loads, cohort.partition_loads, "daemon loads match the replay");
     let jobs_x_partitions = (specs.len() * stats.num_partitions as usize) as u64;
     assert!(
         stats.partition_loads < jobs_x_partitions,
@@ -120,24 +135,23 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     assert_eq!(stats.jobs_submitted, 8);
     assert_eq!(stats.jobs_completed, 8);
     assert_eq!(stats.num_vertices, 600);
-    assert!(stats.rounds >= 1);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Wallclock mode: real threaded sweeps with partition prefetch must
-/// produce **algorithmically identical** reports to deterministic mode —
+/// Real threaded sweeps with partition prefetch must produce
+/// **algorithmically identical** reports to the simulator's Shared run —
 /// same names, iteration counts, edges processed, and vertex values
-/// (bit-for-bit) — while timing fields are free to differ; the prefetcher
-/// must record hits on the disk-resident store.
+/// (bit-for-bit) — while timing fields are wall time; the prefetcher must
+/// record hits on the disk-resident store.
 #[test]
 fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
     let g = generators::rmat(600, 5200, generators::RmatParams::GRAPH500, 33);
     let dir = store_dir("wallclock");
     Convert::grid(4).write(&g, &dir).unwrap();
 
-    // Same shape as the deterministic headline test: capped iteration
+    // Same shape as the headline test: capped iteration
     // budgets keep total sweeps well below the job count so the sharing
     // criterion (loads < jobs x partitions) has teeth.
     let wb = Workbench::from_disk(&dir, MemoryProfile::TEST).unwrap();
@@ -161,7 +175,6 @@ fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
     // legitimately perturbs f64 accumulation order. The rounds == 1
     // assert below turns a scheduler stall into a clear diagnostic.
     config.batch_window = Duration::from_millis(2000);
-    config.mode = ExecutionMode::Wallclock;
     let server = Server::start(config).expect("wallclock server starts");
     let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
 
@@ -174,7 +187,7 @@ fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
          (a machine stall split the batch window; rerun)"
     );
 
-    // Deterministic reference for the same specs in the same order.
+    // The simulator's reference for the same specs in the same order.
     let expected = wb.run(Scheme::Shared, &specs, &immediate_arrivals(specs.len()));
 
     for (id, (got, want)) in served.iter().zip(&expected.jobs).enumerate() {

@@ -27,28 +27,37 @@ fn store_dir(name: &str) -> std::path::PathBuf {
 }
 
 fn base_config(dir: &std::path::Path, name: &str, batch_ms: u64) -> ServerConfig {
-    mode_config(dir, name, batch_ms, ExecutionMode::Deterministic)
+    let mut config = ServerConfig::new(dir);
+    config.socket_path =
+        Some(std::env::temp_dir().join(format!("graphm-ovl-{name}-{}.sock", std::process::id())));
+    config.profile = MemoryProfile::TEST;
+    config.batch_window = Duration::from_millis(batch_ms);
+    config
 }
 
-/// `base_config` for the tests that run once per execution mode: the
-/// admission rules live in the one runtime loop, so they must hold
-/// whichever engine it drives.
+/// `base_config` for the admission tests that run twice: once on the
+/// default config (`None`) and once with `mode` written explicitly, the way
+/// gmbench configures the daemon. The admission rules live in the one
+/// runtime loop, so they must hold however the config was built.
 fn mode_config(
     dir: &std::path::Path,
     name: &str,
     batch_ms: u64,
-    mode: ExecutionMode,
+    mode: Option<ExecutionMode>,
 ) -> ServerConfig {
-    let mut config = ServerConfig::new(dir);
-    config.socket_path = Some(std::env::temp_dir().join(format!(
-        "graphm-ovl-{name}-{}-{}.sock",
-        mode.name(),
-        std::process::id()
-    )));
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(batch_ms);
-    config.mode = mode;
+    let mut config = base_config(dir, &format!("{name}-{}", tag(mode)), batch_ms);
+    if let Some(mode) = mode {
+        config.mode = mode;
+    }
     config
+}
+
+/// Keeps the store and socket of the two runs of one body apart.
+fn tag(mode: Option<ExecutionMode>) -> &'static str {
+    match mode {
+        None => "default",
+        Some(ExecutionMode::Wallclock) => "wallclock",
+    }
 }
 
 fn small_store(name: &str) -> std::path::PathBuf {
@@ -139,16 +148,16 @@ fn tenant_pending_quota_sheds_one_tenant_without_starving_another() {
 /// eventually shed a well-behaved tenant).
 #[test]
 fn tenant_inflight_quota_caps_concurrency_and_releases_on_finish() {
-    tenant_inflight_quota(ExecutionMode::Deterministic);
+    tenant_inflight_quota(None);
 }
 
 #[test]
 fn tenant_inflight_quota_caps_concurrency_and_releases_on_finish_wallclock() {
-    tenant_inflight_quota(ExecutionMode::Wallclock);
+    tenant_inflight_quota(Some(ExecutionMode::Wallclock));
 }
 
-fn tenant_inflight_quota(mode: ExecutionMode) {
-    let dir = small_store(&format!("inflight-{}", mode.name()));
+fn tenant_inflight_quota(mode: Option<ExecutionMode>) {
+    let dir = small_store(&format!("inflight-{}", tag(mode)));
     let mut config = mode_config(&dir, "inflight", 1000, mode);
     config.tenant_max_inflight = 2;
     let server = Server::start(config).unwrap();
@@ -186,16 +195,16 @@ fn tenant_inflight_quota(mode: ExecutionMode) {
 /// the batch queue.
 #[test]
 fn interactive_jobs_are_not_stuck_behind_batch_backlog() {
-    interactive_not_stuck(ExecutionMode::Deterministic);
+    interactive_not_stuck(None);
 }
 
 #[test]
 fn interactive_jobs_are_not_stuck_behind_batch_backlog_wallclock() {
-    interactive_not_stuck(ExecutionMode::Wallclock);
+    interactive_not_stuck(Some(ExecutionMode::Wallclock));
 }
 
-fn interactive_not_stuck(mode: ExecutionMode) {
-    let dir = small_store(&format!("priority-{}", mode.name()));
+fn interactive_not_stuck(mode: Option<ExecutionMode>) {
+    let dir = small_store(&format!("priority-{}", tag(mode)));
     let mut config = mode_config(&dir, "priority", 400, mode);
     config.max_batch_per_round = 1;
     let server = Server::start(config).unwrap();
@@ -241,20 +250,20 @@ fn interactive_not_stuck(mode: ExecutionMode) {
 /// completes — its slot comes back each time a Batch job retires.
 #[test]
 fn capped_batch_backlog_completes_under_an_interactive_stream() {
-    capped_backlog_completes(ExecutionMode::Deterministic);
+    capped_backlog_completes(None);
 }
 
 #[test]
 fn capped_batch_backlog_completes_under_an_interactive_stream_wallclock() {
-    capped_backlog_completes(ExecutionMode::Wallclock);
+    capped_backlog_completes(Some(ExecutionMode::Wallclock));
 }
 
-fn capped_backlog_completes(mode: ExecutionMode) {
+fn capped_backlog_completes(mode: Option<ExecutionMode>) {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     // Jobs of milliseconds, and loops of different lengths so they cannot
     // fall into step: some interactive job is always in flight.
     let g = generators::rmat(2000, 40_000, generators::RmatParams::GRAPH500, 13);
-    let dir = store_dir(&format!("stream-{}", mode.name()));
+    let dir = store_dir(&format!("stream-{}", tag(mode)));
     Convert::grid(2).write(&g, &dir).unwrap();
     let mut config = mode_config(&dir, "stream", 5, mode);
     config.max_batch_per_round = 1;
@@ -319,16 +328,16 @@ fn capped_backlog_completes(mode: ExecutionMode) {
 /// the `Server` handle (and its shared state) is still alive.
 #[test]
 fn graceful_shutdown_drains_rejects_and_releases_lease() {
-    graceful_shutdown(ExecutionMode::Deterministic);
+    graceful_shutdown(None);
 }
 
 #[test]
 fn graceful_shutdown_drains_rejects_and_releases_lease_wallclock() {
-    graceful_shutdown(ExecutionMode::Wallclock);
+    graceful_shutdown(Some(ExecutionMode::Wallclock));
 }
 
-fn graceful_shutdown(mode: ExecutionMode) {
-    let dir = small_store(&format!("shutdown-{}", mode.name()));
+fn graceful_shutdown(mode: Option<ExecutionMode>) {
+    let dir = small_store(&format!("shutdown-{}", tag(mode)));
     let mut config = mode_config(&dir, "shutdown", 500, mode);
     config.enable_ingest = true;
     let server = Server::start(config).unwrap();
@@ -385,16 +394,16 @@ fn graceful_shutdown(mode: ExecutionMode) {
 /// while `interactive` ones are still admitted and run.
 #[test]
 fn eviction_pressure_sheds_batch_and_admits_interactive() {
-    eviction_pressure(ExecutionMode::Deterministic);
+    eviction_pressure(None);
 }
 
 #[test]
 fn eviction_pressure_sheds_batch_and_admits_interactive_wallclock() {
-    eviction_pressure(ExecutionMode::Wallclock);
+    eviction_pressure(Some(ExecutionMode::Wallclock));
 }
 
-fn eviction_pressure(mode: ExecutionMode) {
-    let dir = small_store(&format!("evict-{}", mode.name()));
+fn eviction_pressure(mode: Option<ExecutionMode>) {
+    let dir = small_store(&format!("evict-{}", tag(mode)));
     let mut config = mode_config(&dir, "evict", 5, mode);
     // Four ~4.5 KB partitions under a one-partition budget: every sweep
     // evicts what it just left behind.
