@@ -13,7 +13,7 @@ use graphm_graph::{AtomicBitmap, Edge};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -357,6 +357,10 @@ pub(super) struct Driver {
     wake: Condvar,
     /// Whoever collects reports sleeps here.
     retirement: Condvar,
+    /// Called with the driver unlocked after a report is handed out, and
+    /// when a worker dies: how a collector that sleeps elsewhere learns of
+    /// it.
+    notify: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 /// Marks the driver dead when the worker holding it unwinds.
@@ -368,6 +372,9 @@ impl Drop for CrashGuard<'_> {
             self.0.state.lock().crashed = true;
             self.0.wake.notify_all();
             self.0.retirement.notify_all();
+            if let Some(notify) = self.0.notify.get() {
+                notify();
+            }
         }
     }
 }
@@ -379,6 +386,7 @@ impl Driver {
             state: Mutex::default(),
             wake: Condvar::new(),
             retirement: Condvar::new(),
+            notify: OnceLock::new(),
         }
     }
 
@@ -731,6 +739,11 @@ impl Driver {
             if st.closed && st.cohorts.is_empty() {
                 self.wake.notify_all();
             }
+            if let Some(notify) = self.notify.get() {
+                drop(st);
+                notify();
+                st = self.state.lock();
+            }
         }
         st
     }
@@ -846,6 +859,20 @@ impl CohortDriver {
     /// held can never retire, so waiting would hang.
     pub fn retired(&self, wait: Duration) -> Vec<(CohortId, WallJobReport)> {
         self.driver.retired(wait).0
+    }
+
+    /// Installs `notify`, called after every report is handed out — with
+    /// the driver unlocked, on the worker that retired the job — and when
+    /// a worker dies, so a collector sleeping on a condition of its own
+    /// can call [`CohortDriver::retired`] without waiting. Install it
+    /// before the first admission.
+    ///
+    /// # Panics
+    ///
+    /// When the driver already has a notifier.
+    pub fn on_retirement(&self, notify: impl Fn() + Send + Sync + 'static) {
+        let installed = self.driver.notify.set(Box::new(notify)).is_ok();
+        assert!(installed, "one retirement notifier per driver");
     }
 
     /// Jobs admitted and not yet retired.

@@ -3,17 +3,25 @@
 //! report, as plain data structures under the locks `state::Shared` holds
 //! them in.
 //!
-//! Batching: when the runtime is idle, the first arrival is drained only
-//! after `ServerConfig::batch_window` elapses, so a concurrent burst of
-//! submissions lands in one admission and shares from the first sweep;
-//! [`drain_admissible`] then applies the in-flight Batch bound. While the
-//! runtime is busy it drains again after every advance.
+//! Batching: a connection's *burst* is the run of `submit` requests it
+//! sends before its next request of any other kind, or before it hangs
+//! up. [`Queue::readiness`] lets the runtime drain once no job the drain
+//! would admit belongs to a burst still open — so a whole burst lands in
+//! one admission and shares from the first sweep — or once the oldest of
+//! them has waited `ServerConfig::batch_window`, the cap a client that
+//! goes quiet mid-burst pays. [`drain_admissible`] then applies the
+//! in-flight Batch bound. The rule is the same whether the runtime is idle
+//! or busy.
 
 use crate::protocol::Priority;
 use graphm_core::{JobId, JobReport};
 use graphm_workloads::JobSpec;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Names a client connection for the daemon's life.
+pub(crate) type ConnId = u64;
 
 /// Daemon-side job lifecycle entry.
 pub(crate) enum JobEntry {
@@ -32,6 +40,22 @@ pub(crate) struct Pending {
     pub(crate) spec: JobSpec,
     pub(crate) tenant: String,
     pub(crate) priority: Priority,
+    /// The connection whose burst it arrived in.
+    pub(crate) conn: ConnId,
+    pub(crate) queued_at: Instant,
+}
+
+/// Whether the runtime may drain the queue now (see [`Queue::readiness`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Readiness {
+    /// The drain would admit nothing: no event but a push or a retirement
+    /// can change that.
+    Nothing,
+    /// A job the drain would admit belongs to an open burst: wait for the
+    /// burst to settle, at the latest until this instant.
+    Until(Instant),
+    /// Drain now; `capped` when the cap forced it while a burst was open.
+    Drain { capped: bool },
 }
 
 /// Submission queue: ids are assigned here, in push order. Specs, not
@@ -52,18 +76,63 @@ pub(crate) struct Queue {
     pub(crate) pending: VecDeque<Pending>,
     pub(crate) queued_by_tenant: HashMap<String, u64>,
     pub(crate) inflight_by_tenant: HashMap<String, u64>,
+    /// Connections whose burst is still open.
+    pub(crate) open_bursts: HashSet<ConnId>,
+    /// The engine has retired a job since the runtime last looked: set by
+    /// its notifier under this lock, so the wake-up cannot be lost.
+    pub(crate) retired: bool,
 }
 
 impl Queue {
     /// Assigns the next id to an admitted submission and queues it,
-    /// charging the tenant's gauges.
-    pub(crate) fn push(&mut self, spec: JobSpec, tenant: String, priority: Priority) -> JobId {
+    /// charging the tenant's gauges; `conn`'s burst is open from here
+    /// until it sends something else.
+    pub(crate) fn push(
+        &mut self,
+        spec: JobSpec,
+        tenant: String,
+        priority: Priority,
+        conn: ConnId,
+    ) -> JobId {
         let id = self.next_id;
         self.next_id += 1;
         *self.queued_by_tenant.entry(tenant.clone()).or_insert(0) += 1;
         *self.inflight_by_tenant.entry(tenant.clone()).or_insert(0) += 1;
-        self.pending.push_back(Pending { id, spec, tenant, priority });
+        self.open_bursts.insert(conn);
+        let queued_at = Instant::now();
+        self.pending.push_back(Pending { id, spec, tenant, priority, conn, queued_at });
         id
+    }
+
+    /// Whether the runtime may drain now, given `batch_budget` and the
+    /// `cap` on how long a job waits for its burst. Only the jobs the
+    /// drain would admit count: one the in-flight Batch bound holds back
+    /// neither holds the drain nor forces it. `settle_all` (shutdown)
+    /// drains without waiting for any burst.
+    pub(crate) fn readiness(
+        &self,
+        mut batch_budget: usize,
+        cap: Duration,
+        settle_all: bool,
+    ) -> Readiness {
+        // Pending is in push order, so the first admissible job is the
+        // oldest one.
+        let mut oldest = None;
+        let mut open = false;
+        for p in self.pending.iter().filter(|p| admits(p, &mut batch_budget)) {
+            oldest.get_or_insert(p.queued_at);
+            open |= self.open_bursts.contains(&p.conn);
+        }
+        let Some(oldest) = oldest else { return Readiness::Nothing };
+        if !open || settle_all {
+            return Readiness::Drain { capped: false };
+        }
+        let deadline = oldest + cap;
+        if Instant::now() >= deadline {
+            Readiness::Drain { capped: true }
+        } else {
+            Readiness::Until(deadline)
+        }
     }
 
     pub(crate) fn dec(map: &mut HashMap<String, u64>, tenant: &str) {
@@ -74,6 +143,15 @@ impl Queue {
             }
         }
     }
+}
+
+/// Whether a drain admits `p`, spending the budget if it does.
+fn admits(p: &Pending, batch_budget: &mut usize) -> bool {
+    let admit = p.priority == Priority::Interactive || *batch_budget > 0;
+    if admit && p.priority == Priority::Batch {
+        *batch_budget -= 1;
+    }
+    admit
 }
 
 /// Pops every admissible pending entry, honouring
@@ -87,11 +165,7 @@ pub(crate) fn drain_admissible(q: &mut Queue, batch_budget: &mut usize) -> Vec<P
     let mut admitted = Vec::new();
     let mut retained = VecDeque::new();
     while let Some(p) = q.pending.pop_front() {
-        let admit = p.priority == Priority::Interactive || *batch_budget > 0;
-        if admit {
-            if p.priority == Priority::Batch {
-                *batch_budget -= 1;
-            }
+        if admits(&p, batch_budget) {
             Queue::dec(&mut q.queued_by_tenant, &p.tenant);
             admitted.push(p);
         } else {
@@ -201,6 +275,36 @@ mod tests {
 
     fn is_known(table: &JobsTable, id: JobId) -> bool {
         table.entries.contains_key(&id)
+    }
+
+    /// The drain rule: a job the drain would admit holds it while its
+    /// burst is open, until the cap; one the Batch budget holds back
+    /// neither holds it nor forces it; shutdown settles every burst.
+    #[test]
+    fn a_drain_waits_for_open_bursts_it_would_admit_until_the_cap() {
+        let spec =
+            JobSpec { kind: graphm_workloads::AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 1 };
+        let cap = Duration::from_secs(60);
+        let mut q = Queue::default();
+        assert_eq!(q.readiness(1, cap, false), Readiness::Nothing);
+        q.push(spec, "a".to_string(), Priority::Batch, 1);
+        let Readiness::Until(deadline) = q.readiness(1, cap, false) else { panic!("burst open") };
+        assert_eq!(deadline, q.pending[0].queued_at + cap);
+        assert_eq!(q.readiness(1, cap, true), Readiness::Drain { capped: false });
+        assert_eq!(q.readiness(1, Duration::ZERO, false), Readiness::Drain { capped: true });
+        q.open_bursts.remove(&1);
+        assert_eq!(q.readiness(1, cap, false), Readiness::Drain { capped: false });
+        // A second connection's Batch job past the budget does not hold
+        // the drain, however open its burst…
+        q.push(spec, "b".to_string(), Priority::Batch, 2);
+        assert_eq!(q.readiness(1, cap, false), Readiness::Drain { capped: false });
+        // …but its Interactive job, which the drain would admit, does.
+        q.push(spec, "b".to_string(), Priority::Interactive, 2);
+        assert!(matches!(q.readiness(1, cap, false), Readiness::Until(_)));
+        // With the budget spent, nothing is admissible but the Interactive job.
+        assert_eq!(q.readiness(0, Duration::ZERO, false), Readiness::Drain { capped: true });
+        q.pending.pop_back();
+        assert_eq!(q.readiness(0, Duration::ZERO, false), Readiness::Nothing);
     }
 
     /// Delivered reports go oldest-first once together they exceed the

@@ -25,7 +25,8 @@ fn usage() -> ! {
          --store DIR          grid store written by graphm-convert (required)\n\
          --socket PATH        unix-domain socket to listen on\n\
          --tcp ADDR           tcp address to listen on, e.g. 127.0.0.1:7421\n\
-         --batch-window-ms N  how long an idle daemon batches arrivals (default 20)\n\
+         --batch-window-ms N  longest a pending job waits for its connection's\n\
+                              burst of submissions to end (default 20)\n\
          --profile NAME       memory profile chunks are sized for (default|test)\n\
          --memory-budget B    page-cache budget in bytes; past it the store\n\
                               releases segments behind the sweep frontier with\n\

@@ -42,10 +42,15 @@ pub struct ServerConfig {
     /// chunks for (the same profile a `Workbench` would use). Timings are
     /// real: the profile only sizes chunks.
     pub profile: MemoryProfile,
-    /// Batching window: how long an idle runtime waits after the first
-    /// arrival before draining, so a concurrent burst shares from sweep
-    /// one. (A busy runtime drains again after every advance; an advance
-    /// lasts until a job retires, at most this long.)
+    /// Batching cap: the longest a pending job waits for a connection's
+    /// burst of submissions to end. The runtime drains the moment no job
+    /// it would admit belongs to an open burst — a burst ends at the
+    /// connection's next request of any other kind (`wait`, `status`, …)
+    /// or when it hangs up — so a burst shares from sweep one, and a
+    /// client that submits and then waits never pays this. It bounds
+    /// what a client that goes quiet mid-burst costs the jobs queued
+    /// beside its own (`stats.rounds_capped` counts those admissions).
+    /// Zero drains at once, bursts or not.
     pub batch_window: Duration,
     /// Formula-1 `U_v` used for chunk sizing (8 covers every shipped
     /// algorithm; see `WallClockConfig::state_bytes_per_vertex`).
@@ -141,7 +146,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults over `store_dir`: no listeners yet (set at least one),
-    /// `MemoryProfile::DEFAULT`, a 20 ms batch window, 8-byte `U_v`.
+    /// `MemoryProfile::DEFAULT`, a 20 ms batching cap, 8-byte `U_v`.
     pub fn new(store_dir: impl Into<PathBuf>) -> ServerConfig {
         ServerConfig {
             store_dir: store_dir.into(),

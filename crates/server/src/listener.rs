@@ -11,8 +11,10 @@
 //!                                              └─> respond <─────┘
 //!      submit: push (job_id, spec) ──> submission queue ──> runtime
 //!      wait:   block on done_cv   <── reports published by the runtime
+//!      anything but submit, or hang-up: end the connection's burst
 //! ```
 
+use crate::admission::ConnId;
 use crate::protocol::{
     error_response, error_response_coded, parse_request, Request, ERR_LINE_TOO_LONG,
     ERR_OVERLOADED, ERR_UNAUTHORIZED,
@@ -238,6 +240,8 @@ fn read_bounded_line(r: &mut BufReader<Box<dyn Read + Send>>, max: usize) -> Lin
 
 /// Per-connection session state.
 struct ConnState {
+    /// Whose burst this connection's submissions join (see `admission`).
+    id: ConnId,
     /// Mutations staged by this connection's `ingest` requests, awaiting
     /// its `ingest_commit`/`ingest_abort`. Dropped with the connection: a
     /// client that hangs up mid-session implicitly aborts.
@@ -258,11 +262,13 @@ fn serve_connection(
     info: ConnInfo,
 ) {
     let mut conn = ConnState {
+        id: shared.next_conn.fetch_add(1, Ordering::Relaxed),
         staged: Vec::new(),
         authed: shared.config.auth_token.is_none() || matches!(info, ConnInfo::Unix),
         subscribed: false,
     };
     serve_requests(read, write, shared, &mut conn);
+    shared.end_burst(conn.id);
     if conn.subscribed {
         shared.hub.subscriber_left();
     }
@@ -279,6 +285,7 @@ fn serve_requests(
         let line = match read_bounded_line(&mut reader, shared.config.max_line_bytes) {
             LineOutcome::Eof | LineOutcome::Failed => return,
             LineOutcome::Oversized => {
+                shared.end_burst(conn.id);
                 lock(&shared.stats).oversized_lines += 1;
                 let resp = error_response_coded(
                     &format!("request line exceeds {} bytes", shared.config.max_line_bytes),
@@ -294,7 +301,12 @@ fn serve_requests(
         if line.trim().is_empty() {
             continue;
         }
-        let response = match parse_request(&line) {
+        let parsed = parse_request(&line);
+        if !matches!(parsed, Ok(Request::Submit { .. })) {
+            // Any other request ends the connection's burst.
+            shared.end_burst(conn.id);
+        }
+        let response = match parsed {
             Err(msg) => error_response(&msg),
             Ok(req) => {
                 // Auth gate: an unauthenticated TCP connection may only
@@ -344,7 +356,9 @@ fn respond(req: Request, shared: &Shared, conn: &mut ConnState) -> Value {
             shared.request_shutdown();
             json!({ "ok": true, "shutting_down": true })
         }
-        Request::Submit { spec, tenant, priority } => submit(spec, tenant, priority, shared),
+        Request::Submit { spec, tenant, priority } => {
+            submit(spec, tenant, priority, conn.id, shared)
+        }
         Request::Health => json!({ "ok": true, "health": shared.health_snapshot().to_json() }),
         Request::Status(id) => match job_state(shared, id) {
             Some(state) => json!({ "ok": true, "job_id": id, "state": state.name() }),

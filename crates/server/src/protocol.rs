@@ -26,6 +26,12 @@
 //! anonymous tenant `""`) and `priority` (`"interactive"` \| `"batch"`,
 //! default `"batch"` — see [`Priority`]).
 //!
+//! Consecutive `submit`s on one connection are a *burst*: the daemon
+//! admits them together (the in-flight Batch bound permitting) once the
+//! connection sends any other request or hangs up — or once the oldest
+//! has waited the daemon's batch window. A client that submits and then
+//! waits is admitted at its `wait`.
+//!
 //! Failures answer `{"ok":false,"error":"..."}` and keep the connection
 //! open; only `shutdown`, EOF, or a transport error end it. Overload and
 //! lifecycle rejections additionally carry a machine-readable `"code"`
@@ -291,6 +297,11 @@ pub struct ServerStats {
     /// Admissions: non-empty drains of the submission queue. The jobs
     /// of one admission share a traversal from their first sweep.
     pub rounds: u64,
+    /// Admissions the `batch_window` cap forced while a submitting
+    /// connection's burst was still open — each one cost its jobs the
+    /// whole window. A client that sends `wait` (or anything else) after
+    /// its submissions never pays it.
+    pub rounds_capped: u64,
     /// Shared partition loads performed by the runtime — one per
     /// `(sweep, partition)` with interested jobs, *not* one per job. The
     /// gap to `jobs × partitions × iterations` is the sharing win.
@@ -392,6 +403,7 @@ impl ServerStats {
             "jobs_submitted": self.jobs_submitted,
             "jobs_completed": self.jobs_completed,
             "rounds": self.rounds,
+            "rounds_capped": self.rounds_capped,
             "partition_loads": self.partition_loads,
             "num_partitions": self.num_partitions,
             "num_vertices": self.num_vertices,
@@ -446,6 +458,7 @@ impl ServerStats {
             chunk_bytes: u("chunk_bytes")?,
             // Added after the first daemon release; default to 0 so a new
             // client can still read stats from an older daemon.
+            rounds_capped: v.get("rounds_capped").and_then(Value::as_u64).unwrap_or(0),
             prefetch_issued: v.get("prefetch_issued").and_then(Value::as_u64).unwrap_or(0),
             prefetch_hits: v.get("prefetch_hits").and_then(Value::as_u64).unwrap_or(0),
             prefetch_window: v.get("prefetch_window").and_then(Value::as_u64).unwrap_or(0),
@@ -999,6 +1012,7 @@ mod tests {
             jobs_submitted: 8,
             jobs_completed: 7,
             rounds: 2,
+            rounds_capped: 1,
             partition_loads: 96,
             num_partitions: 16,
             num_vertices: 600,
@@ -1038,6 +1052,10 @@ mod tests {
         };
         let back = ServerStats::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
+        // A daemon that predates a counter reads as 0 on it.
+        let Value::Object(mut older) = s.to_json() else { panic!("stats are an object") };
+        older.remove("rounds_capped");
+        assert_eq!(ServerStats::from_json(&Value::Object(older)).unwrap().rounds_capped, 0);
     }
 
     #[test]

@@ -7,11 +7,18 @@
 //! ```text
 //!  submission queue ──drain (Batch jobs in flight ≤ cap)──┐
 //!                                                         v
-//!  idle → wait for an arrival → adopt generation → batch window
-//!       → busy: poll generation → drain → engine.advance → publish
-//!                 ^──── while jobs are in flight or the queue refills,
-//!                       admitting nothing once a new generation waits
+//!  sleep on queue_cv → poll generation → drain → engine.advance → publish
+//!     ^  woken by: a retirement (the engine's notifier), a burst     │
+//!     │  settling, the batch_window cap, shutdown                    │
+//!     └──────── admitting nothing while a newer generation waits ────┘
 //! ```
+//!
+//! The thread blocks in exactly one place, `Shared::queue_cv`. A drain
+//! happens the moment no job it would admit belongs to a connection's
+//! open burst (`admission`), or once the oldest of them has waited
+//! `batch_window`, idle or busy alike: a client that submits and then
+//! waits is admitted at its `wait`, and a burst never splits at whatever
+//! point a retirement happened to fall.
 //!
 //! An [`Engine`] only decides *how jobs execute* — its unit of work, what
 //! survives a rotation, what its clock means; everything a client can
@@ -22,15 +29,15 @@
 //!
 //! The daemon's engine is [`Batcher`]: a `CohortDriver` with its worker
 //! lanes plus the `Prefetcher`; every non-empty drain starts at once as a
-//! cohort of its own beside whatever is running, and an advance returns as
-//! soon as any job has retired. (The trait is the seam through which the
+//! cohort of its own beside whatever is running, and the driver wakes the
+//! loop each time a job retires. (The trait is the seam through which the
 //! tests below substitute scripted and sabotaged engines.) A reader runs
 //! entirely inside one published generation: the loop rotates only with
 //! nothing in flight — and stops admitting as soon as a newer generation
 //! is waiting, so that moment comes — and instantiates specs at drain time
 //! so a job's out-degrees match the generation it streams.
 
-use crate::admission::{drain_admissible, JobEntry, Queue};
+use crate::admission::{drain_admissible, JobEntry, Queue, Readiness};
 use crate::protocol::Priority;
 use crate::state::{lock, Shared};
 use graphm_cachesim::VirtualClock;
@@ -55,10 +62,10 @@ pub(crate) trait Engine {
     fn rebuild(&mut self);
 
     /// Admits `admitted` — jobs that share a traversal from their first
-    /// sweep — and advances by the engine's unit of work, returning the
-    /// jobs that finished in it. Must not return empty-handed without
-    /// having let some time or work pass: the loop calls it again at once
-    /// while anything is in flight.
+    /// sweep — and returns the jobs that have finished since the last
+    /// call, without waiting for any. The loop calls it again only when
+    /// woken: every retirement it has not returned yet must reach
+    /// [`Shared::signal_retirement`], or the loop sleeps through it.
     fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport>;
 
     /// Whether any admitted job is still unfinished.
@@ -75,8 +82,8 @@ pub(crate) trait Engine {
 /// A cohort starts the moment it is admitted, beside whatever is already
 /// in flight, and never mixes with it: each is bit-identical to
 /// `run_batch_single_thread` of its jobs in id order, whoever else is
-/// being served (see `graphm_core::exec_parallel`). An advance returns as
-/// soon as any job has retired, so a three-sweep WCC is answered while a
+/// being served (see `graphm_core::exec_parallel`). The driver wakes the
+/// loop as each job retires, so a three-sweep WCC is answered while a
 /// thirty-sweep PageRank of the same burst is still running.
 ///
 /// Report mapping: vertex values, iterations, and edges processed are the
@@ -101,9 +108,6 @@ struct Batcher {
     prefetcher: Prefetcher,
     /// Cohorts with a report still to come.
     cohorts: HashMap<CohortId, Admission>,
-    /// How long an advance waits for a retirement before giving the loop
-    /// its next look at the queue.
-    window: Duration,
     /// Runtime start; report timestamps and the stats clock count from it
     /// across rebuilds, so every cohort has a distinct `submit_ns`.
     epoch: Instant,
@@ -119,18 +123,21 @@ struct Admission {
 }
 
 impl Batcher {
-    fn new(store: Arc<DiskGridSource>, cfg: WallClockConfig, window: Duration) -> Batcher {
+    /// Serves `shared`'s store on `driver`, which wakes `shared`'s runtime
+    /// at every retirement.
+    fn new(shared: &Arc<Shared>, cfg: WallClockConfig, driver: CohortDriver) -> Batcher {
+        let store = Arc::clone(&shared.store);
         let prefetcher = Prefetcher::spawn(Arc::clone(&store) as Arc<dyn PrefetchTarget>);
         let exec = Self::init(&store, &cfg, &prefetcher);
+        let notified = Arc::clone(shared);
+        driver.on_retirement(move || notified.signal_retirement());
         Batcher {
             store,
             cfg,
             exec,
-            driver: CohortDriver::spawn_pool_sized(),
+            driver,
             prefetcher,
             cohorts: HashMap::new(),
-            // A zero window must not turn the wait into a spin.
-            window: window.max(Duration::from_millis(1)),
             epoch: Instant::now(),
         }
     }
@@ -165,7 +172,7 @@ impl Engine for Batcher {
             let cohort = self.driver.admit(&self.exec, jobs);
             self.cohorts.insert(cohort, Admission { submit_ns, left: ids.len(), ids });
         }
-        let retired = self.driver.retired(self.window);
+        let retired = self.driver.retired(Duration::ZERO);
         let reports = retired.into_iter().map(|(cohort, wj)| {
             let admission = self.cohorts.get_mut(&cohort).expect("a report's cohort is known");
             let (id, submit_ns) = (admission.ids[wj.id], admission.submit_ns);
@@ -207,12 +214,12 @@ impl Engine for Batcher {
 
 /// Body of the `graphm-runtime` thread: serves with a [`Batcher`] until
 /// shutdown drains the queue.
-pub(crate) fn run(shared: &Shared) {
+pub(crate) fn run(shared: &Arc<Shared>) {
     let config = &shared.config;
     run_engine(shared, || {
         let mut cfg = WallClockConfig::new(config.profile);
         cfg.state_bytes_per_vertex = config.state_bytes_per_vertex.max(1);
-        Batcher::new(Arc::clone(&shared.store), cfg, config.batch_window)
+        Batcher::new(shared, cfg, CohortDriver::spawn_pool_sized())
     })
 }
 
@@ -267,27 +274,29 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
     let mut batch_budget =
         if config.max_batch_per_round == 0 { usize::MAX } else { config.max_batch_per_round };
     lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
+    // An admission whose evictions the EWMA has not sampled yet.
+    let mut unsampled = false;
+    // A newer generation waits for what is in flight to let go of the
+    // old one: admit nothing more, so how stale a job can run is bounded
+    // by the longest job in flight.
+    let mut rotating = false;
     loop {
-        // Idle: wait for the first arrival of the next busy period (or
-        // shutdown).
-        {
-            let mut q = lock(&shared.queue);
-            while q.pending.is_empty() && !shared.is_shutting_down() {
-                q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-            if q.pending.is_empty() {
-                break; // Shutdown with an empty queue.
-            }
-        }
-        // Nothing is in flight: adopt any newly published delta
-        // generation — rotate the store's view, re-run Init() and
-        // recompute the merged out-degrees. Jobs admitted from here on
-        // run entirely against the rotated graph.
-        if config.auto_rotate {
-            generation_waits(store, served_gen);
+        let admitting = !(rotating && engine.in_flight());
+        let Some(retired) = wait_for_work(shared, engine.in_flight(), admitting, batch_budget)
+        else {
+            break; // Shutdown with nothing queued or in flight.
+        };
+        // Two free-running clients keep the runtime busy for good, so the
+        // store is polled at every wake-up. With nothing in flight, adopt
+        // a newly published delta generation — rotate the store's view,
+        // re-run Init() and recompute the merged out-degrees: jobs
+        // admitted from here on run entirely against the rotated graph.
+        rotating = config.auto_rotate && generation_waits(store, served_gen);
+        if rotating && !engine.in_flight() {
             // Rebuild on the *observed* generation, not on what the poll
             // picked up: with several runtimes sharing one store handle,
-            // a peer may have adopted the rotation first.
+            // a peer may have adopted the rotation first (and until it
+            // has, nothing of ours holds the old one up).
             if store.generation() != served_gen {
                 debug_assert!(admitted_as.is_empty(), "finished jobs published before rotation");
                 served_gen = store.generation();
@@ -295,54 +304,90 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
                 *lock(&shared.out_degrees) = Arc::new(store.out_degrees());
                 lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
             }
+            rotating = false;
         }
-        // Let the concurrent burst land in one admission.
-        if !config.batch_window.is_zero() {
-            std::thread::sleep(config.batch_window);
-        }
-        let mut admitted_any = false;
-        // A newer generation is waiting to be served (the poll above
-        // covers the first drain).
-        let mut rotating = false;
-        loop {
-            let drained = if rotating {
-                Vec::new()
-            } else {
-                drain_admissible(&mut lock(&shared.queue), &mut batch_budget)
-            };
-            if drained.is_empty() && !engine.in_flight() {
-                break;
-            }
-            let mut admitted = Vec::with_capacity(drained.len());
-            if !drained.is_empty() {
-                if std::mem::replace(&mut admitted_any, true) {
-                    sample_evictions();
+        // The rule is looked at again under the lock the drain takes: a
+        // burst that opened since the wake-up is not split.
+        let drained = if rotating {
+            None
+        } else {
+            let mut q = lock(&shared.queue);
+            match q.readiness(batch_budget, config.batch_window, shared.is_shutting_down()) {
+                Readiness::Drain { capped } => {
+                    Some((capped, drain_admissible(&mut q, &mut batch_budget)))
                 }
-                // A round is one admission — jobs that share a traversal
-                // from their first sweep. Counted before they run, so it
-                // is stable by the time any of them reports done.
-                lock(&shared.stats).rounds += 1;
-                let mut jobs = lock(&shared.jobs);
-                for p in drained {
-                    jobs.entries.insert(p.id, JobEntry::Running);
-                    // Instantiated here — not at submit — so the job's
-                    // out-degrees match the generation it is admitted on.
-                    admitted.push((p.id, shared.instantiate(&p.spec)));
-                    admitted_as.insert(p.id, (p.tenant, p.priority));
-                }
+                Readiness::Until(_) | Readiness::Nothing => None,
             }
-            let finished = engine.advance(admitted);
-            publish(shared, engine.progress(), &mut admitted_as, &mut batch_budget, finished);
-            // Two free-running clients never leave this loop, so the
-            // store is polled inside it too. A newer generation is
-            // adopted only once what is in flight has let go of the old
-            // one: admit nothing more, and how stale a job can run is
-            // bounded by the longest job in flight.
-            rotating = config.auto_rotate && generation_waits(store, served_gen);
+        };
+        let mut admitted = Vec::new();
+        if let Some((capped, drained)) = drained {
+            if std::mem::replace(&mut unsampled, true) {
+                sample_evictions();
+            }
+            // A round is one admission — jobs that share a traversal from
+            // their first sweep. Counted before they run, so it is stable
+            // by the time any of them reports done.
+            {
+                let mut stats = lock(&shared.stats);
+                stats.rounds += 1;
+                stats.rounds_capped += u64::from(capped);
+            }
+            let mut jobs = lock(&shared.jobs);
+            for p in drained {
+                jobs.entries.insert(p.id, JobEntry::Running);
+                // Instantiated here — not at submit — so the job's
+                // out-degrees match the generation it is admitted on.
+                admitted.push((p.id, shared.instantiate(&p.spec)));
+                admitted_as.insert(p.id, (p.tenant, p.priority));
+            }
         }
-        if admitted_any {
+        if admitted.is_empty() && !retired {
+            continue;
+        }
+        let finished = engine.advance(admitted);
+        publish(shared, engine.progress(), &mut admitted_as, &mut batch_budget, finished);
+        if unsampled && !engine.in_flight() {
             sample_evictions();
+            unsampled = false;
         }
+    }
+}
+
+/// Sleeps on `queue_cv` until the loop has something to do, and says
+/// what: `Some(true)` when the engine signalled a retirement,
+/// `Some(false)` when the queue is ready to drain (only looked at while
+/// `admitting`), `None` once shutdown leaves nothing queued or in flight.
+/// The only place the runtime thread blocks.
+fn wait_for_work(
+    shared: &Shared,
+    in_flight: bool,
+    admitting: bool,
+    batch_budget: usize,
+) -> Option<bool> {
+    let mut q = lock(&shared.queue);
+    loop {
+        if std::mem::take(&mut q.retired) {
+            return Some(true);
+        }
+        let shutting_down = shared.is_shutting_down();
+        let mut deadline = None;
+        if admitting {
+            match q.readiness(batch_budget, shared.config.batch_window, shutting_down) {
+                Readiness::Drain { .. } => return Some(false),
+                Readiness::Until(cap) => deadline = Some(cap),
+                Readiness::Nothing => {}
+            }
+        }
+        if shutting_down && q.pending.is_empty() && !in_flight {
+            return None;
+        }
+        q = match deadline {
+            None => shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner()),
+            Some(cap) => {
+                let left = cap.saturating_duration_since(Instant::now());
+                shared.queue_cv.wait_timeout(q, left).unwrap_or_else(|e| e.into_inner()).0
+            }
+        };
     }
 }
 
@@ -395,18 +440,42 @@ mod tests {
     use crate::protocol::Priority;
     use graphm_store::{Convert, DeltaWriter};
     use graphm_workloads::{AlgoKind, JobSpec};
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
     use std::time::Duration;
 
     /// A scripted engine: every admitted job stays in flight for `hold`
-    /// advances, and each call is logged with the jobs it was handed.
+    /// advances, and each call is logged with the jobs it was handed. Its
+    /// clock runs in advances, so after each one that leaves a job in
+    /// flight it signals a retirement to come — unless `paused`, when an
+    /// advance admits but moves nothing and signals nothing: jobs in
+    /// flight with no retirement coming. `looks` counts the loop's
+    /// `in_flight` calls: every pass of the loop makes some, so a loop
+    /// that spins without advancing shows there.
     struct Scripted {
+        shared: Arc<Shared>,
         log: Arc<Mutex<Vec<String>>>,
         hold: usize,
+        paused: Arc<AtomicBool>,
+        looks: Arc<AtomicUsize>,
         running: Vec<(JobId, usize)>,
         advances: u64,
         panic_on_advance: bool,
+    }
+
+    impl Scripted {
+        fn new(shared: &Arc<Shared>, hold: usize) -> Scripted {
+            Scripted {
+                shared: Arc::clone(shared),
+                log: Arc::default(),
+                hold,
+                paused: Arc::default(),
+                looks: Arc::default(),
+                running: Vec::new(),
+                advances: 0,
+                panic_on_advance: false,
+            }
+        }
     }
 
     impl Engine for Scripted {
@@ -424,9 +493,15 @@ mod tests {
             self.log.lock().unwrap().push(format!("advance{ids:?}"));
             self.advances += 1;
             self.running.extend(ids.into_iter().map(|id| (id, self.hold)));
+            if self.paused.load(Ordering::SeqCst) {
+                return Vec::new();
+            }
             self.running.iter_mut().for_each(|(_, left)| *left -= 1);
             let (done, running) = self.running.iter().partition(|(_, left)| *left == 0);
             self.running = running;
+            if !self.running.is_empty() {
+                self.shared.signal_retirement();
+            }
             done.into_iter()
                 .map(|(id, _): (JobId, usize)| JobReport {
                     id,
@@ -444,6 +519,7 @@ mod tests {
         }
 
         fn in_flight(&self) -> bool {
+            self.looks.fetch_add(1, Ordering::SeqCst);
             !self.running.is_empty()
         }
 
@@ -452,7 +528,7 @@ mod tests {
         }
     }
 
-    fn fixture(name: &str, configure: impl FnOnce(&mut ServerConfig)) -> Shared {
+    fn fixture(name: &str, configure: impl FnOnce(&mut ServerConfig)) -> Arc<Shared> {
         let dir =
             std::env::temp_dir().join(format!("graphm-runtime-test-{name}-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
@@ -466,17 +542,26 @@ mod tests {
         let mut config = ServerConfig::new(&dir);
         configure(&mut config);
         let store = DiskGridSource::open_shared(&dir).unwrap();
-        Shared::new(config, store, None, None)
+        Arc::new(Shared::new(config, store, None, None))
     }
 
+    /// The connection the tests submit on.
+    const CONN: u64 = 7;
+
+    /// Submits a job on [`CONN`], whose burst stays open until [`settle`].
     fn enqueue(shared: &Shared, priority: Priority) -> JobId {
         let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 1 };
         let mut q = lock(&shared.queue);
-        let id = q.push(spec, "tenant".to_string(), priority);
+        let id = q.push(spec, "tenant".to_string(), priority, CONN);
         lock(&shared.jobs).entries.insert(id, JobEntry::Queued);
         drop(q);
         shared.queue_cv.notify_all();
         id
+    }
+
+    /// [`CONN`] sends something other than `submit`.
+    fn settle(shared: &Shared) {
+        shared.end_burst(CONN);
     }
 
     fn wait_done(shared: &Shared, id: JobId) {
@@ -487,11 +572,17 @@ mod tests {
         }
     }
 
+    fn wait_running(shared: &Shared, id: JobId) {
+        while matches!(lock(&shared.jobs).entries.get(&id), Some(JobEntry::Queued)) {
+            std::thread::yield_now();
+        }
+    }
+
     /// The loop's order of business with a scripted engine in place of a
-    /// real one: adopt a published generation (rebuild, out-degrees
-    /// swapped) → batch window → drain in id order under the in-flight
-    /// Batch bound → advance → publish (reports, counters, tenant and
-    /// budget release).
+    /// real one: the cap on a burst that never settles → adopt a
+    /// published generation (rebuild, out-degrees swapped) → drain in id
+    /// order under the in-flight Batch bound → advance → publish
+    /// (reports, counters, tenant and budget release).
     #[test]
     fn loop_adopts_then_windows_then_drains_advances_and_publishes() {
         let window = Duration::from_millis(40);
@@ -508,23 +599,18 @@ mod tests {
         let degrees_before = Arc::clone(&lock(&shared.out_degrees));
 
         // Two batch jobs and an interactive one, all pending at the first
-        // drain; the cap of one batch job in flight defers job 1.
+        // drain; the cap of one batch job in flight defers job 1. Their
+        // burst never settles: only the batch window admits them.
         let submitted = Instant::now();
         let ids = [
             enqueue(&shared, Priority::Batch),
             enqueue(&shared, Priority::Batch),
             enqueue(&shared, Priority::Interactive),
         ];
-        let log = Arc::new(Mutex::new(Vec::new()));
+        let engine = Scripted::new(&shared, 2);
+        let log = Arc::clone(&engine.log);
         let mut first_done_after = Duration::ZERO;
         std::thread::scope(|scope| {
-            let engine = Scripted {
-                log: Arc::clone(&log),
-                hold: 2,
-                running: Vec::new(),
-                advances: 0,
-                panic_on_advance: false,
-            };
             scope.spawn(|| run_engine(&shared, || engine));
             wait_done(&shared, ids[0]);
             first_done_after = submitted.elapsed();
@@ -550,10 +636,133 @@ mod tests {
         let stats = shared.stats_snapshot();
         assert_eq!(stats.generation, 1);
         assert_eq!(stats.rounds, 2);
+        assert_eq!(stats.rounds_capped, 2, "both admissions were forced by the cap");
         assert_eq!(stats.chunk_bytes, 4096);
         assert_eq!(stats.jobs_completed, 3);
         assert_eq!(stats.partition_loads, 4, "the engine's progress is published as is");
         assert!(lock(&shared.queue).inflight_by_tenant.is_empty(), "tenant quota released");
+        assert!(shared.runtime_exited.load(Ordering::SeqCst));
+        std::fs::remove_dir_all(&shared.config.store_dir).ok();
+    }
+
+    /// Pauses `engine`, serves with it until the job `held` runs, runs
+    /// `meanwhile`, then counts what the loop does over 200 ms with
+    /// nothing to wake it: `(advances, looks at the engine)`. Then resumes
+    /// the engine, and the loop must finish everything.
+    fn activity_while_held(
+        shared: &Arc<Shared>,
+        engine: Scripted,
+        held: JobId,
+        meanwhile: impl FnOnce() -> Vec<JobId>,
+    ) -> (usize, usize) {
+        let (log, paused) = (Arc::clone(&engine.log), Arc::clone(&engine.paused));
+        let looks = Arc::clone(&engine.looks);
+        paused.store(true, Ordering::SeqCst);
+        std::thread::scope(|scope| {
+            scope.spawn(|| run_engine(shared, || engine));
+            wait_running(shared, held);
+            let ids = meanwhile();
+            let before = (log.lock().unwrap().len(), looks.load(Ordering::SeqCst));
+            std::thread::sleep(Duration::from_millis(200));
+            let advances = log.lock().unwrap().len() - before.0;
+            let looked = looks.load(Ordering::SeqCst) - before.1;
+            paused.store(false, Ordering::SeqCst);
+            shared.signal_retirement();
+            ids.iter().chain([&held]).for_each(|&id| wait_done(shared, id));
+            shared.request_shutdown();
+            (advances, looked)
+        })
+    }
+
+    /// The Batch budget is spent while a job is held: the retained job
+    /// neither wakes the loop (nothing a drain could admit) nor forces it
+    /// at the cap, so the loop sleeps until the retirement.
+    #[test]
+    fn a_spent_budget_does_not_spin_the_loop() {
+        let shared = fixture("budget-spin", |c| {
+            c.batch_window = Duration::from_millis(1);
+            c.max_batch_per_round = 1;
+        });
+        let engine = Scripted::new(&shared, 1);
+        let log = Arc::clone(&engine.log);
+        let held = enqueue(&shared, Priority::Batch);
+        let retained = enqueue(&shared, Priority::Batch);
+        settle(&shared);
+        let (advances, looks) = activity_while_held(&shared, engine, held, || vec![retained]);
+        assert!(advances <= 3 && looks <= 20, "{advances} advances, {looks} looks in 200 ms");
+        assert_eq!(*log.lock().unwrap(), ["advance[0]", "advance[]", "advance[1]"]);
+        assert_eq!(shared.stats_snapshot().rounds, 2);
+        std::fs::remove_dir_all(&shared.config.store_dir).ok();
+    }
+
+    /// A newer generation waits while a job is in flight and a settled
+    /// burst is pending: the loop admits nothing and sleeps until the
+    /// retirement, then rotates and admits.
+    #[test]
+    fn a_waiting_generation_does_not_spin_the_loop() {
+        let shared = fixture("rotation-spin", |c| c.batch_window = Duration::from_millis(1));
+        let engine = Scripted::new(&shared, 1);
+        let log = Arc::clone(&engine.log);
+        let held = enqueue(&shared, Priority::Batch);
+        settle(&shared);
+        let dir = shared.config.store_dir.clone();
+        let (advances, looks) = activity_while_held(&shared, engine, held, || {
+            let mut writer = DeltaWriter::open(&dir).unwrap();
+            writer.insert(1, 2, 1.0).unwrap();
+            writer.publish().unwrap();
+            let pending = enqueue(&shared, Priority::Batch);
+            settle(&shared);
+            vec![pending]
+        });
+        assert!(advances <= 3 && looks <= 20, "{advances} advances, {looks} looks in 200 ms");
+        assert_eq!(*log.lock().unwrap(), ["advance[0]", "advance[]", "rebuild", "advance[1]"]);
+        let stats = shared.stats_snapshot();
+        assert_eq!((stats.generation, stats.rounds), (1, 2));
+        std::fs::remove_dir_all(&shared.config.store_dir).ok();
+    }
+
+    /// Arrivals racing retirements on the real engine: 2,000 one-job
+    /// cohorts on two lanes, each submitted the moment the one before it
+    /// is admitted, so its burst settles while that job retires. A lost
+    /// wake-up hangs (the watchdog fails it); every report is published.
+    #[test]
+    fn arrivals_racing_retirements_neither_hang_nor_lose_a_report() {
+        const JOBS: usize = 2_000;
+        // A cap no burst reaches: a settle that failed to wake the loop
+        // would cost ten seconds, not pass unseen.
+        let shared = fixture("release-stress", |c| {
+            c.max_done_reports = JOBS;
+            c.batch_window = Duration::from_secs(10);
+        });
+        let (done, watchdog) = std::sync::mpsc::channel();
+        let runner = Arc::clone(&shared);
+        let stress = std::thread::spawn(move || {
+            let shared = &runner;
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    run_engine(shared, || {
+                        let cfg = WallClockConfig::new(shared.config.profile);
+                        Batcher::new(shared, cfg, CohortDriver::spawn(2))
+                    })
+                });
+                let ids: Vec<JobId> = (0..JOBS)
+                    .map(|_| {
+                        let id = enqueue(shared, Priority::Batch);
+                        settle(shared);
+                        wait_running(shared, id);
+                        id
+                    })
+                    .collect();
+                ids.iter().for_each(|&id| wait_done(shared, id));
+                shared.request_shutdown();
+            });
+            done.send(()).ok();
+        });
+        watchdog.recv_timeout(Duration::from_secs(120)).expect("the runtime lost a wake-up");
+        stress.join().unwrap();
+        let stats = shared.stats_snapshot();
+        assert_eq!((stats.rounds, stats.jobs_completed), (JOBS as u64, JOBS as u64));
+        assert_eq!(stats.rounds_capped, 0);
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
         std::fs::remove_dir_all(&shared.config.store_dir).ok();
     }
@@ -644,11 +853,9 @@ mod tests {
         let id = enqueue(&shared, Priority::Batch);
         run_engine(&shared, || {
             let cfg = WallClockConfig::new(shared.config.profile);
-            let mut batcher = Batcher::new(Arc::clone(&shared.store), cfg, Duration::from_secs(60));
             // Two lanes whatever `RAYON_NUM_THREADS` says: a lone lane
             // never helps ahead, so it never holds a kernel to drop.
-            batcher.driver = CohortDriver::spawn(2);
-            Sabotaged(batcher)
+            Sabotaged(Batcher::new(&shared, cfg, CohortDriver::spawn(2)))
         });
         assert!(shared.is_shutting_down());
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
@@ -662,13 +869,7 @@ mod tests {
     fn engine_panic_publishes_runtime_exit() {
         let shared = fixture("panic", |c| c.batch_window = Duration::ZERO);
         let id = enqueue(&shared, Priority::Batch);
-        let engine = Scripted {
-            log: Arc::default(),
-            hold: 1,
-            running: Vec::new(),
-            advances: 0,
-            panic_on_advance: true,
-        };
+        let engine = Scripted { panic_on_advance: true, ..Scripted::new(&shared, 1) };
         run_engine(&shared, || engine);
         assert!(shared.is_shutting_down());
         assert!(shared.runtime_exited.load(Ordering::SeqCst));

@@ -11,7 +11,7 @@
 //! takes it through the store's epoch fence to primary; `role_follower`,
 //! `applier` and the generation high-waters below carry that role.
 
-use crate::admission::{JobEntry, JobsTable, Queue};
+use crate::admission::{ConnId, JobEntry, JobsTable, Queue};
 use crate::config::ServerConfig;
 use crate::ingest::IngestCoordinator;
 use crate::protocol::{HealthReport, ServerStats};
@@ -76,6 +76,8 @@ pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     /// Live connection-handler count, for the connection limit.
     pub(crate) connections: AtomicUsize,
+    /// The next connection's [`ConnId`].
+    pub(crate) next_conn: AtomicU64,
     /// Daemon start time, for `health` uptime.
     pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,
@@ -146,6 +148,7 @@ impl Shared {
                 ..ServerStats::default()
             }),
             connections: AtomicUsize::new(0),
+            next_conn: AtomicU64::new(0),
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             listening: OnceLock::new(),
@@ -170,6 +173,21 @@ impl Shared {
 
     pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// `conn` sent something other than `submit`, or hung up: its burst
+    /// is over, and the runtime takes another look at the queue.
+    pub(crate) fn end_burst(&self, conn: ConnId) {
+        if lock(&self.queue).open_bursts.remove(&conn) {
+            self.queue_cv.notify_all();
+        }
+    }
+
+    /// The engine's retirement notifier: wakes the runtime to collect the
+    /// reports it has retired.
+    pub(crate) fn signal_retirement(&self) {
+        lock(&self.queue).retired = true;
+        self.queue_cv.notify_all();
     }
 
     pub(crate) fn request_shutdown(&self) {

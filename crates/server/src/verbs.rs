@@ -4,7 +4,7 @@
 //! submission gets its typed `overloaded` error here, before an id
 //! exists; the replication verbs live in `replication`.
 
-use crate::admission::JobEntry;
+use crate::admission::{ConnId, JobEntry};
 use crate::ingest::IngestCoordinator;
 use crate::protocol::{
     error_response, error_response_coded, report_to_json, JobState, Priority, ERR_NOT_PRIMARY,
@@ -18,7 +18,15 @@ use serde_json::{json, Value};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-pub(crate) fn submit(spec: JobSpec, tenant: String, priority: Priority, shared: &Shared) -> Value {
+/// Queues `spec` in `conn`'s burst — or sheds it, leaving the burst as it
+/// was.
+pub(crate) fn submit(
+    spec: JobSpec,
+    tenant: String,
+    priority: Priority,
+    conn: ConnId,
+    shared: &Shared,
+) -> Value {
     if shared.is_shutting_down() {
         return error_response_coded("server is shutting down", ERR_SHUTTING_DOWN);
     }
@@ -96,7 +104,7 @@ pub(crate) fn submit(spec: JobSpec, tenant: String, priority: Priority, shared: 
                 ));
             }
         }
-        let id = q.push(spec, tenant, priority);
+        let id = q.push(spec, tenant, priority, conn);
         lock(&shared.jobs).entries.insert(id, JobEntry::Queued);
         id
     };

@@ -24,8 +24,9 @@ fn main() {
     println!("store: {}", dir.display());
 
     // 2. The daemon: one mmap'd store, one sweep driver on real cores,
-    //    many tenants. The batch window lets a concurrent burst share from
-    //    sweep one.
+    //    many tenants. Jobs are admitted once no submitting connection is
+    //    mid-burst, so a concurrent burst shares from sweep one; the batch
+    //    window caps how long a job waits for a burst beside it.
     let mut config = ServerConfig::new(&dir);
     config.socket_path = Some(dir.join("graphm.sock"));
     config.profile = MemoryProfile::TEST;
@@ -42,16 +43,18 @@ fn main() {
         JobSpec { kind: AlgoKind::Bfs, damping: 0.85, root: 17, max_iters: 50 },
         JobSpec { kind: AlgoKind::Sssp, damping: 0.85, root: 23, max_iters: 50 },
     ];
-    let barrier = Arc::new(Barrier::new(specs.len()));
+    //    Every tenant submits before any of them waits: a tenant's burst
+    //    is open until its `wait`, so all four land in one admission.
+    let submitted = Arc::new(Barrier::new(specs.len()));
     let handles: Vec<_> = specs
         .into_iter()
         .map(|spec| {
             let socket = socket.clone();
-            let barrier = Arc::clone(&barrier);
+            let submitted = Arc::clone(&submitted);
             std::thread::spawn(move || {
                 let mut client = Client::connect_unix(&socket).expect("connect");
-                barrier.wait();
                 let id = client.submit(&spec).expect("submit");
+                submitted.wait();
                 let report = client.wait(id).expect("wait");
                 (id, report)
             })

@@ -1,7 +1,9 @@
 //! What serving by cohorts promises a wallclock-mode client: a job leaves
 //! when it converges — a short job admitted beside a long one is answered
 //! first, with the bits of its solo run — and `submit_ns` names the
-//! admission group. Plus what the blocking accept loops promise everyone:
+//! admission group; a connection's burst of submissions is admitted the
+//! moment it sends anything else, the batch window only capping how long
+//! a quiet one is waited for. Plus what the blocking accept loops promise everyone:
 //! the first request is answered without waiting out a poll, and idle
 //! listeners stop the moment shutdown is requested.
 
@@ -95,10 +97,9 @@ fn one_burst_shares_submit_ns_and_the_next_has_its_own() {
     let g = generators::rmat(300, 2400, generators::RmatParams::GRAPH500, 67);
     let dir = store_dir("bursts");
     Convert::grid(2).write(&g, &dir).unwrap();
-    // A generous window: the three sequential submissions of a burst land
-    // in one drain (the `rounds` asserts turn a machine stall into a clear
-    // diagnostic).
-    let server = Server::start(config(&dir, "bursts", 500)).unwrap();
+    // The default window: a connection's sequential submissions are one
+    // burst until its first `wait`, whatever the window.
+    let server = Server::start(config(&dir, "bursts", 20)).unwrap();
     let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
     let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 4 };
 
@@ -107,9 +108,9 @@ fn one_burst_shares_submit_ns_and_the_next_has_its_own() {
         ids.into_iter().map(|id| client.wait(id).unwrap().submit_ns.to_bits()).collect()
     };
     let first = burst(3);
-    assert_eq!(server.stats().rounds, 1, "burst split by a stall; rerun");
+    assert_eq!(server.stats().rounds, 1);
     let second = burst(2);
-    assert_eq!(server.stats().rounds, 2, "burst split by a stall; rerun");
+    assert_eq!(server.stats().rounds, 2);
     assert!(first.iter().all(|&ns| ns == first[0]), "{first:?}");
     assert!(second.iter().all(|&ns| ns == second[0]), "{second:?}");
     assert_ne!(first[0], second[0]);
@@ -123,6 +124,122 @@ fn small_store(name: &str) -> std::path::PathBuf {
     let dir = store_dir(name);
     Convert::grid(2).write(&g, &dir).unwrap();
     dir
+}
+
+const WCC: JobSpec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 4 };
+
+/// The batch window is a cap, not a sleep: a `submit` followed by its
+/// `wait` is admitted at the `wait`, however long the window.
+#[test]
+fn a_submit_then_wait_is_admitted_at_the_wait_not_after_the_window() {
+    let dir = small_store("no-sleep");
+    let server = Server::start(config(&dir, "no-sleep", 2_000)).unwrap();
+    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let begun = Instant::now();
+    let id = client.submit(&WCC).unwrap();
+    let report = client.wait(id).unwrap();
+    let took = begun.elapsed();
+    assert!(report.error.is_none());
+    assert!(took < Duration::from_millis(500), "answered after {took:?}");
+    assert_eq!(server.stats().rounds_capped, 0);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A burst that arrives while a long job runs is admitted when it
+/// settles — not when the long job retires — and is answered first.
+#[test]
+fn a_burst_arriving_while_busy_is_admitted_without_waiting_for_a_retirement() {
+    let g = generators::rmat(8_000, 200_000, generators::RmatParams::GRAPH500, 61);
+    let dir = store_dir("busy-burst");
+    Convert::grid(4).write(&g, &dir).unwrap();
+    let server = Server::start(config(&dir, "busy-burst", 10_000)).unwrap();
+    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+
+    let long = JobSpec { kind: AlgoKind::PageRank, damping: 0.85, root: 0, max_iters: 30 };
+    let long_id = client.submit(&long).unwrap();
+    // `status` settles the long job's burst: it is admitted at once.
+    while client.status(long_id).unwrap() == JobState::Queued {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let short_ids = [client.submit(&WCC).unwrap(), client.submit(&WCC).unwrap()];
+    let shorts: Vec<_> = short_ids.iter().map(|&id| client.wait(id).unwrap()).collect();
+    let long_report = client.wait(long_id).unwrap();
+    assert!(long_report.iterations >= 10, "the long job must be long: {}", long_report.iterations);
+    for short in &shorts {
+        assert!(
+            short.submit_ns < long_report.finish_ns && short.finish_ns < long_report.finish_ns,
+            "admitted ({}) and retired ({}) before the long job retired ({})",
+            short.submit_ns,
+            short.finish_ns,
+            long_report.finish_ns
+        );
+    }
+    assert_eq!(shorts[0].submit_ns.to_bits(), shorts[1].submit_ns.to_bits(), "one cohort");
+    let stats = server.stats();
+    assert_eq!((stats.rounds, stats.rounds_capped), (2, 0));
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A connection that goes quiet after `submit` holds its job back only
+/// until the cap, and `rounds_capped` says that happened.
+#[test]
+fn a_burst_that_never_settles_is_admitted_at_the_cap() {
+    let dir = small_store("capped");
+    let server = Server::start(config(&dir, "capped", 300)).unwrap();
+    let socket = server.socket_path().unwrap().to_path_buf();
+    let mut quiet = Client::connect_unix(&socket).unwrap();
+    let mut watcher = Client::connect_unix(&socket).unwrap();
+    let begun = Instant::now();
+    let id = quiet.submit(&WCC).unwrap();
+    let mut queued_for = Duration::ZERO;
+    loop {
+        let state = watcher.status(id).unwrap();
+        if state == JobState::Queued {
+            queued_for = begun.elapsed();
+        }
+        if state == JobState::Done {
+            break;
+        }
+        assert!(begun.elapsed() < Duration::from_secs(2), "still {state:?} after 2 s");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(queued_for >= Duration::from_millis(250), "admitted after only {queued_for:?}");
+    let stats = server.stats();
+    assert_eq!((stats.rounds, stats.rounds_capped), (1, 1));
+    drop(quiet);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Bursts of two connections that overlap are one admission: jobs that
+/// settled wait for the burst still open beside them.
+#[test]
+fn overlapping_bursts_of_two_connections_are_one_cohort() {
+    let dir = small_store("two-bursts");
+    let server = Server::start(config(&dir, "two-bursts", 5_000)).unwrap();
+    let socket = server.socket_path().unwrap().to_path_buf();
+    let submitted = std::sync::Barrier::new(2);
+    let reports: Vec<_> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = Client::connect_unix(&socket).unwrap();
+                    let ids: Vec<_> = (0..4).map(|_| client.submit(&WCC).unwrap()).collect();
+                    submitted.wait();
+                    ids.into_iter().map(|id| client.wait(id).unwrap()).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    assert_eq!(reports.len(), 8);
+    assert!(reports.iter().all(|r| r.submit_ns.to_bits() == reports[0].submit_ns.to_bits()));
+    let stats = server.stats();
+    assert_eq!((stats.rounds, stats.rounds_capped), (1, 0));
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The accept loops block instead of polling every 20 ms: a client that

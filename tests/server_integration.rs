@@ -54,22 +54,24 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     };
     let specs = graphm::workloads::generate_mix(wb.num_vertices(), &mix);
 
-    // A generous batching window: all 8 submissions (sent concurrently,
-    // right after startup) land in one admission, exactly like the
-    // in-process runs' immediate arrivals. (The rounds == 1 assert below
-    // turns a machine stall that split it into a clear diagnostic.)
+    // Every client submits before any of them waits, so until the last
+    // `wait` arrives some burst is open and nothing is drained: all 8
+    // land in one admission, exactly like the in-process runs' immediate
+    // arrivals. (The batch window only caps how long that may take.)
     let server = test_server(&dir, "concurrent", 1500);
     let socket = server.socket_path().unwrap().to_path_buf();
 
-    let barrier = Arc::new(Barrier::new(specs.len()));
+    let connected = Arc::new(Barrier::new(specs.len()));
+    let submitted = Arc::new(Barrier::new(specs.len()));
     let mut handles = Vec::new();
     for (i, spec) in specs.iter().copied().enumerate() {
         let socket = socket.clone();
-        let barrier = Arc::clone(&barrier);
+        let (connected, submitted) = (Arc::clone(&connected), Arc::clone(&submitted));
         handles.push(std::thread::spawn(move || {
             let mut client = Client::connect_unix(&socket).expect("connect");
-            barrier.wait();
+            connected.wait();
             let id = client.submit(&spec).expect("submit");
+            submitted.wait();
             let report = client.wait(id).expect("wait");
             (i, id, report)
         }));
@@ -83,7 +85,7 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     }
 
     let stats = server.stats();
-    assert_eq!(stats.rounds, 1, "the burst must land in one cohort (a stall split it; rerun)");
+    assert_eq!((stats.rounds, stats.rounds_capped), (1, 0), "the burst lands in one cohort");
 
     // Replay the same mix in-process, ordered the way the daemon admitted
     // it (ids are assigned in arrival order): through the simulator with
@@ -168,24 +170,17 @@ fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
     config.socket_path =
         Some(std::env::temp_dir().join(format!("graphm-wallclock-{}.sock", std::process::id())));
     config.profile = MemoryProfile::TEST;
-    // Submissions below come sequentially from one client; a generous
-    // window lands them in one threaded batch (ids stay in submit order).
-    // The bit-exact comparison depends on that: a split batch changes the
-    // co-scheduled job set and hence the Formula-5 loading order, which
-    // legitimately perturbs f64 accumulation order. The rounds == 1
-    // assert below turns a scheduler stall into a clear diagnostic.
-    config.batch_window = Duration::from_millis(2000);
     let server = Server::start(config).expect("wallclock server starts");
     let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
 
+    // Submissions come sequentially from one client: one burst, so one
+    // threaded batch (ids in submit order). The bit-exact comparison
+    // depends on that: a split batch changes the co-scheduled job set and
+    // hence the Formula-5 loading order, which legitimately perturbs f64
+    // accumulation order.
     let ids: Vec<_> = specs.iter().map(|s| client.submit(s).expect("submit")).collect();
     let served: Vec<JobReport> = ids.iter().map(|&id| client.wait(id).expect("wait")).collect();
-    assert_eq!(
-        server.stats().rounds,
-        1,
-        "all submissions must land in one batch for the bit-exact comparison \
-         (a machine stall split the batch window; rerun)"
-    );
+    assert_eq!(server.stats().rounds, 1, "one burst is one batch");
 
     // The simulator's reference for the same specs in the same order.
     let expected = wb.run(Scheme::Shared, &specs, &immediate_arrivals(specs.len()));
