@@ -22,7 +22,10 @@
 //! ```
 //!
 //! `submit` prints `{"job_id":N}` (or, with `--wait`, the full report
-//! JSON); `wait` prints the report; `stats` prints the daemon counters;
+//! JSON); `wait` prints the report — its `values` member is one string,
+//! 16 lowercase hex digits per vertex spelling the little-endian bits of
+//! its `f64` value (see `docs/OPERATIONS.md` for a decode recipe);
+//! `stats` prints the daemon counters;
 //! `health` prints the lease/generation/queue-depth snapshot (useful for
 //! readiness polling); `repl-status` prints the replication ledger and
 //! `promote` takes a follower through the epoch fence to primary. The

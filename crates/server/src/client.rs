@@ -5,10 +5,10 @@
 //! submissions (the daemon handles each connection on its own thread).
 
 use crate::protocol::{
-    report_from_json, request_to_json, HealthReport, JobState, Priority, Request, ServerStats,
-    ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA, ERR_UNAUTHORIZED,
+    hex_decode, report_from_json, request_to_json, HealthReport, JobState, Priority, Request,
+    ServerStats, ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA,
+    ERR_UNAUTHORIZED,
 };
-use crate::repl::hex_decode;
 use graphm_core::{JobId, JobReport};
 use graphm_graph::delta::DeltaRecord;
 use graphm_workloads::JobSpec;
@@ -86,20 +86,21 @@ impl Client {
 
     /// Connects over TCP (e.g. `"127.0.0.1:7421"`).
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        let read = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(Box::new(read)), writer: Box::new(stream) })
+        Client::connect_tcp_with_timeout(addr, Duration::ZERO)
     }
 
     /// Connects over TCP with a read timeout, so a caller tailing a
     /// peer that dies silently (no RST) gets an `Io` error instead of
     /// blocking forever. Pick a timeout comfortably above the server's
-    /// `repl_frames` long-poll window.
+    /// `repl_frames` long-poll window; zero means none.
     pub fn connect_tcp_with_timeout(
         addr: impl ToSocketAddrs,
         read_timeout: Duration,
     ) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Every request is one complete line: send it now, not after the
+        // daemon's delayed ACK.
+        stream.set_nodelay(true)?;
         if !read_timeout.is_zero() {
             stream.set_read_timeout(Some(read_timeout))?;
         }
@@ -107,12 +108,13 @@ impl Client {
         Ok(Client { reader: BufReader::new(Box::new(read)), writer: Box::new(stream) })
     }
 
-    /// One request/response round trip.
+    /// One request/response round trip. The request goes out in one
+    /// `write`, newline included.
     fn request(&mut self, req: &Request) -> Result<Value, ClientError> {
-        let line =
+        let mut line =
             serde_json::to_string(&request_to_json(req)).expect("serialization is infallible");
+        line.push('\n');
         self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         let mut response = String::new();
         if self.reader.read_line(&mut response)? == 0 {

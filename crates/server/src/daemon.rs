@@ -105,7 +105,7 @@ impl Server {
             tcp_addr: tcp.as_ref().map(|(_, local)| *local),
         };
         // The accept loops block: shutdown reaches them by connecting.
-        let listening = Listening { unix: server.socket_path.clone(), tcp: server.tcp_addr };
+        let listening = Listening::new(server.socket_path.clone(), server.tcp_addr);
         assert!(shared.listening.set(listening).is_ok(), "a daemon starts once");
         {
             // The engine is built on the runtime thread: `Init()` must not

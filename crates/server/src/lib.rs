@@ -11,7 +11,8 @@
 //! is answered when it converges.
 //!
 //! * [`protocol`] — the newline-delimited JSON wire format (requests,
-//!   reports with bit-exact `f64` round-trips, stats);
+//!   reports whose vertex values travel as one hex column of `f64` bits,
+//!   stats) and its hex codec ([`hex_encode`] / [`hex_decode`]);
 //! * [`config`] — [`ServerConfig`];
 //! * [`daemon`] — [`Server`], which assembles the daemon's private parts
 //!   (admission queue → shared state → the one runtime loop over the
@@ -21,8 +22,8 @@
 //! * [`ingest`] — [`IngestCoordinator`]: group-commit mutation sessions
 //!   through the store's single leased writer (opt-in via
 //!   [`ServerConfig::enable_ingest`]);
-//! * [`repl`] — [`ReplicationHub`] and the hex frame transport behind
-//!   hot-standby replication: a follower daemon
+//! * [`repl`] — [`ReplicationHub`], the ledger behind hot-standby
+//!   replication: a follower daemon
 //!   ([`ServerConfig::follow`]) tails the primary's committed delta
 //!   generations and promotes through the store's epoch fence.
 //!
@@ -77,7 +78,8 @@ pub use config::{ExecutionMode, ServerConfig};
 pub use daemon::Server;
 pub use ingest::{CommitOutcome, IngestCoordinator, IngestStats};
 pub use protocol::{
-    HealthReport, JobState, Priority, Request, ServerStats, ERR_LINE_TOO_LONG, ERR_NOT_PRIMARY,
-    ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA, ERR_UNAUTHORIZED,
+    hex_decode, hex_encode, HealthReport, JobState, Priority, Request, ServerStats,
+    ERR_LINE_TOO_LONG, ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA,
+    ERR_UNAUTHORIZED,
 };
-pub use repl::{hex_decode, hex_encode, HubSnapshot, ReplicationHub};
+pub use repl::{HubSnapshot, ReplicationHub};

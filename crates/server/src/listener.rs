@@ -129,6 +129,9 @@ fn split_unix(s: UnixStream, read_timeout: Duration) -> std::io::Result<SplitPai
 }
 
 fn split_tcp(s: TcpStream, read_timeout: Duration) -> std::io::Result<SplitPair> {
+    // Every response is one complete line: send it now, not after the
+    // peer's delayed ACK.
+    s.set_nodelay(true)?;
     if !read_timeout.is_zero() {
         s.set_read_timeout(Some(read_timeout))?;
     }
@@ -182,10 +185,12 @@ pub(crate) fn accept_loop(mut accept: Acceptor, shared: &Arc<Shared>) {
     }
 }
 
+/// One `write` per line: a line split over two writes stalls on TCP
+/// (Nagle holds the second until the peer's delayed ACK of the first).
 fn write_line(w: &mut dyn Write, v: &Value) -> std::io::Result<()> {
-    let line = serde_json::to_string(v).expect("serialization is infallible");
+    let mut line = serde_json::to_string(v).expect("serialization is infallible");
+    line.push('\n');
     w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
     w.flush()
 }
 
@@ -334,6 +339,8 @@ fn serve_requests(
                     jobs.mark_delivered(id);
                 }
                 if is_shutdown {
+                    // Only now may the daemon stop: its ack is written.
+                    shared.wake_for_shutdown();
                     return;
                 }
                 continue;
@@ -353,7 +360,8 @@ fn respond(req: Request, shared: &Shared, conn: &mut ConnState) -> Value {
             json!({ "ok": true, "stats": stats.to_json() })
         }
         Request::Shutdown => {
-            shared.request_shutdown();
+            // The wake-up waits for the ack (see `serve_requests`).
+            shared.refuse_new_work();
             json!({ "ok": true, "shutting_down": true })
         }
         Request::Submit { spec, tenant, priority } => {

@@ -8,7 +8,7 @@
 //! | `{"cmd":"ping"}` | `{"ok":true,"pong":true}` |
 //! | `{"cmd":"submit","algo":"pagerank","damping":0.85,"root":0,"max_iters":30}` | `{"ok":true,"job_id":N}` |
 //! | `{"cmd":"status","job_id":N}` | `{"ok":true,"job_id":N,"state":"queued"\|"running"\|"done"}` |
-//! | `{"cmd":"wait","job_id":N}` | `{"ok":true,"job_id":N,"state":"done","report":{...}}` |
+//! | `{"cmd":"wait","job_id":N}` | `{"ok":true,"job_id":N,"state":"done","report":{...,"values":"<hex>"}}` |
 //! | `{"cmd":"stats"}` | `{"ok":true,"stats":{...}}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"shutting_down":true}` |
 //! | `{"cmd":"ingest","ops":[{"op":"insert","src":1,"dst":2,"weight":1.0},{"op":"delete","src":3,"dst":4}]}` | `{"ok":true,"staged":N}` |
@@ -65,13 +65,15 @@
 //!
 //! ## Exactness
 //!
-//! A serialized [`JobReport`] decodes back to the *same bits*: numbers use
-//! Rust's shortest-round-trip formatting, and the one thing JSON cannot
-//! carry — non-finite vertex values (BFS/SSSP report unreached vertices as
-//! `+inf`) — is encoded as the strings `"inf"` / `"-inf"` / `"nan"`
-//! (NaN decodes to the canonical `f64::NAN`; no shipped algorithm emits
-//! NaN). This is what lets the end-to-end test demand bit-identical
-//! reports between socket-submitted and in-process jobs.
+//! A serialized [`JobReport`] decodes back to the *same bits*. The
+//! `values` member is one string, a column: [`hex_encode`] of the values'
+//! little-endian `f64` bytes in vertex order, 16 digits per vertex (the
+//! codec replication frames ship in). Bits are copied, not printed, so
+//! `±inf` (unreached BFS/SSSP vertices), `-0.0` and NaN payloads survive,
+//! and neither side builds a JSON value per vertex. Scalars are JSON
+//! numbers in Rust's shortest-round-trip formatting. This is what lets
+//! the end-to-end test demand bit-identical reports between
+//! socket-submitted and in-process jobs.
 
 use graphm_cachesim::VirtualClock;
 use graphm_core::{JobId, JobReport};
@@ -448,6 +450,9 @@ impl ServerStats {
         let u = |k: &str| {
             v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("stats missing u64 {k:?}"))
         };
+        // Added after the first daemon release: 0 when an older daemon
+        // does not send them.
+        let opt = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
         Ok(ServerStats {
             jobs_submitted: u("jobs_submitted")?,
             jobs_completed: u("jobs_completed")?,
@@ -456,50 +461,42 @@ impl ServerStats {
             num_partitions: u("num_partitions")?,
             num_vertices: u("num_vertices")?,
             chunk_bytes: u("chunk_bytes")?,
-            // Added after the first daemon release; default to 0 so a new
-            // client can still read stats from an older daemon.
-            rounds_capped: v.get("rounds_capped").and_then(Value::as_u64).unwrap_or(0),
-            prefetch_issued: v.get("prefetch_issued").and_then(Value::as_u64).unwrap_or(0),
-            prefetch_hits: v.get("prefetch_hits").and_then(Value::as_u64).unwrap_or(0),
-            prefetch_window: v.get("prefetch_window").and_then(Value::as_u64).unwrap_or(0),
-            resident_bytes: v.get("resident_bytes").and_then(Value::as_u64).unwrap_or(0),
-            evicted_bytes: v.get("evicted_bytes").and_then(Value::as_u64).unwrap_or(0),
-            evictions: v.get("evictions").and_then(Value::as_u64).unwrap_or(0),
-            memory_budget_bytes: v.get("memory_budget_bytes").and_then(Value::as_u64).unwrap_or(0),
-            generation: v.get("generation").and_then(Value::as_u64).unwrap_or(0),
-            generation_rotations: v
-                .get("generation_rotations")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            delta_bytes: v.get("delta_bytes").and_then(Value::as_u64).unwrap_or(0),
-            delta_records: v.get("delta_records").and_then(Value::as_u64).unwrap_or(0),
-            compactions: v.get("compactions").and_then(Value::as_u64).unwrap_or(0),
+            rounds_capped: opt("rounds_capped"),
+            prefetch_issued: opt("prefetch_issued"),
+            prefetch_hits: opt("prefetch_hits"),
+            prefetch_window: opt("prefetch_window"),
+            resident_bytes: opt("resident_bytes"),
+            evicted_bytes: opt("evicted_bytes"),
+            evictions: opt("evictions"),
+            memory_budget_bytes: opt("memory_budget_bytes"),
+            generation: opt("generation"),
+            generation_rotations: opt("generation_rotations"),
+            delta_bytes: opt("delta_bytes"),
+            delta_records: opt("delta_records"),
+            compactions: opt("compactions"),
             virtual_ns: v
                 .get("virtual_ns")
                 .and_then(Value::as_f64)
                 .ok_or("stats missing virtual_ns")?,
-            delta_wal_records: v.get("delta_wal_records").and_then(Value::as_u64).unwrap_or(0),
-            delta_wal_batches: v.get("delta_wal_batches").and_then(Value::as_u64).unwrap_or(0),
-            delta_wal_syncs: v.get("delta_wal_syncs").and_then(Value::as_u64).unwrap_or(0),
-            delta_wal_bytes: v.get("delta_wal_bytes").and_then(Value::as_u64).unwrap_or(0),
-            lease_epoch: v.get("lease_epoch").and_then(Value::as_u64).unwrap_or(0),
-            lease_held: v.get("lease_held").and_then(Value::as_u64).unwrap_or(0),
-            ingest_commits: v.get("ingest_commits").and_then(Value::as_u64).unwrap_or(0),
-            ingest_groups: v.get("ingest_groups").and_then(Value::as_u64).unwrap_or(0),
-            jobs_shed: v.get("jobs_shed").and_then(Value::as_u64).unwrap_or(0),
-            jobs_failed: v.get("jobs_failed").and_then(Value::as_u64).unwrap_or(0),
-            connections_rejected: v
-                .get("connections_rejected")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            oversized_lines: v.get("oversized_lines").and_then(Value::as_u64).unwrap_or(0),
-            queue_depth: v.get("queue_depth").and_then(Value::as_u64).unwrap_or(0),
+            delta_wal_records: opt("delta_wal_records"),
+            delta_wal_batches: opt("delta_wal_batches"),
+            delta_wal_syncs: opt("delta_wal_syncs"),
+            delta_wal_bytes: opt("delta_wal_bytes"),
+            lease_epoch: opt("lease_epoch"),
+            lease_held: opt("lease_held"),
+            ingest_commits: opt("ingest_commits"),
+            ingest_groups: opt("ingest_groups"),
+            jobs_shed: opt("jobs_shed"),
+            jobs_failed: opt("jobs_failed"),
+            connections_rejected: opt("connections_rejected"),
+            oversized_lines: opt("oversized_lines"),
+            queue_depth: opt("queue_depth"),
             eviction_rate: v.get("eviction_rate").and_then(Value::as_f64).unwrap_or(0.0),
-            repl_frames_shipped: v.get("repl_frames_shipped").and_then(Value::as_u64).unwrap_or(0),
-            repl_frames_acked: v.get("repl_frames_acked").and_then(Value::as_u64).unwrap_or(0),
-            repl_followers: v.get("repl_followers").and_then(Value::as_u64).unwrap_or(0),
-            repl_reconnects: v.get("repl_reconnects").and_then(Value::as_u64).unwrap_or(0),
-            auth_failures: v.get("auth_failures").and_then(Value::as_u64).unwrap_or(0),
+            repl_frames_shipped: opt("repl_frames_shipped"),
+            repl_frames_acked: opt("repl_frames_acked"),
+            repl_followers: opt("repl_followers"),
+            repl_reconnects: opt("repl_reconnects"),
+            auth_failures: opt("auth_failures"),
         })
     }
 }
@@ -529,32 +526,95 @@ pub fn algo_from_name(name: &str) -> Option<AlgoKind> {
     }
 }
 
-/// Encodes one `f64` for the wire: finite values as JSON numbers
-/// (shortest-round-trip, hence bit-exact), non-finite as marker strings.
-pub fn f64_to_wire(v: f64) -> Value {
-    if v.is_finite() {
-        Value::Number(v)
-    } else if v.is_nan() {
-        Value::String("nan".to_string())
-    } else if v > 0.0 {
-        Value::String("inf".to_string())
-    } else {
-        Value::String("-inf".to_string())
+/// Lowercase hex digits by value.
+const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// The value of every hex digit (either case); `0xff` for other bytes.
+const NIBBLES: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut d = 0;
+    while d < 16 {
+        table[DIGITS[d] as usize] = d as u8;
+        table[DIGITS[d].to_ascii_uppercase() as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// Appends the lowercase hex of `bytes`.
+fn push_hex(bytes: &[u8], out: &mut String) {
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
 }
 
-/// Decodes [`f64_to_wire`]'s encoding.
-pub fn f64_from_wire(v: &Value) -> Result<f64, String> {
-    match v {
-        Value::Number(n) => Ok(*n),
-        Value::String(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            other => Err(format!("not a wire float: {other:?}")),
-        },
-        other => Err(format!("not a wire float: {other}")),
+/// Decodes `hex` (two digits per byte) into `out`, which holds half as
+/// many bytes; `out` is garbage when this fails.
+fn unhex(hex: &[u8], out: &mut [u8]) -> Result<(), String> {
+    let mut seen = 0u8;
+    for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+        let (hi, lo) = (NIBBLES[pair[0] as usize], NIBBLES[pair[1] as usize]);
+        seen |= hi | lo;
+        *byte = (hi << 4) | lo;
     }
+    // Digits are below 16: only a non-hex byte sets the high nibble.
+    if seen & 0xf0 == 0 {
+        return Ok(());
+    }
+    let bad = hex.iter().find(|&&b| NIBBLES[b as usize] == 0xff).copied().unwrap_or(0);
+    Err(format!("bad hex byte 0x{bad:02x}"))
+}
+
+/// Lowercase hex, two digits per byte: the one way the line protocol
+/// carries bytes (replication frames, report value columns).
+pub fn hex_encode(bytes: &[u8]) -> String {
+    let mut out = String::with_capacity(bytes.len() * 2);
+    push_hex(bytes, &mut out);
+    out
+}
+
+/// Inverse of [`hex_encode`] (either case). Rejects odd length and
+/// non-hex bytes with a message (never panics): transport corruption must
+/// surface as a typed error the caller can retry on.
+pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+    let raw = s.as_bytes();
+    if !raw.len().is_multiple_of(2) {
+        return Err(format!("odd hex length {}", raw.len()));
+    }
+    let mut out = vec![0u8; raw.len() / 2];
+    unhex(raw, &mut out)?;
+    Ok(out)
+}
+
+/// Hex digits per vertex value in a report's `values` column.
+const VALUE_DIGITS: usize = 16;
+
+/// A report's `values` column: the little-endian bits of each value in
+/// hex, 16 digits per value.
+fn values_to_hex(values: &[f64]) -> String {
+    let mut out = String::with_capacity(VALUE_DIGITS * values.len());
+    for v in values {
+        push_hex(&v.to_le_bytes(), &mut out);
+    }
+    out
+}
+
+/// Inverse of [`values_to_hex`]: the same bits back, NaN payloads and
+/// signed zeros included.
+fn values_from_hex(s: &str) -> Result<Vec<f64>, String> {
+    let raw = s.as_bytes();
+    if !raw.len().is_multiple_of(VALUE_DIGITS) {
+        let n = raw.len();
+        return Err(format!("report values: {n} hex digits, not a multiple of {VALUE_DIGITS}"));
+    }
+    let mut values = Vec::with_capacity(raw.len() / VALUE_DIGITS);
+    let mut bits = [0u8; 8];
+    for digits in raw.chunks_exact(VALUE_DIGITS) {
+        unhex(digits, &mut bits).map_err(|e| format!("report values: {e}"))?;
+        values.push(f64::from_le_bytes(bits));
+    }
+    Ok(values)
 }
 
 /// Serializes a job spec into `submit` parameters.
@@ -612,7 +672,7 @@ pub fn report_to_json(r: &JobReport) -> Value {
             "disk_ns": r.clock.disk_ns,
             "sync_ns": r.clock.sync_ns,
         }),
-        "values": Value::Array(r.values.iter().map(|&v| f64_to_wire(v)).collect()),
+        "values": values_to_hex(&r.values),
     });
     if let Some(err) = &r.error {
         if let Value::Object(map) = &mut v {
@@ -634,13 +694,9 @@ pub fn report_from_json(v: &Value) -> Result<JobReport, String> {
     let c = |k: &str| {
         clock.get(k).and_then(Value::as_f64).ok_or_else(|| format!("clock missing {k:?}"))
     };
-    let values = v
-        .get("values")
-        .and_then(Value::as_array)
-        .ok_or("report missing values array")?
-        .iter()
-        .map(f64_from_wire)
-        .collect::<Result<Vec<f64>, String>>()?;
+    let values = values_from_hex(
+        v.get("values").and_then(Value::as_str).ok_or("report values must be a hex string")?,
+    )?;
     Ok(JobReport {
         id: u("job_id")? as JobId,
         name: v.get("name").and_then(Value::as_str).ok_or("report missing name")?.to_string(),

@@ -14,9 +14,10 @@
 //! bit-exact code path, and a hub restart loses nothing but counters.
 //!
 //! Frames travel inside the NDJSON line protocol hex-encoded
-//! ([`hex_encode`] / [`hex_decode`]): two lowercase hex digits per byte,
-//! no framing of its own — the binary frame carries its own magic,
-//! length, and CRC (see `graphm_store::replica`).
+//! ([`hex_encode`](crate::protocol::hex_encode) /
+//! [`hex_decode`](crate::protocol::hex_decode), the codec report value
+//! columns use too): no framing of its own — the binary frame carries its
+//! own magic, length, and CRC (see `graphm_store::replica`).
 
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -139,55 +140,9 @@ impl ReplicationHub {
     }
 }
 
-/// Lowercase hex, two digits per byte.
-pub fn hex_encode(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`]. Rejects odd length and non-hex bytes with
-/// a message (never panics): transport corruption must surface as a
-/// typed error the tailer can retry on.
-pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
-    fn nibble(c: u8) -> Result<u8, String> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            b'A'..=b'F' => Ok(c - b'A' + 10),
-            other => Err(format!("bad hex byte 0x{other:02x}")),
-        }
-    }
-    let raw = s.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(format!("odd hex length {}", raw.len()));
-    }
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push((nibble(pair[0])? << 4) | nibble(pair[1])?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hex_round_trips_and_rejects_garbage() {
-        let bytes: Vec<u8> = (0..=255u8).collect();
-        let hex = hex_encode(&bytes);
-        assert_eq!(hex.len(), 512);
-        assert_eq!(hex_decode(&hex).unwrap(), bytes);
-        assert_eq!(hex_decode("DEADbeef").unwrap(), vec![0xde, 0xad, 0xbe, 0xef]);
-        assert!(hex_decode("abc").unwrap_err().contains("odd hex length"));
-        assert!(hex_decode("zz").unwrap_err().contains("bad hex byte"));
-        assert_eq!(hex_decode("").unwrap(), Vec::<u8>::new());
-    }
 
     #[test]
     fn hub_tracks_publish_acks_and_followers() {

@@ -9,8 +9,7 @@
 
 use crate::client::{retry_delay, Client, ClientError};
 use crate::ingest::IngestCoordinator;
-use crate::protocol::error_response;
-use crate::repl::hex_encode;
+use crate::protocol::{error_response, hex_encode};
 use crate::state::{lock, Shared};
 use graphm_graph::delta::read_current_generation;
 use graphm_store::{decode_frame, read_generation_frame};

@@ -37,15 +37,24 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// [`Shared::request_shutdown`] connects here to make each one look at
 /// the shutdown flag.
 pub(crate) struct Listening {
-    pub(crate) unix: Option<PathBuf>,
-    pub(crate) tcp: Option<SocketAddr>,
+    unix: Option<PathBuf>,
+    tcp: Option<SocketAddr>,
+    /// Set by the first [`Listening::wake`]; later ones are no-ops.
+    woken: AtomicBool,
 }
 
 impl Listening {
-    /// One throw-away connection per listener. Failures are ignored: a
-    /// listener that cannot be reached is not blocked in `accept` on this
-    /// address any more.
+    pub(crate) fn new(unix: Option<PathBuf>, tcp: Option<SocketAddr>) -> Listening {
+        Listening { unix, tcp, woken: AtomicBool::new(false) }
+    }
+
+    /// One throw-away connection per listener, the first time only.
+    /// Failures are ignored: a listener that cannot be reached is not
+    /// blocked in `accept` on this address any more.
     fn wake(&self) {
+        if self.woken.swap(true, Ordering::SeqCst) {
+            return;
+        }
         if let Some(path) = &self.unix {
             drop(UnixStream::connect(path));
         }
@@ -190,11 +199,28 @@ impl Shared {
         self.queue_cv.notify_all();
     }
 
+    /// Raises the shutdown flag and wakes every thread parked on the
+    /// daemon to act on it.
     pub(crate) fn request_shutdown(&self) {
-        let first = !self.shutdown.swap(true, Ordering::SeqCst);
+        self.refuse_new_work();
+        self.wake_for_shutdown();
+    }
+
+    /// The first half of [`Shared::request_shutdown`]: from here on new
+    /// work is refused, but no parked thread has looked yet. A `shutdown`
+    /// request raises the flag before its ack and wakes the daemon after
+    /// writing it: woken first, the daemon's threads could all stop — and
+    /// the process exit — before the ack is written.
+    pub(crate) fn refuse_new_work(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    /// The second half of [`Shared::request_shutdown`]: the runtime,
+    /// waiters and accept loops look at the flag.
+    pub(crate) fn wake_for_shutdown(&self) {
         self.queue_cv.notify_all();
         self.done_cv.notify_all();
-        if let Some(listening) = self.listening.get().filter(|_| first) {
+        if let Some(listening) = self.listening.get() {
             listening.wake();
         }
     }
