@@ -29,7 +29,7 @@
 
 use crate::failpoint;
 use crate::records::{self, Cursor, Record};
-use crate::segment::{read_name, write_name, Manifest, StoreLayout};
+use crate::segment::{read_grid_dim, read_name, write_grid_dim, write_name, Manifest};
 use crate::types::{Edge, EdgeList, GraphError, Result, VertexId};
 use std::collections::HashMap;
 use std::fs::File;
@@ -351,8 +351,8 @@ impl GenPartition {
 
 /// A generation's table of contents. Cumulative: resolving the newest
 /// generation needs only this one file plus the base `manifest.bin`
-/// (which keeps the layout, streaming order, and activity bounds — none
-/// of which a delta publish changes).
+/// (which keeps the grid dimension, streaming order, and activity bounds —
+/// none of which a delta publish changes).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GenManifest {
     /// Generation number (>= 1; generation 0 is the bare base store).
@@ -360,8 +360,8 @@ pub struct GenManifest {
     /// Cumulative compactions folded into the base so far — carried
     /// forward by every publish so readers can report it.
     pub compactions: u64,
-    /// Must match the base manifest's layout.
-    pub layout: StoreLayout,
+    /// Must match the base manifest's grid dimension.
+    pub p: u32,
     /// Must match the base manifest's vertex count (growing the vertex
     /// set requires reconversion).
     pub num_vertices: VertexId,
@@ -381,14 +381,14 @@ impl GenManifest {
     }
 
     /// The one rule tying a generation to the base store it was published
-    /// over: same layout, same vertex set (growing it requires
+    /// over: same grid dimension, same vertex set (growing it requires
     /// reconversion), one entry per base partition.
     pub fn check_base(&self, base: &Manifest) -> Result<()> {
-        let ours = (self.layout, self.num_vertices, self.partitions.len());
-        let theirs = (base.layout, base.num_vertices, base.partitions.len());
+        let ours = (self.p, self.num_vertices, self.partitions.len());
+        let theirs = (base.p, base.num_vertices, base.partitions.len());
         if ours != theirs {
             return Err(GraphError::Format(format!(
-                "generation {}: (layout, vertices, partitions) = {ours:?}, its base store has \
+                "generation {}: (p, vertices, partitions) = {ours:?}, its base store has \
                  {theirs:?}",
                 self.generation
             )));
@@ -403,8 +403,7 @@ impl GenManifest {
         w.write_all(GEN_MAGIC)?;
         w.write_all(&self.generation.to_le_bytes())?;
         w.write_all(&self.compactions.to_le_bytes())?;
-        w.write_all(&self.layout.tag().to_le_bytes())?;
-        w.write_all(&self.layout.p().to_le_bytes())?;
+        write_grid_dim(&mut w, self.p)?;
         w.write_all(&self.num_vertices.to_le_bytes())?;
         w.write_all(&(self.partitions.len() as u32).to_le_bytes())?;
         for part in &self.partitions {
@@ -438,7 +437,7 @@ impl GenManifest {
             )));
         }
         let compactions = r.u64("compaction count")?;
-        let layout = StoreLayout::from_tag(r.u32("layout tag")?, r.u32("grid dimension")?)?;
+        let p = read_grid_dim(&mut r)?;
         let num_vertices = r.u32("vertex count")?;
         let num_partitions = r.u32("partition count")? as usize;
         // Each entry is at least 14 bytes; reject counts the file cannot
@@ -458,7 +457,7 @@ impl GenManifest {
             }
             partitions.push(GenPartition { base_file, base_num_edges, deltas });
         }
-        Ok(GenManifest { generation, compactions, layout, num_vertices, partitions })
+        Ok(GenManifest { generation, compactions, p, num_vertices, partitions })
     }
 }
 
@@ -597,7 +596,7 @@ mod tests {
         let m = GenManifest {
             generation: 3,
             compactions: 1,
-            layout: StoreLayout::Grid { p: 2 },
+            p: 2,
             num_vertices: 100,
             partitions: (0..4)
                 .map(|i| GenPartition {
@@ -620,6 +619,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A generation manifest repeats the base's `tag | p` pair: any tag but
+    /// the grid's is refused, naming the removed shard layout.
+    #[test]
+    fn gen_manifest_refuses_a_layout_that_is_not_a_grid() {
+        let dir = tmpdir("genman-layout");
+        let m = GenManifest {
+            generation: 1,
+            compactions: 0,
+            p: 1,
+            num_vertices: 4,
+            partitions: vec![GenPartition {
+                base_file: "part-00000.seg".to_string(),
+                base_num_edges: 0,
+                deltas: vec![],
+            }],
+        };
+        let path = m.write_to_dir(&dir).unwrap();
+        assert_eq!(GenManifest::read_from_dir(&dir, 1).unwrap(), m);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // magic, generation and compaction count, then the layout tag.
+        bytes[24..28].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let err = GenManifest::read_from_dir(&dir, 1).unwrap_err();
+        assert!(matches!(&err, GraphError::Format(m) if m.contains("shard layout")), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn gen_manifest_rejects_corruption() {
         let dir = tmpdir("genman-bad");
@@ -637,7 +663,7 @@ mod tests {
         let m = GenManifest {
             generation: 2,
             compactions: 0,
-            layout: StoreLayout::Grid { p: 1 },
+            p: 1,
             num_vertices: 4,
             partitions: vec![GenPartition {
                 base_file: "part-00000.seg".to_string(),

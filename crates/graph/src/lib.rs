@@ -38,6 +38,6 @@ pub use datasets::{DatasetId, DatasetSpec, MemoryProfile};
 pub use delta::{DeltaRecord, GenManifest, DELTA_RECORD_BYTES};
 pub use grid::Grid;
 pub use partition::VertexRanges;
-pub use segment::{Manifest, ManifestEntry, StoreLayout};
+pub use segment::{Manifest, ManifestEntry};
 pub use shards::Shards;
 pub use types::{Edge, EdgeList, GraphError, Result, VertexId, Weight, EDGE_BYTES};

@@ -1,11 +1,11 @@
 //! The on-disk partition-store format: segment files + manifest.
 //!
 //! This is the output of the store's `Convert()` preprocessing (Figure 5's
-//! "converted graph data" box made real): each engine partition — a grid
-//! block or a shard — becomes one *segment file* of raw 12-byte edge
-//! records behind a small aligned header, and a *manifest* records, per
-//! partition, its file, byte count, source-vertex bounds, and charged load
-//! bytes, plus the engine's streaming order.
+//! "converted graph data" box made real): each grid block becomes one
+//! *segment file* of raw 12-byte edge records behind a small aligned
+//! header, and a *manifest* records, per block, its file, byte count,
+//! source-vertex bounds, and charged load bytes, plus the grid's streaming
+//! order.
 //!
 //! A segment file is a [`crate::records`] record file of [`Edge`]s —
 //! that module owns its bytes, its validator and the layout invariants the
@@ -28,42 +28,27 @@ pub const MANIFEST_MAGIC: &[u8; 8] = b"GMMAN001";
 /// File name of the manifest inside a store directory.
 pub const MANIFEST_FILE: &str = "manifest.bin";
 
-/// How the partitions of a store were produced.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreLayout {
-    /// GridGraph's `P × P` grid; partitions are blocks in row-major index
-    /// order and the manifest order is the column-major streaming order.
-    Grid { p: u32 },
-    /// GraphChi's source-sorted destination shards; one partition per
-    /// interval, in interval order.
-    Shards { p: u32 },
+/// The layout tag both manifests write before the grid dimension: 0, the
+/// GridGraph grid. Tag 1 was the on-disk GraphChi shard layout, which is
+/// no longer written or read.
+const GRID_TAG: u32 = 0;
+
+/// Writes the `tag u32 | p u32` pair both manifests open with.
+pub(crate) fn write_grid_dim(w: &mut impl Write, p: u32) -> Result<()> {
+    w.write_all(&GRID_TAG.to_le_bytes())?;
+    w.write_all(&p.to_le_bytes())?;
+    Ok(())
 }
 
-impl StoreLayout {
-    /// Stable numeric tag identifying the layout *kind* (grid vs shards),
-    /// independent of `p`. Also the on-disk encoding.
-    pub fn tag(self) -> u32 {
-        match self {
-            StoreLayout::Grid { .. } => 0,
-            StoreLayout::Shards { .. } => 1,
-        }
-    }
-
-    /// Partition parameter: grid dimension `P` or shard count.
-    pub fn p(self) -> u32 {
-        match self {
-            StoreLayout::Grid { p } | StoreLayout::Shards { p } => p,
-        }
-    }
-
-    /// Inverse of [`StoreLayout::tag`] and [`StoreLayout::p`]: the layout
-    /// the `tag u32 | p u32` pair of either manifest names.
-    pub fn from_tag(tag: u32, p: u32) -> Result<StoreLayout> {
-        match tag {
-            0 => Ok(StoreLayout::Grid { p }),
-            1 => Ok(StoreLayout::Shards { p }),
-            t => Err(GraphError::Format(format!("unknown store layout tag {t}"))),
-        }
+/// Reads the pair [`write_grid_dim`] writes: the grid dimension `P`, or a
+/// [`GraphError::Format`] for any other layout tag.
+pub(crate) fn read_grid_dim(r: &mut Cursor) -> Result<u32> {
+    match r.u32("layout tag")? {
+        GRID_TAG => r.u32("grid dimension"),
+        tag => Err(r.malformed(format_args!(
+            "store layout tag {tag} is not 0, the grid (tag 1 was the on-disk shard layout, \
+             which is no longer supported): reconvert the graph with `graphm-convert --grid P`"
+        ))),
     }
 }
 
@@ -83,16 +68,17 @@ pub struct ManifestEntry {
     /// Exclusive upper source bound.
     pub src_hi: VertexId,
     /// Bytes charged when this partition is loaded from secondary storage.
-    /// Equals `byte_len` for grid blocks; for shards it also counts the
-    /// sliding windows dragged in per interval.
+    /// Equals `byte_len`: a grid block's load is exactly its payload.
     pub load_bytes: u64,
 }
 
 /// The store's table of contents.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Manifest {
-    /// Partitioning scheme the segments were converted into.
-    pub layout: StoreLayout,
+    /// Grid dimension `P`: the partitions are the `P × P` blocks in
+    /// row-major index order, and `order` is the column-major streaming
+    /// order.
+    pub p: u32,
     /// Total vertex count.
     pub num_vertices: VertexId,
     /// Per-partition metadata, in partition-index order.
@@ -117,8 +103,7 @@ impl Manifest {
         let path = dir.join(MANIFEST_FILE);
         let mut w = BufWriter::new(File::create(&path)?);
         w.write_all(MANIFEST_MAGIC)?;
-        w.write_all(&self.layout.tag().to_le_bytes())?;
-        w.write_all(&self.layout.p().to_le_bytes())?;
+        write_grid_dim(&mut w, self.p)?;
         w.write_all(&self.num_vertices.to_le_bytes())?;
         w.write_all(&(self.partitions.len() as u32).to_le_bytes())?;
         for e in &self.partitions {
@@ -137,17 +122,25 @@ impl Manifest {
     }
 
     /// Reads a manifest previously written by [`Manifest::write_to_dir`].
+    /// Every reader and the writer index blocks by `row * P + col`, so a
+    /// grid with no blocks, or a partition count other than `P²`, is a
+    /// [`GraphError::Format`] here rather than a panic there.
     pub fn read_from_dir(dir: &Path) -> Result<Manifest> {
         let path = dir.join(MANIFEST_FILE);
         let (bytes, what) = (std::fs::read(&path)?, path.display().to_string());
         let mut r = Cursor::new(&bytes, &what);
         r.magic(MANIFEST_MAGIC)?;
-        let layout = StoreLayout::from_tag(r.u32("layout tag")?, r.u32("grid dimension")?)?;
+        let p = read_grid_dim(&mut r)?;
         let num_vertices = r.u32("vertex count")?;
         let num_partitions = r.u32("partition count")? as usize;
         // Each entry is at least 34 bytes; reject counts the file cannot hold
         // before allocating.
         r.need(num_partitions as u64 * 34, "manifest entries")?;
+        if p == 0 || u64::from(p) * u64::from(p) != num_partitions as u64 {
+            return Err(r.malformed(format_args!(
+                "grid p = {p} needs p * p >= 1 partitions, manifest has {num_partitions}"
+            )));
+        }
         let mut partitions = Vec::with_capacity(num_partitions);
         for i in 0..num_partitions {
             let file = read_name(&mut r, &format!("entry {i}"))?;
@@ -164,9 +157,8 @@ impl Manifest {
             let src_lo = r.u32(&format!("entry {i} src_lo"))?;
             let src_hi = r.u32(&format!("entry {i} src_hi"))?;
             let load_bytes = r.u64(&format!("entry {i} load bytes"))?;
-            // Loads charge at least the payload (grid: exactly; shards:
-            // plus sliding windows); less means a corrupt manifest, and
-            // downstream byte accounting subtracts the two.
+            // A load charges at least the payload; less means a corrupt
+            // manifest.
             if load_bytes < byte_len {
                 return Err(GraphError::Format(format!(
                     "entry {i}: load bytes {load_bytes} below payload {byte_len}"
@@ -200,7 +192,7 @@ impl Manifest {
             }
             order.push(pid);
         }
-        Ok(Manifest { layout, num_vertices, partitions, order })
+        Ok(Manifest { p, num_vertices, partitions, order })
     }
 }
 
@@ -329,7 +321,7 @@ mod tests {
     fn manifest_round_trip() {
         let dir = tmpdir("manifest");
         let m = Manifest {
-            layout: StoreLayout::Grid { p: 2 },
+            p: 2,
             num_vertices: 100,
             partitions: (0..4)
                 .map(|i| ManifestEntry {
@@ -354,7 +346,7 @@ mod tests {
     fn manifest_rejects_duplicate_order_entries() {
         let dir = tmpdir("manifest-duporder");
         let mut m = Manifest {
-            layout: StoreLayout::Grid { p: 2 },
+            p: 2,
             num_vertices: 10,
             partitions: (0..4)
                 .map(|i| ManifestEntry {
@@ -394,6 +386,36 @@ mod tests {
         bytes.extend_from_slice(&1_000_000u32.to_le_bytes()); // partitions
         std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
         assert!(matches!(Manifest::read_from_dir(&dir).unwrap_err(), GraphError::Truncated { .. }));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every reader indexes blocks by `row * p + col`: a grid with no
+    /// blocks or with a block count other than `p * p` is refused here,
+    /// and so is any layout tag but the grid's.
+    #[test]
+    fn manifest_rejects_a_shape_or_layout_that_is_not_a_grid() {
+        let dir = tmpdir("manifest-shape");
+        for (tag, p, parts) in [(0u32, 0u32, 0usize), (0, 0, 1), (0, 2, 1), (0, 1, 4), (1, 2, 4)] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(MANIFEST_MAGIC);
+            bytes.extend_from_slice(&tag.to_le_bytes());
+            bytes.extend_from_slice(&p.to_le_bytes());
+            bytes.extend_from_slice(&4u32.to_le_bytes()); // vertices
+            bytes.extend_from_slice(&(parts as u32).to_le_bytes());
+            for i in 0..parts {
+                let name = format!("part-{i:05}.seg");
+                bytes.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                bytes.extend_from_slice(name.as_bytes());
+                bytes.extend_from_slice(&[0u8; 32]); // counts, bounds, load bytes
+            }
+            for i in 0..parts as u32 {
+                bytes.extend_from_slice(&i.to_le_bytes());
+            }
+            std::fs::write(dir.join(MANIFEST_FILE), &bytes).unwrap();
+            let err = Manifest::read_from_dir(&dir).unwrap_err();
+            assert!(matches!(err, GraphError::Format(_)), "tag {tag}, p {p}, {parts}: {err}");
+            assert_eq!(err.to_string().contains("shard layout"), tag == 1, "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

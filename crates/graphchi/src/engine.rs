@@ -8,9 +8,7 @@
 //! load set that makes GraphChi's absolute times larger (Table 4).
 
 use graphm_core::GraphJob;
-use graphm_graph::{EdgeList, Manifest, Shards};
-use graphm_store::{Convert, DiskShardSource};
-use std::path::Path;
+use graphm_graph::{EdgeList, Shards};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,25 +29,6 @@ impl GraphChiEngine {
             GraphChiEngine { shards: Arc::new(shards), out_degrees: Arc::new(out_degrees) },
             start.elapsed(),
         )
-    }
-
-    /// `Convert()` with durable output: shards `graph` and writes it as a
-    /// disk-resident store (segments + manifest) under `dir`, returning
-    /// the manifest and the wall-clock preprocessing time.
-    pub fn convert_to_disk(
-        graph: &EdgeList,
-        p: usize,
-        dir: &Path,
-    ) -> graphm_graph::Result<(Manifest, Duration)> {
-        let start = Instant::now();
-        let manifest = Convert::shards(p).write(graph, dir)?;
-        Ok((manifest, start.elapsed()))
-    }
-
-    /// Opens a disk-resident shard store as a GraphM partition source. The
-    /// returned source drops into every place a `ChiSource` fits.
-    pub fn open_disk(dir: &Path) -> graphm_graph::Result<DiskShardSource> {
-        DiskShardSource::open(dir)
     }
 
     /// The underlying shards.

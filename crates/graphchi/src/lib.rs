@@ -11,7 +11,6 @@ pub mod engine;
 pub mod source;
 
 pub use engine::GraphChiEngine;
-pub use graphm_store::DiskShardSource;
 pub use source::ChiSource;
 
 use graphm_core::{run_scheme, RunReport, RunnerConfig, Scheme, Submission};

@@ -2,13 +2,12 @@
 //!
 //! The CLI front of [`graphm_store::Convert`]: takes an input graph
 //! (a GraphM binary edge list, or a generated R-MAT graph for quickstarts
-//! and smoke tests), partitions it grid- or shard-wise, and writes the
-//! per-partition segment files plus `manifest.bin` that `graphm-server`
-//! and `Workbench::from_disk` open.
+//! and smoke tests), grid-partitions it, and writes the per-block segment
+//! files plus `manifest.bin` that `graphm-server` and
+//! `Workbench::from_disk` open.
 //!
 //! ```text
-//! graphm-convert --out DIR [--grid P | --shards P]
-//!                (--input EDGELIST.bin | --rmat V,E,SEED)
+//! graphm-convert --out DIR [--grid P] (--input EDGELIST.bin | --rmat V,E,SEED)
 //! ```
 
 use graphm_store::Convert;
@@ -17,12 +16,10 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: graphm-convert --out DIR [--grid P | --shards P] \
-         (--input EDGELIST.bin | --rmat V,E,SEED)\n\
+        "usage: graphm-convert --out DIR [--grid P] (--input EDGELIST.bin | --rmat V,E,SEED)\n\
          \n\
          --out DIR          store directory to create (segments + manifest.bin)\n\
          --grid P           grid-partition into P x P blocks (default: --grid 4)\n\
-         --shards P         shard-partition into P source-sorted shards\n\
          --input FILE       GraphM binary edge list (graphm_graph::storage format)\n\
          --rmat V,E,SEED    generate a Graph500 R-MAT graph instead (deterministic)"
     );
@@ -58,10 +55,6 @@ fn main() {
             "--out" => out = Some(PathBuf::from(value("--out"))),
             "--grid" => {
                 builder = Some(Convert::grid(value("--grid").parse().unwrap_or_else(|_| usage())))
-            }
-            "--shards" => {
-                builder =
-                    Some(Convert::shards(value("--shards").parse().unwrap_or_else(|_| usage())))
             }
             "--input" => input = Some(PathBuf::from(value("--input"))),
             "--rmat" => rmat = Some(parse_rmat(&value("--rmat")).unwrap_or_else(|| usage())),

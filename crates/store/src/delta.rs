@@ -4,9 +4,9 @@
 //! A [`DeltaWriter`] owns the mutation side of the
 //! single-writer/multi-reader contract (`docs/ARCHITECTURE.md`): it
 //! routes edge insertions/deletions to their partitions with the exact
-//! arithmetic `Convert()` used (grid block by `(row(src), col(dst))`,
-//! shard by destination interval), batches them in memory, and
-//! [`publish`](DeltaWriter::publish)es the batch as one new generation —
+//! arithmetic `Convert()` used (grid block by `(row(src), col(dst))`),
+//! batches them in memory, and [`publish`](DeltaWriter::publish)es the
+//! batch as one new generation —
 //! per-partition append-only delta segments, a cumulative generation
 //! manifest, then an atomic `CURRENT` flip. Readers
 //! (`DiskGridSource::refresh_generation`) pick the new generation up
@@ -50,7 +50,7 @@ use graphm_graph::delta::{
     write_delta_segment, DeltaFileRef, DeltaRecord, GenManifest, GenPartition, Overlay,
 };
 use graphm_graph::records;
-use graphm_graph::segment::{read_segment, write_segment, Manifest, StoreLayout};
+use graphm_graph::segment::{read_segment, write_segment, Manifest};
 use graphm_graph::{Result, VertexId, VertexRanges, EDGE_BYTES};
 use std::path::{Path, PathBuf};
 
@@ -134,8 +134,7 @@ impl DeltaWriter {
             gm
         };
         let (wal, replayed) = Wal::open(dir)?;
-        let p = manifest.layout.p() as usize;
-        let ranges = VertexRanges::new(manifest.num_vertices.max(1), p);
+        let ranges = VertexRanges::new(manifest.num_vertices.max(1), manifest.p as usize);
         let pending = vec![Vec::new(); manifest.partitions.len()];
         let mut writer = DeltaWriter {
             dir: dir.to_path_buf(),
@@ -214,15 +213,9 @@ impl DeltaWriter {
     }
 
     /// The partition `Convert()` placed (and a delta must place) an edge
-    /// in: grid block `(row(src), col(dst))`, or the shard of `dst`'s
-    /// interval.
+    /// in: grid block `(row(src), col(dst))`.
     pub fn partition_of(&self, src: VertexId, dst: VertexId) -> usize {
-        match self.manifest.layout {
-            StoreLayout::Grid { p } => {
-                self.ranges.range_of(src) * p as usize + self.ranges.range_of(dst)
-            }
-            StoreLayout::Shards { .. } => self.ranges.range_of(dst),
-        }
+        self.ranges.range_of(src) * self.manifest.p as usize + self.ranges.range_of(dst)
     }
 
     /// Batches one mutation: checked like any record read back from disk
@@ -292,7 +285,7 @@ impl DeltaWriter {
         let gm = GenManifest {
             generation: next,
             compactions: self.gen.compactions,
-            layout: self.manifest.layout,
+            p: self.manifest.p,
             num_vertices: self.manifest.num_vertices,
             partitions,
         };
@@ -369,7 +362,7 @@ impl DeltaWriter {
         let gm = GenManifest {
             generation: next,
             compactions: self.gen.compactions + 1,
-            layout: self.manifest.layout,
+            p: self.manifest.p,
             num_vertices: self.manifest.num_vertices,
             partitions,
         };
@@ -473,7 +466,7 @@ fn synthesize_gen0(manifest: &Manifest) -> GenManifest {
     GenManifest {
         generation: 0,
         compactions: 0,
-        layout: manifest.layout,
+        p: manifest.p,
         num_vertices: manifest.num_vertices,
         partitions: manifest
             .partitions

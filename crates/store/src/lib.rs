@@ -6,13 +6,13 @@
 //! one shared in-memory copy. This crate is the secondary-storage half of
 //! that story, which the in-memory sources only simulated:
 //!
-//! * [`Convert`] — grid- or shard-partitions an `EdgeList` and writes it
-//!   as per-partition segment files plus a manifest (offsets,
-//!   source-vertex bounds, byte counts) under one directory;
-//! * [`DiskGridSource`] / [`DiskShardSource`] — `mmap`-backed readers
-//!   implementing `graphm_core::PartitionSource`, so `run_scheme`, the
-//!   wall-clock sweep driver, and the scheduler run unchanged on disk-resident
-//!   graphs with *real* per-partition byte counts from the manifest;
+//! * [`Convert`] — grid-partitions an `EdgeList` and writes it as
+//!   per-block segment files plus a manifest (offsets, source-vertex
+//!   bounds, byte counts) under one directory;
+//! * [`DiskGridSource`] — the `mmap`-backed reader implementing
+//!   `graphm_core::PartitionSource`, so `run_scheme`, the wall-clock sweep
+//!   driver, and the scheduler run unchanged on disk-resident graphs with
+//!   *real* per-partition byte counts;
 //! * [`mmap::FileView`] — the no-dependency mapping primitive underneath.
 //!
 //! The crate owns no record layout: what it writes, maps, logs ([`wal`])
@@ -51,7 +51,7 @@ pub mod replica;
 pub mod source;
 pub mod wal;
 
-pub use convert::{convert_fresh, segment_file_name, Convert};
+pub use convert::{segment_file_name, Convert};
 pub use delta::{CompactionPolicy, DeltaWriter};
 pub use lease::{LeaseConfig, WriterLease};
 pub use prefetch::{
@@ -61,18 +61,15 @@ pub use replica::{
     decode_frame, encode_frame, read_generation_frame, ApplyOutcome, FrameKind, ReplFrame,
     ReplicaApplier,
 };
-pub use source::{
-    DeltaStats, DiskGridSource, DiskShardSource, DiskSource, GridLayout, Layout, PrefetchStats,
-    PrefetchTarget, ResidencyStats, ShardLayout,
-};
+pub use source::{DeltaStats, DiskGridSource, PrefetchStats, PrefetchTarget, ResidencyStats};
 pub use wal::{replay_wal_bytes, Wal, WalBatch, WalStats};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphm_core::PartitionSource;
-    use graphm_graph::segment::{Manifest, StoreLayout};
-    use graphm_graph::{generators, AtomicBitmap, GraphError, Grid, Shards, EDGE_BYTES};
+    use graphm_graph::segment::Manifest;
+    use graphm_graph::{generators, AtomicBitmap, GraphError, Grid, EDGE_BYTES};
     use std::path::PathBuf;
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -87,7 +84,7 @@ mod tests {
         let g = generators::rmat(300, 2500, generators::RmatParams::GRAPH500, 21);
         let dir = tmpdir("grid-roundtrip");
         let manifest = Convert::grid(4).write(&g, &dir).unwrap();
-        assert_eq!(manifest.layout, StoreLayout::Grid { p: 4 });
+        assert_eq!(manifest.p, 4);
         assert_eq!(manifest.num_edges(), 2500);
 
         let grid = Grid::convert(&g, 4);
@@ -191,30 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_store_round_trips_against_in_memory_shards() {
-        let g = generators::rmat(200, 1800, generators::RmatParams::SOCIAL, 9);
-        let dir = tmpdir("shards-roundtrip");
-        let manifest = Convert::shards(4).write(&g, &dir).unwrap();
-        assert_eq!(manifest.layout, StoreLayout::Shards { p: 4 });
-
-        let shards = Shards::convert(&g, 4);
-        let src = DiskShardSource::open(&dir).unwrap();
-        assert_eq!(src.num_partitions(), 4);
-        for s in 0..4 {
-            assert_eq!(src.edges(s).len(), shards.shard(s).len());
-            assert_eq!(src.partition_bytes(s), shards.interval_load_bytes(s));
-        }
-        // Activity: vertex 0's only out-edge goes to interval 0 (path-like
-        // rmat edges exist; just check agreement with ChiSource semantics).
-        let active = AtomicBitmap::new(200);
-        active.set_all();
-        for s in 0..4 {
-            assert_eq!(src.partition_active(s, &active), !shards.shard(s).is_empty(), "shard {s}");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn empty_graph_store() {
         let g = graphm_graph::EdgeList::new(5);
         let dir = tmpdir("empty");
@@ -231,22 +204,64 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A store written in the removed on-disk shard layout is refused,
+    /// and so is a grid store with a segment truncated behind the
+    /// manifest's back.
     #[test]
     fn open_rejects_layout_mismatch_and_corruption() {
-        let g = generators::rmat(100, 700, generators::RmatParams::GRAPH500, 2);
         let dir = tmpdir("mismatch");
-        Convert::shards(2).write(&g, &dir).unwrap();
-        assert!(matches!(DiskGridSource::open(&dir).unwrap_err(), GraphError::Format(_)));
-        assert!(DiskShardSource::open(&dir).is_ok());
+        Convert::grid(2)
+            .write(&generators::rmat(100, 700, generators::RmatParams::GRAPH500, 2), &dir)
+            .unwrap();
+        assert!(DiskGridSource::open(&dir).is_ok());
+        let mut manifest = std::fs::read(dir.join("manifest.bin")).unwrap();
+        manifest[8..12].copy_from_slice(&1u32.to_le_bytes()); // the shard tag
+        std::fs::write(dir.join("manifest.bin"), &manifest).unwrap();
+        let err = DiskGridSource::open(&dir).unwrap_err();
+        assert!(matches!(&err, GraphError::Format(m) if m.contains("shard layout")), "{err}");
+        manifest[8..12].copy_from_slice(&0u32.to_le_bytes());
+        std::fs::write(dir.join("manifest.bin"), &manifest).unwrap();
 
-        // Truncate one segment behind the manifest's back.
-        let seg = dir.join(segment_file_name(0));
+        let seg = (0..4)
+            .map(|i| dir.join(segment_file_name(i)))
+            .find(|p| std::fs::metadata(p).unwrap().len() > 16)
+            .unwrap();
         let bytes = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &bytes[..bytes.len() / 2]).unwrap();
         assert!(matches!(
-            DiskShardSource::open(&dir).unwrap_err(),
+            DiskGridSource::open(&dir).unwrap_err(),
             GraphError::Truncated { .. } | GraphError::Format(_)
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The writer indexes blocks by `row * p + col` before any reader
+    /// opens the store: a manifest whose `p` disagrees with its partition
+    /// count, or is 0, is a typed error at open, not a panic at the first
+    /// mutation.
+    #[test]
+    fn writer_and_reader_refuse_a_manifest_whose_p_is_not_its_grid() {
+        let dir = tmpdir("bad-p");
+        Convert::grid(2)
+            .write(&generators::rmat(40, 300, generators::RmatParams::GRAPH500, 5), &dir)
+            .unwrap();
+        let good = std::fs::read(dir.join("manifest.bin")).unwrap();
+        for p in [0u32, 4] {
+            let mut bytes = good.clone();
+            bytes[12..16].copy_from_slice(&p.to_le_bytes());
+            std::fs::write(dir.join("manifest.bin"), &bytes).unwrap();
+            match DeltaWriter::open(&dir) {
+                Err(GraphError::Format(_)) => {}
+                Err(other) => panic!("p = {p}: expected Format, got {other}"),
+                Ok(mut writer) => {
+                    writer.insert(39, 39, 1.0).unwrap();
+                    panic!("p = {p}: the writer opened a {p} x {p} grid over 4 blocks");
+                }
+            }
+            assert!(matches!(DiskGridSource::open(&dir).unwrap_err(), GraphError::Format(_)));
+        }
+        std::fs::write(dir.join("manifest.bin"), &good).unwrap();
+        assert!(DeltaWriter::open(&dir).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -307,16 +322,6 @@ mod tests {
         flip(&dir.join("manifest.bin"), "part-00000.seg", "../x/00000.seg");
         assert!(matches!(Manifest::read_from_dir(&dir).unwrap_err(), GraphError::Format(_)));
         assert!(matches!(DiskGridSource::open(&dir).unwrap_err(), GraphError::Format(_)));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn convert_fresh_refuses_layout_overwrite() {
-        let g = generators::rmat(80, 400, generators::RmatParams::GRAPH500, 4);
-        let dir = tmpdir("fresh");
-        convert_fresh(Convert::grid(2), &g, &dir).unwrap();
-        assert!(convert_fresh(Convert::shards(2), &g, &dir).is_err());
-        assert!(convert_fresh(Convert::grid(3), &g, &dir).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -517,114 +522,6 @@ mod tests {
             }
             total
         });
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The shard layout merges and routes deltas too (by destination
-    /// interval), with exact merged activity sets.
-    #[test]
-    fn shard_store_serves_deltas() {
-        let g = generators::rmat(160, 1200, generators::RmatParams::SOCIAL, 37);
-        let dir = tmpdir("delta-shards");
-        Convert::shards(4).write(&g, &dir).unwrap();
-        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
-        let victim = g.edges[42];
-        writer.delete(victim.src, victim.dst).unwrap();
-        writer.insert(150, 3, 2.5).unwrap();
-        writer.publish().unwrap();
-
-        let mut mutated = g.clone();
-        graphm_graph::delta::apply_delta_to_edge_list(
-            &mut mutated,
-            &[
-                graphm_graph::delta::DeltaRecord::delete(victim.src, victim.dst),
-                graphm_graph::delta::DeltaRecord::insert(150, 3, 2.5),
-            ],
-        );
-        let reference = Shards::convert(&mutated, 4);
-        let src = DiskShardSource::open(&dir).unwrap();
-        assert_eq!(src.generation(), 1);
-        for s in 0..4 {
-            let merged = src.load(s);
-            let expect = reference.shard(s);
-            assert_eq!(merged.len(), expect.len(), "shard {s}");
-            for (a, b) in merged.iter().zip(expect) {
-                assert_eq!((a.src, a.dst), (b.src, b.dst), "shard {s}");
-            }
-        }
-        // Activity reflects the merged sources: vertex 150 now reaches
-        // interval 0 (dst 3).
-        let active = AtomicBitmap::new(160);
-        active.set(150);
-        assert!(src.partition_active(0, &active), "inserted source activates its shard");
-        assert_eq!(src.out_degrees(), mutated.out_degrees());
-
-        // Compaction keeps shard content and byte accounting coherent:
-        // the charged load drops by exactly the folded chain payload
-        // (the merged payload itself is unchanged).
-        let before: usize = (0..4).map(|s| src.partition_bytes(s)).sum();
-        let chain_bytes = src.delta_stats().delta_bytes as usize;
-        assert!(chain_bytes > 0);
-        writer.compact().unwrap();
-        assert!(src.refresh_generation().unwrap());
-        assert_eq!(src.generation(), 2);
-        for s in 0..4 {
-            let merged = src.load(s);
-            let expect = reference.shard(s);
-            assert_eq!(merged.len(), expect.len(), "shard {s} after compaction");
-        }
-        let after: usize = (0..4).map(|s| src.partition_bytes(s)).sum();
-        assert_eq!(after + chain_bytes, before, "compaction sheds exactly the chain payload");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Shard activity over a multi-generation chain is exact: a source
-    /// activates a shard iff the *merged* shard still holds one of its
-    /// edges — including a source whose only edge a later generation
-    /// deleted and one that exists only as a re-inserted edge.
-    #[test]
-    fn shard_activity_over_a_chain_matches_the_mutated_graph() {
-        use graphm_graph::delta::DeltaRecord;
-        let g = generators::rmat(96, 500, generators::RmatParams::SOCIAL, 43);
-        let dir = tmpdir("delta-shard-activity");
-        Convert::shards(3).write(&g, &dir).unwrap();
-        let mut writer = DeltaWriter::open(&dir).unwrap().with_policy(CompactionPolicy::never());
-        let mut mutated = g.clone();
-        let generations: Vec<Vec<DeltaRecord>> = vec![
-            g.edges.iter().step_by(7).map(|e| DeltaRecord::delete(e.src, e.dst)).collect(),
-            vec![DeltaRecord::insert(95, 1, 1.0), DeltaRecord::insert(94, 40, 2.0)],
-            vec![
-                DeltaRecord::delete(95, 1),
-                DeltaRecord::insert(g.edges[0].src, g.edges[0].dst, 3.0),
-            ],
-        ];
-        for records in &generations {
-            for r in records {
-                if r.is_insert() {
-                    writer.insert(r.src, r.dst, r.weight).unwrap();
-                } else {
-                    writer.delete(r.src, r.dst).unwrap();
-                }
-            }
-            writer.publish().unwrap();
-            graphm_graph::delta::apply_delta_to_edge_list(&mut mutated, records);
-        }
-        let reference = Shards::convert(&mutated, 3);
-        let src = DiskShardSource::open(&dir).unwrap();
-        assert_eq!(src.generation(), 3);
-        for s in 0..3 {
-            assert_eq!(src.load(s).as_slice(), reference.shard(s), "shard {s}");
-            for v in 0..96u32 {
-                let active = AtomicBitmap::new(96);
-                active.set(v as usize);
-                assert_eq!(
-                    src.partition_active(s, &active),
-                    reference.shard(s).iter().any(|e| e.src == v),
-                    "vertex {v} in shard {s}"
-                );
-            }
-        }
-        assert_eq!(src.out_degrees(), mutated.out_degrees());
         std::fs::remove_dir_all(&dir).ok();
     }
 

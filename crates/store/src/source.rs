@@ -1,13 +1,11 @@
-//! Disk-resident `PartitionSource` implementations.
+//! The disk-resident `PartitionSource`: [`DiskGridSource`].
 //!
-//! One generic [`DiskSource`] serves both on-disk layouts; its two
-//! instantiations [`DiskGridSource`] and [`DiskShardSource`] mirror the
-//! in-memory `GridSource` / `ChiSource` adapters exactly — same partition order,
-//! same activity semantics, same byte accounting (taken from the manifest
-//! instead of recomputed) — so `run_scheme`, the wall-clock sweep driver, and the
-//! §4 scheduler produce bit-identical reports on disk-resident graphs.
+//! It mirrors the in-memory `GridSource` adapter exactly — same partition
+//! order, same activity semantics, same byte accounting — so `run_scheme`,
+//! the wall-clock sweep driver, and the §4 scheduler produce bit-identical
+//! reports on disk-resident graphs.
 //!
-//! Segments stay mapped, not loaded: [`edges`](DiskSource::edges) is a
+//! Segments stay mapped, not loaded: [`edges`](DiskGridSource::edges) is a
 //! zero-copy `&[Edge]` view into the mapping (the 12-byte `#[repr(C)]`
 //! record layout matches the file format on little-endian hosts), and
 //! `load` materializes an `Arc<Vec<Edge>>` only on demand, memoized
@@ -25,7 +23,7 @@
 //! merges base and overlay in one linear pass into `Convert()`'s stable
 //! source order — so a merged read is bit-identical to a from-scratch
 //! conversion of the mutated graph and costs what a base load costs.
-//! [`DiskSource::refresh_generation`] polls the store's `CURRENT`
+//! [`DiskGridSource::refresh_generation`] polls the store's `CURRENT`
 //! pointer and rotates the in-process view; while any sweep holds a pin
 //! ([`PartitionSource::sweep_begin`]) the rotation is deferred, so
 //! readers never observe a mid-sweep flip, and the previous
@@ -38,14 +36,13 @@ use graphm_core::PartitionSource;
 use graphm_graph::delta::{self, DeltaRecord, GenManifest, Overlay};
 use graphm_graph::failpoint;
 use graphm_graph::records::{self, Record};
-use graphm_graph::segment::{Manifest, StoreLayout};
+use graphm_graph::segment::Manifest;
 use graphm_graph::{AtomicBitmap, Edge, GraphError, Result, VertexId, EDGE_BYTES};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
-use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Readahead counters for a disk store (see [`PrefetchTarget`]).
@@ -114,45 +111,6 @@ pub struct DeltaStats {
     /// Cumulative compactions folded into the base (from the generation
     /// manifest).
     pub compactions: u64,
-}
-
-/// Process-wide registry of live shared openers, keyed by canonical store
-/// directory. Holds `Weak`s so a store unmaps once every handle drops.
-struct ShareRegistry<T> {
-    live: Mutex<HashMap<PathBuf, Weak<T>>>,
-}
-
-impl<T> ShareRegistry<T> {
-    fn new() -> ShareRegistry<T> {
-        ShareRegistry { live: Mutex::new(HashMap::new()) }
-    }
-
-    /// Returns the live handle for `dir` or opens one with `open`. The
-    /// key is the canonicalized directory, so `./store` and an absolute
-    /// path to it share a mapping.
-    ///
-    /// `open` runs *outside* the registry lock — opening validates every
-    /// record (O(E)), and holding the one global lock across that would
-    /// serialize unrelated store opens. Two threads racing to open the
-    /// same cold store may both do the work; the loser adopts the
-    /// winner's handle and drops its own.
-    fn open_shared(&self, dir: &Path, open: impl FnOnce() -> Result<T>) -> Result<Arc<T>> {
-        let key = std::fs::canonicalize(dir)?;
-        {
-            let live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(existing) = live.get(&key).and_then(Weak::upgrade) {
-                return Ok(existing);
-            }
-        }
-        let opened = Arc::new(open()?);
-        let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(raced) = live.get(&key).and_then(Weak::upgrade) {
-            return Ok(raced);
-        }
-        live.retain(|_, w| w.strong_count() > 0);
-        live.insert(key, Arc::downgrade(&opened));
-        Ok(opened)
-    }
 }
 
 /// The records of one record file — a base segment (`Records<Edge>`) or a
@@ -247,20 +205,14 @@ struct GenView {
     /// Each non-empty chain resolved against its base (`None` = no chain:
     /// the merged view is the base itself).
     overlays: Vec<Option<Arc<Overlay>>>,
-    /// Edge count of the merged (base + deltas) view per partition.
+    /// Edge count of the merged (base + deltas) view per partition. A
+    /// load is charged its payload, `merged_edges * EDGE_BYTES` — exactly
+    /// what an in-memory conversion of the mutated graph would charge.
     merged_edges: Vec<u64>,
-    /// Bytes charged per load of the merged view (grid: the merged
-    /// payload, exactly what an in-memory conversion of the mutated graph
-    /// would charge; shards: the base interval load plus the chain
-    /// payload).
-    load_bytes: Vec<u64>,
     /// Merged structure bytes (`S_G` over the merged view).
     graph_bytes: u64,
     delta_bytes: u64,
     delta_records: u64,
-    /// Shards only: distinct merged sources per shard, for exact
-    /// activity checks.
-    srcs: Option<Vec<Arc<Vec<VertexId>>>>,
 }
 
 impl GenView {
@@ -289,9 +241,6 @@ impl GenView {
         let mut delta_files: Vec<Vec<String>> = Vec::with_capacity(parts);
         let mut overlays: Vec<Option<Arc<Overlay>>> = Vec::with_capacity(parts);
         let mut merged_edges = Vec::with_capacity(parts);
-        let mut load_bytes = Vec::with_capacity(parts);
-        let mut srcs: Vec<Arc<Vec<VertexId>>> = Vec::with_capacity(parts);
-        let shards = matches!(manifest.layout, StoreLayout::Shards { .. });
         let mut delta_bytes = 0u64;
         let mut delta_records = 0u64;
         for pid in 0..parts {
@@ -371,47 +320,12 @@ impl GenView {
                 Some(o) => o.merged_len() as u64,
                 None => segment.len() as u64,
             };
-            let chain_payload: u64 = chain_segs.iter().map(|s| s.payload_bytes()).sum();
-            let load = if let Some(p) = unchanged {
-                p.load_bytes[pid]
-            } else if shards {
-                // Interval load = the merged shard payload plus the base
-                // manifest's sliding-window overhead (windows are not
-                // re-derived for mutated stores) plus the chain itself.
-                // Saturating: load_bytes < byte_len only on a corrupt
-                // manifest, which must not wrap the accounting.
-                entry.load_bytes.saturating_sub(entry.byte_len)
-                    + count * EDGE_BYTES as u64
-                    + chain_payload
-            } else {
-                count * EDGE_BYTES as u64
-            };
-            if shards {
-                // Exact per-vertex activity, as `ChiSource` computes it —
-                // over the merged view. Reuse the previous generation's
-                // set when neither the base nor the chain changed.
-                let reusable = unchanged.and_then(|p| p.srcs.as_ref().map(|s| Arc::clone(&s[pid])));
-                let set = match reusable {
-                    Some(set) => set,
-                    None => {
-                        let mut sv: Vec<VertexId> = match &overlay {
-                            Some(o) => o.sources(segment.as_slice()).collect(),
-                            None => segment.as_slice().iter().map(|e| e.src).collect(),
-                        };
-                        sv.sort_unstable();
-                        sv.dedup();
-                        Arc::new(sv)
-                    }
-                };
-                srcs.push(set);
-            }
             segments.push(segment);
             base_files.push(base_file);
             deltas.push(chain_segs);
             delta_files.push(chain_names);
             overlays.push(overlay);
             merged_edges.push(count);
-            load_bytes.push(load);
         }
         let graph_bytes = merged_edges.iter().map(|&n| n * EDGE_BYTES as u64).sum();
         Ok(GenView {
@@ -423,11 +337,9 @@ impl GenView {
             delta_files,
             overlays,
             merged_edges,
-            load_bytes,
             graph_bytes,
             delta_bytes,
             delta_records,
-            srcs: shards.then_some(srcs),
         })
     }
 
@@ -490,8 +402,10 @@ struct CacheSlot {
     weak: Weak<Vec<Edge>>,
 }
 
-/// Everything a [`DiskSource`] does that does not depend on its layout.
-struct DiskStore {
+/// A grid store directory on disk, exposed to GraphM as a
+/// `PartitionSource`: the drop-in replacement for the in-memory
+/// `GridSource`.
+pub struct DiskGridSource {
     dir: PathBuf,
     manifest: Manifest,
     views: RwLock<Views>,
@@ -534,8 +448,23 @@ struct DiskStore {
     touch_seq: AtomicU64,
 }
 
-impl DiskStore {
-    fn open(dir: &Path) -> Result<DiskStore> {
+impl std::fmt::Debug for DiskGridSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiskGridSource")
+            .field("dir", &self.dir)
+            .field("p", &self.manifest.p)
+            .field("generation", &self.generation())
+            .field("partitions", &self.num_partitions())
+            .finish()
+    }
+}
+
+impl DiskGridSource {
+    /// Opens a store directory written by [`Convert`](crate::Convert),
+    /// resolved at the generation its `CURRENT` pointer names (0 — the
+    /// bare base store — when none exists). A manifest that is not a
+    /// grid's is a typed `GraphError::Format`.
+    pub fn open(dir: &Path) -> Result<DiskGridSource> {
         let manifest = Manifest::read_from_dir(dir)?;
         let generation = delta::read_current_generation(dir)?;
         let view = Arc::new(GenView::build(dir, &manifest, generation, None)?);
@@ -547,7 +476,7 @@ impl DiskStore {
         let resident = (0..parts).map(|_| AtomicBool::new(false)).collect();
         let resident_charged = (0..parts).map(|_| AtomicU64::new(0)).collect();
         let last_touch = (0..parts).map(|_| AtomicU64::new(0)).collect();
-        Ok(DiskStore {
+        Ok(DiskGridSource {
             dir: dir.to_path_buf(),
             manifest,
             views: RwLock::new(Views { current: view, incoming: None, pins: 0 }),
@@ -570,12 +499,83 @@ impl DiskStore {
         })
     }
 
-    fn num_partitions(&self) -> usize {
-        self.manifest.partitions.len()
+    /// Opens `dir` through the process-wide share registry: while any
+    /// previously returned handle is alive, every `open_shared` of the
+    /// same (canonicalized) directory returns a clone of the same `Arc`,
+    /// so N workbenches/daemon threads over one store share one mapping,
+    /// one manifest, and one per-partition materialization cache instead
+    /// of N. Stores are single-writer/multi-reader: `Convert` writes the
+    /// base once and a `DeltaWriter` only ever *adds* files before
+    /// flipping `CURRENT` (see `docs/ARCHITECTURE.md`), which is what
+    /// makes the shared handle sound.
+    ///
+    /// The registry holds `Weak`s, so a store unmaps once every handle
+    /// drops. `open` runs *outside* the registry lock — opening validates
+    /// every record (O(E)), and holding the one global lock across that
+    /// would serialize unrelated store opens. Two threads racing to open
+    /// the same cold store may both do the work; the loser adopts the
+    /// winner's handle and drops its own.
+    pub fn open_shared(dir: &Path) -> Result<Arc<DiskGridSource>> {
+        static LIVE: Mutex<BTreeMap<PathBuf, Weak<DiskGridSource>>> = Mutex::new(BTreeMap::new());
+        let key = std::fs::canonicalize(dir)?;
+        {
+            let live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+            if let Some(existing) = live.get(&key).and_then(Weak::upgrade) {
+                return Ok(existing);
+            }
+        }
+        let opened = Arc::new(DiskGridSource::open(dir)?);
+        let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(raced) = live.get(&key).and_then(Weak::upgrade) {
+            return Ok(raced);
+        }
+        live.retain(|_, w| w.strong_count() > 0);
+        live.insert(key, Arc::downgrade(&opened));
+        Ok(opened)
+    }
+
+    /// The store's base manifest.
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
+    }
+
+    /// The store directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Grid dimension `P`.
+    pub fn p(&self) -> usize {
+        self.manifest.p as usize
+    }
+
+    /// A copy of partition `pid`'s **base-segment** records for the
+    /// currently served generation (delta overlays are visible through
+    /// [`PartitionSource::load`], which materializes the merged view).
+    /// Owned rather than borrowed so the handle never has to pin a
+    /// retired generation's mappings — and its unlinked files — alive.
+    pub fn edges(&self, pid: usize) -> Vec<Edge> {
+        self.view().segments[pid].as_slice().to_vec()
+    }
+
+    /// Out-degrees of the currently served generation's merged view,
+    /// streamed from the mapped segments (PageRank-family jobs need them;
+    /// no `EdgeList` is ever materialized).
+    pub fn out_degrees(&self) -> Vec<u32> {
+        let view = self.view();
+        let mut deg = vec![0u32; self.manifest.num_vertices as usize];
+        for pid in 0..self.num_partitions() {
+            let base = view.segments[pid].as_slice();
+            match &view.overlays[pid] {
+                Some(overlay) => overlay.sources(base).for_each(|src| deg[src as usize] += 1),
+                None => base.iter().for_each(|e| deg[e.src as usize] += 1),
+            }
+        }
+        deg
     }
 
     /// The generation view loads currently resolve against. Stable for
-    /// the duration of a pinned busy period: `refresh` defers adoption
+    /// the duration of a pinned busy period: a refresh defers adoption
     /// while pins are held.
     fn view(&self) -> Arc<GenView> {
         Arc::clone(&self.views.read().unwrap_or_else(|e| e.into_inner()).current)
@@ -588,32 +588,16 @@ impl DiskStore {
         f(&self.views.read().unwrap_or_else(|e| e.into_inner()).current)
     }
 
-    /// Pins the current generation for a sweep (counted; sweeps may
-    /// overlap across runtimes sharing the handle).
-    fn sweep_begin(&self) {
-        self.views.write().unwrap_or_else(|e| e.into_inner()).pins += 1;
-    }
-
-    /// Releases a sweep pin; the last unpin adopts any generation that
-    /// arrived mid-sweep.
-    fn sweep_end(&self) {
-        let mut views = self.views.write().unwrap_or_else(|e| e.into_inner());
-        debug_assert!(views.pins > 0, "sweep_end without a matching sweep_begin");
-        views.pins = views.pins.saturating_sub(1);
-        if views.pins == 0 {
-            if let Some(incoming) = views.incoming.take() {
-                views.current = incoming;
-                self.rotations.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Polls the store's `CURRENT` pointer and resolves any newer
-    /// generation. Returns `true` when a new generation was picked up
-    /// (adopted immediately, or staged for adoption at the last sweep
-    /// unpin). The old generation's mappings are retired when the last
-    /// reader drops its `Arc`.
-    fn refresh(&self) -> Result<bool> {
+    /// Polls the store's `CURRENT` pointer and rotates to any newer
+    /// generation. Returns `true` when one was picked up: adopted
+    /// immediately, or — while a sweep pin is held
+    /// ([`PartitionSource::sweep_begin`]) — staged for adoption at the
+    /// last unpin, so in-flight sweeps keep their generation. The old
+    /// generation's mappings are retired when the last reader drops its
+    /// `Arc`. Runtimes that preprocessed this source (chunk tables,
+    /// out-degrees) must be rebuilt after a rotation — the daemon does
+    /// this between rounds.
+    pub fn refresh_generation(&self) -> Result<bool> {
         let disk_gen = delta::read_current_generation(&self.dir)?;
         let (known, prev) = {
             let views = self.views.read().unwrap_or_else(|e| e.into_inner());
@@ -649,16 +633,23 @@ impl DiskStore {
         Ok(true)
     }
 
-    fn generation(&self) -> u64 {
+    /// The generation loads currently resolve against.
+    pub fn generation(&self) -> u64 {
         self.views.read().unwrap_or_else(|e| e.into_inner()).current.generation
     }
 
-    fn staged_generation(&self) -> Option<u64> {
+    /// The generation [`DiskGridSource::refresh_generation`] picked up
+    /// while sweep pins were held, if any: loads keep resolving against
+    /// [`DiskGridSource::generation`] until the last pin is released. A
+    /// server that sees one should stop starting work, so that the pins
+    /// can drain and the generation be adopted.
+    pub fn staged_generation(&self) -> Option<u64> {
         let views = self.views.read().unwrap_or_else(|e| e.into_inner());
         views.incoming.as_ref().map(|view| view.generation)
     }
 
-    fn delta_stats(&self) -> DeltaStats {
+    /// Delta/rotation counters (see [`DeltaStats`]).
+    pub fn delta_stats(&self) -> DeltaStats {
         let view = self.view();
         DeltaStats {
             generation: view.generation,
@@ -666,6 +657,24 @@ impl DiskStore {
             delta_bytes: view.delta_bytes,
             delta_records: view.delta_records,
             compactions: view.compactions,
+        }
+    }
+
+    /// Sets the page-cache budget in bytes (0 = unlimited): once modeled
+    /// residency exceeds it, loads release segments behind the sweep
+    /// frontier with `madvise(MADV_DONTNEED)`.
+    pub fn set_memory_budget(&self, bytes: u64) {
+        self.budget.store(bytes, Ordering::Relaxed);
+    }
+
+    /// Residency/eviction counters (see [`ResidencyStats`]).
+    pub fn residency_stats(&self) -> ResidencyStats {
+        ResidencyStats {
+            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
+            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            budget_bytes: self.budget.load(Ordering::Relaxed),
+            prefetch_window: self.window.current() as u64,
         }
     }
 
@@ -736,22 +745,6 @@ impl DiskStore {
         }
     }
 
-    /// Infallible load: real I/O failures on the mapped files surface as
-    /// SIGBUS (outside this model's scope); injected failpoints are only
-    /// checked on the fallible path. Kept for direct callers (figure
-    /// harnesses, out-degree scans) that run outside a serving runtime.
-    fn load(&self, pid: usize) -> Arc<Vec<Edge>> {
-        self.load_impl(pid, false).expect("only the fallible path checks failpoints")
-    }
-
-    /// Fallible load for the serving runtimes: `read:load` guards the
-    /// whole operation, `read:merged` the materialization of a cache-miss
-    /// merged view. An error leaves the cache slot and residency counters
-    /// consistent — the next load retries from scratch.
-    fn try_load(&self, pid: usize) -> Result<Arc<Vec<Edge>>> {
-        self.load_impl(pid, true)
-    }
-
     fn load_impl(&self, pid: usize, fallible: bool) -> Result<Arc<Vec<Edge>>> {
         if fallible {
             failpoint::hit("read:load")?;
@@ -798,7 +791,9 @@ impl DiskStore {
         slot.weak = Arc::downgrade(&materialized);
         Ok(materialized)
     }
+}
 
+impl PrefetchTarget for DiskGridSource {
     /// Issues a readahead hint for `pid`'s files, at most once per load
     /// cycle (the flag re-arms when the partition is next loaded).
     /// Prefetch is advisory: an injected (or real) failure here degrades
@@ -827,27 +822,53 @@ impl DiskStore {
         }
     }
 
-    fn residency_stats(&self) -> ResidencyStats {
-        ResidencyStats {
-            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            budget_bytes: self.budget.load(Ordering::Relaxed),
-            prefetch_window: self.window.current() as u64,
-        }
+    fn prefetch_window(&self) -> usize {
+        self.window.current()
+    }
+}
+
+impl PartitionSource for DiskGridSource {
+    fn num_partitions(&self) -> usize {
+        self.manifest.partitions.len()
     }
 
-    /// The engine's `should_access_shard` over the merged view: shard
-    /// stores check their exact per-shard source sets (as `ChiSource`
-    /// does), grid blocks their manifest source range (as `GridSource`).
+    fn num_vertices(&self) -> VertexId {
+        self.manifest.num_vertices
+    }
+
+    /// Infallible load: real I/O failures on the mapped files surface as
+    /// SIGBUS (outside this model's scope); injected failpoints are only
+    /// checked on the fallible path. Kept for direct callers (figure
+    /// harnesses, out-degree scans) that run outside a serving runtime.
+    fn load(&self, pid: usize) -> Arc<Vec<Edge>> {
+        self.load_impl(pid, false).expect("only the fallible path checks failpoints")
+    }
+
+    /// Fallible load for the serving runtimes: `read:load` guards the
+    /// whole operation, `read:merged` the materialization of a cache-miss
+    /// merged view. An error leaves the cache slot and residency counters
+    /// consistent — the next load retries from scratch.
+    fn try_load(&self, pid: usize) -> Result<Arc<Vec<Edge>>> {
+        self.load_impl(pid, true)
+    }
+
+    fn partition_bytes(&self, pid: usize) -> usize {
+        self.with_view(|v| v.merged_edges[pid] as usize * EDGE_BYTES)
+    }
+
+    fn graph_bytes(&self) -> usize {
+        self.with_view(|v| v.graph_bytes as usize)
+    }
+
+    /// The manifest's order: the grid's column-major streaming order.
+    fn order(&self) -> Vec<usize> {
+        self.manifest.order.iter().map(|&pid| pid as usize).collect()
+    }
+
+    /// GridGraph's `should_access_shard` over the merged view: a block is
+    /// active when it holds edges and an active vertex lies in its row's
+    /// source range.
     fn partition_active(&self, pid: usize, active: &AtomicBitmap) -> bool {
-        if matches!(self.manifest.layout, StoreLayout::Shards { .. }) {
-            // Clone the shard's Arc'd source set under the guard, scan outside.
-            let srcs = self.with_view(|v| {
-                Arc::clone(&v.srcs.as_ref().expect("shard stores always carry source sets")[pid])
-            });
-            return srcs.iter().any(|&v| active.get(v as usize));
-        }
         if self.with_view(|v| v.merged_edges[pid] == 0) {
             return false;
         }
@@ -855,270 +876,24 @@ impl DiskStore {
         e.src_lo < e.src_hi && active.any_in_range(e.src_lo as usize, e.src_hi as usize)
     }
 
-    fn out_degrees(&self) -> Vec<u32> {
-        let view = self.view();
-        let mut deg = vec![0u32; self.manifest.num_vertices as usize];
-        for pid in 0..self.num_partitions() {
-            let base = view.segments[pid].as_slice();
-            match &view.overlays[pid] {
-                Some(overlay) => overlay.sources(base).for_each(|src| deg[src as usize] += 1),
-                None => base.iter().for_each(|e| deg[e.src as usize] += 1),
-            }
-        }
-        deg
-    }
-}
-
-/// Layout marker of a [`DiskSource`]: which manifests `open` accepts and
-/// which process-wide share registry the handles live in. Implemented by
-/// [`GridLayout`] and [`ShardLayout`]; everything else about a layout is
-/// read from the store's manifest.
-pub trait Layout: Sized + Send + Sync + 'static {
-    /// Typed `GraphError::Format` unless `manifest` is this layout.
-    #[doc(hidden)]
-    fn check(manifest: &Manifest, dir: &Path) -> Result<()>;
-
-    /// [`DiskSource::open_shared`] through this layout's own registry, so
-    /// a grid and a shard handle never alias.
-    #[doc(hidden)]
-    fn open_shared(dir: &Path) -> Result<Arc<DiskSource<Self>>>;
-}
-
-/// Marker: a store written by [`Convert::grid`](crate::Convert::grid).
-#[derive(Debug)]
-pub struct GridLayout;
-
-/// Marker: a store written by [`Convert::shards`](crate::Convert::shards).
-#[derive(Debug)]
-pub struct ShardLayout;
-
-impl Layout for GridLayout {
-    fn check(manifest: &Manifest, dir: &Path) -> Result<()> {
-        let p = match manifest.layout {
-            StoreLayout::Grid { p } => p as usize,
-            other => {
-                return Err(GraphError::Format(format!(
-                    "{}: expected a grid store, found {other:?}",
-                    dir.display()
-                )))
-            }
-        };
-        if manifest.partitions.len() != p * p {
-            return Err(GraphError::Format(format!(
-                "{}: grid p = {p} implies {} partitions, manifest has {}",
-                dir.display(),
-                p * p,
-                manifest.partitions.len()
-            )));
-        }
-        Ok(())
-    }
-
-    fn open_shared(dir: &Path) -> Result<Arc<DiskGridSource>> {
-        static REGISTRY: OnceLock<ShareRegistry<DiskGridSource>> = OnceLock::new();
-        REGISTRY.get_or_init(ShareRegistry::new).open_shared(dir, || DiskSource::open(dir))
-    }
-}
-
-impl Layout for ShardLayout {
-    fn check(manifest: &Manifest, dir: &Path) -> Result<()> {
-        match manifest.layout {
-            StoreLayout::Shards { .. } => Ok(()),
-            other => Err(GraphError::Format(format!(
-                "{}: expected a shard store, found {other:?}",
-                dir.display()
-            ))),
-        }
-    }
-
-    fn open_shared(dir: &Path) -> Result<Arc<DiskShardSource>> {
-        static REGISTRY: OnceLock<ShareRegistry<DiskShardSource>> = OnceLock::new();
-        REGISTRY.get_or_init(ShareRegistry::new).open_shared(dir, || DiskSource::open(dir))
-    }
-}
-
-/// A store directory on disk, exposed to GraphM as a `PartitionSource`:
-/// the drop-in replacement for the in-memory `GridSource`
-/// ([`DiskGridSource`]) or `ChiSource` ([`DiskShardSource`]).
-pub struct DiskSource<L> {
-    store: DiskStore,
-    /// The manifest's traversal order (column-major for grids, interval
-    /// order for shards).
-    order: Vec<usize>,
-    _layout: PhantomData<L>,
-}
-
-/// A grid-layout store on disk.
-pub type DiskGridSource = DiskSource<GridLayout>;
-
-/// A shard-layout store on disk.
-pub type DiskShardSource = DiskSource<ShardLayout>;
-
-impl<L: Layout> std::fmt::Debug for DiskSource<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskSource")
-            .field("dir", &self.store.dir)
-            .field("layout", &self.store.manifest.layout)
-            .field("generation", &self.store.generation())
-            .field("partitions", &self.store.num_partitions())
-            .finish()
-    }
-}
-
-impl<L: Layout> DiskSource<L> {
-    /// Opens a store directory written by [`Convert`](crate::Convert) for
-    /// this layout, resolved at the generation its `CURRENT` pointer
-    /// names (0 — the bare base store — when none exists). A directory
-    /// holding the other layout is a typed `GraphError::Format`.
-    pub fn open(dir: &Path) -> Result<DiskSource<L>> {
-        let store = DiskStore::open(dir)?;
-        L::check(&store.manifest, dir)?;
-        let order = store.manifest.order.iter().map(|&v| v as usize).collect();
-        Ok(DiskSource { store, order, _layout: PhantomData })
-    }
-
-    /// Opens `dir` through the process-wide share registry: while any
-    /// previously returned handle is alive, every `open_shared` of the
-    /// same (canonicalized) directory returns a clone of the same `Arc`,
-    /// so N workbenches/daemon threads over one store share one mapping,
-    /// one manifest, and one per-partition materialization cache instead
-    /// of N. Stores are single-writer/multi-reader: `Convert` writes the
-    /// base once and a `DeltaWriter` only ever *adds* files before
-    /// flipping `CURRENT` (see `docs/ARCHITECTURE.md`), which is what
-    /// makes the shared handle sound.
-    pub fn open_shared(dir: &Path) -> Result<Arc<DiskSource<L>>> {
-        L::open_shared(dir)
-    }
-
-    /// The store's base manifest.
-    pub fn manifest(&self) -> &Manifest {
-        &self.store.manifest
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.store.dir
-    }
-
-    /// A copy of partition `pid`'s **base-segment** records for the
-    /// currently served generation (delta overlays are visible through
-    /// [`PartitionSource::load`], which materializes the merged view).
-    /// Owned rather than borrowed so the handle never has to pin a
-    /// retired generation's mappings — and its unlinked files — alive.
-    pub fn edges(&self, pid: usize) -> Vec<Edge> {
-        self.store.view().segments[pid].as_slice().to_vec()
-    }
-
-    /// Out-degrees of the currently served generation's merged view,
-    /// streamed from the mapped segments (PageRank-family jobs need them;
-    /// no `EdgeList` is ever materialized).
-    pub fn out_degrees(&self) -> Vec<u32> {
-        self.store.out_degrees()
-    }
-
-    /// Polls the store's `CURRENT` pointer and rotates to any newer
-    /// generation. Returns `true` when one was picked up. While a sweep
-    /// pin is held ([`PartitionSource::sweep_begin`]) adoption is
-    /// deferred to the last unpin, so in-flight sweeps keep their
-    /// generation. Runtimes that preprocessed this source (chunk tables,
-    /// out-degrees) must be rebuilt after a rotation — the daemon does
-    /// this between rounds.
-    pub fn refresh_generation(&self) -> Result<bool> {
-        self.store.refresh()
-    }
-
-    /// The generation loads currently resolve against.
-    pub fn generation(&self) -> u64 {
-        self.store.generation()
-    }
-
-    /// The generation [`DiskSource::refresh_generation`] picked up while
-    /// sweep pins were held, if any: loads keep resolving against
-    /// [`DiskSource::generation`] until the last pin is released. A
-    /// server that sees one should stop starting work, so that the pins
-    /// can drain and the generation be adopted.
-    pub fn staged_generation(&self) -> Option<u64> {
-        self.store.staged_generation()
-    }
-
-    /// Delta/rotation counters (see [`DeltaStats`]).
-    pub fn delta_stats(&self) -> DeltaStats {
-        self.store.delta_stats()
-    }
-
-    /// Sets the page-cache budget in bytes (0 = unlimited): once modeled
-    /// residency exceeds it, loads release segments behind the sweep
-    /// frontier with `madvise(MADV_DONTNEED)`.
-    pub fn set_memory_budget(&self, bytes: u64) {
-        self.store.budget.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Residency/eviction counters (see [`ResidencyStats`]).
-    pub fn residency_stats(&self) -> ResidencyStats {
-        self.store.residency_stats()
-    }
-}
-
-impl DiskSource<GridLayout> {
-    /// Grid dimension `P`.
-    pub fn p(&self) -> usize {
-        self.store.manifest.layout.p() as usize
-    }
-}
-
-impl<L: Layout> PrefetchTarget for DiskSource<L> {
-    fn advise(&self, pid: usize) {
-        self.store.advise(pid);
-    }
-
-    fn prefetch_stats(&self) -> PrefetchStats {
-        self.store.prefetch_stats()
-    }
-
-    fn prefetch_window(&self) -> usize {
-        self.store.window.current()
-    }
-}
-
-impl<L: Layout> PartitionSource for DiskSource<L> {
-    fn num_partitions(&self) -> usize {
-        self.store.num_partitions()
-    }
-
-    fn num_vertices(&self) -> VertexId {
-        self.store.manifest.num_vertices
-    }
-
-    fn load(&self, pid: usize) -> Arc<Vec<Edge>> {
-        self.store.load(pid)
-    }
-
-    fn try_load(&self, pid: usize) -> Result<Arc<Vec<Edge>>> {
-        self.store.try_load(pid)
-    }
-
-    fn partition_bytes(&self, pid: usize) -> usize {
-        self.store.with_view(|v| v.load_bytes[pid] as usize)
-    }
-
-    fn graph_bytes(&self) -> usize {
-        self.store.with_view(|v| v.graph_bytes as usize)
-    }
-
-    fn order(&self) -> Vec<usize> {
-        self.order.clone()
-    }
-
-    fn partition_active(&self, pid: usize, active: &AtomicBitmap) -> bool {
-        self.store.partition_active(pid, active)
-    }
-
+    /// Pins the current generation for a sweep (counted; sweeps may
+    /// overlap across runtimes sharing the handle).
     fn sweep_begin(&self) {
-        self.store.sweep_begin();
+        self.views.write().unwrap_or_else(|e| e.into_inner()).pins += 1;
     }
 
+    /// Releases a sweep pin; the last unpin adopts any generation that
+    /// arrived mid-sweep.
     fn sweep_end(&self) {
-        self.store.sweep_end();
+        let mut views = self.views.write().unwrap_or_else(|e| e.into_inner());
+        debug_assert!(views.pins > 0, "sweep_end without a matching sweep_begin");
+        views.pins = views.pins.saturating_sub(1);
+        if views.pins == 0 {
+            if let Some(incoming) = views.incoming.take() {
+                views.current = incoming;
+                self.rotations.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -1143,14 +918,14 @@ mod tests {
             writer.insert(src, dst, 1.0).unwrap();
         }
         writer.publish().unwrap();
-        let store = DiskStore::open(&dir).unwrap();
+        let store = DiskGridSource::open(&dir).unwrap();
         let before = store.view();
         assert!(before.overlays.iter().all(Option::is_some));
 
         let touched = writer.partition_of(5, 6);
         writer.delete(1, 2).unwrap();
         writer.publish().unwrap();
-        assert!(store.refresh().unwrap());
+        assert!(store.refresh_generation().unwrap());
         let after = store.view();
         assert_eq!(after.generation, 2);
         for pid in 0..4 {
@@ -1162,7 +937,7 @@ mod tests {
 
         // Compaction empties the chains: no overlay, the base is the view.
         writer.compact().unwrap();
-        assert!(store.refresh().unwrap());
+        assert!(store.refresh_generation().unwrap());
         assert!(store.view().overlays.iter().all(Option::is_none));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,10 +2,12 @@
 //!
 //! `tests/golden_formats/` holds what [`produce`] wrote on commit fd62ab7,
 //! the last one where each format still had its own hand-written encoder:
-//! a 6-vertex graph through `Convert::grid(2)` and `Convert::shards(2)`,
-//! two publishes and a compaction on the grid store, a two-batch WAL
-//! commit group, every generation's replication frame, and the binary
-//! edge list — plus the failpoints the second publish crossed. Whatever
+//! a 6-vertex graph through `Convert::grid(2)`, two publishes and a
+//! compaction on the grid store, a two-batch WAL commit group, every
+//! generation's replication frame, and the binary edge list — plus the
+//! failpoints the second publish crossed. `shards/manifest.bin`, which
+//! that commit wrote through the since-removed on-disk shard layout, stays
+//! as the input every reader must refuse. Whatever
 //! encodes these files now must reproduce them byte for byte and cross the
 //! same boundaries in the same order, and whatever decodes them must still
 //! open the files as that commit wrote them. `EPOCH` is left out: it holds
@@ -19,10 +21,10 @@ use graphm_graph::delta::{
 };
 use graphm_graph::segment::{read_segment, Manifest};
 use graphm_graph::storage::{read_edge_list, write_edge_list};
-use graphm_graph::{failpoint, Edge, EdgeList, Grid, Shards};
+use graphm_graph::{failpoint, Edge, EdgeList, GraphError, Grid};
 use graphm_store::{
     decode_frame, encode_frame, read_generation_frame, replay_wal_bytes, CompactionPolicy, Convert,
-    DeltaWriter, DiskGridSource, DiskShardSource, FrameKind, Wal,
+    DeltaWriter, DiskGridSource, FrameKind, Wal,
 };
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -74,7 +76,6 @@ fn produce(root: &Path) -> Vec<String> {
     let g = graph();
     let grid = root.join("grid");
     Convert::grid(2).write(&g, &grid).unwrap();
-    Convert::shards(2).write(&g, &root.join("shards")).unwrap();
 
     let mut writer = DeltaWriter::open(&grid).unwrap().with_policy(CompactionPolicy::never());
     let stage = |writer: &mut DeltaWriter, records: &[DeltaRecord]| {
@@ -151,7 +152,11 @@ fn every_written_byte_and_crossed_failpoint_matches_the_parent() {
     let trace = produce(&root);
     let mut got = files(&root);
     got.insert("publish.trace".to_string(), (trace.join("\n") + "\n").into_bytes());
-    let want = files(&golden_dir());
+    let mut want = files(&golden_dir());
+    // `shards/` is a store in the removed on-disk shard layout: nothing
+    // writes it any more, and `shard_stores_are_refused_not_misread`
+    // reads it as the input every opener must refuse.
+    want.retain(|name, _| !name.starts_with("shards/"));
     assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>(), "file set");
     for (name, bytes) in &want {
         assert!(&got[name] == bytes, "{name} is not the bytes the parent commit wrote");
@@ -216,12 +221,6 @@ fn golden_files_open_and_mean_what_they_meant() {
         assert_eq!(gm.compactions, u64::from(generation == 3));
     }
 
-    let shards = DiskShardSource::open(&golden.join("shards")).unwrap();
-    let model = Shards::convert(&graph(), 2);
-    for s in 0..2 {
-        assert_eq!(shards.load(s).as_slice(), model.shard(s), "shard {s}");
-    }
-
     // Frames: the two publishes carry their records partition-major, the
     // compaction carries none.
     for (generation, records) in [(1, 4), (2, 4), (3, 0)] {
@@ -241,4 +240,27 @@ fn golden_files_open_and_mean_what_they_meant() {
 
     let edges = read_edge_list(&golden.join("edges.bin")).unwrap();
     assert_eq!((edges.num_vertices, edges.edges), (6, graph().edges));
+}
+
+/// A store the removed on-disk shard layout wrote is a typed `Format`
+/// error naming that layout at every opener — never a grid misread from
+/// its bytes, never a panic.
+#[test]
+fn shard_stores_are_refused_not_misread() {
+    let refused = |err: GraphError| match err {
+        GraphError::Format(m) => assert!(m.contains("shard layout"), "{m}"),
+        other => panic!("expected Format, got {other}"),
+    };
+    let golden = golden_dir().join("shards");
+    refused(Manifest::read_from_dir(&golden).unwrap_err());
+    // `DeltaWriter::open` writes `EPOCH` (its lease) before it reads the
+    // manifest, so the openers run on a copy.
+    let copy = scratch("shards");
+    for (name, bytes) in files(&golden) {
+        std::fs::write(copy.join(name), bytes).unwrap();
+    }
+    refused(DiskGridSource::open(&copy).unwrap_err());
+    refused(DiskGridSource::open_shared(&copy).unwrap_err());
+    refused(DeltaWriter::open(&copy).err().expect("a writer over a shard store"));
+    std::fs::remove_dir_all(&copy).ok();
 }

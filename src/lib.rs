@@ -12,7 +12,7 @@
 //!   synchronization, scheduling);
 //! * [`graph`] — graph formats, generators, and the dataset registry;
 //! * [`store`] — the disk-resident, mmap-backed partition store
-//!   (`Convert()` preprocessing + `DiskGridSource` / `DiskShardSource`);
+//!   (`Convert()` preprocessing into the grid + `DiskGridSource`);
 //! * [`cachesim`] — the simulated memory hierarchy behind the figures;
 //! * [`gridgraph`] / [`graphchi`] / [`distributed`] — the host engines;
 //! * [`algos`] — PageRank, WCC, BFS, SSSP and variants as GraphM jobs;
@@ -86,6 +86,6 @@ pub mod prelude {
     pub use graphm_graph::{DatasetId, EdgeList, MemoryProfile};
     pub use graphm_gridgraph::GridGraphEngine;
     pub use graphm_server::{Client, Server, ServerConfig};
-    pub use graphm_store::{Convert, DiskGridSource, DiskShardSource};
+    pub use graphm_store::{Convert, DiskGridSource};
     pub use graphm_workloads::{AlgoKind, JobSpec, MixConfig, Workbench};
 }

@@ -1,11 +1,9 @@
 //! Disk-resident store integration: `DiskGridSource` must be a *bit-exact*
 //! drop-in for the in-memory `GridSource` — same JobReports for the paper
-//! mix (PageRank/WCC/BFS/SSSP) under all three execution schemes — and the
-//! shard store must agree with `ChiSource` the same way.
+//! mix (PageRank/WCC/BFS/SSSP) under all three execution schemes.
 
-use graphm::core::{run_scheme, JobReport, PartitionSource, RunnerConfig, Scheme};
+use graphm::core::{run_scheme, JobReport, PartitionSource, Scheme};
 use graphm::graph::{generators, MemoryProfile};
-use graphm::graphchi::{run_graphchi, GraphChiEngine};
 use graphm::gridgraph::{DiskGridSource, GridGraphEngine, GridSource};
 use graphm::store::Convert;
 use graphm::workloads::{immediate_arrivals, AlgoKind, Workbench, WorkbenchBackend};
@@ -91,25 +89,5 @@ fn workbench_from_disk_matches_in_memory_workbench() {
     assert_job_reports_identical(&s_mem.jobs, &s_disk.jobs, "S");
     assert_job_reports_identical(&c_mem.jobs, &c_disk.jobs, "C");
     assert_job_reports_identical(&m_mem.jobs, &m_disk.jobs, "M");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn disk_shard_source_matches_in_memory_chi() {
-    let g = generators::rmat(400, 3000, generators::RmatParams::GRAPH500, 23);
-    let (engine, _) = GraphChiEngine::convert(&g, 4);
-    let dir = store_dir("shards");
-    GraphChiEngine::convert_to_disk(&g, 4, &dir).unwrap();
-    let disk = GraphChiEngine::open_disk(&dir).unwrap();
-
-    let wb = Workbench::from_graph(g.clone(), 4, MemoryProfile::TEST);
-    let specs = wb.paper_mix(6, 5);
-    let cfg = RunnerConfig::new(MemoryProfile::TEST);
-    let arr = immediate_arrivals(specs.len());
-    for scheme in [Scheme::Sequential, Scheme::Concurrent, Scheme::Shared] {
-        let r_mem = run_graphchi(scheme, wb.submissions(&specs, &arr), &engine, &cfg);
-        let r_disk = run_scheme(scheme, wb.submissions(&specs, &arr), &disk, &cfg);
-        assert_job_reports_identical(&r_mem.jobs, &r_disk.jobs, &format!("chi {:?}", scheme));
-    }
     std::fs::remove_dir_all(&dir).ok();
 }

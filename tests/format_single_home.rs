@@ -6,6 +6,9 @@
 //! Semantic uses of a decoded record (`r.op == DELTA_OP_DELETE`) are not
 //! format knowledge and are not looked for. Test modules are exempt: the
 //! scan stops at a file's first `#[cfg(test)]`.
+//!
+//! The store has one layout, too: the grid it serves. The on-disk shard
+//! layout is gone, and nothing outside the tests may bring it back.
 
 use std::path::{Path, PathBuf};
 
@@ -18,6 +21,12 @@ const HOMES: [(&str, &[&str], bool); 5] = [
     ("f32::from_le_bytes", RECORDS, false),
     ("> DELTA_OP_DELETE", RECORDS, false),
     ("crc32(", RECORDS, false),
+];
+
+/// `(directory under crates/, the names its non-test code may not use)`.
+const ONE_LAYOUT: [(&str, &[&str]); 2] = [
+    ("store/src", &["Shards", "ShardLayout", "StoreLayout"]),
+    ("graph/src", &["ShardLayout", "StoreLayout"]),
 ];
 
 fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -59,4 +68,28 @@ fn record_layouts_checksums_and_reinterpretation_have_one_home() {
         assert_eq!(files, homes, "`{needle}` outside its home (or gone from it)");
         assert!(!once || found.iter().all(|&(_, hits)| hits == 1), "`{needle}`: {found:?}");
     }
+}
+
+#[test]
+fn the_store_has_one_layout() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    for (dir, names) in ONE_LAYOUT {
+        let mut files = Vec::new();
+        sources(&crates.join(dir), &mut files);
+        assert!(!files.is_empty(), "the scan found {dir}");
+        for path in &files {
+            let text = std::fs::read_to_string(path).unwrap();
+            let code = text.split("#[cfg(test)]").next().unwrap();
+            for (n, line) in code.lines().enumerate() {
+                if line.trim_start().starts_with("//") {
+                    continue;
+                }
+                for name in names {
+                    assert!(!line.contains(name), "{}:{} names `{name}`", path.display(), n + 1);
+                }
+            }
+        }
+    }
+    let graphchi = std::fs::read_to_string(crates.join("graphchi/Cargo.toml")).unwrap();
+    assert!(!graphchi.contains("graphm-store"), "graphm-graphchi depends on graphm-store again");
 }
