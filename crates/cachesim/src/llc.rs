@@ -178,11 +178,6 @@ impl Llc {
     pub fn resident_lines(&self) -> usize {
         self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
-
-    /// Resets counters (keeps contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = LlcStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -49,11 +49,6 @@ impl ClusterConfig {
         }
     }
 
-    /// Total compute capacity in edge-slots per ns.
-    pub fn compute_capacity(&self, nodes: usize) -> f64 {
-        (nodes * self.cores_per_node) as f64 / self.edge_compute_ns
-    }
-
     /// Time to stream `bytes` from the disks of `nodes` nodes in parallel,
     /// with `interleaved_streams` concurrent readers per disk causing a
     /// seek each time the head switches streams (every `quantum` bytes).

@@ -80,11 +80,6 @@ pub fn arm(point: &str, skip: usize) {
     STATE.with(|s| s.borrow_mut().armed = Some((point.to_string(), skip)));
 }
 
-/// Disarms without touching the trace.
-pub fn disarm() {
-    STATE.with(|s| s.borrow_mut().armed = None);
-}
-
 /// Arms one point **process-wide**: the `(skip + 1)`-th crossing of
 /// `point`, on *any* thread, fails with an injected I/O error. Exactly
 /// one crossing trips per arming (the state is consumed under a lock).

@@ -7,9 +7,7 @@
 //! loop with selective scheduling — independent of any execution scheme.
 
 use graphm_core::GraphJob;
-use graphm_graph::{EdgeList, Grid, Manifest};
-use graphm_store::{Convert, DiskGridSource};
-use std::path::Path;
+use graphm_graph::{EdgeList, Grid};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,25 +27,6 @@ impl GridGraphEngine {
         let out_degrees = graph.out_degrees();
         let elapsed = start.elapsed();
         (GridGraphEngine { grid: Arc::new(grid), out_degrees: Arc::new(out_degrees) }, elapsed)
-    }
-
-    /// `Convert()` with durable output: grid-partitions `graph` and writes
-    /// it as a disk-resident store (segments + manifest) under `dir`,
-    /// returning the manifest and the wall-clock preprocessing time.
-    pub fn convert_to_disk(
-        graph: &EdgeList,
-        p: usize,
-        dir: &Path,
-    ) -> graphm_graph::Result<(Manifest, Duration)> {
-        let start = Instant::now();
-        let manifest = Convert::grid(p).write(graph, dir)?;
-        Ok((manifest, start.elapsed()))
-    }
-
-    /// Opens a disk-resident grid store as a GraphM partition source. The
-    /// returned source drops into every place a `GridSource` fits.
-    pub fn open_disk(dir: &Path) -> graphm_graph::Result<DiskGridSource> {
-        DiskGridSource::open(dir)
     }
 
     /// The underlying grid.

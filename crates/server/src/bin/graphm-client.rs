@@ -25,10 +25,11 @@
 //! JSON); `wait` prints the report — its `values` member is one string,
 //! 16 lowercase hex digits per vertex spelling the little-endian bits of
 //! its `f64` value (see `docs/OPERATIONS.md` for a decode recipe);
-//! `stats` prints the daemon counters;
-//! `health` prints the lease/generation/queue-depth snapshot (useful for
-//! readiness polling); `repl-status` prints the replication ledger and
-//! `promote` takes a follower through the epoch fence to primary. The
+//! `stats` and `health` print the same status record, the daemon's
+//! counters with its lease, generation, queue depth, role and uptime
+//! (`health` is the name to poll for readiness); `repl-status` prints
+//! the replication ledger and `promote` takes a follower through the
+//! epoch fence to primary. The
 //! `ingest-*` commands stage their mutations and group-commit them in
 //! one connection, printing the durable generation (the daemon must run
 //! with `--ingest`).
@@ -69,8 +70,8 @@ fn usage() -> ! {
          \x20       ALGO: pagerank|wcc|bfs|sssp|ppr|labelprop\n\
          status JOB_ID\n\
          wait JOB_ID\n\
-         stats\n\
-         health                         lease / generation / queue snapshot\n\
+         stats                          the daemon's status record\n\
+         health                         the same record (poll it for readiness)\n\
          repl-status                    replication role / lag / counters\n\
          promote                        promote a follower to primary\n\
          ping\n\

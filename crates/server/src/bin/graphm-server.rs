@@ -136,7 +136,7 @@ fn main() {
     if config.store_dir.as_os_str().is_empty() || no_listener {
         usage();
     }
-    let follow = config.follow.clone();
+    let (follow, ingest) = (config.follow.clone(), config.enable_ingest);
 
     // Chaos harness: arm one process-global store read-path failpoint
     // from the environment, so CI can inject I/O faults into a stock
@@ -170,11 +170,11 @@ fn main() {
         "[graphm-server] serving {} partitions over {} vertices; submit with graphm-client",
         stats.num_partitions, stats.num_vertices
     );
+    if ingest {
+        eprintln!("[graphm-server] ingest enabled");
+    }
     if stats.lease_held != 0 {
-        eprintln!(
-            "[graphm-server] ingest enabled: holding writer lease epoch {}",
-            stats.lease_epoch
-        );
+        eprintln!("[graphm-server] holding writer lease epoch {}", stats.lease_epoch);
     }
     if let Some(peer) = &follow {
         eprintln!("[graphm-server] follower replica: tailing primary at {peer}");

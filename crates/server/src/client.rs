@@ -5,9 +5,8 @@
 //! submissions (the daemon handles each connection on its own thread).
 
 use crate::protocol::{
-    hex_decode, report_from_json, request_to_json, HealthReport, JobState, Priority, Request,
-    ServerStats, ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA,
-    ERR_UNAUTHORIZED,
+    hex_decode, report_from_json, request_to_json, JobState, Priority, Request, ServerStats,
+    ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA, ERR_UNAUTHORIZED,
 };
 use graphm_core::{JobId, JobReport};
 use graphm_graph::delta::DeltaRecord;
@@ -173,14 +172,12 @@ impl Client {
             .ok_or_else(|| ClientError::Protocol("submit ack missing job_id".to_string()))
     }
 
-    /// Point-in-time daemon health: lease state, served generation,
-    /// queue depth, resident bytes, uptime. Cheap enough for readiness
-    /// polling.
-    pub fn health(&mut self) -> Result<HealthReport, ClientError> {
-        let v = self.request(&Request::Health)?;
-        let h =
-            v.get("health").ok_or_else(|| ClientError::Protocol("missing health".to_string()))?;
-        HealthReport::from_json(h).map_err(ClientError::Protocol)
+    /// The daemon's status record through the `health` verb — the same
+    /// record as [`Client::stats`] (lease, served generation, queue depth,
+    /// role, uptime, ...). It never waits on the runtime thread, so it is
+    /// cheap enough for readiness polling.
+    pub fn health(&mut self) -> Result<ServerStats, ClientError> {
+        self.status_record(&Request::Health, "health")
     }
 
     /// Non-blocking lifecycle query.
@@ -207,12 +204,17 @@ impl Client {
         self.wait(id)
     }
 
-    /// Daemon-wide counters.
+    /// The daemon's status record: its counters, the store's live state,
+    /// the held lease, role and uptime.
     pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        let v = self.request(&Request::Stats)?;
-        let stats =
-            v.get("stats").ok_or_else(|| ClientError::Protocol("missing stats".to_string()))?;
-        ServerStats::from_json(stats).map_err(ClientError::Protocol)
+        self.status_record(&Request::Stats, "stats")
+    }
+
+    /// Sends `req` and decodes the status record under `key`.
+    fn status_record(&mut self, req: &Request, key: &str) -> Result<ServerStats, ClientError> {
+        let v = self.request(req)?;
+        let record = v.get(key).ok_or_else(|| ClientError::Protocol(format!("missing {key}")))?;
+        ServerStats::from_json(record).map_err(ClientError::Protocol)
     }
 
     /// Asks the daemon to shut down (queued jobs still drain).

@@ -152,16 +152,12 @@ impl Server {
         self.tcp_addr
     }
 
-    /// Current daemon-wide counters (runtime counters plus the store's
-    /// live residency/prefetch state).
+    /// The daemon's status record, as `stats` and `health` answer it
+    /// (runtime counters plus the store's live residency/prefetch state,
+    /// the held lease, role and liveness; `shutting_down` says whether a
+    /// shutdown has been requested).
     pub fn stats(&self) -> ServerStats {
         self.shared.stats_snapshot()
-    }
-
-    /// Whether a shutdown has been requested (via this handle or a
-    /// client's `shutdown` command).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.is_shutting_down()
     }
 
     /// Blocks until the daemon's threads exit (after a `shutdown` request

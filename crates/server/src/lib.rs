@@ -12,7 +12,8 @@
 //!
 //! * [`protocol`] — the newline-delimited JSON wire format (requests,
 //!   reports whose vertex values travel as one hex column of `f64` bits,
-//!   stats) and its hex codec ([`hex_encode`] / [`hex_decode`]);
+//!   and [`ServerStats`], the one status record `stats` and `health`
+//!   answer with) and its hex codec ([`hex_encode`] / [`hex_decode`]);
 //! * [`config`] — [`ServerConfig`];
 //! * [`daemon`] — [`Server`], which assembles the daemon's private parts
 //!   (admission queue → shared state → the one runtime loop over the
@@ -28,7 +29,7 @@
 //!   generations and promotes through the store's epoch fence.
 //!
 //! Binaries: `graphm-server` (the daemon) and `graphm-client` (submit /
-//! status / wait / stats / shutdown from the command line); convert a
+//! status / wait / stats / health / shutdown from the command line); convert a
 //! graph for serving with `graphm-convert` (in `graphm-store`).
 //!
 //! ## In-process quickstart
@@ -78,8 +79,7 @@ pub use config::{ExecutionMode, ServerConfig};
 pub use daemon::Server;
 pub use ingest::{CommitOutcome, IngestCoordinator, IngestStats};
 pub use protocol::{
-    hex_decode, hex_encode, HealthReport, JobState, Priority, Request, ServerStats,
-    ERR_LINE_TOO_LONG, ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA,
-    ERR_UNAUTHORIZED,
+    hex_decode, hex_encode, JobState, Priority, Request, ServerStats, ERR_LINE_TOO_LONG,
+    ERR_NOT_PRIMARY, ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA, ERR_UNAUTHORIZED,
 };
 pub use repl::{HubSnapshot, ReplicationHub};

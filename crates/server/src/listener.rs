@@ -355,10 +355,7 @@ fn serve_requests(
 fn respond(req: Request, shared: &Shared, conn: &mut ConnState) -> Value {
     match req {
         Request::Ping => json!({ "ok": true, "pong": true }),
-        Request::Stats => {
-            let stats = shared.stats_snapshot();
-            json!({ "ok": true, "stats": stats.to_json() })
-        }
+        Request::Stats => json!({ "ok": true, "stats": shared.stats_snapshot().to_json() }),
         Request::Shutdown => {
             // The wake-up waits for the ack (see `serve_requests`).
             shared.refuse_new_work();
@@ -367,7 +364,7 @@ fn respond(req: Request, shared: &Shared, conn: &mut ConnState) -> Value {
         Request::Submit { spec, tenant, priority } => {
             submit(spec, tenant, priority, conn.id, shared)
         }
-        Request::Health => json!({ "ok": true, "health": shared.health_snapshot().to_json() }),
+        Request::Health => json!({ "ok": true, "health": shared.stats_snapshot().to_json() }),
         Request::Status(id) => match job_state(shared, id) {
             Some(state) => json!({ "ok": true, "job_id": id, "state": state.name() }),
             None => error_response(&format!("unknown job {id}")),

@@ -9,12 +9,12 @@
 //! | `{"cmd":"submit","algo":"pagerank","damping":0.85,"root":0,"max_iters":30}` | `{"ok":true,"job_id":N}` |
 //! | `{"cmd":"status","job_id":N}` | `{"ok":true,"job_id":N,"state":"queued"\|"running"\|"done"}` |
 //! | `{"cmd":"wait","job_id":N}` | `{"ok":true,"job_id":N,"state":"done","report":{...,"values":"<hex>"}}` |
-//! | `{"cmd":"stats"}` | `{"ok":true,"stats":{...}}` |
+//! | `{"cmd":"stats"}` | `{"ok":true,"stats":{...}}` (the status record, [`ServerStats`]) |
 //! | `{"cmd":"shutdown"}` | `{"ok":true,"shutting_down":true}` |
 //! | `{"cmd":"ingest","ops":[{"op":"insert","src":1,"dst":2,"weight":1.0},{"op":"delete","src":3,"dst":4}]}` | `{"ok":true,"staged":N}` |
 //! | `{"cmd":"ingest_commit"}` | `{"ok":true,"generation":G,"records":N,"group":K}` |
 //! | `{"cmd":"ingest_abort"}` | `{"ok":true,"discarded":N}` |
-//! | `{"cmd":"health"}` | `{"ok":true,"health":{...}}` |
+//! | `{"cmd":"health"}` | `{"ok":true,"health":{...}}` (the same record as `stats`) |
 //! | `{"cmd":"auth","token":"..."}` | `{"ok":true,"authenticated":true}` |
 //! | `{"cmd":"repl_subscribe","from_generation":G}` | `{"ok":true,"generation":N,"epoch":E}` |
 //! | `{"cmd":"repl_frames","from_generation":G,"max":K}` | `{"ok":true,"generation":N,"frames":["<hex>",...]}` |
@@ -151,7 +151,7 @@ pub enum Request {
     Status(JobId),
     /// Block until the job finishes; answered with its report.
     Wait(JobId),
-    /// Daemon-wide counters.
+    /// The daemon's status record.
     Stats,
     /// Stop accepting work and exit once the queue drains.
     Shutdown,
@@ -162,8 +162,9 @@ pub enum Request {
     IngestCommit,
     /// Drop this connection's staged mutations.
     IngestAbort,
-    /// Readiness/health probe: lease state, served generation, queue
-    /// depth, residency, uptime. Never blocks on the runtime.
+    /// Readiness/health probe, answered with the same status record as
+    /// `stats` (lease, served generation, queue depth, role, uptime).
+    /// Never blocks on the runtime.
     Health,
     /// Authenticates this connection against the daemon's shared secret
     /// (`--auth-token`). Must be the first verb on TCP when a token is
@@ -218,286 +219,202 @@ impl JobState {
     }
 }
 
-/// The `health` response payload: a cheap readiness probe that never
-/// blocks on the runtime thread (smokes poll it instead of sleeping).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct HealthReport {
-    /// 1 when the daemon holds the store's writer lease (ingest enabled).
-    pub lease_held: bool,
-    /// Epoch of the held lease (0 without a lease).
-    pub lease_epoch: u64,
-    /// Data generation currently served.
-    pub generation: u64,
-    /// Submissions queued but not yet drained into a round.
-    pub queue_depth: u64,
-    /// Jobs currently running in the active round.
-    pub running: u64,
-    /// Store segment bytes modeled as page-cache resident.
-    pub resident_bytes: u64,
-    /// Milliseconds since the daemon started serving.
-    pub uptime_ms: u64,
-    /// Whether a shutdown has been requested (draining).
-    pub shutting_down: bool,
-    /// `"primary"` or `"follower"`.
-    pub role: String,
-    /// Generations the follower is behind the primary (0 on a primary).
-    pub replica_lag_generations: u64,
-    /// The replication peer: the primary a follower tails (empty on a
-    /// primary).
-    pub peer: String,
+/// A status field's JSON type (`u64`, `f64`, `bool` or `String`): how the
+/// code `status_record!` generates writes it and reads it back.
+trait Wire: Clone + Into<Value> {
+    /// What a present key of another JSON type is refused for not being.
+    const KIND: &'static str;
+    fn read(v: &Value) -> Option<Self>;
+    fn write(&self) -> Value {
+        self.clone().into()
+    }
 }
 
-impl HealthReport {
-    /// Serializes to the `health` response payload.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "lease_held": u64::from(self.lease_held),
-            "lease_epoch": self.lease_epoch,
-            "generation": self.generation,
-            "queue_depth": self.queue_depth,
-            "running": self.running,
-            "resident_bytes": self.resident_bytes,
-            "uptime_ms": self.uptime_ms,
-            "shutting_down": self.shutting_down,
-            "role": self.role.as_str(),
-            "replica_lag_generations": self.replica_lag_generations,
-            "peer": self.peer.as_str(),
-        })
-    }
-
-    /// Decodes a `health` response payload.
-    pub fn from_json(v: &Value) -> Result<HealthReport, String> {
-        let u = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        if v.get("generation").is_none() || v.get("uptime_ms").is_none() {
-            return Err("health payload missing generation/uptime_ms".to_string());
+macro_rules! wire {
+    ($($ty:ty: $kind:literal, |$v:ident| $read:expr;)*) => {$(
+        impl Wire for $ty {
+            const KIND: &'static str = $kind;
+            fn read($v: &Value) -> Option<$ty> { $read }
         }
-        Ok(HealthReport {
-            lease_held: u("lease_held") != 0,
-            lease_epoch: u("lease_epoch"),
-            generation: u("generation"),
-            queue_depth: u("queue_depth"),
-            running: u("running"),
-            resident_bytes: u("resident_bytes"),
-            uptime_ms: u("uptime_ms"),
-            shutting_down: v.get("shutting_down").and_then(Value::as_bool).unwrap_or(false),
-            // Replication fields postdate the first release; an older
-            // daemon is a primary with no peer.
-            role: v.get("role").and_then(Value::as_str).unwrap_or("primary").to_string(),
-            replica_lag_generations: u("replica_lag_generations"),
-            peer: v.get("peer").and_then(Value::as_str).unwrap_or("").to_string(),
-        })
+    )*};
+}
+
+wire! {
+    u64: "a non-negative integer", |v| v.as_u64();
+    f64: "a number", |v| v.as_f64();
+    bool: "a boolean", |v| v.as_bool();
+    String: "a string", |v| v.as_str().map(str::to_string);
+}
+
+/// The decode rule, stated once: a present key of the wrong JSON type is
+/// an error naming it; an absent key reads as `absent` — its default when
+/// an older daemon may not send it, an error when it is required.
+fn status_field<T: Wire>(v: &Value, key: &str, absent: Option<T>) -> Result<T, String> {
+    match v.get(key) {
+        Some(x) => T::read(x).ok_or_else(|| format!("status key {key:?} is not {}", T::KIND)),
+        None => absent.ok_or_else(|| format!("status record missing required key {key:?}")),
     }
 }
 
-/// Daemon-wide counters returned by `stats`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct ServerStats {
-    /// Jobs accepted over the daemon's lifetime.
-    pub jobs_submitted: u64,
-    /// Jobs finished (reports published).
-    pub jobs_completed: u64,
-    /// Admissions: non-empty drains of the submission queue. The jobs
-    /// of one admission share a traversal from their first sweep.
-    pub rounds: u64,
-    /// Admissions the `batch_window` cap forced while a submitting
-    /// connection's burst was still open — each one cost its jobs the
-    /// whole window. A client that sends `wait` (or anything else) after
-    /// its submissions never pays it.
-    pub rounds_capped: u64,
-    /// Shared partition loads performed by the runtime — one per
-    /// `(sweep, partition)` with interested jobs, *not* one per job. The
-    /// gap to `jobs × partitions × iterations` is the sharing win.
-    pub partition_loads: u64,
-    /// Partitions in the served store.
-    pub num_partitions: u64,
-    /// Vertices in the served store.
-    pub num_vertices: u64,
-    /// Formula-1 chunk size the runtime preprocessed with.
-    pub chunk_bytes: u64,
-    /// Readahead hints issued by the runtime's partition prefetcher.
-    pub prefetch_issued: u64,
-    /// Partition loads that found their segment already advised — the
-    /// prefetcher ran ahead of the sweep.
-    pub prefetch_hits: u64,
-    /// Current adaptive prefetch window depth (readahead partitions in
-    /// flight per announcement).
-    pub prefetch_window: u64,
-    /// Store segment bytes currently modeled as page-cache resident.
-    pub resident_bytes: u64,
-    /// Segment bytes released behind the sweep frontier
-    /// (`madvise(MADV_DONTNEED)`) to honour the memory budget.
-    pub evicted_bytes: u64,
-    /// Partition evictions performed so far.
-    pub evictions: u64,
-    /// Configured page-cache budget in bytes (0 = unlimited).
-    pub memory_budget_bytes: u64,
-    /// Data generation the daemon currently serves (0 = the bare base
-    /// store; delta publishes rotate it once nothing is in flight).
-    pub generation: u64,
-    /// Generation rotations adopted since the daemon opened the store.
-    pub generation_rotations: u64,
-    /// Delta payload bytes overlaid on the base this generation.
-    pub delta_bytes: u64,
-    /// Mutation records overlaid on the base this generation.
-    pub delta_records: u64,
-    /// Cumulative compactions folded into the served store's base.
-    pub compactions: u64,
-    /// Wall nanoseconds since the runtime started, as of its last advance
-    /// (the wire name is kept from when the daemon also served a virtual
-    /// clock).
-    pub virtual_ns: f64,
-    /// Mutation records appended to the ingest writer's write-ahead log
-    /// (0 when ingest is disabled).
-    pub delta_wal_records: u64,
-    /// Batches (WAL frames) appended by the ingest writer.
-    pub delta_wal_batches: u64,
-    /// fsyncs the ingest WAL issued — `delta_wal_batches` per
-    /// `delta_wal_syncs` is the group-commit amortization.
-    pub delta_wal_syncs: u64,
-    /// Frame bytes appended to the ingest WAL.
-    pub delta_wal_bytes: u64,
-    /// Epoch of the writer lease the daemon holds (0 = no lease: ingest
-    /// disabled).
-    pub lease_epoch: u64,
-    /// 1 when the daemon holds the store's writer lease.
-    pub lease_held: u64,
-    /// Client commits applied through ingest sessions.
-    pub ingest_commits: u64,
-    /// Commit groups published (≤ `ingest_commits`; the gap is the
-    /// group-commit win).
-    pub ingest_groups: u64,
-    /// Submissions rejected by admission control (queue full, tenant
-    /// quota, eviction pressure) with an `overloaded` error.
-    pub jobs_shed: u64,
-    /// Jobs that finished with an error report (injected or real read
-    /// faults, panicking kernels) instead of converging.
-    pub jobs_failed: u64,
-    /// Connections refused at accept because the connection limit was
-    /// reached.
-    pub connections_rejected: u64,
-    /// Request lines discarded for exceeding the line cap.
-    pub oversized_lines: u64,
-    /// Submissions queued but not yet drained (gauge, sampled at the last
-    /// queue transition).
-    pub queue_depth: u64,
-    /// EWMA of store partition evictions per round — the out-of-core
-    /// admission signal: past `ServerConfig::shed_eviction_rate`, batch
-    /// submissions are shed.
-    pub eviction_rate: f64,
-    /// Replication frames shipped to followers (live or catch-up).
-    pub repl_frames_shipped: u64,
-    /// Generations followers have acknowledged (a follower's next
-    /// `repl_frames` request acks everything below its start).
-    pub repl_frames_acked: u64,
-    /// Follower connections currently subscribed.
-    pub repl_followers: u64,
-    /// Follower-side reconnect attempts to the primary (gauge of retry
-    /// storms; 0 on a primary).
-    pub repl_reconnects: u64,
-    /// Connections that failed the shared-secret handshake.
-    pub auth_failures: u64,
+/// Declares the status record once: each field's doc, name, JSON type
+/// (`u64`, `f64`, `bool` or `String`) and marker — `required`, or
+/// `later(default)` for a key added after the first daemon release, which
+/// an older daemon does not send. The struct, `to_json` and `from_json`
+/// are generated from that one table.
+macro_rules! status_record {
+    (@absent $ty:ident required) => { None };
+    (@absent String later($default:expr)) => { Some(String::from($default)) };
+    (@absent $ty:ident later($default:expr)) => { Some::<$ty>($default) };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[doc = $doc:literal])* $field:ident: $ty:ident = $marker:ident $(($default:expr))?, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[doc = $doc])* pub $field: $ty, )*
+        }
+
+        impl $name {
+            /// Serializes to the `stats` / `health` response payload.
+            pub fn to_json(&self) -> Value {
+                let mut map = serde_json::Map::new();
+                $( map.insert(stringify!($field).to_string(), self.$field.write()); )*
+                Value::Object(map)
+            }
+
+            /// Decodes a `stats` / `health` response payload: a present
+            /// key of the wrong JSON type or an absent required key is an
+            /// error naming it; an absent later key reads as its default.
+            pub fn from_json(v: &Value) -> Result<$name, String> {
+                Ok($name {
+                    $( $field: status_field(v, stringify!($field),
+                        status_record!(@absent $ty $marker $(($default))?))?, )*
+                })
+            }
+        }
+    };
 }
 
-impl ServerStats {
-    /// Serializes to the `stats` response payload.
-    pub fn to_json(&self) -> Value {
-        json!({
-            "jobs_submitted": self.jobs_submitted,
-            "jobs_completed": self.jobs_completed,
-            "rounds": self.rounds,
-            "rounds_capped": self.rounds_capped,
-            "partition_loads": self.partition_loads,
-            "num_partitions": self.num_partitions,
-            "num_vertices": self.num_vertices,
-            "chunk_bytes": self.chunk_bytes,
-            "prefetch_issued": self.prefetch_issued,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_window": self.prefetch_window,
-            "resident_bytes": self.resident_bytes,
-            "evicted_bytes": self.evicted_bytes,
-            "evictions": self.evictions,
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "generation": self.generation,
-            "generation_rotations": self.generation_rotations,
-            "delta_bytes": self.delta_bytes,
-            "delta_records": self.delta_records,
-            "compactions": self.compactions,
-            "virtual_ns": self.virtual_ns,
-            "delta_wal_records": self.delta_wal_records,
-            "delta_wal_batches": self.delta_wal_batches,
-            "delta_wal_syncs": self.delta_wal_syncs,
-            "delta_wal_bytes": self.delta_wal_bytes,
-            "lease_epoch": self.lease_epoch,
-            "lease_held": self.lease_held,
-            "ingest_commits": self.ingest_commits,
-            "ingest_groups": self.ingest_groups,
-            "jobs_shed": self.jobs_shed,
-            "jobs_failed": self.jobs_failed,
-            "connections_rejected": self.connections_rejected,
-            "oversized_lines": self.oversized_lines,
-            "queue_depth": self.queue_depth,
-            "eviction_rate": self.eviction_rate,
-            "repl_frames_shipped": self.repl_frames_shipped,
-            "repl_frames_acked": self.repl_frames_acked,
-            "repl_followers": self.repl_followers,
-            "repl_reconnects": self.repl_reconnects,
-            "auth_failures": self.auth_failures,
-        })
-    }
-
-    /// Decodes a `stats` response payload.
-    pub fn from_json(v: &Value) -> Result<ServerStats, String> {
-        let u = |k: &str| {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| format!("stats missing u64 {k:?}"))
-        };
-        // Added after the first daemon release: 0 when an older daemon
-        // does not send them.
-        let opt = |k: &str| v.get(k).and_then(Value::as_u64).unwrap_or(0);
-        Ok(ServerStats {
-            jobs_submitted: u("jobs_submitted")?,
-            jobs_completed: u("jobs_completed")?,
-            rounds: u("rounds")?,
-            partition_loads: u("partition_loads")?,
-            num_partitions: u("num_partitions")?,
-            num_vertices: u("num_vertices")?,
-            chunk_bytes: u("chunk_bytes")?,
-            rounds_capped: opt("rounds_capped"),
-            prefetch_issued: opt("prefetch_issued"),
-            prefetch_hits: opt("prefetch_hits"),
-            prefetch_window: opt("prefetch_window"),
-            resident_bytes: opt("resident_bytes"),
-            evicted_bytes: opt("evicted_bytes"),
-            evictions: opt("evictions"),
-            memory_budget_bytes: opt("memory_budget_bytes"),
-            generation: opt("generation"),
-            generation_rotations: opt("generation_rotations"),
-            delta_bytes: opt("delta_bytes"),
-            delta_records: opt("delta_records"),
-            compactions: opt("compactions"),
-            virtual_ns: v
-                .get("virtual_ns")
-                .and_then(Value::as_f64)
-                .ok_or("stats missing virtual_ns")?,
-            delta_wal_records: opt("delta_wal_records"),
-            delta_wal_batches: opt("delta_wal_batches"),
-            delta_wal_syncs: opt("delta_wal_syncs"),
-            delta_wal_bytes: opt("delta_wal_bytes"),
-            lease_epoch: opt("lease_epoch"),
-            lease_held: opt("lease_held"),
-            ingest_commits: opt("ingest_commits"),
-            ingest_groups: opt("ingest_groups"),
-            jobs_shed: opt("jobs_shed"),
-            jobs_failed: opt("jobs_failed"),
-            connections_rejected: opt("connections_rejected"),
-            oversized_lines: opt("oversized_lines"),
-            queue_depth: opt("queue_depth"),
-            eviction_rate: v.get("eviction_rate").and_then(Value::as_f64).unwrap_or(0.0),
-            repl_frames_shipped: opt("repl_frames_shipped"),
-            repl_frames_acked: opt("repl_frames_acked"),
-            repl_followers: opt("repl_followers"),
-            repl_reconnects: opt("repl_reconnects"),
-            auth_failures: opt("auth_failures"),
-        })
+status_record! {
+    /// The daemon's status record: its counters and gauges, the store's
+    /// live residency, prefetch, generation and writer state, and its
+    /// liveness. `stats` and `health` both answer with it.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    pub struct ServerStats {
+        /// Jobs accepted over the daemon's lifetime.
+        jobs_submitted: u64 = required,
+        /// Jobs finished (reports published).
+        jobs_completed: u64 = required,
+        /// Admissions: non-empty drains of the submission queue. The jobs
+        /// of one admission share a traversal from their first sweep.
+        rounds: u64 = required,
+        /// Admissions the `batch_window` cap forced while a submitting
+        /// connection's burst was still open — each one cost its jobs the
+        /// whole window. A client that sends `wait` (or anything else)
+        /// after its submissions never pays it.
+        rounds_capped: u64 = later(0),
+        /// Shared partition loads performed by the runtime — one per
+        /// `(sweep, partition)` with interested jobs, *not* one per job.
+        /// The gap to `jobs × partitions × iterations` is the sharing win.
+        partition_loads: u64 = required,
+        /// Partitions in the served store.
+        num_partitions: u64 = required,
+        /// Vertices in the served store.
+        num_vertices: u64 = required,
+        /// Formula-1 chunk size the runtime preprocessed with.
+        chunk_bytes: u64 = required,
+        /// Readahead hints issued by the runtime's partition prefetcher.
+        prefetch_issued: u64 = later(0),
+        /// Partition loads that found their segment already advised — the
+        /// prefetcher ran ahead of the sweep.
+        prefetch_hits: u64 = later(0),
+        /// Current adaptive prefetch window depth (readahead partitions in
+        /// flight per announcement).
+        prefetch_window: u64 = later(0),
+        /// Store segment bytes currently modeled as page-cache resident.
+        resident_bytes: u64 = later(0),
+        /// Segment bytes released behind the sweep frontier
+        /// (`madvise(MADV_DONTNEED)`) to honour the memory budget.
+        evicted_bytes: u64 = later(0),
+        /// Partition evictions performed so far.
+        evictions: u64 = later(0),
+        /// Configured page-cache budget in bytes (0 = unlimited).
+        memory_budget_bytes: u64 = later(0),
+        /// Data generation the daemon currently serves (0 = the bare base
+        /// store; delta publishes rotate it once nothing is in flight).
+        generation: u64 = later(0),
+        /// Generation rotations adopted since the daemon opened the store.
+        generation_rotations: u64 = later(0),
+        /// Delta payload bytes overlaid on the base this generation.
+        delta_bytes: u64 = later(0),
+        /// Mutation records overlaid on the base this generation.
+        delta_records: u64 = later(0),
+        /// Cumulative compactions folded into the served store's base.
+        compactions: u64 = later(0),
+        /// Mutation records appended to the ingest writer's write-ahead
+        /// log (0 when ingest is disabled).
+        delta_wal_records: u64 = later(0),
+        /// Batches (WAL frames) appended by the ingest writer.
+        delta_wal_batches: u64 = later(0),
+        /// fsyncs the ingest WAL issued — `delta_wal_batches` per
+        /// `delta_wal_syncs` is the group-commit amortization.
+        delta_wal_syncs: u64 = later(0),
+        /// Frame bytes appended to the ingest WAL.
+        delta_wal_bytes: u64 = later(0),
+        /// Epoch of the writer lease the daemon holds (0 = no lease).
+        lease_epoch: u64 = later(0),
+        /// 1 when the daemon holds the store's writer lease: through the
+        /// ingest writer on a primary, through the frame applier on a
+        /// follower.
+        lease_held: u64 = later(0),
+        /// Client commits applied through ingest sessions.
+        ingest_commits: u64 = later(0),
+        /// Commit groups published (≤ `ingest_commits`; the gap is the
+        /// group-commit win).
+        ingest_groups: u64 = later(0),
+        /// Submissions rejected by admission control (queue full, tenant
+        /// quota, eviction pressure) with an `overloaded` error.
+        jobs_shed: u64 = later(0),
+        /// Jobs that finished with an error report (injected or real read
+        /// faults, panicking kernels) instead of converging.
+        jobs_failed: u64 = later(0),
+        /// Connections refused at accept because the connection limit was
+        /// reached.
+        connections_rejected: u64 = later(0),
+        /// Request lines discarded for exceeding the line cap.
+        oversized_lines: u64 = later(0),
+        /// Submissions queued but not yet drained.
+        queue_depth: u64 = later(0),
+        /// Jobs admitted and not yet finished.
+        running: u64 = later(0),
+        /// EWMA of store partition evictions per round — the out-of-core
+        /// admission signal: past `ServerConfig::shed_eviction_rate`, batch
+        /// submissions are shed.
+        eviction_rate: f64 = later(0.0),
+        /// Replication frames shipped to followers (live or catch-up).
+        repl_frames_shipped: u64 = later(0),
+        /// Generations followers have acknowledged (a follower's next
+        /// `repl_frames` request acks everything below its start).
+        repl_frames_acked: u64 = later(0),
+        /// Follower connections currently subscribed.
+        repl_followers: u64 = later(0),
+        /// Follower-side reconnect attempts to the primary (gauge of retry
+        /// storms; 0 on a primary).
+        repl_reconnects: u64 = later(0),
+        /// Connections that failed the shared-secret handshake.
+        auth_failures: u64 = later(0),
+        /// Milliseconds since the daemon started serving.
+        uptime_ms: u64 = later(0),
+        /// Whether a shutdown has been requested (draining).
+        shutting_down: bool = later(false),
+        /// `"primary"` or `"follower"`.
+        role: String = later("primary"),
+        /// Generations a follower is behind its primary (0 on a primary).
+        replica_lag_generations: u64 = later(0),
+        /// The primary a follower tails (empty on a primary).
+        peer: String = later(""),
     }
 }
 
@@ -959,26 +876,6 @@ mod tests {
         assert!(matches!(parse_request(r#"{"cmd":"health"}"#), Ok(Request::Health)));
         let line = serde_json::to_string(&request_to_json(&Request::Health)).unwrap();
         assert!(matches!(parse_request(&line), Ok(Request::Health)));
-        let h = HealthReport {
-            lease_held: true,
-            lease_epoch: 3,
-            generation: 7,
-            queue_depth: 12,
-            running: 4,
-            resident_bytes: 1 << 20,
-            uptime_ms: 1234,
-            shutting_down: false,
-            role: "follower".to_string(),
-            replica_lag_generations: 2,
-            peer: "tcp:127.0.0.1:7421".to_string(),
-        };
-        assert_eq!(HealthReport::from_json(&h.to_json()).unwrap(), h);
-        // A pre-replication payload decodes as a peerless primary.
-        let old = serde_json::json!({ "generation": 1, "uptime_ms": 5 });
-        let back = HealthReport::from_json(&old).unwrap();
-        assert_eq!(back.role, "primary");
-        assert_eq!(back.replica_lag_generations, 0);
-        assert_eq!(back.peer, "");
         let e = error_response_coded("queue full", ERR_OVERLOADED);
         assert_eq!(e.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(e.get("code").and_then(Value::as_str), Some(ERR_OVERLOADED));
@@ -1062,9 +959,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_round_trip() {
-        let s = ServerStats {
+    /// The record every status test starts from.
+    fn sample_stats() -> ServerStats {
+        ServerStats {
             jobs_submitted: 8,
             jobs_completed: 7,
             rounds: 2,
@@ -1085,7 +982,6 @@ mod tests {
             delta_bytes: 4096,
             delta_records: 256,
             compactions: 1,
-            virtual_ns: 1.5e9,
             delta_wal_records: 512,
             delta_wal_batches: 17,
             delta_wal_syncs: 5,
@@ -1099,19 +995,90 @@ mod tests {
             connections_rejected: 3,
             oversized_lines: 1,
             queue_depth: 5,
+            running: 4,
             eviction_rate: 2.5,
             repl_frames_shipped: 11,
             repl_frames_acked: 9,
             repl_followers: 1,
             repl_reconnects: 3,
             auth_failures: 2,
-        };
+            uptime_ms: 1234,
+            shutting_down: false,
+            role: "follower".to_string(),
+            replica_lag_generations: 2,
+            peer: "tcp:127.0.0.1:7421".to_string(),
+        }
+    }
+
+    #[test]
+    fn stats_round_trip() {
+        let s = sample_stats();
         let back = ServerStats::from_json(&s.to_json()).unwrap();
         assert_eq!(back, s);
         // A daemon that predates a counter reads as 0 on it.
         let Value::Object(mut older) = s.to_json() else { panic!("stats are an object") };
         older.remove("rounds_capped");
         assert_eq!(ServerStats::from_json(&Value::Object(older)).unwrap().rounds_capped, 0);
+    }
+
+    /// The stats keys keep their bytes: the encoding before `health` was
+    /// folded in (`virtual_ns` then 1.5e9) is today's minus `virtual_ns`,
+    /// plus the six keys `health` used to carry alone.
+    #[test]
+    fn stats_wire_bytes_are_pinned() {
+        let before = r#"{"auth_failures":2,"chunk_bytes":4096,"compactions":1,"connections_rejected":3,"delta_bytes":4096,"delta_records":256,"delta_wal_batches":17,"delta_wal_bytes":9000,"delta_wal_records":512,"delta_wal_syncs":5,"evicted_bytes":1572864,"eviction_rate":2.5,"evictions":6,"generation":3,"generation_rotations":2,"ingest_commits":21,"ingest_groups":6,"jobs_completed":7,"jobs_failed":2,"jobs_shed":4,"jobs_submitted":8,"lease_epoch":2,"lease_held":1,"memory_budget_bytes":2097152,"num_partitions":16,"num_vertices":600,"oversized_lines":1,"partition_loads":96,"prefetch_hits":9,"prefetch_issued":12,"prefetch_window":5,"queue_depth":5,"repl_followers":1,"repl_frames_acked":9,"repl_frames_shipped":11,"repl_reconnects":3,"resident_bytes":1048576,"rounds":2,"rounds_capped":1,"virtual_ns":1500000000}"#;
+        let Ok(Value::Object(mut expect)) = serde_json::from_str(before) else { panic!() };
+        expect.remove("virtual_ns");
+        for (key, value) in [
+            ("running", json!(4)),
+            ("uptime_ms", json!(1234)),
+            ("shutting_down", json!(false)),
+            ("role", json!("follower")),
+            ("replica_lag_generations", json!(2)),
+            ("peer", json!("tcp:127.0.0.1:7421")),
+        ] {
+            expect.insert(key.to_string(), value);
+        }
+        let expect = serde_json::to_string(&Value::Object(expect)).unwrap();
+        assert_eq!(serde_json::to_string(&sample_stats().to_json()).unwrap(), expect);
+    }
+
+    /// Every key is checked for its JSON type, and a payload without the
+    /// required keys is refused, not read as zeros.
+    #[test]
+    fn status_decode_refuses_wrong_types_and_old_health() {
+        use serde_json::Map;
+        let Value::Object(mut wrong) = sample_stats().to_json() else { panic!() };
+        wrong.insert("rounds_capped".to_string(), json!("7"));
+        let e = ServerStats::from_json(&Value::Object(wrong)).unwrap_err();
+        assert!(e.contains("\"rounds_capped\""), "{e}");
+        for (key, value) in [("jobs_submitted", json!(-1)), ("role", json!(1))] {
+            let Value::Object(mut wrong) = sample_stats().to_json() else { panic!() };
+            wrong.insert(key.to_string(), value);
+            let e = ServerStats::from_json(&Value::Object(wrong)).unwrap_err();
+            assert!(e.contains(&format!("{key:?}")), "{e}");
+        }
+        // A `health` answer from before the one record.
+        let old = json!({ "generation": 1, "uptime_ms": 5 });
+        let e = ServerStats::from_json(&old).unwrap_err();
+        assert!(e.contains("\"jobs_submitted\""), "{e}");
+        // Later keys an older daemon does not send read as their defaults.
+        let required = ["jobs_submitted", "jobs_completed", "rounds", "partition_loads"];
+        let required = [&required[..], &["num_partitions", "num_vertices", "chunk_bytes"]].concat();
+        let minimal: Map = required.iter().map(|k| (k.to_string(), json!(1))).collect();
+        let back = ServerStats::from_json(&Value::Object(minimal.clone())).unwrap();
+        assert_eq!(
+            (back.role.as_str(), back.peer.as_str(), back.shutting_down),
+            ("primary", "", false)
+        );
+        assert_eq!((back.rounds_capped, back.eviction_rate), (0, 0.0));
+        // ... but each of the seven keys every daemon has sent is required.
+        for key in required {
+            let mut without = minimal.clone();
+            without.remove(key);
+            let e = ServerStats::from_json(&Value::Object(without)).unwrap_err();
+            assert!(e.contains(&format!("{key:?}")), "{e}");
+        }
     }
 
     #[test]

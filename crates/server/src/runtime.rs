@@ -20,12 +20,11 @@
 //! waits is admitted at its `wait`, and a burst never splits at whatever
 //! point a retirement happened to fall.
 //!
-//! An [`Engine`] only decides *how jobs execute* — its unit of work, what
-//! survives a rotation, what its clock means; everything a client can
-//! observe about admission (its order, the in-flight Batch bound, the
-//! rotation gate, publish and tenant release, the counters) is written
-//! once, in the loop. `docs/ARCHITECTURE.md` ("The server") tabulates the
-//! split.
+//! An [`Engine`] only decides *how jobs execute* — its unit of work and
+//! what survives a rotation; everything a client can observe about
+//! admission (its order, the in-flight Batch bound, the rotation gate,
+//! publish and tenant release, the counters) is written once, in the
+//! loop. `docs/ARCHITECTURE.md` ("The server") tabulates the split.
 //!
 //! The daemon's engine is [`Batcher`]: a `CohortDriver` with its worker
 //! lanes plus the `Prefetcher`; every non-empty drain starts at once as a
@@ -58,7 +57,7 @@ pub(crate) trait Engine {
 
     /// The served generation changed with nothing in flight: re-run
     /// `Init()` over it (chunk tables are per generation), keeping
-    /// [`Engine::progress`] cumulative.
+    /// [`Engine::partition_loads`] cumulative.
     fn rebuild(&mut self);
 
     /// Admits `admitted` — jobs that share a traversal from their first
@@ -71,8 +70,8 @@ pub(crate) trait Engine {
     /// Whether any admitted job is still unfinished.
     fn in_flight(&self) -> bool;
 
-    /// Partition loads and clock nanoseconds since the runtime started.
-    fn progress(&self) -> (u64, f64);
+    /// Partition loads since the runtime started.
+    fn partition_loads(&self) -> u64;
 }
 
 /// The serving engine: one sweep driver for the runtime's life — `lanes`
@@ -108,8 +107,8 @@ struct Batcher {
     prefetcher: Prefetcher,
     /// Cohorts with a report still to come.
     cohorts: HashMap<CohortId, Admission>,
-    /// Runtime start; report timestamps and the stats clock count from it
-    /// across rebuilds, so every cohort has a distinct `submit_ns`.
+    /// Runtime start; report timestamps count from it across rebuilds, so
+    /// every cohort has a distinct `submit_ns`.
     epoch: Instant,
 }
 
@@ -207,8 +206,8 @@ impl Engine for Batcher {
         !self.cohorts.is_empty()
     }
 
-    fn progress(&self) -> (u64, f64) {
-        (self.driver.partition_loads(), self.epoch.elapsed().as_nanos() as f64)
+    fn partition_loads(&self) -> u64 {
+        self.driver.partition_loads()
     }
 }
 
@@ -345,7 +344,7 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
             continue;
         }
         let finished = engine.advance(admitted);
-        publish(shared, engine.progress(), &mut admitted_as, &mut batch_budget, finished);
+        publish(shared, engine.partition_loads(), &mut admitted_as, &mut batch_budget, finished);
         if unsampled && !engine.in_flight() {
             sample_evictions();
             unsampled = false;
@@ -398,7 +397,7 @@ fn wait_for_work(
 /// own quota.
 fn publish(
     shared: &Shared,
-    (loads, clock_ns): (u64, f64),
+    loads: u64,
     admitted_as: &mut HashMap<JobId, (String, Priority)>,
     batch_budget: &mut usize,
     finished: Vec<JobReport>,
@@ -418,7 +417,6 @@ fn publish(
     {
         let mut stats = lock(&shared.stats);
         stats.partition_loads = loads;
-        stats.virtual_ns = clock_ns;
         stats.jobs_completed += finished.len() as u64 - failed;
         stats.jobs_failed += failed;
     }
@@ -523,8 +521,8 @@ mod tests {
             !self.running.is_empty()
         }
 
-        fn progress(&self) -> (u64, f64) {
-            (self.advances, self.advances as f64)
+        fn partition_loads(&self) -> u64 {
+            self.advances
         }
     }
 
@@ -837,8 +835,8 @@ mod tests {
         fn in_flight(&self) -> bool {
             self.0.in_flight()
         }
-        fn progress(&self) -> (u64, f64) {
-            self.0.progress()
+        fn partition_loads(&self) -> u64 {
+            self.0.partition_loads()
         }
     }
 

@@ -1,8 +1,8 @@
 //! The state every daemon thread shares: [`Shared`] — the admission
 //! structures under their locks, the served store, the ingest writer and
-//! the replication role — plus the `stats` / `health` snapshots read from
-//! it. Nothing here knows an engine, and of sockets only where the
-//! daemon's own listeners can be reached (to wake them at shutdown);
+//! the replication role — plus the status record `stats` and `health`
+//! answer with. Nothing here knows an engine, and of sockets only where
+//! the daemon's own listeners can be reached (to wake them at shutdown);
 //! listeners, verbs and the runtime loop all meet through this one struct.
 //!
 //! Roles: a daemon started with [`ServerConfig::follow`] runs as a
@@ -14,7 +14,7 @@
 use crate::admission::{ConnId, JobEntry, JobsTable, Queue};
 use crate::config::ServerConfig;
 use crate::ingest::IngestCoordinator;
-use crate::protocol::{HealthReport, ServerStats};
+use crate::protocol::ServerStats;
 use crate::repl::ReplicationHub;
 use graphm_core::{GraphJob, PartitionSource};
 use graphm_store::{DiskGridSource, PrefetchTarget, ReplicaApplier};
@@ -87,7 +87,7 @@ pub(crate) struct Shared {
     pub(crate) connections: AtomicUsize,
     /// The next connection's [`ConnId`].
     pub(crate) next_conn: AtomicU64,
-    /// Daemon start time, for `health` uptime.
+    /// Daemon start time, for the status record's uptime.
     pub(crate) started: Instant,
     pub(crate) shutdown: AtomicBool,
     /// Set once by `Server::start`, after the binds and before any thread.
@@ -225,10 +225,12 @@ impl Shared {
         }
     }
 
-    /// Runtime counters merged with the store's *live* residency and
-    /// prefetch state (the latter accumulate outside the stats lock).
+    /// The status record: runtime counters merged with the store's *live*
+    /// residency, prefetch and generation state (which accumulate outside
+    /// the stats lock), the writer lease this daemon's role holds, and its
+    /// liveness.
     pub(crate) fn stats_snapshot(&self) -> ServerStats {
-        let mut stats = *lock(&self.stats);
+        let mut stats = lock(&self.stats).clone();
         let rs = self.store.residency_stats();
         stats.resident_bytes = rs.resident_bytes;
         stats.evicted_bytes = rs.evicted_bytes;
@@ -245,23 +247,34 @@ impl Shared {
         stats.delta_records = ds.delta_records;
         stats.compactions = ds.compactions;
         if let Some(ingest) = self.ingest_handle() {
-            let (wal, epoch) = ingest.writer_stats();
+            let wal = ingest.writer_stats().0;
             stats.delta_wal_records = wal.records;
             stats.delta_wal_batches = wal.batches;
             stats.delta_wal_syncs = wal.syncs;
             stats.delta_wal_bytes = wal.bytes;
-            stats.lease_epoch = epoch;
-            stats.lease_held = 1;
             let is = ingest.stats();
             stats.ingest_commits = is.commits;
             stats.ingest_groups = is.groups;
         }
+        let lease = self.held_lease_epoch();
+        stats.lease_held = u64::from(lease.is_some());
+        stats.lease_epoch = lease.unwrap_or(0);
         let hub = self.hub.snapshot();
         stats.repl_frames_shipped = hub.frames_shipped;
         stats.repl_frames_acked = hub.frames_acked;
         stats.repl_followers = hub.followers;
         stats.repl_reconnects = hub.reconnects;
         stats.queue_depth = lock(&self.queue).pending.len() as u64;
+        stats.running = {
+            let jobs = lock(&self.jobs);
+            jobs.entries.values().filter(|e| matches!(e, JobEntry::Running)).count() as u64
+        };
+        stats.uptime_ms = self.started.elapsed().as_millis() as u64;
+        stats.shutting_down = self.is_shutting_down();
+        let follower = self.is_follower();
+        stats.role = if follower { "follower" } else { "primary" }.to_string();
+        stats.replica_lag_generations = if follower { self.replica_lag() } else { 0 };
+        stats.peer = if follower { self.peer() } else { "" }.to_string();
         stats
     }
 
@@ -296,30 +309,6 @@ impl Shared {
     /// shutdown takes it to release the writer lease early).
     pub(crate) fn ingest_handle(&self) -> Option<Arc<IngestCoordinator>> {
         lock(&self.ingest).clone()
-    }
-
-    /// Point-in-time liveness/readiness snapshot for the `health` verb.
-    pub(crate) fn health_snapshot(&self) -> HealthReport {
-        let queue_depth = lock(&self.queue).pending.len() as u64;
-        let running = {
-            let jobs = lock(&self.jobs);
-            jobs.entries.values().filter(|e| matches!(e, JobEntry::Running)).count() as u64
-        };
-        let lease = self.held_lease_epoch();
-        let follower = self.is_follower();
-        HealthReport {
-            lease_held: lease.is_some(),
-            lease_epoch: lease.unwrap_or(0),
-            generation: self.store.delta_stats().generation,
-            queue_depth,
-            running,
-            resident_bytes: self.store.residency_stats().resident_bytes,
-            uptime_ms: self.started.elapsed().as_millis() as u64,
-            shutting_down: self.is_shutting_down(),
-            role: if follower { "follower".to_string() } else { "primary".to_string() },
-            replica_lag_generations: if follower { self.replica_lag() } else { 0 },
-            peer: if follower { self.peer().to_string() } else { String::new() },
-        }
     }
 
     /// Publishes the runtime thread's exit under the jobs lock so a

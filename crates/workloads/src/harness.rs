@@ -80,9 +80,9 @@ impl Workbench {
     }
 
     /// Builds a workbench over a disk-resident grid store written by
-    /// `graphm_store::Convert::grid` (or `GridGraphEngine::convert_to_disk`).
-    /// The graph structure stays on disk behind the mmap; only vertex
-    /// metadata (out-degrees for PageRank-family jobs) is materialized.
+    /// `graphm_store::Convert::grid`. The graph structure stays on disk
+    /// behind the mmap; only vertex metadata (out-degrees for
+    /// PageRank-family jobs) is materialized.
     ///
     /// Opens through [`DiskGridSource::open_shared`], so any number of
     /// workbenches (or a co-resident `graphm-server` daemon) over the
@@ -141,11 +141,6 @@ impl Workbench {
         self.graph.as_ref().unwrap_or_else(|| {
             panic!("workbench is disk-backed; the edge list is not materialized")
         })
-    }
-
-    /// The raw edge list, when this workbench holds one in memory.
-    pub fn graph_opt(&self) -> Option<&EdgeList> {
-        self.graph.as_ref()
     }
 
     /// The in-memory host engine. Panics for disk-backed workbenches —

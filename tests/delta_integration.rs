@@ -239,7 +239,6 @@ fn daemon_rotates_between_rounds_wallclock() {
         stats_gen0.partition_loads,
         stats.partition_loads
     );
-    assert!(stats.virtual_ns >= stats_gen0.virtual_ns, "the runtime clock is monotone");
 
     client.shutdown_server().expect("shutdown");
     server.join();

@@ -483,6 +483,13 @@ fn follower_daemon_tails_serves_reads_and_promotes() {
     assert_eq!(health.peer, paddr);
     assert_eq!(health.replica_lag_generations, 0);
     assert_eq!(read_current_generation(&f).unwrap(), 3);
+    // The follower holds its own store's writer lease through its frame
+    // applier, and `stats` says so: epoch 1 on a freshly seeded store
+    // (promotion below fences it at epoch + 1).
+    let fstats = fc.stats().unwrap();
+    assert_eq!(fstats.lease_held, 1, "the follower's applier holds the writer lease");
+    assert_eq!(fstats.lease_epoch, 1);
+    assert_eq!((fstats.role.as_str(), fstats.peer.as_str()), ("follower", paddr.as_str()));
 
     // Satellite: replication ledgers on both sides.
     let pstats = pc.stats().unwrap();
@@ -524,11 +531,11 @@ fn follower_daemon_tails_serves_reads_and_promotes() {
     drop(pc);
     primary.shutdown();
     let epoch = fc.promote().expect("promotion");
-    assert_eq!(epoch, 2, "epoch fence bumps the follower's lease");
+    assert_eq!(epoch, fstats.lease_epoch + 1, "epoch fence bumps the follower's lease");
     let health = fc.health().unwrap();
     assert_eq!(health.role, "primary");
     assert_eq!(health.lease_epoch, 2);
-    assert!(health.lease_held);
+    assert_eq!(health.lease_held, 1);
 
     // The promoted node owns the write path at the new epoch.
     let ops = batch(&g, 11);

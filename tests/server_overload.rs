@@ -349,7 +349,7 @@ fn graceful_shutdown(mode: Option<ExecutionMode>) {
     other.ingest(&[DeltaRecord::insert(1, 2, 1.0)]).unwrap();
     other.ingest_commit().unwrap();
     let health = other.health().unwrap();
-    assert!(health.lease_held, "ingest-enabled daemon holds the writer lease");
+    assert_eq!(health.lease_held, 1, "ingest-enabled daemon holds the writer lease");
     assert!(!health.shutting_down);
 
     // A job queued inside the open batching window...
@@ -450,7 +450,7 @@ fn health_verb_reports_daemon_state() {
     let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
 
     let h1 = client.health().unwrap();
-    assert!(!h1.lease_held, "plain reader daemon holds no writer lease");
+    assert_eq!(h1.lease_held, 0, "plain reader daemon holds no writer lease");
     assert_eq!(h1.lease_epoch, 0);
     assert_eq!(h1.queue_depth, 0);
     assert_eq!(h1.running, 0);
