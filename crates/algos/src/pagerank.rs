@@ -7,7 +7,8 @@
 //!
 //! Push-style synchronous iteration: each edge `(s, t)` transfers
 //! `rank[s] / out_degree[s]` into `next[t]`; `end_iteration` applies the
-//! damping rule and tests the L1 delta against a tolerance.
+//! damping rule, tests the L1 delta against a tolerance, and computes the
+//! next iteration's per-vertex quotients once (see `Push`).
 
 use graphm_core::{EdgeOutcome, GatherKernel, GraphJob};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
@@ -18,63 +19,129 @@ pub struct PageRank {
     damping: f64,
     max_iters: usize,
     tolerance: f64,
-    out_degrees: Arc<Vec<u32>>,
-    /// Previous-iteration ranks. Shared (`Arc`) so the gather kernel can
-    /// read them from worker threads mid-iteration; mutated only in
-    /// `end_iteration`, after the runtime has dropped the kernel.
-    ranks: Arc<Vec<f64>>,
-    next: Vec<f64>,
+    push: Push,
     active: AtomicBitmap,
     iters: usize,
 }
 
-/// The gather half of a degree-normalized push update:
-/// `ranks[src] / deg[src]` reads only iteration-stable state, so chunks
-/// gather concurrently; the order-sensitive `next[dst] +=` stays in the
-/// apply helpers below. Shared by [`PageRank`] and
-/// [`crate::PersonalizedPageRank`] — their edge functions are identical
-/// (only the teleport rule in `end_iteration` differs).
-pub(crate) struct PushGather {
-    pub(crate) ranks: Arc<Vec<f64>>,
-    pub(crate) out_degrees: Arc<Vec<u32>>,
+/// The push-update state [`PageRank`] and [`crate::PersonalizedPageRank`]
+/// share — their edge functions are identical; only the teleport rule of
+/// `end_iteration` differs.
+///
+/// Each edge `(s, t)` adds `ranks[s] / deg[s]` into `next[t]`. That
+/// quotient is constant for the whole iteration, so it is computed once
+/// per vertex into `contrib` (`0.0` where `deg` is 0) and the per-edge
+/// work is one load and one add. It is the same IEEE division of the same
+/// operands, so ranks are bit-identical to dividing on every edge; and as
+/// `next` starts at `+0.0` and only ever receives non-negative terms, it
+/// is never `-0.0`, so adding a degree-0 source's `0.0` leaves it bit for
+/// bit unchanged — no per-edge degree test.
+pub(crate) struct Push {
+    out_degrees: Arc<Vec<u32>>,
+    ranks: Vec<f64>,
+    /// `ranks[v] / deg[v]` for the current iteration. Shared (`Arc`) so
+    /// the gather kernel can read it from worker threads mid-iteration;
+    /// rewritten only in `end_iteration`, after the runtime has dropped
+    /// the kernel.
+    contrib: Arc<Vec<f64>>,
+    next: Vec<f64>,
+}
+
+/// A source's share of its rank: `rank / deg`, or `0.0` without out-edges.
+#[inline]
+fn contribution(rank: f64, deg: u32) -> f64 {
+    if deg > 0 {
+        rank / deg as f64
+    } else {
+        0.0
+    }
+}
+
+impl Push {
+    /// Push state starting from `ranks`.
+    pub(crate) fn new(out_degrees: Arc<Vec<u32>>, ranks: Vec<f64>) -> Push {
+        assert_eq!(out_degrees.len(), ranks.len());
+        let contrib = ranks.iter().zip(out_degrees.iter()).map(|(&r, &d)| contribution(r, d));
+        let contrib = Arc::new(contrib.collect());
+        let next = vec![0.0; ranks.len()];
+        Push { out_degrees, ranks, contrib, next }
+    }
+
+    /// Current ranks.
+    pub(crate) fn ranks(&self) -> &[f64] {
+        &self.ranks
+    }
+
+    /// One edge: the chunk loop over a one-edge chunk.
+    #[inline]
+    pub(crate) fn process_edge(&mut self, e: &Edge) {
+        self.process_chunk(std::slice::from_ref(e));
+    }
+
+    /// The chunk loop: every edge, in order (all vertices are active).
+    /// It overrides the trait's default body, which calls `process_edge`
+    /// per edge, because borrowing `next` and `contrib` once per chunk
+    /// measured faster where the add is the whole edge function
+    /// (PageRank alone on one thread, a 100k-vertex 2M-edge R-MAT graph,
+    /// 2 vCPUs: 138–201 Medges/s through the default body, 210–262
+    /// through this loop).
+    pub(crate) fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+        let contrib = &self.contrib[..];
+        add_in_order(&mut self.next, edges, edges.iter().map(|e| contrib[e.src as usize]))
+    }
+
+    pub(crate) fn gather_kernel(&self) -> Arc<dyn GatherKernel> {
+        Arc::new(PushGather { contrib: Arc::clone(&self.contrib) })
+    }
+
+    /// The serial apply of a gathered chunk: the adds of
+    /// [`Push::process_chunk`], in the same order, with each
+    /// `contrib[src]` already read by a helper.
+    pub(crate) fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
+        add_in_order(&mut self.next, edges, gathered.iter().copied())
+    }
+
+    /// Ends the iteration: `rank = teleport(v) + damping · next[v]`,
+    /// refreshes `contrib` and resets `next`. Returns the L1 rank delta.
+    pub(crate) fn end_iteration(&mut self, damping: f64, teleport: impl Fn(usize) -> f64) -> f64 {
+        let mut delta = 0.0;
+        // In place unless a kernel from this iteration is still alive
+        // (the runtime drops kernels before end_iteration; `make_mut`
+        // keeps stragglers sound by copying).
+        let contrib = Arc::make_mut(&mut self.contrib);
+        let state = self.ranks.iter_mut().zip(self.next.iter_mut()).zip(contrib.iter_mut());
+        for (v, ((r, nx), c)) in state.enumerate() {
+            let new = teleport(v) + damping * *nx;
+            delta += (new - *r).abs();
+            *r = new;
+            *c = contribution(new, self.out_degrees[v]);
+            *nx = 0.0;
+        }
+        delta
+    }
+}
+
+/// The push update's only add: `next[e.dst] += term` for each edge and its
+/// term, in edge order (the order fixes the floating-point sums).
+#[inline]
+fn add_in_order(next: &mut [f64], edges: &[Edge], terms: impl Iterator<Item = f64>) -> u64 {
+    for (e, term) in edges.iter().zip(terms) {
+        next[e.dst as usize] += term;
+    }
+    edges.len() as u64
+}
+
+/// The gather half of the push update: `contrib[src]` reads only
+/// iteration-stable state, so chunks gather concurrently; the
+/// order-sensitive `next[dst] +=` stays in [`Push::apply_gathered_chunk`].
+struct PushGather {
+    contrib: Arc<Vec<f64>>,
 }
 
 impl GatherKernel for PushGather {
     fn gather(&self, edges: &[Edge], out: &mut Vec<f64>) {
-        out.extend(edges.iter().map(|e| {
-            let deg = self.out_degrees[e.src as usize];
-            if deg > 0 {
-                self.ranks[e.src as usize] / deg as f64
-            } else {
-                0.0
-            }
-        }));
+        out.extend(edges.iter().map(|e| self.contrib[e.src as usize]));
     }
-}
-
-/// Serial apply of one pre-gathered push contribution — the exact add of
-/// the push `process_edge`, shared by PageRank and PPR.
-#[inline]
-pub(crate) fn apply_push_edge(next: &mut [f64], out_degrees: &[u32], e: &Edge, g: f64) {
-    if out_degrees[e.src as usize] > 0 {
-        next[e.dst as usize] += g;
-    }
-}
-
-/// Tight chunk-granular apply (no per-edge virtual dispatch): the exact
-/// adds of the push `process_edge`, in the exact order.
-pub(crate) fn apply_push_chunk(
-    next: &mut [f64],
-    out_degrees: &[u32],
-    edges: &[Edge],
-    gathered: &[f64],
-) -> u64 {
-    for (e, &g) in edges.iter().zip(gathered) {
-        if out_degrees[e.src as usize] > 0 {
-            next[e.dst as usize] += g;
-        }
-    }
-    edges.len() as u64
 }
 
 impl PageRank {
@@ -97,9 +164,7 @@ impl PageRank {
             damping,
             max_iters,
             tolerance: 1e-7,
-            out_degrees,
-            ranks: Arc::new(vec![init; n]),
-            next: vec![0.0; n],
+            push: Push::new(out_degrees, vec![init; n]),
             active,
             iters: 0,
         }
@@ -118,7 +183,7 @@ impl PageRank {
 
     /// Current ranks.
     pub fn ranks(&self) -> &[f64] {
-        &self.ranks
+        self.push.ranks()
     }
 }
 
@@ -144,46 +209,27 @@ impl GraphJob for PageRank {
     }
 
     fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
-        let deg = self.out_degrees[e.src as usize];
-        if deg > 0 {
-            self.next[e.dst as usize] += self.ranks[e.src as usize] / deg as f64;
-        }
+        self.push.process_edge(e);
         EdgeOutcome { activated_dst: true }
+    }
+
+    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+        self.push.process_chunk(edges)
     }
 
     fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-        Some(Arc::new(PushGather {
-            ranks: Arc::clone(&self.ranks),
-            out_degrees: Arc::clone(&self.out_degrees),
-        }))
+        Some(self.push.gather_kernel())
     }
 
     fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
-        apply_push_chunk(&mut self.next, &self.out_degrees, edges, gathered)
-    }
-
-    fn apply_gathered(&mut self, e: &Edge, g: f64) -> EdgeOutcome {
-        // Adds the exact quotient `process_edge` would have added, in the
-        // same order (the executor replays applies serially).
-        apply_push_edge(&mut self.next, &self.out_degrees, e, g);
-        EdgeOutcome { activated_dst: true }
+        self.push.apply_gathered_chunk(edges, gathered)
     }
 
     fn end_iteration(&mut self) -> bool {
         self.iters += 1;
-        let n = self.ranks.len().max(1) as f64;
+        let n = self.push.ranks().len().max(1) as f64;
         let base = (1.0 - self.damping) / n;
-        let mut delta = 0.0;
-        // In-place unless a kernel from this iteration is still alive
-        // (the runtime drops kernels before end_iteration; `make_mut`
-        // keeps stragglers sound by copying).
-        let ranks = Arc::make_mut(&mut self.ranks);
-        for (r, nx) in ranks.iter_mut().zip(self.next.iter_mut()) {
-            let new = base + self.damping * *nx;
-            delta += (new - *r).abs();
-            *r = new;
-            *nx = 0.0;
-        }
+        let delta = self.push.end_iteration(self.damping, |_| base);
         self.iters >= self.max_iters || delta < self.tolerance
     }
 
@@ -192,7 +238,7 @@ impl GraphJob for PageRank {
     }
 
     fn vertex_values(&self) -> Vec<f64> {
-        self.ranks.as_ref().clone()
+        self.push.ranks().to_vec()
     }
 }
 

@@ -7,6 +7,7 @@
 //! job-specific data while sharing every byte of graph structure — the
 //! sharing opportunity GraphM exploits.
 
+use crate::pagerank::Push;
 use graphm_core::{EdgeOutcome, GatherKernel, GraphJob};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
@@ -17,12 +18,8 @@ pub struct PersonalizedPageRank {
     damping: f64,
     max_iters: usize,
     tolerance: f64,
-    out_degrees: Arc<Vec<u32>>,
-    /// Previous-iteration ranks, shared with the gather kernel (see
-    /// [`crate::PageRank`] — same contract: mutated only between
-    /// iterations, after kernels are dropped).
-    ranks: Arc<Vec<f64>>,
-    next: Vec<f64>,
+    /// The push state PageRank uses (same edge function).
+    push: Push,
     active: AtomicBitmap,
     iters: usize,
 }
@@ -48,9 +45,7 @@ impl PersonalizedPageRank {
             damping,
             max_iters,
             tolerance: 1e-9,
-            out_degrees,
-            ranks: Arc::new(ranks),
-            next: vec![0.0; n],
+            push: Push::new(out_degrees, ranks),
             active,
             iters: 0,
         }
@@ -63,7 +58,7 @@ impl PersonalizedPageRank {
 
     /// Current personalized ranks.
     pub fn ranks(&self) -> &[f64] {
-        &self.ranks
+        self.push.ranks()
     }
 }
 
@@ -89,42 +84,27 @@ impl GraphJob for PersonalizedPageRank {
     }
 
     fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
-        let deg = self.out_degrees[e.src as usize];
-        if deg > 0 {
-            self.next[e.dst as usize] += self.ranks[e.src as usize] / deg as f64;
-        }
+        self.push.process_edge(e);
         EdgeOutcome { activated_dst: true }
+    }
+
+    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+        self.push.process_chunk(edges)
     }
 
     fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-        // Identical edge function to PageRank (the teleport rule lives in
-        // `end_iteration`), so the gather/apply pair is shared.
-        Some(Arc::new(crate::pagerank::PushGather {
-            ranks: Arc::clone(&self.ranks),
-            out_degrees: Arc::clone(&self.out_degrees),
-        }))
+        Some(self.push.gather_kernel())
     }
 
     fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
-        crate::pagerank::apply_push_chunk(&mut self.next, &self.out_degrees, edges, gathered)
-    }
-
-    fn apply_gathered(&mut self, e: &Edge, g: f64) -> EdgeOutcome {
-        crate::pagerank::apply_push_edge(&mut self.next, &self.out_degrees, e, g);
-        EdgeOutcome { activated_dst: true }
+        self.push.apply_gathered_chunk(edges, gathered)
     }
 
     fn end_iteration(&mut self) -> bool {
         self.iters += 1;
-        let mut delta = 0.0;
-        let ranks = Arc::make_mut(&mut self.ranks);
-        for (v, (r, nx)) in ranks.iter_mut().zip(self.next.iter_mut()).enumerate() {
-            let teleport = if v == self.seed as usize { 1.0 - self.damping } else { 0.0 };
-            let new = teleport + self.damping * *nx;
-            delta += (new - *r).abs();
-            *r = new;
-            *nx = 0.0;
-        }
+        let (seed, teleport) = (self.seed as usize, 1.0 - self.damping);
+        let delta =
+            self.push.end_iteration(self.damping, |v| if v == seed { teleport } else { 0.0 });
         self.iters >= self.max_iters || delta < self.tolerance
     }
 
@@ -133,7 +113,7 @@ impl GraphJob for PersonalizedPageRank {
     }
 
     fn vertex_values(&self) -> Vec<f64> {
-        self.ranks.as_ref().clone()
+        self.push.ranks().to_vec()
     }
 }
 

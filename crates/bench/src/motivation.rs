@@ -91,11 +91,7 @@ pub(crate) fn fig04_similarity(ctx: &mut Ctx) -> Value {
                         if source.partition_active(pid, job.active()) {
                             touched.push(pid);
                             any = true;
-                            for e in source.load(pid).iter() {
-                                if !job.skips_inactive() || job.active().get(e.src as usize) {
-                                    job.process_edge(e);
-                                }
-                            }
+                            job.process_chunk(&source.load(pid));
                         }
                     }
                     if !any || job.end_iteration() {

@@ -76,7 +76,7 @@
 //!   chunk.
 //!
 //! Per job, partitions arrive in §4 order, chunks ascending, and every
-//! `process_edge` of a job runs on one thread at a time — the same
+//! chunk of a job streams through it on one thread at a time — the same
 //! sequence the deterministic service replays — so vertex values and
 //! iteration counts are bit-identical whatever the number of workers.
 //! Nothing blocks per chunk: a worker sleeps only when no task of any
@@ -107,8 +107,9 @@
 //! single heavy job uses idle lanes too (the paper's Figure-20 regime at
 //! low concurrency):
 //!
-//! * jobs with a [`GatherKernel`](crate::GatherKernel) (PageRank-family): the helper computes
-//!   per-edge contributions from iteration-stable state, and the job
+//! * jobs with a [`GatherKernel`](crate::GatherKernel) (PageRank-family): the helper copies
+//!   each edge's contribution `contrib[src]` — the source's rank over its
+//!   out-degree, computed once per vertex per iteration — and the job
 //!   applies them serially in edge order, so every floating-point
 //!   accumulation happens in the sequential order;
 //! * jobs that skip inactive vertices (BFS/SSSP/WCC): the helper scans
@@ -401,19 +402,13 @@ impl WallClockExecutor {
                             if pids.is_empty() {
                                 break;
                             }
-                            let skips = job.skips_inactive();
                             for pid in pids {
                                 // The private copy an independent engine
                                 // process would hold.
                                 let private: Vec<graphm_graph::Edge> =
                                     source.load(pid).as_ref().clone();
                                 loads += 1;
-                                for e in &private {
-                                    if !skips || job.active().get(e.src as usize) {
-                                        job.process_edge(e);
-                                        edges_processed += 1;
-                                    }
-                                }
+                                edges_processed += job.process_chunk(&private);
                             }
                             iters += 1;
                             if job.end_iteration() || iters >= max_iterations {

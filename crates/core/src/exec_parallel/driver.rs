@@ -787,18 +787,10 @@ fn stream(job: &mut dyn GraphJob, chunk: &Chunk, edges: &[Edge], parked: Option<
         }
         Some(Ahead::Claimed) => unreachable!("a job is set aside while a helper holds its chunk"),
         None => {
-            let skips = job.skips_inactive();
-            if skips && !chunk.any_active(job.active()) {
+            if job.skips_inactive() && !chunk.any_active(job.active()) {
                 return 0;
             }
-            let mut streamed = 0;
-            for e in edges {
-                if !skips || job.active().get(e.src as usize) {
-                    job.process_edge(e);
-                    streamed += 1;
-                }
-            }
-            streamed
+            job.process_chunk(edges)
         }
     }
 }

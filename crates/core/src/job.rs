@@ -14,21 +14,21 @@ use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
 
 /// A thread-safe, iteration-stable slice of a job's edge function: the
-/// *gather* half of a `process_edge` that factors into
+/// *gather* half of a chunk loop that factors into
 ///
 /// ```text
-/// process_edge(e)  ==  apply_gathered(e, gather(e))
+/// process_chunk(edges)  ==  apply_gathered_chunk(edges, gather(edges))
 /// ```
 ///
 /// where `gather` reads only state that is **constant for the whole
 /// iteration** (previous-iteration values, degrees, weights) and
-/// `apply_gathered` performs the order-sensitive state mutation. Jobs
-/// with this factorization (PageRank-family push updates are the
-/// canonical case: `next[dst] += ranks[src]/deg[src]` gathers the
-/// quotient and applies the add) let the wall-clock executor fan a
+/// `apply_gathered_chunk` performs the order-sensitive state mutation.
+/// Jobs with this factorization (PageRank-family push updates are the
+/// canonical case: `next[dst] += contrib[src]` gathers the source's
+/// contribution and applies the add) let the wall-clock executor fan a
 /// partition's chunks across worker threads: workers run `gather` over
 /// whole chunks concurrently while the job's own thread replays
-/// `apply_gathered` strictly in edge order — so the floating-point
+/// `apply_gathered_chunk` strictly in edge order — so the floating-point
 /// additions happen in exactly the sequential order and the results stay
 /// bit-identical to the serial path.
 ///
@@ -59,10 +59,11 @@ pub struct EdgeOutcome {
 /// An iterative vertex/edge-centric graph job (the paper's benchmarks:
 /// PageRank, WCC, BFS, SSSP, and variants).
 ///
-/// Jobs are driven by a streaming engine: every iteration the engine calls
-/// [`GraphJob::process_edge`] for each streamed edge whose source is active,
-/// then [`GraphJob::end_iteration`]. Jobs own their active-vertex bitmaps
-/// (the paper's per-job bitmap of §3.4.1).
+/// Jobs are driven by a streaming engine: every iteration the engine hands
+/// each streamed chunk to [`GraphJob::process_chunk`] (which processes the
+/// edges whose source is active), then calls [`GraphJob::end_iteration`].
+/// Jobs own their active-vertex bitmaps (the paper's per-job bitmap of
+/// §3.4.1).
 pub trait GraphJob: Send {
     /// Human-readable algorithm name ("PageRank", "BFS", ...).
     fn name(&self) -> &str;
@@ -98,6 +99,40 @@ pub trait GraphJob: Send {
     /// the engine honours [`GraphJob::skips_inactive`]).
     fn process_edge(&mut self, edge: &Edge) -> EdgeOutcome;
 
+    /// Streams a run of edges through the job and returns the number of
+    /// edges it *processed*: those whose source is active when the job
+    /// [skips inactive vertices](GraphJob::skips_inactive), every edge
+    /// otherwise.
+    ///
+    /// The result is that of the per-edge loop: exactly the state, and
+    /// exactly the count, that calling [`GraphJob::process_edge`] on each
+    /// active-source edge of `edges`, in order, would leave. Every engine
+    /// loop that needs no per-edge accounting streams through this
+    /// method, so a whole chunk costs one virtual call; inside this body
+    /// `process_edge` and `active` are direct calls on the implementing
+    /// type. Because the frontier is stable for the iteration, the body
+    /// tests it once per run of equal sources (engines stream chunks
+    /// sorted by source; unsorted input is still correct, with shorter
+    /// runs).
+    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+        if !self.skips_inactive() {
+            for e in edges {
+                self.process_edge(e);
+            }
+            return edges.len() as u64;
+        }
+        let mut processed = 0;
+        for run in edges.chunk_by(|a, b| a.src == b.src) {
+            if self.active().get(run[0].src as usize) {
+                for e in run {
+                    self.process_edge(e);
+                }
+                processed += run.len() as u64;
+            }
+        }
+        processed
+    }
+
     /// Extracts a [`GatherKernel`] when this job's `process_edge` factors
     /// into a pure gather plus an order-sensitive apply (see the trait
     /// docs). Called at the start of every iteration; the runtime drops
@@ -107,29 +142,17 @@ pub trait GraphJob: Send {
         None
     }
 
-    /// Applies one edge whose contribution was precomputed by this job's
-    /// [`GatherKernel`]. Must mutate state exactly as
-    /// [`GraphJob::process_edge`] would for the same edge — the executor
-    /// replays applies in the serial edge order, and bit-identical
-    /// results rest on this equivalence. The default ignores the
-    /// gathered value and calls `process_edge` (correct for any job, and
-    /// all a job whose apply cannot reuse the gather needs).
-    fn apply_gathered(&mut self, edge: &Edge, gathered: f64) -> EdgeOutcome {
-        let _ = gathered;
-        self.process_edge(edge)
-    }
-
-    /// Chunk-granular [`GraphJob::apply_gathered`]: applies a whole
-    /// chunk's contributions in edge order and returns the number of
-    /// edges processed. Jobs override this with a tight loop to shed the
-    /// per-edge virtual dispatch on the executor's serial apply stage;
-    /// the override must be behaviourally identical to the default.
+    /// Applies a chunk whose per-edge contributions this job's
+    /// [`GatherKernel`] precomputed, in edge order, and returns the
+    /// number of edges processed. Must mutate state exactly as
+    /// [`GraphJob::process_chunk`] would for the same edges — the
+    /// executor replays applies in the serial chunk order, and
+    /// bit-identical results rest on this equivalence. The default
+    /// ignores the gathered values and streams the chunk (correct for
+    /// any job, and all a job whose apply cannot reuse the gather needs).
     fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
         debug_assert_eq!(edges.len(), gathered.len());
-        for (e, &g) in edges.iter().zip(gathered) {
-            self.apply_gathered(e, g);
-        }
-        edges.len() as u64
+        self.process_chunk(edges)
     }
 
     /// Ends the iteration: swap frontiers, test convergence. Returns `true`

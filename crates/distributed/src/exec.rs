@@ -26,12 +26,7 @@ pub struct DistIterStats {
 pub fn run_iteration(job: &mut dyn GraphJob, node_edges: &[Arc<Vec<Edge>>]) -> DistIterStats {
     let mut processed = vec![0u64; node_edges.len()];
     for (nid, edges) in node_edges.iter().enumerate() {
-        for e in edges.iter() {
-            if !job.skips_inactive() || job.active().get(e.src as usize) {
-                job.process_edge(e);
-                processed[nid] += 1;
-            }
-        }
+        processed[nid] += job.process_chunk(edges);
     }
     let converged = job.end_iteration();
     // After end_iteration the active bitmap holds the *next* frontier =

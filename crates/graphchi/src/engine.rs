@@ -47,12 +47,9 @@ impl GraphChiEngine {
     pub fn psw_once(&self, job: &mut dyn GraphJob) -> u64 {
         let mut streamed = 0u64;
         for s in 0..self.shards.num_shards() {
-            for e in self.shards.shard(s) {
-                streamed += 1;
-                if !job.skips_inactive() || job.active().get(e.src as usize) {
-                    job.process_edge(e);
-                }
-            }
+            let shard = self.shards.shard(s);
+            streamed += shard.len() as u64;
+            job.process_chunk(shard);
         }
         streamed
     }

@@ -53,12 +53,9 @@ impl GridGraphEngine {
             {
                 continue;
             }
-            for e in self.grid.block_by_index(idx) {
-                streamed += 1;
-                if !job.skips_inactive() || job.active().get(e.src as usize) {
-                    job.process_edge(e);
-                }
-            }
+            let block = self.grid.block_by_index(idx);
+            streamed += block.len() as u64;
+            job.process_chunk(block);
         }
         streamed
     }

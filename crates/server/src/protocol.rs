@@ -676,6 +676,11 @@ pub fn ops_from_json(v: &Value) -> Result<Vec<DeltaRecord>, String> {
                 if !weight.is_finite() {
                     return Err(format!("ops[{i}].weight must be finite"));
                 }
+                // SSSP relaxes over non-negative weights only; a negative
+                // cycle would run it to its sweep cap.
+                if weight < 0.0 {
+                    return Err(format!("ops[{i}].weight {weight} must not be negative"));
+                }
                 DeltaRecord { src, dst, weight, op: DELTA_OP_INSERT }
             }
             "delete" => DeltaRecord::delete(src, dst),
@@ -1161,5 +1166,14 @@ mod tests {
         ] {
             assert!(parse_request(line).is_err(), "accepted {line}");
         }
+    }
+
+    #[test]
+    fn ingest_ops_reject_negative_weights() {
+        let line = r#"{"cmd":"ingest","ops":[{"src":1,"dst":2},{"src":2,"dst":1,"weight":-0.5}]}"#;
+        let err = parse_request(line).unwrap_err();
+        assert!(err.contains("ops[1].weight"), "{err}");
+        let zero = r#"{"cmd":"ingest","ops":[{"src":1,"dst":2,"weight":0.0}]}"#;
+        assert!(parse_request(zero).is_ok(), "a zero weight is a valid SSSP edge");
     }
 }
