@@ -27,9 +27,9 @@
 //! which daemons apply at startup.
 
 use crate::types::{GraphError, Result};
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// What a thread has asked the failpoint layer to do.
 #[derive(Default)]
@@ -84,17 +84,17 @@ pub fn arm(point: &str, skip: usize) {
 /// `point`, on *any* thread, fails with an injected I/O error. Exactly
 /// one crossing trips per arming (the state is consumed under a lock).
 pub fn arm_global(point: &str, skip: usize) {
-    *GLOBAL_ARMED.lock().unwrap() = Some((point.to_string(), skip));
+    *GLOBAL_ARMED.lock() = Some((point.to_string(), skip));
 }
 
 /// Disarms the process-wide point.
 pub fn disarm_global() {
-    *GLOBAL_ARMED.lock().unwrap() = None;
+    *GLOBAL_ARMED.lock() = None;
 }
 
 /// Whether a process-wide point is currently armed (not yet tripped).
 pub fn global_armed() -> bool {
-    GLOBAL_ARMED.lock().unwrap().is_some()
+    GLOBAL_ARMED.lock().is_some()
 }
 
 /// Crossings observed process-wide since the last [`reset_global`].
@@ -159,7 +159,7 @@ pub fn hit(point: &str) -> Result<()> {
     })?;
     // Process-wide arming: checked after the thread-local state so the
     // write-path crash matrix (thread-local by design) is unaffected.
-    let mut global = GLOBAL_ARMED.lock().unwrap();
+    let mut global = GLOBAL_ARMED.lock();
     let tripped = match global.as_mut() {
         Some((armed, skip)) if armed == point => {
             if *skip == 0 {
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn global_arming_trips_once_across_threads() {
-        let _slot = GLOBAL_SLOT.lock().unwrap_or_else(|e| e.into_inner());
+        let _slot = GLOBAL_SLOT.lock();
         reset_global();
         arm_global("g:point", 1);
         assert!(hit("g:point").is_ok(), "skip crossing passes");
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn spec_parsing_arms_point_and_skip() {
-        let _slot = GLOBAL_SLOT.lock().unwrap_or_else(|e| e.into_inner());
+        let _slot = GLOBAL_SLOT.lock();
         reset_global();
         assert_eq!(arm_global_from_spec("read:load@2"), Some(("read:load".to_string(), 2)));
         assert!(global_armed());

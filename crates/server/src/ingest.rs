@@ -23,8 +23,8 @@
 
 use graphm_graph::delta::{DeltaRecord, DELTA_OP_DELETE};
 use graphm_store::{DeltaWriter, WalStats};
+use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
 
 /// What a successful commit observed.
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +83,7 @@ impl IngestCoordinator {
     /// rides along for free and reports the group's generation.
     pub fn commit(&self, batch: Vec<DeltaRecord>) -> Result<CommitOutcome, String> {
         let ticket = {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = self.state.lock();
             let ticket = st.next_ticket;
             st.next_ticket += 1;
             st.queue.push((ticket, batch));
@@ -93,7 +93,7 @@ impl IngestCoordinator {
             // Decide under the queue lock: take our result, become the
             // leader, or wait.
             let group = {
-                let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                let mut st = self.state.lock();
                 loop {
                     if let Some(result) = st.results.remove(&ticket) {
                         return result;
@@ -102,7 +102,7 @@ impl IngestCoordinator {
                         st.committing = true;
                         break std::mem::take(&mut st.queue);
                     }
-                    st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                    self.cv.wait(&mut st);
                 }
             };
             // Leader, queue lock released: apply the group in ticket
@@ -110,7 +110,7 @@ impl IngestCoordinator {
             // enqueueing into the next group meanwhile.
             let outcome = self.publish_group(&group);
             {
-                let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+                let mut st = self.state.lock();
                 st.stats.groups += 1;
                 st.stats.commits += group.len() as u64;
                 for (t, _) in &group {
@@ -125,7 +125,7 @@ impl IngestCoordinator {
 
     /// Applies and publishes one group through the leased writer.
     fn publish_group(&self, group: &[(u64, Vec<DeltaRecord>)]) -> Result<CommitOutcome, String> {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let mut writer = self.writer.lock();
         for (_, batch) in group {
             for r in batch {
                 let applied = if r.op == DELTA_OP_DELETE {
@@ -151,12 +151,12 @@ impl IngestCoordinator {
 
     /// Coordinator counters.
     pub fn stats(&self) -> IngestStats {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).stats
+        self.state.lock().stats
     }
 
     /// The writer's WAL counters and lease epoch, for `stats` responses.
     pub fn writer_stats(&self) -> (WalStats, u64) {
-        let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        let writer = self.writer.lock();
         (writer.wal_stats(), writer.lease_epoch())
     }
 }
@@ -230,14 +230,14 @@ mod tests {
         let dir = store("rollback", 32, 200);
         let coord = IngestCoordinator::new(DeltaWriter::open(&dir).unwrap());
         let before = {
-            let w = coord.writer.lock().unwrap();
+            let w = coord.writer.lock();
             w.generation()
         };
         // Out-of-range vertex: staging-level validation is the daemon's
         // job, but the coordinator must still fail closed.
         let err = coord.commit(vec![DeltaRecord::insert(999, 0, 1.0)]).unwrap_err();
         assert!(err.contains("failed to apply"), "{err}");
-        let w = coord.writer.lock().unwrap();
+        let w = coord.writer.lock();
         assert_eq!(w.generation(), before, "no generation published");
         assert_eq!(w.pending_mutations(), 0, "pending rolled back");
         drop(w);

@@ -20,7 +20,7 @@ use crate::protocol::{
     ERR_OVERLOADED, ERR_UNAUTHORIZED,
 };
 use crate::replication::{promote, repl_frames, repl_status_json, repl_subscribe};
-use crate::state::{lock, Shared};
+use crate::state::Shared;
 use crate::verbs::{ingest_commit, ingest_stage, job_state, submit, wait_for};
 use graphm_graph::delta::DeltaRecord;
 use serde_json::{json, Value};
@@ -171,7 +171,7 @@ pub(crate) fn accept_loop(mut accept: Acceptor, shared: &Arc<Shared>) {
                     ERR_OVERLOADED,
                 ),
             );
-            lock(&shared.stats).connections_rejected += 1;
+            shared.stats.lock().connections_rejected += 1;
             continue;
         }
         shared.connections.fetch_add(1, Ordering::SeqCst);
@@ -291,7 +291,7 @@ fn serve_requests(
             LineOutcome::Eof | LineOutcome::Failed => return,
             LineOutcome::Oversized => {
                 shared.end_burst(conn.id);
-                lock(&shared.stats).oversized_lines += 1;
+                shared.stats.lock().oversized_lines += 1;
                 let resp = error_response_coded(
                     &format!("request line exceeds {} bytes", shared.config.max_line_bytes),
                     ERR_LINE_TOO_LONG,
@@ -335,7 +335,7 @@ fn serve_requests(
                 if let (Some(id), Ok(()), Some(_)) = (waited, written, resp.get("report")) {
                     // Only now has the client got its results; a failed
                     // write leaves the report for a reconnecting `wait`.
-                    let mut jobs = lock(&shared.jobs);
+                    let mut jobs = shared.jobs.lock();
                     jobs.mark_delivered(id);
                 }
                 if is_shutdown {
@@ -409,7 +409,7 @@ fn auth_check(shared: &Shared, conn: &mut ConnState, token: &str) -> Value {
         conn.authed = true;
         json!({ "ok": true, "authenticated": true })
     } else {
-        lock(&shared.stats).auth_failures += 1;
+        shared.stats.lock().auth_failures += 1;
         error_response_coded("bad auth token", ERR_UNAUTHORIZED)
     }
 }

@@ -19,7 +19,7 @@
 //! columns use too): no framing of its own — the binary frame carries its
 //! own magic, length, and CRC (see `graphm_store::replica`).
 
-use std::sync::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Counter snapshot for `repl_status` / `stats`.
@@ -66,7 +66,7 @@ impl ReplicationHub {
     /// Monotone: stale announcements (concurrent group commits racing to
     /// report) never move the high-water backwards.
     pub fn notify_published(&self, generation: u64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         if generation > st.last_published {
             st.last_published = generation;
         }
@@ -76,7 +76,7 @@ impl ReplicationHub {
 
     /// Records the current writer epoch (startup and promotion).
     pub fn set_epoch(&self, epoch: u64) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).epoch = epoch;
+        self.state.lock().epoch = epoch;
     }
 
     /// Blocks until a generation `>= from` has been announced or
@@ -85,33 +85,31 @@ impl ReplicationHub {
     /// timeout short and re-check shutdown between calls.
     pub fn wait_published(&self, from: u64, timeout: Duration) -> u64 {
         let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         while st.last_published < from {
             let now = Instant::now();
             if now >= deadline {
                 break;
             }
-            let (guard, _) =
-                self.cv.wait_timeout(st, deadline - now).unwrap_or_else(|e| e.into_inner());
-            st = guard;
+            self.cv.wait_for(&mut st, deadline - now);
         }
         st.last_published
     }
 
     /// A connection subscribed (`repl_subscribe`).
     pub fn subscriber_joined(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).followers += 1;
+        self.state.lock().followers += 1;
     }
 
     /// A subscribed connection went away.
     pub fn subscriber_left(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         st.followers = st.followers.saturating_sub(1);
     }
 
     /// `n` frames were encoded into a `repl_frames` response.
     pub fn note_shipped(&self, n: u64) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).frames_shipped += n;
+        self.state.lock().frames_shipped += n;
     }
 
     /// A follower polled from `upto + 1`, acknowledging everything
@@ -119,7 +117,7 @@ impl ReplicationHub {
     /// reconnected follower re-polling old generations is not an ack
     /// regression).
     pub fn note_acked(&self, upto: u64) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         if upto > st.acked_generation {
             st.frames_acked += upto - st.acked_generation;
             st.acked_generation = upto;
@@ -129,14 +127,14 @@ impl ReplicationHub {
     /// Follower-side: the tailer is about to retry after a failure.
     /// Returns the cumulative attempt count for capped logging.
     pub fn note_reconnect(&self) -> u64 {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         st.reconnects += 1;
         st.reconnects
     }
 
     /// Point-in-time counters.
     pub fn snapshot(&self) -> HubSnapshot {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner())
+        *self.state.lock()
     }
 }
 

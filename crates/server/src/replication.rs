@@ -10,7 +10,7 @@
 use crate::client::{retry_delay, Client, ClientError};
 use crate::ingest::IngestCoordinator;
 use crate::protocol::{error_response, hex_encode};
-use crate::state::{lock, Shared};
+use crate::state::Shared;
 use graphm_graph::delta::read_current_generation;
 use graphm_store::{decode_frame, read_generation_frame};
 use serde_json::{json, Value};
@@ -126,7 +126,7 @@ pub(crate) fn promote(shared: &Shared) -> Value {
     if !shared.is_follower() {
         return error_response("already primary");
     }
-    let taken = lock(&shared.applier).take();
+    let taken = shared.applier.lock().take();
     let Some(applier) = taken else {
         return error_response("promotion already in flight");
     };
@@ -134,7 +134,7 @@ pub(crate) fn promote(shared: &Shared) -> Value {
         Ok(writer) => {
             let epoch = writer.lease_epoch();
             let generation = writer.generation();
-            *lock(&shared.ingest) = Some(Arc::new(IngestCoordinator::new(writer)));
+            *shared.ingest.lock() = Some(Arc::new(IngestCoordinator::new(writer)));
             shared.role_follower.store(false, Ordering::SeqCst);
             shared.hub.set_epoch(epoch);
             shared.hub.notify_published(generation);
@@ -227,7 +227,7 @@ fn tail_once(shared: &Shared, peer: &str, token: Option<&str>) -> std::result::R
         shared.primary_gen_seen.fetch_max(pgen, Ordering::SeqCst);
         for raw in frames {
             let frame = decode_frame(&raw).map_err(|e| format!("frame decode: {e}"))?;
-            let mut guard = lock(&shared.applier);
+            let mut guard = shared.applier.lock();
             let Some(applier) = guard.as_mut() else {
                 return Ok(()); // promotion took the applier mid-batch
             };

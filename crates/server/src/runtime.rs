@@ -38,7 +38,7 @@
 
 use crate::admission::{drain_admissible, JobEntry, Queue, Readiness};
 use crate::protocol::Priority;
-use crate::state::{lock, Shared};
+use crate::state::Shared;
 use graphm_cachesim::VirtualClock;
 use graphm_core::{
     CohortDriver, CohortId, GraphJob, JobId, JobReport, PartitionSource, WallClockConfig,
@@ -261,7 +261,7 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
         let evictions = store.residency_stats().evictions;
         eviction_ewma = 0.5 * eviction_ewma + 0.5 * evictions.saturating_sub(last_evictions) as f64;
         last_evictions = evictions;
-        lock(&shared.stats).eviction_rate = eviction_ewma;
+        shared.stats.lock().eviction_rate = eviction_ewma;
     };
     // Whose in-flight quota, and which priority's budget, each admitted
     // job counts against.
@@ -272,7 +272,7 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
     // a time nor starve behind a steady Interactive stream.
     let mut batch_budget =
         if config.max_batch_per_round == 0 { usize::MAX } else { config.max_batch_per_round };
-    lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
+    shared.stats.lock().chunk_bytes = engine.chunk_bytes() as u64;
     // An admission whose evictions the EWMA has not sampled yet.
     let mut unsampled = false;
     // A newer generation waits for what is in flight to let go of the
@@ -300,8 +300,8 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
                 debug_assert!(admitted_as.is_empty(), "finished jobs published before rotation");
                 served_gen = store.generation();
                 engine.rebuild();
-                *lock(&shared.out_degrees) = Arc::new(store.out_degrees());
-                lock(&shared.stats).chunk_bytes = engine.chunk_bytes() as u64;
+                *shared.out_degrees.lock() = Arc::new(store.out_degrees());
+                shared.stats.lock().chunk_bytes = engine.chunk_bytes() as u64;
             }
             rotating = false;
         }
@@ -310,7 +310,7 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
         let drained = if rotating {
             None
         } else {
-            let mut q = lock(&shared.queue);
+            let mut q = shared.queue.lock();
             match q.readiness(batch_budget, config.batch_window, shared.is_shutting_down()) {
                 Readiness::Drain { capped } => {
                     Some((capped, drain_admissible(&mut q, &mut batch_budget)))
@@ -327,11 +327,11 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
             // their first sweep. Counted before they run, so it is stable
             // by the time any of them reports done.
             {
-                let mut stats = lock(&shared.stats);
+                let mut stats = shared.stats.lock();
                 stats.rounds += 1;
                 stats.rounds_capped += u64::from(capped);
             }
-            let mut jobs = lock(&shared.jobs);
+            let mut jobs = shared.jobs.lock();
             for p in drained {
                 jobs.entries.insert(p.id, JobEntry::Running);
                 // Instantiated here — not at submit — so the job's
@@ -363,7 +363,7 @@ fn wait_for_work(
     admitting: bool,
     batch_budget: usize,
 ) -> Option<bool> {
-    let mut q = lock(&shared.queue);
+    let mut q = shared.queue.lock();
     loop {
         if std::mem::take(&mut q.retired) {
             return Some(true);
@@ -380,13 +380,12 @@ fn wait_for_work(
         if shutting_down && q.pending.is_empty() && !in_flight {
             return None;
         }
-        q = match deadline {
-            None => shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner()),
+        match deadline {
+            None => shared.queue_cv.wait(&mut q),
             Some(cap) => {
-                let left = cap.saturating_duration_since(Instant::now());
-                shared.queue_cv.wait_timeout(q, left).unwrap_or_else(|e| e.into_inner()).0
+                shared.queue_cv.wait_for(&mut q, cap.saturating_duration_since(Instant::now()))
             }
-        };
+        }
     }
 }
 
@@ -404,7 +403,7 @@ fn publish(
 ) {
     let failed = finished.iter().filter(|r| r.error.is_some()).count() as u64;
     if !finished.is_empty() {
-        let mut q = lock(&shared.queue);
+        let mut q = shared.queue.lock();
         for report in &finished {
             let (tenant, priority) =
                 admitted_as.remove(&report.id).expect("finished job was admitted here");
@@ -415,7 +414,7 @@ fn publish(
         }
     }
     {
-        let mut stats = lock(&shared.stats);
+        let mut stats = shared.stats.lock();
         stats.partition_loads = loads;
         stats.jobs_completed += finished.len() as u64 - failed;
         stats.jobs_failed += failed;
@@ -423,7 +422,7 @@ fn publish(
     if finished.is_empty() {
         return;
     }
-    let mut jobs = lock(&shared.jobs);
+    let mut jobs = shared.jobs.lock();
     for report in finished {
         jobs.finish(report);
     }
@@ -549,9 +548,9 @@ mod tests {
     /// Submits a job on [`CONN`], whose burst stays open until [`settle`].
     fn enqueue(shared: &Shared, priority: Priority) -> JobId {
         let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 1 };
-        let mut q = lock(&shared.queue);
+        let mut q = shared.queue.lock();
         let id = q.push(spec, "tenant".to_string(), priority, CONN);
-        lock(&shared.jobs).entries.insert(id, JobEntry::Queued);
+        shared.jobs.lock().entries.insert(id, JobEntry::Queued);
         drop(q);
         shared.queue_cv.notify_all();
         id
@@ -563,15 +562,15 @@ mod tests {
     }
 
     fn wait_done(shared: &Shared, id: JobId) {
-        let mut jobs = lock(&shared.jobs);
+        let mut jobs = shared.jobs.lock();
         while !matches!(jobs.entries.get(&id), Some(JobEntry::Done { .. })) {
             assert!(!shared.runtime_exited.load(Ordering::SeqCst), "runtime exited early");
-            jobs = shared.done_cv.wait(jobs).unwrap();
+            shared.done_cv.wait(&mut jobs);
         }
     }
 
     fn wait_running(shared: &Shared, id: JobId) {
-        while matches!(lock(&shared.jobs).entries.get(&id), Some(JobEntry::Queued)) {
+        while matches!(shared.jobs.lock().entries.get(&id), Some(JobEntry::Queued)) {
             std::thread::yield_now();
         }
     }
@@ -594,7 +593,7 @@ mod tests {
         writer.insert(1, 2, 1.0).unwrap();
         writer.publish().unwrap();
         drop(writer);
-        let degrees_before = Arc::clone(&lock(&shared.out_degrees));
+        let degrees_before = Arc::clone(&shared.out_degrees.lock());
 
         // Two batch jobs and an interactive one, all pending at the first
         // drain; the cap of one batch job in flight defers job 1. Their
@@ -630,7 +629,7 @@ mod tests {
         ];
         assert_eq!(log, expected);
         assert!(first_done_after >= window, "the round waited out the batch window");
-        assert_ne!(*degrees_before, **lock(&shared.out_degrees), "out-degrees follow the rotation");
+        assert_ne!(*degrees_before, **shared.out_degrees.lock(), "out-degrees follow the rotation");
         let stats = shared.stats_snapshot();
         assert_eq!(stats.generation, 1);
         assert_eq!(stats.rounds, 2);
@@ -638,7 +637,7 @@ mod tests {
         assert_eq!(stats.chunk_bytes, 4096);
         assert_eq!(stats.jobs_completed, 3);
         assert_eq!(stats.partition_loads, 4, "the engine's progress is published as is");
-        assert!(lock(&shared.queue).inflight_by_tenant.is_empty(), "tenant quota released");
+        assert!(shared.queue.lock().inflight_by_tenant.is_empty(), "tenant quota released");
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
         std::fs::remove_dir_all(&shared.config.store_dir).ok();
     }
@@ -857,7 +856,7 @@ mod tests {
         });
         assert!(shared.is_shutting_down());
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
-        assert!(matches!(lock(&shared.jobs).entries.get(&id), Some(JobEntry::Running)));
+        assert!(matches!(shared.jobs.lock().entries.get(&id), Some(JobEntry::Running)));
         std::fs::remove_dir_all(&shared.config.store_dir).ok();
     }
 
@@ -871,7 +870,7 @@ mod tests {
         run_engine(&shared, || engine);
         assert!(shared.is_shutting_down());
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
-        assert!(matches!(lock(&shared.jobs).entries.get(&id), Some(JobEntry::Running)));
+        assert!(matches!(shared.jobs.lock().entries.get(&id), Some(JobEntry::Running)));
         std::fs::remove_dir_all(&shared.config.store_dir).ok();
     }
 }

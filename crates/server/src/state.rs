@@ -19,19 +19,13 @@ use crate::repl::ReplicationHub;
 use graphm_core::{GraphJob, PartitionSource};
 use graphm_store::{DiskGridSource, PrefetchTarget, ReplicaApplier};
 use graphm_workloads::JobSpec;
+use parking_lot::{Condvar, Mutex};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Locks `m`, recovering the guard from a poisoned mutex: every update
-/// made under the daemon's locks leaves the data valid at each step, and
-/// a panicking handler must not take the other threads down with it.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Where the daemon's listeners are bound. Their accept loops block, so
 /// [`Shared::request_shutdown`] connects here to make each one look at
@@ -187,7 +181,7 @@ impl Shared {
     /// `conn` sent something other than `submit`, or hung up: its burst
     /// is over, and the runtime takes another look at the queue.
     pub(crate) fn end_burst(&self, conn: ConnId) {
-        if lock(&self.queue).open_bursts.remove(&conn) {
+        if self.queue.lock().open_bursts.remove(&conn) {
             self.queue_cv.notify_all();
         }
     }
@@ -195,7 +189,7 @@ impl Shared {
     /// The engine's retirement notifier: wakes the runtime to collect the
     /// reports it has retired.
     pub(crate) fn signal_retirement(&self) {
-        lock(&self.queue).retired = true;
+        self.queue.lock().retired = true;
         self.queue_cv.notify_all();
     }
 
@@ -218,6 +212,11 @@ impl Shared {
     /// The second half of [`Shared::request_shutdown`]: the runtime,
     /// waiters and accept loops look at the flag.
     pub(crate) fn wake_for_shutdown(&self) {
+        // The runtime reads the flag under `queue` and then parks on
+        // `queue_cv`; passing through the lock first means it is either
+        // parked by now or will read the raised flag, so the notify below
+        // cannot fall between its read and its wait and be lost.
+        drop(self.queue.lock());
         self.queue_cv.notify_all();
         self.done_cv.notify_all();
         if let Some(listening) = self.listening.get() {
@@ -230,7 +229,7 @@ impl Shared {
     /// the stats lock), the writer lease this daemon's role holds, and its
     /// liveness.
     pub(crate) fn stats_snapshot(&self) -> ServerStats {
-        let mut stats = lock(&self.stats).clone();
+        let mut stats = self.stats.lock().clone();
         let rs = self.store.residency_stats();
         stats.resident_bytes = rs.resident_bytes;
         stats.evicted_bytes = rs.evicted_bytes;
@@ -264,9 +263,9 @@ impl Shared {
         stats.repl_frames_acked = hub.frames_acked;
         stats.repl_followers = hub.followers;
         stats.repl_reconnects = hub.reconnects;
-        stats.queue_depth = lock(&self.queue).pending.len() as u64;
+        stats.queue_depth = self.queue.lock().pending.len() as u64;
         stats.running = {
-            let jobs = lock(&self.jobs);
+            let jobs = self.jobs.lock();
             jobs.entries.values().filter(|e| matches!(e, JobEntry::Running)).count() as u64
         };
         stats.uptime_ms = self.started.elapsed().as_millis() as u64;
@@ -296,7 +295,7 @@ impl Shared {
     fn held_lease_epoch(&self) -> Option<u64> {
         match self.ingest_handle() {
             Some(ingest) => Some(ingest.writer_stats().1),
-            None => lock(&self.applier).as_ref().map(|applier| applier.lease_epoch()),
+            None => self.applier.lock().as_ref().map(|applier| applier.lease_epoch()),
         }
     }
 
@@ -308,7 +307,7 @@ impl Shared {
     /// Clones the ingest coordinator handle, if still held (graceful
     /// shutdown takes it to release the writer lease early).
     pub(crate) fn ingest_handle(&self) -> Option<Arc<IngestCoordinator>> {
-        lock(&self.ingest).clone()
+        self.ingest.lock().clone()
     }
 
     /// Publishes the runtime thread's exit under the jobs lock so a
@@ -320,8 +319,8 @@ impl Shared {
         // leased `DeltaWriter` as soon as in-flight commits (holding `Arc`
         // clones) drain, so an external writer can take over without
         // waiting for the daemon process to exit.
-        drop(lock(&self.ingest).take());
-        let jobs = lock(&self.jobs);
+        drop(self.ingest.lock().take());
+        let jobs = self.jobs.lock();
         self.runtime_exited.store(true, Ordering::SeqCst);
         drop(jobs);
         self.done_cv.notify_all();
@@ -329,7 +328,47 @@ impl Shared {
 
     /// Instantiates a spec against the currently served generation.
     pub(crate) fn instantiate(&self, spec: &JobSpec) -> Box<dyn GraphJob> {
-        let degrees = Arc::clone(&lock(&self.out_degrees));
+        let degrees = Arc::clone(&self.out_degrees.lock());
         spec.instantiate(self.num_vertices, &degrees)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use graphm_store::Convert;
+
+    /// A shutdown requested between the runtime's flag check and its
+    /// wait still wakes it: the runtime holds `queue` across both, as
+    /// `wait_for_work` does.
+    #[test]
+    fn a_shutdown_requested_before_the_runtime_parks_still_wakes_it() {
+        let dir = std::env::temp_dir().join(format!("graphm-state-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let g = graphm_graph::generators::rmat(
+            64,
+            400,
+            graphm_graph::generators::RmatParams::GRAPH500,
+            5,
+        );
+        Convert::grid(2).write(&g, &dir).unwrap();
+        let store = DiskGridSource::open_shared(&dir).unwrap();
+        let shared = Arc::new(Shared::new(ServerConfig::new(&dir), store, None, None));
+
+        let mut q = shared.queue.lock();
+        assert!(!shared.is_shutting_down());
+        let requester = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || shared.request_shutdown())
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        let parked = Instant::now();
+        shared.queue_cv.wait_for(&mut q, Duration::from_secs(5));
+        let waited = parked.elapsed();
+        drop(q);
+        requester.join().unwrap();
+        assert!(shared.is_shutting_down());
+        assert!(waited < Duration::from_secs(2), "the shutdown wake-up was lost ({waited:?})");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,7 +10,7 @@ use crate::protocol::{
     error_response, error_response_coded, report_to_json, JobState, Priority, ERR_NOT_PRIMARY,
     ERR_OVERLOADED, ERR_SHUTTING_DOWN, ERR_STALE_REPLICA,
 };
-use crate::state::{lock, Shared};
+use crate::state::Shared;
 use graphm_core::JobId;
 use graphm_graph::delta::DeltaRecord;
 use graphm_workloads::JobSpec;
@@ -56,7 +56,7 @@ pub(crate) fn submit(
     // assigned — nothing to clean up, nothing queued, the client retries
     // with backoff (`graphm-client --retries`).
     let shed = |msg: String| {
-        lock(&shared.stats).jobs_shed += 1;
+        shared.stats.lock().jobs_shed += 1;
         error_response_coded(&msg, ERR_OVERLOADED)
     };
     let limits = &shared.config;
@@ -65,7 +65,7 @@ pub(crate) fn submit(
         // before the runtime can drain the submission and mark it Running.
         // The spec is instantiated by the runtime thread at drain time so
         // its out-degrees match the generation of the round it runs in.
-        let mut q = lock(&shared.queue);
+        let mut q = shared.queue.lock();
         if limits.max_pending > 0 && q.pending.len() >= limits.max_pending {
             return shed(format!(
                 "queue full ({} pending, cap {}); retry with backoff",
@@ -95,7 +95,7 @@ pub(crate) fn submit(
         // working set outgrew the memory budget, so adding Batch work
         // would only deepen the thrash. Interactive jobs still land.
         if priority == Priority::Batch && limits.shed_eviction_rate > 0.0 {
-            let rate = lock(&shared.stats).eviction_rate;
+            let rate = shared.stats.lock().eviction_rate;
             if rate > limits.shed_eviction_rate {
                 return shed(format!(
                     "store is thrashing ({rate:.1} evictions/round, shed above {:.1}); \
@@ -105,16 +105,16 @@ pub(crate) fn submit(
             }
         }
         let id = q.push(spec, tenant, priority, conn);
-        lock(&shared.jobs).entries.insert(id, JobEntry::Queued);
+        shared.jobs.lock().entries.insert(id, JobEntry::Queued);
         id
     };
     shared.queue_cv.notify_all();
-    lock(&shared.stats).jobs_submitted += 1;
+    shared.stats.lock().jobs_submitted += 1;
     json!({ "ok": true, "job_id": id })
 }
 
 pub(crate) fn job_state(shared: &Shared, id: JobId) -> Option<JobState> {
-    let jobs = lock(&shared.jobs);
+    let jobs = shared.jobs.lock();
     Some(match jobs.entries.get(&id)? {
         JobEntry::Queued => JobState::Queued,
         JobEntry::Running => JobState::Running,
@@ -123,7 +123,7 @@ pub(crate) fn job_state(shared: &Shared, id: JobId) -> Option<JobState> {
 }
 
 pub(crate) fn wait_for(shared: &Shared, id: JobId) -> Value {
-    let mut jobs = lock(&shared.jobs);
+    let mut jobs = shared.jobs.lock();
     loop {
         match jobs.entries.get(&id) {
             None => return error_response(&format!("unknown job {id}")),
@@ -145,7 +145,7 @@ pub(crate) fn wait_for(shared: &Shared, id: JobId) -> Value {
                 if shared.runtime_exited.load(Ordering::SeqCst) {
                     return error_response("server shut down before the job finished");
                 }
-                jobs = shared.done_cv.wait(jobs).unwrap_or_else(|e| e.into_inner());
+                shared.done_cv.wait(&mut jobs);
             }
         }
     }

@@ -42,9 +42,10 @@
 
 use crate::source::PrefetchTarget;
 use graphm_core::PrefetchHook;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Lower bound of the adaptive prefetch window: one partition in flight
@@ -149,7 +150,7 @@ struct Shared {
 impl Shared {
     fn replace_window(&self, pids: &[usize]) {
         let limit = self.target.prefetch_window().max(1);
-        let mut queue = self.queue.lock().unwrap_or_else(|e| e.into_inner());
+        let mut queue = self.queue.lock();
         queue.clear();
         queue.extend(pids.iter().copied().take(limit));
         drop(queue);
@@ -178,17 +179,14 @@ impl Prefetcher {
             .name("graphm-prefetch".to_string())
             .spawn(move || loop {
                 let pid = {
-                    let mut queue = thread_shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+                    let mut queue = thread_shared.queue.lock();
                     loop {
                         if thread_shared.stop.load(Ordering::Acquire) {
                             return;
                         }
                         match queue.pop_front() {
                             Some(pid) => break pid,
-                            None => {
-                                queue =
-                                    thread_shared.cv.wait(queue).unwrap_or_else(|e| e.into_inner())
-                            }
+                            None => thread_shared.cv.wait(&mut queue),
                         }
                     }
                 };
@@ -218,7 +216,7 @@ impl Drop for Prefetcher {
         // the condvar under that lock, so the wake-up below cannot slip in
         // between its check and its wait (and be lost, hanging the join).
         {
-            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let _queue = self.shared.queue.lock();
             self.shared.stop.store(true, Ordering::Release);
         }
         self.shared.cv.notify_all();

@@ -38,11 +38,12 @@ use graphm_graph::failpoint;
 use graphm_graph::records::{self, Record};
 use graphm_graph::segment::Manifest;
 use graphm_graph::{AtomicBitmap, Edge, GraphError, Result, VertexId, EDGE_BYTES};
+use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Readahead counters for a disk store (see [`PrefetchTarget`]).
@@ -519,13 +520,13 @@ impl DiskGridSource {
         static LIVE: Mutex<BTreeMap<PathBuf, Weak<DiskGridSource>>> = Mutex::new(BTreeMap::new());
         let key = std::fs::canonicalize(dir)?;
         {
-            let live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+            let live = LIVE.lock();
             if let Some(existing) = live.get(&key).and_then(Weak::upgrade) {
                 return Ok(existing);
             }
         }
         let opened = Arc::new(DiskGridSource::open(dir)?);
-        let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
+        let mut live = LIVE.lock();
         if let Some(raced) = live.get(&key).and_then(Weak::upgrade) {
             return Ok(raced);
         }
@@ -578,14 +579,14 @@ impl DiskGridSource {
     /// the duration of a pinned busy period: a refresh defers adoption
     /// while pins are held.
     fn view(&self) -> Arc<GenView> {
-        Arc::clone(&self.views.read().unwrap_or_else(|e| e.into_inner()).current)
+        Arc::clone(&self.views.read().current)
     }
 
     /// Runs `f` against the current view under the read guard — the hot
     /// per-partition queries (activity, byte accounting) avoid the Arc
     /// refcount round-trip `view()` pays; readers never block each other.
     fn with_view<R>(&self, f: impl FnOnce(&GenView) -> R) -> R {
-        f(&self.views.read().unwrap_or_else(|e| e.into_inner()).current)
+        f(&self.views.read().current)
     }
 
     /// Polls the store's `CURRENT` pointer and rotates to any newer
@@ -600,7 +601,7 @@ impl DiskGridSource {
     pub fn refresh_generation(&self) -> Result<bool> {
         let disk_gen = delta::read_current_generation(&self.dir)?;
         let (known, prev) = {
-            let views = self.views.read().unwrap_or_else(|e| e.into_inner());
+            let views = self.views.read();
             let latest = views.incoming.as_ref().unwrap_or(&views.current);
             (latest.generation, Arc::clone(latest))
         };
@@ -615,7 +616,7 @@ impl DiskGridSource {
             )));
         }
         let built = Arc::new(GenView::build(&self.dir, &self.manifest, disk_gen, Some(&prev))?);
-        let mut views = self.views.write().unwrap_or_else(|e| e.into_inner());
+        let mut views = self.views.write();
         // The build ran outside the lock: a concurrent refresher (two
         // runtimes sharing one handle) may have installed this — or a
         // newer — generation meanwhile. Never replace newer with older,
@@ -635,7 +636,7 @@ impl DiskGridSource {
 
     /// The generation loads currently resolve against.
     pub fn generation(&self) -> u64 {
-        self.views.read().unwrap_or_else(|e| e.into_inner()).current.generation
+        self.views.read().current.generation
     }
 
     /// The generation [`DiskGridSource::refresh_generation`] picked up
@@ -644,7 +645,7 @@ impl DiskGridSource {
     /// server that sees one should stop starting work, so that the pins
     /// can drain and the generation be adopted.
     pub fn staged_generation(&self) -> Option<u64> {
-        let views = self.views.read().unwrap_or_else(|e| e.into_inner());
+        let views = self.views.read();
         views.incoming.as_ref().map(|view| view.generation)
     }
 
@@ -687,7 +688,7 @@ impl DiskGridSource {
         if self.budget.load(Ordering::Relaxed) > 0 {
             let seq = self.touch_seq.fetch_add(1, Ordering::Relaxed) + 1;
             self.last_touch[pid].store(seq, Ordering::Relaxed);
-            let mut order = self.touch_order.lock().unwrap_or_else(|e| e.into_inner());
+            let mut order = self.touch_order.lock();
             order.push_back((pid, seq));
             if order.len() > self.num_partitions() * 4 + 64 {
                 // At most one entry per partition is live; everything
@@ -712,7 +713,7 @@ impl DiskGridSource {
         }
         let mut held_current = None;
         while self.resident_bytes.load(Ordering::Relaxed) > budget {
-            let entry = self.touch_order.lock().unwrap_or_else(|e| e.into_inner()).pop_front();
+            let entry = self.touch_order.lock().pop_front();
             let Some((pid, seq)) = entry else { break };
             if self.last_touch[pid].load(Ordering::Relaxed) != seq {
                 continue; // Stale entry: the partition was re-touched later.
@@ -741,7 +742,7 @@ impl DiskGridSource {
             // simply leave the queue.
         }
         if let Some(entry) = held_current {
-            self.touch_order.lock().unwrap_or_else(|e| e.into_inner()).push_front(entry);
+            self.touch_order.lock().push_front(entry);
         }
     }
 
@@ -750,7 +751,7 @@ impl DiskGridSource {
             failpoint::hit("read:load")?;
         }
         let view = self.view();
-        let mut slot = self.cache[pid].lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.cache[pid].lock();
         let cached = if slot.generation == view.generation { slot.weak.upgrade() } else { None };
         let advised = self.advised[pid].swap(false, Ordering::AcqRel);
         if advised {
@@ -879,13 +880,13 @@ impl PartitionSource for DiskGridSource {
     /// Pins the current generation for a sweep (counted; sweeps may
     /// overlap across runtimes sharing the handle).
     fn sweep_begin(&self) {
-        self.views.write().unwrap_or_else(|e| e.into_inner()).pins += 1;
+        self.views.write().pins += 1;
     }
 
     /// Releases a sweep pin; the last unpin adopts any generation that
     /// arrived mid-sweep.
     fn sweep_end(&self) {
-        let mut views = self.views.write().unwrap_or_else(|e| e.into_inner());
+        let mut views = self.views.write();
         debug_assert!(views.pins > 0, "sweep_end without a matching sweep_begin");
         views.pins = views.pins.saturating_sub(1);
         if views.pins == 0 {

@@ -9,6 +9,10 @@
 //!
 //! The store has one layout, too: the grid it serves. The on-disk shard
 //! layout is gone, and nothing outside the tests may bring it back.
+//!
+//! And the locks have one vocabulary: every `Mutex`, `MutexGuard`,
+//! `Condvar` and `RwLock` in non-test code comes from `vendor/parking_lot`,
+//! which owns the one poison policy, so no call site states its own.
 
 use std::path::{Path, PathBuf};
 
@@ -28,6 +32,12 @@ const ONE_LAYOUT: [(&str, &[&str]); 2] = [
     ("store/src", &["Shards", "ShardLayout", "StoreLayout"]),
     ("graph/src", &["ShardLayout", "StoreLayout"]),
 ];
+
+/// The lock types non-test code takes from `parking_lot`, never `std::sync`.
+const STD_LOCKS: [&str; 4] = ["Mutex", "MutexGuard", "Condvar", "RwLock"];
+
+/// Calls that return a lock result (or a guard from one).
+const LOCK_CALLS: [&str; 5] = [".lock()", ".read()", ".write()", ".wait(", ".wait_timeout("];
 
 fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap() {
@@ -92,4 +102,66 @@ fn the_store_has_one_layout() {
     }
     let graphchi = std::fs::read_to_string(crates.join("graphchi/Cargo.toml")).unwrap();
     assert!(!graphchi.contains("graphm-store"), "graphm-graphchi depends on graphm-store again");
+}
+
+/// The identifiers each `prefix` in `code` names: the one path segment
+/// after it, or every identifier in the `{…}` group that follows it.
+fn named_after<'a>(code: &'a str, prefix: &str) -> Vec<&'a str> {
+    let mut names = Vec::new();
+    for (at, _) in code.match_indices(prefix) {
+        let rest = &code[at + prefix.len()..];
+        let end = if rest.starts_with('{') {
+            let mut depth = 0;
+            rest.find(|c| {
+                depth += (c == '{') as i32 - (c == '}') as i32;
+                depth == 0
+            })
+            .expect("a `{` group closes")
+        } else {
+            rest.find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(rest.len())
+        };
+        let group = rest[..end].split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        names.extend(group.filter(|name| !name.is_empty()));
+    }
+    names
+}
+
+#[test]
+fn locks_come_from_the_shim() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            sources(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 80, "the scan found the crates");
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        let code: String = text
+            .split("#[cfg(test)]")
+            .next()
+            .unwrap()
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        let file = path.strip_prefix(&crates).unwrap().display();
+        for name in named_after(&code, "std::sync::") {
+            assert!(!STD_LOCKS.contains(&name), "{file} takes `{name}` from `std::sync`");
+        }
+        assert!(!code.contains("PoisonError"), "{file} names `PoisonError`");
+        for statement in code.split(';') {
+            let Some(line) = statement.lines().find(|line| line.contains(".into_inner()")) else {
+                continue;
+            };
+            let recovers = LOCK_CALLS.iter().any(|call| statement.contains(call));
+            assert!(!recovers, "{file} recovers a poisoned guard itself: {}", line.trim());
+        }
+        if path.starts_with(crates.join("server/src")) {
+            assert!(!named_after(&code, "fn ").contains(&"lock"), "{file} defines `lock` again");
+            assert!(!named_after(&code, "state::").contains(&"lock"), "{file} takes `state::lock`");
+        }
+    }
 }
