@@ -10,7 +10,7 @@
 //! damping rule, tests the L1 delta against a tolerance, and computes the
 //! next iteration's per-vertex quotients once (see `Push`).
 
-use graphm_core::{EdgeOutcome, GatherKernel, GraphJob};
+use graphm_core::{EdgeOutcome, GraphJob};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
 
@@ -39,11 +39,9 @@ pub struct PageRank {
 pub(crate) struct Push {
     out_degrees: Arc<Vec<u32>>,
     ranks: Vec<f64>,
-    /// `ranks[v] / deg[v]` for the current iteration. Shared (`Arc`) so
-    /// the gather kernel can read it from worker threads mid-iteration;
-    /// rewritten only in `end_iteration`, after the runtime has dropped
-    /// the kernel.
-    contrib: Arc<Vec<f64>>,
+    /// `ranks[v] / deg[v]` for the current iteration, rewritten in
+    /// `end_iteration`.
+    contrib: Vec<f64>,
     next: Vec<f64>,
 }
 
@@ -62,7 +60,7 @@ impl Push {
     pub(crate) fn new(out_degrees: Arc<Vec<u32>>, ranks: Vec<f64>) -> Push {
         assert_eq!(out_degrees.len(), ranks.len());
         let contrib = ranks.iter().zip(out_degrees.iter()).map(|(&r, &d)| contribution(r, d));
-        let contrib = Arc::new(contrib.collect());
+        let contrib = contrib.collect();
         let next = vec![0.0; ranks.len()];
         Push { out_degrees, ranks, contrib, next }
     }
@@ -86,30 +84,18 @@ impl Push {
     /// 2 vCPUs: 138–201 Medges/s through the default body, 210–262
     /// through this loop).
     pub(crate) fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
-        let contrib = &self.contrib[..];
-        add_in_order(&mut self.next, edges, edges.iter().map(|e| contrib[e.src as usize]))
-    }
-
-    pub(crate) fn gather_kernel(&self) -> Arc<dyn GatherKernel> {
-        Arc::new(PushGather { contrib: Arc::clone(&self.contrib) })
-    }
-
-    /// The serial apply of a gathered chunk: the adds of
-    /// [`Push::process_chunk`], in the same order, with each
-    /// `contrib[src]` already read by a helper.
-    pub(crate) fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
-        add_in_order(&mut self.next, edges, gathered.iter().copied())
+        let (next, contrib) = (&mut self.next[..], &self.contrib[..]);
+        for e in edges {
+            next[e.dst as usize] += contrib[e.src as usize];
+        }
+        edges.len() as u64
     }
 
     /// Ends the iteration: `rank = teleport(v) + damping · next[v]`,
     /// refreshes `contrib` and resets `next`. Returns the L1 rank delta.
     pub(crate) fn end_iteration(&mut self, damping: f64, teleport: impl Fn(usize) -> f64) -> f64 {
         let mut delta = 0.0;
-        // In place unless a kernel from this iteration is still alive
-        // (the runtime drops kernels before end_iteration; `make_mut`
-        // keeps stragglers sound by copying).
-        let contrib = Arc::make_mut(&mut self.contrib);
-        let state = self.ranks.iter_mut().zip(self.next.iter_mut()).zip(contrib.iter_mut());
+        let state = self.ranks.iter_mut().zip(self.next.iter_mut()).zip(self.contrib.iter_mut());
         for (v, ((r, nx), c)) in state.enumerate() {
             let new = teleport(v) + damping * *nx;
             delta += (new - *r).abs();
@@ -118,29 +104,6 @@ impl Push {
             *nx = 0.0;
         }
         delta
-    }
-}
-
-/// The push update's only add: `next[e.dst] += term` for each edge and its
-/// term, in edge order (the order fixes the floating-point sums).
-#[inline]
-fn add_in_order(next: &mut [f64], edges: &[Edge], terms: impl Iterator<Item = f64>) -> u64 {
-    for (e, term) in edges.iter().zip(terms) {
-        next[e.dst as usize] += term;
-    }
-    edges.len() as u64
-}
-
-/// The gather half of the push update: `contrib[src]` reads only
-/// iteration-stable state, so chunks gather concurrently; the
-/// order-sensitive `next[dst] +=` stays in [`Push::apply_gathered_chunk`].
-struct PushGather {
-    contrib: Arc<Vec<f64>>,
-}
-
-impl GatherKernel for PushGather {
-    fn gather(&self, edges: &[Edge], out: &mut Vec<f64>) {
-        out.extend(edges.iter().map(|e| self.contrib[e.src as usize]));
     }
 }
 
@@ -215,14 +178,6 @@ impl GraphJob for PageRank {
 
     fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
         self.push.process_chunk(edges)
-    }
-
-    fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-        Some(self.push.gather_kernel())
-    }
-
-    fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
-        self.push.apply_gathered_chunk(edges, gathered)
     }
 
     fn end_iteration(&mut self) -> bool {

@@ -8,7 +8,7 @@
 //! sharing opportunity GraphM exploits.
 
 use crate::pagerank::Push;
-use graphm_core::{EdgeOutcome, GatherKernel, GraphJob};
+use graphm_core::{EdgeOutcome, GraphJob};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
 
@@ -90,14 +90,6 @@ impl GraphJob for PersonalizedPageRank {
 
     fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
         self.push.process_chunk(edges)
-    }
-
-    fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-        Some(self.push.gather_kernel())
-    }
-
-    fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
-        self.push.apply_gathered_chunk(edges, gathered)
     }
 
     fn end_iteration(&mut self) -> bool {

@@ -15,8 +15,8 @@
 //! A **cohort** is a group of jobs admitted together. It is the unit the
 //! driver sweeps: a cohort has its own [`GlobalTable`](crate::GlobalTable),
 //! its own §4 [`loading_order`](crate::loading_order) per sweep, its own
-//! loaded partition, ready set, pacing window and help-ahead claims —
-//! everything §3.3–§4 describe, scoped to the jobs that arrived together. One driver runs any number
+//! loaded partition, ready set and pacing window — everything §3.3–§4
+//! describe, scoped to the jobs that arrived together. One driver runs any number
 //! of cohorts at once under its one lock; a job's report is handed out
 //! **when that job retires** (§3.3.1: a job leaves the global table at
 //! convergence), and a cohort that has retired its last job is dropped.
@@ -53,11 +53,10 @@
 //! partition*, *stream chunk `c` through job `j`*, *end job `j`'s
 //! iteration* — handed to whichever lane asks next. A lane looking for
 //! work **rotates over the live cohorts**, starting after the cohort
-//! served last, and takes the first load / end / chunk task it finds;
-//! only when no cohort has one does it *help ahead* (below). A light
-//! cohort therefore gets its turn between every two tasks of a heavy
-//! one, and never queues behind a heavy cohort's help-ahead (serving the
-//! oldest cohort first would starve it until the heavy one converged).
+//! served last, and takes the first load / end / chunk task it finds. A
+//! light cohort therefore gets its turn between every two tasks of a
+//! heavy one (serving the oldest cohort first would starve it until the
+//! heavy one converged).
 //! Inside a cohort the order is the old one: a worker takes the lowest
 //! ready `(chunk, job)` whose chunk index is `< min(chunks in flight) +
 //! window`, moves the job out of its slot, streams that one chunk through
@@ -76,11 +75,18 @@
 //!   chunk.
 //!
 //! Per job, partitions arrive in §4 order, chunks ascending, and every
-//! chunk of a job streams through it on one thread at a time — the same
-//! sequence the deterministic service replays — so vertex values and
-//! iteration counts are bit-identical whatever the number of workers.
-//! Nothing blocks per chunk: a worker sleeps only when no task of any
-//! kind is available in any cohort.
+//! chunk streams through the job in one [`GraphJob::process_chunk`] call
+//! on the lane that holds it — the same sequence the deterministic
+//! service replays — so vertex values and iteration counts are
+//! bit-identical whatever the number of workers. Nothing blocks per
+//! chunk: a worker sleeps only when no load, end or chunk task is
+//! available in any cohort, and a worker about to run a task wakes a
+//! sleeper whenever another one is waiting.
+//!
+//! There are no helper threads: a lane streams a chunk only through the
+//! job it holds, so a cohort of one job keeps one lane busy
+//! (`docs/ARCHITECTURE.md`, "Why a lane only streams its own job", has
+//! the measurement).
 //!
 //! Who drives:
 //!
@@ -98,35 +104,12 @@
 //!   thread per job with *private* loads (the `-C` baseline), every job
 //!   paying `partitions × sweeps` loads instead of sharing them.
 //!
-//! # Help-ahead
-//!
-//! Jobs saturate the lanes only while they outnumber them. A worker that
-//! finds no runnable chunk in any cohort *helps ahead*: it runs the
-//! order-insensitive slice of an upcoming chunk of a job in a loaded
-//! partition and parks the output for that job's in-order apply, so a
-//! single heavy job uses idle lanes too (the paper's Figure-20 regime at
-//! low concurrency):
-//!
-//! * jobs with a [`GatherKernel`](crate::GatherKernel) (PageRank-family): the helper copies
-//!   each edge's contribution `contrib[src]` — the source's rank over its
-//!   out-degree, computed once per vertex per iteration — and the job
-//!   applies them serially in edge order, so every floating-point
-//!   accumulation happens in the sequential order;
-//! * jobs that skip inactive vertices (BFS/SSSP/WCC): the helper scans
-//!   the chunk against a per-iteration snapshot of the frontier and
-//!   collects the active-source edges, and the job replays `process_edge`
-//!   over exactly those edges in exactly the serial order;
-//! * everything else streams serially.
-//!
-//! A job whose next chunk a helper is still computing is set aside — not
-//! waited for — and its worker moves on to other tasks.
-//!
 //! Failure isolation: a failed load retires exactly the jobs *of that
 //! cohort* that needed the partition; a panic in any task of a job is
 //! caught and retires that job alone. Either way the job's report carries
 //! [`WallJobReport::error`] and its peers — in its cohort and in every
 //! other — keep sweeping. A lane that dies *outside* a task (a bug in the
-//! driver itself) cannot be isolated: the driver is marked dead, every
+//! driver, or a source whose unpin panics) cannot be isolated: the driver is marked dead, every
 //! lane leaves, and whoever waits on it panics instead of hanging.
 
 mod driver;
@@ -180,17 +163,11 @@ pub struct WallClockConfig {
     /// (grow on misses, shrink when hits saturate or residency
     /// approaches the memory budget).
     pub(crate) max_prefetch_lookahead: usize,
-    /// Idle workers help ahead (see the module docs). Off — every chunk
-    /// streams serially on the worker that holds the job — is the serial
-    /// reference the `*_fanout_matches_serial_bit_for_bit` tests compare
-    /// against.
-    pub(crate) chunk_fanout: bool,
 }
 
 impl WallClockConfig {
     /// Defaults over `profile`: prioritized scheduling, lock-step window,
-    /// 500-iteration guard, 8-byte `U_v`, 16-deep announced lookahead,
-    /// help-ahead on.
+    /// 500-iteration guard, 8-byte `U_v`, 16-deep announced lookahead.
     pub fn new(profile: MemoryProfile) -> WallClockConfig {
         WallClockConfig {
             profile,
@@ -200,7 +177,6 @@ impl WallClockConfig {
             state_bytes_per_vertex: 8,
             chunk_bytes_override: None,
             max_prefetch_lookahead: 16,
-            chunk_fanout: true,
         }
     }
 }
@@ -226,7 +202,7 @@ pub struct WallJobReport {
     /// Final per-vertex values.
     pub values: Vec<f64>,
     /// Compute: summed wall milliseconds of this job's own tasks (chunks
-    /// streamed, help-ahead done for it, iteration ends). Time the job
+    /// streamed, iteration ends). Time the job
     /// sat in the ready set, or waited for a partition it did not need,
     /// is not in here — `finish_ms − busy_ms` is what sharing the sweep
     /// and the lanes cost it. (The exclusive mode runs each job on a
@@ -352,8 +328,8 @@ impl WallClockExecutor {
         }
         let lanes = pool.map_or(1, ThreadPool::num_threads);
         let driver = Driver::new(lanes);
-        // Without help-ahead a worker is only ever of use to a job of its own.
-        let workers = if driver.helps(&self.core) { lanes } else { lanes.min(jobs.len()) };
+        // A worker is only ever of use to a job of its own.
+        let workers = lanes.min(jobs.len());
         driver.admit(&self.core, jobs);
         driver.close();
         match pool {
@@ -474,13 +450,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::global_table::GlobalTable;
-    use crate::job::{CountingJob, EdgeOutcome, GatherKernel};
+    use crate::job::{CountingJob, EdgeOutcome};
     use crate::scheduler::loading_order;
     use crate::source::VecSource;
     use graphm_graph::{generators, AtomicBitmap, Edge};
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn source(parts: usize) -> Arc<VecSource> {
         let g = generators::rmat(256, 4096, generators::RmatParams::GRAPH500, 17);
@@ -499,7 +475,7 @@ mod tests {
         WallClockExecutor::new(source(parts), cfg, None)
     }
 
-    /// Many chunks per partition, so pacing and help-ahead have work.
+    /// Many chunks per partition, so pacing has work.
     fn small_chunks() -> WallClockConfig {
         let mut cfg = WallClockConfig::new(MemoryProfile::TEST);
         cfg.chunk_bytes_override = Some(1152);
@@ -510,8 +486,8 @@ mod tests {
         Arc::new(ThreadPool::new(lanes))
     }
 
-    /// A BFS-like frontier job (no gather kernel, skips inactive sources)
-    /// exercising the frontier-filter help-ahead.
+    /// A BFS-like frontier job: skips inactive sources, so whole chunks
+    /// are skipped once the frontier leaves them.
     struct FrontierJob {
         levels: Vec<f64>,
         active: AtomicBitmap,
@@ -600,79 +576,51 @@ mod tests {
         }
     }
 
-    /// The gather-kernel fan-out (CountingJob) on an explicit multi-lane
-    /// pool produces bit-identical reports to both the no-fanout threaded
-    /// path and the single-thread baseline.
+    /// Streaming jobs (CountingJob streams every edge) on a 4-lane pool
+    /// produce reports bit-identical to the single-thread baseline.
     #[test]
     fn gather_fanout_matches_serial_bit_for_bit() {
-        let src = source(4);
-        let mut cfg = WallClockConfig::new(MemoryProfile::TEST);
-        cfg.chunk_bytes_override = Some(1152); // many chunks per partition
-        let fan = WallClockExecutor::new(src.clone(), cfg.clone(), None)
-            .with_pool(Arc::new(ThreadPool::new(4)));
-        cfg.chunk_fanout = false;
-        let serial = WallClockExecutor::new(src, cfg, None);
-        let a = fan.run_batch(counting_jobs(3, 3));
-        let b = serial.run_batch(counting_jobs(3, 3));
-        let c = fan.run_batch_single_thread(counting_jobs(3, 3));
-        assert_same_reports(&a, &b);
-        assert_same_reports(&a, &c);
+        let exec = WallClockExecutor::new(source(4), small_chunks(), None).with_pool(pool(4));
+        let threaded = exec.run_batch(counting_jobs(3, 3));
+        let single = exec.run_batch_single_thread(counting_jobs(3, 3));
+        assert_same_reports(&threaded, &single);
     }
 
-    /// The active-filter fan-out (FrontierJob skips inactive sources)
-    /// produces bit-identical reports to the no-fanout path, including
-    /// iteration counts driven by frontier convergence.
+    /// Frontier jobs (FrontierJob skips inactive sources) on a 4-lane
+    /// pool produce reports bit-identical to the single-thread baseline,
+    /// including iteration counts driven by frontier convergence.
     #[test]
     fn filter_fanout_matches_serial_bit_for_bit() {
-        let src = source(4);
-        let mut cfg = WallClockConfig::new(MemoryProfile::TEST);
-        cfg.chunk_bytes_override = Some(1152);
         let mk = |roots: &[usize]| {
             roots
                 .iter()
                 .map(|&r| Box::new(FrontierJob::new(256, r)) as Box<dyn GraphJob>)
                 .collect::<Vec<_>>()
         };
-        let fan = WallClockExecutor::new(src.clone(), cfg.clone(), None)
-            .with_pool(Arc::new(ThreadPool::new(4)));
-        cfg.chunk_fanout = false;
-        let serial = WallClockExecutor::new(src, cfg, None);
+        let exec = WallClockExecutor::new(source(4), small_chunks(), None).with_pool(pool(4));
         let roots = [0usize, 17, 3];
-        let a = fan.run_batch(mk(&roots));
-        let b = serial.run_batch(mk(&roots));
-        assert_same_reports(&a, &b);
-        assert!(a.jobs[0].iterations > 1, "frontier job must actually traverse");
+        let threaded = exec.run_batch(mk(&roots));
+        let single = exec.run_batch_single_thread(mk(&roots));
+        assert_same_reports(&threaded, &single);
+        assert!(threaded.jobs[0].iterations > 1, "frontier job must actually traverse");
     }
 
     /// Where a saboteur job panics.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Boom {
         ProcessEdge,
-        Gather,
         EndIteration,
     }
 
-    /// Set by the kernel just before it panics.
-    struct BoomKernel(Arc<AtomicBool>);
-
-    impl GatherKernel for BoomKernel {
-        fn gather(&self, _edges: &[Edge], _out: &mut Vec<f64>) {
-            self.0.store(true, Ordering::SeqCst);
-            panic!("boom in gather");
-        }
-    }
-
-    /// A counting job that panics in one of its three kinds of task.
+    /// A counting job that panics in one of its two kinds of task.
     struct Saboteur {
         inner: CountingJob,
         boom: Boom,
-        gathered: Arc<AtomicBool>,
     }
 
     impl Saboteur {
         fn boxed(boom: Boom) -> Box<dyn GraphJob> {
-            let gathered = Arc::new(AtomicBool::new(false));
-            Box::new(Saboteur { inner: CountingJob::new(256, 2), boom, gathered })
+            Box::new(Saboteur { inner: CountingJob::new(256, 2), boom })
         }
     }
 
@@ -690,27 +638,10 @@ mod tests {
             self.inner.active()
         }
         fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
-            match self.boom {
-                Boom::ProcessEdge => panic!("boom in process_edge"),
-                // Hold the job's first chunk until a helper has run the
-                // kernel on a later one: the panic must come from a
-                // worker that does not own the job. (Bounded, so a driver
-                // that never helps fails the test instead of hanging it.)
-                Boom::Gather => {
-                    let begun = Instant::now();
-                    while !self.gathered.load(Ordering::SeqCst)
-                        && begun.elapsed() < Duration::from_secs(10)
-                    {
-                        std::thread::yield_now();
-                    }
-                }
-                Boom::EndIteration => {}
+            if self.boom == Boom::ProcessEdge {
+                panic!("boom in process_edge");
             }
             self.inner.process_edge(e)
-        }
-        fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-            (self.boom == Boom::Gather)
-                .then(|| Arc::new(BoomKernel(Arc::clone(&self.gathered))) as Arc<dyn GatherKernel>)
         }
         fn end_iteration(&mut self) -> bool {
             if self.boom == Boom::EndIteration {
@@ -726,9 +657,8 @@ mod tests {
         }
     }
 
-    /// A panic in any task of a job — a chunk's `process_edge`, a
-    /// helper's `gather`, the iteration's end — converts to a *failed
-    /// report* for that job alone: co-batched jobs finish with results
+    /// A panic in any task of a job — a chunk's `process_edge`, the
+    /// iteration's end — converts to a *failed report* for that job alone: co-batched jobs finish with results
     /// bit-identical to a batch that never contained the saboteur.
     #[test]
     fn panicking_kernel_becomes_failed_report_without_poisoning_batch() {
@@ -737,7 +667,6 @@ mod tests {
         let reference = exec.run_batch(counting_jobs(2, 2));
         for (boom, says) in [
             (Boom::ProcessEdge, "boom in process_edge"),
-            (Boom::Gather, "boom in gather"),
             (Boom::EndIteration, "boom in end_iteration"),
         ] {
             let mut jobs = counting_jobs(2, 2);
@@ -1009,10 +938,12 @@ mod tests {
     }
 
     /// Counts generation pins, asserts every load happens under one, and
-    /// fails the loads of `failing` partitions.
+    /// fails the loads of `failing` partitions — or, `dies_unpinning`,
+    /// panics at every unpin.
     struct PinCounting {
         inner: Arc<VecSource>,
         failing: Vec<usize>,
+        dies_unpinning: bool,
         begins: AtomicU64,
         ends: AtomicU64,
     }
@@ -1022,9 +953,16 @@ mod tests {
             Arc::new(PinCounting {
                 inner,
                 failing: failing.to_vec(),
+                dies_unpinning: false,
                 begins: AtomicU64::new(0),
                 ends: AtomicU64::new(0),
             })
+        }
+
+        fn dying_on_unpin(inner: Arc<VecSource>) -> Arc<PinCounting> {
+            let mut source = Arc::into_inner(PinCounting::over(inner, &[])).expect("fresh");
+            source.dies_unpinning = true;
+            Arc::new(source)
         }
 
         fn pins(&self) -> (u64, u64) {
@@ -1064,6 +1002,7 @@ mod tests {
         }
         fn sweep_end(&self) {
             self.ends.fetch_add(1, Ordering::SeqCst);
+            assert!(!self.dies_unpinning, "unpin panicked");
         }
     }
 
@@ -1301,14 +1240,11 @@ mod tests {
             }
             assert_same_jobs(&of_cohort(&retired, b), &alone.jobs);
 
-            // A carries a job that panics — in its own chunk, in a
-            // helper's gather, at its iteration's end.
+            // A carries a job that panics — in its own chunk, at its
+            // iteration's end.
             let exec = WallClockExecutor::new(source(2), small_chunks(), None);
             let alone = exec.run_batch_single_thread(mixed_jobs(4));
-            for boom in [Boom::ProcessEdge, Boom::Gather, Boom::EndIteration] {
-                if boom == Boom::Gather && lanes == 1 {
-                    continue; // nobody helps ahead on one lane
-                }
+            for boom in [Boom::ProcessEdge, Boom::EndIteration] {
                 let mut jobs = counting_jobs(2, 2);
                 jobs.push(Saboteur::boxed(boom));
                 let (a, b) = (driver.admit(&exec, jobs), driver.admit(&exec, mixed_jobs(4)));
@@ -1400,80 +1336,27 @@ mod tests {
         stress.join().unwrap();
     }
 
-    /// Panics when dropped. The driver drops a job's lens at its
-    /// iteration's end with its lock held, outside any task's
-    /// `catch_unwind` — the one place a job can kill a worker itself.
-    struct PoisonKernel;
-
-    impl GatherKernel for PoisonKernel {
-        fn gather(&self, edges: &[Edge], out: &mut Vec<f64>) {
-            out.extend(edges.iter().map(|_| 1.0));
-        }
-    }
-
-    impl Drop for PoisonKernel {
-        fn drop(&mut self) {
-            if !std::thread::panicking() {
-                panic!("poisoned kernel dropped");
-            }
-        }
-    }
-
-    /// A counting job that hands out [`PoisonKernel`]s.
-    struct LaneKiller(CountingJob);
-
-    impl LaneKiller {
-        fn boxed(vertices: u32) -> Box<dyn GraphJob> {
-            Box::new(LaneKiller(CountingJob::new(vertices, 2)))
-        }
-    }
-
-    impl GraphJob for LaneKiller {
-        fn name(&self) -> &str {
-            "LaneKiller"
-        }
-        fn state_bytes_per_vertex(&self) -> usize {
-            8
-        }
-        fn skips_inactive(&self) -> bool {
-            false
-        }
-        fn active(&self) -> &AtomicBitmap {
-            self.0.active()
-        }
-        fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
-            self.0.process_edge(e)
-        }
-        fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-            Some(Arc::new(PoisonKernel))
-        }
-        fn end_iteration(&mut self) -> bool {
-            self.0.end_iteration()
-        }
-        fn iterations(&self) -> usize {
-            self.0.iterations()
-        }
-        fn vertex_values(&self) -> Vec<f64> {
-            self.0.vertex_values()
-        }
-    }
-
     /// A worker that dies outside a task takes the driver down loudly:
     /// whoever waits for reports panics, the other workers leave, and the
     /// drop joins — nothing hangs. A batch on a pool resurfaces the panic.
+    /// The worker dies at a source's unpin, which the driver runs when it
+    /// drops a drained cohort: with its lock held, outside any task's
+    /// `catch_unwind`.
     #[test]
     fn a_dying_worker_fails_the_driver_instead_of_hanging_it() {
-        let exec = WallClockExecutor::new(source(2), small_chunks(), None).with_pool(pool(3));
+        let dying = PinCounting::dying_on_unpin(source(2)) as Arc<dyn PartitionSource>;
+        let exec = WallClockExecutor::new(dying, small_chunks(), None).with_pool(pool(3));
+        let intact = WallClockExecutor::new(source(2), small_chunks(), None);
         let driver = CohortDriver::spawn(2);
-        driver.admit(&exec, vec![LaneKiller::boxed(256)]);
-        driver.admit(&exec, counting_jobs(2, 50));
+        driver.admit(&exec, counting_jobs(1, 2));
+        driver.admit(&intact, counting_jobs(2, 50));
         let waited = catch_unwind(AssertUnwindSafe(|| loop {
             assert!(!driver.retired(Duration::from_secs(60)).is_empty(), "stalled");
         }));
         let message = panic_message(waited.unwrap_err().as_ref());
         assert!(message.contains("worker died"), "{message}");
         drop(driver);
-        let batch = catch_unwind(AssertUnwindSafe(|| exec.run_batch(vec![LaneKiller::boxed(256)])));
+        let batch = catch_unwind(AssertUnwindSafe(|| exec.run_batch(counting_jobs(1, 2))));
         assert!(batch.is_err(), "the batch must not return as if it had finished");
     }
 }

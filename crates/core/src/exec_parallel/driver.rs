@@ -1,15 +1,15 @@
 //! The sweep driver: cohorts of jobs under one lock, worked one task at a
 //! time by whichever lanes call [`Driver::work`]. The parent module's
-//! docs describe cohorts, the pick order and help-ahead; this file is
-//! their bookkeeping.
+//! docs describe cohorts and the pick order; this file is their
+//! bookkeeping.
 
 use super::{panic_message, Core, WallClockExecutor, WallJobReport};
 use crate::chunk::Chunk;
 use crate::global_table::GlobalTable;
-use crate::job::{GatherKernel, GraphJob, JobId};
+use crate::job::{GraphJob, JobId};
 use crate::scheduler::loading_order;
 use crate::source::PartitionSource;
-use graphm_graph::{AtomicBitmap, Edge};
+use graphm_graph::Edge;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,41 +19,6 @@ use std::time::{Duration, Instant};
 
 /// Names a cohort of one driver, in admission order.
 pub type CohortId = u64;
-
-/// The iteration-stable half of a job's edge function — what helping
-/// ahead for the job takes. Re-extracted every iteration and dropped
-/// before `end_iteration` mutates the state it shares.
-#[derive(Clone)]
-enum Lens {
-    Kernel(Arc<dyn GatherKernel>),
-    /// A copy of [`GraphJob::active`], stable for the iteration by the
-    /// trait contract.
-    Frontier(Arc<AtomicBitmap>),
-}
-
-impl Lens {
-    /// `job`'s lens for the coming iteration — none where nobody helps
-    /// ahead, or the job has nothing order-insensitive to offer.
-    fn of(job: &dyn GraphJob, helps: bool) -> Option<Lens> {
-        if !helps {
-            None
-        } else if job.skips_inactive() {
-            Some(Lens::Frontier(Arc::new(job.active().clone())))
-        } else {
-            job.gather_kernel().map(Lens::Kernel)
-        }
-    }
-}
-
-/// One chunk ahead of its job's position.
-enum Ahead {
-    /// A helper is computing it.
-    Claimed,
-    /// The chunk's per-edge contributions, in edge order.
-    Gathered(Vec<f64>),
-    /// Chunk-relative indices of the active-source edges, ascending.
-    Filtered(Vec<u32>),
-}
 
 /// One job's seat in its cohort.
 #[derive(Default)]
@@ -71,20 +36,10 @@ struct Slot {
     /// is pulled out of the sweep and retires at its next task.
     error: Option<String>,
     retired: bool,
-    lens: Option<Lens>,
     /// Partitions of the current sweep this job has yet to finish.
     parts_left: usize,
     /// Whether the job is still streaming the loaded partition.
     in_part: bool,
-    /// The chunk the job is queued at, streaming, or set aside at.
-    pos: usize,
-    /// Set aside: a helper holds chunk `pos` and has not parked it yet.
-    /// `pos` stays in the in-flight set meanwhile, so the window holds.
-    waiting: bool,
-    /// Chunks past `pos` that helpers have claimed or parked.
-    ahead: BTreeMap<usize, Ahead>,
-    /// First chunk no helper has claimed (claims only move forward).
-    help_to: usize,
 }
 
 /// A cohort's loaded partition.
@@ -92,9 +47,7 @@ struct Part {
     pid: usize,
     /// The one shared copy of its edges.
     edges: Arc<Vec<Edge>>,
-    /// The jobs it was loaded for.
-    jobs: Vec<JobId>,
-    /// How many of them are still streaming it.
+    /// How many of the jobs it was loaded for are still streaming it.
     pending: usize,
 }
 
@@ -123,7 +76,6 @@ enum Pick {
     Load,
     End,
     Chunk(JobId, usize),
-    Help(JobId, usize),
 }
 
 /// A group of jobs admitted together: the unit that sweeps. Everything
@@ -136,9 +88,6 @@ struct Cohort {
     start: Instant,
     /// `Start()`'s window, at least 2.
     window: usize,
-    /// How many chunks past its job's position a helper may claim; 0 =
-    /// no helping ahead.
-    help_ahead: usize,
     /// Partition → interested-jobs table (§3.3.1), rewritten per job at
     /// its iteration's end.
     global: GlobalTable,
@@ -155,9 +104,8 @@ struct Cohort {
     loading: bool,
     /// `(next chunk, job)` of the jobs streaming `part`, lowest first.
     ready: BTreeSet<(usize, JobId)>,
-    /// The chunk indices being streamed (or held by a set-aside job), at
-    /// most two per worker, in no order: the window is measured from the
-    /// lowest.
+    /// The chunk indices being streamed, at most one per worker, in no
+    /// order: the window is measured from the lowest.
     inflight: Vec<usize>,
     /// Jobs done with this sweep's partitions, awaiting `end_iteration`.
     ends: VecDeque<JobId>,
@@ -165,13 +113,12 @@ struct Cohort {
 
 impl Cohort {
     /// Seats `jobs` and fixes their first sweep's plan.
-    fn new(core: &Arc<Core>, help_ahead: usize, jobs: Vec<Box<dyn GraphJob>>) -> Cohort {
+    fn new(core: &Arc<Core>, jobs: Vec<Box<dyn GraphJob>>) -> Cohort {
         let mut cohort = Cohort {
             core: Arc::clone(core),
             _pin: Pin::take(&core.source),
             start: Instant::now(),
             window: core.cfg.window.max(2),
-            help_ahead,
             global: GlobalTable::new(core.source.num_partitions()),
             slots: Vec::with_capacity(jobs.len()),
             plan: VecDeque::new(),
@@ -187,7 +134,6 @@ impl Cohort {
             cohort.global.set_active_partitions(id, &core.active_pids(job.as_ref()));
             cohort.slots.push(Slot {
                 name: job.name().to_string(),
-                lens: Lens::of(job.as_ref(), help_ahead > 0),
                 job: Some(job),
                 ..Slot::default()
             });
@@ -211,23 +157,6 @@ impl Cohort {
         // later, so only the chunks in flight can be further behind.
         let in_window = self.inflight.iter().min().is_none_or(|&min| chunk < min + self.window);
         in_window.then_some(Pick::Chunk(id, chunk))
-    }
-
-    /// Help-ahead for the job furthest behind on the loaded partition:
-    /// its next unclaimed chunk, at most `lead` past its position.
-    fn help(&self, lead: usize) -> Option<Pick> {
-        let part = self.part.as_ref().filter(|_| lead > 0)?;
-        let chunks = self.core.gm.tables[part.pid].chunks.len();
-        part.jobs
-            .iter()
-            .filter_map(|&id| {
-                let slot = &self.slots[id];
-                let chunk = slot.help_to.max(slot.pos + 1);
-                let open = slot.in_part && slot.error.is_none() && slot.lens.is_some();
-                (open && chunk < chunks && chunk - slot.pos <= lead).then_some((chunk, id))
-            })
-            .min()
-            .map(|(chunk, id)| Pick::Help(id, chunk))
     }
 
     fn inflight_remove(&mut self, chunk: usize) {
@@ -269,20 +198,13 @@ impl Cohort {
         self.unended = self.live;
     }
 
-    /// Queues job `id` at `chunk` of the loaded partition — or sets it
-    /// aside while a helper still holds that chunk — or, past the last
-    /// chunk, takes it off the partition (`Barrier()`), and off the sweep
-    /// after its last partition.
+    /// Queues job `id` at `chunk` of the loaded partition — or, past the
+    /// last chunk, takes it off the partition (`Barrier()`), and off the
+    /// sweep after its last partition.
     fn queue(&mut self, id: JobId, chunk: usize) {
         let pid = self.part.as_ref().expect("a streaming job implies a loaded partition").pid;
         if chunk < self.core.gm.tables[pid].chunks.len() {
-            self.slots[id].pos = chunk;
-            if matches!(self.slots[id].ahead.get(&chunk), Some(Ahead::Claimed)) {
-                self.slots[id].waiting = true;
-                self.inflight.push(chunk);
-            } else {
-                self.ready.insert((chunk, id));
-            }
+            self.ready.insert((chunk, id));
             return;
         }
         self.leave_part(id);
@@ -292,30 +214,16 @@ impl Cohort {
         }
     }
 
-    /// Records job `id`'s failure and drops it from the sweep's plan. A
-    /// job that is home is pulled at once; one away on a worker is pulled
-    /// when that worker brings it back.
+    /// Records the failure of job `id` — home from the task that failed
+    /// it, so queued nowhere — drops it from the sweep's plan and the
+    /// loaded partition, and queues its retirement.
     fn fail(&mut self, id: JobId, msg: String) {
         self.slots[id].error.get_or_insert(msg);
         for (_, jobs) in self.plan.iter_mut() {
             jobs.retain(|&job| job != id);
         }
         self.plan.retain(|(_, jobs)| !jobs.is_empty());
-        if self.slots[id].job.is_some() {
-            self.pull(id);
-        }
-    }
-
-    /// Takes the (failed, home) job `id` off the loaded partition,
-    /// wherever it stood, and queues its retirement.
-    fn pull(&mut self, id: JobId) {
         if self.slots[id].in_part {
-            let pos = self.slots[id].pos;
-            self.ready.remove(&(pos, id));
-            if std::mem::take(&mut self.slots[id].waiting) {
-                self.inflight_remove(pos);
-            }
-            self.slots[id].ahead.clear();
             self.leave_part(id);
         }
         self.ends.push_back(id);
@@ -390,20 +298,11 @@ impl Driver {
         }
     }
 
-    /// Whether cohorts over `core` help ahead on this driver: there must
-    /// be a lane to spare.
-    pub(super) fn helps(&self, core: &Core) -> bool {
-        core.cfg.chunk_fanout && self.lanes > 1
-    }
-
     /// Starts `jobs` as a new cohort, beside whatever is running.
     pub(super) fn admit(&self, core: &Arc<Core>, jobs: Vec<Box<dyn GraphJob>>) -> CohortId {
-        // Two chunks of lead per worker keeps every helper busy while
-        // the parked outputs still fit the cache the apply reads from.
-        let help_ahead = if self.helps(core) { 2 * self.lanes } else { 0 };
         // `Init()`-sized work (every job's active partitions): not under
         // the lock the lanes hand out chunks through.
-        let cohort = Cohort::new(core, help_ahead, jobs);
+        let cohort = Cohort::new(core, jobs);
         let mut st = self.state.lock();
         assert!(!st.closed, "admission to a closed driver");
         let id = st.next_id;
@@ -474,13 +373,12 @@ impl Driver {
     /// Runs the best task any cohort has; `Err` hands the lock back when
     /// none has one.
     fn turn<'s>(&'s self, mut st: Locked<'s>) -> Result<Locked<'s>, Locked<'s>> {
-        let Some((cohort, pick)) = self.pick(&st, 1) else { return Err(st) };
+        let Some((cohort, pick)) = self.pick(&st) else { return Err(st) };
         st.cursor = cohort + 1;
         Ok(match pick {
             Pick::Load => self.load(st, cohort),
             Pick::End => self.end(st, cohort),
             Pick::Chunk(id, chunk) => self.chunk(st, cohort, id, chunk),
-            Pick::Help(id, chunk) => self.help(st, cohort, id, chunk),
         })
     }
 
@@ -497,27 +395,23 @@ impl Driver {
         }
     }
 
-    /// The best task for a worker: the first cohort in rotation with a
-    /// load / end / chunk task; failing that, the first with a chunk to
-    /// help ahead on, using one `share`-th of its lead.
-    fn pick(&self, st: &State, share: usize) -> Option<(CohortId, Pick)> {
-        let rotation = || st.cohorts.range(st.cursor..).chain(st.cohorts.range(..st.cursor));
-        rotation().find_map(|(&id, cohort)| Some((id, cohort.task()?))).or_else(|| {
-            rotation().find_map(|(&id, cohort)| Some((id, cohort.help(cohort.help_ahead / share)?)))
-        })
+    /// The best task for a worker: that of the first cohort in rotation
+    /// with a load / end / chunk task.
+    fn pick(&self, st: &State) -> Option<(CohortId, Pick)> {
+        let mut rotation = st.cohorts.range(st.cursor..).chain(st.cohorts.range(..st.cursor));
+        rotation.find_map(|(&id, cohort)| Some((id, cohort.task()?)))
     }
 
     /// Runs `task` with the driver unlocked — waking a sleeper first when
     /// there is another task to give — and returns the lock retaken, the
     /// task's output (or the message of the panic it ended in) and the
-    /// wall time it took. A sleeper is woken to help only once the
-    /// helpers' lead is half used up, not for every chunk the job moves.
+    /// wall time it took.
     fn unlocked<'s, T>(
         &'s self,
         st: Locked<'s>,
         task: impl FnOnce() -> T,
     ) -> (Locked<'s>, Result<T, String>, Duration) {
-        if st.sleepers > 0 && self.pick(&st, 2).is_some() {
+        if st.sleepers > 0 && self.pick(&st).is_some() {
             self.wake.notify_one();
         }
         drop(st);
@@ -553,10 +447,9 @@ impl Driver {
         match loaded.and_then(|loaded| loaded) {
             Ok(edges) => {
                 debug_assert!(!&co.core.gm.tables[pid].chunks.is_empty(), "active implies chunks");
-                co.part = Some(Part { pid, edges, pending: jobs.len(), jobs: jobs.clone() });
+                co.part = Some(Part { pid, edges, pending: jobs.len() });
                 for id in jobs {
                     co.slots[id].in_part = true;
-                    co.slots[id].help_to = 0;
                     co.queue(id, 0);
                 }
             }
@@ -583,92 +476,18 @@ impl Driver {
         let part = co.part.as_ref().expect("a queued chunk implies a loaded partition");
         let (pid, edges) = (part.pid, Arc::clone(&part.edges));
         let core = Arc::clone(&co.core);
-        let slot = &mut co.slots[id];
-        let mut job = slot.job.take().expect("a queued job is home");
-        let parked = slot.ahead.remove(&chunk);
-        let (mut st, streamed, took) = self.unlocked(st, || {
-            stream(job.as_mut(), &core.gm.tables[pid].chunks[chunk], &edges, parked)
-        });
+        let mut job = co.slots[id].job.take().expect("a queued job is home");
+        let (mut st, streamed, took) =
+            self.unlocked(st, || stream(job.as_mut(), &core.gm.tables[pid].chunks[chunk], &edges));
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         co.inflight_remove(chunk);
         let slot = &mut co.slots[id];
         slot.job = Some(job);
         slot.busy += took;
-        // A helper of this job may have failed it while it was away.
-        let failed = slot.error.is_some();
         match streamed {
             Ok(streamed) => {
                 slot.edges_processed += streamed;
-                if failed {
-                    co.pull(id);
-                } else {
-                    co.queue(id, chunk + 1);
-                }
-            }
-            Err(msg) => co.fail(id, msg),
-        }
-        st
-    }
-
-    /// Help-ahead: runs job `id`'s lens over `chunk` and parks the output
-    /// for the job's in-order apply.
-    fn help<'s>(
-        &'s self,
-        mut st: Locked<'s>,
-        cohort: CohortId,
-        id: JobId,
-        chunk: usize,
-    ) -> Locked<'s> {
-        let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
-        let part = co.part.as_ref().expect("helping implies a loaded partition");
-        let (pid, edges) = (part.pid, Arc::clone(&part.edges));
-        let core = Arc::clone(&co.core);
-        let slot = &mut co.slots[id];
-        slot.ahead.insert(chunk, Ahead::Claimed);
-        slot.help_to = chunk + 1;
-        let lens = slot.lens.clone().expect("picked for its lens");
-        // `move`: the helper's clone of the lens must be gone before the
-        // outcome is booked — the job may end its iteration right after.
-        let (mut st, parked, took) = self.unlocked(st, move || {
-            let chunk = &core.gm.tables[pid].chunks[chunk];
-            let edges = &edges[chunk.edges.clone()];
-            match lens {
-                Lens::Kernel(kernel) => {
-                    let mut gathered = Vec::with_capacity(edges.len());
-                    kernel.gather(edges, &mut gathered);
-                    Ahead::Gathered(gathered)
-                }
-                Lens::Frontier(frontier) => {
-                    assert!(edges.len() <= u32::MAX as usize, "chunks are cache-sized");
-                    let mut active = Vec::new();
-                    // Same chunk-level skip the serial loop performs.
-                    if chunk.any_active(&frontier) {
-                        for (i, e) in edges.iter().enumerate() {
-                            if frontier.get(e.src as usize) {
-                                active.push(i as u32);
-                            }
-                        }
-                    }
-                    Ahead::Filtered(active)
-                }
-            }
-        });
-        // A job pulled meanwhile (it failed elsewhere) holds no claims,
-        // and its whole cohort may have drained behind it.
-        let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
-        let slot = &mut co.slots[id];
-        slot.busy += took;
-        if !matches!(slot.ahead.get(&chunk), Some(Ahead::Claimed)) {
-            return st;
-        }
-        match parked {
-            Ok(parked) => {
-                slot.ahead.insert(chunk, parked);
-                if slot.waiting && slot.pos == chunk {
-                    slot.waiting = false;
-                    co.inflight_remove(chunk);
-                    co.ready.insert((chunk, id));
-                }
+                co.queue(id, chunk + 1);
             }
             Err(msg) => co.fail(id, msg),
         }
@@ -684,10 +503,9 @@ impl Driver {
     fn end<'s>(&'s self, mut st: Locked<'s>, cohort: CohortId) -> Locked<'s> {
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let id = co.ends.pop_front().expect("picked with a job to end");
-        let (core, start, helps) = (Arc::clone(&co.core), co.start, co.help_ahead > 0);
+        let (core, start) = (Arc::clone(&co.core), co.start);
         let slot = &mut co.slots[id];
         let mut job = slot.job.take().expect("a job between sweeps is home");
-        slot.lens = None;
         slot.iters += 1;
         let (iters, failed) = (slot.iters, slot.error.is_some());
         let (mut st, ended, took) = self.unlocked(st, move || {
@@ -696,16 +514,15 @@ impl Driver {
             if pids.is_empty() {
                 Err(report(id, job.name(), job.iterations(), job.vertex_values(), start))
             } else {
-                Ok((Lens::of(job.as_ref(), helps), pids, job))
+                Ok((pids, job))
             }
         });
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let slot = &mut co.slots[id];
         slot.busy += took;
         let retired = match ended {
-            Ok(Ok((lens, pids, job))) => {
+            Ok(Ok((pids, job))) => {
                 slot.job = Some(job);
-                slot.lens = lens;
                 co.global.set_active_partitions(id, &pids);
                 None
             }
@@ -770,29 +587,14 @@ fn report(
     }
 }
 
-/// Streams one chunk of `edges` (its partition) through `job`: applies
-/// what a helper parked for it, or runs the serial loop.
-fn stream(job: &mut dyn GraphJob, chunk: &Chunk, edges: &[Edge], parked: Option<Ahead>) -> u64 {
-    let edges = &edges[chunk.edges.clone()];
-    match parked {
-        Some(Ahead::Gathered(gathered)) => {
-            debug_assert_eq!(gathered.len(), edges.len(), "kernel must gather every edge");
-            job.apply_gathered_chunk(edges, &gathered)
-        }
-        Some(Ahead::Filtered(active)) => {
-            for &i in &active {
-                job.process_edge(&edges[i as usize]);
-            }
-            active.len() as u64
-        }
-        Some(Ahead::Claimed) => unreachable!("a job is set aside while a helper holds its chunk"),
-        None => {
-            if job.skips_inactive() && !chunk.any_active(job.active()) {
-                return 0;
-            }
-            job.process_chunk(edges)
-        }
+/// Streams one chunk of `edges` (its partition) through `job` in one
+/// [`GraphJob::process_chunk`] call — none when the job skips inactive
+/// sources and the chunk has no active one.
+fn stream(job: &mut dyn GraphJob, chunk: &Chunk, edges: &[Edge]) -> u64 {
+    if job.skips_inactive() && !chunk.any_active(job.active()) {
+        return 0;
     }
+    job.process_chunk(&edges[chunk.edges.clone()])
 }
 
 /// A long-lived sweep driver with worker threads of its own: cohorts are

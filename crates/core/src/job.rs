@@ -11,38 +11,6 @@
 //! it — which is what lets N jobs run against one copy.
 
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
-use std::sync::Arc;
-
-/// A thread-safe, iteration-stable slice of a job's edge function: the
-/// *gather* half of a chunk loop that factors into
-///
-/// ```text
-/// process_chunk(edges)  ==  apply_gathered_chunk(edges, gather(edges))
-/// ```
-///
-/// where `gather` reads only state that is **constant for the whole
-/// iteration** (previous-iteration values, degrees, weights) and
-/// `apply_gathered_chunk` performs the order-sensitive state mutation.
-/// Jobs with this factorization (PageRank-family push updates are the
-/// canonical case: `next[dst] += contrib[src]` gathers the source's
-/// contribution and applies the add) let the wall-clock executor fan a
-/// partition's chunks across worker threads: workers run `gather` over
-/// whole chunks concurrently while the job's own thread replays
-/// `apply_gathered_chunk` strictly in edge order — so the floating-point
-/// additions happen in exactly the sequential order and the results stay
-/// bit-identical to the serial path.
-///
-/// The kernel is re-extracted every iteration (it typically holds `Arc`
-/// clones of the iteration's read-only arrays) and dropped before
-/// `end_iteration` runs, so jobs may hand out shared references to state
-/// they mutate only between iterations.
-pub trait GatherKernel: Send + Sync {
-    /// Computes the per-edge gathered contribution for every edge of
-    /// `edges`, in order, appending exactly `edges.len()` values to
-    /// `out`. Must be a pure function of the kernel's captured
-    /// (iteration-stable) state.
-    fn gather(&self, edges: &[Edge], out: &mut Vec<f64>);
-}
 
 /// Job identifier, assigned by the runtime in submission order. Submission
 /// order matters for snapshot visibility (§3.3.2).
@@ -90,9 +58,7 @@ pub trait GraphJob: Send {
     /// Current-iteration active vertices. Must stay **stable for the
     /// whole iteration** (jobs mark next-iteration activity in a separate
     /// frontier and swap in `end_iteration`): engines precompute
-    /// partition/chunk activity from this bitmap mid-sweep, and the
-    /// wall-clock executor's parallel active-filter reads it from worker
-    /// threads.
+    /// partition/chunk activity from this bitmap mid-sweep.
     fn active(&self) -> &AtomicBitmap;
 
     /// Processes one streamed edge (the source is guaranteed active when
@@ -133,28 +99,6 @@ pub trait GraphJob: Send {
         processed
     }
 
-    /// Extracts a [`GatherKernel`] when this job's `process_edge` factors
-    /// into a pure gather plus an order-sensitive apply (see the trait
-    /// docs). Called at the start of every iteration; the runtime drops
-    /// the kernel before calling [`GraphJob::end_iteration`]. `None`
-    /// (the default) keeps the job on the serial chunk loop.
-    fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-        None
-    }
-
-    /// Applies a chunk whose per-edge contributions this job's
-    /// [`GatherKernel`] precomputed, in edge order, and returns the
-    /// number of edges processed. Must mutate state exactly as
-    /// [`GraphJob::process_chunk`] would for the same edges — the
-    /// executor replays applies in the serial chunk order, and
-    /// bit-identical results rest on this equivalence. The default
-    /// ignores the gathered values and streams the chunk (correct for
-    /// any job, and all a job whose apply cannot reuse the gather needs).
-    fn apply_gathered_chunk(&mut self, edges: &[Edge], gathered: &[f64]) -> u64 {
-        debug_assert_eq!(edges.len(), gathered.len());
-        self.process_chunk(edges)
-    }
-
     /// Ends the iteration: swap frontiers, test convergence. Returns `true`
     /// when the job has converged (it will be retired by the runtime).
     fn end_iteration(&mut self) -> bool;
@@ -187,24 +131,9 @@ impl CountingJob {
     }
 }
 
-/// The (trivial) gather kernel of [`CountingJob`]: every edge contributes
-/// one. Exists so core tests exercise the executor's parallel gather path
-/// without pulling in a real algorithm.
-struct CountingKernel;
-
-impl GatherKernel for CountingKernel {
-    fn gather(&self, edges: &[Edge], out: &mut Vec<f64>) {
-        out.extend(std::iter::repeat_n(1.0, edges.len()));
-    }
-}
-
 impl GraphJob for CountingJob {
     fn name(&self) -> &str {
         "Counting"
-    }
-
-    fn gather_kernel(&self) -> Option<Arc<dyn GatherKernel>> {
-        Some(Arc::new(CountingKernel))
     }
 
     fn state_bytes_per_vertex(&self) -> usize {

@@ -22,8 +22,8 @@
 //! * [`service`] — the Shared scheme's cost-model walk over jobs that
 //!   arrive over virtual time (what `run_scheme(Scheme::Shared)` runs);
 //! * [`exec_parallel`] — the wall-clock path: `Sharing()` on real cores
-//!   (Algorithm 2, §3.3.1) as one sweep driver whose workers stream
-//!   chunks of one shared load through the jobs that need it — several
+//!   (Algorithm 2, §3.3.1) as one sweep driver whose lanes each stream
+//!   a chunk of one shared load through the job they hold — several
 //!   admission groups (*cohorts*) at once, each job leaving when it
 //!   converges — with optional partition readahead (what the
 //!   `graphm-server` daemon drives).
@@ -48,7 +48,7 @@ pub use exec_parallel::{
 };
 pub use global_table::GlobalTable;
 pub use graphm::{GraphM, GraphMConfig};
-pub use job::{EdgeOutcome, GatherKernel, GraphJob, JobId};
+pub use job::{EdgeOutcome, GraphJob, JobId};
 pub use profile::{ProfileSample, Profiler};
 pub use runner::{run_scheme, JobReport, RunReport, RunnerConfig, Scheme, Submission};
 pub use scheduler::{loading_order, priority, SchedulingPolicy};

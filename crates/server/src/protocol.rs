@@ -662,7 +662,10 @@ pub fn ops_from_json(v: &Value) -> Result<Vec<DeltaRecord>, String> {
                 .ok_or_else(|| format!("ops[{i}] needs a non-negative \"{k}\""))?;
             u32::try_from(raw).map_err(|_| format!("ops[{i}].{k} {raw} exceeds u32"))
         };
-        let kind = op.get("op").and_then(Value::as_str).unwrap_or("insert");
+        let kind = match op.get("op") {
+            None => "insert",
+            Some(kind) => kind.as_str().ok_or_else(|| format!("ops[{i}].op must be a string"))?,
+        };
         let (src, dst) = (vertex("src")?, vertex("dst")?);
         out.push(match kind {
             "insert" => {
@@ -749,7 +752,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .get("from_generation")
                 .and_then(Value::as_u64)
                 .ok_or("repl_frames needs a \"from_generation\"")?;
-            let max = v.get("max").and_then(Value::as_u64).unwrap_or(16).clamp(1, 1024);
+            let max = match v.get("max") {
+                None => 16,
+                Some(max) => max.as_u64().ok_or("max must be a non-negative integer")?,
+            };
+            let max = max.clamp(1, 1024);
             Ok(Request::ReplFrames { from_generation: from, max })
         }
         "repl_status" => Ok(Request::ReplStatus),
@@ -1119,6 +1126,7 @@ mod tests {
             r#"{"cmd":"auth","token":7}"#,
             r#"{"cmd":"repl_subscribe"}"#,
             r#"{"cmd":"repl_frames"}"#,
+            r#"{"cmd":"repl_frames","from_generation":0,"max":"all"}"#,
         ] {
             assert!(parse_request(line).is_err(), "accepted {line}");
         }
@@ -1163,6 +1171,7 @@ mod tests {
             r#"{"cmd":"ingest","ops":[{"src":4294967296,"dst":2}]}"#,
             r#"{"cmd":"ingest","ops":[{"src":1}]}"#,
             r#"{"cmd":"ingest","ops":[{"src":1,"dst":2,"weight":"heavy"}]}"#,
+            r#"{"cmd":"ingest","ops":[{"op":1,"src":3,"dst":4}]}"#,
         ] {
             assert!(parse_request(line).is_err(), "accepted {line}");
         }

@@ -764,79 +764,46 @@ mod tests {
         std::fs::remove_dir_all(&shared.config.store_dir).ok();
     }
 
-    /// Panics when dropped. The sweep driver drops a job's gather kernel
-    /// at its iteration's end with the driver locked, outside any task's
-    /// `catch_unwind`: the one way a job can kill a lane itself.
-    struct PoisonKernel;
+    /// The daemon's store, whose unpin panics. The sweep driver unpins
+    /// when it drops a drained cohort, with the driver locked, outside any
+    /// task's `catch_unwind`: a lane that drains a cohort over it dies.
+    struct DiesUnpinning(Arc<DiskGridSource>);
 
-    impl graphm_core::GatherKernel for PoisonKernel {
-        fn gather(&self, edges: &[graphm_graph::Edge], out: &mut Vec<f64>) {
-            out.extend(edges.iter().map(|_| 1.0));
+    impl PartitionSource for DiesUnpinning {
+        fn num_partitions(&self) -> usize {
+            self.0.num_partitions()
+        }
+        fn num_vertices(&self) -> u32 {
+            self.0.num_vertices()
+        }
+        fn load(&self, pid: usize) -> Arc<Vec<graphm_graph::Edge>> {
+            self.0.load(pid)
+        }
+        fn partition_bytes(&self, pid: usize) -> usize {
+            self.0.partition_bytes(pid)
+        }
+        fn graph_bytes(&self) -> usize {
+            self.0.graph_bytes()
+        }
+        fn partition_active(&self, pid: usize, active: &graphm_graph::AtomicBitmap) -> bool {
+            self.0.partition_active(pid, active)
+        }
+        fn sweep_begin(&self) {
+            self.0.sweep_begin()
+        }
+        fn sweep_end(&self) {
+            self.0.sweep_end();
+            panic!("unpin panicked");
         }
     }
 
-    impl Drop for PoisonKernel {
-        fn drop(&mut self) {
-            if !std::thread::panicking() {
-                panic!("poisoned kernel dropped");
-            }
-        }
-    }
-
-    /// A counting job that hands out [`PoisonKernel`]s.
-    struct LaneKiller(graphm_core::job::CountingJob);
-
-    impl GraphJob for LaneKiller {
-        fn name(&self) -> &str {
-            "LaneKiller"
-        }
-        fn state_bytes_per_vertex(&self) -> usize {
-            8
-        }
-        fn skips_inactive(&self) -> bool {
-            false
-        }
-        fn active(&self) -> &graphm_graph::AtomicBitmap {
-            self.0.active()
-        }
-        fn process_edge(&mut self, e: &graphm_graph::Edge) -> graphm_core::EdgeOutcome {
-            self.0.process_edge(e)
-        }
-        fn gather_kernel(&self) -> Option<Arc<dyn graphm_core::GatherKernel>> {
-            Some(Arc::new(PoisonKernel))
-        }
-        fn end_iteration(&mut self) -> bool {
-            self.0.end_iteration()
-        }
-        fn iterations(&self) -> usize {
-            self.0.iterations()
-        }
-        fn vertex_values(&self) -> Vec<f64> {
-            self.0.vertex_values()
-        }
-    }
-
-    /// A batcher whose every admitted job is swapped for a [`LaneKiller`].
-    struct Sabotaged(Batcher);
-
-    impl Engine for Sabotaged {
-        fn chunk_bytes(&self) -> usize {
-            self.0.chunk_bytes()
-        }
-        fn rebuild(&mut self) {
-            self.0.rebuild()
-        }
-        fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
-            let killer = || Box::new(LaneKiller(graphm_core::job::CountingJob::new(64, 2)));
-            let admitted = admitted.into_iter().map(|(id, _)| (id, killer() as Box<dyn GraphJob>));
-            self.0.advance(admitted.collect())
-        }
-        fn in_flight(&self) -> bool {
-            self.0.in_flight()
-        }
-        fn partition_loads(&self) -> u64 {
-            self.0.partition_loads()
-        }
+    /// A batcher whose executor reads the store through [`DiesUnpinning`].
+    fn sabotaged(shared: &Arc<Shared>) -> Batcher {
+        let cfg = WallClockConfig::new(shared.config.profile);
+        let mut batcher = Batcher::new(shared, cfg.clone(), CohortDriver::spawn(2));
+        let source = Arc::new(DiesUnpinning(Arc::clone(&shared.store)));
+        batcher.exec = WallClockExecutor::new(source, cfg, None);
+        batcher
     }
 
     /// A lane that dies outside a task's `catch_unwind` cannot be
@@ -848,12 +815,7 @@ mod tests {
     fn a_dead_lane_takes_the_runtime_down_through_its_published_exit() {
         let shared = fixture("lane", |c| c.batch_window = Duration::from_millis(1));
         let id = enqueue(&shared, Priority::Batch);
-        run_engine(&shared, || {
-            let cfg = WallClockConfig::new(shared.config.profile);
-            // Two lanes whatever `RAYON_NUM_THREADS` says: a lone lane
-            // never helps ahead, so it never holds a kernel to drop.
-            Sabotaged(Batcher::new(&shared, cfg, CohortDriver::spawn(2)))
-        });
+        run_engine(&shared, || sabotaged(&shared));
         assert!(shared.is_shutting_down());
         assert!(shared.runtime_exited.load(Ordering::SeqCst));
         assert!(matches!(shared.jobs.lock().entries.get(&id), Some(JobEntry::Running)));

@@ -13,6 +13,11 @@
 //! And the locks have one vocabulary: every `Mutex`, `MutexGuard`,
 //! `Condvar` and `RwLock` in non-test code comes from `vendor/parking_lot`,
 //! which owns the one poison policy, so no call site states its own.
+//!
+//! And a chunk has one path through a job: the sweep driver streams it in
+//! one `GraphJob::process_chunk` call on the lane that holds the job. The
+//! gather/apply split that let idle lanes help ahead is gone, and non-test
+//! code may not name it again.
 
 use std::path::{Path, PathBuf};
 
@@ -35,6 +40,10 @@ const ONE_LAYOUT: [(&str, &[&str]); 2] = [
 
 /// The lock types non-test code takes from `parking_lot`, never `std::sync`.
 const STD_LOCKS: [&str; 4] = ["Mutex", "MutexGuard", "Condvar", "RwLock"];
+
+/// The help-ahead split's names, none of which non-test code may use.
+const HELP_AHEAD: [&str; 4] =
+    ["GatherKernel", "gather_kernel", "apply_gathered_chunk", "chunk_fanout"];
 
 /// Calls that return a lock result (or a guard from one).
 const LOCK_CALLS: [&str; 5] = [".lock()", ".read()", ".write()", ".wait(", ".wait_timeout("];
@@ -162,6 +171,28 @@ fn locks_come_from_the_shim() {
         if path.starts_with(crates.join("server/src")) {
             assert!(!named_after(&code, "fn ").contains(&"lock"), "{file} defines `lock` again");
             assert!(!named_after(&code, "state::").contains(&"lock"), "{file} takes `state::lock`");
+        }
+    }
+}
+
+#[test]
+fn the_chunk_loop_has_one_path() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&crates).unwrap() {
+        let src = entry.unwrap().path().join("src");
+        if src.is_dir() {
+            sources(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 80, "the scan found the crates");
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for (n, line) in code.lines().enumerate() {
+            for name in HELP_AHEAD {
+                assert!(!line.contains(name), "{}:{} names `{name}`", path.display(), n + 1);
+            }
         }
     }
 }
