@@ -7,7 +7,7 @@
 //! large number of vertices will be activated" (§4) — the workload the
 //! scheduling strategy exists for.
 
-use graphm_core::{EdgeOutcome, GraphJob};
+use graphm_core::GraphJob;
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// Level value for unreached vertices.
@@ -63,14 +63,12 @@ impl GraphJob for Bfs {
         &self.active
     }
 
-    fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, e: &Edge) {
         if self.levels[e.dst as usize] == UNREACHED {
             self.levels[e.dst as usize] = self.levels[e.src as usize] + 1;
             self.next_active.set(e.dst as usize);
             self.discovered = true;
-            return EdgeOutcome { activated_dst: true };
         }
-        EdgeOutcome { activated_dst: false }
     }
 
     fn end_iteration(&mut self) -> bool {

@@ -9,7 +9,7 @@
 //! frontiers while traversing the same structure, which makes it a good
 //! generator of partially-overlapping access patterns for sharing studies.
 
-use graphm_core::{EdgeOutcome, GraphJob};
+use graphm_core::GraphJob;
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// Deterministic 64-bit mix (splitmix64 finalizer).
@@ -80,15 +80,13 @@ impl GraphJob for LabelPropagation {
         &self.active
     }
 
-    fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, e: &Edge) {
         let ls = self.labels[e.src as usize];
         if ls < self.labels[e.dst as usize] {
             self.labels[e.dst as usize] = ls;
             self.changed = true;
             self.next_active.set(e.dst as usize);
-            return EdgeOutcome { activated_dst: true };
         }
-        EdgeOutcome { activated_dst: false }
     }
 
     fn end_iteration(&mut self) -> bool {

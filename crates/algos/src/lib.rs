@@ -15,10 +15,16 @@
 //! | [`PersonalizedPageRank`] | dense, seed-specific state | 1.0 |
 //! | [`LabelPropagation`] | salted frontiers | 0.9 |
 //!
+//! [`RankBundle`] (2 or 4 PageRank or PPR jobs) and [`WccGroup`] (every
+//! WCC job of a cohort) serve several same-kind jobs of one cohort with
+//! one read of each edge; each member's results are bit for bit its
+//! one-member job's.
+//!
 //! [`mod@reference`] holds the sequential oracles the integration tests
 //! compare every scheme against.
 
 pub mod bfs;
+pub mod bundle;
 pub mod labelprop;
 pub mod pagerank;
 pub mod ppr;
@@ -27,8 +33,9 @@ pub mod sssp;
 pub mod wcc;
 
 pub use bfs::{Bfs, UNREACHED};
+pub use bundle::RankBundle;
 pub use labelprop::LabelPropagation;
 pub use pagerank::PageRank;
 pub use ppr::PersonalizedPageRank;
 pub use sssp::{Sssp, UNREACHABLE};
-pub use wcc::Wcc;
+pub use wcc::{Wcc, WccGroup};

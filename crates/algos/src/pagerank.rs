@@ -10,7 +10,7 @@
 //! damping rule, tests the L1 delta against a tolerance, and computes the
 //! next iteration's per-vertex quotients once (see `Push`).
 
-use graphm_core::{EdgeOutcome, GraphJob};
+use graphm_core::GraphJob;
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
 
@@ -45,9 +45,12 @@ pub(crate) struct Push {
     next: Vec<f64>,
 }
 
+/// PageRank's default convergence tolerance on the L1 rank delta.
+pub(crate) const PAGERANK_TOLERANCE: f64 = 1e-7;
+
 /// A source's share of its rank: `rank / deg`, or `0.0` without out-edges.
 #[inline]
-fn contribution(rank: f64, deg: u32) -> f64 {
+pub(crate) fn contribution(rank: f64, deg: u32) -> f64 {
     if deg > 0 {
         rank / deg as f64
     } else {
@@ -126,7 +129,7 @@ impl PageRank {
         PageRank {
             damping,
             max_iters,
-            tolerance: 1e-7,
+            tolerance: PAGERANK_TOLERANCE,
             push: Push::new(out_degrees, vec![init; n]),
             active,
             iters: 0,
@@ -171,9 +174,8 @@ impl GraphJob for PageRank {
         &self.active
     }
 
-    fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, e: &Edge) {
         self.push.process_edge(e);
-        EdgeOutcome { activated_dst: true }
     }
 
     fn process_chunk(&mut self, edges: &[Edge]) -> u64 {

@@ -8,9 +8,12 @@
 //! sharing opportunity GraphM exploits.
 
 use crate::pagerank::Push;
-use graphm_core::{EdgeOutcome, GraphJob};
+use graphm_core::GraphJob;
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
+
+/// PPR's convergence tolerance on the L1 rank delta.
+pub(crate) const PPR_TOLERANCE: f64 = 1e-9;
 
 /// Personalized PageRank job state.
 pub struct PersonalizedPageRank {
@@ -44,7 +47,7 @@ impl PersonalizedPageRank {
             seed,
             damping,
             max_iters,
-            tolerance: 1e-9,
+            tolerance: PPR_TOLERANCE,
             push: Push::new(out_degrees, ranks),
             active,
             iters: 0,
@@ -83,9 +86,8 @@ impl GraphJob for PersonalizedPageRank {
         &self.active
     }
 
-    fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, e: &Edge) {
         self.push.process_edge(e);
-        EdgeOutcome { activated_dst: true }
     }
 
     fn process_chunk(&mut self, edges: &[Edge]) -> u64 {

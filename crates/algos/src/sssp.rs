@@ -6,7 +6,7 @@
 //! graph data" each iteration (§3.4.1) — it exercises GraphM's inactive
 //! chunk skipping and the §4 scheduler.
 
-use graphm_core::{EdgeOutcome, GraphJob};
+use graphm_core::GraphJob;
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// Distance for unreached vertices.
@@ -62,16 +62,14 @@ impl GraphJob for Sssp {
         &self.active
     }
 
-    fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, e: &Edge) {
         debug_assert!(e.weight >= 0.0, "SSSP requires non-negative weights");
         let cand = self.dist[e.src as usize] + e.weight;
         if cand < self.dist[e.dst as usize] {
             self.dist[e.dst as usize] = cand;
             self.next_active.set(e.dst as usize);
             self.relaxed = true;
-            return EdgeOutcome { activated_dst: true };
         }
-        EdgeOutcome { activated_dst: false }
     }
 
     fn end_iteration(&mut self) -> bool {

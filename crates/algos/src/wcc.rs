@@ -11,7 +11,7 @@
 //! between one and the maximum number of iterations for each WCC job" —
 //! [`Wcc::with_max_iters`] models those truncated submissions.
 
-use graphm_core::{EdgeOutcome, GraphJob};
+use graphm_core::{GraphJob, Retired};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// WCC job state.
@@ -69,15 +69,13 @@ impl GraphJob for Wcc {
         &self.active
     }
 
-    fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, e: &Edge) {
         let ls = self.labels[e.src as usize];
         if ls < self.labels[e.dst as usize] {
             self.labels[e.dst as usize] = ls;
             self.changed = true;
             self.next_active.set(e.dst as usize);
-            return EdgeOutcome { activated_dst: true };
         }
-        EdgeOutcome { activated_dst: false }
     }
 
     fn end_iteration(&mut self) -> bool {
@@ -95,6 +93,103 @@ impl GraphJob for Wcc {
 
     fn vertex_values(&self) -> Vec<f64> {
         self.labels.iter().map(|&l| l as f64).collect()
+    }
+}
+
+/// Every WCC member of a cohort on one [`Wcc`] state.
+///
+/// A WCC job's only parameter is its cap, and the members of one cohort
+/// stream the same partitions in the same order, so their trajectories
+/// are identical up to each one's cap: the group runs one state to
+/// fixpoint and retires each member at its cap or at convergence, with
+/// the labels, iterations and edges processed its one-member job would
+/// have. Members are numbered in the order their caps were given.
+pub struct WccGroup {
+    wcc: Wcc,
+    /// Per member, as [`Wcc::with_max_iters`] clamps it.
+    caps: Vec<usize>,
+    live: Vec<bool>,
+    /// Live members whose last `end_iteration` ended them.
+    converged: Vec<usize>,
+}
+
+impl WccGroup {
+    /// One member per cap.
+    ///
+    /// # Panics
+    ///
+    /// Without a member.
+    pub fn new(num_vertices: VertexId, caps: &[usize]) -> WccGroup {
+        assert!(!caps.is_empty(), "a WCC group has a member");
+        WccGroup {
+            wcc: Wcc::new(num_vertices),
+            caps: caps.iter().map(|&cap| cap.max(1)).collect(),
+            live: vec![true; caps.len()],
+            converged: Vec::new(),
+        }
+    }
+}
+
+impl GraphJob for WccGroup {
+    fn name(&self) -> &str {
+        self.wcc.name()
+    }
+
+    fn state_bytes_per_vertex(&self) -> usize {
+        self.wcc.state_bytes_per_vertex()
+    }
+
+    fn edge_cost_factor(&self) -> f64 {
+        self.wcc.edge_cost_factor()
+    }
+
+    fn active(&self) -> &AtomicBitmap {
+        self.wcc.active()
+    }
+
+    fn process_edge(&mut self, e: &Edge) {
+        self.wcc.process_edge(e);
+    }
+
+    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+        self.wcc.process_chunk(edges)
+    }
+
+    fn end_iteration(&mut self) -> bool {
+        let fixpoint = self.wcc.end_iteration();
+        let iters = self.wcc.iterations();
+        let ended = |m: usize| self.live[m] && (fixpoint || iters >= self.caps[m]);
+        self.converged = (0..self.caps.len()).filter(|&m| ended(m)).collect();
+        self.converged.len() == self.live.iter().filter(|&&live| live).count()
+    }
+
+    fn iterations(&self) -> usize {
+        self.wcc.iterations()
+    }
+
+    fn vertex_values(&self) -> Vec<f64> {
+        self.wcc.vertex_values()
+    }
+
+    fn members(&self) -> usize {
+        self.caps.len()
+    }
+
+    fn retire_members(&mut self, all: bool) -> Vec<Retired> {
+        let converged = std::mem::take(&mut self.converged);
+        let going = match all {
+            true => (0..self.caps.len()).filter(|&m| self.live[m]).collect(),
+            false => converged,
+        };
+        let values = if going.is_empty() { Vec::new() } else { self.wcc.vertex_values() };
+        let iterations = self.wcc.iterations();
+        going
+            .into_iter()
+            .map(|member| {
+                self.live[member] = false;
+                Retired { member, iterations, values: values.clone() }
+            })
+            .collect()
     }
 }
 

@@ -135,18 +135,26 @@ pub fn label_partition(edges: &[Edge], chunk_bytes: usize) -> ChunkTable {
     let chunk_edge_cap = (chunk_bytes / EDGE_BYTES).max(1);
     let mut chunks = Vec::new();
     let mut table: Vec<ChunkEntry> = Vec::new();
+    // Whether `table`'s vertices have been strictly ascending so far: then
+    // a source above the last entry cannot be in it.
+    let mut ascending = true;
     let mut start = 0usize;
     let mut edge_num = 0usize;
     for (idx, e) in edges.iter().enumerate() {
         // Partitions arrive source-sorted from the format converters, so
-        // the common case appends to the last entry; the fallback scan
-        // keeps the algorithm correct for arbitrary edge order.
+        // the common case appends to the last entry or pushes a new one
+        // above it; the fallback scan keeps the algorithm correct for
+        // arbitrary edge order.
         match table.last_mut() {
             Some(last) if last.vertex == e.src => last.out_edges += 1,
+            Some(last) if ascending && last.vertex < e.src => {
+                table.push(ChunkEntry { vertex: e.src, out_edges: 1 })
+            }
             _ => {
                 if let Some(entry) = table.iter_mut().find(|t| t.vertex == e.src) {
                     entry.out_edges += 1;
                 } else {
+                    ascending &= table.last().is_none_or(|last| last.vertex < e.src);
                     table.push(ChunkEntry { vertex: e.src, out_edges: 1 });
                 }
             }
@@ -154,6 +162,7 @@ pub fn label_partition(edges: &[Edge], chunk_bytes: usize) -> ChunkTable {
         edge_num += 1;
         if edge_num >= chunk_edge_cap {
             chunks.push(Chunk { edges: start..idx + 1, table: std::mem::take(&mut table) });
+            ascending = true;
             start = idx + 1;
             edge_num = 0;
         }
@@ -298,6 +307,23 @@ mod proptests {
     use graphm_graph::generators;
     use proptest::prelude::*;
 
+    /// Algorithm 1 with a table scan for every source that is not the
+    /// last entry's: the reference for the ascending shortcut.
+    fn label_by_scan(edges: &[Edge], cap: usize) -> Vec<(Range<usize>, Vec<ChunkEntry>)> {
+        let mut chunks = Vec::new();
+        for (at, run) in edges.chunks(cap).enumerate() {
+            let mut table: Vec<ChunkEntry> = Vec::new();
+            for e in run {
+                match table.iter_mut().find(|t| t.vertex == e.src) {
+                    Some(entry) => entry.out_edges += 1,
+                    None => table.push(ChunkEntry { vertex: e.src, out_edges: 1 }),
+                }
+            }
+            chunks.push((at * cap..at * cap + run.len(), table));
+        }
+        chunks
+    }
+
     proptest! {
         /// Labelling invariants for arbitrary graphs and chunk sizes:
         /// chunks tile the stream, tables sum to chunk sizes, keys unique.
@@ -322,6 +348,32 @@ mod proptests {
                 prop_assert_eq!(keys.len(), before);
             }
             prop_assert_eq!(next, m);
+        }
+
+        /// The ascending shortcut changes no table: labelling equals the
+        /// scan-every-new-source reference on source-sorted, unsorted and
+        /// duplicate-heavy streams alike.
+        #[test]
+        fn labelling_equals_the_scan(
+            srcs in proptest::collection::vec(0u32..40, 0..600),
+            shape in 0usize..3,
+            cap in 1usize..60,
+        ) {
+            let mut srcs = srcs;
+            match shape {
+                0 => srcs.sort_unstable(),
+                1 => srcs.iter_mut().for_each(|s| *s %= 3), // few sources, many repeats
+                _ => {}                                      // arbitrary order
+            }
+            let edges: Vec<Edge> =
+                srcs.iter().enumerate().map(|(i, &s)| Edge::new(s, i as u32)).collect();
+            let got = label_partition(&edges, cap * EDGE_BYTES);
+            let want = label_by_scan(&edges, cap);
+            prop_assert_eq!(got.chunks.len(), want.len());
+            for (chunk, (range, table)) in got.chunks.iter().zip(&want) {
+                prop_assert_eq!(&chunk.edges, range);
+                prop_assert_eq!(&chunk.table, table);
+            }
         }
 
         /// Formula 1 result always satisfies the inequality.

@@ -179,7 +179,7 @@ mod tests {
             fn active(&self) -> &graphm_graph::AtomicBitmap {
                 &self.active
             }
-            fn process_edge(&mut self, _: &Edge) -> crate::job::EdgeOutcome {
+            fn process_edge(&mut self, _: &Edge) {
                 panic!("no edge should be processed");
             }
             fn end_iteration(&mut self) -> bool {

@@ -83,6 +83,14 @@
 //! available in any cohort, and a worker about to run a task wakes a
 //! sleeper whenever another one is waiting.
 //!
+//! A job may hold several same-kind **members** ([`GraphJob::members`]:
+//! a PageRank bundle, a WCC group) that one edge read feeds. It takes
+//! one seat — one place in the plan, the ready set and the window, one
+//! lane per chunk — while the global table counts each live member (so
+//! the §4 order is the unbundled cohort's) and each member gets its own
+//! report when it retires (`docs/ARCHITECTURE.md`, "Bundles and
+//! members").
+//!
 //! There are no helper threads: a lane streams a chunk only through the
 //! job it holds, so a cohort of one job keeps one lane busy
 //! (`docs/ARCHITECTURE.md`, "Why a lane only streams its own job", has
@@ -106,7 +114,8 @@
 //!
 //! Failure isolation: a failed load retires exactly the jobs *of that
 //! cohort* that needed the partition; a panic in any task of a job is
-//! caught and retires that job alone. Either way the job's report carries
+//! caught and retires that job alone (every member of it together).
+//! Either way the job's report carries
 //! [`WallJobReport::error`] and its peers — in its cohort and in every
 //! other — keep sweeping. A lane that dies *outside* a task (a bug in the
 //! driver, or a source whose unpin panics) cannot be isolated: the driver is marked dead, every
@@ -191,7 +200,9 @@ impl Default for WallClockConfig {
 #[derive(Clone, Debug)]
 pub struct WallJobReport {
     /// The job's place in its cohort, in admission order (the caller maps
-    /// these to its own ids).
+    /// these to its own ids). A job of several members
+    /// ([`GraphJob::members`]) reports once per member, member `m` of a
+    /// job whose members start at `first` as `first + m`.
     pub id: JobId,
     /// Algorithm name.
     pub name: String,
@@ -350,12 +361,14 @@ impl WallClockExecutor {
     /// Runs `jobs` on one thread each with *private* loading — every job
     /// streams every active partition itself, in the engine's native
     /// order, materializing its own copy (the `-C` baseline's cost
-    /// model). No sharing, no pacing.
+    /// model). No sharing, no pacing. Every job must have one member
+    /// ([`GraphJob::members`]): bundles are a sharing mechanism.
     pub fn run_batch_exclusive(&self, jobs: Vec<Box<dyn GraphJob>>) -> WallRunReport {
         let start = Instant::now();
         if jobs.is_empty() {
             return WallRunReport::default();
         }
+        assert!(jobs.iter().all(|job| job.members() == 1), "the exclusive baseline runs solo jobs");
         let names: Vec<String> = jobs.iter().map(|j| j.name().to_string()).collect();
         let mut handles = Vec::with_capacity(jobs.len());
         for (id, mut job) in jobs.into_iter().enumerate() {
@@ -450,7 +463,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::global_table::GlobalTable;
-    use crate::job::{CountingJob, EdgeOutcome};
+    use crate::job::CountingJob;
     use crate::scheduler::loading_order;
     use crate::source::VecSource;
     use graphm_graph::{generators, AtomicBitmap, Edge};
@@ -494,6 +507,7 @@ mod tests {
         next_active: AtomicBitmap,
         discovered: bool,
         iters: usize,
+        cap: usize,
     }
 
     impl FrontierJob {
@@ -508,7 +522,14 @@ mod tests {
                 next_active: AtomicBitmap::new(n),
                 discovered: false,
                 iters: 0,
+                cap: usize::MAX,
             }
+        }
+
+        /// Stops after `cap` iterations if the frontier lasts that long.
+        fn capped(mut self, cap: usize) -> FrontierJob {
+            self.cap = cap;
+            self
         }
     }
 
@@ -522,20 +543,18 @@ mod tests {
         fn active(&self) -> &AtomicBitmap {
             &self.active
         }
-        fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+        fn process_edge(&mut self, e: &Edge) {
             if self.levels[e.dst as usize].is_infinite() {
                 self.levels[e.dst as usize] = self.levels[e.src as usize] + 1.0;
                 self.next_active.set(e.dst as usize);
                 self.discovered = true;
-                return EdgeOutcome { activated_dst: true };
             }
-            EdgeOutcome { activated_dst: false }
         }
         fn end_iteration(&mut self) -> bool {
             self.iters += 1;
             self.active.copy_from(&self.next_active);
             self.next_active.clear_all();
-            let converged = !self.discovered;
+            let converged = !self.discovered || self.iters >= self.cap;
             self.discovered = false;
             converged
         }
@@ -637,7 +656,7 @@ mod tests {
         fn active(&self) -> &AtomicBitmap {
             self.inner.active()
         }
-        fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+        fn process_edge(&mut self, e: &Edge) {
             if self.boom == Boom::ProcessEdge {
                 panic!("boom in process_edge");
             }
@@ -775,7 +794,7 @@ mod tests {
         fn active(&self) -> &AtomicBitmap {
             &self.active
         }
-        fn process_edge(&mut self, e: &Edge) -> EdgeOutcome {
+        fn process_edge(&mut self, e: &Edge) {
             let pid = (e.src / 10) as usize;
             let (chunk, first, last) = self.places[pid][e.weight as usize];
             if first || last {
@@ -789,7 +808,6 @@ mod tests {
                 }
             }
             self.counts[e.dst as usize] += 1;
-            EdgeOutcome { activated_dst: true }
         }
         fn end_iteration(&mut self) -> bool {
             self.iters_done += 1;
@@ -1207,6 +1225,173 @@ mod tests {
             }
             proptest::prop_assert_eq!(loads, solo_loads, "a cohort loads for itself alone");
         }
+    }
+
+    /// Same-kind one-member jobs run side by side as one job of several
+    /// members: a bundle's seat and retirements without its fused loop.
+    /// The members must walk identical frontiers (counting jobs of any
+    /// length, frontier jobs of one root with any caps): the seat streams
+    /// by the first live member's.
+    struct Side {
+        members: Vec<Box<dyn GraphJob>>,
+        live: Vec<bool>,
+        /// Live members whose last `end_iteration` returned `true`.
+        converged: Vec<usize>,
+    }
+
+    impl Side {
+        fn boxed(members: Vec<Box<dyn GraphJob>>) -> Box<dyn GraphJob> {
+            let live = vec![true; members.len()];
+            Box::new(Side { members, live, converged: Vec::new() })
+        }
+
+        fn leader(&self) -> &dyn GraphJob {
+            let first = self.live.iter().position(|&live| live).unwrap_or(0);
+            self.members[first].as_ref()
+        }
+
+        fn live_members(&mut self) -> impl Iterator<Item = (usize, &mut Box<dyn GraphJob>)> {
+            let live = &self.live;
+            self.members.iter_mut().enumerate().filter(move |(m, _)| live[*m])
+        }
+    }
+
+    impl GraphJob for Side {
+        fn name(&self) -> &str {
+            self.members[0].name()
+        }
+        fn state_bytes_per_vertex(&self) -> usize {
+            self.members[0].state_bytes_per_vertex()
+        }
+        fn skips_inactive(&self) -> bool {
+            self.members[0].skips_inactive()
+        }
+        fn active(&self) -> &AtomicBitmap {
+            self.leader().active()
+        }
+        fn process_edge(&mut self, e: &Edge) {
+            self.live_members().for_each(|(_, job)| job.process_edge(e));
+        }
+        fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+            let counts: Vec<u64> =
+                self.live_members().map(|(_, j)| j.process_chunk(edges)).collect();
+            assert!(counts.windows(2).all(|w| w[0] == w[1]), "members stream alike");
+            counts[0]
+        }
+        fn end_iteration(&mut self) -> bool {
+            let ended: Vec<usize> = self
+                .live_members()
+                .filter_map(|(m, job)| job.end_iteration().then_some(m))
+                .collect();
+            self.converged = ended;
+            self.converged.len() == self.live.iter().filter(|&&live| live).count()
+        }
+        fn iterations(&self) -> usize {
+            self.leader().iterations()
+        }
+        fn vertex_values(&self) -> Vec<f64> {
+            self.members[0].vertex_values()
+        }
+        fn members(&self) -> usize {
+            self.members.len()
+        }
+        fn retire_members(&mut self, all: bool) -> Vec<crate::job::Retired> {
+            let going: Vec<usize> = match all {
+                true => (0..self.members.len()).filter(|&m| self.live[m]).collect(),
+                false => std::mem::take(&mut self.converged),
+            };
+            going
+                .into_iter()
+                .map(|member| {
+                    self.live[member] = false;
+                    let job = &self.members[member];
+                    let (iterations, values) = (job.iterations(), job.vertex_values());
+                    crate::job::Retired { member, iterations, values }
+                })
+                .collect()
+        }
+    }
+
+    /// One group of a generated cohort: `(frontier, root or length,
+    /// per-member caps)`; a group of one is a one-member job.
+    type Group = (bool, usize, Vec<usize>);
+
+    /// A group's members as one-member jobs, in member order.
+    fn group_members(&(frontier, n, ref caps): &Group) -> Vec<Box<dyn GraphJob>> {
+        let member = |cap: usize| match frontier {
+            true => {
+                Box::new(FrontierJob::new(256, (n * 37) % 256).capped(cap)) as Box<dyn GraphJob>
+            }
+            false => Box::new(CountingJob::new(256, cap)) as Box<dyn GraphJob>,
+        };
+        caps.iter().map(|&cap| member(cap)).collect()
+    }
+
+    fn bundled(groups: &[Group]) -> Vec<Box<dyn GraphJob>> {
+        let seat = |members: Vec<Box<dyn GraphJob>>| match members.len() {
+            1 => members.into_iter().next().expect("one member"),
+            _ => Side::boxed(members),
+        };
+        groups.iter().map(|group| seat(group_members(group))).collect()
+    }
+
+    fn unbundled(groups: &[Group]) -> Vec<Box<dyn GraphJob>> {
+        groups.iter().flat_map(group_members).collect()
+    }
+
+    proptest::proptest! {
+        /// A cohort whose same-kind jobs sit as one seat each reports,
+        /// member by member, what the same cohort reports unbundled —
+        /// values, iterations, edges processed, loads — and sweeps in the
+        /// same §4 order, on 1, 2 and 4 lanes.
+        #[test]
+        fn members_of_a_seat_equal_the_cohort_unbundled(
+            lanes in 0usize..3,
+            groups in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0usize..64,
+                 proptest::collection::vec(1usize..7, 1..5)),
+                1..5,
+            ),
+        ) {
+            let lanes = [1, 2, 4][lanes];
+            let exec = WallClockExecutor::new(source(4), small_chunks(), None).with_pool(pool(lanes));
+            let driver = Driver::new(1);
+            let bundled_id = driver.admit(&exec.core, bundled(&groups));
+            let unbundled_id = driver.admit(&exec.core, unbundled(&groups));
+            driver.close();
+            driver.work();
+            let plans = driver.sweeps(bundled_id);
+            proptest::prop_assert!(!plans.is_empty());
+            proptest::prop_assert_eq!(&plans, &driver.sweeps(unbundled_id));
+            let (retired, _) = driver.retired(Duration::ZERO);
+            let want = of_cohort(&retired, unbundled_id);
+            assert_same_jobs(&of_cohort(&retired, bundled_id), &want);
+            let threaded = exec.run_batch(bundled(&groups));
+            let single = exec.run_batch_single_thread(unbundled(&groups));
+            assert_same_reports(&threaded, &single);
+            assert_same_jobs(&threaded.jobs, &want);
+        }
+    }
+
+    /// A panic in a seat fails every member of it — and nothing else of
+    /// the cohort.
+    #[test]
+    fn members_fail_together() {
+        let exec = WallClockExecutor::new(source(2), small_chunks(), None).with_pool(pool(2));
+        let reference = exec.run_batch(counting_jobs(1, 3));
+        let seat = Side::boxed(vec![
+            Box::new(CountingJob::new(256, 2)),
+            Saboteur::boxed(Boom::ProcessEdge),
+            Box::new(CountingJob::new(256, 4)),
+        ]);
+        let mut jobs = counting_jobs(1, 3);
+        jobs.push(seat);
+        let report = exec.run_batch(jobs);
+        let ids: Vec<usize> = report.jobs.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3], "one report per member, ids in member order");
+        assert!(report.jobs[1..].iter().all(|r| r.error.is_some()), "the seat fails as one");
+        assert_same_jobs(&report.jobs[..1], &reference.jobs);
+        assert!(report.jobs[0].error.is_none());
     }
 
     /// A load error and a panicking kernel in cohort A fail exactly A's

@@ -6,7 +6,7 @@
 use super::{panic_message, Core, WallClockExecutor, WallJobReport};
 use crate::chunk::Chunk;
 use crate::global_table::GlobalTable;
-use crate::job::{GraphJob, JobId};
+use crate::job::{GraphJob, JobId, Retired};
 use crate::scheduler::loading_order;
 use crate::source::PartitionSource;
 use graphm_graph::Edge;
@@ -20,20 +20,30 @@ use std::time::{Duration, Instant};
 /// Names a cohort of one driver, in admission order.
 pub type CohortId = u64;
 
-/// One job's seat in its cohort.
+/// One job's seat in its cohort. A job with several members (a bundle,
+/// [`GraphJob::members`]) takes one seat: one place in the plan, the
+/// ready set and `Start()`'s window, one lane per chunk.
 #[derive(Default)]
 struct Slot {
     /// The job, home between its tasks; `None` while a worker runs one
     /// and once the job has retired.
     job: Option<Box<dyn GraphJob>>,
     name: String,
+    /// The report id of the job's member 0: member `m` reports as
+    /// `first + m`, so ids run through the cohort's members in admission
+    /// order.
+    first: JobId,
+    /// The members not retired yet.
+    members: Vec<usize>,
     /// Iterations ended (the `max_iterations` guard).
     iters: usize,
+    /// Per member: every live member streamed the same edges.
     edges_processed: u64,
     /// Summed wall time of the job's tasks.
     busy: Duration,
     /// The first failure — a load error or a caught panic. A failed job
-    /// is pulled out of the sweep and retires at its next task.
+    /// is pulled out of the sweep and retires at its next task, every
+    /// member with it.
     error: Option<String>,
     retired: bool,
     /// Partitions of the current sweep this job has yet to finish.
@@ -109,6 +119,9 @@ struct Cohort {
     inflight: Vec<usize>,
     /// Jobs done with this sweep's partitions, awaiting `end_iteration`.
     ends: VecDeque<JobId>,
+    /// Every sweep's loading order so far.
+    #[cfg(test)]
+    sweeps: Vec<Vec<usize>>,
 }
 
 impl Cohort {
@@ -129,14 +142,23 @@ impl Cohort {
             ready: BTreeSet::new(),
             inflight: Vec::new(),
             ends: VecDeque::new(),
+            #[cfg(test)]
+            sweeps: Vec::new(),
         };
+        let mut first = 0;
         for (id, job) in jobs.into_iter().enumerate() {
+            let members = job.members();
+            assert!(members > 0, "a job has at least one member");
             cohort.global.set_active_partitions(id, &core.active_pids(job.as_ref()));
+            cohort.global.set_members(id, members);
             cohort.slots.push(Slot {
                 name: job.name().to_string(),
                 job: Some(job),
+                first,
+                members: (0..members).collect(),
                 ..Slot::default()
             });
+            first += members;
         }
         cohort.begin_sweep();
         cohort
@@ -179,6 +201,8 @@ impl Cohort {
     /// global table as the jobs' iteration ends left it.
     fn begin_sweep(&mut self) {
         let order = loading_order(&self.global, self.core.cfg.policy);
+        #[cfg(test)]
+        self.sweeps.push(order.clone());
         self.plan = order.into_iter().map(|pid| (pid, self.global.jobs_for(pid))).collect();
         let Cohort { slots, plan, ends, .. } = self;
         for slot in slots.iter_mut() {
@@ -241,6 +265,9 @@ struct State {
     loads: u64,
     /// Reports of retired jobs nobody has collected yet.
     retired: Vec<(CohortId, WallJobReport)>,
+    /// The loading orders of every drained cohort's sweeps.
+    #[cfg(test)]
+    sweeps: BTreeMap<CohortId, Vec<Vec<usize>>>,
     /// Workers asleep on the driver's condvar.
     sleepers: usize,
     /// No further admissions: workers leave once the last cohort has.
@@ -496,10 +523,10 @@ impl Driver {
 
     /// Ends the iteration of the cohort's next job to have finished its
     /// sweep: `end_iteration`, then either its active partitions for the
-    /// next sweep or its retirement — the report is handed out there and
-    /// then. A failed job retires without ending the iteration. The last
-    /// job to end begins the cohort's next sweep, or, with every job
-    /// retired, drops the cohort.
+    /// next sweep or its retirement — the reports are handed out there
+    /// and then, one per member that retired. A failed job retires
+    /// without ending the iteration. The last job to end begins the
+    /// cohort's next sweep, or, with every job retired, drops the cohort.
     fn end<'s>(&'s self, mut st: Locked<'s>, cohort: CohortId) -> Locked<'s> {
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let id = co.ends.pop_front().expect("picked with a job to end");
@@ -511,47 +538,55 @@ impl Driver {
         let (mut st, ended, took) = self.unlocked(st, move || {
             let done = failed || job.end_iteration() || iters >= core.cfg.max_iterations;
             let pids = if done { Vec::new() } else { core.active_pids(job.as_ref()) };
-            if pids.is_empty() {
-                Err(report(id, job.name(), job.iterations(), job.vertex_values(), start))
-            } else {
-                Ok((pids, job))
-            }
+            let retired = job.retire_members(pids.is_empty());
+            (retired, (!pids.is_empty()).then_some((pids, job)))
         });
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let slot = &mut co.slots[id];
         slot.busy += took;
         let retired = match ended {
-            Ok(Ok((pids, job))) => {
-                slot.job = Some(job);
-                co.global.set_active_partitions(id, &pids);
-                None
+            Ok((retired, going_on)) => {
+                if let Some((pids, job)) = going_on {
+                    slot.job = Some(job);
+                    co.global.set_active_partitions(id, &pids);
+                }
+                retired
             }
-            Ok(Err(report)) => Some(report),
             // The job went with the panic; report what the driver knows.
             Err(msg) => {
                 slot.error.get_or_insert(msg);
-                Some(report(id, &slot.name, 0, Vec::new(), start))
+                let members = slot.members.iter();
+                members
+                    .map(|&member| Retired { member, iterations: 0, values: Vec::new() })
+                    .collect()
             }
         };
-        let retired = retired.map(|mut report| {
-            let slot = &mut co.slots[id];
-            report.edges_processed = slot.edges_processed;
-            report.busy_ms = slot.busy.as_secs_f64() * 1e3;
-            report.error = slot.error.take();
+        slot.members.retain(|member| retired.iter().all(|r| r.member != *member));
+        let reports: Vec<_> = retired.into_iter().map(|r| report(slot, r, start)).collect();
+        if slot.members.is_empty() {
+            // (Every member retired: the job goes even if it had meant to
+            // run on.)
+            slot.job = None;
+        }
+        if slot.job.is_none() {
+            debug_assert!(slot.members.is_empty(), "a finished job retires every member");
             slot.retired = true;
             co.global.remove_job(id);
             co.live -= 1;
-            report
-        });
+        } else {
+            co.global.set_members(id, slot.members.len());
+        }
         co.unended -= 1;
         if co.unended == 0 && co.live > 0 {
             co.begin_sweep();
         }
         if co.live == 0 {
-            st.cohorts.remove(&cohort);
+            let _drained = st.cohorts.remove(&cohort);
+            #[cfg(test)]
+            st.sweeps.insert(cohort, _drained.expect("the cohort is seated").sweeps);
         }
-        if let Some(report) = retired {
-            st.retired.push((cohort, report));
+        if !reports.is_empty() {
+            st.retired.extend(reports.into_iter().map(|report| (cohort, report)));
             self.retirement.notify_all();
             if st.closed && st.cohorts.is_empty() {
                 self.wake.notify_all();
@@ -564,26 +599,26 @@ impl Driver {
         }
         st
     }
+
+    /// The loading order of each sweep of `cohort`, once it has drained.
+    #[cfg(test)]
+    pub(super) fn sweeps(&self, cohort: CohortId) -> Vec<Vec<usize>> {
+        self.state.lock().sweeps.get(&cohort).cloned().unwrap_or_default()
+    }
 }
 
-/// A report stamped with the time since its cohort's admission; the
-/// caller fills in what the slot accumulated.
-fn report(
-    id: JobId,
-    name: &str,
-    iterations: usize,
-    values: Vec<f64>,
-    start: Instant,
-) -> WallJobReport {
+/// The report of `slot`'s member `retired`, stamped with the time since
+/// its cohort's admission.
+fn report(slot: &Slot, retired: Retired, start: Instant) -> WallJobReport {
     WallJobReport {
-        id,
-        name: name.to_string(),
-        iterations,
-        edges_processed: 0,
-        values,
-        busy_ms: 0.0,
+        id: slot.first + retired.member,
+        name: slot.name.clone(),
+        iterations: retired.iterations,
+        edges_processed: slot.edges_processed,
+        values: retired.values,
+        busy_ms: slot.busy.as_secs_f64() * 1e3,
         finish_ms: start.elapsed().as_secs_f64() * 1e3,
-        error: None,
+        error: slot.error.clone(),
     }
 }
 
@@ -635,8 +670,10 @@ impl CohortDriver {
 
     /// Starts `jobs` as a new cohort over what `exec` preprocessed, at
     /// once and beside whatever is already running. Its reports carry
-    /// each job's place in `jobs` as their id, and are bit-identical to
-    /// `exec.run_batch_single_thread(jobs)` whatever else is in flight.
+    /// each member's place in the cohort as their id (one member per
+    /// job, unless a job holds several: [`GraphJob::members`]), and are
+    /// bit-identical to `exec.run_batch_single_thread(jobs)` whatever
+    /// else is in flight.
     /// The cohort keeps the executor's preprocessing alive by itself:
     /// `exec` may be dropped or replaced while it runs.
     pub fn admit(&self, exec: &WallClockExecutor, jobs: Vec<Box<dyn GraphJob>>) -> CohortId {
@@ -669,9 +706,12 @@ impl CohortDriver {
         assert!(installed, "one retirement notifier per driver");
     }
 
-    /// Jobs admitted and not yet retired.
+    /// Jobs admitted and not yet retired, every member of a bundle
+    /// counted.
     pub fn live(&self) -> usize {
-        self.driver.state.lock().cohorts.values().map(|cohort| cohort.live).sum()
+        let st = self.driver.state.lock();
+        let slots = st.cohorts.values().flat_map(|cohort| &cohort.slots);
+        slots.map(|slot| slot.members.len()).sum()
     }
 
     /// Partition loads since the driver started, over all cohorts.

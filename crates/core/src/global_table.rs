@@ -11,17 +11,42 @@
 
 use crate::job::JobId;
 use parking_lot::RwLock;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Thread-safe partition → active-job-set table.
+///
+/// A job that holds several members (a bundle, see
+/// [`crate::GraphJob::members`]) counts once per live member wherever the
+/// paper counts jobs (`N(J^i)`), so that the §4 order is that of the
+/// same members entered one by one.
 pub struct GlobalTable {
     entries: Vec<RwLock<BTreeSet<JobId>>>,
+    /// Live members of the jobs that hold more than one.
+    members: RwLock<BTreeMap<JobId, usize>>,
 }
 
 impl GlobalTable {
     /// Creates a table over `num_partitions` partitions.
     pub fn new(num_partitions: usize) -> GlobalTable {
-        GlobalTable { entries: (0..num_partitions).map(|_| RwLock::new(BTreeSet::new())).collect() }
+        GlobalTable {
+            entries: (0..num_partitions).map(|_| RwLock::new(BTreeSet::new())).collect(),
+            members: RwLock::new(BTreeMap::new()),
+        }
+    }
+
+    /// Records that `job` stands for `members` live members (1 unless
+    /// set).
+    pub fn set_members(&self, job: JobId, members: usize) {
+        let mut all = self.members.write();
+        if members == 1 {
+            all.remove(&job);
+        } else {
+            all.insert(job, members);
+        }
+    }
+
+    fn members_of(&self, job: JobId) -> usize {
+        self.members.read().get(&job).copied().unwrap_or(1)
     }
 
     /// Number of partitions tracked.
@@ -52,6 +77,7 @@ impl GlobalTable {
         for e in &self.entries {
             e.write().remove(&job);
         }
+        self.members.write().remove(&job);
     }
 
     /// The set of jobs that need partition `pid` (`J^i` in Algorithm 2).
@@ -59,9 +85,10 @@ impl GlobalTable {
         self.entries[pid].read().iter().copied().collect()
     }
 
-    /// Number of jobs needing `pid` (`N(J^i)` in Formula 5).
+    /// Number of jobs needing `pid` (`N(J^i)` in Formula 5), each member
+    /// of a multi-member job counted.
     pub fn num_jobs_for(&self, pid: usize) -> usize {
-        self.entries[pid].read().len()
+        self.entries[pid].read().iter().map(|&job| self.members_of(job)).sum()
     }
 
     /// Number of active partitions of `job` (`N_j(P)` in Formula 5).
@@ -108,6 +135,22 @@ mod tests {
         assert_eq!(t.active_partition_ids(), vec![1, 3]);
         t.set_active(0, 1, false);
         assert_eq!(t.jobs_for(1), vec![1]);
+    }
+
+    #[test]
+    fn members_count_as_jobs() {
+        let t = GlobalTable::new(2);
+        t.set_active_partitions(0, &[0, 1]);
+        t.set_active_partitions(1, &[1]);
+        t.set_members(1, 4);
+        assert_eq!(t.num_jobs_for(1), 5);
+        assert_eq!(t.jobs_for(1), vec![0, 1], "entries stay one per job");
+        t.set_members(1, 1);
+        assert_eq!(t.num_jobs_for(1), 2);
+        t.set_members(1, 3);
+        t.remove_job(1);
+        t.set_active_partitions(1, &[1]);
+        assert_eq!(t.num_jobs_for(1), 2, "a removed job's members go with it");
     }
 
     #[test]

@@ -16,12 +16,15 @@ use graphm_graph::{AtomicBitmap, Edge, VertexId};
 /// order matters for snapshot visibility (§3.3.2).
 pub type JobId = usize;
 
-/// Outcome of one `process_edge` call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeOutcome {
-    /// The destination vertex's state changed (it must be processed next
-    /// iteration — GraphM traces this to maintain active partitions).
-    pub activated_dst: bool,
+/// One member's outcome, handed back by [`GraphJob::retire_members`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct Retired {
+    /// The member's place in its job: `0..members()`.
+    pub member: usize,
+    /// Iterations the member completed.
+    pub iterations: usize,
+    /// The member's final per-vertex values.
+    pub values: Vec<f64>,
 }
 
 /// An iterative vertex/edge-centric graph job (the paper's benchmarks:
@@ -63,7 +66,7 @@ pub trait GraphJob: Send {
 
     /// Processes one streamed edge (the source is guaranteed active when
     /// the engine honours [`GraphJob::skips_inactive`]).
-    fn process_edge(&mut self, edge: &Edge) -> EdgeOutcome;
+    fn process_edge(&mut self, edge: &Edge);
 
     /// Streams a run of edges through the job and returns the number of
     /// edges it *processed*: those whose source is active when the job
@@ -110,6 +113,39 @@ pub trait GraphJob: Send {
     /// ranks for PageRank, component ids for WCC, levels for BFS,
     /// distances for SSSP.
     fn vertex_values(&self) -> Vec<f64>;
+
+    /// How many jobs this one runs at once: 1, or the width of a bundle
+    /// that streams each edge through several same-kind members.
+    ///
+    /// A member is a job of its own to everything outside the seat it
+    /// shares: it has its own iterations, values and report, and its
+    /// state evolves exactly as if it ran alone, so its results are bit
+    /// for bit those of the one-member job it stands for. What the
+    /// members share is the seat: one `process_chunk` per chunk (whose
+    /// count is each member's, not their sum), one `end_iteration` per
+    /// sweep, one failure. `end_iteration` returns `true` once every
+    /// member has converged. Only the wall-clock executor reports
+    /// members one by one; the cache simulator's engines run one-member
+    /// jobs.
+    fn members(&self) -> usize {
+        1
+    }
+
+    /// Retires members and hands back their outcomes, each member once:
+    /// with `all`, every member not retired yet; otherwise those that
+    /// converged at the `end_iteration` just run, while the job goes on
+    /// for the others. A retired member's values are copied out here and
+    /// the member is frozen.
+    ///
+    /// The default, for a one-member job, retires the job itself with
+    /// `all` (the driver asks for `all` once `end_iteration` returned
+    /// `true`) and nothing otherwise.
+    fn retire_members(&mut self, all: bool) -> Vec<Retired> {
+        if !all {
+            return Vec::new();
+        }
+        vec![Retired { member: 0, iterations: self.iterations(), values: self.vertex_values() }]
+    }
 }
 
 /// A trivially simple job used by core unit tests: counts how many times
@@ -148,9 +184,8 @@ impl GraphJob for CountingJob {
         &self.active
     }
 
-    fn process_edge(&mut self, edge: &Edge) -> EdgeOutcome {
+    fn process_edge(&mut self, edge: &Edge) {
         self.counts[edge.dst as usize] += 1;
-        EdgeOutcome { activated_dst: true }
     }
 
     fn end_iteration(&mut self) -> bool {

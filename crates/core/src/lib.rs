@@ -48,7 +48,7 @@ pub use exec_parallel::{
 };
 pub use global_table::GlobalTable;
 pub use graphm::{GraphM, GraphMConfig};
-pub use job::{EdgeOutcome, GraphJob, JobId};
+pub use job::{GraphJob, JobId, Retired};
 pub use profile::{ProfileSample, Profiler};
 pub use runner::{run_scheme, JobReport, RunReport, RunnerConfig, Scheme, Submission};
 pub use scheduler::{loading_order, priority, SchedulingPolicy};

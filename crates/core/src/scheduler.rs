@@ -31,10 +31,20 @@ pub enum SchedulingPolicy {
 /// Computes `Pri(P^i)` for one partition given the jobs that need it and
 /// each job's active-partition count. Returns 0 for unwanted partitions.
 pub fn priority(jobs_for_partition: &[JobId], active_counts: &HashMap<JobId, usize>) -> f64 {
+    weighted_priority(jobs_for_partition, active_counts, jobs_for_partition.len())
+}
+
+/// [`priority`] with `N(J^i) = members`: the partition's jobs may hold
+/// several members each (see [`GlobalTable::num_jobs_for`]).
+fn weighted_priority(
+    jobs_for_partition: &[JobId],
+    active_counts: &HashMap<JobId, usize>,
+    members: usize,
+) -> f64 {
     if jobs_for_partition.is_empty() {
         return 0.0;
     }
-    let n_ji = jobs_for_partition.len() as f64;
+    let n_ji = members as f64;
     let max_inv = jobs_for_partition
         .iter()
         .map(|j| {
@@ -67,8 +77,10 @@ pub fn loading_order(table: &GlobalTable, policy: SchedulingPolicy) -> Vec<usize
             for j in counts.keys().copied().collect::<Vec<_>>() {
                 counts.insert(j, table.active_partitions_of(j));
             }
+            let score =
+                |pid| weighted_priority(&table.jobs_for(pid), &counts, table.num_jobs_for(pid));
             let mut scored: Vec<(usize, f64)> =
-                active.iter().map(|&pid| (pid, priority(&table.jobs_for(pid), &counts))).collect();
+                active.iter().map(|&pid| (pid, score(pid))).collect();
             scored.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
             });
@@ -123,6 +135,24 @@ mod tests {
         // Nj = 2 for all jobs. Pri(0) = 1, Pri(1) = 1.5, Pri(2) = 1.
         let order = loading_order(&t, SchedulingPolicy::Prioritized);
         assert_eq!(order[0], 1);
+    }
+
+    #[test]
+    fn a_job_of_members_orders_like_its_members_one_by_one() {
+        // Jobs 0..4 on {0, 1, 2} and job 4 on {2, 3}, against job 0 on
+        // {0, 1, 2} standing for four members and job 4 on {2, 3}.
+        let solo = GlobalTable::new(4);
+        for job in 0..4 {
+            solo.set_active_partitions(job, &[0, 1, 2]);
+        }
+        solo.set_active_partitions(4, &[2, 3]);
+        let bundled = GlobalTable::new(4);
+        bundled.set_active_partitions(0, &[0, 1, 2]);
+        bundled.set_members(0, 4);
+        bundled.set_active_partitions(4, &[2, 3]);
+        let order = loading_order(&solo, SchedulingPolicy::Prioritized);
+        assert_eq!(order, vec![2, 0, 1, 3], "unweighted, the bundle would come last");
+        assert_eq!(loading_order(&bundled, SchedulingPolicy::Prioritized), order);
     }
 
     #[test]

@@ -45,6 +45,7 @@ use graphm_core::{
     WallClockExecutor,
 };
 use graphm_store::{DiskGridSource, PrefetchTarget, Prefetcher};
+use graphm_workloads::JobSpec;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,11 +62,13 @@ pub(crate) trait Engine {
     fn rebuild(&mut self);
 
     /// Admits `admitted` — jobs that share a traversal from their first
-    /// sweep — and returns the jobs that have finished since the last
-    /// call, without waiting for any. The loop calls it again only when
-    /// woken: every retirement it has not returned yet must reach
-    /// [`Shared::signal_retirement`], or the loop sleeps through it.
-    fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport>;
+    /// sweep, each with the ids of its members in member order (several
+    /// for a bundle, see `JobSpec::instantiate_cohort`) — and returns the
+    /// jobs that have finished since the last call, without waiting for
+    /// any. The loop calls it again only when woken: every retirement it
+    /// has not returned yet must reach [`Shared::signal_retirement`], or
+    /// the loop sleeps through it.
+    fn advance(&mut self, admitted: Vec<(Vec<JobId>, Box<dyn GraphJob>)>) -> Vec<JobReport>;
 
     /// Whether any admitted job is still unfinished.
     fn in_flight(&self) -> bool;
@@ -115,7 +118,8 @@ struct Batcher {
 /// What the reports of one cohort are mapped back with.
 struct Admission {
     submit_ns: f64,
-    /// Daemon ids in cohort order (a `WallJobReport::id` indexes it).
+    /// Daemon ids in the order of the cohort's members (a
+    /// `WallJobReport::id` indexes it).
     ids: Vec<JobId>,
     /// Reports still to come.
     left: usize,
@@ -164,9 +168,11 @@ impl Engine for Batcher {
         self.exec = Self::init(&self.store, &self.cfg, &self.prefetcher);
     }
 
-    fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
+    fn advance(&mut self, admitted: Vec<(Vec<JobId>, Box<dyn GraphJob>)>) -> Vec<JobReport> {
         if !admitted.is_empty() {
-            let (ids, jobs): (Vec<JobId>, Vec<Box<dyn GraphJob>>) = admitted.into_iter().unzip();
+            let (ids, jobs): (Vec<Vec<JobId>>, Vec<Box<dyn GraphJob>>) =
+                admitted.into_iter().unzip();
+            let ids: Vec<JobId> = ids.into_iter().flatten().collect();
             let submit_ns = self.epoch.elapsed().as_nanos() as f64;
             let cohort = self.driver.admit(&self.exec, jobs);
             self.cohorts.insert(cohort, Admission { submit_ns, left: ids.len(), ids });
@@ -332,13 +338,18 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
                 stats.rounds_capped += u64::from(capped);
             }
             let mut jobs = shared.jobs.lock();
-            for p in drained {
+            for p in &drained {
                 jobs.entries.insert(p.id, JobEntry::Running);
-                // Instantiated here — not at submit — so the job's
-                // out-degrees match the generation it is admitted on.
-                admitted.push((p.id, shared.instantiate(&p.spec)));
-                admitted_as.insert(p.id, (p.tenant, p.priority));
+                admitted_as.insert(p.id, (p.tenant.clone(), p.priority));
             }
+            drop(jobs);
+            // Instantiated here — not at submit — so the jobs' out-degrees
+            // match the generation they are admitted on; all at once, so
+            // that same-kind jobs share one job of several members.
+            let specs: Vec<JobSpec> = drained.iter().map(|p| p.spec).collect();
+            let ids = |members: Vec<usize>| members.into_iter().map(|i| drained[i].id).collect();
+            let jobs = shared.instantiate_cohort(&specs).into_iter();
+            admitted = jobs.map(|(members, job)| (ids(members), job)).collect();
         }
         if admitted.is_empty() && !retired {
             continue;
@@ -484,9 +495,10 @@ mod tests {
             self.log.lock().unwrap().push("rebuild".to_string());
         }
 
-        fn advance(&mut self, admitted: Vec<(JobId, Box<dyn GraphJob>)>) -> Vec<JobReport> {
+        fn advance(&mut self, admitted: Vec<(Vec<JobId>, Box<dyn GraphJob>)>) -> Vec<JobReport> {
             assert!(!self.panic_on_advance, "scripted engine failure");
-            let ids: Vec<JobId> = admitted.iter().map(|(id, _)| *id).collect();
+            let mut ids: Vec<JobId> = admitted.into_iter().flat_map(|(ids, _)| ids).collect();
+            ids.sort_unstable();
             self.log.lock().unwrap().push(format!("advance{ids:?}"));
             self.advances += 1;
             self.running.extend(ids.into_iter().map(|id| (id, self.hold)));

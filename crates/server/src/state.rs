@@ -326,10 +326,15 @@ impl Shared {
         self.done_cv.notify_all();
     }
 
-    /// Instantiates a spec against the currently served generation.
-    pub(crate) fn instantiate(&self, spec: &JobSpec) -> Box<dyn GraphJob> {
+    /// Instantiates the specs of one cohort against the currently served
+    /// generation: `JobSpec::instantiate_cohort`'s jobs, each with the
+    /// indices into `specs` of its members.
+    pub(crate) fn instantiate_cohort(
+        &self,
+        specs: &[JobSpec],
+    ) -> Vec<(Vec<usize>, Box<dyn GraphJob>)> {
         let degrees = Arc::clone(&self.out_degrees.lock());
-        spec.instantiate(self.num_vertices, &degrees)
+        JobSpec::instantiate_cohort(specs, self.num_vertices, &degrees)
     }
 }
 

@@ -8,7 +8,9 @@
 //! * BFS / SSSP — uniformly random root vertices;
 //! * WCC — iteration cap uniform in `[1, max]`.
 
-use graphm_algos::{Bfs, LabelPropagation, PageRank, PersonalizedPageRank, Sssp, Wcc};
+use graphm_algos::{
+    Bfs, LabelPropagation, PageRank, PersonalizedPageRank, RankBundle, Sssp, Wcc, WccGroup,
+};
 use graphm_core::GraphJob;
 use graphm_graph::{Csr, EdgeList, VertexId};
 use rand::rngs::StdRng;
@@ -92,6 +94,71 @@ impl JobSpec {
                 Box::new(LabelPropagation::new(num_vertices, self.root as u64, self.max_iters))
             }
         }
+    }
+
+    /// Instantiates `specs` as the jobs of one cohort, same-kind specs
+    /// sharing a job so that one read of an edge feeds them all:
+    ///
+    /// * PageRank specs in [`RankBundle`]s of 4, then one of 2, and a
+    ///   last one alone (never padded); PPR specs the same, among
+    ///   themselves;
+    /// * every WCC spec in one [`WccGroup`];
+    /// * every other spec alone, as [`JobSpec::instantiate`] builds it.
+    ///
+    /// Each job comes with the indices into `specs` of its members, in
+    /// member order; jobs are in the order of their first members. A
+    /// member reports, bit for bit, what its spec's
+    /// [`JobSpec::instantiate`] job reports in the same cohort admitted
+    /// one job per spec. Bundles are built from the specs directly: no
+    /// one-member job is built on the way.
+    pub fn instantiate_cohort(
+        specs: &[JobSpec],
+        num_vertices: VertexId,
+        out_degrees: &Arc<Vec<u32>>,
+    ) -> Vec<(Vec<usize>, Box<dyn GraphJob>)> {
+        let of_kind =
+            |kind| -> Vec<usize> { (0..specs.len()).filter(|&i| specs[i].kind == kind).collect() };
+        let mut jobs: Vec<(Vec<usize>, Box<dyn GraphJob>)> = Vec::with_capacity(specs.len());
+        for kind in [AlgoKind::PageRank, AlgoKind::Ppr] {
+            let of = of_kind(kind);
+            let mut rest = &of[..];
+            while rest.len() >= 2 {
+                let (members, tail) = rest.split_at(if rest.len() >= 4 { 4 } else { 2 });
+                let degrees = Arc::clone(out_degrees);
+                let bundle = match kind {
+                    AlgoKind::PageRank => {
+                        let lanes: Vec<_> = members
+                            .iter()
+                            .map(|&i| (specs[i].damping, specs[i].max_iters))
+                            .collect();
+                        RankBundle::pagerank(num_vertices, degrees, &lanes)
+                    }
+                    _ => {
+                        let lanes: Vec<_> = members
+                            .iter()
+                            .map(|&i| (specs[i].root, specs[i].damping, specs[i].max_iters))
+                            .collect();
+                        RankBundle::ppr(num_vertices, degrees, &lanes)
+                    }
+                };
+                jobs.push((members.to_vec(), Box::new(bundle)));
+                rest = tail;
+            }
+        }
+        let wcc = of_kind(AlgoKind::Wcc);
+        if wcc.len() >= 2 {
+            let caps: Vec<usize> = wcc.iter().map(|&i| specs[i].max_iters).collect();
+            jobs.push((wcc, Box::new(WccGroup::new(num_vertices, &caps))));
+        }
+        let mut seated = vec![false; specs.len()];
+        jobs.iter().flat_map(|(members, _)| members).for_each(|&i| seated[i] = true);
+        for (i, spec) in specs.iter().enumerate() {
+            if !seated[i] {
+                jobs.push((vec![i], spec.instantiate(num_vertices, out_degrees)));
+            }
+        }
+        jobs.sort_by_key(|(members, _)| members[0]);
+        jobs
     }
 }
 
