@@ -8,17 +8,18 @@
 //!
 //! | Job | Access pattern | Cost factor |
 //! |-----|----------------|-------------|
-//! | [`PageRank`] | dense, whole graph each iteration | 1.0 |
+//! | [`RankBundle::pagerank`] | dense, whole graph each iteration | 1.0 |
 //! | [`Wcc`] | shrinking frontier | 0.8 |
 //! | [`Bfs`] | expanding-then-shrinking frontier | 0.5 |
 //! | [`Sssp`] | irregular frontier, weighted | 0.7 |
-//! | [`PersonalizedPageRank`] | dense, seed-specific state | 1.0 |
+//! | [`RankBundle::ppr`] | dense, seed-specific state | 1.0 |
 //! | [`LabelPropagation`] | salted frontiers | 0.9 |
 //!
-//! [`RankBundle`] (2 or 4 PageRank or PPR jobs) and [`WccGroup`] (every
-//! WCC job of a cohort) serve several same-kind jobs of one cohort with
-//! one read of each edge; each member's results are bit for bit its
-//! one-member job's.
+//! Each algorithm has one kernel. Two of them serve several same-kind
+//! jobs of one cohort with one read of each edge: a [`RankBundle`] runs
+//! 1, 2 or 4 PageRank or PPR jobs, a [`Wcc`] every WCC job of a cohort.
+//! A solo job is a bundle or group of one, and each member's results are
+//! bit for bit those it would have alone.
 //!
 //! [`mod@reference`] holds the sequential oracles the integration tests
 //! compare every scheme against.
@@ -35,7 +36,5 @@ pub mod wcc;
 pub use bfs::{Bfs, UNREACHED};
 pub use bundle::RankBundle;
 pub use labelprop::LabelPropagation;
-pub use pagerank::PageRank;
-pub use ppr::PersonalizedPageRank;
 pub use sssp::{Sssp, UNREACHABLE};
-pub use wcc::{Wcc, WccGroup};
+pub use wcc::Wcc;

@@ -9,20 +9,48 @@
 use graphm_graph::{Csr, EdgeList, VertexId};
 use std::collections::VecDeque;
 
-/// Reference PageRank: synchronous power iteration, the same update rule
-/// as [`crate::PageRank`] (push-based with rank leak at dangling
-/// vertices), run for exactly `iters` iterations or until the L1 delta
-/// drops below `tolerance`.
+/// Reference PageRank: synchronous power iteration with uniform
+/// teleport (push-based with rank leak at dangling vertices), run for
+/// exactly `iters` iterations or until the L1 delta drops below
+/// `tolerance`.
 pub fn pagerank_ref(g: &EdgeList, damping: f64, iters: usize, tolerance: f64) -> Vec<f64> {
     let n = g.num_vertices as usize;
-    if n == 0 {
-        return Vec::new();
-    }
-    let deg = g.out_degrees();
-    let mut ranks = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
     let base = (1.0 - damping) / n as f64;
-    for _ in 0..iters {
+    power_iteration(g, damping, iters, tolerance, vec![1.0 / n as f64; n], |_| base).0
+}
+
+/// Reference personalized PageRank: power iteration starting with all
+/// mass on `seed` and teleporting `1 - damping` there. Returns the ranks
+/// and the iterations run.
+pub fn ppr_ref(
+    g: &EdgeList,
+    seed: VertexId,
+    damping: f64,
+    iters: usize,
+    tolerance: f64,
+) -> (Vec<f64>, usize) {
+    let (n, seed) = (g.num_vertices as usize, seed as usize);
+    let init = (0..n).map(|v| if v == seed { 1.0 } else { 0.0 }).collect();
+    let teleport = |v| if v == seed { 1.0 - damping } else { 0.0 };
+    power_iteration(g, damping, iters, tolerance, init, teleport)
+}
+
+/// The textbook loop both rank oracles share: from `ranks`, each
+/// iteration pushes `rank / out_degree` along every edge of `g` in order,
+/// then sets `rank = teleport(v) + damping · received`; it stops after
+/// `iters` iterations or once the L1 delta drops below `tolerance`.
+/// Returns the ranks and the iterations run.
+pub(crate) fn power_iteration(
+    g: &EdgeList,
+    damping: f64,
+    iters: usize,
+    tolerance: f64,
+    mut ranks: Vec<f64>,
+    teleport: impl Fn(usize) -> f64,
+) -> (Vec<f64>, usize) {
+    let deg = g.out_degrees();
+    let mut next = vec![0.0f64; ranks.len()];
+    for iteration in 1..=iters {
         for e in &g.edges {
             let d = deg[e.src as usize];
             if d > 0 {
@@ -30,17 +58,17 @@ pub fn pagerank_ref(g: &EdgeList, damping: f64, iters: usize, tolerance: f64) ->
             }
         }
         let mut delta = 0.0;
-        for (r, nx) in ranks.iter_mut().zip(next.iter_mut()) {
-            let new = base + damping * *nx;
+        for (v, (r, nx)) in ranks.iter_mut().zip(next.iter_mut()).enumerate() {
+            let new = teleport(v) + damping * *nx;
             delta += (new - *r).abs();
             *r = new;
             *nx = 0.0;
         }
         if delta < tolerance {
-            break;
+            return (ranks, iteration);
         }
     }
-    ranks
+    (ranks, iters)
 }
 
 /// Reference WCC fixpoint: repeated min-label relaxation over the edge
@@ -107,7 +135,7 @@ pub fn sssp_ref(g: &EdgeList, root: VertexId) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bfs, PageRank, Sssp, Wcc};
+    use crate::{Bfs, RankBundle, Sssp, Wcc};
     use graphm_core::GraphJob;
     use graphm_graph::generators;
     use std::sync::Arc;
@@ -131,10 +159,11 @@ mod tests {
     #[test]
     fn streaming_pagerank_matches_reference() {
         let g = generators::rmat(200, 1500, generators::RmatParams::GRAPH500, 3);
-        let mut job = PageRank::new(200, Arc::new(g.out_degrees()), 0.85, 10).with_tolerance(0.0);
+        let deg = Arc::new(g.out_degrees());
+        let mut job = RankBundle::pagerank(200, deg, &[(0.85, 10)]).with_tolerance(0.0);
         drive(&mut job, &g, 10);
         let oracle = pagerank_ref(&g, 0.85, 10, 0.0);
-        for (a, b) in job.ranks().iter().zip(&oracle) {
+        for (a, b) in job.vertex_values().iter().zip(&oracle) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     }

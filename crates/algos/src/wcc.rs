@@ -14,19 +14,41 @@
 use graphm_core::{GraphJob, Retired};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
-/// WCC job state.
+/// WCC job state: one state for every WCC member of a cohort.
+///
+/// A WCC job's only parameter is its cap, and the members of one cohort
+/// stream the same partitions in the same order, so their trajectories
+/// are identical up to each one's cap: the job runs one state to
+/// fixpoint and retires each member at its cap or at convergence, with
+/// the labels, iterations and edges processed a job of that one member
+/// would have. Members are numbered in the order their caps were given;
+/// [`Wcc::new`] is a job of one member.
 pub struct Wcc {
     labels: Vec<VertexId>,
     active: AtomicBitmap,
     next_active: AtomicBitmap,
     changed: bool,
     iters: usize,
-    max_iters: usize,
+    /// Per member, at least 1.
+    caps: Vec<usize>,
+    live: Vec<bool>,
+    /// Live members whose last `end_iteration` ended them.
+    ended: Vec<usize>,
 }
 
 impl Wcc {
-    /// A WCC job running to fixpoint.
+    /// A WCC job of one member, running to fixpoint.
     pub fn new(num_vertices: VertexId) -> Wcc {
+        Wcc::group(num_vertices, &[usize::MAX])
+    }
+
+    /// A WCC job of one member per cap.
+    ///
+    /// # Panics
+    ///
+    /// Without a member.
+    pub fn group(num_vertices: VertexId, caps: &[usize]) -> Wcc {
+        assert!(!caps.is_empty(), "a WCC job has a member");
         let n = num_vertices as usize;
         let active = AtomicBitmap::new(n);
         active.set_all();
@@ -36,13 +58,16 @@ impl Wcc {
             next_active: AtomicBitmap::new(n),
             changed: false,
             iters: 0,
-            max_iters: usize::MAX,
+            caps: caps.iter().map(|&cap| cap.max(1)).collect(),
+            live: vec![true; caps.len()],
+            ended: Vec::new(),
         }
     }
 
-    /// Caps the iteration count (the paper's randomly truncated WCC jobs).
+    /// Caps every member's iteration count (the paper's randomly
+    /// truncated WCC jobs).
     pub fn with_max_iters(mut self, max_iters: usize) -> Wcc {
-        self.max_iters = max_iters.max(1);
+        self.caps.fill(max_iters.max(1));
         self
     }
 
@@ -82,9 +107,11 @@ impl GraphJob for Wcc {
         self.iters += 1;
         self.active.copy_from(&self.next_active);
         self.next_active.clear_all();
-        let converged = !self.changed || self.iters >= self.max_iters;
+        let fixpoint = !self.changed;
         self.changed = false;
-        converged
+        let ended = |m: usize| self.live[m] && (fixpoint || self.iters >= self.caps[m]);
+        self.ended = (0..self.caps.len()).filter(|&m| ended(m)).collect();
+        self.ended.len() == self.live.iter().filter(|&&live| live).count()
     }
 
     fn iterations(&self) -> usize {
@@ -94,95 +121,19 @@ impl GraphJob for Wcc {
     fn vertex_values(&self) -> Vec<f64> {
         self.labels.iter().map(|&l| l as f64).collect()
     }
-}
-
-/// Every WCC member of a cohort on one [`Wcc`] state.
-///
-/// A WCC job's only parameter is its cap, and the members of one cohort
-/// stream the same partitions in the same order, so their trajectories
-/// are identical up to each one's cap: the group runs one state to
-/// fixpoint and retires each member at its cap or at convergence, with
-/// the labels, iterations and edges processed its one-member job would
-/// have. Members are numbered in the order their caps were given.
-pub struct WccGroup {
-    wcc: Wcc,
-    /// Per member, as [`Wcc::with_max_iters`] clamps it.
-    caps: Vec<usize>,
-    live: Vec<bool>,
-    /// Live members whose last `end_iteration` ended them.
-    converged: Vec<usize>,
-}
-
-impl WccGroup {
-    /// One member per cap.
-    ///
-    /// # Panics
-    ///
-    /// Without a member.
-    pub fn new(num_vertices: VertexId, caps: &[usize]) -> WccGroup {
-        assert!(!caps.is_empty(), "a WCC group has a member");
-        WccGroup {
-            wcc: Wcc::new(num_vertices),
-            caps: caps.iter().map(|&cap| cap.max(1)).collect(),
-            live: vec![true; caps.len()],
-            converged: Vec::new(),
-        }
-    }
-}
-
-impl GraphJob for WccGroup {
-    fn name(&self) -> &str {
-        self.wcc.name()
-    }
-
-    fn state_bytes_per_vertex(&self) -> usize {
-        self.wcc.state_bytes_per_vertex()
-    }
-
-    fn edge_cost_factor(&self) -> f64 {
-        self.wcc.edge_cost_factor()
-    }
-
-    fn active(&self) -> &AtomicBitmap {
-        self.wcc.active()
-    }
-
-    fn process_edge(&mut self, e: &Edge) {
-        self.wcc.process_edge(e);
-    }
-
-    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
-        self.wcc.process_chunk(edges)
-    }
-
-    fn end_iteration(&mut self) -> bool {
-        let fixpoint = self.wcc.end_iteration();
-        let iters = self.wcc.iterations();
-        let ended = |m: usize| self.live[m] && (fixpoint || iters >= self.caps[m]);
-        self.converged = (0..self.caps.len()).filter(|&m| ended(m)).collect();
-        self.converged.len() == self.live.iter().filter(|&&live| live).count()
-    }
-
-    fn iterations(&self) -> usize {
-        self.wcc.iterations()
-    }
-
-    fn vertex_values(&self) -> Vec<f64> {
-        self.wcc.vertex_values()
-    }
 
     fn members(&self) -> usize {
         self.caps.len()
     }
 
     fn retire_members(&mut self, all: bool) -> Vec<Retired> {
-        let converged = std::mem::take(&mut self.converged);
+        let ended = std::mem::take(&mut self.ended);
         let going = match all {
             true => (0..self.caps.len()).filter(|&m| self.live[m]).collect(),
-            false => converged,
+            false => ended,
         };
-        let values = if going.is_empty() { Vec::new() } else { self.wcc.vertex_values() };
-        let iterations = self.wcc.iterations();
+        let values = if going.is_empty() { Vec::new() } else { self.vertex_values() };
+        let iterations = self.iters;
         going
             .into_iter()
             .map(|member| {

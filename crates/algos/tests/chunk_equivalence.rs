@@ -8,7 +8,7 @@
 //! default body, which tests the frontier once per run of equal
 //! sources), however a block is cut into chunks.
 
-use graphm_algos::{Bfs, LabelPropagation, PageRank, PersonalizedPageRank, Sssp, Wcc};
+use graphm_algos::{Bfs, LabelPropagation, RankBundle, Sssp, Wcc};
 use graphm_core::GraphJob;
 use graphm_graph::{generators, Edge, EdgeList, Grid, VertexId};
 use proptest::prelude::*;
@@ -37,8 +37,10 @@ fn root(n: VertexId, param: u64) -> VertexId {
 fn job(kind: u64, n: VertexId, deg: &Arc<Vec<u32>>, param: u64) -> Box<dyn GraphJob> {
     let (damping, root) = (damping(param), root(n, param));
     match kind {
-        0 => Box::new(PageRank::new(n, Arc::clone(deg), damping, 100).with_tolerance(0.0)),
-        1 => Box::new(PersonalizedPageRank::new(n, Arc::clone(deg), root, damping, 100)),
+        0 => Box::new(
+            RankBundle::pagerank(n, Arc::clone(deg), &[(damping, 100)]).with_tolerance(0.0),
+        ),
+        1 => Box::new(RankBundle::ppr(n, Arc::clone(deg), &[(root, damping, 100)])),
         2 => Box::new(Bfs::new(n, root)),
         3 => Box::new(Sssp::new(n, root)),
         4 => Box::new(Wcc::new(n)),
@@ -176,7 +178,7 @@ proptest! {
                 let seed = root(n, param) as usize;
                 let mut ranks = vec![0.0; n_us];
                 ranks[seed] = 1.0;
-                // 1e-9: PersonalizedPageRank's tolerance.
+                // 1e-9: PPR's tolerance.
                 let teleport = |v| if v == seed { 1.0 - d } else { 0.0 };
                 Some(push_oracle(&blocks, &deg, ranks, (d, 1e-9), teleport, iters))
             }

@@ -1,7 +1,7 @@
 //! Single-job iteration throughput of each host engine substrate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use graphm_algos::PageRank;
+use graphm_algos::RankBundle;
 use graphm_graph::generators;
 use graphm_graphchi::GraphChiEngine;
 use graphm_gridgraph::GridGraphEngine;
@@ -15,15 +15,15 @@ fn bench_engines(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("gridgraph_pagerank_iter", |b| {
         b.iter(|| {
-            let mut pr =
-                PageRank::new(g.num_vertices, grid.out_degrees(), 0.85, 1).with_tolerance(0.0);
+            let mut pr = RankBundle::pagerank(g.num_vertices, grid.out_degrees(), &[(0.85, 1)])
+                .with_tolerance(0.0);
             grid.run_job(&mut pr, 1)
         })
     });
     group.bench_function("graphchi_pagerank_iter", |b| {
         b.iter(|| {
-            let mut pr =
-                PageRank::new(g.num_vertices, chi.out_degrees(), 0.85, 1).with_tolerance(0.0);
+            let mut pr = RankBundle::pagerank(g.num_vertices, chi.out_degrees(), &[(0.85, 1)])
+                .with_tolerance(0.0);
             chi.run_job(&mut pr, 1)
         })
     });

@@ -186,7 +186,7 @@ pub fn run_chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphm_algos::{reference, Bfs, PageRank};
+    use graphm_algos::{reference, Bfs, RankBundle};
     use graphm_graph::generators;
     use std::sync::Arc as StdArc;
 
@@ -199,8 +199,12 @@ mod tests {
         (0..n)
             .map(|i| {
                 Box::new(
-                    PageRank::new(g.num_vertices, StdArc::clone(&deg), 0.5 + 0.05 * i as f64, 4)
-                        .with_tolerance(0.0),
+                    RankBundle::pagerank(
+                        g.num_vertices,
+                        StdArc::clone(&deg),
+                        &[(0.5 + 0.05 * i as f64, 4)],
+                    )
+                    .with_tolerance(0.0),
                 ) as Box<dyn GraphJob>
             })
             .collect()

@@ -189,7 +189,7 @@ pub fn run_powergraph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphm_algos::{reference, PageRank, Wcc};
+    use graphm_algos::{reference, RankBundle, Wcc};
     use graphm_graph::generators;
     use std::sync::Arc;
 
@@ -202,8 +202,12 @@ mod tests {
         (0..n)
             .map(|i| {
                 Box::new(
-                    PageRank::new(g.num_vertices, Arc::clone(&deg), 0.5 + 0.05 * i as f64, 5)
-                        .with_tolerance(0.0),
+                    RankBundle::pagerank(
+                        g.num_vertices,
+                        Arc::clone(&deg),
+                        &[(0.5 + 0.05 * i as f64, 5)],
+                    )
+                    .with_tolerance(0.0),
                 ) as Box<dyn GraphJob>
             })
             .collect()

@@ -70,7 +70,7 @@ impl GraphChiEngine {
 mod tests {
     use super::*;
     use graphm_algos::reference;
-    use graphm_algos::{Bfs, PageRank, Sssp, Wcc};
+    use graphm_algos::{Bfs, RankBundle, Sssp, Wcc};
     use graphm_graph::generators;
 
     fn graph() -> EdgeList {
@@ -82,11 +82,11 @@ mod tests {
         let g = graph();
         let (engine, prep) = GraphChiEngine::convert(&g, 4);
         assert!(prep.as_nanos() > 0);
-        let mut pr =
-            PageRank::new(g.num_vertices, engine.out_degrees(), 0.85, 6).with_tolerance(0.0);
+        let mut pr = RankBundle::pagerank(g.num_vertices, engine.out_degrees(), &[(0.85, 6)])
+            .with_tolerance(0.0);
         engine.run_job(&mut pr, 6);
         let oracle = reference::pagerank_ref(&g, 0.85, 6, 0.0);
-        for (a, b) in pr.ranks().iter().zip(&oracle) {
+        for (a, b) in pr.vertex_values().iter().zip(&oracle) {
             assert!((a - b).abs() < 1e-12);
         }
     }
@@ -116,8 +116,8 @@ mod tests {
     fn one_iteration_streams_every_edge_once() {
         let g = graph();
         let (engine, _) = GraphChiEngine::convert(&g, 4);
-        let mut pr =
-            PageRank::new(g.num_vertices, engine.out_degrees(), 0.85, 1).with_tolerance(0.0);
+        let mut pr = RankBundle::pagerank(g.num_vertices, engine.out_degrees(), &[(0.85, 1)])
+            .with_tolerance(0.0);
         assert_eq!(engine.psw_once(&mut pr), g.num_edges() as u64);
     }
 }

@@ -29,7 +29,7 @@ pub fn run_graphchi(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphm_algos::{reference, PageRank};
+    use graphm_algos::{reference, RankBundle};
     use graphm_cachesim::keys;
     use graphm_graph::{generators, MemoryProfile};
 
@@ -44,11 +44,10 @@ mod tests {
             (0..n)
                 .map(|i| {
                     Submission::immediate(Box::new(
-                        PageRank::new(
+                        RankBundle::pagerank(
                             g.num_vertices,
                             engine.out_degrees(),
-                            0.5 + 0.1 * i as f64,
-                            20,
+                            &[(0.5 + 0.1 * i as f64, 20)],
                         )
                         .with_tolerance(0.0),
                     ))

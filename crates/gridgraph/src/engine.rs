@@ -78,7 +78,7 @@ impl GridGraphEngine {
 mod tests {
     use super::*;
     use graphm_algos::reference;
-    use graphm_algos::{Bfs, PageRank, Sssp, Wcc};
+    use graphm_algos::{Bfs, RankBundle, Sssp, Wcc};
     use graphm_graph::generators;
 
     fn graph() -> EdgeList {
@@ -90,12 +90,12 @@ mod tests {
         let g = graph();
         let (engine, prep) = GridGraphEngine::convert(&g, 4);
         assert!(prep.as_nanos() > 0);
-        let mut pr =
-            PageRank::new(g.num_vertices, engine.out_degrees(), 0.85, 8).with_tolerance(0.0);
+        let mut pr = RankBundle::pagerank(g.num_vertices, engine.out_degrees(), &[(0.85, 8)])
+            .with_tolerance(0.0);
         let iters = engine.run_job(&mut pr, 100);
         assert_eq!(iters, 8);
         let oracle = reference::pagerank_ref(&g, 0.85, 8, 0.0);
-        for (a, b) in pr.ranks().iter().zip(&oracle) {
+        for (a, b) in pr.vertex_values().iter().zip(&oracle) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     }

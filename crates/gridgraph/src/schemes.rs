@@ -40,7 +40,7 @@ pub fn graphm_preprocess_wall(
 mod tests {
     use super::*;
     use graphm_algos::reference;
-    use graphm_algos::{Bfs, PageRank, Wcc};
+    use graphm_algos::{Bfs, RankBundle, Wcc};
     use graphm_cachesim::keys;
     use graphm_core::{GraphJob, WallClockConfig, WallClockExecutor};
     use graphm_graph::{generators, MemoryProfile};
@@ -56,8 +56,12 @@ mod tests {
         (0..n)
             .map(|i| {
                 Submission::immediate(Box::new(
-                    PageRank::new(g.num_vertices, engine.out_degrees(), 0.5 + 0.05 * i as f64, 25)
-                        .with_tolerance(0.0),
+                    RankBundle::pagerank(
+                        g.num_vertices,
+                        engine.out_degrees(),
+                        &[(0.5 + 0.05 * i as f64, 25)],
+                    )
+                    .with_tolerance(0.0),
                 ))
             })
             .collect()
@@ -106,11 +110,10 @@ mod tests {
             (0..count)
                 .map(|i| {
                     Box::new(
-                        PageRank::new(
+                        RankBundle::pagerank(
                             g.num_vertices,
                             engine.out_degrees(),
-                            0.6 + 0.1 * i as f64,
-                            4,
+                            &[(0.6 + 0.1 * i as f64, 4)],
                         )
                         .with_tolerance(0.0),
                     ) as Box<dyn GraphJob>

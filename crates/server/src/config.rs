@@ -14,7 +14,7 @@ use std::time::Duration;
 /// Nothing reads it. It stays only because gmbench writes
 /// `config.mode = ExecutionMode::Wallclock`; it goes together with
 /// [`ServerConfig::mode`] once gmbench stops naming them (ROADMAP.md,
-/// direction 4).
+/// direction 3(a)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Every admission runs as a cohort of its own beside whatever is in

@@ -553,8 +553,8 @@ pub fn spec_from_json(v: &Value) -> Result<JobSpec, String> {
         None => 0.85,
         Some(d) => d.as_f64().ok_or("damping must be a number")?,
     };
-    if !(0.0..=1.0).contains(&damping) {
-        return Err(format!("damping {damping} outside [0, 1]"));
+    if !(damping > 0.0 && damping < 1.0) {
+        return Err(format!("damping {damping} outside (0, 1)"));
     }
     let root = match v.get("root") {
         None => 0,
@@ -900,6 +900,8 @@ mod tests {
             r#"{"cmd":"submit"}"#,
             r#"{"cmd":"submit","algo":"quicksort"}"#,
             r#"{"cmd":"submit","algo":"pagerank","damping":1.5}"#,
+            r#"{"cmd":"submit","algo":"pagerank","damping":1.0}"#,
+            r#"{"cmd":"submit","algo":"ppr","damping":0}"#,
             r#"{"cmd":"submit","algo":"bfs","root":-1}"#,
             r#"{"cmd":"submit","algo":"bfs","root":4294967296}"#,
             r#"{"cmd":"submit","algo":"wcc","max_iters":0}"#,

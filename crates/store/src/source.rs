@@ -5,13 +5,15 @@
 //! the wall-clock sweep driver, and the §4 scheduler produce bit-identical
 //! reports on disk-resident graphs.
 //!
-//! Segments stay mapped, not loaded: [`edges`](DiskGridSource::edges) is a
-//! zero-copy `&[Edge]` view into the mapping (the 12-byte `#[repr(C)]`
-//! record layout matches the file format on little-endian hosts), and
-//! `load` materializes an `Arc<Vec<Edge>>` only on demand, memoized
-//! through a `Weak` so concurrent jobs share one copy while any of them
-//! holds it — the in-memory half of the paper's "one copy of the graph
-//! structure".
+//! Segments stay mapped, not loaded: a segment is read as `&[Edge]` in
+//! place in the mapping (the 12-byte `#[repr(C)]` record layout matches
+//! the file format on little-endian hosts). Both ways out of it copy:
+//! [`edges`](DiskGridSource::edges) returns an owned `Vec<Edge>`, and
+//! `load` materializes an `Arc<Vec<Edge>>` on demand, memoized through a
+//! `Weak` so concurrent jobs share one copy while any of them holds it —
+//! the in-memory half of the paper's "one copy of the graph structure".
+//! Serving base partitions from the mapping without that copy is
+//! ROADMAP.md direction 15.
 //!
 //! ## Generations (the evolving-graph path)
 //!

@@ -8,9 +8,7 @@
 //! * BFS / SSSP — uniformly random root vertices;
 //! * WCC — iteration cap uniform in `[1, max]`.
 
-use graphm_algos::{
-    Bfs, LabelPropagation, PageRank, PersonalizedPageRank, RankBundle, Sssp, Wcc, WccGroup,
-};
+use graphm_algos::{Bfs, LabelPropagation, RankBundle, Sssp, Wcc};
 use graphm_core::GraphJob;
 use graphm_graph::{Csr, EdgeList, VertexId};
 use rand::rngs::StdRng;
@@ -67,50 +65,29 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Instantiates the runnable job for a graph with `num_vertices`
-    /// vertices and the given out-degrees.
+    /// vertices and the given out-degrees: the cohort of this one spec.
     pub fn instantiate(
         &self,
         num_vertices: VertexId,
         out_degrees: &Arc<Vec<u32>>,
     ) -> Box<dyn GraphJob> {
-        match self.kind {
-            AlgoKind::Wcc => Box::new(Wcc::new(num_vertices).with_max_iters(self.max_iters)),
-            AlgoKind::PageRank => Box::new(PageRank::new(
-                num_vertices,
-                Arc::clone(out_degrees),
-                self.damping,
-                self.max_iters,
-            )),
-            AlgoKind::Sssp => Box::new(Sssp::new(num_vertices, self.root)),
-            AlgoKind::Bfs => Box::new(Bfs::new(num_vertices, self.root)),
-            AlgoKind::Ppr => Box::new(PersonalizedPageRank::new(
-                num_vertices,
-                Arc::clone(out_degrees),
-                self.root,
-                self.damping,
-                self.max_iters,
-            )),
-            AlgoKind::LabelProp => {
-                Box::new(LabelPropagation::new(num_vertices, self.root as u64, self.max_iters))
-            }
-        }
+        let mut cohort = JobSpec::instantiate_cohort(&[*self], num_vertices, out_degrees);
+        cohort.pop().expect("one spec makes one job").1
     }
 
     /// Instantiates `specs` as the jobs of one cohort, same-kind specs
     /// sharing a job so that one read of an edge feeds them all:
     ///
-    /// * PageRank specs in [`RankBundle`]s of 4, then one of 2, and a
-    ///   last one alone (never padded); PPR specs the same, among
-    ///   themselves;
-    /// * every WCC spec in one [`WccGroup`];
-    /// * every other spec alone, as [`JobSpec::instantiate`] builds it.
+    /// * PageRank specs in [`RankBundle`]s of 4, then one of 2, then one
+    ///   of 1 (never padded); PPR specs the same, among themselves;
+    /// * every WCC spec in one [`Wcc`];
+    /// * every other spec alone.
     ///
     /// Each job comes with the indices into `specs` of its members, in
     /// member order; jobs are in the order of their first members. A
     /// member reports, bit for bit, what its spec's
     /// [`JobSpec::instantiate`] job reports in the same cohort admitted
-    /// one job per spec. Bundles are built from the specs directly: no
-    /// one-member job is built on the way.
+    /// one job per spec.
     pub fn instantiate_cohort(
         specs: &[JobSpec],
         num_vertices: VertexId,
@@ -122,8 +99,13 @@ impl JobSpec {
         for kind in [AlgoKind::PageRank, AlgoKind::Ppr] {
             let of = of_kind(kind);
             let mut rest = &of[..];
-            while rest.len() >= 2 {
-                let (members, tail) = rest.split_at(if rest.len() >= 4 { 4 } else { 2 });
+            while !rest.is_empty() {
+                let width = match rest.len() {
+                    1 => 1,
+                    2 | 3 => 2,
+                    _ => 4,
+                };
+                let (members, tail) = rest.split_at(width);
                 let degrees = Arc::clone(out_degrees);
                 let bundle = match kind {
                     AlgoKind::PageRank => {
@@ -146,16 +128,20 @@ impl JobSpec {
             }
         }
         let wcc = of_kind(AlgoKind::Wcc);
-        if wcc.len() >= 2 {
+        if !wcc.is_empty() {
             let caps: Vec<usize> = wcc.iter().map(|&i| specs[i].max_iters).collect();
-            jobs.push((wcc, Box::new(WccGroup::new(num_vertices, &caps))));
+            jobs.push((wcc, Box::new(Wcc::group(num_vertices, &caps))));
         }
-        let mut seated = vec![false; specs.len()];
-        jobs.iter().flat_map(|(members, _)| members).for_each(|&i| seated[i] = true);
         for (i, spec) in specs.iter().enumerate() {
-            if !seated[i] {
-                jobs.push((vec![i], spec.instantiate(num_vertices, out_degrees)));
-            }
+            let job: Box<dyn GraphJob> = match spec.kind {
+                AlgoKind::Sssp => Box::new(Sssp::new(num_vertices, spec.root)),
+                AlgoKind::Bfs => Box::new(Bfs::new(num_vertices, spec.root)),
+                AlgoKind::LabelProp => {
+                    Box::new(LabelPropagation::new(num_vertices, spec.root as u64, spec.max_iters))
+                }
+                AlgoKind::PageRank | AlgoKind::Ppr | AlgoKind::Wcc => continue,
+            };
+            jobs.push((vec![i], job));
         }
         jobs.sort_by_key(|(members, _)| members[0]);
         jobs

@@ -6,7 +6,7 @@
 //! cargo run --release --example sharing_runtime
 //! ```
 
-use graphm::algos::{Bfs, PageRank, Wcc};
+use graphm::algos::{Bfs, RankBundle, Wcc};
 use graphm::core::{GraphJob, WallClockConfig, WallClockExecutor};
 use graphm::gridgraph::{GridGraphEngine, GridSource};
 use std::sync::Arc;
@@ -27,7 +27,7 @@ fn main() {
     );
 
     let jobs: Vec<Box<dyn GraphJob>> = vec![
-        Box::new(PageRank::new(graph.num_vertices, engine.out_degrees(), 0.85, 5)),
+        Box::new(RankBundle::pagerank(graph.num_vertices, engine.out_degrees(), &[(0.85, 5)])),
         Box::new(Wcc::new(graph.num_vertices)),
         Box::new(Bfs::new(graph.num_vertices, 0)),
     ];
@@ -45,7 +45,7 @@ fn main() {
 
     // Versus: each job streaming privately.
     let jobs: Vec<Box<dyn GraphJob>> = vec![
-        Box::new(PageRank::new(graph.num_vertices, engine.out_degrees(), 0.85, 5)),
+        Box::new(RankBundle::pagerank(graph.num_vertices, engine.out_degrees(), &[(0.85, 5)])),
         Box::new(Wcc::new(graph.num_vertices)),
         Box::new(Bfs::new(graph.num_vertices, 0)),
     ];

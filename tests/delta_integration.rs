@@ -4,6 +4,9 @@
 //! generations between rounds so that every job sees exactly one
 //! consistent generation.
 
+mod common;
+
+use common::store_dir;
 use graphm::core::{GraphJob, JobReport, Scheme, SharingService, Submission};
 use graphm::graph::delta::apply_delta_to_edge_list;
 use graphm::graph::{generators, DeltaRecord, EdgeList, MemoryProfile};
@@ -11,13 +14,6 @@ use graphm::server::{Client, Server, ServerConfig};
 use graphm::store::{CompactionPolicy, Convert, DeltaWriter, DiskGridSource};
 use graphm::workloads::{immediate_arrivals, AlgoKind, JobSpec, Workbench};
 use std::time::Duration;
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-delta-integration-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
 
 /// A deterministic mutation batch that genuinely changes results: real
 /// edges deleted (every copy), fresh edges inserted.

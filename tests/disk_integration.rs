@@ -2,18 +2,14 @@
 //! drop-in for the in-memory `GridSource` — same JobReports for the paper
 //! mix (PageRank/WCC/BFS/SSSP) under all three execution schemes.
 
+mod common;
+
+use common::store_dir;
 use graphm::core::{run_scheme, JobReport, PartitionSource, Scheme};
 use graphm::graph::{generators, MemoryProfile};
 use graphm::gridgraph::{DiskGridSource, GridGraphEngine, GridSource};
 use graphm::store::Convert;
 use graphm::workloads::{immediate_arrivals, AlgoKind, Workbench, WorkbenchBackend};
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-disk-integration-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
 
 fn assert_job_reports_identical(mem: &[JobReport], disk: &[JobReport], ctx: &str) {
     assert_eq!(mem.len(), disk.len(), "{ctx}: job counts");

@@ -2,7 +2,7 @@
 //! and both distributed engines produce identical fixpoints, and GraphM's
 //! scheme orderings hold on each.
 
-use graphm::algos::{reference, Bfs, PageRank};
+use graphm::algos::{reference, Bfs, RankBundle};
 use graphm::core::GraphJob;
 use graphm::distributed::{run_chaos, run_powergraph, ClusterConfig};
 use graphm::graphchi::{run_graphchi, GraphChiEngine};
@@ -56,11 +56,10 @@ fn graphm_helps_every_single_machine_engine() {
     let mk = |n: usize| -> Vec<Submission> {
         (0..n)
             .map(|i| {
-                Submission::immediate(Box::new(PageRank::new(
+                Submission::immediate(Box::new(RankBundle::pagerank(
                     g.num_vertices,
                     Arc::clone(&deg),
-                    0.4 + 0.1 * i as f64,
-                    15,
+                    &[(0.4 + 0.1 * i as f64, 15)],
                 )))
             })
             .collect()
@@ -90,8 +89,11 @@ fn distributed_m_beats_c_and_chaos_c_trails_s() {
     let mk = || -> Vec<Box<dyn GraphJob>> {
         (0..8)
             .map(|i| {
-                Box::new(PageRank::new(g.num_vertices, Arc::clone(&deg), 0.4 + 0.05 * i as f64, 5))
-                    as Box<dyn GraphJob>
+                Box::new(RankBundle::pagerank(
+                    g.num_vertices,
+                    Arc::clone(&deg),
+                    &[(0.4 + 0.05 * i as f64, 5)],
+                )) as Box<dyn GraphJob>
             })
             .collect()
     };
@@ -117,7 +119,7 @@ fn wall_and_deterministic_agree() {
     let (engine, _) = GridGraphEngine::convert(&g, 3);
     let mk = || -> Vec<Box<dyn GraphJob>> {
         vec![
-            Box::new(PageRank::new(g.num_vertices, engine.out_degrees(), 0.85, 5)),
+            Box::new(RankBundle::pagerank(g.num_vertices, engine.out_degrees(), &[(0.85, 5)])),
             Box::new(Bfs::new(g.num_vertices, 2)),
         ]
     };

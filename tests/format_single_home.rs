@@ -18,6 +18,10 @@
 //! one `GraphJob::process_chunk` call on the lane that holds the job. The
 //! gather/apply split that let idle lanes help ahead is gone, and non-test
 //! code may not name it again.
+//!
+//! And each algorithm has one kernel: a solo PageRank or PPR job is a
+//! `RankBundle` of one, a solo WCC job a `Wcc` of one member, so
+//! `graphm-algos` implements `GraphJob` once per algorithm family.
 
 use std::path::{Path, PathBuf};
 
@@ -44,6 +48,13 @@ const STD_LOCKS: [&str; 4] = ["Mutex", "MutexGuard", "Condvar", "RwLock"];
 /// The help-ahead split's names, none of which non-test code may use.
 const HELP_AHEAD: [&str; 4] =
     ["GatherKernel", "gather_kernel", "apply_gathered_chunk", "chunk_fanout"];
+
+/// The solo kernels a bundle of one replaced, which non-test code of
+/// `crates/algos/src` may not name.
+const SOLO_KERNELS: [&str; 2] = ["PersonalizedPageRank", "WccGroup"];
+
+/// The `GraphJob` implementations of `crates/algos/src`, one per family.
+const ALGORITHM_KERNELS: [&str; 5] = ["Bfs", "LabelPropagation", "RankBundle", "Sssp", "Wcc"];
 
 /// Calls that return a lock result (or a guard from one).
 const LOCK_CALLS: [&str; 5] = [".lock()", ".read()", ".write()", ".wait(", ".wait_timeout("];
@@ -195,4 +206,25 @@ fn the_chunk_loop_has_one_path() {
             }
         }
     }
+}
+
+#[test]
+fn each_algorithm_has_one_kernel() {
+    let algos = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/algos/src");
+    let mut files = Vec::new();
+    sources(&algos, &mut files);
+    assert!(files.len() >= 8, "the scan found the algorithms");
+    let mut kernels = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap();
+        for name in SOLO_KERNELS {
+            assert!(!code.contains(name), "{} names `{name}`", path.display());
+        }
+        let structs = named_after(code, "struct ");
+        assert!(!structs.contains(&"Push"), "{} defines `struct Push` again", path.display());
+        kernels.extend(named_after(code, "impl GraphJob for ").into_iter().map(String::from));
+    }
+    kernels.sort();
+    assert_eq!(kernels, ALGORITHM_KERNELS, "one `impl GraphJob for` per algorithm family");
 }

@@ -19,6 +19,9 @@
 //!    replay, and every mid-stream reader snapshot is bit-identical to
 //!    some published generation.
 
+mod common;
+
+use common::store_dir;
 use graphm::core::PartitionSource;
 use graphm::graph::delta::{apply_delta_to_edge_list, gen_manifest_file_name};
 use graphm::graph::{failpoint, generators, DeltaRecord, EdgeList, GraphError, MemoryProfile};
@@ -30,13 +33,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-ingest-crash-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
 
 /// An edge as a bit-comparable triple (`weight` by its raw bits, so two
 /// stores agree only when every byte of the merged view agrees).

@@ -32,6 +32,9 @@
 //! crosses `repl.apply` serializes on [`FAILPOINTS`]: plain tests take a
 //! read lock, the global-arm staleness test takes the write lock.
 
+mod common;
+
+use common::store_dir;
 use graphm::graph::delta::read_current_generation;
 use graphm::graph::{failpoint, generators, DeltaRecord, GraphError, MemoryProfile};
 use graphm::server::{Client, ClientError, Server, ServerConfig};
@@ -41,7 +44,7 @@ use graphm::store::{
 };
 use graphm::workloads::{AlgoKind, JobSpec};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
@@ -55,13 +58,6 @@ fn failpoints_shared() -> RwLockReadGuard<'static, ()> {
 
 fn failpoints_exclusive() -> RwLockWriteGuard<'static, ()> {
     FAILPOINTS.write().unwrap_or_else(|e| e.into_inner())
-}
-
-fn store_dir(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-repl-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
 }
 
 /// Seeds a follower: generation 0 replicates by copying the base store

@@ -6,8 +6,9 @@
 //! well-formed `ping` on the same socket always comes back.
 
 use graphm::graph::{generators, MemoryProfile};
-use graphm::server::{Server, ServerConfig};
+use graphm::server::{Client, Server, ServerConfig};
 use graphm::store::Convert;
+use graphm::workloads::{AlgoKind, JobSpec};
 use proptest::collection;
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -47,6 +48,31 @@ fn connect() -> (UnixStream, BufReader<UnixStream>) {
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let reader = BufReader::new(stream.try_clone().unwrap());
     (stream, reader)
+}
+
+/// A damping outside `(0, 1)` is refused at the door for PageRank and
+/// PPR alike (a rank job cannot be built with one), and the daemon goes
+/// on serving: a valid submit and wait on it still returns a report.
+#[test]
+fn damping_outside_the_open_interval_is_refused_and_the_daemon_serves_on() {
+    let (mut stream, mut reader) = connect();
+    for algo in ["pagerank", "ppr"] {
+        for damping in ["0", "0.0", "1", "1.0"] {
+            let line =
+                format!("{{\"cmd\":\"submit\",\"algo\":\"{algo}\",\"damping\":{damping}}}\n");
+            stream.write_all(line.as_bytes()).unwrap();
+            let mut answer = String::new();
+            reader.read_line(&mut answer).unwrap();
+            assert!(
+                answer.contains("\"ok\":false") && answer.contains("damping"),
+                "{line:?} answered {answer:?}"
+            );
+        }
+    }
+    let mut client = Client::connect_unix(abuse_socket()).unwrap();
+    let spec = JobSpec { kind: AlgoKind::Ppr, damping: 0.85, root: 3, max_iters: 5 };
+    let report = client.run(&spec).unwrap();
+    assert_eq!((report.name.as_str(), report.iterations), ("PPR", 5));
 }
 
 proptest! {

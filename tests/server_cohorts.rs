@@ -7,6 +7,9 @@
 //! the first request is answered without waiting out a poll, and idle
 //! listeners stop the moment shutdown is requested.
 
+mod common;
+
+use common::store_dir;
 use graphm::core::{PartitionSource, WallClockConfig, WallClockExecutor};
 use graphm::graph::{generators, MemoryProfile};
 use graphm::server::{Client, ExecutionMode, JobState, Server, ServerConfig};
@@ -14,13 +17,6 @@ use graphm::store::{Convert, DiskGridSource};
 use graphm::workloads::{AlgoKind, JobSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-server-cohorts-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
 
 fn config(dir: &std::path::Path, name: &str, batch_ms: u64) -> ServerConfig {
     let mut config = ServerConfig::new(dir);

@@ -7,6 +7,9 @@
 //! Failpoint arming is process-global, so every test here serializes on
 //! one mutex and resets the global state on entry and exit.
 
+mod common;
+
+use common::store_dir;
 use graphm::graph::delta::DeltaRecord;
 use graphm::graph::{failpoint, generators, MemoryProfile};
 use graphm::server::{Client, Server, ServerConfig};
@@ -23,13 +26,6 @@ fn serialized() -> MutexGuard<'static, ()> {
     let guard = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     failpoint::reset_global();
     guard
-}
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-server-faults-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
 }
 
 fn fault_store(name: &str) -> std::path::PathBuf {

@@ -5,6 +5,9 @@
 //! partition passes across the socket-submitted jobs (fewer total loads
 //! than jobs x partitions).
 
+mod common;
+
+use common::store_dir;
 use graphm::core::{JobReport, PartitionSource, Scheme, WallClockConfig, WallClockExecutor};
 use graphm::graph::{generators, MemoryProfile};
 use graphm::server::{Client, JobState, Server, ServerConfig};
@@ -12,13 +15,6 @@ use graphm::store::{Convert, DiskGridSource};
 use graphm::workloads::{immediate_arrivals, AlgoKind, JobSpec, MixConfig, Workbench};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-server-integration-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
 
 fn test_server(dir: &std::path::Path, name: &str, batch_ms: u64) -> Server {
     let mut config = ServerConfig::new(dir);

@@ -8,6 +8,9 @@
 //! work without leaking queue slots, so admission recovers as soon as the
 //! backlog drains.
 
+mod common;
+
+use common::store_dir;
 use graphm::graph::delta::DeltaRecord;
 use graphm::graph::{generators, MemoryProfile};
 use graphm::server::{
@@ -18,13 +21,6 @@ use graphm::workloads::{AlgoKind, JobSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
-
-fn store_dir(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("graphm-server-overload-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&p).ok();
-    p
-}
 
 fn base_config(dir: &std::path::Path, name: &str, batch_ms: u64) -> ServerConfig {
     let mut config = ServerConfig::new(dir);
