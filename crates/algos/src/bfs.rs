@@ -5,44 +5,63 @@
 //! destinations. BFS is the paper's prototypical *sparse-access* benchmark:
 //! "only one or a few vertices are active at the beginning, but then a
 //! large number of vertices will be activated" (§4) — the workload the
-//! scheduling strategy exists for.
+//! scheduling strategy exists for. Up to four BFS jobs of a cohort share
+//! each edge read as members of one [`Bfs`].
 
-use graphm_core::GraphJob;
+use crate::traversal::{Relax, Traversal};
+use graphm_core::{ChunkEntry, GraphJob, Retired};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// Level value for unreached vertices.
 pub const UNREACHED: u32 = u32::MAX;
 
-/// BFS job state.
+impl Relax for u32 {
+    const ROOT: u32 = 0;
+    const UNREACHED: u32 = UNREACHED;
+
+    #[inline]
+    fn relax(from: u32, to: &mut u32, _: &Edge) -> bool {
+        let moved = *to == UNREACHED;
+        if moved {
+            *to = from + 1;
+        }
+        moved
+    }
+
+    fn report(self) -> f64 {
+        self as f64
+    }
+}
+
+/// The BFS kernel: 1, 2 or 4 members, one per root, served as one job
+/// so that one read of a run of edges expands it for every member whose
+/// frontier holds its source (see `traversal.rs`). A solo BFS job is a
+/// bundle of one ([`Bfs::new`]). Members are numbered in the order their
+/// roots were given; each keeps its own levels, frontier, discovered
+/// flag, iterations and edges processed, bit for bit those of a bundle of
+/// one.
 pub struct Bfs {
-    root: VertexId,
-    levels: Vec<u32>,
-    active: AtomicBitmap,
-    next_active: AtomicBitmap,
-    discovered: bool,
-    iters: usize,
+    lanes: Traversal<u32>,
 }
 
 impl Bfs {
-    /// A BFS job from `root`.
+    /// A BFS job from `root`: a bundle of one.
     pub fn new(num_vertices: VertexId, root: VertexId) -> Bfs {
-        assert!(root < num_vertices, "root out of range");
-        let n = num_vertices as usize;
-        let mut levels = vec![UNREACHED; n];
-        levels[root as usize] = 0;
-        let active = AtomicBitmap::new(n);
-        active.set(root as usize);
-        Bfs { root, levels, active, next_active: AtomicBitmap::new(n), discovered: false, iters: 0 }
+        Bfs::bundle(num_vertices, &[root])
     }
 
-    /// The root vertex.
-    pub fn root(&self) -> VertexId {
-        self.root
+    /// One member per root.
+    ///
+    /// # Panics
+    ///
+    /// Unless there are 1, 2 or 4 roots, each below `num_vertices`.
+    pub fn bundle(num_vertices: VertexId, roots: &[VertexId]) -> Bfs {
+        Bfs { lanes: Traversal::new(num_vertices, roots) }
     }
 
-    /// BFS levels (`UNREACHED` for unreachable vertices).
-    pub fn levels(&self) -> &[u32] {
-        &self.levels
+    /// Member 0's BFS levels (`UNREACHED` for unreachable vertices).
+    pub fn levels(&self) -> Vec<u32> {
+        self.lanes.values(0)
     }
 }
 
@@ -52,7 +71,7 @@ impl GraphJob for Bfs {
     }
 
     fn state_bytes_per_vertex(&self) -> usize {
-        4
+        4 * self.lanes.width()
     }
 
     fn edge_cost_factor(&self) -> f64 {
@@ -60,32 +79,41 @@ impl GraphJob for Bfs {
     }
 
     fn active(&self) -> &AtomicBitmap {
-        &self.active
+        self.lanes.active()
     }
 
     fn process_edge(&mut self, e: &Edge) {
-        if self.levels[e.dst as usize] == UNREACHED {
-            self.levels[e.dst as usize] = self.levels[e.src as usize] + 1;
-            self.next_active.set(e.dst as usize);
-            self.discovered = true;
-        }
+        let run = ChunkEntry { vertex: e.src, out_edges: 1 };
+        self.lanes.process_chunk(std::slice::from_ref(e), &[run]);
+    }
+
+    fn process_chunk(&mut self, edges: &[Edge], runs: &[ChunkEntry]) -> u64 {
+        self.lanes.process_chunk(edges, runs)
     }
 
     fn end_iteration(&mut self) -> bool {
-        self.iters += 1;
-        self.active.copy_from(&self.next_active);
-        self.next_active.clear_all();
-        let converged = !self.discovered;
-        self.discovered = false;
-        converged
+        self.lanes.end_iteration()
     }
 
     fn iterations(&self) -> usize {
-        self.iters
+        self.lanes.iterations()
     }
 
+    /// Member 0's levels.
     fn vertex_values(&self) -> Vec<f64> {
-        self.levels.iter().map(|&l| l as f64).collect()
+        self.levels().into_iter().map(f64::from).collect()
+    }
+
+    fn members(&self) -> usize {
+        self.lanes.width()
+    }
+
+    fn member_frontiers(&self) -> Option<&[u8]> {
+        Some(self.lanes.frontiers())
+    }
+
+    fn retire_members(&mut self, idle: &[usize]) -> Vec<Retired> {
+        self.lanes.retire(idle)
     }
 }
 

@@ -22,7 +22,7 @@
 //! about a third of each later sweep's kernel time but did not move the
 //! end-to-end throughput measurably, so it is not done.
 
-use graphm_core::{GraphJob, Retired};
+use graphm_core::{ChunkEntry, GraphJob, Retired};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 use std::sync::Arc;
 
@@ -230,10 +230,10 @@ impl GraphJob for RankBundle {
     }
 
     fn process_edge(&mut self, e: &Edge) {
-        self.process_chunk(std::slice::from_ref(e));
+        self.process_chunk(std::slice::from_ref(e), &[]);
     }
 
-    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+    fn process_chunk(&mut self, edges: &[Edge], _: &[ChunkEntry]) -> u64 {
         match &mut self.push {
             Wide::One(push) => push.process_chunk(edges),
             Wide::Two(push) => push.process_chunk(edges),
@@ -267,20 +267,19 @@ impl GraphJob for RankBundle {
         self.lanes.len()
     }
 
-    fn retire_members(&mut self, all: bool) -> Vec<Retired> {
-        let converged = std::mem::take(&mut self.converged);
-        let going = match all {
-            true => (0..self.lanes.len()).filter(|&k| self.live[k]).collect(),
-            false => converged,
-        };
+    fn retire_members(&mut self, idle: &[usize]) -> Vec<Retired> {
+        let mut going = std::mem::take(&mut self.converged);
+        going.extend(idle.iter().filter(|&&k| self.live[k]));
+        going.sort_unstable();
+        going.dedup();
         let mut retired = Vec::with_capacity(going.len());
-        for member in going {
+        for &member in &going {
             let values = self.ranks(member);
-            retired.push(Retired { member, iterations: self.iters, values });
+            retired.push(Retired { member, iterations: self.iters, edges_processed: None, values });
             self.live[member] = false;
-            if !all {
-                self.freeze(member);
-            }
+        }
+        if self.live.contains(&true) {
+            going.into_iter().for_each(|member| self.freeze(member));
         }
         retired
     }
@@ -293,6 +292,7 @@ mod tests {
     use crate::ppr::PPR_TOLERANCE;
     use crate::reference::{power_iteration, ppr_ref};
     use crate::Wcc;
+    use graphm_core::chunk::runs;
     use graphm_graph::{generators, EdgeList};
 
     /// `job` run alone over `edges` in 37-edge chunks: each member's
@@ -301,10 +301,11 @@ mod tests {
         let mut got: Vec<Option<(usize, Vec<u64>)>> = vec![None; job.members()];
         loop {
             for chunk in edges.chunks(37) {
-                job.process_chunk(chunk);
+                job.process_chunk(chunk, &runs(chunk));
             }
             let done = job.end_iteration();
-            for r in job.retire_members(done) {
+            let idle: Vec<usize> = if done { (0..got.len()).collect() } else { Vec::new() };
+            for r in job.retire_members(&idle) {
                 let bits = r.values.iter().map(|v| v.to_bits()).collect();
                 assert!(got[r.member].replace((r.iterations, bits)).is_none(), "retired once");
             }

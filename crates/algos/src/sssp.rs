@@ -4,44 +4,66 @@
 //! `dist[t] = min(dist[t], dist[s] + w)`; relaxed destinations join the
 //! next frontier. Like BFS, SSSP "may only need to process a part of the
 //! graph data" each iteration (§3.4.1) — it exercises GraphM's inactive
-//! chunk skipping and the §4 scheduler.
+//! chunk skipping and the §4 scheduler. Up to four SSSP jobs of a cohort
+//! share each edge read as members of one [`Sssp`].
 
-use graphm_core::GraphJob;
+use crate::traversal::{Relax, Traversal};
+use graphm_core::{ChunkEntry, GraphJob, Retired};
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// Distance for unreached vertices.
 pub const UNREACHABLE: f32 = f32::INFINITY;
 
-/// SSSP job state.
+impl Relax for f32 {
+    const ROOT: f32 = 0.0;
+    const UNREACHED: f32 = UNREACHABLE;
+
+    #[inline]
+    fn relax(from: f32, to: &mut f32, e: &Edge) -> bool {
+        debug_assert!(e.weight >= 0.0, "SSSP requires non-negative weights");
+        let cand = from + e.weight;
+        let moved = cand < *to;
+        if moved {
+            *to = cand;
+        }
+        moved
+    }
+
+    fn report(self) -> f64 {
+        self as f64
+    }
+}
+
+/// The SSSP kernel: 1, 2 or 4 members, one per root, served as one job
+/// so that one read of a run of edges relaxes it for every member whose
+/// frontier holds its source (see `traversal.rs`). A solo SSSP job is a
+/// bundle of one ([`Sssp::new`]). Members are numbered in the order
+/// their roots were given; each keeps its own distances, frontier,
+/// relaxed flag, iterations and edges processed, bit for bit those of a
+/// bundle of one.
 pub struct Sssp {
-    root: VertexId,
-    dist: Vec<f32>,
-    active: AtomicBitmap,
-    next_active: AtomicBitmap,
-    relaxed: bool,
-    iters: usize,
+    lanes: Traversal<f32>,
 }
 
 impl Sssp {
-    /// An SSSP job from `root` over non-negative edge weights.
+    /// An SSSP job from `root` over non-negative edge weights: a bundle
+    /// of one.
     pub fn new(num_vertices: VertexId, root: VertexId) -> Sssp {
-        assert!(root < num_vertices, "root out of range");
-        let n = num_vertices as usize;
-        let mut dist = vec![UNREACHABLE; n];
-        dist[root as usize] = 0.0;
-        let active = AtomicBitmap::new(n);
-        active.set(root as usize);
-        Sssp { root, dist, active, next_active: AtomicBitmap::new(n), relaxed: false, iters: 0 }
+        Sssp::bundle(num_vertices, &[root])
     }
 
-    /// The root vertex.
-    pub fn root(&self) -> VertexId {
-        self.root
+    /// One member per root, over non-negative edge weights.
+    ///
+    /// # Panics
+    ///
+    /// Unless there are 1, 2 or 4 roots, each below `num_vertices`.
+    pub fn bundle(num_vertices: VertexId, roots: &[VertexId]) -> Sssp {
+        Sssp { lanes: Traversal::new(num_vertices, roots) }
     }
 
-    /// Current tentative distances.
-    pub fn distances(&self) -> &[f32] {
-        &self.dist
+    /// Member 0's tentative distances.
+    pub fn distances(&self) -> Vec<f32> {
+        self.lanes.values(0)
     }
 }
 
@@ -51,7 +73,7 @@ impl GraphJob for Sssp {
     }
 
     fn state_bytes_per_vertex(&self) -> usize {
-        4
+        4 * self.lanes.width()
     }
 
     fn edge_cost_factor(&self) -> f64 {
@@ -59,34 +81,41 @@ impl GraphJob for Sssp {
     }
 
     fn active(&self) -> &AtomicBitmap {
-        &self.active
+        self.lanes.active()
     }
 
     fn process_edge(&mut self, e: &Edge) {
-        debug_assert!(e.weight >= 0.0, "SSSP requires non-negative weights");
-        let cand = self.dist[e.src as usize] + e.weight;
-        if cand < self.dist[e.dst as usize] {
-            self.dist[e.dst as usize] = cand;
-            self.next_active.set(e.dst as usize);
-            self.relaxed = true;
-        }
+        let run = ChunkEntry { vertex: e.src, out_edges: 1 };
+        self.lanes.process_chunk(std::slice::from_ref(e), &[run]);
+    }
+
+    fn process_chunk(&mut self, edges: &[Edge], runs: &[ChunkEntry]) -> u64 {
+        self.lanes.process_chunk(edges, runs)
     }
 
     fn end_iteration(&mut self) -> bool {
-        self.iters += 1;
-        self.active.copy_from(&self.next_active);
-        self.next_active.clear_all();
-        let converged = !self.relaxed;
-        self.relaxed = false;
-        converged
+        self.lanes.end_iteration()
     }
 
     fn iterations(&self) -> usize {
-        self.iters
+        self.lanes.iterations()
     }
 
+    /// Member 0's distances.
     fn vertex_values(&self) -> Vec<f64> {
-        self.dist.iter().map(|&d| d as f64).collect()
+        self.distances().into_iter().map(f64::from).collect()
+    }
+
+    fn members(&self) -> usize {
+        self.lanes.width()
+    }
+
+    fn member_frontiers(&self) -> Option<&[u8]> {
+        Some(self.lanes.frontiers())
+    }
+
+    fn retire_members(&mut self, idle: &[usize]) -> Vec<Retired> {
+        self.lanes.retire(idle)
     }
 }
 

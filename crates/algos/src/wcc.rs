@@ -126,19 +126,18 @@ impl GraphJob for Wcc {
         self.caps.len()
     }
 
-    fn retire_members(&mut self, all: bool) -> Vec<Retired> {
-        let ended = std::mem::take(&mut self.ended);
-        let going = match all {
-            true => (0..self.caps.len()).filter(|&m| self.live[m]).collect(),
-            false => ended,
-        };
+    fn retire_members(&mut self, idle: &[usize]) -> Vec<Retired> {
+        let mut going = std::mem::take(&mut self.ended);
+        going.extend(idle.iter().filter(|&&m| self.live[m]));
+        going.sort_unstable();
+        going.dedup();
         let values = if going.is_empty() { Vec::new() } else { self.vertex_values() };
         let iterations = self.iters;
         going
             .into_iter()
             .map(|member| {
                 self.live[member] = false;
-                Retired { member, iterations, values: values.clone() }
+                Retired { member, iterations, edges_processed: None, values: values.clone() }
             })
             .collect()
     }

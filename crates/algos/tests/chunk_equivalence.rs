@@ -4,11 +4,13 @@
 //! simulator and the oracles drive `process_edge` one edge at a time.
 //! Both must leave the same values, iteration counts and processed-edge
 //! counts, for every served algorithm (the PageRank family through its
-//! own loop; BFS, SSSP, WCC and label propagation through the trait's
-//! default body, which tests the frontier once per run of equal
-//! sources), however a block is cut into chunks.
+//! own loop; BFS and SSSP through the traversal bundles' run walk; WCC
+//! and label propagation through the trait's default body, which tests
+//! the frontier once per run of equal sources), however a block is cut
+//! into chunks.
 
 use graphm_algos::{Bfs, LabelPropagation, RankBundle, Sssp, Wcc};
+use graphm_core::chunk::runs;
 use graphm_core::GraphJob;
 use graphm_graph::{generators, Edge, EdgeList, Grid, VertexId};
 use proptest::prelude::*;
@@ -160,7 +162,8 @@ proptest! {
 
         let reference = run(job(kind, n, &deg, param), &blocks, iters, per_edge);
         let chunked = run(job(kind, n, &deg, param), &blocks, iters, |job, block| {
-            chunks(block, &mut rng).into_iter().map(|r| job.process_chunk(&block[r])).sum()
+            let chunks = chunks(block, &mut rng).into_iter();
+            chunks.map(|r| job.process_chunk(&block[r.clone()], &runs(&block[r]))).sum()
         });
         prop_assert_eq!(chunked.1, reference.1, "iterations of job kind {}", kind);
         prop_assert_eq!(&chunked.2, &reference.2, "edges processed by job kind {}", kind);

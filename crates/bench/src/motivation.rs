@@ -3,6 +3,7 @@
 
 use crate::{header, ns_to_s, row, Ctx};
 use graphm_cachesim::keys;
+use graphm_core::chunk::runs;
 use graphm_core::{PartitionSource, Scheme};
 use graphm_graph::DatasetId;
 use graphm_gridgraph::GridSource;
@@ -91,7 +92,8 @@ pub(crate) fn fig04_similarity(ctx: &mut Ctx) -> Value {
                         if source.partition_active(pid, job.active()) {
                             touched.push(pid);
                             any = true;
-                            job.process_chunk(&source.load(pid));
+                            let edges = source.load(pid);
+                            job.process_chunk(&edges, &runs(&edges));
                         }
                     }
                     if !any || job.end_iteration() {

@@ -43,13 +43,14 @@ pub fn chunk_size_bytes(
     aligned.max(CHUNK_ALIGN_BYTES)
 }
 
-/// One `chunk_table` entry: ⟨v, N+(v)⟩ — a source vertex and the number of
-/// its out-going edges inside this chunk.
+/// One `chunk_table` entry: ⟨v, N+(v)⟩ — a maximal run of edges with
+/// source `v` inside this chunk, and its length: `v`'s out-degree in the
+/// chunk when the stream is source-sorted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Source vertex id.
     pub vertex: VertexId,
-    /// Out-degree of `vertex` within the chunk (`N+_k(v)`).
+    /// Edges in the run (`N+_k(v)` on a source-sorted stream).
     pub out_edges: u32,
 }
 
@@ -124,53 +125,44 @@ impl ChunkTable {
     }
 }
 
+/// The maximal runs of equal sources in `edges`, in order: one
+/// ⟨source, run length⟩ entry per run, so the entries' lengths sum to
+/// `edges.len()` and entry `i` covers the edges after those of entries
+/// `0..i`. On a source-sorted stream that is one entry per distinct
+/// source. The one definition of a run: [`label_partition`] emits these
+/// per chunk, and [`crate::GraphJob::process_chunk`] walks them.
+pub fn runs(edges: &[Edge]) -> Vec<ChunkEntry> {
+    let mut runs = Vec::new();
+    let Some(first) = edges.first() else { return runs };
+    let mut run = ChunkEntry { vertex: first.src, out_edges: 0 };
+    for e in edges {
+        if e.src != run.vertex {
+            runs.push(run);
+            run = ChunkEntry { vertex: e.src, out_edges: 0 };
+        }
+        run.out_edges += 1;
+    }
+    runs.push(run);
+    runs
+}
+
 /// Algorithm 1 — labels one partition `P^i` as a series of chunks.
 ///
-/// Walks the edge stream once; each edge increments `N+(e_s)` in the
-/// current `c_table` (inserting ⟨e_s, 1⟩ on first sight). When the labelled
-/// edges reach the chunk size (`edge_num × S_G/|E| ≥ S_c`, i.e. edge count
-/// × bytes-per-edge) or the stream ends, the `c_table` is emitted into the
-/// `Set_c` and cleared.
+/// Walks the edge stream once, cutting it into chunks of the chunk size
+/// (`edge_num × S_G/|E| ≥ S_c`, i.e. edge count × bytes-per-edge; the last
+/// chunk takes what is left). Each chunk's `c_table` holds one ⟨e_s,
+/// N+(e_s)⟩ entry per maximal run of equal sources in it ([`runs`]): on
+/// the source-sorted partitions every engine serves, one entry per
+/// source of the chunk, as in the paper; on an unsorted stream a source
+/// appears once per run, so the table stays a walk of the chunk.
 pub fn label_partition(edges: &[Edge], chunk_bytes: usize) -> ChunkTable {
     let chunk_edge_cap = (chunk_bytes / EDGE_BYTES).max(1);
-    let mut chunks = Vec::new();
-    let mut table: Vec<ChunkEntry> = Vec::new();
-    // Whether `table`'s vertices have been strictly ascending so far: then
-    // a source above the last entry cannot be in it.
-    let mut ascending = true;
-    let mut start = 0usize;
-    let mut edge_num = 0usize;
-    for (idx, e) in edges.iter().enumerate() {
-        // Partitions arrive source-sorted from the format converters, so
-        // the common case appends to the last entry or pushes a new one
-        // above it; the fallback scan keeps the algorithm correct for
-        // arbitrary edge order.
-        match table.last_mut() {
-            Some(last) if last.vertex == e.src => last.out_edges += 1,
-            Some(last) if ascending && last.vertex < e.src => {
-                table.push(ChunkEntry { vertex: e.src, out_edges: 1 })
-            }
-            _ => {
-                if let Some(entry) = table.iter_mut().find(|t| t.vertex == e.src) {
-                    entry.out_edges += 1;
-                } else {
-                    ascending &= table.last().is_none_or(|last| last.vertex < e.src);
-                    table.push(ChunkEntry { vertex: e.src, out_edges: 1 });
-                }
-            }
-        }
-        edge_num += 1;
-        if edge_num >= chunk_edge_cap {
-            chunks.push(Chunk { edges: start..idx + 1, table: std::mem::take(&mut table) });
-            ascending = true;
-            start = idx + 1;
-            edge_num = 0;
-        }
-    }
-    if edge_num > 0 {
-        chunks.push(Chunk { edges: start..edges.len(), table });
-    }
-    ChunkTable { chunks }
+    let chunks = edges.chunks(chunk_edge_cap).enumerate();
+    let chunks = chunks.map(|(at, chunk)| {
+        let start = at * chunk_edge_cap;
+        Chunk { edges: start..start + chunk.len(), table: runs(chunk) }
+    });
+    ChunkTable { chunks: chunks.collect() }
 }
 
 #[cfg(test)]
@@ -243,17 +235,18 @@ mod tests {
     fn label_handles_unsorted_streams() {
         let edges = vec![
             Edge::new(3, 1),
+            Edge::new(3, 0),
             Edge::new(1, 2),
             Edge::new(3, 0),
             Edge::new(1, 0),
-            Edge::new(3, 2),
+            Edge::new(1, 2),
         ];
         let ct = label_partition(&edges, 100 * EDGE_BYTES);
         assert_eq!(ct.chunks.len(), 1);
-        let t = &ct.chunks[0].table;
-        assert_eq!(t.len(), 2);
-        let three = t.iter().find(|e| e.vertex == 3).unwrap();
-        assert_eq!(three.out_edges, 3);
+        let entry = |vertex, out_edges| ChunkEntry { vertex, out_edges };
+        let want = [entry(3, 2), entry(1, 1), entry(3, 1), entry(1, 2)];
+        assert_eq!(ct.chunks[0].table, want, "one entry per run, in stream order");
+        assert_eq!(runs(&edges), want);
     }
 
     #[test]
@@ -307,21 +300,43 @@ mod proptests {
     use graphm_graph::generators;
     use proptest::prelude::*;
 
-    /// Algorithm 1 with a table scan for every source that is not the
-    /// last entry's: the reference for the ascending shortcut.
-    fn label_by_scan(edges: &[Edge], cap: usize) -> Vec<(Range<usize>, Vec<ChunkEntry>)> {
+    /// Algorithm 1 as it stood before its tables became runs: one entry
+    /// per distinct source of a chunk, in first-seen order, found by an
+    /// ascending shortcut with a table scan behind it.
+    fn label_by_scan(edges: &[Edge], chunk_bytes: usize) -> ChunkTable {
+        let chunk_edge_cap = (chunk_bytes / EDGE_BYTES).max(1);
         let mut chunks = Vec::new();
-        for (at, run) in edges.chunks(cap).enumerate() {
-            let mut table: Vec<ChunkEntry> = Vec::new();
-            for e in run {
-                match table.iter_mut().find(|t| t.vertex == e.src) {
-                    Some(entry) => entry.out_edges += 1,
-                    None => table.push(ChunkEntry { vertex: e.src, out_edges: 1 }),
+        let mut table: Vec<ChunkEntry> = Vec::new();
+        let mut ascending = true;
+        let mut start = 0usize;
+        let mut edge_num = 0usize;
+        for (idx, e) in edges.iter().enumerate() {
+            match table.last_mut() {
+                Some(last) if last.vertex == e.src => last.out_edges += 1,
+                Some(last) if ascending && last.vertex < e.src => {
+                    table.push(ChunkEntry { vertex: e.src, out_edges: 1 })
+                }
+                _ => {
+                    if let Some(entry) = table.iter_mut().find(|t| t.vertex == e.src) {
+                        entry.out_edges += 1;
+                    } else {
+                        ascending &= table.last().is_none_or(|last| last.vertex < e.src);
+                        table.push(ChunkEntry { vertex: e.src, out_edges: 1 });
+                    }
                 }
             }
-            chunks.push((at * cap..at * cap + run.len(), table));
+            edge_num += 1;
+            if edge_num >= chunk_edge_cap {
+                chunks.push(Chunk { edges: start..idx + 1, table: std::mem::take(&mut table) });
+                ascending = true;
+                start = idx + 1;
+                edge_num = 0;
+            }
         }
-        chunks
+        if edge_num > 0 {
+            chunks.push(Chunk { edges: start..edges.len(), table });
+        }
+        ChunkTable { chunks }
     }
 
     proptest! {
@@ -350,29 +365,53 @@ mod proptests {
             prop_assert_eq!(next, m);
         }
 
-        /// The ascending shortcut changes no table: labelling equals the
-        /// scan-every-new-source reference on source-sorted, unsorted and
-        /// duplicate-heavy streams alike.
+        /// On a source-sorted stream — every partition an engine serves —
+        /// the run tables are the tables of one entry per distinct source
+        /// that Algorithm 1 labelled before, chunk for chunk.
         #[test]
         fn labelling_equals_the_scan(
             srcs in proptest::collection::vec(0u32..40, 0..600),
-            shape in 0usize..3,
+            few in any::<bool>(),
             cap in 1usize..60,
         ) {
             let mut srcs = srcs;
-            match shape {
-                0 => srcs.sort_unstable(),
-                1 => srcs.iter_mut().for_each(|s| *s %= 3), // few sources, many repeats
-                _ => {}                                      // arbitrary order
+            if few {
+                srcs.iter_mut().for_each(|s| *s %= 3); // few sources, many repeats
             }
+            srcs.sort_unstable();
             let edges: Vec<Edge> =
                 srcs.iter().enumerate().map(|(i, &s)| Edge::new(s, i as u32)).collect();
             let got = label_partition(&edges, cap * EDGE_BYTES);
-            let want = label_by_scan(&edges, cap);
-            prop_assert_eq!(got.chunks.len(), want.len());
-            for (chunk, (range, table)) in got.chunks.iter().zip(&want) {
-                prop_assert_eq!(&chunk.edges, range);
-                prop_assert_eq!(&chunk.table, table);
+            let want = label_by_scan(&edges, cap * EDGE_BYTES);
+            prop_assert_eq!(got.chunks.len(), want.chunks.len());
+            for (chunk, was) in got.chunks.iter().zip(&want.chunks) {
+                prop_assert_eq!(&chunk.edges, &was.edges);
+                prop_assert_eq!(&chunk.table, &was.table);
+            }
+        }
+
+        /// On any stream, each entry covers exactly one maximal run of its
+        /// source, and a chunk's entries sum to its edges.
+        #[test]
+        fn entries_are_the_runs_of_any_stream(
+            srcs in proptest::collection::vec(0u32..6, 0..400),
+            cap in 1usize..60,
+        ) {
+            let edges: Vec<Edge> =
+                srcs.iter().enumerate().map(|(i, &s)| Edge::new(s, i as u32)).collect();
+            let ct = label_partition(&edges, cap * EDGE_BYTES);
+            for chunk in &ct.chunks {
+                let mut at = chunk.edges.start;
+                for (i, entry) in chunk.table.iter().enumerate() {
+                    let run = &edges[at..at + entry.out_edges as usize];
+                    prop_assert!(!run.is_empty(), "an entry covers at least one edge");
+                    prop_assert!(run.iter().all(|e| e.src == entry.vertex), "one source a run");
+                    if let Some(next) = chunk.table.get(i + 1) {
+                        prop_assert!(next.vertex != entry.vertex, "runs are maximal");
+                    }
+                    at += run.len();
+                }
+                prop_assert_eq!(at, chunk.edges.end, "the entries sum to the chunk's edges");
             }
         }
 

@@ -125,6 +125,7 @@ mod driver;
 
 pub use driver::{CohortDriver, CohortId};
 
+use crate::chunk::runs;
 use crate::graphm::{GraphM, GraphMConfig};
 use crate::job::{GraphJob, JobId};
 use crate::scheduler::SchedulingPolicy;
@@ -230,6 +231,23 @@ pub struct WallJobReport {
     pub error: Option<String>,
 }
 
+/// Where one lane of a sweep driver spent its wall time, in nanoseconds
+/// summed over its tasks: streaming chunks, loading partitions, ending
+/// iterations, and asleep on the driver's condvar with no task to take.
+/// What is left of the lane's lifetime is hand-out under the lock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LaneTime {
+    /// Chunks streamed through jobs (`process_chunk`).
+    pub stream_ns: u64,
+    /// Partition loads, readahead announcement included.
+    pub load_ns: u64,
+    /// Iteration ends: `end_iteration`, the members' next active
+    /// partitions, retirements.
+    pub end_ns: u64,
+    /// Asleep with no task in any cohort.
+    pub idle_ns: u64,
+}
+
 /// A whole batch's wall-clock outcome.
 #[derive(Clone, Debug, Default)]
 pub struct WallRunReport {
@@ -240,6 +258,9 @@ pub struct WallRunReport {
     /// Partition loads performed (shared modes: one per `(sweep,
     /// partition)` with interested jobs; exclusive mode: per job).
     pub partition_loads: u64,
+    /// Where each of the driver's lanes spent its time, by lane (empty
+    /// in exclusive mode, which runs no driver).
+    pub lanes: Vec<LaneTime>,
 }
 
 impl WallRunReport {
@@ -270,6 +291,31 @@ impl Core {
             .into_iter()
             .filter(|&pid| self.gm.partition_active(pid, job.active()))
             .collect()
+    }
+
+    /// Each member's active partitions, in the source's order: `pids[m]`
+    /// for member `m` (only those in `live` are filled). Members share
+    /// the job's active set unless they keep frontiers of their own
+    /// ([`GraphJob::member_frontiers`]); then one pass over the chunk
+    /// tables ORs the members' masks per partition.
+    fn member_pids(&self, job: &dyn GraphJob, live: &[usize]) -> Vec<Vec<usize>> {
+        let mut pids = vec![Vec::new(); job.members()];
+        let Some(masks) = job.member_frontiers() else {
+            let shared = self.active_pids(job);
+            live.iter().for_each(|&m| pids[m].clone_from(&shared));
+            return pids;
+        };
+        let all = live.iter().fold(0u8, |all, &m| all | 1 << m);
+        for pid in self.source.order() {
+            let mut entries = self.gm.tables[pid].chunks.iter().flat_map(|c| &c.table);
+            let mut found = 0u8;
+            while found != all {
+                let Some(entry) = entries.next() else { break };
+                found |= masks[entry.vertex as usize] & all;
+            }
+            live.iter().filter(|&&m| found & 1 << m != 0).for_each(|&m| pids[m].push(pid));
+        }
+        pids
     }
 }
 
@@ -337,25 +383,26 @@ impl WallClockExecutor {
         if jobs.is_empty() {
             return WallRunReport::default();
         }
-        let lanes = pool.map_or(1, ThreadPool::num_threads);
-        let driver = Driver::new(lanes);
         // A worker is only ever of use to a job of its own.
-        let workers = lanes.min(jobs.len());
+        let workers = pool.map_or(1, ThreadPool::num_threads).min(jobs.len());
+        let driver = Driver::new(workers);
         driver.admit(&self.core, jobs);
         driver.close();
         match pool {
             Some(pool) if workers > 1 => pool.scope(|s| {
-                for _ in 1..workers {
-                    s.spawn(|| driver.work());
+                let driver = &driver;
+                for lane in 1..workers {
+                    s.spawn(move || driver.work(lane));
                 }
-                driver.work();
+                driver.work(0);
             }),
-            _ => driver.work(),
+            _ => driver.work(0),
         }
         let (retired, partition_loads) = driver.retired(Duration::ZERO);
         let mut jobs: Vec<WallJobReport> = retired.into_iter().map(|(_, report)| report).collect();
         jobs.sort_by_key(|report| report.id);
-        WallRunReport { jobs, total_ms: start.elapsed().as_secs_f64() * 1e3, partition_loads }
+        let total_ms = start.elapsed().as_secs_f64() * 1e3;
+        WallRunReport { jobs, total_ms, partition_loads, lanes: driver.lane_times() }
     }
 
     /// Runs `jobs` on one thread each with *private* loading — every job
@@ -397,7 +444,7 @@ impl WallClockExecutor {
                                 let private: Vec<graphm_graph::Edge> =
                                     source.load(pid).as_ref().clone();
                                 loads += 1;
-                                edges_processed += job.process_chunk(&private);
+                                edges_processed += job.process_chunk(&private, &runs(&private));
                             }
                             iters += 1;
                             if job.end_iteration() || iters >= max_iterations {
@@ -444,7 +491,8 @@ impl WallClockExecutor {
                 }),
             }
         }
-        WallRunReport { jobs, total_ms: start.elapsed().as_secs_f64() * 1e3, partition_loads }
+        let total_ms = start.elapsed().as_secs_f64() * 1e3;
+        WallRunReport { jobs, total_ms, partition_loads, lanes: Vec::new() }
     }
 }
 
@@ -462,6 +510,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkEntry;
     use crate::global_table::GlobalTable;
     use crate::job::CountingJob;
     use crate::scheduler::loading_order;
@@ -1128,6 +1177,26 @@ mod tests {
         assert!(threaded.jobs_per_sec() > 0.0);
     }
 
+    /// Each lane of a batch books its own time: one per lane the batch
+    /// ran on, streaming, loading and ending booked, and no lane's time
+    /// beyond the batch's wall time.
+    #[test]
+    fn lane_times_account_for_each_lane() {
+        let exec = WallClockExecutor::new(source(4), small_chunks(), None).with_pool(pool(2));
+        let run = exec.run_batch(counting_jobs(4, 3));
+        assert_eq!(run.lanes.len(), 2);
+        let booked = |time: fn(&LaneTime) -> u64| run.lanes.iter().map(time).sum::<u64>() > 0;
+        assert!(booked(|lane| lane.stream_ns), "{:?}", run.lanes);
+        assert!(booked(|lane| lane.load_ns) && booked(|lane| lane.end_ns), "{:?}", run.lanes);
+        let wall_ns = (run.total_ms * 1e6) as u64;
+        for lane in &run.lanes {
+            assert!(lane.stream_ns + lane.load_ns + lane.end_ns + lane.idle_ns <= wall_ns);
+        }
+        let single = exec.run_batch_single_thread(counting_jobs(1, 1));
+        assert_eq!(single.lanes.len(), 1);
+        assert!(exec.run_batch_exclusive(counting_jobs(1, 1)).lanes.is_empty());
+    }
+
     #[test]
     fn exclusive_pays_per_job_loads() {
         let exec = executor(4);
@@ -1201,8 +1270,9 @@ mod tests {
             let exec = WallClockExecutor::new(source(4), small_chunks(), None);
             let driver = Driver::new(lanes);
             let admitted: Vec<CohortId> = std::thread::scope(|scope| {
-                for _ in 1..lanes {
-                    scope.spawn(|| driver.work());
+                let driver = &driver;
+                for lane in 0..lanes - 1 {
+                    scope.spawn(move || driver.work(lane));
                 }
                 // This thread is the last lane: it admits each cohort,
                 // then works `gap` tasks of whatever is live.
@@ -1213,7 +1283,7 @@ mod tests {
                 };
                 let admitted = cohorts.iter().map(admit).collect();
                 driver.close();
-                driver.work();
+                driver.work(lanes - 1);
                 admitted
             });
             let (retired, loads) = driver.retired(Duration::ZERO);
@@ -1229,20 +1299,31 @@ mod tests {
 
     /// Same-kind one-member jobs run side by side as one job of several
     /// members: a bundle's seat and retirements without its fused loop.
-    /// The members must walk identical frontiers (counting jobs of any
-    /// length, frontier jobs of one root with any caps): the seat streams
-    /// by the first live member's.
+    /// Counting members share one all-active frontier; frontier members
+    /// keep frontiers of their own, which the seat publishes as member
+    /// masks ([`GraphJob::member_frontiers`]) with their union as its
+    /// active set, and each reports the edges it processed itself.
     struct Side {
         members: Vec<Box<dyn GraphJob>>,
         live: Vec<bool>,
         /// Live members whose last `end_iteration` returned `true`.
         converged: Vec<usize>,
+        /// Per member, the edges its `process_chunk` calls processed.
+        edges: Vec<u64>,
+        /// Frontier members: per vertex, the live members active on it.
+        masks: Option<Vec<u8>>,
+        union: AtomicBitmap,
     }
 
     impl Side {
         fn boxed(members: Vec<Box<dyn GraphJob>>) -> Box<dyn GraphJob> {
-            let live = vec![true; members.len()];
-            Box::new(Side { members, live, converged: Vec::new() })
+            let n = members[0].active().len();
+            let masks = members[0].skips_inactive().then(|| vec![0; n]);
+            let (live, edges) = (vec![true; members.len()], vec![0; members.len()]);
+            let union = AtomicBitmap::new(n);
+            let mut side = Side { members, live, converged: Vec::new(), edges, masks, union };
+            side.refresh();
+            Box::new(side)
         }
 
         fn leader(&self) -> &dyn GraphJob {
@@ -1253,6 +1334,21 @@ mod tests {
         fn live_members(&mut self) -> impl Iterator<Item = (usize, &mut Box<dyn GraphJob>)> {
             let live = &self.live;
             self.members.iter_mut().enumerate().filter(move |(m, _)| live[*m])
+        }
+
+        /// Rebuilds the masks and their union from the live members.
+        fn refresh(&mut self) {
+            let Some(masks) = self.masks.as_mut() else { return };
+            self.union.clear_all();
+            for (v, mask) in masks.iter_mut().enumerate() {
+                *mask = 0;
+                for (m, job) in self.members.iter().enumerate() {
+                    if self.live[m] && job.active().get(v) {
+                        *mask |= 1 << m;
+                        self.union.set(v);
+                    }
+                }
+            }
         }
     }
 
@@ -1267,16 +1363,30 @@ mod tests {
             self.members[0].skips_inactive()
         }
         fn active(&self) -> &AtomicBitmap {
-            self.leader().active()
+            match self.masks {
+                Some(_) => &self.union,
+                None => self.leader().active(),
+            }
         }
         fn process_edge(&mut self, e: &Edge) {
             self.live_members().for_each(|(_, job)| job.process_edge(e));
         }
-        fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
-            let counts: Vec<u64> =
-                self.live_members().map(|(_, j)| j.process_chunk(edges)).collect();
-            assert!(counts.windows(2).all(|w| w[0] == w[1]), "members stream alike");
-            counts[0]
+        fn process_chunk(&mut self, edges: &[Edge], runs: &[ChunkEntry]) -> u64 {
+            // The edges of the runs some member is active on, read before
+            // any member moves its frontier.
+            let any = self.masks.as_ref().map(|masks| {
+                let active = runs.iter().filter(|run| masks[run.vertex as usize] != 0);
+                active.map(|run| run.out_edges as u64).sum::<u64>()
+            });
+            let counts: Vec<(usize, u64)> =
+                self.live_members().map(|(m, j)| (m, j.process_chunk(edges, runs))).collect();
+            for &(m, count) in &counts {
+                self.edges[m] += count;
+            }
+            any.unwrap_or_else(|| {
+                assert!(counts.windows(2).all(|w| w[0].1 == w[1].1), "members stream alike");
+                counts[0].1
+            })
         }
         fn end_iteration(&mut self) -> bool {
             let ended: Vec<usize> = self
@@ -1284,6 +1394,7 @@ mod tests {
                 .filter_map(|(m, job)| job.end_iteration().then_some(m))
                 .collect();
             self.converged = ended;
+            self.refresh();
             self.converged.len() == self.live.iter().filter(|&&live| live).count()
         }
         fn iterations(&self) -> usize {
@@ -1295,20 +1406,26 @@ mod tests {
         fn members(&self) -> usize {
             self.members.len()
         }
-        fn retire_members(&mut self, all: bool) -> Vec<crate::job::Retired> {
-            let going: Vec<usize> = match all {
-                true => (0..self.members.len()).filter(|&m| self.live[m]).collect(),
-                false => std::mem::take(&mut self.converged),
-            };
-            going
+        fn member_frontiers(&self) -> Option<&[u8]> {
+            self.masks.as_deref()
+        }
+        fn retire_members(&mut self, idle: &[usize]) -> Vec<crate::job::Retired> {
+            let mut going = std::mem::take(&mut self.converged);
+            going.extend(idle.iter().filter(|&&m| self.live[m]));
+            going.sort_unstable();
+            going.dedup();
+            let retired = going
                 .into_iter()
                 .map(|member| {
                     self.live[member] = false;
                     let job = &self.members[member];
                     let (iterations, values) = (job.iterations(), job.vertex_values());
-                    crate::job::Retired { member, iterations, values }
+                    let edges_processed = self.masks.is_some().then_some(self.edges[member]);
+                    crate::job::Retired { member, iterations, edges_processed, values }
                 })
-                .collect()
+                .collect();
+            self.refresh();
+            retired
         }
     }
 
@@ -1316,15 +1433,18 @@ mod tests {
     /// per-member caps)`; a group of one is a one-member job.
     type Group = (bool, usize, Vec<usize>);
 
-    /// A group's members as one-member jobs, in member order.
+    /// A group's members as one-member jobs, in member order: frontier
+    /// members each from a root of its own, so that their active sets
+    /// differ and a seat's plan is the union of its members' partitions.
     fn group_members(&(frontier, n, ref caps): &Group) -> Vec<Box<dyn GraphJob>> {
-        let member = |cap: usize| match frontier {
+        let member = |(m, &cap): (usize, &usize)| match frontier {
             true => {
-                Box::new(FrontierJob::new(256, (n * 37) % 256).capped(cap)) as Box<dyn GraphJob>
+                let root = (n * 37 + m * 101) % 256;
+                Box::new(FrontierJob::new(256, root).capped(cap)) as Box<dyn GraphJob>
             }
             false => Box::new(CountingJob::new(256, cap)) as Box<dyn GraphJob>,
         };
-        caps.iter().map(|&cap| member(cap)).collect()
+        caps.iter().enumerate().map(member).collect()
     }
 
     fn bundled(groups: &[Group]) -> Vec<Box<dyn GraphJob>> {
@@ -1359,7 +1479,7 @@ mod tests {
             let bundled_id = driver.admit(&exec.core, bundled(&groups));
             let unbundled_id = driver.admit(&exec.core, unbundled(&groups));
             driver.close();
-            driver.work();
+            driver.work(0);
             let plans = driver.sweeps(bundled_id);
             proptest::prop_assert!(!plans.is_empty());
             proptest::prop_assert_eq!(&plans, &driver.sweeps(unbundled_id));

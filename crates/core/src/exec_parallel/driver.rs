@@ -3,8 +3,7 @@
 //! docs describe cohorts and the pick order; this file is their
 //! bookkeeping.
 
-use super::{panic_message, Core, WallClockExecutor, WallJobReport};
-use crate::chunk::Chunk;
+use super::{panic_message, Core, LaneTime, WallClockExecutor, WallJobReport};
 use crate::global_table::GlobalTable;
 use crate::job::{GraphJob, JobId, Retired};
 use crate::scheduler::loading_order;
@@ -22,7 +21,8 @@ pub type CohortId = u64;
 
 /// One job's seat in its cohort. A job with several members (a bundle,
 /// [`GraphJob::members`]) takes one seat: one place in the plan, the
-/// ready set and `Start()`'s window, one lane per chunk.
+/// ready set and `Start()`'s window, one lane per chunk. The global table
+/// keys each member on its own, by its report id.
 #[derive(Default)]
 struct Slot {
     /// The job, home between its tasks; `None` while a worker runs one
@@ -37,7 +37,9 @@ struct Slot {
     members: Vec<usize>,
     /// Iterations ended (the `max_iterations` guard).
     iters: usize,
-    /// Per member: every live member streamed the same edges.
+    /// What the job's `process_chunk` calls returned: each member's edges
+    /// processed, unless its members keep frontiers of their own (then
+    /// [`Retired::edges_processed`] carries each member's).
     edges_processed: u64,
     /// Summed wall time of the job's tasks.
     busy: Duration,
@@ -98,10 +100,12 @@ struct Cohort {
     start: Instant,
     /// `Start()`'s window, at least 2.
     window: usize,
-    /// Partition → interested-jobs table (§3.3.1), rewritten per job at
-    /// its iteration's end.
+    /// Partition → interested-members table (§3.3.1), keyed by report id
+    /// and rewritten per member at its job's iteration end.
     global: GlobalTable,
     slots: Vec<Slot>,
+    /// The seat of each member, by report id.
+    seat_of: Vec<JobId>,
     /// The rest of the current sweep: `(partition, interested jobs)` in
     /// §4 order, fixed when the sweep begins.
     plan: VecDeque<(usize, Vec<JobId>)>,
@@ -134,6 +138,7 @@ impl Cohort {
             window: core.cfg.window.max(2),
             global: GlobalTable::new(core.source.num_partitions()),
             slots: Vec::with_capacity(jobs.len()),
+            seat_of: Vec::new(),
             plan: VecDeque::new(),
             unended: 0,
             live: jobs.len(),
@@ -145,20 +150,16 @@ impl Cohort {
             #[cfg(test)]
             sweeps: Vec::new(),
         };
-        let mut first = 0;
         for (id, job) in jobs.into_iter().enumerate() {
-            let members = job.members();
+            let (first, members) = (cohort.seat_of.len(), job.members());
             assert!(members > 0, "a job has at least one member");
-            cohort.global.set_active_partitions(id, &core.active_pids(job.as_ref()));
-            cohort.global.set_members(id, members);
-            cohort.slots.push(Slot {
-                name: job.name().to_string(),
-                job: Some(job),
-                first,
-                members: (0..members).collect(),
-                ..Slot::default()
-            });
-            first += members;
+            let members: Vec<usize> = (0..members).collect();
+            for (member, pids) in core.member_pids(job.as_ref(), &members).iter().enumerate() {
+                cohort.global.set_active_partitions(first + member, pids);
+                cohort.seat_of.push(id);
+            }
+            let name = job.name().to_string();
+            cohort.slots.push(Slot { name, job: Some(job), first, members, ..Slot::default() });
         }
         cohort.begin_sweep();
         cohort
@@ -198,12 +199,19 @@ impl Cohort {
     }
 
     /// Fixes the coming sweep's plan: the §4 loading order over the
-    /// global table as the jobs' iteration ends left it.
+    /// global table as the jobs' iteration ends left it, each partition
+    /// with the seats of the members that need it.
     fn begin_sweep(&mut self) {
         let order = loading_order(&self.global, self.core.cfg.policy);
         #[cfg(test)]
         self.sweeps.push(order.clone());
-        self.plan = order.into_iter().map(|pid| (pid, self.global.jobs_for(pid))).collect();
+        let seats = |pid| {
+            let mut seats: Vec<JobId> =
+                self.global.jobs_for(pid).iter().map(|&member| self.seat_of[member]).collect();
+            seats.dedup(); // (a seat's members have consecutive ids)
+            seats
+        };
+        self.plan = order.into_iter().map(|pid| (pid, seats(pid))).collect();
         let Cohort { slots, plan, ends, .. } = self;
         for slot in slots.iter_mut() {
             slot.parts_left = 0;
@@ -263,6 +271,8 @@ struct State {
     /// served last.
     cursor: CohortId,
     loads: u64,
+    /// What each lane's time went to.
+    lanes: Vec<LaneTime>,
     /// Reports of retired jobs nobody has collected yet.
     retired: Vec<(CohortId, WallJobReport)>,
     /// The loading orders of every drained cohort's sweeps.
@@ -316,9 +326,13 @@ impl Drop for CrashGuard<'_> {
 
 impl Driver {
     pub(super) fn new(lanes: usize) -> Driver {
+        let lanes = lanes.max(1);
         Driver {
-            lanes: lanes.max(1),
-            state: Mutex::default(),
+            lanes,
+            state: Mutex::new(State {
+                lanes: vec![LaneTime::default(); lanes],
+                ..State::default()
+            }),
             wake: Condvar::new(),
             retirement: Condvar::new(),
             notify: OnceLock::new(),
@@ -378,18 +392,20 @@ impl Driver {
         (std::mem::take(&mut st.retired), st.loads)
     }
 
-    /// A worker: runs tasks until the driver is closed and every job has
-    /// retired, sleeping only when no cohort has a task to give.
-    pub(super) fn work(&self) {
+    /// Worker `lane`: runs tasks until the driver is closed and every job
+    /// has retired, sleeping only when no cohort has a task to give.
+    pub(super) fn work(&self, lane: usize) {
         let _crash = CrashGuard(self);
         let mut st = self.state.lock();
         while !st.crashed {
-            st = match self.turn(st) {
+            st = match self.turn(st, lane) {
                 Ok(st) => st,
                 Err(st) if st.closed && st.cohorts.is_empty() => return,
                 Err(mut st) => {
                     st.sleepers += 1;
+                    let asleep = Instant::now();
                     self.wake.wait(&mut st);
+                    st.lanes[lane].idle_ns += nanos(asleep.elapsed());
                     st.sleepers -= 1;
                     st
                 }
@@ -399,13 +415,13 @@ impl Driver {
 
     /// Runs the best task any cohort has; `Err` hands the lock back when
     /// none has one.
-    fn turn<'s>(&'s self, mut st: Locked<'s>) -> Result<Locked<'s>, Locked<'s>> {
+    fn turn<'s>(&'s self, mut st: Locked<'s>, lane: usize) -> Result<Locked<'s>, Locked<'s>> {
         let Some((cohort, pick)) = self.pick(&st) else { return Err(st) };
         st.cursor = cohort + 1;
         Ok(match pick {
-            Pick::Load => self.load(st, cohort),
-            Pick::End => self.end(st, cohort),
-            Pick::Chunk(id, chunk) => self.chunk(st, cohort, id, chunk),
+            Pick::Load => self.load(st, cohort, lane),
+            Pick::End => self.end(st, cohort, lane),
+            Pick::Chunk(id, chunk) => self.chunk(st, cohort, lane, id, chunk),
         })
     }
 
@@ -415,7 +431,7 @@ impl Driver {
     pub(super) fn run_tasks(&self, tasks: usize) {
         let mut st = self.state.lock();
         for _ in 0..tasks {
-            match self.turn(st) {
+            match self.turn(st, self.lanes - 1) {
                 Ok(next) => st = next,
                 Err(_) => return,
             }
@@ -452,14 +468,14 @@ impl Driver {
     /// `Sharing()`: loads the plan's next partition — one load serves
     /// every interested job of the cohort — and queues those jobs at its
     /// first chunk. A failed load fails exactly them; the sweep moves on.
-    fn load<'s>(&'s self, mut st: Locked<'s>, cohort: CohortId) -> Locked<'s> {
+    fn load<'s>(&'s self, mut st: Locked<'s>, cohort: CohortId, lane: usize) -> Locked<'s> {
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let (pid, jobs) = co.plan.pop_front().expect("picked with a plan");
         co.loading = true;
         let core = Arc::clone(&co.core);
         let lookahead = core.cfg.max_prefetch_lookahead.max(1);
         let upcoming: Vec<usize> = co.plan.iter().map(|&(pid, _)| pid).take(lookahead).collect();
-        let (mut st, loaded, _) = self.unlocked(st, || {
+        let (mut st, loaded, took) = self.unlocked(st, || {
             // Feed the readahead thread before paying for the load: the
             // upcoming window is advised while this partition is loaded
             // and processed.
@@ -469,6 +485,7 @@ impl Driver {
             core.source.try_load(pid).map_err(|e| e.to_string())
         });
         st.loads += 1;
+        st.lanes[lane].load_ns += nanos(took);
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         co.loading = false;
         match loaded.and_then(|loaded| loaded) {
@@ -494,6 +511,7 @@ impl Driver {
         &'s self,
         mut st: Locked<'s>,
         cohort: CohortId,
+        lane: usize,
         id: JobId,
         chunk: usize,
     ) -> Locked<'s> {
@@ -504,8 +522,11 @@ impl Driver {
         let (pid, edges) = (part.pid, Arc::clone(&part.edges));
         let core = Arc::clone(&co.core);
         let mut job = co.slots[id].job.take().expect("a queued job is home");
-        let (mut st, streamed, took) =
-            self.unlocked(st, || stream(job.as_mut(), &core.gm.tables[pid].chunks[chunk], &edges));
+        let (mut st, streamed, took) = self.unlocked(st, || {
+            let chunk = &core.gm.tables[pid].chunks[chunk];
+            job.process_chunk(&edges[chunk.edges.clone()], &chunk.table)
+        });
+        st.lanes[lane].stream_ns += nanos(took);
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         co.inflight_remove(chunk);
         let slot = &mut co.slots[id];
@@ -522,59 +543,67 @@ impl Driver {
     }
 
     /// Ends the iteration of the cohort's next job to have finished its
-    /// sweep: `end_iteration`, then either its active partitions for the
-    /// next sweep or its retirement — the reports are handed out there
-    /// and then, one per member that retired. A failed job retires
-    /// without ending the iteration. The last job to end begins the
-    /// cohort's next sweep, or, with every job retired, drops the cohort.
-    fn end<'s>(&'s self, mut st: Locked<'s>, cohort: CohortId) -> Locked<'s> {
+    /// sweep: `end_iteration`, then each live member's active partitions
+    /// for the next sweep, or its retirement — at convergence, or with
+    /// nothing left to stream, as a job of that one member would retire —
+    /// and the reports are handed out there and then, one per member that
+    /// retired. A failed job retires without ending the iteration. The
+    /// last job to end begins the cohort's next sweep, or, with every job
+    /// retired, drops the cohort.
+    fn end<'s>(&'s self, mut st: Locked<'s>, cohort: CohortId, lane: usize) -> Locked<'s> {
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let id = co.ends.pop_front().expect("picked with a job to end");
         let (core, start) = (Arc::clone(&co.core), co.start);
         let slot = &mut co.slots[id];
         let mut job = slot.job.take().expect("a job between sweeps is home");
         slot.iters += 1;
-        let (iters, failed) = (slot.iters, slot.error.is_some());
+        let (iters, failed, live) = (slot.iters, slot.error.is_some(), slot.members.clone());
         let (mut st, ended, took) = self.unlocked(st, move || {
             let done = failed || job.end_iteration() || iters >= core.cfg.max_iterations;
-            let pids = if done { Vec::new() } else { core.active_pids(job.as_ref()) };
-            let retired = job.retire_members(pids.is_empty());
-            (retired, (!pids.is_empty()).then_some((pids, job)))
+            let pids = match done {
+                true => vec![Vec::new(); job.members()],
+                false => core.member_pids(job.as_ref(), &live),
+            };
+            let idle: Vec<usize> = live.iter().copied().filter(|&m| pids[m].is_empty()).collect();
+            let retired = job.retire_members(&idle);
+            // (A job none of whose members is left goes here, unlocked.)
+            let going_on = (retired.len() < live.len()).then_some(job);
+            (retired, pids, going_on)
         });
+        st.lanes[lane].end_ns += nanos(took);
         let Some(co) = st.cohorts.get_mut(&cohort) else { return st };
         let slot = &mut co.slots[id];
         slot.busy += took;
-        let retired = match ended {
-            Ok((retired, going_on)) => {
-                if let Some((pids, job)) = going_on {
-                    slot.job = Some(job);
-                    co.global.set_active_partitions(id, &pids);
-                }
-                retired
+        let (retired, pids) = match ended {
+            Ok((retired, pids, going_on)) => {
+                slot.job = going_on;
+                (retired, pids)
             }
             // The job went with the panic; report what the driver knows.
             Err(msg) => {
                 slot.error.get_or_insert(msg);
                 let members = slot.members.iter();
-                members
-                    .map(|&member| Retired { member, iterations: 0, values: Vec::new() })
-                    .collect()
+                let failed = |&member| Retired {
+                    member,
+                    iterations: 0,
+                    edges_processed: None,
+                    values: Vec::new(),
+                };
+                (members.map(failed).collect(), Vec::new())
             }
         };
         slot.members.retain(|member| retired.iter().all(|r| r.member != *member));
+        for r in &retired {
+            co.global.remove_job(slot.first + r.member);
+        }
+        for &member in &slot.members {
+            co.global.set_active_partitions(slot.first + member, &pids[member]);
+        }
         let reports: Vec<_> = retired.into_iter().map(|r| report(slot, r, start)).collect();
         if slot.members.is_empty() {
-            // (Every member retired: the job goes even if it had meant to
-            // run on.)
             slot.job = None;
-        }
-        if slot.job.is_none() {
-            debug_assert!(slot.members.is_empty(), "a finished job retires every member");
             slot.retired = true;
-            co.global.remove_job(id);
             co.live -= 1;
-        } else {
-            co.global.set_members(id, slot.members.len());
         }
         co.unended -= 1;
         if co.unended == 0 && co.live > 0 {
@@ -600,6 +629,11 @@ impl Driver {
         st
     }
 
+    /// What each lane's time went to so far, by lane.
+    pub(super) fn lane_times(&self) -> Vec<LaneTime> {
+        self.state.lock().lanes.clone()
+    }
+
     /// The loading order of each sweep of `cohort`, once it has drained.
     #[cfg(test)]
     pub(super) fn sweeps(&self, cohort: CohortId) -> Vec<Vec<usize>> {
@@ -614,7 +648,7 @@ fn report(slot: &Slot, retired: Retired, start: Instant) -> WallJobReport {
         id: slot.first + retired.member,
         name: slot.name.clone(),
         iterations: retired.iterations,
-        edges_processed: slot.edges_processed,
+        edges_processed: retired.edges_processed.unwrap_or(slot.edges_processed),
         values: retired.values,
         busy_ms: slot.busy.as_secs_f64() * 1e3,
         finish_ms: start.elapsed().as_secs_f64() * 1e3,
@@ -622,14 +656,9 @@ fn report(slot: &Slot, retired: Retired, start: Instant) -> WallJobReport {
     }
 }
 
-/// Streams one chunk of `edges` (its partition) through `job` in one
-/// [`GraphJob::process_chunk`] call — none when the job skips inactive
-/// sources and the chunk has no active one.
-fn stream(job: &mut dyn GraphJob, chunk: &Chunk, edges: &[Edge]) -> u64 {
-    if job.skips_inactive() && !chunk.any_active(job.active()) {
-        return 0;
-    }
-    job.process_chunk(&edges[chunk.edges.clone()])
+/// `took` in whole nanoseconds.
+fn nanos(took: Duration) -> u64 {
+    took.as_nanos().try_into().unwrap_or(u64::MAX)
 }
 
 /// A long-lived sweep driver with worker threads of its own: cohorts are
@@ -661,7 +690,7 @@ impl CohortDriver {
                 let driver = Arc::clone(&driver);
                 std::thread::Builder::new()
                     .name(format!("graphm-lane-{lane}"))
-                    .spawn(move || driver.work())
+                    .spawn(move || driver.work(lane))
                     .expect("spawn a sweep-driver worker")
             })
             .collect();
@@ -717,6 +746,11 @@ impl CohortDriver {
     /// Partition loads since the driver started, over all cohorts.
     pub fn partition_loads(&self) -> u64 {
         self.driver.state.lock().loads
+    }
+
+    /// What each worker's time went to since the driver started, by lane.
+    pub fn lane_times(&self) -> Vec<LaneTime> {
+        self.driver.lane_times()
     }
 }
 

@@ -10,6 +10,7 @@
 //! The graph structure never lives inside a job — GraphM owns and shares
 //! it — which is what lets N jobs run against one copy.
 
+use crate::chunk::ChunkEntry;
 use graphm_graph::{AtomicBitmap, Edge, VertexId};
 
 /// Job identifier, assigned by the runtime in submission order. Submission
@@ -23,6 +24,10 @@ pub struct Retired {
     pub member: usize,
     /// Iterations the member completed.
     pub iterations: usize,
+    /// Edges the member processed, for a member with a frontier of its
+    /// own ([`GraphJob::member_frontiers`]); `None` when every member
+    /// processed what the job's `process_chunk` calls returned.
+    pub edges_processed: Option<u64>,
     /// The member's final per-vertex values.
     pub values: Vec<f64>,
 }
@@ -31,8 +36,9 @@ pub struct Retired {
 /// PageRank, WCC, BFS, SSSP, and variants).
 ///
 /// Jobs are driven by a streaming engine: every iteration the engine hands
-/// each streamed chunk to [`GraphJob::process_chunk`] (which processes the
-/// edges whose source is active), then calls [`GraphJob::end_iteration`].
+/// each streamed chunk, with its table of source runs, to
+/// [`GraphJob::process_chunk`] (which processes the runs whose source is
+/// active), then calls [`GraphJob::end_iteration`].
 /// Jobs own their active-vertex bitmaps (the paper's per-job bitmap of
 /// §3.4.1).
 pub trait GraphJob: Send {
@@ -68,37 +74,43 @@ pub trait GraphJob: Send {
     /// the engine honours [`GraphJob::skips_inactive`]).
     fn process_edge(&mut self, edge: &Edge);
 
-    /// Streams a run of edges through the job and returns the number of
+    /// Streams a chunk of edges through the job and returns the number of
     /// edges it *processed*: those whose source is active when the job
     /// [skips inactive vertices](GraphJob::skips_inactive), every edge
-    /// otherwise.
+    /// otherwise. A job of several members that keep frontiers of their
+    /// own ([`GraphJob::member_frontiers`]) returns the edges any member
+    /// processed.
     ///
-    /// The result is that of the per-edge loop: exactly the state, and
-    /// exactly the count, that calling [`GraphJob::process_edge`] on each
-    /// active-source edge of `edges`, in order, would leave. Every engine
-    /// loop that needs no per-edge accounting streams through this
-    /// method, so a whole chunk costs one virtual call; inside this body
-    /// `process_edge` and `active` are direct calls on the implementing
-    /// type. Because the frontier is stable for the iteration, the body
-    /// tests it once per run of equal sources (engines stream chunks
-    /// sorted by source; unsorted input is still correct, with shorter
-    /// runs).
-    fn process_chunk(&mut self, edges: &[Edge]) -> u64 {
+    /// `runs` walks `edges`: one ⟨source, length⟩ entry per run of equal
+    /// sources, in order, the lengths summing to `edges.len()` — the
+    /// chunk's table, or [`crate::chunk::runs`] for a caller that holds
+    /// none. The result is that of the per-edge loop: exactly the state,
+    /// and exactly the count, that calling [`GraphJob::process_edge`] on
+    /// each active-source edge of `edges`, in order, would leave. The
+    /// default body tests the frontier once per entry and jumps over an
+    /// inactive run without reading its edges (the frontier is stable for
+    /// the iteration); inside it `process_edge` and `active` are direct
+    /// calls on the implementing type, so a whole chunk costs one virtual
+    /// call. Jobs that stream every edge may ignore `runs`.
+    fn process_chunk(&mut self, edges: &[Edge], runs: &[ChunkEntry]) -> u64 {
         if !self.skips_inactive() {
             for e in edges {
                 self.process_edge(e);
             }
             return edges.len() as u64;
         }
-        let mut processed = 0;
-        for run in edges.chunk_by(|a, b| a.src == b.src) {
-            if self.active().get(run[0].src as usize) {
-                for e in run {
+        let (mut processed, mut at) = (0, 0);
+        for run in runs {
+            let len = run.out_edges as usize;
+            if self.active().get(run.vertex as usize) {
+                for e in &edges[at..at + len] {
                     self.process_edge(e);
                 }
-                processed += run.len() as u64;
+                processed += len as u64;
             }
+            at += len;
         }
+        debug_assert_eq!(at, edges.len(), "the runs walk the whole chunk");
         processed
     }
 
@@ -118,33 +130,46 @@ pub trait GraphJob: Send {
     /// that streams each edge through several same-kind members.
     ///
     /// A member is a job of its own to everything outside the seat it
-    /// shares: it has its own iterations, values and report, and its
-    /// state evolves exactly as if it ran alone, so its results are bit
-    /// for bit those of the one-member job it stands for. What the
-    /// members share is the seat: one `process_chunk` per chunk (whose
-    /// count is each member's, not their sum), one `end_iteration` per
-    /// sweep, one failure. `end_iteration` returns `true` once every
-    /// member has converged. Only the wall-clock executor reports
-    /// members one by one; the cache simulator's engines run one-member
-    /// jobs.
+    /// shares: it has its own iterations, values, edges processed and
+    /// report, and its state evolves exactly as if it ran alone, so its
+    /// results are bit for bit those of the one-member job it stands for.
+    /// What the members share is the seat: one `process_chunk` per chunk,
+    /// one `end_iteration` per sweep, one failure. `end_iteration`
+    /// returns `true` once every member has converged. Only the
+    /// wall-clock executor reports members one by one; the cache
+    /// simulator's engines run one-member jobs.
     fn members(&self) -> usize {
         1
     }
 
-    /// Retires members and hands back their outcomes, each member once:
-    /// with `all`, every member not retired yet; otherwise those that
-    /// converged at the `end_iteration` just run, while the job goes on
-    /// for the others. A retired member's values are copied out here and
-    /// the member is frozen.
+    /// Per vertex, the live members whose frontier holds it — bit `m` for
+    /// member `m` — for a job whose members keep frontiers of their own
+    /// (at most eight members); [`GraphJob::active`] is then their union.
+    /// `None`, the default: every member's frontier is `active`.
     ///
-    /// The default, for a one-member job, retires the job itself with
-    /// `all` (the driver asks for `all` once `end_iteration` returned
+    /// The wall-clock executor reads it after every `end_iteration` to
+    /// give each member its own active partitions (Formula 5 counts
+    /// members, each with its own `N_j(P)`).
+    fn member_frontiers(&self) -> Option<&[u8]> {
+        None
+    }
+
+    /// Retires members and hands back their outcomes, each member once:
+    /// those that converged at the `end_iteration` just run, and the live
+    /// members in `idle`, which the job stops running (the driver names
+    /// every live member once the job is done, and a member with nothing
+    /// left to stream). The job goes on for the others. A retired
+    /// member's values are copied out here and the member is frozen.
+    ///
+    /// The default, for a one-member job, retires the job itself when
+    /// `idle` names it (the driver does once `end_iteration` returned
     /// `true`) and nothing otherwise.
-    fn retire_members(&mut self, all: bool) -> Vec<Retired> {
-        if !all {
+    fn retire_members(&mut self, idle: &[usize]) -> Vec<Retired> {
+        if idle.is_empty() {
             return Vec::new();
         }
-        vec![Retired { member: 0, iterations: self.iterations(), values: self.vertex_values() }]
+        let (iterations, values) = (self.iterations(), self.vertex_values());
+        vec![Retired { member: 0, iterations, edges_processed: None, values }]
     }
 }
 

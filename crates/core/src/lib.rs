@@ -43,8 +43,8 @@ pub mod source;
 pub use chunk::{chunk_size_bytes, label_partition, Chunk, ChunkEntry, ChunkTable};
 pub use exec::{StreamContext, StreamRun};
 pub use exec_parallel::{
-    CohortDriver, CohortId, PrefetchHook, WallClockConfig, WallClockExecutor, WallJobReport,
-    WallRunReport,
+    CohortDriver, CohortId, LaneTime, PrefetchHook, WallClockConfig, WallClockExecutor,
+    WallJobReport, WallRunReport,
 };
 pub use global_table::GlobalTable;
 pub use graphm::{GraphM, GraphMConfig};

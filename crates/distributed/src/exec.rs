@@ -5,6 +5,7 @@
 //! is assembled from the [`crate::cluster::ClusterConfig`] cost model.
 
 use graphm_cachesim::Metrics;
+use graphm_core::chunk::runs;
 use graphm_core::GraphJob;
 use graphm_graph::Edge;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ pub struct DistIterStats {
 pub fn run_iteration(job: &mut dyn GraphJob, node_edges: &[Arc<Vec<Edge>>]) -> DistIterStats {
     let mut processed = vec![0u64; node_edges.len()];
     for (nid, edges) in node_edges.iter().enumerate() {
-        processed[nid] += job.process_chunk(edges);
+        processed[nid] += job.process_chunk(edges, &runs(edges));
     }
     let converged = job.end_iteration();
     // After end_iteration the active bitmap holds the *next* frontier =

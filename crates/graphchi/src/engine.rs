@@ -7,6 +7,7 @@
 //! once per iteration — like GridGraph, but with the heavier per-interval
 //! load set that makes GraphChi's absolute times larger (Table 4).
 
+use graphm_core::chunk::runs;
 use graphm_core::GraphJob;
 use graphm_graph::{EdgeList, Shards};
 use std::sync::Arc;
@@ -49,7 +50,7 @@ impl GraphChiEngine {
         for s in 0..self.shards.num_shards() {
             let shard = self.shards.shard(s);
             streamed += shard.len() as u64;
-            job.process_chunk(shard);
+            job.process_chunk(shard, &runs(shard));
         }
         streamed
     }

@@ -6,6 +6,7 @@
 //! engine proper — `Convert()` preprocessing, the per-job `StreamEdges`
 //! loop with selective scheduling — independent of any execution scheme.
 
+use graphm_core::chunk::runs;
 use graphm_core::GraphJob;
 use graphm_graph::{EdgeList, Grid};
 use std::sync::Arc;
@@ -55,7 +56,7 @@ impl GridGraphEngine {
             }
             let block = self.grid.block_by_index(idx);
             streamed += block.len() as u64;
-            job.process_chunk(block);
+            job.process_chunk(block, &runs(block));
         }
         streamed
     }

@@ -189,3 +189,48 @@ impl Drop for Server {
         self.join_threads();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::state::PANICS_AT_INSTANTIATION;
+    use graphm_graph::generators;
+    use graphm_store::Convert;
+    use graphm_workloads::{AlgoKind, JobSpec};
+
+    /// A job constructor that panics fails its admission's jobs, each with
+    /// an error report, and the daemon serves on: `ping` answers, and a
+    /// valid job submitted next runs to completion.
+    #[test]
+    fn a_panicking_instantiation_fails_only_its_admission() {
+        let dir = std::env::temp_dir().join(format!("graphm-daemon-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let g = generators::rmat(64, 400, generators::RmatParams::GRAPH500, 5);
+        Convert::grid(2).write(&g, &dir).unwrap();
+        let mut config = ServerConfig::new(&dir);
+        config.socket_path = Some(dir.join("daemon.sock"));
+        let server = Server::start(config).unwrap();
+        let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+
+        let spec = |kind, max_iters| JobSpec { kind, damping: 0.85, root: 3, max_iters };
+        // One burst, so one admission: the poisoned spec and a valid one.
+        let poisoned = client.submit(&spec(AlgoKind::Wcc, PANICS_AT_INSTANTIATION)).unwrap();
+        let bystander = client.submit(&spec(AlgoKind::Bfs, 30)).unwrap();
+        for id in [poisoned, bystander] {
+            let report = client.wait(id).unwrap();
+            let error = report.error.expect("every job of the admission fails");
+            assert!(error.contains("job instantiation panicked"), "{error}");
+        }
+
+        client.ping().unwrap();
+        let report = client.run(&spec(AlgoKind::Bfs, 30)).unwrap();
+        assert!(report.error.is_none(), "{:?}", report.error);
+        assert!(report.iterations > 0);
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.jobs_failed, stats.jobs_completed), (2, 1));
+        assert!(stats.lanes > 0 && stats.lane_stream_ns > 0 && stats.lane_end_ns > 0);
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -72,6 +72,7 @@ pub mod repl;
 mod replication;
 mod runtime;
 mod state;
+mod status;
 mod verbs;
 
 pub use client::{retry_delay, splitmix, Client, ClientError};

@@ -41,12 +41,13 @@ use crate::protocol::Priority;
 use crate::state::Shared;
 use graphm_cachesim::VirtualClock;
 use graphm_core::{
-    CohortDriver, CohortId, GraphJob, JobId, JobReport, PartitionSource, WallClockConfig,
+    CohortDriver, CohortId, GraphJob, JobId, JobReport, LaneTime, PartitionSource, WallClockConfig,
     WallClockExecutor,
 };
 use graphm_store::{DiskGridSource, PrefetchTarget, Prefetcher};
 use graphm_workloads::JobSpec;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,6 +76,12 @@ pub(crate) trait Engine {
 
     /// Partition loads since the runtime started.
     fn partition_loads(&self) -> u64;
+
+    /// Where each of the engine's worker lanes spent its time since the
+    /// runtime started (none for an engine without lanes).
+    fn lane_times(&self) -> Vec<LaneTime> {
+        Vec::new()
+    }
 }
 
 /// The serving engine: one sweep driver for the runtime's life — `lanes`
@@ -215,6 +222,10 @@ impl Engine for Batcher {
     fn partition_loads(&self) -> u64 {
         self.driver.partition_loads()
     }
+
+    fn lane_times(&self) -> Vec<LaneTime> {
+        self.driver.lane_times()
+    }
 }
 
 /// Body of the `graphm-runtime` thread: serves with a [`Batcher`] until
@@ -345,21 +356,56 @@ fn runtime_loop(shared: &Shared, engine: &mut dyn Engine) {
             drop(jobs);
             // Instantiated here — not at submit — so the jobs' out-degrees
             // match the generation they are admitted on; all at once, so
-            // that same-kind jobs share one job of several members.
+            // that same-kind jobs share one job of several members. A
+            // constructor that panics fails this admission's jobs, each
+            // with an error report, and nothing else.
             let specs: Vec<JobSpec> = drained.iter().map(|p| p.spec).collect();
             let ids = |members: Vec<usize>| members.into_iter().map(|i| drained[i].id).collect();
-            let jobs = shared.instantiate_cohort(&specs).into_iter();
-            admitted = jobs.map(|(members, job)| (ids(members), job)).collect();
+            match catch_unwind(AssertUnwindSafe(|| shared.instantiate_cohort(&specs))) {
+                Ok(jobs) => {
+                    admitted = jobs.into_iter().map(|(members, job)| (ids(members), job)).collect()
+                }
+                Err(payload) => {
+                    let error = format!("job instantiation panicked: {}", panic_message(&payload));
+                    let failed = drained.iter().map(|p| failed_report(p.id, &p.spec, &error));
+                    publish(shared, engine, &mut admitted_as, &mut batch_budget, failed.collect());
+                }
+            }
         }
         if admitted.is_empty() && !retired {
             continue;
         }
         let finished = engine.advance(admitted);
-        publish(shared, engine.partition_loads(), &mut admitted_as, &mut batch_budget, finished);
+        publish(shared, engine, &mut admitted_as, &mut batch_budget, finished);
         if unsampled && !engine.in_flight() {
             sample_evictions();
             unsampled = false;
         }
+    }
+}
+
+/// The report of job `id`, failed before it ran with `error`.
+fn failed_report(id: JobId, spec: &JobSpec, error: &str) -> JobReport {
+    JobReport {
+        id,
+        name: spec.kind.name().to_string(),
+        iterations: 0,
+        clock: VirtualClock::default(),
+        instructions: 0,
+        edges_processed: 0,
+        submit_ns: 0.0,
+        finish_ns: 0.0,
+        values: Vec::new(),
+        error: Some(error.to_string()),
+    }
+}
+
+/// A panic payload's message.
+fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> &str {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(message), _) => message,
+        (_, Some(message)) => message,
+        _ => "unknown panic",
     }
 }
 
@@ -407,7 +453,7 @@ fn wait_for_work(
 /// own quota.
 fn publish(
     shared: &Shared,
-    loads: u64,
+    engine: &dyn Engine,
     admitted_as: &mut HashMap<JobId, (String, Priority)>,
     batch_budget: &mut usize,
     finished: Vec<JobReport>,
@@ -425,8 +471,15 @@ fn publish(
         }
     }
     {
+        let lanes = engine.lane_times();
+        let sum = |time: fn(&LaneTime) -> u64| lanes.iter().map(time).sum();
         let mut stats = shared.stats.lock();
-        stats.partition_loads = loads;
+        stats.partition_loads = engine.partition_loads();
+        stats.lanes = lanes.len() as u64;
+        stats.lane_stream_ns = sum(|lane| lane.stream_ns);
+        stats.lane_load_ns = sum(|lane| lane.load_ns);
+        stats.lane_end_ns = sum(|lane| lane.end_ns);
+        stats.lane_idle_ns = sum(|lane| lane.idle_ns);
         stats.jobs_completed += finished.len() as u64 - failed;
         stats.jobs_failed += failed;
     }

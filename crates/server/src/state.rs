@@ -333,10 +333,20 @@ impl Shared {
         &self,
         specs: &[JobSpec],
     ) -> Vec<(Vec<usize>, Box<dyn GraphJob>)> {
+        #[cfg(test)]
+        assert!(
+            specs.iter().all(|spec| spec.max_iters != PANICS_AT_INSTANTIATION),
+            "a spec that panics at instantiation"
+        );
         let degrees = Arc::clone(&self.out_degrees.lock());
         JobSpec::instantiate_cohort(specs, self.num_vertices, &degrees)
     }
 }
+
+/// The iteration cap that makes a test build's instantiation panic: how
+/// the tests reach a constructor panic no valid spec can.
+#[cfg(test)]
+pub(crate) const PANICS_AT_INSTANTIATION: usize = 0xdead_beef;
 
 #[cfg(test)]
 mod tests {

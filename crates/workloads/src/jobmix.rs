@@ -79,9 +79,10 @@ impl JobSpec {
     /// sharing a job so that one read of an edge feeds them all:
     ///
     /// * PageRank specs in [`RankBundle`]s of 4, then one of 2, then one
-    ///   of 1 (never padded); PPR specs the same, among themselves;
+    ///   of 1 (never padded); PPR, SSSP and BFS specs the same, each kind
+    ///   among itself ([`Sssp::bundle`], [`Bfs::bundle`]);
     /// * every WCC spec in one [`Wcc`];
-    /// * every other spec alone.
+    /// * every label-propagation spec alone.
     ///
     /// Each job comes with the indices into `specs` of its members, in
     /// member order; jobs are in the order of their first members. A
@@ -96,7 +97,7 @@ impl JobSpec {
         let of_kind =
             |kind| -> Vec<usize> { (0..specs.len()).filter(|&i| specs[i].kind == kind).collect() };
         let mut jobs: Vec<(Vec<usize>, Box<dyn GraphJob>)> = Vec::with_capacity(specs.len());
-        for kind in [AlgoKind::PageRank, AlgoKind::Ppr] {
+        for kind in [AlgoKind::PageRank, AlgoKind::Ppr, AlgoKind::Sssp, AlgoKind::Bfs] {
             let of = of_kind(kind);
             let mut rest = &of[..];
             while !rest.is_empty() {
@@ -106,24 +107,27 @@ impl JobSpec {
                     _ => 4,
                 };
                 let (members, tail) = rest.split_at(width);
-                let degrees = Arc::clone(out_degrees);
-                let bundle = match kind {
+                let roots: Vec<VertexId> = members.iter().map(|&i| specs[i].root).collect();
+                let degrees = || Arc::clone(out_degrees);
+                let bundle: Box<dyn GraphJob> = match kind {
                     AlgoKind::PageRank => {
                         let lanes: Vec<_> = members
                             .iter()
                             .map(|&i| (specs[i].damping, specs[i].max_iters))
                             .collect();
-                        RankBundle::pagerank(num_vertices, degrees, &lanes)
+                        Box::new(RankBundle::pagerank(num_vertices, degrees(), &lanes))
                     }
-                    _ => {
+                    AlgoKind::Ppr => {
                         let lanes: Vec<_> = members
                             .iter()
                             .map(|&i| (specs[i].root, specs[i].damping, specs[i].max_iters))
                             .collect();
-                        RankBundle::ppr(num_vertices, degrees, &lanes)
+                        Box::new(RankBundle::ppr(num_vertices, degrees(), &lanes))
                     }
+                    AlgoKind::Sssp => Box::new(Sssp::bundle(num_vertices, &roots)),
+                    _ => Box::new(Bfs::bundle(num_vertices, &roots)),
                 };
-                jobs.push((members.to_vec(), Box::new(bundle)));
+                jobs.push((members.to_vec(), bundle));
                 rest = tail;
             }
         }
@@ -132,16 +136,9 @@ impl JobSpec {
             let caps: Vec<usize> = wcc.iter().map(|&i| specs[i].max_iters).collect();
             jobs.push((wcc, Box::new(Wcc::group(num_vertices, &caps))));
         }
-        for (i, spec) in specs.iter().enumerate() {
-            let job: Box<dyn GraphJob> = match spec.kind {
-                AlgoKind::Sssp => Box::new(Sssp::new(num_vertices, spec.root)),
-                AlgoKind::Bfs => Box::new(Bfs::new(num_vertices, spec.root)),
-                AlgoKind::LabelProp => {
-                    Box::new(LabelPropagation::new(num_vertices, spec.root as u64, spec.max_iters))
-                }
-                AlgoKind::PageRank | AlgoKind::Ppr | AlgoKind::Wcc => continue,
-            };
-            jobs.push((vec![i], job));
+        for i in of_kind(AlgoKind::LabelProp) {
+            let (salt, max_iters) = (specs[i].root as u64, specs[i].max_iters);
+            jobs.push((vec![i], Box::new(LabelPropagation::new(num_vertices, salt, max_iters))));
         }
         jobs.sort_by_key(|(members, _)| members[0]);
         jobs

@@ -15,9 +15,11 @@
 //! which owns the one poison policy, so no call site states its own.
 //!
 //! And a chunk has one path through a job: the sweep driver streams it in
-//! one `GraphJob::process_chunk` call on the lane that holds the job. The
-//! gather/apply split that let idle lanes help ahead is gone, and non-test
-//! code may not name it again.
+//! one `GraphJob::process_chunk` call on the lane that holds the job, and
+//! the job walks the chunk's table of source runs. The gather/apply split
+//! that let idle lanes help ahead is gone, and so is splitting a chunk
+//! into runs by comparing sources (`chunk_by`): non-test code may name
+//! neither again.
 //!
 //! And each algorithm has one kernel: a solo PageRank or PPR job is a
 //! `RankBundle` of one, a solo WCC job a `Wcc` of one member, so
@@ -48,6 +50,9 @@ const STD_LOCKS: [&str; 4] = ["Mutex", "MutexGuard", "Condvar", "RwLock"];
 /// The help-ahead split's names, none of which non-test code may use.
 const HELP_AHEAD: [&str; 4] =
     ["GatherKernel", "gather_kernel", "apply_gathered_chunk", "chunk_fanout"];
+
+/// The second walk of a chunk, beside the run tables.
+const RUNS_BY_COMPARISON: &str = "chunk_by(";
 
 /// The solo kernels a bundle of one replaced, which non-test code of
 /// `crates/algos/src` may not name.
@@ -201,7 +206,7 @@ fn the_chunk_loop_has_one_path() {
         let text = std::fs::read_to_string(path).unwrap();
         let code = text.split("#[cfg(test)]").next().unwrap();
         for (n, line) in code.lines().enumerate() {
-            for name in HELP_AHEAD {
+            for name in HELP_AHEAD.into_iter().chain([RUNS_BY_COMPARISON]) {
                 assert!(!line.contains(name), "{}:{} names `{name}`", path.display(), n + 1);
             }
         }

@@ -8,7 +8,8 @@
 use std::path::{Path, PathBuf};
 
 /// Low to high; `lib.rs` is the crate root and declares them all.
-const ORDER: [&str; 12] = [
+const ORDER: [&str; 13] = [
+    "status",
     "protocol",
     "repl",
     "ingest",
