@@ -52,6 +52,7 @@ use graphm_graph::delta::{
 use graphm_graph::records;
 use graphm_graph::segment::{read_segment, write_segment, Manifest};
 use graphm_graph::{Result, VertexId, VertexRanges, EDGE_BYTES};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// When the writer folds its delta chains back into base segments.
@@ -426,43 +427,52 @@ impl DeltaWriter {
     /// *opening* mid-retire re-resolve `CURRENT`, which only references
     /// surviving files.
     pub fn retire_older_generations(&self) -> Result<usize> {
-        let current = self.gen.generation;
-        let mut referenced: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for part in &self.gen.partitions {
-            referenced.insert(part.base_file.clone());
-            for d in &part.deltas {
-                referenced.insert(d.file.clone());
-            }
+        let stale = unreferenced_files(&self.dir, &self.gen)?;
+        for name in &stale {
+            std::fs::remove_file(self.dir.join(name))?;
         }
-        let mut removed = 0usize;
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let stale = if let Some(gen) = parse_gen_manifest_name(name) {
-                gen < current
-            } else if name == "CURRENT.tmp" || name == "EPOCH.tmp" {
-                // Orphans of a crash between temp-write and rename. Never
-                // `wal.log` or `EPOCH` themselves — those are live
-                // infrastructure, not generation data.
-                true
-            } else {
-                let generation_data = parse_delta_name(name).is_some()
-                    || parse_compacted_segment_name(name).is_some();
-                generation_data && !referenced.contains(name)
-            };
-            if stale {
-                std::fs::remove_file(entry.path())?;
-                removed += 1;
-            }
-        }
-        Ok(removed)
+        Ok(stale.len())
     }
+}
+
+/// The one rule for which files of `dir` generation `gen` leaves behind,
+/// sorted by name: older generation manifests, orphans of a crash
+/// between temp-write and rename, and delta or compacted segments off
+/// `gen`'s chains. Never `wal.log`, `EPOCH` or the original `Convert()`
+/// output: those are live infrastructure, not generation data.
+pub(crate) fn unreferenced_files(dir: &Path, gen: &GenManifest) -> Result<Vec<String>> {
+    let referenced: HashSet<&str> = gen
+        .partitions
+        .iter()
+        .flat_map(|part| {
+            std::iter::once(part.base_file.as_str())
+                .chain(part.deltas.iter().map(|d| d.file.as_str()))
+        })
+        .collect();
+    let mut stale = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let is_stale = if let Some(generation) = parse_gen_manifest_name(name) {
+            generation < gen.generation
+        } else if name == "CURRENT.tmp" || name == "EPOCH.tmp" {
+            true
+        } else {
+            let generation_data =
+                parse_delta_name(name).is_some() || parse_compacted_segment_name(name).is_some();
+            generation_data && !referenced.contains(name)
+        };
+        if is_stale {
+            stale.push(name.to_string());
+        }
+    }
+    stale.sort();
+    Ok(stale)
 }
 
 /// What generation 0 — the bare base store — looks like as a generation
 /// manifest: the original segment files, empty chains.
-fn synthesize_gen0(manifest: &Manifest) -> GenManifest {
+pub(crate) fn synthesize_gen0(manifest: &Manifest) -> GenManifest {
     GenManifest {
         generation: 0,
         compactions: 0,

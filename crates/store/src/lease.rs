@@ -68,7 +68,7 @@ impl LeaseConfig {
 
 /// The decoded contents of an `EPOCH` file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct EpochRecord {
+pub(crate) struct EpochRecord {
     epoch: u64,
     pid: u64,
     heartbeat_ms: u64,
@@ -137,7 +137,7 @@ fn write_epoch_file(dir: &Path, rec: &EpochRecord) -> Result<()> {
     Ok(())
 }
 
-fn read_epoch_file(dir: &Path) -> Result<Option<EpochRecord>> {
+pub(crate) fn read_epoch_file(dir: &Path) -> Result<Option<EpochRecord>> {
     let path = dir.join(EPOCH_FILE);
     let mut bytes = Vec::new();
     match File::open(&path) {

@@ -49,6 +49,7 @@ pub mod mmap;
 pub mod prefetch;
 pub mod replica;
 pub mod source;
+pub mod verify;
 pub mod wal;
 
 pub use convert::{segment_file_name, Convert};
@@ -62,6 +63,7 @@ pub use replica::{
     ReplicaApplier,
 };
 pub use source::{DeltaStats, DiskGridSource, PrefetchStats, PrefetchTarget, ResidencyStats};
+pub use verify::{verify, Verified};
 pub use wal::{replay_wal_bytes, Wal, WalBatch, WalStats};
 
 #[cfg(test)]

@@ -4,29 +4,12 @@
 
 mod common;
 
-use common::store_dir;
-use graphm::core::{run_scheme, JobReport, PartitionSource, Scheme};
+use common::{assert_job_reports_identical, store_dir};
+use graphm::core::{run_scheme, PartitionSource, Scheme};
 use graphm::graph::{generators, MemoryProfile};
 use graphm::gridgraph::{DiskGridSource, GridGraphEngine, GridSource};
 use graphm::store::Convert;
 use graphm::workloads::{immediate_arrivals, AlgoKind, Workbench, WorkbenchBackend};
-
-fn assert_job_reports_identical(mem: &[JobReport], disk: &[JobReport], ctx: &str) {
-    assert_eq!(mem.len(), disk.len(), "{ctx}: job counts");
-    for (a, b) in mem.iter().zip(disk) {
-        assert_eq!(a.id, b.id, "{ctx}: {}", a.name);
-        assert_eq!(a.name, b.name, "{ctx}");
-        assert_eq!(a.iterations, b.iterations, "{ctx}: {}", a.name);
-        assert_eq!(a.instructions, b.instructions, "{ctx}: {}", a.name);
-        assert_eq!(a.edges_processed, b.edges_processed, "{ctx}: {}", a.name);
-        assert_eq!(a.submit_ns.to_bits(), b.submit_ns.to_bits(), "{ctx}: {}", a.name);
-        assert_eq!(a.finish_ns.to_bits(), b.finish_ns.to_bits(), "{ctx}: {}", a.name);
-        assert_eq!(a.values.len(), b.values.len(), "{ctx}: {}", a.name);
-        for (i, (x, y)) in a.values.iter().zip(&b.values).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: {} vertex {i}: {x} vs {y}", a.name);
-        }
-    }
-}
 
 #[test]
 fn disk_grid_source_matches_in_memory_for_paper_mix() {

@@ -24,6 +24,10 @@
 //! And each algorithm has one kernel: a solo PageRank or PPR job is a
 //! `RankBundle` of one, a solo WCC job a `Wcc` of one member, so
 //! `graphm-algos` implements `GraphJob` once per algorithm family.
+//!
+//! And the integration tests' scaffolding has one home, `tests/common/`:
+//! no test file defines its own store directory, merged-view reader,
+//! staging loop, poll loop or bit-identity assert.
 
 use std::path::{Path, PathBuf};
 
@@ -60,6 +64,11 @@ const SOLO_KERNELS: [&str; 2] = ["PersonalizedPageRank", "WccGroup"];
 
 /// The `GraphJob` implementations of `crates/algos/src`, one per family.
 const ALGORITHM_KERNELS: [&str; 5] = ["Bfs", "LabelPropagation", "RankBundle", "Sssp", "Wcc"];
+
+/// The helpers only `tests/common/` may define (plus every `assert_…`
+/// whose name says `identical`).
+const SCAFFOLDING: [&str; 5] =
+    ["store_dir", "read_merged", "stage", "poll_until", "assert_values_bits"];
 
 /// Calls that return a lock result (or a guard from one).
 const LOCK_CALLS: [&str; 5] = [".lock()", ".read()", ".write()", ".wait(", ".wait_timeout("];
@@ -232,4 +241,29 @@ fn each_algorithm_has_one_kernel() {
     }
     kernels.sort();
     assert_eq!(kernels, ALGORITHM_KERNELS, "one `impl GraphJob for` per algorithm family");
+}
+
+#[test]
+fn test_scaffolding_has_one_home() {
+    let tests = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&tests).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        files += 1;
+        let text = std::fs::read_to_string(&path).unwrap();
+        let code: String = text
+            .lines()
+            .filter(|line| !line.trim_start().starts_with("//"))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        for name in named_after(&code, "fn ") {
+            let copied = SCAFFOLDING.contains(&name)
+                || (name.starts_with("assert_") && name.contains("identical"));
+            assert!(!copied, "{} defines `{name}`; it lives in tests/common/", path.display());
+        }
+    }
+    assert!(files > 10, "the scan found the test files");
 }

@@ -28,218 +28,96 @@
 //!    rejects reads with a typed `stale_replica` and recovers once the
 //!    tail catches up through the jittered reconnect path.
 //!
-//! `graph::failpoint` global arms are process-wide, so every test that
-//! crosses `repl.apply` serializes on [`FAILPOINTS`]: plain tests take a
-//! read lock, the global-arm staleness test takes the write lock.
+//! Families 1–3 are op lists run by the history harness
+//! (`tests/common/history.rs`), which checks both stores after every
+//! step. `graph::failpoint` global arms are process-wide, so every test
+//! that crosses `repl.apply` serializes on the shared failpoint lock:
+//! plain tests take it shared, the global-arm staleness test alone.
 
 mod common;
 
-use common::store_dir;
+use common::history::{mutations, History, Op};
+use common::{assert_served_identical, batch, daemon_config, failpoints_exclusive};
+use common::{failpoints_shared, pagerank, poll_until, replicated_files, serve, Store};
 use graphm::graph::delta::read_current_generation;
-use graphm::graph::{failpoint, generators, DeltaRecord, GraphError, MemoryProfile};
-use graphm::server::{Client, ClientError, Server, ServerConfig};
-use graphm::store::{
-    decode_frame, encode_frame, read_generation_frame, ApplyOutcome, CompactionPolicy, Convert,
-    DeltaWriter, DiskGridSource, LeaseConfig, ReplFrame, ReplicaApplier,
-};
-use graphm::workloads::{AlgoKind, JobSpec};
-use std::collections::BTreeMap;
-use std::path::Path;
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{Duration, Instant};
-
-/// Serializes access to the process-global failpoint registry: a global
-/// arm set by one test must never be consumed by another test's thread.
-static FAILPOINTS: RwLock<()> = RwLock::new(());
-
-fn failpoints_shared() -> RwLockReadGuard<'static, ()> {
-    FAILPOINTS.read().unwrap_or_else(|e| e.into_inner())
-}
-
-fn failpoints_exclusive() -> RwLockWriteGuard<'static, ()> {
-    FAILPOINTS.write().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Seeds a follower: generation 0 replicates by copying the base store
-/// (the directory is flat). Must run before either side opens a writer,
-/// so no lease or WAL state is cloned.
-fn seed_follower(primary: &Path, follower: &Path) {
-    std::fs::create_dir_all(follower).unwrap();
-    for entry in std::fs::read_dir(primary).unwrap() {
-        let e = entry.unwrap();
-        std::fs::copy(e.path(), follower.join(e.file_name())).unwrap();
-    }
-}
-
-/// Every replicated byte in the directory: all files except the node's
-/// private lease (`EPOCH`) and WAL (`wal.log`). Two convergent stores
-/// must agree on this map exactly — `CURRENT`, generation manifests,
-/// delta segments, and base segments included.
-fn replicated_files(dir: &Path) -> BTreeMap<String, Vec<u8>> {
-    let mut map = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).unwrap() {
-        let e = entry.unwrap();
-        let name = e.file_name().to_str().unwrap().to_string();
-        if name == "EPOCH" || name == "wal.log" {
-            continue;
-        }
-        map.insert(name, std::fs::read(e.path()).unwrap());
-    }
-    map
-}
-
-/// An edge as a bit-comparable triple (`weight` by its raw bits).
-type EdgeBits = (u32, u32, u32);
-
-/// The merged view a reader consumes, in partition-major order.
-fn read_merged(dir: &Path) -> (u64, Vec<EdgeBits>) {
-    let src = DiskGridSource::open(dir).expect("open store for inspection");
-    let mut edges = Vec::new();
-    for pid in 0..graphm::core::PartitionSource::num_partitions(&src) {
-        edges.extend(
-            graphm::core::PartitionSource::load(&src, pid)
-                .iter()
-                .map(|e| (e.src, e.dst, e.weight.to_bits())),
-        );
-    }
-    (src.generation(), edges)
-}
-
-/// A deterministic mutation batch touching all partitions: base edges
-/// tombstoned plus fresh inserts, varied by `salt` so successive
-/// generations differ.
-fn batch(g: &graphm::graph::EdgeList, salt: u32) -> Vec<DeltaRecord> {
-    let mut records = Vec::new();
-    for e in g.edges.iter().skip(salt as usize).step_by(151).take(5) {
-        records.push(DeltaRecord::delete(e.src, e.dst));
-    }
-    let nv = g.num_vertices;
-    for i in 0..25u32 {
-        let k = i + salt * 31;
-        records.push(DeltaRecord::insert((k * 29) % nv, (k * 83 + 7) % nv, 1.5 + salt as f32));
-    }
-    records
-}
-
-fn stage(writer: &mut DeltaWriter, records: &[DeltaRecord]) {
-    for r in records {
-        if r.op == graphm::graph::delta::DELTA_OP_DELETE {
-            writer.delete(r.src, r.dst).unwrap();
-        } else {
-            writer.insert(r.src, r.dst, r.weight).unwrap();
-        }
-    }
-}
-
-/// Ships generation `gen` from `dir` through a full wire round-trip
-/// (encode → decode), exactly what the daemon's hex transport carries.
-fn ship(dir: &Path, gen: u64, epoch: u64) -> ReplFrame {
-    let frame = read_generation_frame(dir, gen, epoch).expect("rebuild frame");
-    decode_frame(&encode_frame(&frame)).expect("wire round-trip")
-}
+use graphm::graph::{failpoint, generators, GraphError};
+use graphm::server::{Client, ClientError, Server};
+use graphm::store::{read_generation_frame, ReplFrame};
+use std::time::Duration;
 
 /// 1. A follower replaying the primary's stream — three delta publishes
 ///    around an explicit compaction — converges to byte-identical
 ///    replicated state; resends are idempotent, gaps and generation 0 are
-///    typed errors.
+///    typed errors, and retirement on the primary leaves nothing stale,
+///    crash orphans of a temp write included.
 #[test]
 fn replicated_stream_is_bit_identical_including_compaction() {
     let _guard = failpoints_shared();
     let g = generators::rmat(240, 2000, generators::RmatParams::GRAPH500, 17);
-    let p = store_dir("stream-p");
-    let f = store_dir("stream-f");
-    Convert::grid(3).write(&g, &p).unwrap();
-    seed_follower(&p, &f);
-
+    let mut h = History::new("stream", &g, 3, true);
     // Primary: gen 1, 2 are delta publishes, gen 3 a compaction, gen 4
     // another delta publish on the folded base.
-    let mut w = DeltaWriter::open(&p).unwrap().with_policy(CompactionPolicy::never());
-    for salt in 0..2u32 {
-        stage(&mut w, &batch(&g, salt));
-        assert_eq!(w.publish().unwrap(), u64::from(salt) + 1);
+    for salt in [0, 1] {
+        h.run(mutations(&batch(&g, salt))).run([Op::Publish]);
     }
-    assert_eq!(w.compact().unwrap(), 3);
-    stage(&mut w, &batch(&g, 9));
-    assert_eq!(w.publish().unwrap(), 4);
+    h.run([Op::Compact]).run(mutations(&batch(&g, 9))).run([Op::Publish]);
+    assert_eq!(h.generation(), 4);
 
     // Generation 0 never ships as a frame: followers seed by copying.
-    assert!(read_generation_frame(&p, 0, w.lease_epoch()).is_err());
+    let epoch = h.writer().lease_epoch();
+    assert!(read_generation_frame(&h.primary, 0, epoch).is_err());
 
-    // Follower: apply the stream in order through the wire codec.
-    let mut applier = ReplicaApplier::open(&f).unwrap();
-    for gen in 1..=4u64 {
-        let frame = ship(&p, gen, w.lease_epoch());
-        assert_eq!(applier.apply(&frame).unwrap(), ApplyOutcome::Applied(gen));
+    // Follower: apply the stream in order through the wire codec, then
+    // a resend after a primary crash-recovery republish (a duplicate).
+    h.run([Op::Ship(1), Op::Ship(2), Op::Ship(3), Op::Ship(4), Op::Apply]);
+    h.run([Op::Ship(4), Op::Apply]);
+    // Before retirement both sides hold every file, byte for byte.
+    let follower = replicated_files(h.follower.as_deref().unwrap());
+    assert_eq!(replicated_files(&h.primary), follower, "replicated bytes diverge");
+    // What a crash between a temp write and its rename strands is stale.
+    for orphan in ["CURRENT.tmp", "EPOCH.tmp"] {
+        std::fs::write(h.primary.join(orphan), b"torn").unwrap();
     }
-    assert_eq!(applier.generation(), 4);
-    assert_eq!(applier.frames_applied(), 4);
-    assert_eq!(applier.primary_epoch(), w.lease_epoch());
-
-    // A resend after a primary crash-recovery republish is harmless.
-    let resend = ship(&p, 4, w.lease_epoch());
-    assert_eq!(applier.apply(&resend).unwrap(), ApplyOutcome::Duplicate);
-    assert_eq!(applier.frames_applied(), 4);
+    h.run([Op::Retire]);
+    let applier = h.applier();
+    assert_eq!((applier.generation(), applier.frames_applied()), (4, 4));
+    assert_eq!(applier.primary_epoch(), epoch);
 
     // A frame beyond have+1 is a typed gap, not a silent skip.
-    let gap = ReplFrame { generation: 6, ..resend };
-    let err = applier.apply(&gap).expect_err("gap must be typed");
+    let frame = read_generation_frame(&h.primary, 4, epoch).unwrap();
+    let err = h.applier().apply(&ReplFrame { generation: 6, ..frame }).expect_err("a gap");
     assert!(format!("{err}").contains("replication gap"), "{err}");
-
-    // Byte-identical replicated state, and identical merged views.
-    assert_eq!(replicated_files(&p), replicated_files(&f), "replicated bytes diverge");
-    assert_eq!(read_merged(&p), read_merged(&f));
-
-    drop(w);
-    drop(applier);
-    std::fs::remove_dir_all(&p).ok();
-    std::fs::remove_dir_all(&f).ok();
+    // A flipped magic byte is a typed `verify` error, never a panic.
+    h.run([Op::FlipByte("manifest.bin".into(), 0)]);
 }
 
 /// 2. The chaos matrix over one *replicated* publish: primary publish →
 ///    frame ship → follower apply, with a crash injected at every
 ///    fsync/rename/send boundary the clean run crosses (both sides'
-///    publish boundaries plus `repl.ship` and `repl.apply`). Recovery +
-///    catch-up must leave the follower bit-identical to the pre- or
-///    post-publish state and equal to the recovered primary; from the
-///    primary's WAL sync onward the batch is durable and the direction is
-///    pinned forward.
+///    publish boundaries plus `repl.ship` and `repl.apply`). Both nodes
+///    die there, reopen, and the follower catches up; the harness holds
+///    each to the pre- or post-publish state (post from the primary's
+///    WAL sync onward) and the follower to the primary, byte for byte.
+///    The retired primary must also hold exactly the files of a clean
+///    run, `CURRENT` and the generation manifest included, so recovery
+///    cannot roll forward to a layout an uncrashed publish never writes.
 #[test]
 fn chaos_matrix_converges_follower_at_every_boundary() {
     let _guard = failpoints_shared();
     let g = generators::rmat(200, 1600, generators::RmatParams::GRAPH500, 41);
-    let records = batch(&g, 3);
-
-    // Pre-publish reference: the pristine base store's replicated bytes.
-    let pre_dir = store_dir("chaos-pre");
-    Convert::grid(2).write(&g, &pre_dir).unwrap();
-    let pre_files = replicated_files(&pre_dir);
-    let (pre_gen, pre_edges) = read_merged(&pre_dir);
-    assert_eq!(pre_gen, 0);
-    std::fs::remove_dir_all(&pre_dir).ok();
-
-    // Clean traced run: enumerate every boundary of the replicated
-    // publish and capture the post-publish reference bytes.
-    let pt = store_dir("chaos-trace-p");
-    let ft = store_dir("chaos-trace-f");
-    Convert::grid(2).write(&g, &pt).unwrap();
-    seed_follower(&pt, &ft);
-    let mut w = DeltaWriter::open(&pt).unwrap().with_policy(CompactionPolicy::never());
-    let mut a = ReplicaApplier::open(&ft).unwrap();
-    stage(&mut w, &records);
-    failpoint::reset();
+    let staged = mutations(&batch(&g, 3));
+    let replicate = [Op::Publish, Op::Ship(1), Op::Apply];
+    let mut clean = History::new("chaos-trace", &g, 2, true);
+    let pre_files = replicated_files(&clean.primary);
+    clean.run(staged.clone()).run([Op::Apply]);
     failpoint::record();
-    assert_eq!(w.publish().unwrap(), 1);
-    let frame = ship(&pt, 1, w.lease_epoch());
-    assert_eq!(a.apply(&frame).unwrap(), ApplyOutcome::Applied(1));
-    let trace = failpoint::trace();
+    clean.run(replicate.clone());
+    let mut trace = failpoint::trace();
     failpoint::reset();
-    let post_files = replicated_files(&pt);
-    let (_, post_edges) = read_merged(&pt);
-    assert_eq!(replicated_files(&ft), post_files, "clean replicated run must be bit-identical");
-    drop(w);
-    drop(a);
-    std::fs::remove_dir_all(&pt).ok();
-    std::fs::remove_dir_all(&ft).ok();
+    trace.retain(|point| !point.starts_with("read:"));
+    let post_files = replicated_files(&clean.primary);
+    let follower = replicated_files(clean.follower.as_deref().unwrap());
+    assert_eq!(follower, post_files, "clean replicated run must be bit-identical");
 
     // The replicated path must cross the primary's publish boundaries,
     // the ship/apply boundaries, and the follower's own publish
@@ -249,91 +127,22 @@ fn chaos_matrix_converges_follower_at_every_boundary() {
     for required in ["wal.synced", "current.renamed", "repl.ship", "repl.apply"] {
         assert!(trace.iter().any(|p| p == required), "{required} missing from {trace:?}");
     }
-    assert_eq!(
-        trace.iter().filter(|p| *p == "wal.synced").count(),
-        2,
-        "expected one primary and one follower WAL sync in {trace:?}"
-    );
+    let syncs = trace.iter().filter(|p| *p == "wal.synced").count();
+    assert_eq!(syncs, 2, "expected one primary and one follower WAL sync in {trace:?}");
     let primary_wal_synced = trace.iter().position(|p| p == "wal.synced").unwrap();
 
     for (i, point) in trace.iter().enumerate() {
         let skip = trace[..i].iter().filter(|p| *p == point).count();
-        let p = store_dir(&format!("chaos-p-{i}"));
-        let f = store_dir(&format!("chaos-f-{i}"));
-        Convert::grid(2).write(&g, &p).unwrap();
-        seed_follower(&p, &f);
-        let mut w = DeltaWriter::open(&p).unwrap().with_policy(CompactionPolicy::never());
-        let mut a = ReplicaApplier::open(&f).unwrap();
-        stage(&mut w, &records);
-        failpoint::reset();
-        failpoint::arm(point, skip);
-        let result = (|| -> Result<(), GraphError> {
-            w.publish()?;
-            let frame = read_generation_frame(&p, 1, w.lease_epoch())?;
-            let frame = decode_frame(&encode_frame(&frame))?;
-            a.apply(&frame)?;
-            Ok(())
-        })();
-        let err = result.expect_err("armed boundary must abort the replicated publish");
-        assert!(failpoint::is_injected(&err), "crossing {i} ({point}): real error {err}");
-        failpoint::reset();
-        // kill -9 both processes at the boundary: leases and WALs stay
-        // exactly as abandoned.
-        w.crash();
-        a.crash();
-
-        // Recovery: each node reopens its own store (WAL replay inside),
-        // then the follower anti-entropy-catches-up over the generation
-        // range it missed — the same read_generation_frame path the live
-        // tail uses.
-        let rec_w = DeltaWriter::open_with(&p, LeaseConfig::force_takeover())
-            .expect("primary recovery open")
-            .with_policy(CompactionPolicy::never());
-        let mut rec_a = ReplicaApplier::open_with(&f, LeaseConfig::force_takeover())
-            .expect("follower recovery open");
-        let current = rec_w.generation();
-        for gen in rec_a.generation() + 1..=current {
-            let frame = ship(&p, gen, rec_w.lease_epoch());
-            assert_eq!(rec_a.apply(&frame).unwrap(), ApplyOutcome::Applied(gen));
-        }
-
-        // Half-written files from the crash must not survive as
-        // asymmetric orphans: sweep both sides to the live set.
-        rec_w.retire_older_generations().unwrap();
-        let (p_gen, p_edges) = read_merged(&p);
-        let (f_gen, f_edges) = read_merged(&f);
-        assert_eq!((p_gen, &p_edges), (f_gen, &f_edges), "crossing {i} ({point}): divergent");
-        let is_pre = p_edges == pre_edges;
-        let is_post = p_edges == post_edges;
+        let mut h = History::new(&format!("chaos-{i}"), &g, 2, true);
+        h.run(staged.clone()).run([Op::Apply, Op::Crash(point.clone(), skip)]);
+        h.run(replicate.clone()).run([Op::Reopen, Op::CatchUp, Op::Retire]);
+        assert_eq!(h.applier().generation(), h.writer().generation(), "crossing {i} ({point})");
+        let files = replicated_files(&h.primary);
+        let durable = i >= primary_wal_synced;
         assert!(
-            is_pre || is_post,
-            "crossing {i} ({point}): converged state at generation {p_gen} is neither \
-             pre- nor post-publish"
+            files == post_files || (!durable && files == pre_files),
+            "crossing {i} ({point}): primary bytes diverge from the clean run's"
         );
-        if i >= primary_wal_synced {
-            assert!(is_post, "crossing {i} ({point}): durable batch rolled back");
-        }
-        // Bit-identical to the reference run, manifest and CURRENT
-        // included (the follower never re-publishes crashed partials, so
-        // only the primary needed retirement).
-        let reference = if is_post { &post_files } else { &pre_files };
-        assert_eq!(
-            &replicated_files(&p),
-            reference,
-            "crossing {i} ({point}): primary bytes diverge from reference"
-        );
-        let f_files = replicated_files(&f);
-        for (name, bytes) in reference {
-            assert_eq!(
-                f_files.get(name),
-                Some(bytes),
-                "crossing {i} ({point}): follower file {name} diverges"
-            );
-        }
-        drop(rec_w);
-        drop(rec_a);
-        std::fs::remove_dir_all(&p).ok();
-        std::fs::remove_dir_all(&f).ok();
     }
 }
 
@@ -345,68 +154,31 @@ fn chaos_matrix_converges_follower_at_every_boundary() {
 fn promotion_bumps_epoch_and_fences_the_ex_primary() {
     let _guard = failpoints_shared();
     let g = generators::rmat(200, 1500, generators::RmatParams::GRAPH500, 5);
-    let p = store_dir("promote-p");
-    let f = store_dir("promote-f");
-    Convert::grid(2).write(&g, &p).unwrap();
-    seed_follower(&p, &f);
-
-    let mut old_primary = DeltaWriter::open(&p).unwrap().with_policy(CompactionPolicy::never());
-    assert_eq!(old_primary.lease_epoch(), 1);
-    stage(&mut old_primary, &batch(&g, 0));
-    assert_eq!(old_primary.publish().unwrap(), 1);
-
-    let mut applier = ReplicaApplier::open(&f).unwrap();
-    applier.apply(&ship(&p, 1, old_primary.lease_epoch())).unwrap();
-    assert_eq!(applier.lease_epoch(), 1);
+    let mut h = History::new("promote", &g, 2, true);
+    h.run(mutations(&batch(&g, 0))).run([Op::Publish, Op::Ship(1), Op::Apply]);
+    assert_eq!((h.writer().lease_epoch(), h.applier().lease_epoch()), (1, 1));
 
     // Promote: the follower's own lease is fenced and re-acquired one
-    // epoch up; the returned writer serves primary duty immediately.
-    let mut new_primary =
-        applier.promote().expect("promotion").with_policy(CompactionPolicy::never());
-    assert_eq!(new_primary.lease_epoch(), 2);
-    stage(&mut new_primary, &batch(&g, 1));
-    assert_eq!(new_primary.publish().unwrap(), 2);
-
-    // The ex-primary rejoins as a follower of the new primary: its store
-    // is bit-identical up to generation 1, so tailing resumes at 2. Its
-    // stale lease (the zombie still holds it) is force-fenced the same
-    // way a crashed node's would be.
-    let mut rejoined = ReplicaApplier::open_with(&p, LeaseConfig::force_takeover()).unwrap();
-    assert_eq!(rejoined.generation(), 1);
-    rejoined.apply(&ship(&f, 2, new_primary.lease_epoch())).unwrap();
-    assert_eq!(replicated_files(&p), replicated_files(&f), "rejoined ex-primary diverges");
+    // epoch up; the ex-primary rejoins as its follower, bit-identical up
+    // to generation 1, so tailing resumes at 2.
+    h.run([Op::Promote]);
+    assert_eq!(h.writer().lease_epoch(), 2);
+    h.run(mutations(&batch(&g, 1))).run([Op::Publish, Op::Ship(2), Op::Apply]);
+    assert_eq!(h.applier().generation(), 2);
+    let rejoined = replicated_files(h.follower.as_deref().unwrap());
+    assert_eq!(replicated_files(&h.primary), rejoined, "rejoined ex-primary diverges");
 
     // The zombie ex-primary writer can buffer but never flip CURRENT.
-    old_primary.insert(0, 1, 1.0).unwrap();
-    let fenced = old_primary.publish().expect_err("fenced ex-primary must not publish");
+    let zombie = h.zombie.as_mut().unwrap();
+    zombie.insert(0, 1, 1.0).unwrap();
+    let fenced = zombie.publish().expect_err("fenced ex-primary must not publish");
     assert!(
         matches!(fenced, GraphError::EpochFenced { .. } | GraphError::LeaseLost { .. }),
         "wrong error: {fenced}"
     );
-
-    drop(old_primary);
-    drop(new_primary);
-    drop(rejoined);
-    std::fs::remove_dir_all(&p).ok();
-    std::fs::remove_dir_all(&f).ok();
 }
 
 const NV: u32 = 300;
-
-fn job_spec() -> JobSpec {
-    JobSpec { kind: AlgoKind::PageRank, damping: 0.85, root: 0, max_iters: 8 }
-}
-
-fn poll_until<T>(what: &str, deadline: Duration, mut probe: impl FnMut() -> Option<T>) -> T {
-    let start = Instant::now();
-    loop {
-        if let Some(v) = probe() {
-            return v;
-        }
-        assert!(start.elapsed() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
 
 /// 4. Two live daemons: the follower tails the primary over TCP with the
 ///    shared-secret handshake, serves bit-identical reads, redirects writes
@@ -416,38 +188,29 @@ fn poll_until<T>(what: &str, deadline: Duration, mut probe: impl FnMut() -> Opti
 fn follower_daemon_tails_serves_reads_and_promotes() {
     let _guard = failpoints_shared();
     let g = generators::rmat(NV, 2600, generators::RmatParams::GRAPH500, 63);
-    let p = store_dir("e2e-p");
-    let f = store_dir("e2e-f");
-    Convert::grid(3).write(&g, &p).unwrap();
-    seed_follower(&p, &f);
+    let p = Store::convert("e2e-p", &g, 3);
+    let f = Store::follower("e2e-f", &p);
 
     let token = "repl-e2e-secret";
-    let mut pconfig = ServerConfig::new(&p);
+    let mut pconfig = daemon_config(&p, "e2e-p", 5);
     pconfig.tcp_addr = Some("127.0.0.1:0".to_string());
-    pconfig.profile = MemoryProfile::TEST;
-    pconfig.batch_window = Duration::from_millis(5);
     pconfig.enable_ingest = true;
     pconfig.auth_token = Some(token.to_string());
     let primary = Server::start(pconfig).expect("primary starts");
     let paddr = primary.tcp_addr().unwrap().to_string();
 
     // A follower cannot also hold the ingest lease.
-    let mut bad = ServerConfig::new(&f);
+    let mut bad = daemon_config(&f, "bad", 5);
     bad.follow = Some(paddr.clone());
     bad.enable_ingest = true;
     assert!(Server::start(bad).is_err(), "follower + ingest must be rejected");
 
-    let mut fconfig = ServerConfig::new(&f);
-    fconfig.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-repl-e2e-{}.sock", std::process::id())));
-    fconfig.profile = MemoryProfile::TEST;
-    fconfig.batch_window = Duration::from_millis(5);
+    let mut fconfig = daemon_config(&f, "e2e-f", 5);
     fconfig.follow = Some(paddr.clone());
     fconfig.auth_token = Some(token.to_string());
     fconfig.max_replica_lag = 64;
     fconfig.repl_backoff = Duration::from_millis(100);
-    let follower = Server::start(fconfig).expect("follower starts");
-    let fsock = follower.socket_path().unwrap().to_path_buf();
+    let (_follower, mut fc) = serve(fconfig);
 
     // Satellite: TCP without the token is a typed `unauthorized`; the
     // connection survives for a retry with the right secret.
@@ -469,7 +232,6 @@ fn follower_daemon_tails_serves_reads_and_promotes() {
     }
 
     // The follower tails to lag 0 (its unix socket is auth-exempt).
-    let mut fc = Client::connect_unix(&fsock).unwrap();
     poll_until("follower catch-up", Duration::from_secs(20), || {
         let repl = fc.repl_status().unwrap();
         (repl.get("generation").and_then(|v| v.as_u64()) == Some(3)).then_some(())
@@ -500,22 +262,15 @@ fn follower_daemon_tails_serves_reads_and_promotes() {
     // run forces a round; the daemons rotate to the newest published
     // generation between rounds.
     let on_primary = poll_until("primary rotation", Duration::from_secs(20), || {
-        let report = pc.run(&job_spec()).expect("job on primary");
+        let report = pc.run(&pagerank(8)).expect("job on primary");
         (pc.stats().unwrap().generation == 3).then_some(report)
     });
     let on_follower = poll_until("follower rotation", Duration::from_secs(20), || {
-        let report = fc.run(&job_spec()).expect("job on follower");
+        let report = fc.run(&pagerank(8)).expect("job on follower");
         (fc.stats().unwrap().generation == 3).then_some(report)
     });
     assert_eq!(replicated_files(&p), replicated_files(&f), "replicated dirs diverge");
-    assert_eq!(on_primary.values.len(), on_follower.values.len());
-    assert_eq!(
-        on_primary.edges_processed, on_follower.edges_processed,
-        "primary and follower served different generations"
-    );
-    for (a, b) in on_primary.values.iter().zip(&on_follower.values) {
-        assert_eq!(a.to_bits(), b.to_bits(), "follower read diverges bit-wise");
-    }
+    assert_served_identical(&on_follower, &on_primary);
 
     // Writes to the follower are redirected with a typed `not_primary`.
     let redirect = fc.ingest(&batch(&g, 7));
@@ -538,13 +293,7 @@ fn follower_daemon_tails_serves_reads_and_promotes() {
     fc.ingest(&ops).unwrap();
     let (generation, _) = fc.ingest_commit().expect("ingest on promoted follower");
     assert_eq!(generation, 4);
-    fc.run(&job_spec()).expect("job after promotion");
-
-    fc.shutdown_server().unwrap();
-    follower.join();
-    std::fs::remove_dir_all(&p).ok();
-    std::fs::remove_dir_all(&f).ok();
-    std::fs::remove_file(&fsock).ok();
+    fc.run(&pagerank(8)).expect("job after promotion");
 }
 
 /// 5. The staleness bound: a follower wedged mid-tail (global
@@ -556,15 +305,11 @@ fn follower_daemon_tails_serves_reads_and_promotes() {
 fn stale_follower_rejects_reads_until_it_catches_up() {
     let _guard = failpoints_exclusive();
     let g = generators::rmat(NV, 2600, generators::RmatParams::GRAPH500, 12);
-    let p = store_dir("stale-p");
-    let f = store_dir("stale-f");
-    Convert::grid(3).write(&g, &p).unwrap();
-    seed_follower(&p, &f);
+    let p = Store::convert("stale-p", &g, 3);
+    let f = Store::follower("stale-f", &p);
 
-    let mut pconfig = ServerConfig::new(&p);
+    let mut pconfig = daemon_config(&p, "stale-p", 5);
     pconfig.tcp_addr = Some("127.0.0.1:0".to_string());
-    pconfig.profile = MemoryProfile::TEST;
-    pconfig.batch_window = Duration::from_millis(5);
     pconfig.enable_ingest = true;
     let primary = Server::start(pconfig).expect("primary starts");
     let paddr = primary.tcp_addr().unwrap().to_string();
@@ -581,20 +326,12 @@ fn stale_follower_rejects_reads_until_it_catches_up() {
     // The first apply dies on the armed failpoint (consumed by that one
     // crossing), forcing a full reconnect backoff window during which
     // the follower is observably stale.
-    failpoint::reset_global();
     failpoint::arm_global("repl.apply", 0);
-    let mut fconfig = ServerConfig::new(&f);
-    fconfig.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-repl-stale-{}.sock", std::process::id())));
-    fconfig.profile = MemoryProfile::TEST;
-    fconfig.batch_window = Duration::from_millis(5);
+    let mut fconfig = daemon_config(&f, "stale-f", 5);
     fconfig.follow = Some(paddr.clone());
     fconfig.max_replica_lag = 1;
     fconfig.repl_backoff = Duration::from_secs(3);
-    let follower = Server::start(fconfig).expect("follower starts");
-    let fsock = follower.socket_path().unwrap().to_path_buf();
-
-    let mut fc = Client::connect_unix(&fsock).unwrap();
+    let (_follower, mut fc) = serve(fconfig);
     poll_until("wedged tail to enter backoff", Duration::from_secs(20), || {
         let repl = fc.repl_status().unwrap();
         (repl.get("reconnects").and_then(|v| v.as_u64()) >= Some(1)).then_some(())
@@ -604,7 +341,7 @@ fn stale_follower_rejects_reads_until_it_catches_up() {
     assert_eq!(health.replica_lag_generations, 2);
 
     // Beyond the bound: reads are rejected with a typed error naming it.
-    let stale = fc.submit(&job_spec());
+    let stale = fc.submit(&pagerank(8));
     match stale {
         Err(ClientError::StaleReplica(m)) => {
             assert!(m.contains("2 generations"), "unhelpful staleness message: {m}")
@@ -620,12 +357,5 @@ fn stale_follower_rejects_reads_until_it_catches_up() {
     });
     failpoint::reset_global();
     assert_eq!(fc.health().unwrap().replica_lag_generations, 0);
-    fc.run(&job_spec()).expect("read after catch-up");
-
-    fc.shutdown_server().unwrap();
-    follower.join();
-    primary.shutdown();
-    std::fs::remove_dir_all(&p).ok();
-    std::fs::remove_dir_all(&f).ok();
-    std::fs::remove_file(&fsock).ok();
+    fc.run(&pagerank(8)).expect("read after catch-up");
 }

@@ -5,8 +5,10 @@
 //! or parse error), framing recovers at the next newline, and a
 //! well-formed `ping` on the same socket always comes back.
 
-use graphm::graph::{generators, MemoryProfile};
-use graphm::server::{Client, Server, ServerConfig};
+mod common;
+
+use graphm::graph::generators;
+use graphm::server::{Client, Server};
 use graphm::store::Convert;
 use graphm::workloads::{AlgoKind, JobSpec};
 use proptest::collection;
@@ -28,11 +30,7 @@ fn abuse_socket() -> &'static PathBuf {
             std::env::temp_dir().join(format!("graphm-server-abuse-store-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         Convert::grid(2).write(&g, &dir).unwrap();
-        let mut config = ServerConfig::new(&dir);
-        config.socket_path =
-            Some(std::env::temp_dir().join(format!("graphm-abuse-{}.sock", std::process::id())));
-        config.profile = MemoryProfile::TEST;
-        config.batch_window = Duration::from_millis(5);
+        let mut config = common::daemon_config(&dir, "abuse", 5);
         // Small line cap so random payloads regularly exercise the
         // oversized-line shed path too.
         config.max_line_bytes = 512;

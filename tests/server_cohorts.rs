@@ -9,29 +9,14 @@
 
 mod common;
 
-use common::store_dir;
+use common::{assert_values_identical, daemon_config, serve, Store};
 use graphm::core::{PartitionSource, WallClockConfig, WallClockExecutor};
 use graphm::graph::{generators, MemoryProfile};
-use graphm::server::{Client, ExecutionMode, JobState, Server, ServerConfig};
-use graphm::store::{Convert, DiskGridSource};
+use graphm::server::{Client, JobState, Server};
+use graphm::store::DiskGridSource;
 use graphm::workloads::{AlgoKind, JobSpec};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn config(dir: &std::path::Path, name: &str, batch_ms: u64) -> ServerConfig {
-    let mut config = ServerConfig::new(dir);
-    config.socket_path = Some(
-        std::env::temp_dir().join(format!("graphm-cohorts-{name}-{}.sock", std::process::id())),
-    );
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(batch_ms);
-    config.mode = ExecutionMode::Wallclock;
-    config
-}
-
-fn bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
 
 /// A one-sweep WCC submitted while a thirty-sweep PageRank is in flight
 /// is admitted at once, retires first, and reports exactly what it
@@ -39,10 +24,8 @@ fn bits(values: &[f64]) -> Vec<u64> {
 #[test]
 fn a_short_job_overtakes_a_long_one_and_equals_its_solo_run() {
     let g = generators::rmat(8_000, 200_000, generators::RmatParams::GRAPH500, 61);
-    let dir = store_dir("overtake");
-    Convert::grid(4).write(&g, &dir).unwrap();
-    let server = Server::start(config(&dir, "overtake", 5)).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let dir = Store::convert("overtake", &g, 4);
+    let (server, mut client) = serve(daemon_config(&dir, "overtake", 5));
 
     let long = JobSpec { kind: AlgoKind::PageRank, damping: 0.85, root: 0, max_iters: 30 };
     let short = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 1 };
@@ -79,11 +62,8 @@ fn a_short_job_overtakes_a_long_one_and_equals_its_solo_run() {
     for (spec, served) in [(short, &short_report), (long, &long_report)] {
         let solo = exec.run_batch_single_thread(vec![spec.instantiate(g.num_vertices, &degrees)]);
         assert_eq!(served.iterations, solo.jobs[0].iterations, "{}", served.name);
-        assert_eq!(bits(&served.values), bits(&solo.jobs[0].values), "{}", served.name);
+        assert_values_identical(&served.values, &solo.jobs[0].values, &served.name);
     }
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Reports of one burst (one admission) share `submit_ns`; a later burst
@@ -91,12 +71,10 @@ fn a_short_job_overtakes_a_long_one_and_equals_its_solo_run() {
 #[test]
 fn one_burst_shares_submit_ns_and_the_next_has_its_own() {
     let g = generators::rmat(300, 2400, generators::RmatParams::GRAPH500, 67);
-    let dir = store_dir("bursts");
-    Convert::grid(2).write(&g, &dir).unwrap();
+    let dir = Store::convert("bursts", &g, 2);
     // The default window: a connection's sequential submissions are one
     // burst until its first `wait`, whatever the window.
-    let server = Server::start(config(&dir, "bursts", 20)).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(daemon_config(&dir, "bursts", 20));
     let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 4 };
 
     let mut burst = |jobs: usize| -> Vec<u64> {
@@ -110,16 +88,11 @@ fn one_burst_shares_submit_ns_and_the_next_has_its_own() {
     assert!(first.iter().all(|&ns| ns == first[0]), "{first:?}");
     assert!(second.iter().all(|&ns| ns == second[0]), "{second:?}");
     assert_ne!(first[0], second[0]);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
-fn small_store(name: &str) -> std::path::PathBuf {
+fn small_store(name: &str) -> Store {
     let g = generators::rmat(200, 1500, generators::RmatParams::GRAPH500, 71);
-    let dir = store_dir(name);
-    Convert::grid(2).write(&g, &dir).unwrap();
-    dir
+    Store::convert(name, &g, 2)
 }
 
 const WCC: JobSpec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 4 };
@@ -129,8 +102,7 @@ const WCC: JobSpec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_
 #[test]
 fn a_submit_then_wait_is_admitted_at_the_wait_not_after_the_window() {
     let dir = small_store("no-sleep");
-    let server = Server::start(config(&dir, "no-sleep", 2_000)).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(daemon_config(&dir, "no-sleep", 2_000));
     let begun = Instant::now();
     let id = client.submit(&WCC).unwrap();
     let report = client.wait(id).unwrap();
@@ -138,8 +110,6 @@ fn a_submit_then_wait_is_admitted_at_the_wait_not_after_the_window() {
     assert!(report.error.is_none());
     assert!(took < Duration::from_millis(500), "answered after {took:?}");
     assert_eq!(server.stats().rounds_capped, 0);
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A burst that arrives while a long job runs is admitted when it
@@ -147,10 +117,8 @@ fn a_submit_then_wait_is_admitted_at_the_wait_not_after_the_window() {
 #[test]
 fn a_burst_arriving_while_busy_is_admitted_without_waiting_for_a_retirement() {
     let g = generators::rmat(8_000, 200_000, generators::RmatParams::GRAPH500, 61);
-    let dir = store_dir("busy-burst");
-    Convert::grid(4).write(&g, &dir).unwrap();
-    let server = Server::start(config(&dir, "busy-burst", 10_000)).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let dir = Store::convert("busy-burst", &g, 4);
+    let (server, mut client) = serve(daemon_config(&dir, "busy-burst", 10_000));
 
     let long = JobSpec { kind: AlgoKind::PageRank, damping: 0.85, root: 0, max_iters: 30 };
     let long_id = client.submit(&long).unwrap();
@@ -174,8 +142,6 @@ fn a_burst_arriving_while_busy_is_admitted_without_waiting_for_a_retirement() {
     assert_eq!(shorts[0].submit_ns.to_bits(), shorts[1].submit_ns.to_bits(), "one cohort");
     let stats = server.stats();
     assert_eq!((stats.rounds, stats.rounds_capped), (2, 0));
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A connection that goes quiet after `submit` holds its job back only
@@ -183,7 +149,7 @@ fn a_burst_arriving_while_busy_is_admitted_without_waiting_for_a_retirement() {
 #[test]
 fn a_burst_that_never_settles_is_admitted_at_the_cap() {
     let dir = small_store("capped");
-    let server = Server::start(config(&dir, "capped", 300)).unwrap();
+    let server = Server::start(daemon_config(&dir, "capped", 300)).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
     let mut quiet = Client::connect_unix(&socket).unwrap();
     let mut watcher = Client::connect_unix(&socket).unwrap();
@@ -205,8 +171,6 @@ fn a_burst_that_never_settles_is_admitted_at_the_cap() {
     let stats = server.stats();
     assert_eq!((stats.rounds, stats.rounds_capped), (1, 1));
     drop(quiet);
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Bursts of two connections that overlap are one admission: jobs that
@@ -214,7 +178,7 @@ fn a_burst_that_never_settles_is_admitted_at_the_cap() {
 #[test]
 fn overlapping_bursts_of_two_connections_are_one_cohort() {
     let dir = small_store("two-bursts");
-    let server = Server::start(config(&dir, "two-bursts", 5_000)).unwrap();
+    let server = Server::start(daemon_config(&dir, "two-bursts", 5_000)).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
     let submitted = std::sync::Barrier::new(2);
     let reports: Vec<_> = std::thread::scope(|scope| {
@@ -234,8 +198,6 @@ fn overlapping_bursts_of_two_connections_are_one_cohort() {
     assert!(reports.iter().all(|r| r.submit_ns.to_bits() == reports[0].submit_ns.to_bits()));
     let stats = server.stats();
     assert_eq!((stats.rounds, stats.rounds_capped), (1, 0));
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The accept loops block instead of polling every 20 ms: a client that
@@ -247,7 +209,7 @@ fn the_first_request_does_not_wait_out_an_accept_poll() {
     let dir = small_store("first-health");
     let mut best = [Duration::MAX; 2];
     for trial in 0..5 {
-        let mut config = config(&dir, &format!("first-health-{trial}"), 5);
+        let mut config = daemon_config(&dir, &format!("first-health-{trial}"), 5);
         config.tcp_addr = Some("127.0.0.1:0".to_string());
         let server = Server::start(config).unwrap();
         std::thread::sleep(Duration::from_millis(3));
@@ -261,7 +223,6 @@ fn the_first_request_does_not_wait_out_an_accept_poll() {
     }
     let limit = Duration::from_millis(10);
     assert!(best[0] < limit && best[1] < limit, "unix {:?}, tcp {:?}", best[0], best[1]);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Listeners nobody ever connected to are blocked in `accept`; shutdown
@@ -272,10 +233,10 @@ fn the_first_request_does_not_wait_out_an_accept_poll() {
 fn idle_listeners_stop_promptly_on_both_transports() {
     let dir = small_store("idle-listeners");
     let (done, watchdog) = std::sync::mpsc::channel();
-    let scenario_dir = dir.clone();
+    let scenario_dir = dir.to_path_buf();
     let scenarios = std::thread::spawn(move || {
         let start = |name: &str| {
-            let mut config = config(&scenario_dir, name, 5);
+            let mut config = daemon_config(&scenario_dir, name, 5);
             config.tcp_addr = Some("127.0.0.1:0".to_string());
             Server::start(config).unwrap()
         };
@@ -306,5 +267,4 @@ fn idle_listeners_stop_promptly_on_both_transports() {
         .expect("a blocked listener never saw the shutdown");
     scenarios.join().unwrap();
     assert!(slowest < Duration::from_secs(2), "slowest stop took {slowest:?}");
-    std::fs::remove_dir_all(&dir).ok();
 }

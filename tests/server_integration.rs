@@ -7,23 +7,14 @@
 
 mod common;
 
-use common::store_dir;
+use common::{assert_served_identical, assert_values_identical, daemon_config, serve, Store};
 use graphm::core::{JobReport, PartitionSource, Scheme, WallClockConfig, WallClockExecutor};
 use graphm::graph::{generators, MemoryProfile};
-use graphm::server::{Client, JobState, Server, ServerConfig};
-use graphm::store::{Convert, DiskGridSource};
+use graphm::server::{Client, JobState, Server};
+use graphm::store::DiskGridSource;
 use graphm::workloads::{immediate_arrivals, AlgoKind, JobSpec, MixConfig, Workbench};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-
-fn test_server(dir: &std::path::Path, name: &str, batch_ms: u64) -> Server {
-    let mut config = ServerConfig::new(dir);
-    config.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-{name}-{}.sock", std::process::id())));
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(batch_ms);
-    Server::start(config).expect("server starts")
-}
 
 /// The headline test: 8 concurrent client connections, one job each,
 /// submitted into one batching window, are served as one cohort. Their
@@ -34,8 +25,7 @@ fn test_server(dir: &std::path::Path, name: &str, batch_ms: u64) -> Server {
 #[test]
 fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     let g = generators::rmat(600, 5200, generators::RmatParams::GRAPH500, 33);
-    let dir = store_dir("concurrent");
-    Convert::grid(4).write(&g, &dir).unwrap();
+    let dir = Store::convert("concurrent", &g, 4);
 
     // Capped iteration budgets keep total sweeps well below the job
     // count, so the sharing criterion (loads < jobs x partitions) has
@@ -54,7 +44,7 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     // `wait` arrives some burst is open and nothing is drained: all 8
     // land in one admission, exactly like the in-process runs' immediate
     // arrivals. (The batch window only caps how long that may take.)
-    let server = test_server(&dir, "concurrent", 1500);
+    let server = Server::start(daemon_config(&dir, "concurrent", 1500)).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
 
     let connected = Arc::new(Barrier::new(specs.len()));
@@ -104,18 +94,13 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     for (id, entry) in by_server_id.iter().enumerate() {
         let (_, served) = entry.as_ref().unwrap();
         let (sim, solo) = (&simulated.jobs[id], &cohort.jobs[id]);
-        for (want_name, want_iterations, want_edges, want_values) in [
-            (&sim.name, sim.iterations, sim.edges_processed, &sim.values),
-            (&solo.name, solo.iterations, solo.edges_processed, &solo.values),
-        ] {
-            assert_eq!(&served.name, want_name, "job {id}");
-            assert_eq!(served.iterations, want_iterations, "job {id}");
-            assert_eq!(served.edges_processed, want_edges, "job {id}");
-            assert_eq!(served.values.len(), want_values.len(), "job {id}");
-            for (v, (a, b)) in served.values.iter().zip(want_values).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "job {id} ({}) vertex {v}", served.name);
-            }
-        }
+        assert_served_identical(served, sim);
+        assert_eq!(
+            (&served.name, served.iterations, served.edges_processed),
+            (&solo.name, solo.iterations, solo.edges_processed),
+            "job {id}"
+        );
+        assert_values_identical(&served.values, &solo.values, &format!("job {id}"));
     }
 
     // Sharing engaged across socket-submitted jobs: the daemon's loads
@@ -133,9 +118,6 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
     assert_eq!(stats.jobs_submitted, 8);
     assert_eq!(stats.jobs_completed, 8);
     assert_eq!(stats.num_vertices, 600);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Real threaded sweeps with partition prefetch must produce
@@ -146,8 +128,7 @@ fn eight_concurrent_clients_match_in_process_run_bit_for_bit() {
 #[test]
 fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
     let g = generators::rmat(600, 5200, generators::RmatParams::GRAPH500, 33);
-    let dir = store_dir("wallclock");
-    Convert::grid(4).write(&g, &dir).unwrap();
+    let dir = Store::convert("wallclock", &g, 4);
 
     // Same shape as the headline test: capped iteration
     // budgets keep total sweeps well below the job count so the sharing
@@ -162,12 +143,7 @@ fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
     };
     let specs = graphm::workloads::generate_mix(wb.num_vertices(), &mix);
 
-    let mut config = ServerConfig::new(&dir);
-    config.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-wallclock-{}.sock", std::process::id())));
-    config.profile = MemoryProfile::TEST;
-    let server = Server::start(config).expect("wallclock server starts");
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(daemon_config(&dir, "wallclock", 20));
 
     // Submissions come sequentially from one client: one burst, so one
     // threaded batch (ids in submit order). The bit-exact comparison
@@ -182,13 +158,7 @@ fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
     let expected = wb.run(Scheme::Shared, &specs, &immediate_arrivals(specs.len()));
 
     for (id, (got, want)) in served.iter().zip(&expected.jobs).enumerate() {
-        assert_eq!(got.name, want.name, "job {id}");
-        assert_eq!(got.iterations, want.iterations, "job {id} ({})", got.name);
-        assert_eq!(got.edges_processed, want.edges_processed, "job {id} ({})", got.name);
-        assert_eq!(got.values.len(), want.values.len(), "job {id}");
-        for (v, (a, b)) in got.values.iter().zip(&want.values).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "job {id} ({}) vertex {v}", got.name);
-        }
+        assert_served_identical(got, want);
         // Wallclock timing is real: non-negative wall nanoseconds, and
         // the simulated instruction counter stays unused.
         assert!(got.finish_ns >= got.submit_ns, "job {id}");
@@ -210,22 +180,16 @@ fn wallclock_mode_matches_deterministic_results_with_prefetch_hits() {
         "prefetcher never ran ahead of a load (issued {})",
         stats.prefetch_issued
     );
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The TCP listener speaks the same protocol.
 #[test]
 fn tcp_listener_serves_jobs() {
     let g = generators::rmat(300, 2400, generators::RmatParams::GRAPH500, 5);
-    let dir = store_dir("tcp");
-    Convert::grid(4).write(&g, &dir).unwrap();
+    let dir = Store::convert("tcp", &g, 4);
 
-    let mut config = ServerConfig::new(&dir);
+    let mut config = daemon_config(&dir, "tcp", 5);
     config.tcp_addr = Some("127.0.0.1:0".to_string());
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(5);
     let server = Server::start(config).unwrap();
     let addr = server.tcp_addr().unwrap();
 
@@ -239,19 +203,14 @@ fn tcp_listener_serves_jobs() {
     // must survive the wire.
     assert_eq!(report.values[3], 0.0);
     assert!(report.values.iter().all(|v| v.is_infinite() || *v >= 0.0));
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Lifecycle and error behavior over one connection.
 #[test]
 fn status_lifecycle_and_errors() {
     let g = generators::rmat(200, 1500, generators::RmatParams::GRAPH500, 9);
-    let dir = store_dir("lifecycle");
-    Convert::grid(2).write(&g, &dir).unwrap();
-    let server = test_server(&dir, "lifecycle", 5);
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let dir = Store::convert("lifecycle", &g, 2);
+    let (_server, mut client) = serve(daemon_config(&dir, "lifecycle", 5));
 
     // Unknown job.
     assert!(matches!(
@@ -279,9 +238,6 @@ fn status_lifecycle_and_errors() {
     assert!(id2 > id);
     let r2 = client.wait(id2).unwrap();
     assert_eq!(r2.values, report.values, "same spec, same results, later round");
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Shutdown drains queued jobs, answers waiting clients, then stops
@@ -289,9 +245,8 @@ fn status_lifecycle_and_errors() {
 #[test]
 fn shutdown_drains_and_cleans_up() {
     let g = generators::rmat(200, 1500, generators::RmatParams::GRAPH500, 21);
-    let dir = store_dir("shutdown");
-    Convert::grid(2).write(&g, &dir).unwrap();
-    let server = test_server(&dir, "shutdown", 400);
+    let dir = Store::convert("shutdown", &g, 2);
+    let server = Server::start(daemon_config(&dir, "shutdown", 400)).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
 
     let mut submitter = Client::connect_unix(&socket).unwrap();
@@ -309,7 +264,6 @@ fn shutdown_drains_and_cleans_up() {
 
     server.shutdown();
     assert!(!socket.exists(), "socket file removed on shutdown");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Finished-report retention is bounded: past `max_done_reports`, the
@@ -317,16 +271,10 @@ fn shutdown_drains_and_cleans_up() {
 #[test]
 fn done_report_retention_is_bounded() {
     let g = generators::rmat(150, 1000, generators::RmatParams::GRAPH500, 3);
-    let dir = store_dir("retention");
-    Convert::grid(2).write(&g, &dir).unwrap();
-    let mut config = ServerConfig::new(&dir);
-    config.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-retention-{}.sock", std::process::id())));
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(5);
+    let dir = Store::convert("retention", &g, 2);
+    let mut config = daemon_config(&dir, "retention", 5);
     config.max_done_reports = 2;
-    let server = Server::start(config).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (_server, mut client) = serve(config);
 
     let spec = JobSpec { kind: AlgoKind::Wcc, damping: 0.85, root: 0, max_iters: 3 };
     let ids: Vec<_> = (0..4)
@@ -346,9 +294,6 @@ fn done_report_retention_is_bounded() {
             "job {old} should have been evicted"
         );
     }
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A report counts as *delivered* only once a `wait` response carrying it
@@ -362,13 +307,8 @@ fn a_failed_wait_response_is_not_a_delivery() {
     // the structure (1.2 kB), so a delivered report is evicted at once and
     // "still there" can only mean "not delivered yet".
     let g = generators::rmat(3000, 100, generators::RmatParams::GRAPH500, 5);
-    let dir = store_dir("delivery");
-    Convert::grid(2).write(&g, &dir).unwrap();
-    let mut config = ServerConfig::new(&dir);
-    config.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-delivery-{}.sock", std::process::id())));
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(300);
+    let dir = Store::convert("delivery", &g, 2);
+    let mut config = daemon_config(&dir, "delivery", 300);
     config.max_connections = 2;
     let server = Server::start(config).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
@@ -404,7 +344,4 @@ fn a_failed_wait_response_is_not_a_delivery() {
             "a delivered report past the byte budget answers unknown job, got {again:?}"
         );
     }
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,28 +10,19 @@
 
 mod common;
 
-use common::store_dir;
+use common::{daemon_config, serve, Store};
 use graphm::graph::delta::DeltaRecord;
-use graphm::graph::{generators, MemoryProfile};
+use graphm::graph::generators;
 use graphm::server::{
     Client, ClientError, ExecutionMode, JobState, Priority, Server, ServerConfig,
 };
-use graphm::store::{Convert, DeltaWriter};
+use graphm::store::DeltaWriter;
 use graphm::workloads::{AlgoKind, JobSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-fn base_config(dir: &std::path::Path, name: &str, batch_ms: u64) -> ServerConfig {
-    let mut config = ServerConfig::new(dir);
-    config.socket_path =
-        Some(std::env::temp_dir().join(format!("graphm-ovl-{name}-{}.sock", std::process::id())));
-    config.profile = MemoryProfile::TEST;
-    config.batch_window = Duration::from_millis(batch_ms);
-    config
-}
-
-/// `base_config` for the admission tests that run twice: once on the
+/// `daemon_config` for the admission tests that run twice: once on the
 /// default config (`None`) and once with `mode` written explicitly, the way
 /// gmbench configures the daemon. The admission rules live in the one
 /// runtime loop, so they must hold however the config was built.
@@ -41,7 +32,7 @@ fn mode_config(
     batch_ms: u64,
     mode: Option<ExecutionMode>,
 ) -> ServerConfig {
-    let mut config = base_config(dir, &format!("{name}-{}", tag(mode)), batch_ms);
+    let mut config = daemon_config(dir, &format!("{name}-{}", tag(mode)), batch_ms);
     if let Some(mode) = mode {
         config.mode = mode;
     }
@@ -56,11 +47,9 @@ fn tag(mode: Option<ExecutionMode>) -> &'static str {
     }
 }
 
-fn small_store(name: &str) -> std::path::PathBuf {
+fn small_store(name: &str) -> Store {
     let g = generators::rmat(200, 1500, generators::RmatParams::GRAPH500, 9);
-    let dir = store_dir(name);
-    Convert::grid(2).write(&g, &dir).unwrap();
-    dir
+    Store::convert(name, &g, 2)
 }
 
 fn wcc(max_iters: usize) -> JobSpec {
@@ -75,10 +64,9 @@ fn queue_full_submissions_get_typed_overloaded_error() {
     let dir = small_store("queuefull");
     // A 1-second batching window keeps the first submission *queued*
     // while the second arrives microseconds later.
-    let mut config = base_config(&dir, "queuefull", 1000);
+    let mut config = daemon_config(&dir, "queuefull", 1000);
     config.max_pending = 1;
-    let server = Server::start(config).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(config);
 
     let id = client.submit(&wcc(3)).unwrap();
     match client.submit(&wcc(3)) {
@@ -101,9 +89,6 @@ fn queue_full_submissions_get_typed_overloaded_error() {
     assert_eq!(stats.jobs_submitted, 2, "shed submissions are not counted as admitted");
     assert_eq!(stats.jobs_completed, 2);
     assert_eq!(stats.jobs_failed, 0);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Per-tenant pending quotas isolate tenants: one tenant exhausting its
@@ -112,10 +97,9 @@ fn queue_full_submissions_get_typed_overloaded_error() {
 #[test]
 fn tenant_pending_quota_sheds_one_tenant_without_starving_another() {
     let dir = small_store("tenants");
-    let mut config = base_config(&dir, "tenants", 1000);
+    let mut config = daemon_config(&dir, "tenants", 1000);
     config.tenant_max_pending = 1;
-    let server = Server::start(config).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (_server, mut client) = serve(config);
 
     let a1 = client.submit_as(&wcc(3), "alice", Priority::Batch).unwrap();
     match client.submit_as(&wcc(3), "alice", Priority::Batch) {
@@ -134,9 +118,6 @@ fn tenant_pending_quota_sheds_one_tenant_without_starving_another() {
     // a leaked slot would shed her forever.
     let a2 = client.submit_as(&wcc(3), "alice", Priority::Batch).unwrap();
     assert!(client.wait(a2).unwrap().error.is_none());
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The inflight quota caps queued + running jobs per tenant, and its
@@ -156,8 +137,7 @@ fn tenant_inflight_quota(mode: Option<ExecutionMode>) {
     let dir = small_store(&format!("inflight-{}", tag(mode)));
     let mut config = mode_config(&dir, "inflight", 1000, mode);
     config.tenant_max_inflight = 2;
-    let server = Server::start(config).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(config);
 
     let a1 = client.submit_as(&wcc(3), "alice", Priority::Batch).unwrap();
     let a2 = client.submit_as(&wcc(3), "alice", Priority::Interactive).unwrap();
@@ -180,9 +160,6 @@ fn tenant_inflight_quota(mode: Option<ExecutionMode>) {
     assert!(client.wait(a3).unwrap().error.is_none());
     assert!(client.wait(a4).unwrap().error.is_none());
     assert_eq!(server.stats().jobs_shed, 1);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// In-flight Batch bound: with `max_batch_per_round = 1`, a backlog of
@@ -203,8 +180,7 @@ fn interactive_not_stuck(mode: Option<ExecutionMode>) {
     let dir = small_store(&format!("priority-{}", tag(mode)));
     let mut config = mode_config(&dir, "priority", 400, mode);
     config.max_batch_per_round = 1;
-    let server = Server::start(config).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(config);
 
     // Three batch jobs queue up first, then the interactive one.
     let batch_ids: Vec<_> =
@@ -235,9 +211,6 @@ fn interactive_not_stuck(mode: Option<ExecutionMode>) {
         );
     }
     assert!(server.stats().rounds >= 3, "the batch cap forces the backlog across admissions");
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The cap bounds Batch jobs *in flight*; it is not a budget per busy
@@ -259,8 +232,7 @@ fn capped_backlog_completes(mode: Option<ExecutionMode>) {
     // Jobs of milliseconds, and loops of different lengths so they cannot
     // fall into step: some interactive job is always in flight.
     let g = generators::rmat(2000, 40_000, generators::RmatParams::GRAPH500, 13);
-    let dir = store_dir(&format!("stream-{}", tag(mode)));
-    Convert::grid(2).write(&g, &dir).unwrap();
+    let dir = Store::convert(&format!("stream-{}", tag(mode)), &g, 2);
     let mut config = mode_config(&dir, "stream", 5, mode);
     config.max_batch_per_round = 1;
     let server = Server::start(config).unwrap();
@@ -313,9 +285,6 @@ fn capped_backlog_completes(mode: Option<ExecutionMode>) {
         }
     });
     assert_eq!(server.stats().jobs_failed, 0);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Graceful shutdown: in-flight jobs drain and answer their waiters, new
@@ -380,9 +349,6 @@ fn graceful_shutdown(mode: Option<ExecutionMode>) {
         }
     };
     drop(writer);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Out-of-core pressure: once a round has thrashed the memory budget, the
@@ -405,8 +371,7 @@ fn eviction_pressure(mode: Option<ExecutionMode>) {
     // evicts what it just left behind.
     config.memory_budget_bytes = 4096;
     config.shed_eviction_rate = 0.01;
-    let server = Server::start(config).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (server, mut client) = serve(config);
 
     // Before any round the signal is quiet: batch work is admitted.
     let first = client.submit_as(&wcc(3), "batchy", Priority::Batch).unwrap();
@@ -432,9 +397,6 @@ fn eviction_pressure(mode: Option<ExecutionMode>) {
     assert!(stats.evictions > 0);
     assert_eq!(stats.jobs_shed, 1);
     assert_eq!(stats.jobs_completed, 2);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The `health` verb: cheap, lock-light readiness probe carrying lease
@@ -442,8 +404,7 @@ fn eviction_pressure(mode: Option<ExecutionMode>) {
 #[test]
 fn health_verb_reports_daemon_state() {
     let dir = small_store("health");
-    let server = Server::start(base_config(&dir, "health", 5)).unwrap();
-    let mut client = Client::connect_unix(server.socket_path().unwrap()).unwrap();
+    let (_server, mut client) = serve(daemon_config(&dir, "health", 5));
 
     let h1 = client.health().unwrap();
     assert_eq!(h1.lease_held, 0, "plain reader daemon holds no writer lease");
@@ -459,9 +420,6 @@ fn health_verb_reports_daemon_state() {
     let h2 = client.health().unwrap();
     assert!(h2.uptime_ms >= h1.uptime_ms);
     assert_eq!(h2.queue_depth, 0);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Connection limit: accepts past the cap get one typed `overloaded`
@@ -470,7 +428,7 @@ fn health_verb_reports_daemon_state() {
 #[test]
 fn connection_limit_sheds_accepts_with_typed_error() {
     let dir = small_store("connlimit");
-    let mut config = base_config(&dir, "connlimit", 5);
+    let mut config = daemon_config(&dir, "connlimit", 5);
     config.max_connections = 1;
     let server = Server::start(config).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
@@ -508,9 +466,6 @@ fn connection_limit_sheds_accepts_with_typed_error() {
             Err(e) => panic!("slot never freed after disconnect: {e}"),
         }
     }
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Oversized request lines are rejected with a typed `line_too_long`
@@ -519,7 +474,7 @@ fn connection_limit_sheds_accepts_with_typed_error() {
 #[test]
 fn oversized_line_gets_typed_error_and_connection_survives() {
     let dir = small_store("oversize");
-    let mut config = base_config(&dir, "oversize", 5);
+    let mut config = daemon_config(&dir, "oversize", 5);
     config.max_line_bytes = 256;
     let server = Server::start(config).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
@@ -544,8 +499,6 @@ fn oversized_line_gets_typed_error_and_connection_survives() {
     assert!(line.contains("\"pong\":true"), "connection survives an oversized line: {line}");
 
     assert!(server.stats().oversized_lines >= 1);
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Per-read socket timeouts close half-dead connections instead of
@@ -553,7 +506,7 @@ fn oversized_line_gets_typed_error_and_connection_survives() {
 #[test]
 fn read_timeout_closes_idle_connections() {
     let dir = small_store("timeout");
-    let mut config = base_config(&dir, "timeout", 5);
+    let mut config = daemon_config(&dir, "timeout", 5);
     config.read_timeout = Duration::from_millis(150);
     let server = Server::start(config).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
@@ -573,9 +526,6 @@ fn read_timeout_closes_idle_connections() {
     line.clear();
     let n = reader.read_line(&mut line).unwrap_or(0);
     assert_eq!(n, 0, "daemon should close an idle connection, got {line:?}");
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A client that disconnects mid-request (truncated frame, no newline)
@@ -583,7 +533,7 @@ fn read_timeout_closes_idle_connections() {
 #[test]
 fn mid_request_disconnect_leaks_nothing() {
     let dir = small_store("disconnect");
-    let server = Server::start(base_config(&dir, "disconnect", 5)).unwrap();
+    let server = Server::start(daemon_config(&dir, "disconnect", 5)).unwrap();
     let socket = server.socket_path().unwrap().to_path_buf();
 
     for _ in 0..4 {
@@ -603,7 +553,4 @@ fn mid_request_disconnect_leaks_nothing() {
     let stats = server.stats();
     assert_eq!(stats.jobs_submitted, 0, "no truncated frame became a queued job");
     assert_eq!(stats.queue_depth, 0);
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
